@@ -34,8 +34,10 @@ from .benchmarks import (
 )
 from .equilibria import (
     Equilibrium,
+    EquilibriumSet,
     ExistenceCondition,
     disease_free,
+    solve_all,
     solve_coexistence,
     solve_strain1,
     solve_strain2,
@@ -102,6 +104,7 @@ __all__ = [
     "DomainError",
     "EXAMPLE_IDS",
     "Equilibrium",
+    "EquilibriumSet",
     "ExistenceCondition",
     "FlagCheck",
     "GridScanSummary",
@@ -154,6 +157,7 @@ __all__ = [
     "require_certified",
     "residual",
     "serialize_scenario",
+    "solve_all",
     "solve_coexistence",
     "solve_strain1",
     "solve_strain2",

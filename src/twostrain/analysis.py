@@ -13,18 +13,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .equilibria import (
-    Equilibrium,
-    disease_free,
-    solve_coexistence,
-    solve_strain1,
-    solve_strain2,
-)
-from .errors import ConfigError, SolverError
+from .equilibria import Equilibrium, solve_all
+from .errors import ConfigError
 from .incidence import IncidenceSpec
-from .model import Thresholds, invasion_numbers, thresholds
+from .model import Thresholds, thresholds
 from .scenario import Scenario
-from .simulate import integrate
+from .simulate import Trajectory, integrate
 from .stability import (
     GridScanSummary,
     StabilityReport,
@@ -47,6 +41,7 @@ class AnalysisReport:
     global_checks: Tuple[Tuple[str, GridScanSummary], ...]
     verdict_lines: Tuple[str, ...]
     notes: Tuple[str, ...] = ()
+    trajectory: Optional[Trajectory] = None  # the run behind the trajectory check, if any
 
 
 def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> AnalysisReport:
@@ -54,64 +49,58 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
-    strain-2-only equilibrium exists with R1 <= 1, and the trajectory-tail
+    strain-2-only equilibrium exists with R1 <= 1, and the trajectory
     derivative check when the coexistence equilibrium exists.
     """
     p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-    th = thresholds(p, inc1, inc2)
+    eqs = solve_all(p, inc1, inc2)
+    th = eqs.thresholds
+    e2 = eqs.E2[0] if eqs.E2 else None
+    e3 = eqs.E3[0] if eqs.E3 else None
     notes: List[str] = []
-
-    e0 = disease_free(p, inc1, inc2)
-    e1 = solve_strain1(p, inc1)
-    e2_roots = solve_strain2(p, inc2)
-    e2 = e2_roots[0] if e2_roots else None
-    if len(e2_roots) > 1:
+    if len(eqs.E2) > 1:
         notes.append(
             "strain-2 balance has %d roots; invasion threshold reported at the smallest"
-            % len(e2_roots)
+            % len(eqs.E2)
         )
-    r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2)
-    th = dataclasses.replace(th, R2_invasion=r2_inv, R1_invasion=r1_inv)
+    if len(eqs.E3) > 1:
+        notes.append(
+            "coexistence balance has %d roots; trajectory check run at the smallest I2"
+            % len(eqs.E3)
+        )
+    if eqs.coexistence_error:
+        notes.append("coexistence solve failed: %s" % eqs.coexistence_error)
 
-    e3 = None
-    if e1 is not None and e2 is not None:
-        try:
-            e3 = solve_coexistence(p, inc1, inc2)
-        except SolverError as exc:
-            notes.append("coexistence solve failed: %s" % exc)
-
-    equilibria: List[Equilibrium] = [e0]
     stability: List[StabilityReport] = [classify_disease_free(p, inc1, inc2)]
-    if e1 is not None:
-        equilibria.append(e1)
-        stability.append(classify_strain1(p, inc1, inc2, e1))
-    for root in e2_roots:
-        equilibria.append(root)
-        stability.append(classify_strain2(p, inc1, inc2, root))
-    if e3 is not None:
-        equilibria.append(e3)
-        stability.append(classify_coexistence(p, inc1, inc2, e3))
+    if eqs.E1 is not None:
+        stability.append(classify_strain1(p, inc1, inc2, eqs.E1))
+    stability.extend(classify_strain2(p, inc1, inc2, root) for root in eqs.E2)
+    stability.extend(classify_coexistence(p, inc1, inc2, root) for root in eqs.E3)
 
     global_checks: List[Tuple[str, GridScanSummary]] = []
+    traj = None
     if include_global:
         if e2 is not None and th.R1 <= 1.0:
             summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
             global_checks.append(("strain2_lyapunov_scan", summary))
         if e3 is not None:
+            # every state after the start, which may lie on the boundary; the
+            # scan sets aside the late states, whose values are below their
+            # rounding error
             traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
-            tail = traj.times >= traj.times[-1] - sc.integrator.tail_window
-            summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[tail][:, :4])
+            summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[1:, :4])
             global_checks.append(("coexistence_tail_derivative", summary))
 
-    lines = _verdict_lines(th, e1, e2_roots, e3, stability, dict(global_checks))
+    lines = _verdict_lines(th, eqs.E1, eqs.E2, e3, stability, dict(global_checks))
     return AnalysisReport(
         scenario=sc,
         thresholds=th,
-        equilibria=tuple(equilibria),
+        equilibria=eqs.all,
         stability=tuple(stability),
         global_checks=tuple(global_checks),
         verdict_lines=tuple(lines),
         notes=tuple(notes),
+        trajectory=traj,
     )
 
 
@@ -223,7 +212,7 @@ def _verdict_lines(
             if scan.nonpositive_everywhere:
                 lines.append(
                     "E3 consistent with global stability: time derivative of the lyapunov "
-                    "expression stays <= 0 along the trajectory tail (max %.3e over %d states)"
+                    "expression stays <= 0 along the trajectory (max %.3e over %d states)"
                     % (scan.max_value, scan.n_points)
                 )
             else:
@@ -376,48 +365,39 @@ def sweep(
 ) -> List[SweepRow]:
     """Evaluate thresholds (and optionally equilibria with verdicts) on a grid.
 
-    The coexistence solve is warm-started from the previous grid point, so
-    branches are followed continuously instead of re-searched each time.
+    Each classified row solves every equilibrium afresh through
+    ``solve_all``, so a row does not depend on the rows before it. A row
+    whose coexistence solve fails reads "solve failed" as its E3 verdict.
     """
     if n < 2:
         raise ConfigError("sweep needs n >= 2 grid points")
     _resolve_key(key)  # validate before running
-    values = np.linspace(start, stop, n)
     rows: List[SweepRow] = []
-    hint = None
-    for value in values:
-        sci = apply_sweep_value(sc, key, float(value))
+    for value in np.linspace(start, stop, n).tolist():
+        sci = apply_sweep_value(sc, key, value)
         p, inc1, inc2 = sci.params, sci.incidence1, sci.incidence2
-        th = thresholds(p, inc1, inc2)
         exists = {"E0": True, "E1": False, "E2": False, "E3": False}
         verdicts = {"E0": "", "E1": "absent", "E2": "absent", "E3": "absent"}
-        r2_inv = r1_inv = None
         if not classify:
-            rows.append(SweepRow(float(value), th.R1, th.R2, th.R0, None, None, exists, verdicts))
+            th = thresholds(p, inc1, inc2)
+            rows.append(SweepRow(value, th.R1, th.R2, th.R0, None, None, exists, verdicts))
             continue
+        eqs = solve_all(p, inc1, inc2)
+        th = eqs.thresholds
         verdicts["E0"] = classify_disease_free(p, inc1, inc2).verdict.value
-        e1 = solve_strain1(p, inc1)
-        e2_roots = solve_strain2(p, inc2)
-        e2 = e2_roots[0] if e2_roots else None
-        r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2)
-        if e1 is not None:
+        if eqs.E1 is not None:
             exists["E1"] = True
-            verdicts["E1"] = classify_strain1(p, inc1, inc2, e1).verdict.value
-        if e2 is not None:
+            verdicts["E1"] = classify_strain1(p, inc1, inc2, eqs.E1).verdict.value
+        if eqs.E2:
             exists["E2"] = True
-            verdicts["E2"] = classify_strain2(p, inc1, inc2, e2).verdict.value
-        e3 = None
-        if e1 is not None and e2 is not None:
-            try:
-                e3 = solve_coexistence(p, inc1, inc2, hint=hint, use_simulation_start=False)
-            except SolverError:
-                verdicts["E3"] = "solve failed"
-        if e3 is not None:
+            verdicts["E2"] = classify_strain2(p, inc1, inc2, eqs.E2[0]).verdict.value
+        if eqs.E3:
             exists["E3"] = True
-            verdicts["E3"] = classify_coexistence(p, inc1, inc2, e3).verdict.value
-            hint = (e3.point.I1, e3.point.I2)
+            verdicts["E3"] = classify_coexistence(p, inc1, inc2, eqs.E3[0]).verdict.value
+        elif eqs.coexistence_error:
+            verdicts["E3"] = "solve failed"
         rows.append(
-            SweepRow(float(value), th.R1, th.R2, th.R0, r2_inv, r1_inv, exists, verdicts)
+            SweepRow(value, th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion, exists, verdicts)
         )
     return rows
 

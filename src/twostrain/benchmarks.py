@@ -264,7 +264,7 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         scan = dict(report.global_checks).get("coexistence_tail_derivative")
         flags.append(
             FlagCheck(
-                "lyapunov time derivative nonpositive along trajectory tail",
+                "lyapunov time derivative nonpositive along the trajectory",
                 scan is not None and scan.nonpositive_everywhere,
                 "" if scan is None else "max %.3e" % scan.max_value,
             )
@@ -272,7 +272,9 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
 
     # trajectory claim: the run from the default interior start settles on
     # the expected attractor
-    traj = integrate(sc.params, sc.incidence1, sc.incidence2, sc.initial, sc.integrator)
+    traj = report.trajectory
+    if traj is None:
+        traj = integrate(sc.params, sc.incidence1, sc.incidence2, sc.initial, sc.integrator)
     event = detect_convergence(traj, report.equilibria, sc.integrator)
     attractor = _CASES[example_id]["attractor"]
     flags.append(

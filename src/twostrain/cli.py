@@ -16,7 +16,7 @@ from typing import List, Optional
 
 from .analysis import analyze, render_report, sweep
 from .benchmarks import EXAMPLE_IDS, render_reproduction, reproduce
-from .equilibria import disease_free, solve_coexistence, solve_strain1, solve_strain2
+from .equilibria import solve_all
 from .errors import (
     ConfigError,
     DomainError,
@@ -116,19 +116,7 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     sc = _load(args)
     p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-    candidates = [disease_free(p, inc1, inc2)]
-    e1 = solve_strain1(p, inc1)
-    if e1 is not None:
-        candidates.append(e1)
-    e2_roots = solve_strain2(p, inc2)
-    candidates.extend(e2_roots)
-    if e1 is not None and e2_roots:
-        try:
-            e3 = solve_coexistence(p, inc1, inc2)
-        except SolverError:
-            e3 = None
-        if e3 is not None:
-            candidates.append(e3)
+    candidates = solve_all(p, inc1, inc2).all
 
     traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
     event = detect_convergence(traj, candidates, sc.integrator)

@@ -3,18 +3,35 @@
 Four equilibrium kinds exist:
 
     E0  disease free, closed form
-    E1  strain 1 only, root of a scalar balance G on (0, Lambda/alpha1]
-    E2  strain 2 only, root(s) of a scalar balance H on (0, Lambda/alpha2]
-    E3  coexistence, root of a reduced 2-D system in (I1, I2)
+    E1  strain 1 only, root of a scalar balance G(I1) on (0, Lambda/alpha1]
+    E2  strain 2 only, roots of a scalar balance H(I2) on (0, Lambda/alpha2]
+    E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
+E1, E2 and E3 share one root finder. It evaluates the balance on SCAN_NODES
+cells at once and brackets every sign change between neighbouring finite
+values. It then narrows all brackets together, each round cutting every
+bracket into SECTIONS parts, to a width of BISECT_WIDTH times the scan
+range, and polishes each root with a secant step through its bracket ends.
+
+For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
+at each I2 (its left side rises strictly in S from -alpha2 at S = 0),
+V1 = r*S/(mu + k*I2) follows, and the summed balance gives I1 linearly.
+psi(I2) = f1(S, I1) - alpha1 then vanishes exactly at interior equilibria.
+I1 reaches 0 at the E2 levels; psi is continued past them with I1 held at
+0, so that roots next to them are bracketed, and roots with I1 <= 0 are
+dropped.
+The reduction is in I2 rather than S because with r*k = 0 and an f2 that
+ignores I2, the strain-2 balance no longer depends on I2.
+
+``solve_all`` runs every solver once and fills in the invasion numbers.
 Every returned equilibrium is certified: the max-norm of the vector field at
 the returned point must be below RESIDUAL_TOL or the solver raises instead of
-returning a bad point. Scalar roots are bracketed and bisected to a width of
-1e-12 times the bracket scale, then polished with at most three Newton steps.
+returning a bad point.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -27,19 +44,28 @@ from .model import (
     RESIDUAL_TOL,
     ModelParams,
     State,
+    Thresholds,
+    invasion_numbers,
     residual as field_residual,
+    strain1_threshold,
+    strain2_threshold,
+    thresholds,
 )
 
-_FD_EPS = math.sqrt(np.finfo(float).eps)
-
-#: relative lower end of scalar root brackets; the balance functions vanish at 0
+#: relative lower end of the scan; the E1 and E2 balances vanish at 0
 BRACKET_EPSILON = 1e-9
 
-#: relative bisection width before Newton polishing
+#: relative bracket width at which narrowing stops and the secant polish runs
 BISECT_WIDTH = 1e-12
 
-#: default sign-change scan resolution for the strain-2 balance
-DEFAULT_SCAN = 4096
+#: sign-change scan resolution shared by every balance
+SCAN_NODES = 4096
+
+#: equal parts each bracket is cut into per narrowing round
+SECTIONS = 64
+
+#: iteration cap of the safeguarded Newton solve for S in the E3 reduction
+_S_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -97,31 +123,18 @@ def strain1_balance(p: ModelParams, inc1: IncidenceSpec, I1):
 
 def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> Optional[Equilibrium]:
     """Unique strain-1-only equilibrium, present if and only if R1 > 1."""
-    S0 = p.susceptible_cap
-    R1 = float(inc1.d_rate_dI(S0, 0.0)) / p.alpha1
+    _, R1 = strain1_threshold(p, inc1)
     condition = ExistenceCondition("R1 > 1", R1, R1 > 1.0)
     if R1 <= 1.0:
         return None
 
-    hi = p.Lambda / p.alpha1
-    lo = BRACKET_EPSILON * hi
-    g = lambda x: float(strain1_balance(p, inc1, x))
-    g_lo, g_hi = g(lo), g(hi)
-    if not (g_lo > 0.0 > g_hi):
+    roots = _roots(lambda x: strain1_balance(p, inc1, x), p.Lambda / p.alpha1)
+    if not roots.size:
         raise SolverError(
-            "strain-1 balance not bracketed on (%.3e, %.3e) although R1 = %.6g > 1"
-            % (lo, hi, R1)
+            "strain-1 balance shows no sign change at scan resolution %d although "
+            "R1 = %.6g > 1" % (SCAN_NODES, R1)
         )
-
-    def g_prime(x):
-        S = (p.Lambda - p.alpha1 * x) / p.lam
-        return float(
-            -(p.alpha1 / p.lam) * inc1.d_rate_dS(S, x)
-            + inc1.d_rate_dI(S, x)
-            - p.alpha1
-        )
-
-    I1 = _bisect_then_polish(g, lo, hi, g_lo, BISECT_WIDTH * hi, g_prime)
+    I1 = float(roots[0])
     S = (p.Lambda - p.alpha1 * I1) / p.lam
     V1 = p.r * S / p.mu
     point = State(S, V1, I1, 0.0)
@@ -159,48 +172,23 @@ def strain2_discriminant(p: ModelParams) -> float:
     return -p.alpha2 * p.r * p.mu - p.alpha2 * p.mu * p.mu + p.k * p.Lambda * p.r
 
 
-def solve_strain2(
-    p: ModelParams, inc2: IncidenceSpec, n_scan: int = DEFAULT_SCAN
-) -> List[Equilibrium]:
-    """All strain-2-only equilibria found by sign-change scan plus bisection.
+def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
+    """All strain-2-only equilibria, found by the shared scan-bracket-polish pass.
 
     Returns an empty list when R2 <= 1. Raises SolverError when R2 > 1 but
     the scan resolution shows no sign change, since a root must exist.
     """
-    S0 = p.susceptible_cap
-    sigma2 = float(inc2.d_rate_dI(S0, 0.0))
-    R2 = sigma2 / p.alpha2 + p.k * p.r * p.Lambda / (p.alpha2 * p.mu * p.lam)
+    _, R2 = strain2_threshold(p, inc2)
     condition = ExistenceCondition("R2 > 1", R2, R2 > 1.0)
     if R2 <= 1.0:
         return []
 
     hi = p.Lambda / p.alpha2
-    xs = np.linspace(0.0, hi, n_scan + 1)
-    hs = np.asarray(strain2_balance(p, inc2, xs), float)
-
-    h = lambda x: float(strain2_balance(p, inc2, x))
-
-    def h_prime(x):
-        step = _FD_EPS * max(1.0, abs(x))
-        return (h(x + step) - h(x - step)) / (2.0 * step)
-
-    brackets = []
-    # H(0) = 0 exactly and H'(0) = alpha2*(R2 - 1) > 0; if the first scan node
-    # is already negative the root sits inside the first cell
-    if hs[1] < 0.0:
-        lo = BRACKET_EPSILON * hi
-        if h(lo) > 0.0:
-            brackets.append((lo, xs[1]))
-    for i in range(1, n_scan):
-        a, b = hs[i], hs[i + 1]
-        if a == 0.0:
-            continue  # handled as the right end of the previous cell
-        if b == 0.0 or (a > 0.0) != (b > 0.0):
-            brackets.append((xs[i], xs[i + 1]))
-    if not brackets:
+    roots = _roots(lambda x: strain2_balance(p, inc2, x), hi)
+    if not roots.size:
         raise SolverError(
             "strain-2 balance shows no sign change at scan resolution %d "
-            "although R2 = %.6g > 1" % (n_scan, R2)
+            "although R2 = %.6g > 1" % (SCAN_NODES, R2)
         )
 
     d = strain2_discriminant(p)
@@ -219,14 +207,8 @@ def solve_strain2(
     else:
         structure = "discriminant is exactly 0"
 
-    roots: List[float] = []
-    for lo, up in brackets:
-        root = _bisect_then_polish(h, lo, up, h(lo), BISECT_WIDTH * hi, h_prime)
-        if not roots or abs(root - roots[-1]) > 10.0 * BISECT_WIDTH * hi:
-            roots.append(root)
-
     out = []
-    for I2 in roots:
+    for I2 in roots.tolist():
         S, V1 = strain2_coordinates(p, I2)
         point = State(S, V1, 0.0, I2)
         F2 = float(inc2.rate(S, I2))
@@ -238,8 +220,8 @@ def solve_strain2(
         dF2_dS = float(inc2.d_rate_dS(S, I2))
         note = "%s; found %d root(s) at scan resolution %d; " % (
             structure,
-            len(roots),
-            n_scan,
+            roots.size,
+            SCAN_NODES,
         )
         note += "auxiliary uniqueness flag dF2/dS <= I2 %s (dF2/dS = %.6g, I2 = %.6g)" % (
             "holds" if dF2_dS <= I2 else "fails",
@@ -253,247 +235,176 @@ def solve_strain2(
 # -- coexistence -------------------------------------------------------------
 
 
-def coexistence_coordinates(p: ModelParams, I1, I2):
-    """(S, V1) consistent with simultaneous balance of both strains."""
-    S = (
-        (p.Lambda - p.alpha1 * I1 - p.alpha2 * I2)
-        * (p.mu + p.k * I2)
-        / (p.lam * p.mu + p.mu * p.k * I2)
-    )
+def coexistence_coordinates(p: ModelParams, inc2: IncidenceSpec, I2):
+    """(S, V1, I1) of the interior equilibrium candidate at infection level I2.
+
+    S solves f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 on [0, S0] by Newton's
+    method from S = 0, safeguarded by the bracket that each iterate updates;
+    S is NaN where the left side stays below alpha2 up to S0, since every
+    equilibrium has S <= S0. I1 comes from the summed S, I1 and I2 balances
+    and may be negative.
+    """
+    I2 = np.asarray(I2, float)
+    c = p.k * p.r / (p.mu + p.k * I2)
+
+    def g(S):
+        return inc2.force(S, I2) + c * S - p.alpha2
+
+    lo = np.zeros_like(I2)
+    hi = np.full_like(I2, p.susceptible_cap)
+    feasible = g(hi) >= 0.0
+    S = np.where(feasible, lo, hi)  # an infeasible node stays at S0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_S_ITERATIONS):
+            gs = g(S)
+            lo = np.where(gs < 0.0, S, lo)
+            hi = np.where(gs > 0.0, S, hi)
+            step = S - gs / (inc2.d_rate_dS(S, I2) / I2 + c)
+            new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            moved = np.max(np.abs(new - S), initial=0.0)
+            S = new
+            if moved <= 4.0 * np.finfo(float).eps * p.susceptible_cap:
+                break
+    S = np.where(feasible, S, np.nan)
     V1 = p.r * S / (p.mu + p.k * I2)
-    return S, V1
+    I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
+    return S, V1, I1
 
 
 def solve_coexistence(
     p: ModelParams,
     inc1: IncidenceSpec,
     inc2: IncidenceSpec,
-    hint: Optional[Tuple[float, float]] = None,
-    use_simulation_start: bool = True,
-) -> Optional[Equilibrium]:
-    """Interior equilibrium with both strains present, or None.
+    th: Thresholds,
+) -> List[Equilibrium]:
+    """All interior equilibria with both strains present, by increasing I2.
 
-    Solves the reduced system in (I1, I2)
-
-        f1(S(I1, I2), I1) - alpha1 = 0
-        f2(S(I1, I2), I2) + k*V1(I1, I2) - alpha2 = 0
-
-    by damped Newton iteration from a ladder of starting points: the caller's
-    (I1, I2) hint, the single-strain infection levels, the tail of a short
-    coarse simulation, and a coarse grid search. When both invasion numbers exceed 1
-    a root must exist, so exhausting every start then raises SolverError;
-    otherwise the solver returns None.
+    Roots of psi(I2) = f1(S, I1) - alpha1 with (S, V1, I1) from
+    ``coexistence_coordinates`` and I1 > 0; psi is undefined where no S
+    exists. I1 falls to 0 exactly at an E2 level, where psi equals
+    alpha1*(R1_invasion - 1); past it psi is continued with I1 held at 0, so
+    a root next to that boundary is still bracketed by the scan, and roots
+    with I1 <= 0 are then dropped. ``th`` carries the invasion numbers, as
+    ``solve_all`` fills them in; each root records the known ones as
+    existence conditions. When both exceed 1 an interior root must exist, so
+    finding none raises SolverError.
     """
 
-    def system(vec):
-        I1, I2 = vec
-        S, V1 = coexistence_coordinates(p, I1, I2)
-        return np.array(
-            [
-                inc1.force(S, I1) - p.alpha1,
-                inc2.force(S, I2) + p.k * V1 - p.alpha2,
-            ],
-            float,
-        )
+    def psi(I2):
+        S, _, I1 = coexistence_coordinates(p, inc2, I2)
+        feasible = np.isfinite(S)
+        S, I1 = np.where(feasible, S, 0.0), np.where(feasible, np.maximum(I1, 0.0), 0.0)
+        return np.where(feasible, inc1.force(S, I1) - p.alpha1, np.nan)
 
-    e1 = solve_strain1(p, inc1)
-    e2_roots = solve_strain2(p, inc2)
-    e2 = e2_roots[0] if e2_roots else None
-
-    R2_invasion = None
-    R1_invasion = None
-    if e1 is not None:
-        R2_invasion = float(inc2.d_rate_dI(e1.point.S, 0.0) + p.k * e1.point.V1) / p.alpha2
-    if e2 is not None:
-        R1_invasion = float(inc1.d_rate_dI(e2.point.S, 0.0)) / p.alpha1
-
-    starts = []
-    if hint is not None:
-        hint_I1, hint_I2 = float(hint[0]), float(hint[1])
-        if hint_I1 > 0.0 and hint_I2 > 0.0:
-            starts.append((hint_I1, hint_I2))
-    if e1 is not None and e2 is not None:
-        starts.append((e1.point.I1, e2.point.I2))
-    if use_simulation_start:
-        starts.append(_simulation_start(p, inc1, inc2))
-    starts.append(_grid_start(p, system))
-
-    solution = None
-    for start in starts:
-        if start is None:
-            continue
-        solution = _damped_newton(system, np.asarray(start, float))
-        if solution is not None:
-            I1, I2 = solution
-            S, V1 = coexistence_coordinates(p, I1, I2)
-            if I1 > 0.0 and I2 > 0.0 and S > 0.0 and V1 > 0.0:
-                break
-            solution = None
-
-    conditions = []
-    if R2_invasion is not None:
-        conditions.append(
-            ExistenceCondition("R2_invasion > 1", R2_invasion, R2_invasion > 1.0)
-        )
-    if R1_invasion is not None:
-        conditions.append(
-            ExistenceCondition("R1_invasion > 1", R1_invasion, R1_invasion > 1.0)
-        )
-
-    if solution is None:
-        guaranteed = (
-            R2_invasion is not None
-            and R1_invasion is not None
-            and R2_invasion > 1.0
-            and R1_invasion > 1.0
-        )
-        if guaranteed:
-            raise SolverError(
-                "coexistence Newton solve failed from all starts although "
-                "R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
-                % (R2_invasion, R1_invasion)
-            )
-        return None
-
-    I1, I2 = solution
-    S, V1 = coexistence_coordinates(p, I1, I2)
-    point = State(S, V1, I1, I2)
-    res = field_residual(p, inc1, inc2, point)
-    return _certified(Equilibrium("E3", point, res, tuple(conditions)))
-
-
-def _simulation_start(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec):
-    """Tail of a short, coarse run from an interior point."""
-    from .simulate import IntegratorOptions, integrate  # deferred: fallback path only
-
-    x0 = State(
-        0.5 * p.susceptible_cap,
-        0.5 * p.vaccinated_cap,
-        0.01 * p.population_cap,
-        0.01 * p.population_cap,
+    r2_inv, r1_inv = th.R2_invasion, th.R1_invasion
+    conditions = tuple(
+        ExistenceCondition(name, value, value > 1.0)
+        for name, value in (("R2_invasion > 1", r2_inv), ("R1_invasion > 1", r1_inv))
+        if value is not None
     )
-    opts = IntegratorOptions(rtol=1e-6, atol=1e-9, t_end=400.0)
+
+    # every equilibrium has S <= S0, and the strain-2 balance at S0 falls in
+    # I2 from alpha2*(R2 - 1); past its last root no S solves it, so the scan
+    # ends there and spends its nodes where psi is defined
+    S0 = p.susceptible_cap
+    hi = p.Lambda / p.alpha2
+    cap = _roots(lambda x: inc2.force(S0, x) + p.k * p.r * S0 / (p.mu + p.k * x) - p.alpha2, hi)
+    roots = _roots(psi, cap[-1] if cap.size else hi)
+    S, V1, I1 = coexistence_coordinates(p, inc2, roots)
+    interior = I1 > 0.0
+    if not interior.any() and len(conditions) == 2 and all(c.satisfied for c in conditions):
+        raise SolverError(
+            "coexistence balance shows no sign change with I1 > 0 at scan resolution %d "
+            "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
+            % (SCAN_NODES, r2_inv, r1_inv)
+        )
+    out = []
+    for point in map(State, *(x[interior].tolist() for x in (S, V1, I1, roots))):
+        res = field_residual(p, inc1, inc2, point)
+        out.append(_certified(Equilibrium("E3", point, res, conditions)))
+    return out
+
+
+# -- every equilibrium at once -----------------------------------------------
+
+
+@dataclass(frozen=True)
+class EquilibriumSet:
+    """Every equilibrium of one parameter set and the thresholds behind them.
+
+    ``thresholds`` carries the invasion numbers, taken at E1 and at the
+    E2 root of smallest I2. ``coexistence_error`` holds the message of a
+    failed E3 solve, which leaves ``E3`` empty.
+    """
+
+    thresholds: Thresholds
+    E0: Equilibrium
+    E1: Optional[Equilibrium]
+    E2: Tuple[Equilibrium, ...]
+    E3: Tuple[Equilibrium, ...]
+    coexistence_error: str = ""
+
+    @property
+    def all(self) -> Tuple[Equilibrium, ...]:
+        """E0, E1 when present, then the E2 and E3 roots."""
+        return (self.E0,) + ((self.E1,) if self.E1 is not None else ()) + self.E2 + self.E3
+
+
+def solve_all(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> EquilibriumSet:
+    """Solve for every equilibrium kind once and fill in the invasion numbers."""
+    e1 = solve_strain1(p, inc1)
+    e2 = tuple(solve_strain2(p, inc2))
+    r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2[0] if e2 else None)
+    th = dataclasses.replace(thresholds(p, inc1, inc2), R2_invasion=r2_inv, R1_invasion=r1_inv)
     try:
-        traj = integrate(p, inc1, inc2, x0, opts)
-    except Exception:
-        return None
-    tail = traj.states[-1]
-    if tail[2] > 0.0 and tail[3] > 0.0:
-        return (float(tail[2]), float(tail[3]))
-    return None
-
-
-def _grid_start(p: ModelParams, system):
-    """Coarse feasible-region scan minimizing the reduced-system norm."""
-    n = 24
-    i1 = np.geomspace(1e-6 * p.Lambda / p.alpha1, 0.98 * p.Lambda / p.alpha1, n)
-    i2 = np.geomspace(1e-6 * p.Lambda / p.alpha2, 0.98 * p.Lambda / p.alpha2, n)
-    best = None
-    best_norm = np.inf
-    for a in i1:
-        for b in i2:
-            if p.Lambda - p.alpha1 * a - p.alpha2 * b <= 0.0:
-                continue
-            try:
-                g = system((a, b))
-            except Exception:
-                continue
-            norm = float(np.max(np.abs(g)))
-            if np.isfinite(norm) and norm < best_norm:
-                best_norm = norm
-                best = (float(a), float(b))
-    return best
-
-
-def _damped_newton(system, x0, max_iter=60, tol=1e-12):
-    x = np.array(x0, float)
-    fx = _safe_eval(system, x)
-    if fx is None:
-        return None
-    for _ in range(max_iter):
-        if np.max(np.abs(fx)) < tol:
-            return x
-        J = _fd_jacobian2(system, x)
-        if J is None:
-            return None
-        try:
-            step = np.linalg.solve(J, -fx)
-        except np.linalg.LinAlgError:
-            return None
-        scale = 1.0
-        improved = False
-        base = np.max(np.abs(fx))
-        for _ in range(30):
-            trial = x + scale * step
-            f_trial = _safe_eval(system, trial)
-            if f_trial is not None and np.max(np.abs(f_trial)) < base:
-                x, fx = trial, f_trial
-                improved = True
-                break
-            scale *= 0.5
-        if not improved:
-            return None
-    return x if np.max(np.abs(fx)) < tol else None
-
-
-def _safe_eval(system, x):
-    try:
-        fx = system(x)
-    except Exception:
-        return None
-    return fx if np.all(np.isfinite(fx)) else None
-
-
-def _fd_jacobian2(system, x):
-    J = np.empty((2, 2))
-    for j in range(2):
-        h = _FD_EPS * max(1.0, abs(x[j]))
-        bump = np.zeros(2)
-        bump[j] = h
-        f_plus = _safe_eval(system, x + bump)
-        f_minus = _safe_eval(system, x - bump)
-        if f_plus is None or f_minus is None:
-            return None
-        J[:, j] = (f_plus - f_minus) / (2.0 * h)
-    return J
+        e3, error = tuple(solve_coexistence(p, inc1, inc2, th)), ""
+    except SolverError as exc:
+        e3, error = (), str(exc)
+    return EquilibriumSet(th, disease_free(p, inc1, inc2), e1, e2, e3, error)
 
 
 # -- shared helpers ----------------------------------------------------------
 
 
-def _bisect_then_polish(fn, lo, hi, f_lo, width, dfn):
-    """Bisect a sign-change bracket to the given width, then Newton-polish.
+def _roots(fn, hi: float) -> np.ndarray:
+    """Every root of fn on (0, hi] that the scan brackets, in increasing order.
 
-    The polish takes at most three steps and never leaves the bracket; the
-    bisection answer is kept whenever Newton fails to improve |fn|.
+    fn maps an array of abscissae to balance values, NaN where the balance
+    is undefined. The scan starts at BRACKET_EPSILON*hi and has SCAN_NODES
+    cells; a cell brackets a root when both ends are finite and exactly one
+    is positive. Each round cuts every bracket into SECTIONS equal parts in
+    one call of fn and keeps the first part with a sign change, until the
+    brackets are narrower than BISECT_WIDTH*hi (bisection with SECTIONS
+    parts in place of two).
+    Then the secant point of each final bracket replaces its midpoint where
+    it gives the smaller |fn|.
     """
-    a, b = lo, hi
-    lo_positive = f_lo > 0.0
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            a = b = mid
-            break
-        if (fm > 0.0) == lo_positive:
-            a = mid
-        else:
-            b = mid
-    x = 0.5 * (a + b)
-    fx = fn(x)
-    for _ in range(3):
-        d = dfn(x)
-        if not np.isfinite(d) or d == 0.0:
-            break
-        candidate = x - fx / d
-        if not (lo < candidate <= hi) or not np.isfinite(candidate):
-            break
-        f_candidate = fn(candidate)
-        if abs(f_candidate) <= abs(fx):
-            x, fx = candidate, f_candidate
-        else:
-            break
-    return x
+    x = np.linspace(0.0, hi, SCAN_NODES + 1)
+    x[0] = BRACKET_EPSILON * hi
+    f = fn(x)
+    finite = np.isfinite(f)
+    cells = np.nonzero(finite[:-1] & finite[1:] & ((f[:-1] > 0.0) != (f[1:] > 0.0)))[0]
+    a, b, fa, fb = x[cells], x[cells + 1], f[cells], f[cells + 1]
+    width = BISECT_WIDTH * hi
+    cuts = np.linspace(0.0, 1.0, SECTIONS + 1)
+    rows = np.arange(a.size)
+    while a.size and np.max(b - a) > width:
+        t = a[:, None] + (b - a)[:, None] * cuts
+        ft = fn(t)
+        # first cut whose sign differs from the bracket's left end
+        j = np.argmax((ft[:, 1:] > 0.0) != (ft[:, :1] > 0.0), axis=1)
+        a, b, fa, fb = t[rows, j], t[rows, j + 1], ft[rows, j], ft[rows, j + 1]
+
+    mid = 0.5 * (a + b)
+    secant = a - fa * (b - a) / (fb - fa)
+    f_both = fn(np.concatenate([mid, secant]))
+    f_mid, f_secant = f_both[: a.size], f_both[a.size:]
+    use_secant = np.abs(f_secant) <= np.abs(f_mid)
+    roots = np.where(use_secant, secant, mid)
+    found = np.isfinite(np.where(use_secant, f_secant, f_mid))
+    roots = roots[found]
+    # a root on a scan node can close two neighbouring brackets
+    return roots[np.diff(roots, prepend=-np.inf) > 10.0 * width]
 
 
 def _certified(eq: Equilibrium) -> Equilibrium:

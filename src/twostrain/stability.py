@@ -32,6 +32,12 @@ from .model import (
 #: half-width of the zero dead-band on eigenvalue real parts
 EIGEN_DEADBAND = 1e-10
 
+#: rounded operations along the longest chain behind one value of the E3
+#: Lyapunov expression with a built-in incidence: 4 in each contact factor, 6
+#: in an equilibrium rate, 3 more in the product that combines them with S
+#: and S*, 1 to apply the group factor and 8 additions
+LYAPUNOV_OPS = 26
+
 
 class Verdict(enum.Enum):
     LOCALLY_STABLE = "locally_stable"
@@ -449,6 +455,18 @@ def coexistence_lyapunov_values(
     a ``states`` attribute such as a Trajectory. The expression vanishes at
     E3 itself; nonpositivity along trajectories supports global stability.
     """
+    return _coexistence_lyapunov(p, inc1, inc2, e3, states)[0]
+
+
+def _coexistence_lyapunov(p, inc1, inc2, e3, states):
+    """(values, error bounds) of the E3 expression at each state.
+
+    The value is a sum of products; computed with n rounded operations along
+    its longest chain, it is within n*eps/2 of exact times the same sum over
+    absolute products (first order). The E3 point itself is only certified
+    to its residual: there the value is the sum of the V1, I1 and I2 field
+    components, so 3*residual is added.
+    """
     if hasattr(states, "states"):
         states = states.states
     pts = np.asarray(states, float)
@@ -467,14 +485,22 @@ def coexistence_lyapunov_values(
     g2 = inc2.contact_factor(S, I2)
 
     ratio = star.S / S
-    return (
-        F1_eq * (2.0 - ratio - S * g1 / (star.S * g1_eq))
-        + F2_eq * (2.0 - ratio - S * g2 / (star.S * g2_eq))
-        + p.r * star.S * (3.0 - ratio - V1 / star.V1 - S * star.V1 / (star.S * V1))
-        + p.mu * star.S * (2.0 - ratio - S / star.S)
-        + I1 * (star.S * g1 - p.alpha1)
-        + I2 * (star.S * g2 + p.k * star.V1 - p.alpha2)
+    # (factor, parts): the value is the sum of factor*sum(parts). The V1 part
+    # r*S*(3 - ratio - V1/V1* - S*V1*/(S*V1)) uses r*S*/V1* = mu + k*I2* at
+    # E3, which stays finite when r = 0 and so V1* = 0.
+    groups = (
+        (F1_eq, (2.0, -ratio, -S * g1 / (star.S * g1_eq))),
+        (F2_eq, (2.0, -ratio, -S * g2 / (star.S * g2_eq))),
+        (p.r * star.S, (3.0, -ratio, -S * star.V1 / (star.S * V1))),
+        (p.mu + p.k * star.I2, (-V1,)),
+        (p.mu * star.S, (2.0, -ratio, -S / star.S)),
+        (I1, (star.S * g1, -p.alpha1)),
+        (I2, (star.S * g2, p.k * star.V1, -p.alpha2)),
     )
+    values = sum(f * sum(parts) for f, parts in groups)
+    magnitude = sum(np.abs(f) * sum(np.abs(x) for x in parts) for f, parts in groups)
+    bound = LYAPUNOV_OPS * 0.5 * np.finfo(float).eps * magnitude + 3.0 * e3.residual
+    return values, bound
 
 
 def coexistence_lyapunov_scan(
@@ -484,7 +510,14 @@ def coexistence_lyapunov_scan(
     e3,
     trajectory_or_grid,
 ) -> GridScanSummary:
-    """Evaluate the E3 expression over trajectory states or an explicit grid."""
+    """Evaluate the E3 expression over trajectory states or an explicit grid.
+
+    A value no larger in size than its error bound (``_coexistence_lyapunov``)
+    carries no sign: near E3 the expression falls below its own rounding
+    error. Such states count as nonpositive, and ``max_value`` is the largest
+    value over the other states, or over all states when every one is
+    unresolved.
+    """
     require_certified(e3)
     if hasattr(trajectory_or_grid, "states"):
         pts = np.asarray(trajectory_or_grid.states, float)
@@ -492,12 +525,13 @@ def coexistence_lyapunov_scan(
         pts = np.asarray(trajectory_or_grid, float)
         if pts.ndim == 1:
             pts = pts[None, :]
-    values = coexistence_lyapunov_values(p, inc1, inc2, e3, pts)
-    idx = int(np.argmax(values))
-    max_value = float(values[idx])
+    values, bound = _coexistence_lyapunov(p, inc1, inc2, e3, pts)
+    resolved = np.flatnonzero(np.abs(values) > bound)
+    pick = resolved if resolved.size else np.arange(values.size)
+    idx = int(pick[np.argmax(values[pick])])
     return GridScanSummary(
-        max_value=max_value,
+        max_value=float(values[idx]),
         argmax=tuple(float(v) for v in pts[idx, :4]),
         n_points=values.size,
-        nonpositive_everywhere=max_value <= 0.0,
+        nonpositive_everywhere=bool(np.all(values <= bound)),
     )

@@ -24,12 +24,11 @@ from conftest import record_criterion
 from twostrain.analysis import analyze, sweep, turning_point
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario, render_reproduction, reproduce
 from twostrain.equilibria import (
-    disease_free,
+    solve_all,
     solve_coexistence,
     solve_strain1,
     solve_strain2,
 )
-from twostrain.errors import SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, invasion_numbers, thresholds, vector_field
 from twostrain.scenario import Scenario
@@ -98,25 +97,14 @@ class TestAcceptance:
         with record_criterion(3):
             for example_id in EXAMPLE_IDS:
                 sc = build_scenario(example_id)
-                p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-                found = [disease_free(p, inc1, inc2)]
-                e1 = solve_strain1(p, inc1)
-                if e1 is not None:
-                    found.append(e1)
-                e2_roots = solve_strain2(p, inc2)
-                found.extend(e2_roots)
-                if e1 is not None and e2_roots:
-                    try:
-                        e3 = solve_coexistence(p, inc1, inc2)
-                    except SolverError:
-                        e3 = None
-                    if e3 is not None:
-                        found.append(e3)
+                eqs = solve_all(sc.params, sc.incidence1, sc.incidence2)
+                assert eqs.coexistence_error == "", example_id
+                found = eqs.all
                 for eq in found:
                     assert eq.residual < 1e-8, (example_id, eq.kind)
 
                 if example_id == "6.3":
-                    e2 = e2_roots[0]
+                    e2 = eqs.E2[0]
                     assert e2.point.S == pytest.approx(1314.0, rel=1.5e-2)
                     assert e2.point.V1 == pytest.approx(4814.0, rel=1.5e-2)
                     assert e2.point.I2 == pytest.approx(368.0, rel=1.5e-2)
@@ -131,11 +119,13 @@ class TestAcceptance:
             sc2 = build_scenario("6.2")
             sc3 = build_scenario("6.3")
             sc4 = build_scenario("6.4")
+            th4 = solve_all(sc4.params, sc4.incidence1, sc4.incidence2).thresholds
             assert best_time(lambda: solve_strain1(sc2.params, sc2.incidence1), 3) < 0.1
             assert best_time(lambda: solve_strain2(sc3.params, sc3.incidence2), 3) < 0.1
             assert (
                 best_time(
-                    lambda: solve_coexistence(sc4.params, sc4.incidence1, sc4.incidence2), 3
+                    lambda: solve_coexistence(sc4.params, sc4.incidence1, sc4.incidence2, th4),
+                    3,
                 )
                 < 0.1
             )
@@ -226,29 +216,14 @@ class TestAcceptance:
                 inc1, inc2 = incs
 
                 compare(classify_disease_free(p, inc1, inc2))
-                try:
-                    e1 = solve_strain1(p, inc1)
-                except SolverError:
-                    e1 = None
-                if e1 is not None:
-                    compare(classify_strain1(p, inc1, inc2, e1))
-                try:
-                    e2_roots = solve_strain2(p, inc2)
-                except SolverError:
-                    e2_roots = []
-                for e2 in e2_roots:
+                eqs = solve_all(p, inc1, inc2)
+                assert eqs.coexistence_error == ""
+                if eqs.E1 is not None:
+                    compare(classify_strain1(p, inc1, inc2, eqs.E1))
+                for e2 in eqs.E2:
                     compare(classify_strain2(p, inc1, inc2, e2))
-                if e1 is not None and e2_roots:
-                    r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2_roots[0])
-                    if r2_inv > 1.0 and r1_inv > 1.0:
-                        try:
-                            e3 = solve_coexistence(
-                                p, inc1, inc2, use_simulation_start=False
-                            )
-                        except SolverError:
-                            e3 = None
-                        if e3 is not None:
-                            compare(classify_coexistence(p, inc1, inc2, e3))
+                for e3 in eqs.E3:
+                    compare(classify_coexistence(p, inc1, inc2, e3))
 
             assert compared >= 200
             assert disagreements == []
@@ -257,7 +232,7 @@ class TestAcceptance:
         with record_criterion(6):
             sc = build_scenario("6.4")
             p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-            e3 = solve_coexistence(p, inc1, inc2)
+            e3 = solve_all(p, inc1, inc2).E3[0]
             stab = classify_coexistence(p, inc1, inc2, e3)
             c = stab.coefficients
             x = e3.point.as_array()[:4]
@@ -315,7 +290,7 @@ class TestAcceptance:
 
             sc = build_scenario("6.4")
             p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-            e3 = solve_coexistence(p, inc1, inc2)
+            e3 = solve_all(p, inc1, inc2).E3[0]
             t0 = time.perf_counter()
             traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
             tail = traj.times >= traj.times[-1] - sc.integrator.tail_window
@@ -330,14 +305,7 @@ class TestAcceptance:
             for example_id in EXAMPLE_IDS:
                 sc = build_scenario(example_id)
                 p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-                candidates = [disease_free(p, inc1, inc2)]
-                e1 = solve_strain1(p, inc1)
-                if e1 is not None:
-                    candidates.append(e1)
-                e2_roots = solve_strain2(p, inc2)
-                candidates.extend(e2_roots)
-                if e1 is not None and e2_roots:
-                    candidates.append(solve_coexistence(p, inc1, inc2))
+                candidates = solve_all(p, inc1, inc2).all
 
                 t0 = time.perf_counter()
                 traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)

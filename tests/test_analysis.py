@@ -10,6 +10,7 @@ from twostrain.analysis import (
     sweep,
     turning_point,
 )
+from twostrain.benchmarks import build_scenario
 from twostrain.errors import ConfigError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, thresholds
@@ -184,12 +185,25 @@ class TestSweep:
             else:
                 assert row.verdicts["E2"] == "absent"
 
-    def test_coexistence_branch_followed_with_warm_starts(self):
+    def test_coexistence_branch_classified_along_r(self):
         sc = scenario_coexistence()
         rows = sweep(sc, "r", 0.005, 0.02, 4)
         assert all(row.exists["E3"] for row in rows)
         assert all(row.verdicts["E3"] == "locally_stable" for row in rows)
         assert all(row.R2_invasion > 1.0 and row.R1_invasion > 1.0 for row in rows)
+
+    def test_rows_do_not_depend_on_where_the_sweep_starts(self):
+        # r = 0 (no vaccinated class) and the rows near r = 0.03 are solved
+        # too, and slicing the grid into two-row sweeps changes nothing
+        sc = build_scenario("6.4")
+        rows = sweep(sc, "r", 0.0, 0.195, 40)
+        assert not any(row.verdicts["E3"] == "solve failed" for row in rows)
+        assert rows[0].exists["E3"]
+        values = [row.value for row in rows]
+        sliced = []
+        for j in range(0, 40, 2):
+            sliced.extend(sweep(sc, "r", values[j], values[j + 1], 2))
+        assert sliced == rows
 
     def test_bad_inputs(self):
         sc = scenario_low_transmission()

@@ -3,6 +3,7 @@ import pytest
 
 from twostrain.equilibria import (
     disease_free,
+    solve_all,
     solve_coexistence,
     solve_strain1,
     solve_strain2,
@@ -11,8 +12,17 @@ from twostrain.equilibria import (
     strain2_coordinates,
     strain2_discriminant,
 )
+from twostrain.errors import SolverError
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import RESIDUAL_TOL, ModelParams, residual, thresholds
+from twostrain.model import (
+    RESIDUAL_TOL,
+    ModelParams,
+    Thresholds,
+    invasion_numbers,
+    residual,
+    thresholds,
+    vector_field,
+)
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
 
@@ -144,6 +154,27 @@ class TestStrain2:
             assert e2.residual < RESIDUAL_TOL
             assert "at most one" in e2.multiplicity_note
 
+    def test_roots_match_a_cell_by_cell_reference(self):
+        # the scan as a plain loop over its cells, with brentq on each sign
+        # change, must give the same roots as the vectorized scan
+        optimize = pytest.importorskip("scipy.optimize")
+        cases = (
+            (params(), IncidenceSpec.saturated_s(2e-4, 0.001)),
+            (params(r=0.2, Lambda=500.0, k=1e-3), IncidenceSpec.saturated_s(2e-4, 0.01)),
+        )
+        for p, inc2 in cases:
+            hi = p.Lambda / p.alpha2
+            xs = np.linspace(0.0, hi, 4097)
+            xs[0] = 1e-9 * hi
+            h = [float(strain2_balance(p, inc2, x)) for x in xs]
+            expected = [
+                optimize.brentq(lambda x: strain2_balance(p, inc2, x), xs[i], xs[i + 1], xtol=1e-13)
+                for i in range(len(xs) - 1)
+                if (h[i] > 0.0) != (h[i + 1] > 0.0)
+            ]
+            got = [e2.point.I2 for e2 in solve_strain2(p, inc2)]
+            np.testing.assert_allclose(got, expected, rtol=1e-10)
+
     def test_balance_sign_change_brackets_root(self):
         p = params()
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
@@ -183,8 +214,10 @@ class TestCoexistence:
         p = params(r=0.01)
         inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
         inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
-        e3 = solve_coexistence(p, inc1, inc2)
-        assert e3 is not None and e3.kind == "E3"
+        roots = solve_all(p, inc1, inc2).E3
+        assert len(roots) == 1
+        e3 = roots[0]
+        assert e3.kind == "E3"
         assert e3.point.S == pytest.approx(1133.4502563661508, rel=1e-8)
         assert e3.point.V1 == pytest.approx(319.4159917493728, rel=1e-8)
         assert e3.point.I1 == pytest.approx(43.94377464635924, rel=1e-8)
@@ -193,25 +226,129 @@ class TestCoexistence:
         names = {c.name: c.satisfied for c in e3.existence}
         assert names == {"R2_invasion > 1": True, "R1_invasion > 1": True}
 
-    def test_hint_short_circuits_search(self):
-        p = params(r=0.01)
-        inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
-        inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
-        e3 = solve_coexistence(p, inc1, inc2, hint=(44.0, 774.0), use_simulation_start=False)
-        assert e3 is not None
-        assert e3.point.I1 == pytest.approx(43.94377464635924, rel=1e-8)
-
     def test_absent_when_invasion_conditions_unmet(self):
         # strain 1 cannot even persist alone here, so no interior point
         p = params()
         inc1 = IncidenceSpec.saturated_i2(3e-5, 0.7)
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
-        assert solve_coexistence(p, inc1, inc2) is None
+        eqs = solve_all(p, inc1, inc2)
+        assert eqs.E3 == () and eqs.coexistence_error == ""
 
     def test_interior_positivity_enforced(self):
         p = params(r=0.01)
         inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
         inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
-        e3 = solve_coexistence(p, inc1, inc2)
-        pt = e3.point
+        pt = solve_all(p, inc1, inc2).E3[0].point
         assert min(pt.S, pt.V1, pt.I1, pt.I2) > 0.0
+
+    def test_root_next_to_the_strain2_boundary(self):
+        # the interior branch spans I2 in (0, 3.4566) of a (0, 1351) range and
+        # its root lies 0.5% short of the E2 level, where I1 reaches 0; the
+        # expected point is scipy.optimize.root on vector_field (residual 3e-14)
+        p = ModelParams(
+            Lambda=145.5, mu=0.0231, r=0.185, k=2.17e-06,
+            gamma1=0.123, gamma2=0.057, v1=0.121, v2=0.027,
+        )
+        inc1 = IncidenceSpec.saturated_i2(1.1e-3, 0.3175)
+        inc2 = IncidenceSpec.saturated_i2(2.85e-4, 0.0915)
+        eqs = solve_all(p, inc1, inc2)
+        assert eqs.coexistence_error == ""
+        assert eqs.E2[0].point.I2 == pytest.approx(3.456597726544861, rel=1e-9)
+        assert len(eqs.E3) == 1
+        expected = [6.94505363e02, 5.56025914e03, 2.42050741e00, 3.43998581e00]
+        assert eqs.E3[0].point.as_array()[:4] == pytest.approx(expected, rel=1e-8)
+
+    def test_empty_scan_raises_when_both_invasion_numbers_exceed_one(self):
+        # the invasion numbers guarantee an interior root, so finding none
+        # is a solver failure, not an absence
+        p = params()
+        inc1 = IncidenceSpec.saturated_i2(3e-5, 0.7)
+        inc2 = IncidenceSpec.saturated_s(2e-4, 0.9)
+        th = Thresholds(1.0, 1.0, 2.0, 2.0, 2.0, R2_invasion=2.0, R1_invasion=2.0)
+        assert solve_coexistence(p, inc1, inc2, thresholds(p, inc1, inc2)) == []
+        with pytest.raises(SolverError, match="no sign change"):
+            solve_coexistence(p, inc1, inc2, th)
+
+    def test_no_vaccination_route_without_vaccination(self):
+        # r = 0 leaves the vaccinated class empty: E3 has V1 = 0 exactly
+        p = params(r=0.0)
+        inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
+        inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
+        eqs = solve_all(p, inc1, inc2)
+        assert eqs.coexistence_error == ""
+        assert len(eqs.E3) == 1
+        e3 = eqs.E3[0]
+        assert e3.point.V1 == 0.0
+        assert e3.point.S > 0.0 and e3.point.I1 > 0.0 and e3.point.I2 > 0.0
+        assert e3.residual < RESIDUAL_TOL
+        assert all(c.satisfied for c in e3.existence)
+
+    def test_closed_form_without_vaccinated_route(self):
+        # k = 0 with bilinear strain 2: f2 = beta2*S fixes S = alpha2/beta2,
+        # f1 = beta1*S/(1 + zeta1*I1^2) = alpha1 gives I1 and the S balance
+        # gives I2, so E3 has a closed form
+        p = params(r=0.01, k=0.0)
+        beta1, zeta1, beta2 = 2e-4, 1e-4, 2e-4
+        inc1 = IncidenceSpec.saturated_i2(beta1, zeta1)
+        inc2 = IncidenceSpec.bilinear(beta2)
+        S = p.alpha2 / beta2
+        I1 = np.sqrt((beta1 * S / p.alpha1 - 1.0) / zeta1)
+        I2 = (p.Lambda - p.lam * S - p.alpha1 * I1) / p.alpha2
+        expected = np.array([S, p.r * S / p.mu, I1, I2])
+        roots = solve_all(p, inc1, inc2).E3
+        assert len(roots) == 1
+        np.testing.assert_allclose(roots[0].point.as_array(), expected, rtol=1e-10)
+        assert roots[0].residual < RESIDUAL_TOL
+
+
+def _oracle_interior_roots(p, inc1, inc2):
+    """Certified interior roots of the full vector field from a grid of starts."""
+    optimize = pytest.importorskip("scipy.optimize")
+    found = []
+    for S in np.geomspace(0.05, 0.9, 3) * p.susceptible_cap:
+        for V1 in np.array([0.02, 0.3]) * p.population_cap:
+            for I1 in np.geomspace(0.01, 0.8, 3) * p.Lambda / p.alpha1:
+                for I2 in np.geomspace(0.01, 0.8, 3) * p.Lambda / p.alpha2:
+                    sol = optimize.root(
+                        lambda x: vector_field(p, inc1, inc2, x), [S, V1, I1, I2], tol=1e-14
+                    )
+                    x = sol.x
+                    if not np.all(np.isfinite(x)) or residual(p, inc1, inc2, x) >= RESIDUAL_TOL:
+                        continue
+                    if x[0] <= 0.0 or x[1] < -1e-9 or min(x[2], x[3]) <= 1e-6:
+                        continue
+                    if not any(np.allclose(x, y, rtol=1e-6) for y in found):
+                        found.append(x)
+    return sorted(found, key=lambda x: x[3])
+
+
+class TestSolveAll:
+    @pytest.mark.parametrize("r", [0.0, 0.01, 0.03, 0.035, 0.05, 0.1, 0.2])
+    def test_coexistence_set_matches_an_independent_root_finder(self, r):
+        p = params(r=r)
+        inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
+        inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
+        eqs = solve_all(p, inc1, inc2)
+        assert eqs.coexistence_error == ""
+        oracle = _oracle_interior_roots(p, inc1, inc2)
+        assert len(eqs.E3) == len(oracle)
+        assert (len(oracle) == 1) == (r < 0.1)
+        for eq, x in zip(eqs.E3, oracle):
+            np.testing.assert_allclose(eq.point.as_array(), x, rtol=1e-8, atol=1e-9)
+
+    def test_thresholds_carry_the_invasion_numbers(self):
+        p = params(r=0.01)
+        inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
+        inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
+        eqs = solve_all(p, inc1, inc2)
+        assert [eq.kind for eq in eqs.all] == ["E0", "E1", "E2", "E3"]
+        expected = invasion_numbers(p, inc1, inc2, eqs.E1, eqs.E2[0])
+        assert (eqs.thresholds.R2_invasion, eqs.thresholds.R1_invasion) == expected
+        assert eqs.thresholds.R1 == thresholds(p, inc1, inc2).R1
+
+    def test_absent_kinds_leave_empty_slots(self):
+        p = params()
+        eqs = solve_all(p, IncidenceSpec.saturated_i2(3e-5, 0.7), IncidenceSpec.saturated_s(2e-4, 0.9))
+        assert eqs.E1 is None and eqs.E2 == () and eqs.E3 == ()
+        assert eqs.thresholds.R2_invasion is None and eqs.thresholds.R1_invasion is None
+        assert [eq.kind for eq in eqs.all] == ["E0"]

@@ -13,7 +13,7 @@ import pytest
 from twostrain.equilibria import (
     Equilibrium,
     disease_free,
-    solve_coexistence,
+    solve_all,
     solve_strain1,
     solve_strain2,
 )
@@ -227,7 +227,7 @@ class TestIntegrate:
         p, inc1, inc2 = setup_strain2_dominant()
         cases.append((p, inc1, inc2, solve_strain2(p, inc2)[0]))
         p, inc1, inc2 = setup_coexistence()
-        cases.append((p, inc1, inc2, solve_coexistence(p, inc1, inc2)))
+        cases.append((p, inc1, inc2, solve_all(p, inc1, inc2).E3[0]))
         for p, inc1, inc2, eq in cases:
             target = eq.point.as_array()
             traj = integrate(p, inc1, inc2, eq.point, IntegratorOptions(t_end=1000.0))

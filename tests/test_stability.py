@@ -12,7 +12,7 @@ import pytest
 from twostrain.equilibria import (
     Equilibrium,
     disease_free,
-    solve_coexistence,
+    solve_all,
     solve_strain1,
     solve_strain2,
 )
@@ -219,7 +219,7 @@ class TestStrain2:
 class TestCoexistence:
     def test_quartic_coefficients_frozen_values(self):
         p, inc1, inc2 = setup_coexistence()
-        e3 = solve_coexistence(p, inc1, inc2)
+        e3 = solve_all(p, inc1, inc2).E3[0]
         report = classify_coexistence(p, inc1, inc2, e3)
         c = report.coefficients
         assert c["c1"] == pytest.approx(0.2592811352935187, rel=1e-9)
@@ -236,7 +236,7 @@ class TestCoexistence:
 
     def test_spectrum_frozen_values(self):
         p, inc1, inc2 = setup_coexistence()
-        e3 = solve_coexistence(p, inc1, inc2)
+        e3 = solve_all(p, inc1, inc2).E3[0]
         report = classify_coexistence(p, inc1, inc2, e3)
         eigs = report.eigenvalues
         assert eigs[0] == pytest.approx(-0.03797667, rel=1e-6)
@@ -249,7 +249,7 @@ class TestCoexistence:
         # the term-list coefficients and the dense eigensolver are
         # independent routes; Vieta's formulas must reconcile them
         p, inc1, inc2 = setup_coexistence()
-        e3 = solve_coexistence(p, inc1, inc2)
+        e3 = solve_all(p, inc1, inc2).E3[0]
         report = classify_coexistence(p, inc1, inc2, e3)
         eigs = report.eigenvalues
         c = report.coefficients
@@ -354,14 +354,52 @@ class TestStrain2LyapunovScan:
 class TestCoexistenceLyapunovValues:
     def test_vanishes_at_the_equilibrium(self):
         p, inc1, inc2 = setup_coexistence()
-        e3 = solve_coexistence(p, inc1, inc2)
+        e3 = solve_all(p, inc1, inc2).E3[0]
         values = coexistence_lyapunov_values(p, inc1, inc2, e3, e3.point.as_array())
         assert values.shape == (1,)
         assert values[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_scan_sets_aside_only_unresolved_values(self):
+        # within 1e-9 of E3 the expression is below its rounding error, so
+        # those states pass whatever their sign; 1e-3 away every value is
+        # resolved and negative; with strain 1 more infectious than at E3 the
+        # same near states give resolved positive values and the check fails
+        p, inc1, inc2 = setup_coexistence()
+        e3 = solve_all(p, inc1, inc2).E3[0]
+        rng = np.random.default_rng(11)
+        base = e3.point.as_array()
+        near = base * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=(40, 4)))
+        assert np.max(np.abs(coexistence_lyapunov_values(p, inc1, inc2, e3, near))) < 1e-11
+        assert coexistence_lyapunov_scan(p, inc1, inc2, e3, near).nonpositive_everywhere
+
+        off = base * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=(40, 4)))
+        values = coexistence_lyapunov_values(p, inc1, inc2, e3, off)
+        assert np.all(values < -1e-9)
+        both = coexistence_lyapunov_scan(p, inc1, inc2, e3, np.vstack([near, off]))
+        assert both.nonpositive_everywhere
+        assert both.max_value == float(np.max(values))
+
+        hot = IncidenceSpec.saturated_i2(2.2e-4, 1e-4)
+        summary = coexistence_lyapunov_scan(p, hot, inc2, e3, near)
+        assert not summary.nonpositive_everywhere
+        assert summary.max_value > 1e-3
+
+    def test_finite_without_vaccination(self):
+        # r = 0 gives V1* = 0; the V1 group then reduces to -(mu + k*I2*)*V1
+        p = params(r=0.0)
+        inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
+        inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
+        e3 = solve_all(p, inc1, inc2).E3[0]
+        assert e3.point.V1 == 0.0
+        rng = np.random.default_rng(13)
+        cloud = (e3.point.as_array() + 1.0) * rng.uniform(0.5, 1.5, size=(40, 4))
+        values = coexistence_lyapunov_values(p, inc1, inc2, e3, cloud)
+        assert np.all(np.isfinite(values))
+        assert coexistence_lyapunov_scan(p, inc1, inc2, e3, cloud).nonpositive_everywhere
+
     def test_rejects_boundary_states(self):
         p, inc1, inc2 = setup_coexistence()
-        e3 = solve_coexistence(p, inc1, inc2)
+        e3 = solve_all(p, inc1, inc2).E3[0]
         with pytest.raises(DomainError):
             coexistence_lyapunov_values(
                 p, inc1, inc2, e3, np.array([[1000.0, 300.0, 0.0, 700.0]])
@@ -369,7 +407,7 @@ class TestCoexistenceLyapunovValues:
 
     def test_scan_matches_pointwise_values(self):
         p, inc1, inc2 = setup_coexistence()
-        e3 = solve_coexistence(p, inc1, inc2)
+        e3 = solve_all(p, inc1, inc2).E3[0]
         rng = np.random.default_rng(7)
         base = e3.point.as_array()
         cloud = base * rng.uniform(0.5, 1.5, size=(40, 4))
