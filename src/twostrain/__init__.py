@@ -14,6 +14,8 @@ Library layout:
 - cli: command-line verbs (analyze, simulate, sweep, check-global, reproduce)
 """
 
+import types
+
 from .analysis import (
     AnalysisReport,
     SweepRow,
@@ -71,6 +73,7 @@ from .model import (
 from .scenario import Scenario, load_scenario, parse_scenario, serialize_scenario
 from .simulate import (
     IntegratorOptions,
+    IntegratorStats,
     InvarianceReport,
     PersistenceSummary,
     Trajectory,
@@ -98,77 +101,9 @@ from .stability import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "ConfigError",
-    "DomainError",
-    "EXAMPLE_IDS",
-    "Equilibrium",
-    "EquilibriumSet",
-    "ExistenceCondition",
-    "FlagCheck",
-    "GridScanSummary",
-    "HypothesisCheck",
-    "HypothesisReport",
-    "IncidenceSpec",
-    "IntegrationError",
-    "IntegratorOptions",
-    "InvarianceReport",
-    "ModelParams",
-    "PersistenceSummary",
-    "PreconditionError",
-    "RESIDUAL_TOL",
-    "ReproductionResult",
-    "Scenario",
-    "SolverError",
-    "StabilityReport",
-    "State",
-    "SweepRow",
-    "Thresholds",
-    "Trajectory",
-    "TrajectoryEvent",
-    "TwoStrainError",
-    "UnsupportedLimitError",
-    "ValueCheck",
-    "Verdict",
-    "adaptive_rk45",
-    "analyze",
-    "apply_sweep_value",
-    "build_scenario",
-    "classify_coexistence",
-    "classify_disease_free",
-    "classify_strain1",
-    "classify_strain2",
-    "coexistence_lyapunov_scan",
-    "coexistence_lyapunov_values",
-    "detect_convergence",
-    "disease_free",
-    "eigen_classify",
-    "integrate",
-    "invasion_numbers",
-    "jacobian",
-    "load_scenario",
-    "monitor_invariance",
-    "parse_scenario",
-    "persistence_proxy",
-    "render_report",
-    "render_reproduction",
-    "reproduce",
-    "require_certified",
-    "residual",
-    "serialize_scenario",
-    "solve_all",
-    "solve_coexistence",
-    "solve_strain1",
-    "solve_strain2",
-    "strain1_balance",
-    "strain2_balance",
-    "strain2_coordinates",
-    "strain2_discriminant",
-    "strain2_lyapunov_scan",
-    "strain2_lyapunov_surface",
-    "sweep",
-    "thresholds",
-    "turning_point",
-    "vector_field",
-]
+# every name imported above, and nothing else
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

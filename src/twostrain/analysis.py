@@ -15,7 +15,7 @@ import numpy as np
 
 from .equilibria import Equilibrium, solve_all
 from .errors import ConfigError
-from .incidence import IncidenceSpec
+from .incidence import BUILT_IN_FAMILIES
 from .model import Thresholds, thresholds
 from .scenario import Scenario
 from .simulate import Trajectory, integrate
@@ -330,16 +330,10 @@ def apply_sweep_value(sc: Scenario, key: str, value: float) -> Scenario:
     inc = getattr(sc, section)
     if inc.family == "bilinear" and field == "zeta":
         raise ConfigError("sweep key %s.zeta: bilinear incidence has no zeta" % section)
-    beta = value if field == "beta" else inc.beta
-    zeta = value if field == "zeta" else inc.zeta
-    if inc.family == "bilinear":
-        new_inc = IncidenceSpec.bilinear(beta)
-    elif inc.family == "saturated_s":
-        new_inc = IncidenceSpec.saturated_s(beta, zeta)
-    elif inc.family == "saturated_i2":
-        new_inc = IncidenceSpec.saturated_i2(beta, zeta)
-    else:
+    if inc.family not in BUILT_IN_FAMILIES:
         raise ConfigError("cannot sweep custom incidence coefficients")
+    # replace() runs the constructor, which checks the new coefficient
+    new_inc = dataclasses.replace(inc, **{field: float(value)})
     return dataclasses.replace(sc, **{section: new_inc})
 
 

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .scenario import Scenario, load_scenario
 from .simulate import Trajectory, detect_convergence, integrate, monitor_invariance
-from .stability import lyapunov_scan_grid, strain2_lyapunov_surface
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -175,10 +174,7 @@ def cmd_check_global(args) -> int:
     written = []
     checks = dict(report.global_checks)
     if "strain2_lyapunov_scan" in checks:
-        e2 = next(eq for eq in report.equilibria if eq.kind == "E2")
-        S_values, V1_values = lyapunov_scan_grid(sc.params, args.grid)
-        surface = strain2_lyapunov_surface(sc.params, sc.incidence2, e2, S_values, V1_values)
-        written.append(_write_surface(args.out, S_values, V1_values, surface))
+        written.append(_write_surface(args.out, *checks["strain2_lyapunov_scan"].grid))
     for name, summary in report.global_checks:
         print(
             "%s: max %.6e at (%.6g, %.6g) over %d points -> %s"

@@ -20,14 +20,14 @@ forms remain finite there. Only non-finite inputs raise.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedLimitError
-
-_FAMILIES = ("bilinear", "saturated_s", "saturated_i2", "custom")
 
 # Step scale for one-coordinate central differences on custom rates.
 _FD_EPS = math.sqrt(np.finfo(float).eps)
@@ -43,12 +43,42 @@ def _require_finite(*values) -> None:
             raise DomainError("incidence evaluated at a non-finite input")
 
 
+# Each built-in family's formulas, each a function of (beta, zeta, S, I).
+# Terms like 0.0 * I broadcast a result that is constant in one argument
+# against it, so array shapes survive.
+_ClosedForms = namedtuple("_ClosedForms", "rate force contact_factor d_rate_dS d_rate_dI")
+_CLOSED_FORMS = {
+    "bilinear": _ClosedForms(
+        rate=lambda b, z, S, I: b * S * I,
+        force=lambda b, z, S, I: b * S + 0.0 * I,
+        contact_factor=lambda b, z, S, I: b + 0.0 * S + 0.0 * I,
+        d_rate_dS=lambda b, z, S, I: b * I,
+        d_rate_dI=lambda b, z, S, I: b * S,
+    ),
+    "saturated_s": _ClosedForms(
+        rate=lambda b, z, S, I: b * S * I / (1.0 + z * S),
+        force=lambda b, z, S, I: b * S / (1.0 + z * S) + 0.0 * I,
+        contact_factor=lambda b, z, S, I: b / (1.0 + z * S) + 0.0 * I,
+        d_rate_dS=lambda b, z, S, I: b * I / ((1.0 + z * S) * (1.0 + z * S)),
+        d_rate_dI=lambda b, z, S, I: b * S / (1.0 + z * S),
+    ),
+    "saturated_i2": _ClosedForms(
+        rate=lambda b, z, S, I: b * S * I / (1.0 + z * I * I),
+        force=lambda b, z, S, I: b * S / (1.0 + z * I * I),
+        contact_factor=lambda b, z, S, I: b / (1.0 + z * I * I) + 0.0 * S,
+        d_rate_dS=lambda b, z, S, I: b * I / (1.0 + z * I * I),
+        d_rate_dI=lambda b, z, S, I: b * S * (1.0 - z * I * I) / ((1.0 + z * I * I) * (1.0 + z * I * I)),
+    ),
+}
+BUILT_IN_FAMILIES = tuple(_CLOSED_FORMS)
+
+
 @dataclass(frozen=True)
 class IncidenceSpec:
     """Immutable description of one strain's incidence rate.
 
-    Use the classmethod constructors; the raw constructor does not validate
-    custom callables.
+    Use the classmethod constructors; the raw constructor validates the
+    coefficients of built-in families but not custom callables.
     """
 
     family: str
@@ -59,21 +89,22 @@ class IncidenceSpec:
     d_rate_dI_fn: Optional[Callable] = field(default=None, repr=False)
     label: str = ""
 
+    def __post_init__(self):
+        if self.family in _CLOSED_FORMS:
+            _check_coefficients(self.beta, self.zeta)
+
     @classmethod
     def bilinear(cls, beta: float) -> "IncidenceSpec":
-        _check_coefficients(beta, 0.0)
         return cls("bilinear", float(beta), 0.0, label="bilinear")
 
     @classmethod
     def saturated_s(cls, beta: float, zeta: float) -> "IncidenceSpec":
         """Saturation in S: F = beta*S*I / (1 + zeta*S)."""
-        _check_coefficients(beta, zeta)
         return cls("saturated_s", float(beta), float(zeta), label="saturated_s")
 
     @classmethod
     def saturated_i2(cls, beta: float, zeta: float) -> "IncidenceSpec":
         """Inhibition by infectives: F = beta*S*I / (1 + zeta*I**2)."""
-        _check_coefficients(beta, zeta)
         return cls("saturated_i2", float(beta), float(zeta), label="saturated_i2")
 
     @classmethod
@@ -99,53 +130,37 @@ class IncidenceSpec:
         )
 
     # -- evaluators ---------------------------------------------------------
+    # The public evaluators are the checked boundary: each rejects non-finite
+    # inputs, then evaluates its entry of the family's closed forms.
+
+    def _checked_forms(self, S, I) -> Optional[_ClosedForms]:
+        _require_finite(S, I)
+        return _CLOSED_FORMS.get(self.family)
 
     def rate(self, S, I):
         """F(S, I). Exactly 0.0 whenever S = 0 or I = 0 for built-ins."""
-        _require_finite(S, I)
-        if self.family == "bilinear":
-            return self.beta * S * I
-        if self.family == "saturated_s":
-            return self.beta * S * I / (1.0 + self.zeta * S)
-        if self.family == "saturated_i2":
-            return self.beta * S * I / (1.0 + self.zeta * I * I)
-        return self.rate_fn(S, I)
+        forms = self._checked_forms(S, I)
+        return self.rate_fn(S, I) if forms is None else forms.rate(self.beta, self.zeta, S, I)
 
     def force(self, S, I):
         """f(S, I) = F/I, extended to I = 0 by the one-sided limit."""
-        _require_finite(S, I)
-        if self.family == "bilinear":
-            # constant in I; broadcast against I so array shapes survive
-            return self.beta * S + 0.0 * I
-        if self.family == "saturated_s":
-            return self.beta * S / (1.0 + self.zeta * S) + 0.0 * I
-        if self.family == "saturated_i2":
-            return self.beta * S / (1.0 + self.zeta * I * I)
-        return self._custom_force(S, I)
+        forms = self._checked_forms(S, I)
+        return self._custom_force(S, I) if forms is None else forms.force(self.beta, self.zeta, S, I)
 
     def contact_factor(self, S, I):
         """g(S, I) = f(S, I)/S. Requires S > 0; the S = 0 limit is not defined."""
-        _require_finite(S, I)
+        forms = self._checked_forms(S, I)
         if np.any(np.asarray(S) <= 0.0):
             raise DomainError("contact factor requires S > 0")
-        if self.family == "bilinear":
-            return self.beta + 0.0 * S + 0.0 * I
-        if self.family == "saturated_s":
-            return self.beta / (1.0 + self.zeta * S) + 0.0 * I
-        if self.family == "saturated_i2":
-            return self.beta / (1.0 + self.zeta * I * I) + 0.0 * S
-        return self._custom_force(S, I) / S
+        if forms is None:
+            return self._custom_force(S, I) / S
+        return forms.contact_factor(self.beta, self.zeta, S, I)
 
     def d_rate_dS(self, S, I):
         """dF/dS, analytic for built-ins and central-difference for custom."""
-        _require_finite(S, I)
-        if self.family == "bilinear":
-            return self.beta * I
-        if self.family == "saturated_s":
-            d = 1.0 + self.zeta * S
-            return self.beta * I / (d * d)
-        if self.family == "saturated_i2":
-            return self.beta * I / (1.0 + self.zeta * I * I)
+        forms = self._checked_forms(S, I)
+        if forms is not None:
+            return forms.d_rate_dS(self.beta, self.zeta, S, I)
         if self.d_rate_dS_fn is not None:
             return self.d_rate_dS_fn(S, I)
         h = _FD_EPS * np.maximum(1.0, np.abs(S))
@@ -153,18 +168,27 @@ class IncidenceSpec:
 
     def d_rate_dI(self, S, I):
         """dF/dI; at I = 0 this is the force limit for the built-in families."""
-        _require_finite(S, I)
-        if self.family == "bilinear":
-            return self.beta * S
-        if self.family == "saturated_s":
-            return self.beta * S / (1.0 + self.zeta * S)
-        if self.family == "saturated_i2":
-            d = 1.0 + self.zeta * I * I
-            return self.beta * S * (1.0 - self.zeta * I * I) / (d * d)
+        forms = self._checked_forms(S, I)
+        if forms is not None:
+            return forms.d_rate_dI(self.beta, self.zeta, S, I)
         if self.d_rate_dI_fn is not None:
             return self.d_rate_dI_fn(S, I)
         h = _FD_EPS * np.maximum(1.0, np.abs(I))
         return (self.rate_fn(S, I + h) - self.rate_fn(S, I - h)) / (2.0 * h)
+
+    def scalar_rate(self) -> Callable:
+        """F(S, I) on Python floats, for scalar loops that check their outputs.
+
+        Built-in closed forms run with the coefficients bound and no input
+        check, since every non-finite input gives a non-finite rate. A
+        custom rate keeps the checked ``rate`` and gets numpy scalars, as
+        from array code, so a user evaluator sees no input it would not see
+        otherwise.
+        """
+        forms = _CLOSED_FORMS.get(self.family)
+        if forms is None:
+            return lambda S, I: self.rate(np.float64(S), np.float64(I))
+        return partial(forms.rate, self.beta, self.zeta)
 
     # -- custom-family helpers ----------------------------------------------
 

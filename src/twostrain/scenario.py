@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
-from .incidence import IncidenceSpec
+from .incidence import BUILT_IN_FAMILIES as _FAMILIES, IncidenceSpec
 from .model import ModelParams, State
 from .simulate import IntegratorOptions
 
 _PARAM_KEYS = ("Lambda", "mu", "r", "k", "gamma1", "gamma2", "v1", "v2")
-_FAMILIES = ("bilinear", "saturated_s", "saturated_i2")
 _INITIAL_KEYS = ("S", "V1", "I1", "I2")
 _INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "t_end", "convergence_tol", "tail_window")
 _ARTIFACTS = ("report", "timeseries", "surface")
@@ -97,11 +96,7 @@ def _parse_incidence(section: Dict[str, str], sec_name: str, errors: List[str]):
     if beta is None or zeta is None:
         return None
     try:
-        if family == "bilinear":
-            return IncidenceSpec.bilinear(beta)
-        if family == "saturated_s":
-            return IncidenceSpec.saturated_s(beta, zeta)
-        return IncidenceSpec.saturated_i2(beta, zeta)
+        return IncidenceSpec(family, beta, zeta, label=family)
     except ValueError as exc:
         errors.append("%s: %s" % (sec_name, exc))
         return None

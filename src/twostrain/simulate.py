@@ -11,7 +11,7 @@ exactly, and entry into the invariant box is recorded as an event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -28,13 +28,16 @@ from .model import (
 # Dormand-Prince 5(4) tableau. Row 7 of the A matrix equals the 5th-order
 # weights, so the last stage of an accepted step is the first of the next.
 _C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (0.2,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+_A = tuple(
+    np.array(row)
+    for row in (
+        (0.2,),
+        (3.0 / 40.0, 9.0 / 40.0),
+        (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+        (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+        (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
+        (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
+    )
 )
 _ERR = np.array(
     [
@@ -69,19 +72,8 @@ class IntegratorOptions:
     sample_times: Optional[tuple] = None
 
     def __post_init__(self):
-        bad = []
-        if not self.rtol > 0.0:
-            bad.append("rtol")
-        if not self.atol > 0.0:
-            bad.append("atol")
-        if not self.t_end > 0.0:
-            bad.append("t_end")
-        if not self.max_step > 0.0:
-            bad.append("max_step")
-        if not self.convergence_tol > 0.0:
-            bad.append("convergence_tol")
-        if not self.tail_window > 0.0:
-            bad.append("tail_window")
+        names = ("rtol", "atol", "t_end", "max_step", "convergence_tol", "tail_window")
+        bad = [name for name in names if not getattr(self, name) > 0.0]
         if bad:
             raise ValueError("invalid integrator options: " + ", ".join(bad))
 
@@ -93,6 +85,20 @@ class TrajectoryEvent:
     detail: str = ""
 
 
+@dataclass(frozen=True)
+class IntegratorStats:
+    """What one stepper run did. A step attempt evaluates the right-hand side
+    6 times unless a stage fails first, 2 evaluations precede the first step
+    and each clamp adds one. A step is rejected by a failed stage or error
+    test; a negative retry halves a step that would reach -atol or below."""
+
+    rhs_evals: int
+    accepted_steps: int
+    rejected_steps: int
+    clamps: int
+    negative_retries: int
+
+
 @dataclass
 class Trajectory:
     """Recorded solution samples plus events observed along the way."""
@@ -102,6 +108,7 @@ class Trajectory:
     field_norms: np.ndarray
     events: List[TrajectoryEvent]
     tracks_recovered: bool = False
+    stats: Optional[IntegratorStats] = field(default=None, compare=False)
 
     @property
     def final_state(self) -> State:
@@ -115,6 +122,7 @@ class RawIntegration:
     times: np.ndarray
     states: np.ndarray
     negative_abort: Optional[tuple] = None  # (time, component index)
+    stats: Optional[IntegratorStats] = None
 
 
 def adaptive_rk45(
@@ -171,8 +179,9 @@ def adaptive_rk45(
 
     err_prev = 1.0
     negative_abort = None
-    n_stages = len(y)
-    k = np.empty((7, n_stages))
+    n = len(y)
+    k = np.empty((7, n))
+    evals, accepted, rejected, clamps, retries = 2, 0, 0, 0, 0
 
     for _ in range(_MAX_STEPS):
         if t >= t_end:
@@ -184,23 +193,26 @@ def adaptive_rk45(
         k[0] = f
         failed = False
         for i in range(6):
-            yi = y + h * np.dot(_A[i], k[: i + 1])
+            yi = y + h * _A[i].dot(k[: i + 1])
             fi = _eval_rhs(rhs, t + _C[i] * h, yi)
             if fi is None:
                 failed = True
                 break
             k[i + 1] = fi
+        evals += i + 1
         if failed:
+            rejected += 1
             h *= _MIN_FACTOR
             continue
 
-        y_new = y + h * np.dot(_A[5], k[:6])
-        # stage 7 was evaluated at y_new already (row 6 equals the weights)
-        f_new = k[6]
+        # the last stage was evaluated at y_new (row 6 equals the weights)
+        y_new, f_new = yi, k[6]
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = math.sqrt(float(np.mean((h * np.dot(_ERR, k) / scale) ** 2)))
+        z = h * _ERR.dot(k) / scale
+        err = math.sqrt((z * z).sum() / n)
 
         if not math.isfinite(err) or err > 1.0:
+            rejected += 1
             factor = _MIN_FACTOR
             if math.isfinite(err):
                 factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
@@ -210,19 +222,22 @@ def adaptive_rk45(
         # accepted by the error test; now enforce feasibility
         t_new = t + h
         if nonnegative:
-            floor = np.min(y_new)
+            floor = y_new.min()
             if floor <= -atol:
-                j = int(np.argmin(y_new))
+                j = int(y_new.argmin())
                 # a component pinned at zero with outward flow cannot be
                 # rescued by a smaller step: the continuous solution leaves
                 # the orthant, so the violation is real; otherwise retry,
                 # aborting only if it survives down to the minimal step
-                if (y[j] <= 0.0 and k[0][j] < 0.0) or h < 1e-13 * max(1.0, abs(t)):
+                if (y[j] <= 0.0 and k[0, j] < 0.0) or h < 1e-13 * max(1.0, abs(t)):
                     negative_abort = (t_new, j)
                     break
+                retries += 1
                 h *= 0.5
                 continue
             if floor < 0.0:
+                clamps += 1
+                evals += 1
                 y_new = np.maximum(y_new, 0.0)
                 f_new = _eval_rhs(rhs, t_new, y_new)
                 if f_new is None:
@@ -232,9 +247,10 @@ def adaptive_rk45(
                         y.copy(),
                     )
 
+        accepted += 1
         if samples is None:
             times.append(t_new)
-            states.append(y_new.copy())
+            states.append(y_new)
         else:
             eps = 1e-12 * max(1.0, abs(t_new))
             while sample_ptr < len(samples) and samples[sample_ptr] <= t_new + eps:
@@ -255,16 +271,21 @@ def adaptive_rk45(
         raise IntegrationError("step limit exceeded", t, y.copy())
 
     return RawIntegration(
-        times=np.asarray(times), states=np.asarray(states), negative_abort=negative_abort
+        times=np.asarray(times),
+        states=np.asarray(states),
+        negative_abort=negative_abort,
+        stats=IntegratorStats(evals, accepted, rejected, clamps, retries),
     )
 
 
 def _eval_rhs(rhs, t, y):
+    """rhs(t, y) as an array, or None if it raised an arithmetic or domain
+    error or any component is not finite."""
     try:
-        f = np.asarray(rhs(t, y), float)
+        f = np.array(rhs(t, y), float, ndmin=1)
     except (ArithmeticError, DomainError):
         return None
-    if not np.all(np.isfinite(f)):
+    if not all(map(math.isfinite, f.tolist())):
         return None
     return f
 
@@ -324,36 +345,23 @@ def integrate(
         raise DomainError("initial state must be finite and componentwise >= 0")
     track_r = y0.shape[0] == 5
 
-    rate1, rate2 = inc1.rate, inc2.rate
+    # stage inputs go in as Python floats; finiteness is checked on every
+    # stage output, not on every rate call
+    rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
     Lam, lam, mu, r, k = p.Lambda, p.lam, p.mu, p.r, p.k
     a1, a2, g1, g2 = p.alpha1, p.alpha2, p.gamma1, p.gamma2
 
-    if track_r:
-
-        def rhs(t, y):
-            S, V1, I1, I2, R = y
-            F1 = rate1(S, I1)
-            F2 = rate2(S, I2)
-            return (
-                Lam - F1 - F2 - lam * S,
-                r * S - (mu + k * I2) * V1,
-                F1 - a1 * I1,
-                F2 + k * I2 * V1 - a2 * I2,
-                g1 * I1 + g2 * I2 - mu * R,
-            )
-
-    else:
-
-        def rhs(t, y):
-            S, V1, I1, I2 = y
-            F1 = rate1(S, I1)
-            F2 = rate2(S, I2)
-            return (
-                Lam - F1 - F2 - lam * S,
-                r * S - (mu + k * I2) * V1,
-                F1 - a1 * I1,
-                F2 + k * I2 * V1 - a2 * I2,
-            )
+    def rhs(t, y):
+        S, V1, I1, I2, *R = y.tolist()
+        F1 = rate1(S, I1)
+        F2 = rate2(S, I2)
+        dx = (
+            Lam - F1 - F2 - lam * S,
+            r * S - (mu + k * I2) * V1,
+            F1 - a1 * I1,
+            F2 + k * I2 * V1 - a2 * I2,
+        )
+        return dx + (g1 * I1 + g2 * I2 - mu * R[0],) if R else dx
 
     raw = adaptive_rk45(
         rhs,
@@ -394,6 +402,7 @@ def integrate(
         field_norms=_field_norms(p, inc1, inc2, raw.states),
         events=events,
         tracks_recovered=track_r,
+        stats=raw.stats,
     )
 
 

@@ -53,6 +53,8 @@ class GridScanSummary:
     argmax: tuple
     n_points: int
     nonpositive_everywhere: bool
+    # (S_values, V1_values, surface) of a product-grid scan
+    grid: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -439,6 +441,7 @@ def strain2_lyapunov_scan(
         argmax=(float(S_values[i]), float(V1_values[j])),
         n_points=surface.size,
         nonpositive_everywhere=max_value <= 0.0,
+        grid=(S_values, V1_values, surface),
     )
 
 

@@ -15,7 +15,7 @@ CRITERIA = {
         "example 6.4 quartic coefficients: c1..c4 match FD-Jacobian char. poly, "
         "c4 via spectrum product, published 0.2501/0.0171/3.4759e-4 flagged"
     ),
-    7: "global checks: 6.3 surface nonpositive with zero at the equilibrium, 6.4 tail check, < 5 s",
+    7: "global checks: 6.3 surface nonpositive with zero at the equilibrium, 6.4 whole-run check, < 5 s",
     8: "convergence: each example reaches its attractor within rel 1e-3, < 2 s each",
     9: "invariance: 100 random starts per example, no violations, final N bounded",
     10: (

@@ -293,8 +293,9 @@ class TestAcceptance:
             e3 = solve_all(p, inc1, inc2).E3[0]
             t0 = time.perf_counter()
             traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
-            tail = traj.times >= traj.times[-1] - sc.integrator.tail_window
-            scan = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[tail][:, :4])
+            # every state after the start, as analyze scans: the late states
+            # lie within rounding of E3 and carry no sign, the early ones do
+            scan = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[1:, :4])
             elapsed = time.perf_counter() - t0
             assert elapsed < 5.0
             assert scan.max_value <= 1e-9

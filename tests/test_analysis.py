@@ -1,5 +1,7 @@
 """Whole-scenario analysis, report rendering, sweeps, and turning points."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,7 +144,12 @@ class TestApplySweepValue:
         assert out.incidence2.beta == 3e-4
         assert out.incidence2.zeta == sc.incidence2.zeta
         out = apply_sweep_value(sc, "incidence2.zeta", 0.5)
-        assert out.incidence2.zeta == 0.5
+        assert out.incidence2 == IncidenceSpec.saturated_s(sc.incidence2.beta, 0.5)
+        with pytest.raises(ValueError, match="beta"):
+            apply_sweep_value(sc, "incidence2.beta", -1.0)
+        custom = dataclasses.replace(sc, incidence1=IncidenceSpec.custom(lambda S, I: S * I))
+        with pytest.raises(ConfigError, match="custom"):
+            apply_sweep_value(custom, "incidence1.beta", 1e-4)
 
     def test_invalid_keys_rejected(self):
         sc = scenario_low_transmission()

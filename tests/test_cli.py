@@ -1,14 +1,18 @@
 """Command-line verbs, artifact files, and exit codes."""
 
 import csv
+import io
+import sys
 
 import pytest
 
+from twostrain import stability
 from twostrain.cli import main
+from twostrain.equilibria import solve_strain2
 from twostrain.errors import SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams
-from twostrain.scenario import Scenario, serialize_scenario
+from twostrain.scenario import Scenario, load_scenario, serialize_scenario
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
 
@@ -157,6 +161,51 @@ class TestCheckGlobal:
         assert header == ["S", "V1", "phi"]
         assert len(rows) == 40 * 40
         assert all(float(row[2]) <= 0.0 for row in rows)
+
+    def test_surface_computed_once_and_written_as_scanned(
+        self, strain2_file, tmp_path, capsys, monkeypatch
+    ):
+        # the file and the summary line must equal an independent rebuild
+        # from the public grid and surface functions, byte for byte, and
+        # the surface is evaluated once, by the scan behind the summary
+        calls = []
+        surface_fn = stability.strain2_lyapunov_surface
+
+        def counted(*args):
+            calls.append(args)
+            return surface_fn(*args)
+
+        # wherever the package holds a reference to it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("twostrain") and hasattr(module, "strain2_lyapunov_surface"):
+                monkeypatch.setattr(module, "strain2_lyapunov_surface", counted)
+        out = tmp_path / "out"
+        code = main([
+            "check-global", "--scenario", strain2_file,
+            "--out", str(out), "--grid", "40",
+        ])
+        assert code == 0
+        assert len(calls) == 1
+
+        sc = load_scenario(strain2_file)
+        e2 = solve_strain2(sc.params, sc.incidence2)[0]
+        S_values, V1_values = stability.lyapunov_scan_grid(sc.params, 40)
+        surface = surface_fn(sc.params, sc.incidence2, e2, S_values, V1_values)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["S", "V1", "phi"])
+        for i, S in enumerate(S_values):
+            for j, V1 in enumerate(V1_values):
+                writer.writerow([repr(float(S)), repr(float(V1)), repr(float(surface[i, j]))])
+        with open(out / "surface.csv", newline="", encoding="utf-8") as fh:
+            assert fh.read() == expected.getvalue()
+
+        i, j = divmod(int(surface.argmax()), 40)
+        assert capsys.readouterr().out.splitlines() == [
+            "strain2_lyapunov_scan: max %.6e at (%.6g, %.6g) over 1600 points -> "
+            "nonpositive everywhere" % (surface[i, j], S_values[i], V1_values[j]),
+            "wrote %s" % (out / "surface.csv"),
+        ]
 
     def test_no_applicable_checks(self, low_transmission_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,18 @@ class TestConstruction:
             IncidenceSpec.saturated_s(1e-4, -0.1)
         with pytest.raises(ValueError):
             IncidenceSpec.saturated_i2(float("nan"), 0.1)
+
+    def test_coefficients_checked_on_every_construction(self):
+        # the raw constructor and dataclasses.replace validate built-ins too
+        with pytest.raises(ValueError, match="beta"):
+            IncidenceSpec("bilinear", 0.0)
+        with pytest.raises(ValueError, match="zeta"):
+            dataclasses.replace(IncidenceSpec.saturated_s(1e-4, 0.5), zeta=-1.0)
+        assert IncidenceSpec("saturated_i2", 1e-4, 0.5, label="saturated_i2") == (
+            IncidenceSpec.saturated_i2(1e-4, 0.5)
+        )
+        # custom callables carry no coefficients to check
+        assert IncidenceSpec("custom", rate_fn=lambda S, I: S * I).beta == 0.0
 
     def test_family_labels(self):
         assert IncidenceSpec.bilinear(1e-4).family == "bilinear"

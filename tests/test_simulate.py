@@ -5,11 +5,15 @@ before anything model-specific, then the model-level wrapper is checked
 against the trapping-box properties and the certified equilibria.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from twostrain import incidence
+from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.equilibria import (
     Equilibrium,
     disease_free,
@@ -19,7 +23,7 @@ from twostrain.equilibria import (
 )
 from twostrain.errors import DomainError, IntegrationError, PreconditionError
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import ModelParams, State
+from twostrain.model import ModelParams, State, jacobian, vector_field
 from twostrain.simulate import (
     IntegratorOptions,
     Trajectory,
@@ -341,3 +345,204 @@ class TestPersistenceProxy:
             persistence_proxy(traj, burn_in_fraction=0.0)
         with pytest.raises(ValueError):
             persistence_proxy(traj, burn_in_fraction=0.6)
+
+
+def checked_run(p, inc1, inc2, y0, opts, calls=None):
+    """adaptive_rk45 driven by the checked vector field; the time of every
+    call is appended to ``calls`` when given."""
+
+    def rhs(t, y):
+        if calls is not None:
+            calls.append(t)
+        return vector_field(p, inc1, inc2, y)
+
+    return adaptive_rk45(
+        rhs, y0, opts.t_end, rtol=opts.rtol, atol=opts.atol,
+        max_step=opts.max_step, sample_times=opts.sample_times,
+    )
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLeanStepper:
+    """integrate evaluates the closed forms unchecked and checks each stage
+    output instead; it must give the checked path's run bit for bit."""
+
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_integrate_equals_the_checked_vector_field_bit_for_bit(self, example_id):
+        sc = build_scenario(example_id)
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        # the same built-in rates, called through the checked custom path
+        checked1, checked2 = IncidenceSpec.custom(inc1.rate), IncidenceSpec.custom(inc2.rate)
+        start = sc.initial.as_array()
+        for y0 in (start, np.append(start, 25.0)):
+            for samples in (None, tuple(np.linspace(0.0, 1000.0, 41))):
+                opts = dataclasses.replace(sc.integrator, t_end=1000.0, sample_times=samples)
+                traj = integrate(p, inc1, inc2, y0, opts)
+                raw = checked_run(p, inc1, inc2, y0, opts)
+                assert same_bits(traj.times, raw.times)
+                assert same_bits(traj.states, raw.states)
+                assert traj.stats == raw.stats
+                ref = integrate(p, checked1, checked2, y0, opts)
+                assert same_bits(traj.times, ref.times)
+                assert same_bits(traj.states, ref.states)
+                assert same_bits(traj.field_norms, ref.field_norms)
+                assert traj.events == ref.events and traj.events
+                assert traj.tracks_recovered == (len(y0) == 5)
+
+    def test_stats_count_every_right_hand_side_call(self):
+        totals = dict(clamps=0, negative_retries=0, rejected_steps=0)
+        for example_id in EXAMPLE_IDS:
+            sc = build_scenario(example_id)
+            p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+            calls = []
+            raw = checked_run(p, inc1, inc2, sc.initial.as_array(), sc.integrator, calls)
+            st = raw.stats
+            attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
+            assert len(calls) == st.rhs_evals == 2 + 6 * attempts + st.clamps, example_id
+            assert st.accepted_steps == len(raw.times) - 1
+            traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
+            assert traj.stats == st
+            for name in totals:
+                totals[name] += getattr(st, name)
+        # every branch of the count is exercised on the four examples
+        assert all(count > 0 for count in totals.values()), totals
+
+    def test_stats_stay_out_of_trajectory_equality(self):
+        p, inc1, inc2 = setup_low_transmission()
+        traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0))
+        assert traj.stats is not None
+        assert dataclasses.replace(traj, stats=None) == traj
+
+    def test_nan_output_rejects_the_stage_and_shrinks_the_step(self):
+        # large steps probe y < 0, where this field is undefined; each NaN
+        # stage rejects its step, exactly as a raised arithmetic error does
+        call_times, nan_calls = [], []
+
+        def nan_below_zero(t, y):
+            call_times.append(t)
+            if y[0] < 0.0:
+                nan_calls.append(len(call_times) - 1)
+                return (math.nan,)
+            return (-y[0],)
+
+        def raise_below_zero(t, y):
+            if y[0] < 0.0:
+                raise ArithmeticError("undefined")
+            return (-y[0],)
+
+        kwargs = dict(rtol=1e-6, atol=1e-8, nonnegative=False)
+        raw = adaptive_rk45(nan_below_zero, [1.0], 40.0, **kwargs)
+        assert nan_calls
+        assert raw.stats.rejected_steps == len(nan_calls)
+        assert np.all(np.isfinite(raw.states)) and raw.times[-1] == 40.0
+        assert raw.states[-1, 0] == pytest.approx(math.exp(-40.0), abs=1e-8)
+        ref = adaptive_rk45(raise_below_zero, [1.0], 40.0, **kwargs)
+        assert same_bits(raw.times, ref.times) and same_bits(raw.states, ref.states)
+        assert raw.stats == ref.stats
+        # the retry from the same time takes a fifth of the step, so its
+        # first stage comes before the one that failed
+        for m in nan_calls:
+            assert call_times[m + 1] < call_times[m]
+
+    def test_custom_rate_keeps_the_checked_path(self):
+        sc = build_scenario("6.3")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        seen = []
+
+        def refuses_negative_infectives(S, I):
+            seen.append((type(S), type(I), np.all(np.isfinite(S)) and np.all(np.isfinite(I))))
+            if np.any(np.asarray(I) < 0.0):
+                raise DomainError("negative infectives")
+            return inc1.rate(S, I)
+
+        custom = IncidenceSpec.custom(refuses_negative_infectives)
+        traj = integrate(p, custom, inc2, sc.initial, sc.integrator)
+        base = integrate(p, inc1, inc2, sc.initial, sc.integrator)
+        # stages probing I1 < 0 are rejected, not fatal
+        assert traj.stats.rejected_steps > base.stats.rejected_steps
+        assert traj.times[-1] == sc.integrator.t_end
+        assert np.all(traj.states >= 0.0)
+        # numpy scalars in the stepper and arrays in field_norms, never a
+        # non-finite input
+        assert {kind[:2] for kind in seen} == {
+            (np.float64, np.float64),
+            (np.ndarray, np.ndarray),
+        }
+        assert all(kind[2] for kind in seen)
+        # a non-finite input stops at the checked boundary
+        n_seen = len(seen)
+        with pytest.raises(DomainError):
+            custom.scalar_rate()(math.inf, 1.0)
+        assert len(seen) == n_seen
+
+
+class TestClosedFormTable:
+    SPECS = (
+        IncidenceSpec.bilinear(2e-4),
+        IncidenceSpec.saturated_s(2e-4, 0.9),
+        IncidenceSpec.saturated_i2(3e-5, 0.7),
+    )
+    S_AXIS = (0.0, 1e-6, 0.5, 500.0, 9000.0)
+    I_AXIS = (0.0, 1e-6, 0.5, 50.0, 3000.0)
+
+    @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
+    def test_entries_equal_the_public_evaluators_bitwise(self, inc):
+        forms = incidence._CLOSED_FORMS[inc.family]
+        for name in ("rate", "force", "contact_factor", "d_rate_dS", "d_rate_dI"):
+            entry, public = getattr(forms, name), getattr(inc, name)
+            # the S = 0 axis is outside the contact factor's domain
+            S_axis = [s for s in self.S_AXIS if s > 0.0 or name != "contact_factor"]
+            I_grid, S_grid = np.meshgrid(self.I_AXIS, S_axis)
+            assert same_bits(entry(inc.beta, inc.zeta, S_grid, I_grid), public(S_grid, I_grid))
+            for S in S_axis:
+                for I in self.I_AXIS:
+                    expected = public(np.float64(S), np.float64(I))
+                    assert same_bits(entry(inc.beta, inc.zeta, S, I), expected), (name, S, I)
+                    assert same_bits(public(S, I), expected), (name, S, I)
+
+    @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
+    def test_scalar_rate_equals_the_checked_rate_bitwise(self, inc):
+        fast = inc.scalar_rate()
+        I_grid, S_grid = np.meshgrid(self.I_AXIS, self.S_AXIS)
+        grid = inc.rate(S_grid, I_grid)
+        for i, S in enumerate(self.S_AXIS):
+            for j, I in enumerate(self.I_AXIS):
+                value = fast(S, I)
+                assert same_bits(value, inc.rate(np.float64(S), np.float64(I)))
+                assert same_bits(value, grid[i, j])
+                if S == 0.0 or I == 0.0:
+                    assert value == 0.0
+        # unchecked: a non-finite input gives a non-finite rate, no raise
+        assert not math.isfinite(fast(math.inf, 1.0))
+        assert not math.isfinite(fast(1.0, math.nan))
+
+
+class TestRadauOracle:
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_samples_match_a_tight_radau_solution(self, example_id):
+        # scipy's implicit Radau IIA at rtol 1e-11 is an independent
+        # integrator; at rtol 1e-8 the stepper stays within 1e-6 of it
+        sc = build_scenario(example_id)
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        samples = np.linspace(0.0, 500.0, 11)
+        opts = dataclasses.replace(sc.integrator, t_end=500.0, sample_times=tuple(samples))
+        traj = integrate(p, inc1, inc2, sc.initial, opts)
+        sol = solve_ivp(
+            lambda t, y: vector_field(p, inc1, inc2, y),
+            (0.0, 500.0),
+            sc.initial.as_array(),
+            method="Radau",
+            t_eval=samples,
+            rtol=1e-11,
+            atol=1e-12,
+            jac=lambda t, y: jacobian(p, inc1, inc2, y),
+        )
+        assert sol.success
+        assert np.array_equal(traj.times, samples)
+        ref = sol.y.T
+        rel = np.abs(traj.states - ref) / np.maximum(1.0, np.abs(ref))
+        assert float(rel.max()) <= 1e-6, example_id
