@@ -108,6 +108,20 @@ def _fmt(x: Optional[float]) -> str:
     return "n/a" if x is None else "%.6g" % x
 
 
+def _local_verdict(rep: StabilityReport, stable: str, suffix: str = "") -> str:
+    """Local-stability line for one classified equilibrium.
+
+    ``stable`` gives the reasons behind a locally stable verdict; ``suffix``
+    follows the list of violated conditions of an unstable one.
+    """
+    if rep.verdict is Verdict.LOCALLY_STABLE:
+        return "%s locally asymptotically stable: %s" % (rep.kind, stable)
+    if rep.verdict is Verdict.UNSTABLE:
+        failed = ", ".join(name for name, ok in rep.conditions.items() if not ok)
+        return "%s unstable: violated condition(s) %s%s" % (rep.kind, failed or "none flagged", suffix)
+    return "%s classification inconclusive: a tested quantity sits on the margin" % rep.kind
+
+
 def _verdict_lines(
     th: Thresholds,
     e1: Optional[Equilibrium],
@@ -132,38 +146,26 @@ def _verdict_lines(
     if e1 is None:
         lines.append("E1 absent: R1 = %s <= 1" % _fmt(th.R1))
     else:
-        rep = by_kind["E1"]
-        if rep.verdict is Verdict.LOCALLY_STABLE:
-            lines.append(
-                "E1 locally asymptotically stable: R1 = %s > 1, coefficient conditions positive, "
-                "R2_invasion = %s < 1" % (_fmt(th.R1), _fmt(th.R2_invasion))
+        lines.append(
+            _local_verdict(
+                by_kind["E1"],
+                "R1 = %s > 1, coefficient conditions positive, R2_invasion = %s < 1"
+                % (_fmt(th.R1), _fmt(th.R2_invasion)),
+                " (R2_invasion = %s)" % _fmt(th.R2_invasion),
             )
-        elif rep.verdict is Verdict.UNSTABLE:
-            failed = [name for name, ok in rep.conditions.items() if not ok]
-            lines.append(
-                "E1 unstable: violated condition(s) %s (R2_invasion = %s)"
-                % (", ".join(failed) or "none flagged", _fmt(th.R2_invasion))
-            )
-        else:
-            lines.append("E1 classification inconclusive: a tested quantity sits on the margin")
+        )
 
     if not e2_roots:
         lines.append("E2 absent: R2 = %s <= 1" % _fmt(th.R2))
     else:
-        rep = by_kind["E2"]
-        if rep.verdict is Verdict.LOCALLY_STABLE:
-            lines.append(
-                "E2 locally asymptotically stable: R2 = %s > 1, coefficient conditions positive, "
-                "R1_invasion = %s < 1" % (_fmt(th.R2), _fmt(th.R1_invasion))
+        lines.append(
+            _local_verdict(
+                by_kind["E2"],
+                "R2 = %s > 1, coefficient conditions positive, R1_invasion = %s < 1"
+                % (_fmt(th.R2), _fmt(th.R1_invasion)),
+                " (R1_invasion = %s)" % _fmt(th.R1_invasion),
             )
-        elif rep.verdict is Verdict.UNSTABLE:
-            failed = [name for name, ok in rep.conditions.items() if not ok]
-            lines.append(
-                "E2 unstable: violated condition(s) %s (R1_invasion = %s)"
-                % (", ".join(failed) or "none flagged", _fmt(th.R1_invasion))
-            )
-        else:
-            lines.append("E2 classification inconclusive: a tested quantity sits on the margin")
+        )
         scan = checks.get("strain2_lyapunov_scan")
         if scan is not None:
             if scan.nonpositive_everywhere:
@@ -192,21 +194,19 @@ def _verdict_lines(
         )
     else:
         rep = by_kind["E3"]
-        if rep.verdict is Verdict.LOCALLY_STABLE:
-            lines.append(
-                "E3 locally asymptotically stable: all quartic coefficient conditions positive "
+        c = rep.coefficients
+        lines.append(
+            _local_verdict(
+                rep,
+                "all quartic coefficient conditions positive "
                 "(c1 = %s, c1*c2 - c3 = %s, c1*c2*c3 - c3^2 - c1^2*c4 = %s)"
                 % (
-                    _fmt(rep.coefficients.get("c1")),
-                    _fmt(rep.coefficients.get("c1*c2 - c3")),
-                    _fmt(rep.coefficients.get("c1*c2*c3 - c3^2 - c1^2*c4")),
-                )
+                    _fmt(c.get("c1")),
+                    _fmt(c.get("c1*c2 - c3")),
+                    _fmt(c.get("c1*c2*c3 - c3^2 - c1^2*c4")),
+                ),
             )
-        elif rep.verdict is Verdict.UNSTABLE:
-            failed = [name for name, ok in rep.conditions.items() if not ok]
-            lines.append("E3 unstable: violated condition(s) %s" % (", ".join(failed) or "none flagged"))
-        else:
-            lines.append("E3 classification inconclusive: a tested quantity sits on the margin")
+        )
         scan = checks.get("coexistence_tail_derivative")
         if scan is not None:
             if scan.nonpositive_everywhere:

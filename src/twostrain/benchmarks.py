@@ -11,12 +11,11 @@ and the published number is kept in the report with a discrepancy note.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .analysis import AnalysisReport, analyze
-from .equilibria import Equilibrium
 from .errors import ConfigError
 from .incidence import IncidenceSpec
 from .model import ModelParams
@@ -118,18 +117,9 @@ def build_scenario(example_id: str) -> Scenario:
     return Scenario(params=params, incidence1=inc1, incidence2=inc2)
 
 
-def _by_kind(report: AnalysisReport, kind: str) -> Optional[Equilibrium]:
-    for eq in report.equilibria:
-        if eq.kind == kind:
-            return eq
-    return None
-
-
-def _stab(report: AnalysisReport, kind: str):
-    for rep in report.stability:
-        if rep.kind == kind:
-            return rep
-    return None
+def _first(items, kind: str):
+    """First equilibrium or stability report of ``kind`` in ``items``, or None."""
+    return next((item for item in items if item.kind == kind), None)
 
 
 def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
@@ -181,14 +171,14 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         )
 
     elif example_id == "6.2":
-        e1 = _by_kind(report, "E1")
+        e1 = _first(report.equilibria, "E1")
         pub("R1", 1.7544, th.R1, 5e-3)
         pub("R2", 0.7947, th.R2, 5e-3)
         pub("E1.S", 950.0, e1.point.S, 1e-3)
         c = _CERTIFIED["6.2"]
         cert("E1.I1", c["I1"], e1.point.I1, "253")
         cert("E1.V1", c["V1"], e1.point.V1, "4737")
-        stab = _stab(report, "E1")
+        stab = _first(report.stability, "E1")
         flags.append(
             FlagCheck(
                 "E1 locally asymptotically stable with R2_invasion < 1",
@@ -201,7 +191,7 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         )
 
     elif example_id == "6.3":
-        e2 = _by_kind(report, "E2")
+        e2 = _first(report.equilibria, "E2")
         pub("R1", 0.2632, th.R1, 5e-3)
         pub("R2", 1.3889, th.R2, 5e-3)
         pub("E2.S", 1314.0, e2.point.S, 1.5e-2)
@@ -217,9 +207,9 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         )
 
     else:  # 6.4
-        e1 = _by_kind(report, "E1")
-        e2 = _by_kind(report, "E2")
-        e3 = _by_kind(report, "E3")
+        e1 = _first(report.equilibria, "E1")
+        e2 = _first(report.equilibria, "E2")
+        e3 = _first(report.equilibria, "E3")
         pub("R1", 7.0175, th.R1, 1e-2)
         pub("R2", 4.1270, th.R2, 1e-2)
         pub("R2_invasion", 3.555, th.R2_invasion, 1e-2)
@@ -232,7 +222,7 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         pub("E3.I1", 44.0, e3.point.I1, 1.5e-2)
         pub("E3.I2", 774.0, e3.point.I2, 1.5e-2)
         c = _CERTIFIED["6.4"]
-        stab = _stab(report, "E3")
+        stab = _first(report.stability, "E3")
         coeff = stab.coefficients
         cert("E3.c1", c["c1"], coeff["c1"], "0.2501")
         cert("E3.c2", c["c2"], coeff["c2"], "0.0171")
@@ -254,7 +244,7 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
             )
         )
         for kind in ("E0", "E1", "E2"):
-            rep = _stab(report, kind)
+            rep = _first(report.stability, kind)
             flags.append(
                 FlagCheck("%s unstable" % kind, rep is not None and rep.verdict is Verdict.UNSTABLE)
             )

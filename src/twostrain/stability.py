@@ -1,19 +1,24 @@
 """Local stability classification and numerical Lyapunov-condition scans.
 
-Each equilibrium kind has a dedicated classifier that builds the Jacobian
-there, forms the characteristic-polynomial coefficients of the relevant
-block in closed form, applies the Routh-Hurwitz sign conditions, and
-cross-checks the verdict against a dense eigensolver. The two routes are
-kept independent on purpose: a transcription error in either one shows up
-as a cross-validation disagreement instead of a silent wrong answer.
+E0 is classified from its closed-form spectrum. E1, E2 and E3 are classified
+by the Routh-Hurwitz sign conditions on the characteristic polynomial of the
+relevant Jacobian block. One generic routine expands det(x*I - M) term by
+term from a Leibniz table built at import; the Hurwitz minors come from the
+same routine run on the leading blocks of the Hurwitz matrix. Every verdict
+is cross-checked against a dense eigensolver. The two routes are kept
+independent on purpose: an error in either one shows up as a
+cross-validation disagreement instead of a silent wrong answer.
 
-Verdicts use a dead-band: eigenvalue real parts (and scaled coefficient
-signs) within 1e-10 of zero yield Inconclusive rather than a guess.
+Verdicts use a dead-band: eigenvalue real parts within 1e-10 of zero, and
+coefficients within 1e-10 of the sum of the absolute values of their
+terms, yield Inconclusive rather than a guess.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -73,7 +78,7 @@ def eigen_classify(J: np.ndarray) -> tuple:
     """Dense-eigensolver classification of a real matrix.
 
     Returns (eigenvalues sorted by descending real part, verdict). This is
-    the generic oracle the closed-form routines are validated against.
+    the generic oracle the Routh-Hurwitz classifiers are validated against.
     """
     J = np.asarray(J, float)
     if not np.all(np.isfinite(J)):
@@ -83,20 +88,11 @@ def eigen_classify(J: np.ndarray) -> tuple:
     except np.linalg.LinAlgError as exc:
         raise SolverError("eigensolver failed to converge") from exc
     eigs = eigs[np.argsort(-eigs.real)]
-    return eigs, _verdict_from_reals(eigs.real)
-
-
-def _verdict_from_reals(reals) -> Verdict:
-    top = float(np.max(reals))
-    if top > EIGEN_DEADBAND:
-        return Verdict.UNSTABLE
-    if top < -EIGEN_DEADBAND:
-        return Verdict.LOCALLY_STABLE
-    return Verdict.INCONCLUSIVE
+    return eigs, _combine([_sign_banded(-x, 1.0) for x in eigs.real])
 
 
 def _sign_banded(value: float, scale: float) -> int:
-    """Sign of a coefficient with a relative dead-band: +1, -1, or 0 (marginal)."""
+    """Sign of a quantity with a relative dead-band: +1, -1, or 0 (marginal)."""
     band = EIGEN_DEADBAND * max(1.0, scale)
     if value > band:
         return 1
@@ -105,22 +101,71 @@ def _sign_banded(value: float, scale: float) -> int:
     return 0
 
 
-def _sum_with_scale(terms) -> tuple:
-    return float(sum(terms)), float(sum(abs(t) for t in terms))
+def _leibniz_terms(n: int) -> list:
+    """Terms of det(x*I - M) for an n x n matrix M, as (k, sign, factors) triples.
+
+    A term takes either x or -M[i][perm[i]] in every row i, and may take x
+    only where perm[i] == i. A term with k matrix factors belongs to the
+    coefficient c_k of x^(n-k); ``factors`` are their flat indices i*n + j.
+    """
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for takes_x in itertools.product((False, True), repeat=n):
+            rows = [i for i in range(n) if not takes_x[i]]
+            if rows and all(perm[i] == i for i in range(n) if takes_x[i]):
+                sign = (-1) ** (inversions + len(rows))
+                terms.append((len(rows), sign, [i * n + perm[i] for i in rows]))
+    return terms
+
+
+_LEIBNIZ = {n: _leibniz_terms(n) for n in (2, 3, 4)}
+
+
+def _charpoly(M) -> tuple:
+    """Coefficients c1..cn of det(x*I - M) = x^n + c1*x^(n-1) + ... + cn.
+
+    ``M`` is a list of rows. Returns (values, scales): the scale of c_k is
+    the sum of the absolute values of its terms, the width of its sign
+    dead-band; structural zeros of M add nothing to it.
+    """
+    n = len(M)
+    entry = [x for row in M for x in row].__getitem__
+    values, scales = [0] * n, [0] * n
+    for k, sign, factors in _LEIBNIZ[n]:
+        term = sign * math.prod(map(entry, factors))
+        values[k - 1] += term
+        scales[k - 1] += abs(term)
+    return values, scales
+
+
+def _hurwitz_minors(c) -> tuple:
+    """Leading Hurwitz minors D2..D(n-1) of x^n + c1*x^(n-1) + ... + cn.
+
+    D1 = c1, and Dn = cn*D(n-1) adds no condition once cn > 0. The k x k
+    minor is (-1)^k times the constant coefficient of its characteristic
+    polynomial, so it comes with its scale. Returns (values, scales).
+    """
+    n = len(c)
+    # H[i][j] = c_(2j-i+1) with c_0 = 1; out-of-range indices read the zero padding
+    a = [1, *c] + [0] * n
+    hurwitz = [[a[2 * j - i + 1] for j in range(n)] for i in range(n)]
+    values, scales = [], []
+    for k in range(2, n):
+        minor_values, minor_scales = _charpoly([row[:k] for row in hurwitz[:k]])
+        values.append((-1) ** k * minor_values[-1])
+        scales.append(minor_scales[-1])
+    return values, scales
 
 
 def _combine(signs) -> Verdict:
-    """Routh-Hurwitz verdict from banded signs of all required quantities.
+    """Verdict from the banded signs of quantities that a stable point makes positive.
 
-    A single strictly negative quantity already certifies instability
-    because every coefficient and composite is positive for a Hurwitz
-    polynomial of this size.
+    The quantities are negated eigenvalues, or Routh-Hurwitz coefficients and
+    minors. A single strictly negative one already certifies instability:
+    every one of them is positive when all eigenvalues have negative real part.
     """
-    if any(s < 0 for s in signs):
-        return Verdict.UNSTABLE
-    if all(s > 0 for s in signs):
-        return Verdict.LOCALLY_STABLE
-    return Verdict.INCONCLUSIVE
+    return (Verdict.UNSTABLE, Verdict.INCONCLUSIVE, Verdict.LOCALLY_STABLE)[min(signs) + 1]
 
 
 # -- per-kind classifiers -----------------------------------------------------
@@ -143,7 +188,7 @@ def classify_disease_free(
             p.alpha2 * (th.R2 - 1.0),
         ]
     )
-    verdict = _verdict_from_reals(closed)
+    verdict = _combine([_sign_banded(-x, 1.0) for x in closed])
     point = State(p.susceptible_cap, p.vaccinated_cap, 0.0, 0.0)
     eigs, eigen_verdict = eigen_classify(jacobian(p, inc1, inc2, point))
     return StabilityReport(
@@ -161,6 +206,43 @@ def classify_disease_free(
     )
 
 
+#: report names of c1..cn and of the Hurwitz minors D2..D(n-1) of each block
+_COEFFICIENT_NAMES = {
+    "E1": ("a2", "a1", "a0", "a2*a1 - a0"),
+    "E2": ("b2", "b1", "b0", "b2*b1 - b0"),
+    "E3": ("c1", "c2", "c3", "c4", "c1*c2 - c3", "c1*c2*c3 - c3^2 - c1^2*c4"),
+}
+
+
+def _classify(kind: str, J: np.ndarray, block: list, decoupled: dict, notes: tuple = ()) -> StabilityReport:
+    """Routh-Hurwitz classification on the characteristic polynomial of J[block, block].
+
+    The coefficients and Hurwitz minors must all be positive, each tested
+    with its own dead-band scale. ``decoupled`` maps a condition name to the
+    eigenvalue of a row outside the block, which must be negative.
+    """
+    values, scales = _charpoly(J[np.ix_(block, block)].tolist())
+    minor_values, minor_scales = _hurwitz_minors(values)
+    values += minor_values
+    scales += minor_scales
+    names = _COEFFICIENT_NAMES[kind]
+    signs = [_sign_banded(v, s) for v, s in zip(values, scales)]
+    conditions = {name + " > 0": v > 0.0 for name, v in zip(names, values)}
+    for name, eigenvalue in decoupled.items():
+        signs.append(_sign_banded(-eigenvalue, 1.0))
+        conditions[name] = bool(eigenvalue < 0.0)
+    eigs, eigen_verdict = eigen_classify(J)
+    return StabilityReport(
+        kind=kind,
+        eigenvalues=eigs,
+        coefficients=dict(zip(names, values)),
+        conditions=conditions,
+        verdict=_combine(signs),
+        eigen_verdict=eigen_verdict,
+        notes=notes,
+    )
+
+
 def classify_strain1(
     p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, e1
 ) -> StabilityReport:
@@ -172,44 +254,10 @@ def classify_strain1(
     """
     require_certified(e1)
     J = jacobian(p, inc1, inc2, e1.point)
-    A11, A13 = J[0, 0], J[0, 2]
-    A31, A33 = J[2, 0], J[2, 2]
     A44 = J[3, 3]  # equals alpha2*(R2_invasion - 1)
-    mu = p.mu
-
-    a2, s2 = _sum_with_scale([-A11, mu, -A33])
-    a1, s1 = _sum_with_scale([-mu * A11, -mu * A33, A11 * A33, -A13 * A31])
-    a0, s0 = _sum_with_scale([mu * A11 * A33, -mu * A13 * A31])
-    comp, sc = _sum_with_scale([a2 * a1, -a0])
-
-    signs = [
-        _sign_banded(a2, s2),
-        _sign_banded(a1, s1),
-        _sign_banded(a0, s0),
-        _sign_banded(comp, sc),
-        _sign_banded(-A44, 1.0),  # block is stable only with A44 < 0
-    ]
-    verdict = _combine(signs)
-    eigs, eigen_verdict = eigen_classify(J)
-    R2_invasion = A44 / p.alpha2 + 1.0
-    return StabilityReport(
-        kind="E1",
-        eigenvalues=eigs,
-        coefficients={"a2": a2, "a1": a1, "a0": a0, "a2*a1 - a0": comp},
-        conditions={
-            "a2 > 0": a2 > 0.0,
-            "a1 > 0": a1 > 0.0,
-            "a0 > 0": a0 > 0.0,
-            "a2*a1 - a0 > 0": comp > 0.0,
-            "R2_invasion < 1": bool(A44 < 0.0),
-        },
-        verdict=verdict,
-        eigen_verdict=eigen_verdict,
-        notes=(
-            "invasion eigenvalue alpha2*(R2_invasion - 1) = %.6g "
-            "(R2_invasion = %.6g)" % (A44, R2_invasion),
-        ),
-    )
+    note = "invasion eigenvalue alpha2*(R2_invasion - 1) = %.6g (R2_invasion = %.6g)"
+    notes = (note % (A44, A44 / p.alpha2 + 1.0),)
+    return _classify("E1", J, [0, 1, 2], {"R2_invasion < 1": A44}, notes)
 
 
 def classify_strain2(
@@ -225,56 +273,16 @@ def classify_strain2(
     require_certified(e2)
     pt = e2.point
     J = jacobian(p, inc1, inc2, pt)
-    B11, B14 = J[0, 0], J[0, 3]
-    B22, B24 = J[1, 1], J[1, 3]
-    B41, B42, B44 = J[3, 0], J[3, 1], J[3, 3]
     B33 = J[2, 2]  # equals alpha1*(R1_invasion - 1)
-    r = p.r
-
-    b2, s2 = _sum_with_scale([-B11, -B22, -B44])
-    b1, s1 = _sum_with_scale(
-        [B22 * B11, B22 * B44, B11 * B44, -B14 * B41, -B24 * B42]
-    )
-    b0, s0 = _sum_with_scale(
-        [-B22 * B11 * B44, -r * B14 * B42, B14 * B22 * B41, B11 * B24 * B42]
-    )
-    comp, sc = _sum_with_scale([b2 * b1, -b0])
-
-    signs = [
-        _sign_banded(b2, s2),
-        _sign_banded(b1, s1),
-        _sign_banded(b0, s0),
-        _sign_banded(comp, sc),
-        _sign_banded(-B33, 1.0),
-    ]
-    verdict = _combine(signs)
-    eigs, eigen_verdict = eigen_classify(J)
     dF2_dI2 = float(inc2.d_rate_dI(pt.S, pt.I2))
     path = (
         "dF2/dI2 = %.6g > 0 at the equilibrium: explicit coefficient test"
         if dF2_dI2 > 0.0
         else "dF2/dI2 = %.6g <= 0 at the equilibrium: sign structure applies"
     )
-    R1_invasion = B33 / p.alpha1 + 1.0
-    return StabilityReport(
-        kind="E2",
-        eigenvalues=eigs,
-        coefficients={"b2": b2, "b1": b1, "b0": b0, "b2*b1 - b0": comp},
-        conditions={
-            "b2 > 0": b2 > 0.0,
-            "b1 > 0": b1 > 0.0,
-            "b0 > 0": b0 > 0.0,
-            "b2*b1 - b0 > 0": comp > 0.0,
-            "R1_invasion < 1": bool(B33 < 0.0),
-        },
-        verdict=verdict,
-        eigen_verdict=eigen_verdict,
-        notes=(
-            path % dF2_dI2,
-            "invasion eigenvalue alpha1*(R1_invasion - 1) = %.6g "
-            "(R1_invasion = %.6g)" % (B33, R1_invasion),
-        ),
-    )
+    note = "invasion eigenvalue alpha1*(R1_invasion - 1) = %.6g (R1_invasion = %.6g)"
+    notes = (path % dF2_dI2, note % (B33, B33 / p.alpha1 + 1.0))
+    return _classify("E2", J, [0, 1, 3], {"R1_invasion < 1": B33}, notes)
 
 
 def classify_coexistence(
@@ -286,87 +294,7 @@ def classify_coexistence(
     conditions c1*c2 - c3 > 0 and c1*c2*c3 - c3^2 - c1^2*c4 > 0.
     """
     require_certified(e3)
-    J = jacobian(p, inc1, inc2, e3.point)
-    C11, C13, C14 = J[0, 0], J[0, 2], J[0, 3]
-    C22, C24 = J[1, 1], J[1, 3]
-    C31, C33 = J[2, 0], J[2, 2]
-    C41, C42, C44 = J[3, 0], J[3, 1], J[3, 3]
-    r = p.r
-
-    c1, s1 = _sum_with_scale([-C44, -C33, -C22, -C11])
-    c2, s2 = _sum_with_scale(
-        [
-            -C41 * C14,
-            -C42 * C24,
-            C44 * C33,
-            C44 * C22,
-            C44 * C11,
-            -C31 * C13,
-            C33 * C22,
-            C33 * C11,
-            C22 * C11,
-        ]
-    )
-    c3, s3 = _sum_with_scale(
-        [
-            -r * C42 * C14,
-            C41 * C14 * C33,
-            C41 * C14 * C22,
-            C42 * C24 * C33,
-            C42 * C24 * C11,
-            C44 * C31 * C13,
-            -C44 * C33 * C22,
-            -C44 * C33 * C11,
-            -C44 * C22 * C11,
-            C31 * C13 * C22,
-            -C33 * C22 * C11,
-        ]
-    )
-    c4, s4 = _sum_with_scale(
-        [
-            r * C42 * C14 * C33,
-            -C41 * C14 * C33 * C22,
-            C42 * C24 * C31 * C13,
-            -C42 * C24 * C33 * C11,
-            -C44 * C31 * C13 * C22,
-            C44 * C33 * C22 * C11,
-        ]
-    )
-    compA, scA = _sum_with_scale([c1 * c2, -c3])
-    compB, scB = _sum_with_scale([c1 * c2 * c3, -c3 * c3, -c1 * c1 * c4])
-
-    signs = [
-        _sign_banded(c1, s1),
-        _sign_banded(c2, s2),
-        _sign_banded(c3, s3),
-        _sign_banded(c4, s4),
-        _sign_banded(compA, scA),
-        _sign_banded(compB, scB),
-    ]
-    verdict = _combine(signs)
-    eigs, eigen_verdict = eigen_classify(J)
-    return StabilityReport(
-        kind="E3",
-        eigenvalues=eigs,
-        coefficients={
-            "c1": c1,
-            "c2": c2,
-            "c3": c3,
-            "c4": c4,
-            "c1*c2 - c3": compA,
-            "c1*c2*c3 - c3^2 - c1^2*c4": compB,
-        },
-        conditions={
-            "c1 > 0": c1 > 0.0,
-            "c2 > 0": c2 > 0.0,
-            "c3 > 0": c3 > 0.0,
-            "c4 > 0": c4 > 0.0,
-            "c1*c2 - c3 > 0": compA > 0.0,
-            "c1*c2*c3 - c3^2 - c1^2*c4 > 0": compB > 0.0,
-        },
-        verdict=verdict,
-        eigen_verdict=eigen_verdict,
-    )
+    return _classify("E3", jacobian(p, inc1, inc2, e3.point), [0, 1, 2, 3], {})
 
 
 # -- Lyapunov-condition scans -------------------------------------------------
@@ -423,14 +351,10 @@ def strain2_lyapunov_scan(
 ) -> GridScanSummary:
     """Scan the E2 surface over log-spaced grids inside the invariant box."""
     require_certified(e2)
-    if S_range is None and V1_range is None:
-        S_values, V1_values = lyapunov_scan_grid(p, n_grid)
-    else:
-        if S_range is None:
-            S_range = (1e-6 * p.susceptible_cap, p.susceptible_cap)
-        if V1_range is None:
-            V1_range = (1e-6 * p.vaccinated_cap, p.vaccinated_cap)
+    S_values, V1_values = lyapunov_scan_grid(p, n_grid)
+    if S_range is not None:
         S_values = np.geomspace(S_range[0], S_range[1], n_grid)
+    if V1_range is not None:
         V1_values = np.geomspace(V1_range[0], V1_range[1], n_grid)
     surface = strain2_lyapunov_surface(p, inc2, e2, S_values, V1_values)
     flat = int(np.argmax(surface))
@@ -458,11 +382,17 @@ def coexistence_lyapunov_values(
     a ``states`` attribute such as a Trajectory. The expression vanishes at
     E3 itself; nonpositivity along trajectories supports global stability.
     """
-    return _coexistence_lyapunov(p, inc1, inc2, e3, states)[0]
+    return _coexistence_lyapunov(p, inc1, inc2, e3, _points(states))[0]
 
 
-def _coexistence_lyapunov(p, inc1, inc2, e3, states):
-    """(values, error bounds) of the E3 expression at each state.
+def _points(states) -> np.ndarray:
+    """(n, >= 4) array of states from an array, one state, or an object with ``states``."""
+    pts = np.asarray(getattr(states, "states", states), float)
+    return pts[None, :] if pts.ndim == 1 else pts
+
+
+def _coexistence_lyapunov(p, inc1, inc2, e3, pts):
+    """(values, error bounds) of the E3 expression at each row of ``pts``.
 
     The value is a sum of products; computed with n rounded operations along
     its longest chain, it is within n*eps/2 of exact times the same sum over
@@ -470,11 +400,6 @@ def _coexistence_lyapunov(p, inc1, inc2, e3, states):
     to its residual: there the value is the sum of the V1, I1 and I2 field
     components, so 3*residual is added.
     """
-    if hasattr(states, "states"):
-        states = states.states
-    pts = np.asarray(states, float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
     S, V1, I1, I2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
     if np.any(pts[:, :4] <= 0.0):
         raise DomainError("the E3 expression requires interior points (all > 0)")
@@ -522,12 +447,7 @@ def coexistence_lyapunov_scan(
     unresolved.
     """
     require_certified(e3)
-    if hasattr(trajectory_or_grid, "states"):
-        pts = np.asarray(trajectory_or_grid.states, float)
-    else:
-        pts = np.asarray(trajectory_or_grid, float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
+    pts = _points(trajectory_or_grid)
     values, bound = _coexistence_lyapunov(p, inc1, inc2, e3, pts)
     resolved = np.flatnonzero(np.abs(values) > bound)
     pick = resolved if resolved.size else np.arange(values.size)

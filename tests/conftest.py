@@ -5,6 +5,11 @@ terminal summary prints a PASS/FAIL line for each so the run ends with an
 auditable checklist. Criteria not executed (filtered runs) show NOT RUN.
 """
 
+import numpy as np
+
+from twostrain.incidence import IncidenceSpec
+from twostrain.model import ModelParams
+
 CRITERIA = {
     1: "thresholds, example 6.1: published values within 0.5%, < 1 ms",
     2: "thresholds + invasion, example 6.4: published values within 1%, < 10 ms",
@@ -69,3 +74,38 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         elif passed is False:
             kwargs["red"] = True
         tr.write_line(line, **kwargs)
+
+
+def random_cases(seed, n):
+    """Criterion 5's random scenarios: n (params, incidence1, incidence2) draws.
+
+    Each strain gets a threshold ratio in [0.3, 4] and a family drawn among
+    bilinear, saturated_s and saturated_i2.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        p = ModelParams(
+            Lambda=rng.uniform(50.0, 500.0),
+            mu=rng.uniform(0.005, 0.05),
+            r=rng.uniform(0.005, 0.2),
+            k=10.0 ** rng.uniform(-6.0, -4.0),
+            gamma1=rng.uniform(0.01, 0.2),
+            gamma2=rng.uniform(0.01, 0.2),
+            v1=rng.uniform(0.01, 0.2),
+            v2=rng.uniform(0.01, 0.2),
+        )
+        S0 = p.susceptible_cap
+        incs = []
+        for alpha in (p.alpha1, p.alpha2):
+            target = rng.uniform(0.3, 4.0)
+            family = rng.integers(0, 3)
+            zeta = 10.0 ** rng.uniform(-4.0, 0.0)
+            if family == 0:
+                incs.append(IncidenceSpec.bilinear(target * alpha / S0))
+            elif family == 1:
+                incs.append(
+                    IncidenceSpec.saturated_s(target * alpha * (1.0 + zeta * S0) / S0, zeta)
+                )
+            else:
+                incs.append(IncidenceSpec.saturated_i2(target * alpha / S0, zeta))
+        yield p, incs[0], incs[1]

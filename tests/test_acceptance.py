@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import random_cases, record_criterion
 
 from twostrain.analysis import analyze, sweep, turning_point
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario, render_reproduction, reproduce
@@ -30,7 +30,7 @@ from twostrain.equilibria import (
     solve_strain2,
 )
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import ModelParams, invasion_numbers, thresholds, vector_field
+from twostrain.model import invasion_numbers, thresholds, vector_field
 from twostrain.scenario import Scenario
 from twostrain.simulate import detect_convergence, integrate, monitor_invariance
 from twostrain.stability import (
@@ -185,36 +185,7 @@ class TestAcceptance:
                 for stab in report.stability:
                     compare(stab)
 
-            rng = np.random.default_rng(1105)
-            for _ in range(200):
-                p = ModelParams(
-                    Lambda=rng.uniform(50.0, 500.0),
-                    mu=rng.uniform(0.005, 0.05),
-                    r=rng.uniform(0.005, 0.2),
-                    k=10.0 ** rng.uniform(-6.0, -4.0),
-                    gamma1=rng.uniform(0.01, 0.2),
-                    gamma2=rng.uniform(0.01, 0.2),
-                    v1=rng.uniform(0.01, 0.2),
-                    v2=rng.uniform(0.01, 0.2),
-                )
-                S0 = p.susceptible_cap
-                incs = []
-                for alpha in (p.alpha1, p.alpha2):
-                    target = rng.uniform(0.3, 4.0)
-                    family = rng.integers(0, 3)
-                    zeta = 10.0 ** rng.uniform(-4.0, 0.0)
-                    if family == 0:
-                        incs.append(IncidenceSpec.bilinear(target * alpha / S0))
-                    elif family == 1:
-                        incs.append(
-                            IncidenceSpec.saturated_s(
-                                target * alpha * (1.0 + zeta * S0) / S0, zeta
-                            )
-                        )
-                    else:
-                        incs.append(IncidenceSpec.saturated_i2(target * alpha / S0, zeta))
-                inc1, inc2 = incs
-
+            for p, inc1, inc2 in random_cases(1105, 200):
                 compare(classify_disease_free(p, inc1, inc2))
                 eqs = solve_all(p, inc1, inc2)
                 assert eqs.coexistence_error == ""
@@ -240,7 +211,8 @@ class TestAcceptance:
 
             # independent route: the characteristic polynomial of a
             # central-difference Jacobian of the vector field, which uses
-            # neither model.jacobian nor the hand-expanded coefficients
+            # neither model.jacobian nor the Leibniz expansion of the
+            # coefficients
             jac = np.empty((4, 4))
             for j in range(4):
                 h = np.finfo(float).eps ** (1.0 / 3.0) * max(1.0, abs(x[j]))

@@ -1,0 +1,189 @@
+"""The generic characteristic-polynomial expansion against the paper's closed forms.
+
+``stability._charpoly`` and ``stability._hurwitz_minors`` run unchanged on
+sympy symbols. The symbolic Jacobian carries the structural zeros of
+``model.jacobian`` and J[1, 0] = r. The closed forms are the coefficient
+term lists of the E1 cubic (a2, a1, a0), the E2 cubic (b2, b1, b0) and the
+E3 quartic (c1..c4), and the Hurwitz composites built from them. Every
+generic coefficient and minor expands to its closed form, and on criterion
+5's random scenarios every generic dead-band scale is the sum of |term|
+over the closed form's terms.
+"""
+
+import numpy as np
+import pytest
+import sympy as sp
+from conftest import random_cases
+
+from twostrain.benchmarks import build_scenario
+from twostrain.equilibria import solve_all
+from twostrain.model import jacobian
+from twostrain.stability import (
+    _charpoly,
+    _hurwitz_minors,
+    classify_coexistence,
+    classify_strain1,
+    classify_strain2,
+)
+
+C11, C13, C14, C22, C24, C31, C33, C41, C42, C44, r, mu = sp.symbols(
+    "C11 C13 C14 C22 C24 C31 C33 C41 C42 C44 r mu"
+)
+ENTRIES = (C11, C13, C14, C22, C24, C31, C33, C41, C42, C44, r, mu)
+
+# rows and columns (S, V1, I1, I2); zeros are structural in model.jacobian
+JACOBIAN = sp.Matrix(
+    [
+        [C11, 0, C13, C14],
+        [r, C22, 0, C24],
+        [C31, 0, C33, 0],
+        [C41, C42, 0, C44],
+    ]
+)
+
+# block rows, entries fixed at the equilibrium, and the closed-form term
+# list of each coefficient; at E1 I2 = 0, so J[1, 1] = -mu
+CLOSED = {
+    "E1": (
+        [0, 1, 2],
+        {C22: -mu},
+        [
+            [-C11, mu, -C33],
+            [-mu * C11, -mu * C33, C11 * C33, -C13 * C31],
+            [mu * C11 * C33, -mu * C13 * C31],
+        ],
+    ),
+    "E2": (
+        [0, 1, 3],
+        {},
+        [
+            [-C11, -C22, -C44],
+            [C22 * C11, C22 * C44, C11 * C44, -C14 * C41, -C24 * C42],
+            [-C22 * C11 * C44, -r * C14 * C42, C14 * C22 * C41, C11 * C24 * C42],
+        ],
+    ),
+    "E3": (
+        [0, 1, 2, 3],
+        {},
+        [
+            [-C44, -C33, -C22, -C11],
+            [
+                -C41 * C14,
+                -C42 * C24,
+                C44 * C33,
+                C44 * C22,
+                C44 * C11,
+                -C31 * C13,
+                C33 * C22,
+                C33 * C11,
+                C22 * C11,
+            ],
+            [
+                -r * C42 * C14,
+                C41 * C14 * C33,
+                C41 * C14 * C22,
+                C42 * C24 * C33,
+                C42 * C24 * C11,
+                C44 * C31 * C13,
+                -C44 * C33 * C22,
+                -C44 * C33 * C11,
+                -C44 * C22 * C11,
+                C31 * C13 * C22,
+                -C33 * C22 * C11,
+            ],
+            [
+                r * C42 * C14 * C33,
+                -C41 * C14 * C33 * C22,
+                C42 * C24 * C31 * C13,
+                -C42 * C24 * C33 * C11,
+                -C44 * C31 * C13 * C22,
+                C44 * C33 * C22 * C11,
+            ],
+        ],
+    ),
+}
+
+
+def composite_terms(c):
+    """Term lists of the Hurwitz composites of x^n + c[0]*x^(n-1) + ... + c[n-1]."""
+    if len(c) == 3:  # a2*a1 - a0
+        return [[c[0] * c[1], -c[2]]]
+    c1, c2, c3, c4 = c  # c1*c2 - c3 and c1*c2*c3 - c3^2 - c1^2*c4
+    return [[c1 * c2, -c3], [c1 * c2 * c3, -c3 * c3, -c1 * c1 * c4]]
+
+
+def symbolic_block(kind):
+    rows, fixed, _ = CLOSED[kind]
+    return JACOBIAN.extract(rows, rows).subs(fixed).tolist()
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED))
+def test_generic_coefficients_expand_to_the_closed_forms(kind):
+    closed = CLOSED[kind][2]
+    values, scales = _charpoly(symbolic_block(kind))
+    assert len(values) == len(closed)
+    for value, scale, terms in zip(values, scales, closed):
+        assert sp.expand(value - sp.Add(*terms)) == 0
+        assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED))
+def test_generic_hurwitz_minors_expand_to_the_composites(kind):
+    closed = [sp.Add(*terms) for terms in CLOSED[kind][2]]
+    coefficients = sp.symbols("x1:%d" % (len(closed) + 1))
+    values, scales = _hurwitz_minors(list(coefficients))
+    composites = composite_terms(coefficients)
+    assert len(values) == len(composites)
+    for value, scale, terms in zip(values, scales, composites):
+        assert sp.expand(value - sp.Add(*terms)) == 0
+        assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
+    # and in the Jacobian entries, through the generic coefficients
+    generic, _ = _charpoly(symbolic_block(kind))
+    for value, terms in zip(_hurwitz_minors(generic)[0], composite_terms(closed)):
+        assert sp.expand(value - sp.Add(*terms)) == 0
+
+
+def test_symbolic_jacobian_has_the_structure_of_model_jacobian():
+    sc = build_scenario("6.4")
+    p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+    zeros = np.array(JACOBIAN.subs({s: 1 for s in ENTRIES}).tolist(), float) == 0.0
+    rng = np.random.default_rng(5)
+    for state in rng.uniform(1.0, 3000.0, size=(20, 4)):
+        J = jacobian(p, inc1, inc2, state)
+        assert np.all(J[zeros] == 0.0)
+        assert J[1, 0] == p.r
+    eqs = solve_all(p, inc1, inc2)
+    # the row left out of each block decouples: its other entries vanish
+    assert np.all(jacobian(p, inc1, inc2, eqs.E1.point)[3, :3] == 0.0)
+    assert jacobian(p, inc1, inc2, eqs.E1.point)[1, 1] == -p.mu
+    assert np.all(jacobian(p, inc1, inc2, eqs.E2[0].point)[2, [0, 1, 3]] == 0.0)
+
+
+def test_generic_scales_equal_closed_form_term_sums():
+    kinds = {"E1": classify_strain1, "E2": classify_strain2, "E3": classify_coexistence}
+    evaluate = {
+        kind: sp.lambdify(ENTRIES, CLOSED[kind][2], "math") for kind in CLOSED
+    }
+    checked = dict.fromkeys(CLOSED, 0)
+    for p, inc1, inc2 in random_cases(1105, 200):
+        eqs = solve_all(p, inc1, inc2)
+        roots = ([eqs.E1] if eqs.E1 is not None else []) + list(eqs.E2) + list(eqs.E3)
+        for eq in roots:
+            J = jacobian(p, inc1, inc2, eq.point)
+            rows = CLOSED[eq.kind][0]
+            values, scales = _charpoly(J[np.ix_(rows, rows)].tolist())
+            entries = [J[0, 0], J[0, 2], J[0, 3], J[1, 1], J[1, 3], J[2, 0], J[2, 2]]
+            entries += [J[3, 0], J[3, 1], J[3, 3], p.r, p.mu]
+            closed = evaluate[eq.kind](*entries)
+            minor_values, minor_scales = _hurwitz_minors(values)
+            closed += composite_terms(values)
+            values += minor_values
+            scales += minor_scales
+            for value, scale, terms in zip(values, scales, closed):
+                magnitude = sum(abs(t) for t in terms)
+                assert scale == pytest.approx(magnitude, rel=1e-14, abs=0.0)
+                assert abs(value - sum(terms)) <= 1e-14 * scale
+            report = kinds[eq.kind](p, inc1, inc2, eq)
+            assert list(report.coefficients.values()) == values
+            checked[eq.kind] += 1
+    assert min(checked.values()) >= 20, checked

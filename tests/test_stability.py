@@ -1,9 +1,11 @@
 """Local-stability classification and Lyapunov-condition scans.
 
-The closed-form Routh-Hurwitz routes are checked against the dense
+The Routh-Hurwitz route, coefficients from one generic Leibniz expansion
+of the characteristic polynomial, is checked against the dense
 eigensolver, against frozen coefficient values for the coexistence case,
 and against Vieta's relations between the quartic coefficients and the
-computed spectrum.
+computed spectrum. tests/test_charpoly.py proves the expansion equal to
+the closed-form coefficients symbolically.
 """
 
 import numpy as np
@@ -246,7 +248,7 @@ class TestCoexistence:
         assert eigs[3] == pytest.approx(np.conj(eigs[2]), rel=1e-12)
 
     def test_vieta_ties_coefficients_to_spectrum(self):
-        # the term-list coefficients and the dense eigensolver are
+        # the Leibniz-expansion coefficients and the dense eigensolver are
         # independent routes; Vieta's formulas must reconcile them
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
