@@ -38,8 +38,11 @@ from .equilibria import (
     Equilibrium,
     EquilibriumSet,
     ExistenceCondition,
+    ScanStats,
+    SolveStats,
     disease_free,
     solve_all,
+    solve_batch,
     solve_coexistence,
     solve_strain1,
     solve_strain2,

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .equilibria import Equilibrium, solve_all
+from .equilibria import Equilibrium, _Rows, solve_all, solve_batch
 from .errors import ConfigError
 from .incidence import BUILT_IN_FAMILIES
 from .model import Thresholds, thresholds
@@ -359,34 +359,38 @@ def sweep(
 ) -> List[SweepRow]:
     """Evaluate thresholds (and optionally equilibria with verdicts) on a grid.
 
-    Each classified row solves every equilibrium afresh through
-    ``solve_all``, so a row does not depend on the rows before it. A row
-    whose coexistence solve fails reads "solve failed" as its E3 verdict.
+    Every row is built by ``apply_sweep_value``. Without ``classify`` the
+    thresholds of all rows come from one array evaluation. With it the rows
+    go through ``solve_batch``, one batched pass per block of rows, and are
+    classified one by one; each row's result is bit for bit that of solving
+    it alone, so a row does not depend on its neighbours. A row whose
+    coexistence solve fails reads "solve failed" as its E3 verdict.
     """
     if n < 2:
         raise ConfigError("sweep needs n >= 2 grid points")
     _resolve_key(key)  # validate before running
+    values = np.linspace(start, stop, n).tolist()
+    scenarios = [apply_sweep_value(sc, key, value) for value in values]
+    cases = [(sci.params, sci.incidence1, sci.incidence2) for sci in scenarios]
+    absent = {"E1": "absent", "E2": "absent", "E3": "absent"}
+    if not classify:
+        cols = _Rows.of(cases)
+        th = thresholds(cols, cols.f1, cols.f2)
+        return [
+            SweepRow(value, R1, R2, R0, None, None,
+                     {"E0": True, "E1": False, "E2": False, "E3": False}, {"E0": "", **absent})
+            for value, R1, R2, R0 in zip(values, *(x[:, 0].tolist() for x in (th.R1, th.R2, th.R0)))
+        ]
     rows: List[SweepRow] = []
-    for value in np.linspace(start, stop, n).tolist():
-        sci = apply_sweep_value(sc, key, value)
-        p, inc1, inc2 = sci.params, sci.incidence1, sci.incidence2
-        exists = {"E0": True, "E1": False, "E2": False, "E3": False}
-        verdicts = {"E0": "", "E1": "absent", "E2": "absent", "E3": "absent"}
-        if not classify:
-            th = thresholds(p, inc1, inc2)
-            rows.append(SweepRow(value, th.R1, th.R2, th.R0, None, None, exists, verdicts))
-            continue
-        eqs = solve_all(p, inc1, inc2)
+    for value, (p, inc1, inc2), eqs in zip(values, cases, solve_batch(cases)):
         th = eqs.thresholds
-        verdicts["E0"] = classify_disease_free(p, inc1, inc2).verdict.value
+        exists = {"E0": True, "E1": eqs.E1 is not None, "E2": bool(eqs.E2), "E3": bool(eqs.E3)}
+        verdicts = {"E0": classify_disease_free(p, inc1, inc2).verdict.value, **absent}
         if eqs.E1 is not None:
-            exists["E1"] = True
             verdicts["E1"] = classify_strain1(p, inc1, inc2, eqs.E1).verdict.value
         if eqs.E2:
-            exists["E2"] = True
             verdicts["E2"] = classify_strain2(p, inc1, inc2, eqs.E2[0]).verdict.value
         if eqs.E3:
-            exists["E3"] = True
             verdicts["E3"] = classify_coexistence(p, inc1, inc2, eqs.E3[0]).verdict.value
         elif eqs.coexistence_error:
             verdicts["E3"] = "solve failed"

@@ -7,11 +7,14 @@ Four equilibrium kinds exist:
     E2  strain 2 only, roots of a scalar balance H(I2) on (0, Lambda/alpha2]
     E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
-E1, E2 and E3 share one root finder. It evaluates the balance on SCAN_NODES
-cells at once and brackets every sign change between neighbouring finite
-values. It then narrows all brackets together, each round cutting every
-bracket into SECTIONS parts, to a width of BISECT_WIDTH times the scan
-range, and polishes each root with a secant step through its bracket ends.
+E1, E2 and E3 share one root finder, run on a block of parameter rows at
+once. It evaluates every row's balance on SCAN_NODES cells, as one
+(rows x nodes) array, and brackets every sign change between neighbouring
+finite values. It then narrows all brackets together, each round cutting
+every bracket into SECTIONS parts, until a row's brackets are narrower than
+BISECT_WIDTH times its scan range, and polishes each root with a secant step
+through its bracket ends. The scans evaluate the closed forms unchecked
+(``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
 at each I2 (its left side rises strictly in S from -alpha2 at S = 0),
@@ -23,7 +26,9 @@ dropped.
 The reduction is in I2 rather than S because with r*k = 0 and an f2 that
 ignores I2, the strain-2 balance no longer depends on I2.
 
-``solve_all`` runs every solver once and fills in the invasion numbers.
+``solve_batch`` solves rows in blocks of at most BLOCK_ROWS and fills in the
+invasion numbers; each row's result is bit for bit its own one-row batch,
+``solve_all``. The per-kind solvers run the same block passes on one row.
 Every returned equilibrium is certified: the max-norm of the vector field at
 the returned point must be below RESIDUAL_TOL or the solver raises instead of
 returning a bad point.
@@ -32,14 +37,15 @@ returning a bad point.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .errors import SolverError
-from .incidence import IncidenceSpec
+from .incidence import BUILT_IN_FAMILIES, IncidenceSpec
 from .model import (
     RESIDUAL_TOL,
     ModelParams,
@@ -60,9 +66,14 @@ BISECT_WIDTH = 1e-12
 
 #: sign-change scan resolution shared by every balance
 SCAN_NODES = 4096
+_NODES = np.arange(SCAN_NODES + 1.0)
+
+#: most rows solved in one pass; bounds the (rows x nodes) scan arrays
+BLOCK_ROWS = 16
 
 #: equal parts each bracket is cut into per narrowing round
 SECTIONS = 64
+_CUTS = np.linspace(0.0, 1.0, SECTIONS + 1)
 
 #: iteration cap of the safeguarded Newton solve for S in the E3 reduction
 _S_ITERATIONS = 100
@@ -84,6 +95,80 @@ class Equilibrium:
     residual: float
     existence: tuple = ()
     multiplicity_note: str = ""
+
+
+class ScanStats(NamedTuple):
+    """One row's pass on one balance (nodes 0: not scanned). Each round takes
+    SECTIONS + 1 points per bracket, the polish 2."""
+
+    nodes: int = 0
+    brackets: int = 0
+    rounds: int = 0
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """What solving one row did: its block's rows, each balance's pass (E3_cap
+    finds the end of the E3 range) and the E3 S-solve Newton iterations."""
+
+    rows: int
+    E1: ScanStats
+    E2: ScanStats
+    E3_cap: ScanStats
+    E3: ScanStats
+    newton_iterations: int
+
+
+class _Rows:
+    """A block of (p, inc1, inc2) rows as (n, 1) columns named as in
+    ModelParams, so the balances broadcast over (n, m) abscissae unchanged;
+    f1 and f2 are the strains' closed forms bound to coefficient columns.
+    One row keeps Python floats, which broadcast faster than (1, 1) columns.
+    ``row`` labels each entry with its block row. Shared by every ``take``:
+    ``scans`` holds each block row's ScanStats of E1, E2, E3_cap and E3,
+    ``newton`` its E3 S-solve iterations."""
+
+    def __init__(self, block, data, row, scans, newton):
+        self.block, self.data, self.row, self.scans, self.newton = block, data, row, scans, newton
+        (self.Lambda, self.mu, self.r, self.k, self.lam, self.alpha1, self.alpha2,
+         self.susceptible_cap) = data[:8]
+
+    @classmethod
+    def of(cls, block) -> "_Rows":
+        """A strain may be None; a custom spec must be the same in every row."""
+        def family(inc):
+            return inc.family if inc is not None and inc.family in BUILT_IN_FAMILIES else inc
+
+        def coefficients(inc):
+            return (0.0, 0.0) if inc is None else (inc.beta, inc.zeta)
+
+        if len({(family(inc1), family(inc2)) for _, inc1, inc2 in block}) > 1:
+            raise ValueError("batched rows must share one incidence family pair")
+        data = [
+            (p.Lambda, p.mu, p.r, p.k, p.lam, p.alpha1, p.alpha2, p.susceptible_cap,
+             *coefficients(inc1), *coefficients(inc2))
+            for p, inc1, inc2 in block
+        ]
+        n = len(block)
+        columns = data[0] if n == 1 else np.array(data).T.reshape(12, n, 1)
+        return cls(block, columns, np.arange(n), np.zeros((n, 4, 3), int), np.zeros(n, int))
+
+    def take(self, idx) -> "_Rows":
+        """The entries at ``idx``, repeats allowed."""
+        data = self.data if isinstance(self.data, tuple) else self.data[:, idx]
+        return _Rows(self.block, data, self.row[idx], self.scans, self.newton)
+
+    def each(self, column) -> np.ndarray:
+        """A column expression's value for each entry, as an (n,) array."""
+        return np.broadcast_to(column, (self.row.size, 1))[:, 0]
+
+    @functools.cached_property
+    def f1(self):
+        return self.block[0][1].bound_forms(self.data[8], self.data[9])
+
+    @functools.cached_property
+    def f2(self):
+        return self.block[0][2].bound_forms(self.data[10], self.data[11])
 
 
 def disease_free(
@@ -124,27 +209,48 @@ def strain1_balance(p: ModelParams, inc1: IncidenceSpec, I1):
 def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> Optional[Equilibrium]:
     """Unique strain-1-only equilibrium, present if and only if R1 > 1."""
     _, R1 = strain1_threshold(p, inc1)
-    condition = ExistenceCondition("R1 > 1", R1, R1 > 1.0)
-    if R1 <= 1.0:
-        return None
+    return _strain1(_Rows.of([(p, inc1, None)]), [R1])[0]
 
-    roots = _roots(lambda x: strain1_balance(p, inc1, x), p.Lambda / p.alpha1)
-    if not roots.size:
-        raise SolverError(
-            "strain-1 balance shows no sign change at scan resolution %d although "
-            "R1 = %.6g > 1" % (SCAN_NODES, R1)
+
+def _strain1(rows: _Rows, R1s) -> list:
+    """E1 of each block row, None where R1 <= 1."""
+    out = [None] * len(R1s)
+    for i, roots in _strain_roots(rows, R1s, 1).items():
+        (p, inc1, _), R1 = rows.block[i], R1s[i]
+        I1 = float(roots[0])
+        S = (p.Lambda - p.alpha1 * I1) / p.lam
+        V1 = p.r * S / p.mu
+        point = State(S, V1, I1, 0.0)
+        F1 = float(inc1.rate(S, I1))
+        res = max(
+            abs(p.Lambda - F1 - p.lam * S),  # F2(S, 0) = 0
+            abs(p.r * S - p.mu * V1),
+            abs(F1 - p.alpha1 * I1),
         )
-    I1 = float(roots[0])
-    S = (p.Lambda - p.alpha1 * I1) / p.lam
-    V1 = p.r * S / p.mu
-    point = State(S, V1, I1, 0.0)
-    F1 = float(inc1.rate(S, I1))
-    res = max(
-        abs(p.Lambda - F1 - p.lam * S),  # F2(S, 0) = 0
-        abs(p.r * S - p.mu * V1),
-        abs(F1 - p.alpha1 * I1),
-    )
-    return _certified(Equilibrium("E1", point, res, (condition,)))
+        condition = ExistenceCondition("R1 > 1", R1, R1 > 1.0)
+        out[i] = _certified(Equilibrium("E1", point, res, (condition,)))
+    return out
+
+
+def _strain_roots(rows: _Rows, Rs, strain: int) -> dict:
+    """The strain-only balance's roots of each block row with R > 1, by row.
+    A root must exist there, so a row without one raises."""
+    todo = [i for i, R in enumerate(Rs) if R > 1.0]
+    if not todo:
+        return {}
+    sub = rows.take(todo)
+    if strain == 1:
+        fn, alpha = (lambda c, x: strain1_balance(c, c.f1, x)), sub.alpha1
+    else:
+        fn, alpha = (lambda c, x: strain2_balance(c, c.f2, x)), sub.alpha2
+    found = dict(zip(todo, _roots(fn, sub, sub.each(sub.Lambda / alpha), strain - 1)))
+    for i, roots in found.items():
+        if not roots.size:
+            raise SolverError(
+                "strain-%d balance shows no sign change at scan resolution %d although "
+                "R%d = %.6g > 1" % (strain, SCAN_NODES, strain, Rs[i])
+            )
+    return found
 
 
 # -- strain 2 ----------------------------------------------------------------
@@ -179,56 +285,44 @@ def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
     the scan resolution shows no sign change, since a root must exist.
     """
     _, R2 = strain2_threshold(p, inc2)
-    condition = ExistenceCondition("R2 > 1", R2, R2 > 1.0)
-    if R2 <= 1.0:
-        return []
+    return _strain2(_Rows.of([(p, None, inc2)]), [R2])[0]
 
-    hi = p.Lambda / p.alpha2
-    roots = _roots(lambda x: strain2_balance(p, inc2, x), hi)
-    if not roots.size:
-        raise SolverError(
-            "strain-2 balance shows no sign change at scan resolution %d "
-            "although R2 = %.6g > 1" % (SCAN_NODES, R2)
-        )
 
-    d = strain2_discriminant(p)
-    if d < 0.0:
-        structure = "discriminant %.6g < 0: unique positive root expected" % d
-    elif d > 0.0:
-        L = (
-            -p.r * p.alpha2
-            - p.alpha2 * p.mu
-            + math.sqrt(p.r * p.alpha2 * (p.r * p.alpha2 + p.alpha2 * p.mu + p.k * p.Lambda))
-        ) / (p.alpha2 * p.k)
-        structure = (
-            "discriminant %.6g > 0: at most one root expected in [%.6g, %.6g]"
-            % (d, L, hi)
-        )
-    else:
-        structure = "discriminant is exactly 0"
-
-    out = []
-    for I2 in roots.tolist():
-        S, V1 = strain2_coordinates(p, I2)
-        point = State(S, V1, 0.0, I2)
-        F2 = float(inc2.rate(S, I2))
-        res = max(
-            abs(p.Lambda - F2 - p.lam * S),  # F1(S, 0) = 0
-            abs(p.r * S - (p.mu + p.k * I2) * V1),
-            abs(F2 + p.k * I2 * V1 - p.alpha2 * I2),
-        )
-        dF2_dS = float(inc2.d_rate_dS(S, I2))
-        note = "%s; found %d root(s) at scan resolution %d; " % (
-            structure,
-            roots.size,
-            SCAN_NODES,
-        )
-        note += "auxiliary uniqueness flag dF2/dS <= I2 %s (dF2/dS = %.6g, I2 = %.6g)" % (
-            "holds" if dF2_dS <= I2 else "fails",
-            dF2_dS,
-            I2,
-        )
-        out.append(_certified(Equilibrium("E2", point, res, (condition,), note)))
+def _strain2(rows: _Rows, R2s) -> list:
+    """The E2 roots of each block row."""
+    out = [[] for _ in R2s]
+    for i, roots in _strain_roots(rows, R2s, 2).items():
+        (p, _, inc2), R2 = rows.block[i], R2s[i]
+        condition = ExistenceCondition("R2 > 1", R2, R2 > 1.0)
+        d = strain2_discriminant(p)
+        if d < 0.0:
+            structure = "discriminant %.6g < 0: unique positive root expected" % d
+        elif d > 0.0:
+            L = (
+                -p.r * p.alpha2
+                - p.alpha2 * p.mu
+                + math.sqrt(p.r * p.alpha2 * (p.r * p.alpha2 + p.alpha2 * p.mu + p.k * p.Lambda))
+            ) / (p.alpha2 * p.k)
+            structure = "discriminant %.6g > 0: at most one root expected in [%.6g, %.6g]" % (
+                d, L, p.Lambda / p.alpha2)
+        else:
+            structure = "discriminant is exactly 0"
+        for I2 in roots.tolist():
+            S, V1 = strain2_coordinates(p, I2)
+            point = State(S, V1, 0.0, I2)
+            F2 = float(inc2.rate(S, I2))
+            res = max(
+                abs(p.Lambda - F2 - p.lam * S),  # F1(S, 0) = 0
+                abs(p.r * S - (p.mu + p.k * I2) * V1),
+                abs(F2 + p.k * I2 * V1 - p.alpha2 * I2),
+            )
+            dF2_dS = float(inc2.d_rate_dS(S, I2))
+            note = (
+                "%s; found %d root(s) at scan resolution %d; auxiliary uniqueness flag "
+                "dF2/dS <= I2 %s (dF2/dS = %.6g, I2 = %.6g)"
+                % (structure, roots.size, SCAN_NODES, "holds" if dF2_dS <= I2 else "fails", dF2_dS, I2)
+            )
+            out[i].append(_certified(Equilibrium("E2", point, res, (condition,), note)))
     return out
 
 
@@ -243,8 +337,17 @@ def coexistence_coordinates(p: ModelParams, inc2: IncidenceSpec, I2):
     S is NaN where the left side stays below alpha2 up to S0, since every
     equilibrium has S <= S0. I1 comes from the summed S, I1 and I2 balances
     and may be negative.
+
+    Newton stops once a parameter row's largest move is at most 4*eps*S0:
+    over all of I2 for a ModelParams; for a ``_Rows`` block (an I2 row per
+    entry) each block row freezes on its own, so it is its one-row solve.
     """
     I2 = np.asarray(I2, float)
+    shape = I2.shape
+    if isinstance(p, _Rows):
+        row, counts = p.row, p.newton
+    else:  # one parameter set: all of I2 is one row
+        I2, row, counts = I2.reshape(1, -1), np.zeros(1, int), np.zeros(1, int)
     c = p.k * p.r / (p.mu + p.k * I2)
 
     def g(S):
@@ -254,21 +357,26 @@ def coexistence_coordinates(p: ModelParams, inc2: IncidenceSpec, I2):
     hi = np.full_like(I2, p.susceptible_cap)
     feasible = g(hi) >= 0.0
     S = np.where(feasible, lo, hi)  # an infeasible node stays at S0
+    live = np.bincount(row, minlength=counts.size) > 0
+    tol = np.reshape(4.0 * np.finfo(float).eps * p.susceptible_cap, -1)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_S_ITERATIONS):
+            counts += live
             gs = g(S)
-            lo = np.where(gs < 0.0, S, lo)
-            hi = np.where(gs > 0.0, S, hi)
+            np.copyto(lo, S, where=gs < 0.0)
+            np.copyto(hi, S, where=gs > 0.0)
             step = S - gs / (inc2.d_rate_dS(S, I2) / I2 + c)
             new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            moved = np.max(np.abs(new - S), initial=0.0)
-            S = new
-            if moved <= 4.0 * np.finfo(float).eps * p.susceptible_cap:
+            moved = np.zeros(counts.size, bool)
+            np.logical_or.at(moved, row, np.max(np.abs(new - S), axis=1, initial=0.0) > tol)
+            S = new if live.all() else np.where(live[row, None], new, S)
+            live &= moved
+            if not live.any():
                 break
     S = np.where(feasible, S, np.nan)
     V1 = p.r * S / (p.mu + p.k * I2)
     I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
-    return S, V1, I1
+    return S.reshape(shape), V1.reshape(shape), I1.reshape(shape)
 
 
 def solve_coexistence(
@@ -289,39 +397,61 @@ def solve_coexistence(
     existence conditions. When both exceed 1 an interior root must exist, so
     finding none raises SolverError.
     """
+    (e3, error), = _coexistence(_Rows.of([(p, inc1, inc2)]), [th])
+    if error:
+        raise SolverError(error)
+    return list(e3)
 
-    def psi(I2):
-        S, _, I1 = coexistence_coordinates(p, inc2, I2)
-        feasible = np.isfinite(S)
-        S, I1 = np.where(feasible, S, 0.0), np.where(feasible, np.maximum(I1, 0.0), 0.0)
-        return np.where(feasible, inc1.force(S, I1) - p.alpha1, np.nan)
 
-    r2_inv, r1_inv = th.R2_invasion, th.R1_invasion
-    conditions = tuple(
-        ExistenceCondition(name, value, value > 1.0)
-        for name, value in (("R2_invasion > 1", r2_inv), ("R1_invasion > 1", r1_inv))
-        if value is not None
-    )
+def _psi(c: _Rows, I2):
+    S, _, I1 = coexistence_coordinates(c, c.f2, I2)
+    feasible = np.isfinite(S)
+    S, I1 = np.where(feasible, S, 0.0), np.where(feasible, np.maximum(I1, 0.0), 0.0)
+    return np.where(feasible, c.f1.force(S, I1) - c.alpha1, np.nan)
 
+
+def _coexistence(rows: _Rows, ths) -> list:
+    """Each block row's E3 roots and the message of its SolverError or ""."""
     # every equilibrium has S <= S0, and the strain-2 balance at S0 falls in
     # I2 from alpha2*(R2 - 1); past its last root no S solves it, so the scan
     # ends there and spends its nodes where psi is defined
-    S0 = p.susceptible_cap
-    hi = p.Lambda / p.alpha2
-    cap = _roots(lambda x: inc2.force(S0, x) + p.k * p.r * S0 / (p.mu + p.k * x) - p.alpha2, hi)
-    roots = _roots(psi, cap[-1] if cap.size else hi)
-    S, V1, I1 = coexistence_coordinates(p, inc2, roots)
-    interior = I1 > 0.0
-    if not interior.any() and len(conditions) == 2 and all(c.satisfied for c in conditions):
-        raise SolverError(
-            "coexistence balance shows no sign change with I1 > 0 at scan resolution %d "
-            "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
-            % (SCAN_NODES, r2_inv, r1_inv)
-        )
+    hi = rows.each(rows.Lambda / rows.alpha2)
+    caps = _roots(
+        lambda c, x: c.f2.force(c.susceptible_cap, x)
+        + c.k * c.r * c.susceptible_cap / (c.mu + c.k * x)
+        - c.alpha2,
+        rows, hi, 2,
+    )
+    ends = np.array([cap[-1] if cap.size else end for cap, end in zip(caps, hi.tolist())])
+    roots = _roots(_psi, rows, ends, 3)
+    label = np.repeat(np.arange(len(roots)), [r.size for r in roots])
+    I2, at = np.concatenate(roots), rows.take(label)
+    coords = coexistence_coordinates(at, at.f2, I2[:, None]) if I2.size else (I2[:, None],) * 3
+    S, V1, I1 = (x[:, 0] for x in coords)
     out = []
-    for point in map(State, *(x[interior].tolist() for x in (S, V1, I1, roots))):
-        res = field_residual(p, inc1, inc2, point)
-        out.append(_certified(Equilibrium("E3", point, res, conditions)))
+    for i, th in enumerate(ths):
+        p, inc1, inc2 = rows.block[i]
+        r2_inv, r1_inv = th.R2_invasion, th.R1_invasion
+        conditions = tuple(
+            ExistenceCondition(name, value, value > 1.0)
+            for name, value in (("R2_invasion > 1", r2_inv), ("R1_invasion > 1", r1_inv))
+            if value is not None
+        )
+        interior = (label == i) & (I1 > 0.0)
+        try:
+            if not interior.any() and len(conditions) == 2 and all(c.satisfied for c in conditions):
+                raise SolverError(
+                    "coexistence balance shows no sign change with I1 > 0 at scan resolution %d "
+                    "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
+                    % (SCAN_NODES, r2_inv, r1_inv)
+                )
+            e3 = []
+            for point in map(State, *(x[interior].tolist() for x in (S, V1, I1, I2))):
+                res = field_residual(p, inc1, inc2, point)
+                e3.append(_certified(Equilibrium("E3", point, res, conditions)))
+            out.append((tuple(e3), ""))
+        except SolverError as exc:
+            out.append(((), str(exc)))
     return out
 
 
@@ -334,7 +464,8 @@ class EquilibriumSet:
 
     ``thresholds`` carries the invasion numbers, taken at E1 and at the
     E2 root of smallest I2. ``coexistence_error`` holds the message of a
-    failed E3 solve, which leaves ``E3`` empty.
+    failed E3 solve, which leaves ``E3`` empty. ``stats`` records what the
+    solve did; it takes no part in comparisons.
     """
 
     thresholds: Thresholds
@@ -343,6 +474,7 @@ class EquilibriumSet:
     E2: Tuple[Equilibrium, ...]
     E3: Tuple[Equilibrium, ...]
     coexistence_error: str = ""
+    stats: Optional[SolveStats] = field(default=None, compare=False, repr=False)
 
     @property
     def all(self) -> Tuple[Equilibrium, ...]:
@@ -352,59 +484,103 @@ class EquilibriumSet:
 
 def solve_all(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> EquilibriumSet:
     """Solve for every equilibrium kind once and fill in the invasion numbers."""
-    e1 = solve_strain1(p, inc1)
-    e2 = tuple(solve_strain2(p, inc2))
-    r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2[0] if e2 else None)
-    th = dataclasses.replace(thresholds(p, inc1, inc2), R2_invasion=r2_inv, R1_invasion=r1_inv)
-    try:
-        e3, error = tuple(solve_coexistence(p, inc1, inc2, th)), ""
-    except SolverError as exc:
-        e3, error = (), str(exc)
-    return EquilibriumSet(th, disease_free(p, inc1, inc2), e1, e2, e3, error)
+    return solve_batch([(p, inc1, inc2)])[0]
+
+
+def solve_batch(rows) -> List[EquilibriumSet]:
+    """``solve_all`` of each (p, inc1, inc2) row, bit for bit, with one pass
+    per kind for each block of BLOCK_ROWS rows. The rows share one incidence
+    family pair (and a custom spec). An E1 or E2 SolverError raises for the
+    batch; a failed E3 solve is the row's ``coexistence_error``.
+    """
+    rows = list(rows)
+    return [eqs for at in range(0, len(rows), BLOCK_ROWS) for eqs in _solve_block(rows[at : at + BLOCK_ROWS])]
+
+
+def _solve_block(block) -> List[EquilibriumSet]:
+    rows = _Rows.of(block)
+    ths = [thresholds(p, inc1, inc2) for p, inc1, inc2 in block]
+    e1s, e2s = _strain1(rows, [th.R1 for th in ths]), _strain2(rows, [th.R2 for th in ths])
+    for i, ((p, inc1, inc2), e1, e2) in enumerate(zip(block, e1s, e2s)):
+        r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2[0] if e2 else None)
+        ths[i] = dataclasses.replace(ths[i], R2_invasion=r2_inv, R1_invasion=r1_inv)
+    e3s = _coexistence(rows, ths)
+    return [
+        EquilibriumSet(
+            th, disease_free(p, inc1, inc2), e1, tuple(e2), e3, error,
+            SolveStats(len(block), *map(ScanStats._make, scans), newton),
+        )
+        for (p, inc1, inc2), th, e1, e2, (e3, error), scans, newton in zip(
+            block, ths, e1s, e2s, e3s, rows.scans.tolist(), rows.newton.tolist()
+        )
+    ]
 
 
 # -- shared helpers ----------------------------------------------------------
 
 
-def _roots(fn, hi: float) -> np.ndarray:
-    """Every root of fn on (0, hi] that the scan brackets, in increasing order.
+def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
+    """Every root of each row's balance on (0, hi] that the scan brackets.
 
-    fn maps an array of abscissae to balance values, NaN where the balance
-    is undefined. The scan starts at BRACKET_EPSILON*hi and has SCAN_NODES
-    cells; a cell brackets a root when both ends are finite and exactly one
-    is positive. Each round cuts every bracket into SECTIONS equal parts in
-    one call of fn and keeps the first part with a sign change, until the
-    brackets are narrower than BISECT_WIDTH*hi (bisection with SECTIONS
-    parts in place of two).
-    Then the secant point of each final bracket replaces its midpoint where
-    it gives the smaller |fn|.
+    ``hi`` holds one scan end per row of ``rows``. fn(c, x) maps the
+    columns c of some rows and abscissae x, one row of x per entry of c, to
+    balance values, NaN where the balance is undefined. Each row's scan
+    starts at BRACKET_EPSILON*hi and has SCAN_NODES cells; a cell brackets a
+    root when both ends are finite and exactly one is positive. Each round
+    cuts every bracket of the rows still narrowing into SECTIONS equal
+    parts, all in one call of fn, and keeps the first part with a sign
+    change; a row stops once its brackets are narrower than its
+    BISECT_WIDTH*hi (bisection with SECTIONS parts in place of two). Then
+    the secant point of each final bracket replaces its midpoint where it
+    gives the smaller |fn|.
+
+    Returns each row's roots in increasing order and records its pass in
+    ``rows.scans[:, kind]``.
     """
-    x = np.linspace(0.0, hi, SCAN_NODES + 1)
-    x[0] = BRACKET_EPSILON * hi
-    f = fn(x)
-    finite = np.isfinite(f)
-    cells = np.nonzero(finite[:-1] & finite[1:] & ((f[:-1] > 0.0) != (f[1:] > 0.0)))[0]
-    a, b, fa, fb = x[cells], x[cells + 1], f[cells], f[cells + 1]
+    n = hi.size
+    x = (hi / SCAN_NODES)[:, None] * _NODES  # np.linspace's arithmetic, row-major
+    x[:, 0], x[:, -1] = BRACKET_EPSILON * hi, hi
+    f = fn(rows, x)
+    finite, positive = np.isfinite(f), f > 0.0
+    row, cell = np.nonzero(finite[:, :-1] & finite[:, 1:] & (positive[:, :-1] != positive[:, 1:]))
+    a, b, fa, fb = x[row, cell], x[row, cell + 1], f[row, cell], f[row, cell + 1]
     width = BISECT_WIDTH * hi
-    cuts = np.linspace(0.0, 1.0, SECTIONS + 1)
-    rows = np.arange(a.size)
-    while a.size and np.max(b - a) > width:
-        t = a[:, None] + (b - a)[:, None] * cuts
-        ft = fn(t)
+    at, passes = rows.take(row), np.zeros(row.size, int)
+    while True:
+        wide = b - a > width[row]
+        if not wide.any():
+            break
+        if not wide.all():  # a row narrows all its brackets while one is wide
+            narrowing = np.zeros(n, bool)
+            narrowing[row[wide]] = True
+            wide = narrowing[row]
+        passes += wide
+        k = np.nonzero(wide)[0]
+        t = a[k, None] + (b - a)[k, None] * _CUTS
+        ft = fn(at if k.size == row.size else at.take(k), t)
         # first cut whose sign differs from the bracket's left end
         j = np.argmax((ft[:, 1:] > 0.0) != (ft[:, :1] > 0.0), axis=1)
-        a, b, fa, fb = t[rows, j], t[rows, j + 1], ft[rows, j], ft[rows, j + 1]
+        i = np.arange(k.size)
+        a[k], b[k], fa[k], fb[k] = t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]
+
+    scans = np.zeros((n, 3), int)
+    scans[:, 0], scans[:, 1], scans[row, 2] = SCAN_NODES + 1, np.bincount(row, minlength=n), passes
+    rows.scans[rows.row, kind] = scans
+    if not row.size:
+        return [a] * n
 
     mid = 0.5 * (a + b)
     secant = a - fa * (b - a) / (fb - fa)
-    f_both = fn(np.concatenate([mid, secant]))
-    f_mid, f_secant = f_both[: a.size], f_both[a.size:]
+    f_mid, f_secant = fn(at, np.column_stack([mid, secant])).T
     use_secant = np.abs(f_secant) <= np.abs(f_mid)
     roots = np.where(use_secant, secant, mid)
     found = np.isfinite(np.where(use_secant, f_secant, f_mid))
-    roots = roots[found]
-    # a root on a scan node can close two neighbouring brackets
-    return roots[np.diff(roots, prepend=-np.inf) > 10.0 * width]
+    row, roots = row[found], roots[found]
+    # a root on a scan node can close two neighbouring brackets of a row
+    keep = np.ones(row.size, bool)
+    keep[1:] = (row[1:] != row[:-1]) | (roots[1:] - roots[:-1] > 10.0 * width[row[1:]])
+    row, roots = row[keep], roots[keep]
+    return [roots[row == i] for i in range(n)]
 
 
 def _certified(eq: Equilibrium) -> Equilibrium:

@@ -176,19 +176,25 @@ class IncidenceSpec:
         h = _FD_EPS * np.maximum(1.0, np.abs(I))
         return (self.rate_fn(S, I + h) - self.rate_fn(S, I - h)) / (2.0 * h)
 
-    def scalar_rate(self) -> Callable:
-        """F(S, I) on Python floats, for scalar loops that check their outputs.
-
-        Built-in closed forms run with the coefficients bound and no input
-        check, since every non-finite input gives a non-finite rate. A
-        custom rate keeps the checked ``rate`` and gets numpy scalars, as
-        from array code, so a user evaluator sees no input it would not see
-        otherwise.
+    def bound_forms(self, beta=None, zeta=None) -> _ClosedForms:
+        """The family's closed forms as functions of (S, I) with no input check,
+        for loops that check their outputs. ``beta`` and ``zeta`` replace the
+        spec's own, e.g. by (n, 1) columns that give each row of an (n, m)
+        argument its own. A custom spec gets its checked evaluators back.
         """
         forms = _CLOSED_FORMS.get(self.family)
         if forms is None:
-            return lambda S, I: self.rate(np.float64(S), np.float64(I))
-        return partial(forms.rate, self.beta, self.zeta)
+            return _ClosedForms(self.rate, self.force, self.contact_factor, self.d_rate_dS, self.d_rate_dI)
+        b = self.beta if beta is None else beta
+        z = self.zeta if zeta is None else zeta
+        return _ClosedForms._make(partial(form, b, z) for form in forms)
+
+    def scalar_rate(self) -> Callable:
+        """F(S, I) on Python floats: the scalar case of ``bound_forms``. A custom
+        rate gets numpy scalars, as from array code, so a user evaluator sees
+        no input it would not see otherwise."""
+        rate = self.bound_forms().rate
+        return rate if self.family in _CLOSED_FORMS else lambda S, I: rate(np.float64(S), np.float64(I))
 
     # -- custom-family helpers ----------------------------------------------
 

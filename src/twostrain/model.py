@@ -196,14 +196,14 @@ def jacobian(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateL
 
 def strain1_threshold(p: ModelParams, inc1: IncidenceSpec) -> Tuple[float, float]:
     """(sigma1, R1): sigma1 = dF1/dI1 at the disease-free state (S0, 0), R1 = sigma1/alpha1."""
-    sigma1 = float(inc1.d_rate_dI(p.susceptible_cap, 0.0))
+    sigma1 = _real(inc1.d_rate_dI(p.susceptible_cap, 0.0))
     return sigma1, sigma1 / p.alpha1
 
 
 def strain2_threshold(p: ModelParams, inc2: IncidenceSpec) -> Tuple[float, float]:
     """(sigma2, R2): sigma2 = dF2/dI2 at (S0, 0), and R2 = sigma2/alpha2 plus the
     vaccinated-class route k*V1_0/alpha2 with V1_0 = r*Lambda/(mu*lam)."""
-    sigma2 = float(inc2.d_rate_dI(p.susceptible_cap, 0.0))
+    sigma2 = _real(inc2.d_rate_dI(p.susceptible_cap, 0.0))
     return sigma2, sigma2 / p.alpha2 + p.k * p.r * p.Lambda / (p.alpha2 * p.mu * p.lam)
 
 
@@ -212,10 +212,17 @@ def thresholds(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Thre
 
     sigma_i is dF_i/dI_i at (S0, 0). Strain 2 picks up the vaccinated-class
     route k*V1_0 = k*r*Lambda/(mu*lam) on top of sigma2/alpha2.
+    Given parameter columns and forms bound to coefficient columns, it gives
+    each row's values in one array evaluation.
     """
     sigma1, R1 = strain1_threshold(p, inc1)
     sigma2, R2 = strain2_threshold(p, inc2)
-    return Thresholds(sigma1, sigma2, R1, R2, max(R1, R2))
+    return Thresholds(sigma1, sigma2, R1, R2, _real(np.maximum(R1, R2)))
+
+
+def _real(x):
+    """A Python float for a scalar, arrays unchanged."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def invasion_numbers(

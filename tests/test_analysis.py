@@ -171,9 +171,9 @@ class TestSweep:
         for row in rows:
             sci = apply_sweep_value(sc, "r", row.value)
             th = thresholds(sci.params, sci.incidence1, sci.incidence2)
-            assert row.R1 == pytest.approx(th.R1, rel=1e-14)
-            assert row.R2 == pytest.approx(th.R2, rel=1e-14)
-            assert row.R0 == pytest.approx(th.R0, rel=1e-14)
+            # one array evaluation for all rows, bit for bit each row's own
+            assert np.array([row.R1, row.R2, row.R0]).tobytes() == np.array([th.R1, th.R2, th.R0]).tobytes()
+            assert all(type(x) is float for x in (row.R1, row.R2, row.R0))
             assert row.R2_invasion is None
             assert row.exists == {"E0": True, "E1": False, "E2": False, "E3": False}
 

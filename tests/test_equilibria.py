@@ -1,9 +1,21 @@
+import itertools
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import random_cases
+from twostrain import equilibria, incidence
+from twostrain.analysis import apply_sweep_value
+from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import (
+    BLOCK_ROWS,
+    SCAN_NODES,
+    SECTIONS,
     disease_free,
     solve_all,
+    solve_batch,
     solve_coexistence,
     solve_strain1,
     solve_strain2,
@@ -352,3 +364,189 @@ class TestSolveAll:
         assert eqs.E1 is None and eqs.E2 == () and eqs.E3 == ()
         assert eqs.thresholds.R2_invasion is None and eqs.thresholds.R1_invasion is None
         assert [eq.kind for eq in eqs.all] == ["E0"]
+
+
+def _bits(eqs):
+    """Every coordinate and residual of an EquilibriumSet as raw bytes."""
+    return np.array([x for eq in eqs.all for x in (*eq.point.as_array(), eq.residual)]).tobytes()
+
+
+def assert_rows_equal_their_solve_all(rows, results):
+    assert len(results) == len(rows)
+    for (p, inc1, inc2), eqs in zip(rows, results):
+        alone = solve_all(p, inc1, inc2)
+        assert eqs == alone
+        assert _bits(eqs) == _bits(alone)
+
+
+def wavy_strain2():
+    """A custom strain-2 rate beta*S*I*(1 + sin(w*I)/2) whose E2 balance has
+    three roots at r = 0.1 and k = 0 (one at r = 0.02 and at r = 0.2)."""
+    w = 6.0 * np.pi * 0.21 / 200.0
+    beta = 2.0 * 0.21 * 0.12 / 200.0
+    return IncidenceSpec.custom(
+        lambda S, I: beta * S * I * (1.0 + 0.5 * np.sin(w * I)),
+        label="wavy",
+        d_rate_dS=lambda S, I: beta * I * (1.0 + 0.5 * np.sin(w * I)),
+    )
+
+
+class TestBatch:
+    """solve_batch: one scan per kind for a block of rows, each row bit for
+    bit its own solve_all."""
+
+    def test_random_draws_in_batches_of_every_size(self):
+        sizes = itertools.cycle((BLOCK_ROWS, 1, 2, 3, 7))
+        by_pair = {}
+        for case in random_cases(1105, 200):
+            by_pair.setdefault((case[1].family, case[2].family), []).append(case)
+        seen = set()
+        for cases in by_pair.values():
+            at = 0
+            while at < len(cases):
+                batch = cases[at : at + next(sizes)]
+                at += len(batch)
+                seen.add(len(batch))
+                assert_rows_equal_their_solve_all(batch, solve_batch(batch))
+        assert {BLOCK_ROWS, 1, 2, 3, 7} <= seen
+
+    @pytest.mark.parametrize("key", ["incidence1.beta", "incidence2.zeta"])
+    def test_coefficient_columns_vary_along_a_sweep(self, key):
+        sc = build_scenario("6.4")
+        base = getattr(sc.incidence1 if key.startswith("incidence1") else sc.incidence2, key.split(".")[1])
+        rows = []
+        for value in np.linspace(0.25 * base, 4.0 * base, 9):
+            sci = apply_sweep_value(sc, key, value)
+            rows.append((sci.params, sci.incidence1, sci.incidence2))
+        results = solve_batch(rows)
+        assert len({eqs.thresholds.R1 for eqs in results} | {eqs.thresholds.R2 for eqs in results}) > 2
+        assert_rows_equal_their_solve_all(rows, results)
+
+    def test_multi_root_row_between_single_root_rows(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_strain2()
+        rows = [(params(r=r, k=0.0), inc1, inc2) for r in (0.02, 0.1, 0.05, 0.2)]
+        results = solve_batch(rows)
+        assert [len(eqs.E2) for eqs in results] == [1, 3, 3, 1]
+        assert [len(eqs.E3) for eqs in results] == [4, 1, 4, 0]
+        for (p, _, _), eqs in zip(rows, results):
+            hi = p.Lambda / p.alpha2
+            xs = np.linspace(0.0, hi, SCAN_NODES + 1)
+            xs[0] = 1e-9 * hi
+            h = strain2_balance(p, inc2, xs)
+            expected = [
+                optimize.brentq(lambda x: strain2_balance(p, inc2, x), xs[i], xs[i + 1], xtol=1e-13)
+                for i in np.nonzero((h[:-1] > 0.0) != (h[1:] > 0.0))[0]
+            ]
+            np.testing.assert_allclose([e2.point.I2 for e2 in eqs.E2], expected, rtol=1e-10)
+        assert_rows_equal_their_solve_all(rows, results)
+
+    def test_custom_incidence_rows(self):
+        sc = build_scenario("6.4")
+        inc1 = IncidenceSpec.custom(lambda S, I: 2e-4 * S * I / (1.0 + 1e-4 * I * I))
+        rows = [
+            (apply_sweep_value(sc, "r", r).params, inc1, sc.incidence2) for r in (0.0, 0.01, 0.03, 0.1)
+        ]
+        results = solve_batch(rows)
+        assert any(eqs.E3 for eqs in results)
+        assert_rows_equal_their_solve_all(rows, results)
+
+    def test_rows_must_share_one_family_pair(self):
+        p = params()
+        inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
+        with pytest.raises(ValueError, match="family pair"):
+            solve_batch([(p, IncidenceSpec.bilinear(2e-4), inc2), (p, IncidenceSpec.saturated_i2(2e-4, 0.1), inc2)])
+        custom = [IncidenceSpec.custom(lambda S, I: 2e-4 * S * I) for _ in range(2)]
+        with pytest.raises(ValueError, match="family pair"):
+            solve_batch([(p, custom[0], inc2), (p, custom[1], inc2)])
+
+    def test_stats_repeat_and_match_the_balance_evaluations(self, monkeypatch):
+        # a counting wrapper around every balance callable handed to the
+        # root finder tallies the abscissae of each row; a row's tally is
+        # its scan, SECTIONS + 1 points per bracket and round, and 2 per
+        # bracket for the polish
+        tallies = []
+        roots = equilibria._roots
+
+        def counted(fn, rows, hi, kind):
+            tally = np.zeros(len(rows.block), int)
+
+            def balance(c, x):
+                np.add.at(tally, c.row, x.shape[1])
+                return fn(c, x)
+
+            tallies.append(tally)
+            return roots(balance, rows, hi, kind)
+
+        monkeypatch.setattr(equilibria, "_roots", counted)
+        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_strain2()
+        rows = [(params(r=r, k=0.0), inc1, inc2) for r in (0.02, 0.1, 0.25)]
+        results = solve_batch(rows)
+        assert [eqs.stats for eqs in solve_batch(rows)] == [eqs.stats for eqs in results]
+        e1, e2, cap, e3 = tallies[:4]
+        for i, eqs in enumerate(results):
+            st = eqs.stats
+            assert st.rows == 3
+            for tally, scan in ((e1, st.E1), (e2, st.E2), (cap, st.E3_cap), (e3, st.E3)):
+                assert tally[i] == scan.nodes + scan.brackets * (scan.rounds * (SECTIONS + 1) + 2)
+            assert st.E2.brackets == len(eqs.E2)
+        assert [eqs.stats.E2.rounds for eqs in results] == [5, 5, 0]
+        assert results[2].stats.E1.nodes == 0  # R1 < 1 at r = 0.25: no E1 scan
+
+        # the E3 S-solve calls dF2/dS once per Newton iteration, the E2
+        # notes once per root
+        calls = []
+        wavy = wavy_strain2()
+
+        def dF2_dS(S, I):
+            calls.append(S)
+            return wavy.d_rate_dS_fn(S, I)
+
+        inc2 = IncidenceSpec.custom(wavy.rate_fn, d_rate_dS=dF2_dS)
+        eqs = solve_all(params(r=0.1, k=0.0), inc1, inc2)
+        assert len(calls) == eqs.stats.newton_iterations + len(eqs.E2)
+        assert eqs.stats.newton_iterations > 0
+
+    def test_no_checked_evaluation_inside_a_scan(self, monkeypatch):
+        # the scans run on bound closed forms; the only checked evaluator
+        # calls are the thresholds, certificates and notes
+        callers = []
+        check = incidence._require_finite
+
+        def counted(*values):
+            frame = sys._getframe(3)  # _checked_forms <- evaluator <- caller
+            callers.append(frame.f_code.co_name)
+            names = set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            assert "_roots" not in names
+            return check(*values)
+
+        monkeypatch.setattr(incidence, "_require_finite", counted)
+        sc = build_scenario("6.4")
+        eqs = solve_all(sc.params, sc.incidence1, sc.incidence2)
+        assert len(eqs.all) == 4
+        assert sorted(callers) == sorted(
+            ["strain1_threshold", "strain2_threshold"]  # R1, R2
+            + ["_strain1", "_strain2", "_strain2"]  # E1 certificate, E2 certificate and note
+            + ["invasion_numbers"] * 2
+            + ["field_components"] * 4  # E3 and E0 certificates
+        )
+
+    def test_memory_stays_within_one_block(self):
+        sc = build_scenario("6.4")
+        rows = []
+        for r in np.linspace(0.0, 0.2, 256):
+            sci = apply_sweep_value(sc, "r", r)
+            rows.append((sci.params, sci.incidence1, sci.incidence2))
+        tracemalloc.start()
+        try:
+            solve_batch(rows[:BLOCK_ROWS])
+            _, one_block = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            solve_batch(rows)
+            _, all_rows = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all_rows <= 1.5 * one_block

@@ -505,6 +505,28 @@ class TestClosedFormTable:
                     assert same_bits(public(S, I), expected), (name, S, I)
 
     @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
+    def test_bound_forms_equal_the_public_evaluators_bitwise(self, inc):
+        # the spec's own coefficients as scalars, or one (n, 1) column row
+        # per row of the arguments
+        I_grid, S_grid = np.meshgrid(self.I_AXIS, [s for s in self.S_AXIS if s > 0.0])
+        scale = np.array([[1.0], [0.5], [3.0], [1.0]])
+        columns = inc.bound_forms(inc.beta * scale, inc.zeta * scale)
+        for name in ("rate", "force", "contact_factor", "d_rate_dS", "d_rate_dI"):
+            assert same_bits(getattr(inc.bound_forms(), name)(S_grid, I_grid), getattr(inc, name)(S_grid, I_grid))
+            for i, c in enumerate(scale[:, 0]):
+                other = dataclasses.replace(inc, beta=inc.beta * c, zeta=inc.zeta * c)
+                assert same_bits(getattr(columns, name)(S_grid, I_grid)[i], getattr(other, name)(S_grid[i], I_grid[i]))
+        # unchecked: a non-finite input gives a non-finite value, no raise
+        assert not np.isfinite(inc.bound_forms().force(math.nan, 1.0))
+
+    def test_bound_forms_of_a_custom_rate_are_its_checked_evaluators(self):
+        custom = IncidenceSpec.custom(lambda S, I: 2e-4 * S * I)
+        forms = custom.bound_forms(np.ones((2, 1)), np.zeros((2, 1)))
+        assert forms.rate == custom.rate and forms.d_rate_dS == custom.d_rate_dS
+        with pytest.raises(DomainError):
+            forms.force(math.nan, 1.0)
+
+    @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
     def test_scalar_rate_equals_the_checked_rate_bitwise(self, inc):
         fast = inc.scalar_rate()
         I_grid, S_grid = np.meshgrid(self.I_AXIS, self.S_AXIS)
