@@ -39,7 +39,9 @@ _LIMIT_RTOL = 1e-4
 
 def _require_finite(*values) -> None:
     for v in values:
-        if not np.all(np.isfinite(v)):
+        # math.isfinite on a scalar is about a hundred times cheaper than numpy
+        ok = math.isfinite(v) if isinstance(v, (float, np.floating)) else np.all(np.isfinite(v))
+        if not ok:
             raise DomainError("incidence evaluated at a non-finite input")
 
 

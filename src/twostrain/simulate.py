@@ -1,6 +1,6 @@
 """Adaptive time integration and trajectory diagnostics.
 
-The stepper is an embedded Dormand-Prince 4(5) pair with FSAL and a PI
+The stepper is an embedded Dormand-Prince 5(4) pair with FSAL and a PI
 step-size controller. It is hand-rolled rather than delegated because the
 surrounding contracts are not standard solver behavior: accepted states are
 clamped at zero within an atol-sized band, a component falling below -atol
@@ -25,30 +25,21 @@ from .model import (
     require_certified,
 )
 
-# Dormand-Prince 5(4) tableau. Row 7 of the A matrix equals the 5th-order
-# weights, so the last stage of an accepted step is the first of the next.
-_C = (0.2, 0.3, 0.8, 8.0 / 9.0, 1.0, 1.0)
-_A = tuple(
-    np.array(row)
-    for row in (
-        (0.2,),
-        (3.0 / 40.0, 9.0 / 40.0),
-        (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-        (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-        (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-        (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-    )
+# Dormand-Prince 5(4) tableau (Dormand & Prince 1980, J. Comput. Appl. Math.
+# 6). The 7th stage is taken at the 5th-order solution (its A row equals the
+# weights B; B1 = 0), so the last stage of an accepted step is the first of
+# the next. E = B - B*, the embedded error weights (E1 = 0).
+_C1, _C2, _C3, _C4 = 0.2, 0.3, 0.8, 8.0 / 9.0
+_A10 = 0.2
+_A20, _A21 = 3.0 / 40.0, 9.0 / 40.0
+_A30, _A31, _A32 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
+_A40, _A41, _A42, _A43 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
+_A50, _A51, _A52, _A53, _A54 = (
+    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
 )
-_ERR = np.array(
-    [
-        71.0 / 57600.0,
-        0.0,
-        -71.0 / 16695.0,
-        71.0 / 1920.0,
-        -17253.0 / 339200.0,
-        22.0 / 525.0,
-        -1.0 / 40.0,
-    ]
+_B0, _B2, _B3, _B4, _B5 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
+_E0, _E2, _E3, _E4, _E5, _E6 = (
+    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
 )
 
 _SAFETY = 0.9
@@ -137,6 +128,11 @@ def adaptive_rk45(
 ) -> RawIntegration:
     """Integrate y' = rhs(t, y) from t = 0 to t_end.
 
+    ``rhs`` gets the state as a 1-D array and returns the derivative as any
+    sequence of the same length. A stage whose evaluation raises an
+    arithmetic or domain error, or has a non-finite component, is rejected
+    and the step shrinks.
+
     With ``nonnegative`` set, accepted components inside (-atol, 0) are
     clamped to zero. A candidate step that would put a component at or
     below -atol is rejected and retried with a smaller step, since large
@@ -150,37 +146,58 @@ def adaptive_rk45(
     cubic Hermite interpolation on each accepted step; otherwise every
     accepted step is stored.
     """
-    y = np.array(y0, float)
+    n = len(y0)
+
+    def fun(t, y):
+        try:
+            f = np.array(rhs(t, np.array(y)), float, ndmin=1).tolist()
+        except (ArithmeticError, DomainError):
+            return None
+        if len(f) != n:
+            raise ValueError("rhs returned %d components for a state of %d" % (len(f), n))
+        return f if all(map(math.isfinite, f)) else None
+
+    return _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative)
+
+
+def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -> RawIntegration:
+    """The stepper behind ``adaptive_rk45``, on Python floats.
+
+    ``fun(t, y)`` takes the state as a sequence of floats and returns the
+    derivative as one, or None when the stage fails. States, stages and the
+    FSAL derivative are never written in place, so a rejected trial leaves
+    f(t, y) as the first stage of the retry.
+    """
+    y = tuple(float(v) for v in y0)
+    n = len(y)
     t = 0.0
     if sample_times is not None:
         samples = np.asarray(sample_times, float)
         if samples.ndim != 1 or np.any(samples < 0.0) or np.any(samples > t_end):
             raise ValueError("sample_times must lie within [0, t_end]")
-        samples = np.unique(samples)
+        samples = np.unique(samples).tolist()
     else:
         samples = None
 
     times: List[float] = []
-    states: List[np.ndarray] = []
+    states: list = []
     sample_ptr = 0
     if samples is None:
         times.append(0.0)
-        states.append(y.copy())
+        states.append(y)
     else:
         while sample_ptr < len(samples) and samples[sample_ptr] <= 0.0:
             times.append(0.0)
-            states.append(y.copy())
+            states.append(y)
             sample_ptr += 1
 
-    f = _eval_rhs(rhs, t, y)
+    f = fun(t, y)
     if f is None:
-        raise IntegrationError("right-hand side failed at the initial state", t, y.copy())
-    h = _initial_step(rhs, y, f, t_end, rtol, atol, max_step)
+        raise IntegrationError("right-hand side failed at the initial state", t, np.array(y))
+    h = _initial_step(fun, y, f, t_end, rtol, atol, max_step)
 
     err_prev = 1.0
     negative_abort = None
-    n = len(y)
-    k = np.empty((7, n))
     evals, accepted, rejected, clamps, retries = 2, 0, 0, 0, 0
 
     for _ in range(_MAX_STEPS):
@@ -188,28 +205,23 @@ def adaptive_rk45(
             break
         h = min(h, max_step, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            raise IntegrationError("step size underflow at t = %g" % t, t, y.copy())
+            raise IntegrationError("step size underflow at t = %g" % t, t, np.array(y))
 
-        k[0] = f
-        failed = False
-        for i in range(6):
-            yi = y + h * _A[i].dot(k[: i + 1])
-            fi = _eval_rhs(rhs, t + _C[i] * h, yi)
-            if fi is None:
-                failed = True
-                break
-            k[i + 1] = fi
-        evals += i + 1
-        if failed:
+        trial = _trial(fun, t, y, f, h)
+        if type(trial) is int:
+            evals += trial
             rejected += 1
             h *= _MIN_FACTOR
             continue
+        evals += 6
+        y_new, f_new, k2, k3, k4, k5 = trial
 
-        # the last stage was evaluated at y_new (row 6 equals the weights)
-        y_new, f_new = yi, k[6]
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        z = h * _ERR.dot(k) / scale
-        err = math.sqrt((z * z).sum() / n)
+        acc = 0.0
+        for a, b, d0, d2, d3, d4, d5, d6 in zip(y, y_new, f, k2, k3, k4, k5, f_new):
+            z = h * (_E0 * d0 + _E2 * d2 + _E3 * d3 + _E4 * d4 + _E5 * d5 + _E6 * d6)
+            z /= atol + rtol * max(abs(a), abs(b))
+            acc += z * z
+        err = math.sqrt(acc / n)
 
         if not math.isfinite(err) or err > 1.0:
             rejected += 1
@@ -222,14 +234,14 @@ def adaptive_rk45(
         # accepted by the error test; now enforce feasibility
         t_new = t + h
         if nonnegative:
-            floor = y_new.min()
+            floor = min(y_new)
             if floor <= -atol:
-                j = int(y_new.argmin())
+                j = y_new.index(floor)
                 # a component pinned at zero with outward flow cannot be
                 # rescued by a smaller step: the continuous solution leaves
                 # the orthant, so the violation is real; otherwise retry,
                 # aborting only if it survives down to the minimal step
-                if (y[j] <= 0.0 and k[0, j] < 0.0) or h < 1e-13 * max(1.0, abs(t)):
+                if (y[j] <= 0.0 and f[j] < 0.0) or h < 1e-13 * max(1.0, abs(t)):
                     negative_abort = (t_new, j)
                     break
                 retries += 1
@@ -238,13 +250,13 @@ def adaptive_rk45(
             if floor < 0.0:
                 clamps += 1
                 evals += 1
-                y_new = np.maximum(y_new, 0.0)
-                f_new = _eval_rhs(rhs, t_new, y_new)
+                y_new = [0.0 if v < 0.0 else v for v in y_new]
+                f_new = fun(t_new, y_new)
                 if f_new is None:
                     raise IntegrationError(
                         "right-hand side failed after clamping at t = %g" % t_new,
                         t,
-                        y.copy(),
+                        np.array(y),
                     )
 
         accepted += 1
@@ -255,8 +267,8 @@ def adaptive_rk45(
             eps = 1e-12 * max(1.0, abs(t_new))
             while sample_ptr < len(samples) and samples[sample_ptr] <= t_new + eps:
                 ts = samples[sample_ptr]
-                times.append(float(ts))
-                states.append(_hermite(t, y, k[0], t_new, y_new, f_new, ts))
+                times.append(ts)
+                states.append(_hermite(t, y, f, t_new, y_new, f_new, ts))
                 sample_ptr += 1
 
         if err == 0.0:
@@ -268,38 +280,74 @@ def adaptive_rk45(
         t, y, f = t_new, y_new, f_new
         h *= factor
     else:
-        raise IntegrationError("step limit exceeded", t, y.copy())
+        raise IntegrationError("step limit exceeded", t, np.array(y))
 
     return RawIntegration(
-        times=np.asarray(times),
-        states=np.asarray(states),
+        times=np.array(times, float),
+        states=np.array(states, float).reshape(len(states), n),
         negative_abort=negative_abort,
         stats=IntegratorStats(evals, accepted, rejected, clamps, retries),
     )
 
 
-def _eval_rhs(rhs, t, y):
-    """rhs(t, y) as an array, or None if it raised an arithmetic or domain
-    error or any component is not finite."""
-    try:
-        f = np.array(rhs(t, y), float, ndmin=1)
-    except (ArithmeticError, DomainError):
-        return None
-    if not all(map(math.isfinite, f.tolist())):
-        return None
-    return f
+def _trial(fun, t, y, k0, h):
+    """The stages of one trial step of size h from (t, y), with k0 = f(t, y).
+
+    Returns (y_new, k6, k2, k3, k4, k5), where y_new is the 5th-order
+    solution and k6 = f(t + h, y_new), or, when a stage fails, the number of
+    right-hand-side evaluations made (an int).
+    """
+    k1 = fun(t + _C1 * h, [a + h * (_A10 * b) for a, b in zip(y, k0)])
+    if k1 is None:
+        return 1
+    k2 = fun(t + _C2 * h, [a + h * (_A20 * b + _A21 * c) for a, b, c in zip(y, k0, k1)])
+    if k2 is None:
+        return 2
+    k3 = fun(
+        t + _C3 * h,
+        [a + h * (_A30 * b + _A31 * c + _A32 * d) for a, b, c, d in zip(y, k0, k1, k2)],
+    )
+    if k3 is None:
+        return 3
+    k4 = fun(
+        t + _C4 * h,
+        [
+            a + h * (_A40 * b + _A41 * c + _A42 * d + _A43 * e)
+            for a, b, c, d, e in zip(y, k0, k1, k2, k3)
+        ],
+    )
+    if k4 is None:
+        return 4
+    k5 = fun(
+        t + h,
+        [
+            a + h * (_A50 * b + _A51 * c + _A52 * d + _A53 * e + _A54 * g)
+            for a, b, c, d, e, g in zip(y, k0, k1, k2, k3, k4)
+        ],
+    )
+    if k5 is None:
+        return 5
+    y_new = [
+        a + h * (_B0 * b + _B2 * d + _B3 * e + _B4 * g + _B5 * q)
+        for a, b, d, e, g, q in zip(y, k0, k2, k3, k4, k5)
+    ]
+    k6 = fun(t + h, y_new)
+    if k6 is None:
+        return 6
+    return y_new, k6, k2, k3, k4, k5
 
 
-def _initial_step(rhs, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(fun, y0, f0, t_end, rtol, atol, max_step):
     """Starting step from the standard two-probe heuristic."""
-    scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
+    n = len(y0)
+    scale = [atol + rtol * abs(a) for a in y0]
+    d0 = math.sqrt(sum((a / s) ** 2 for a, s in zip(y0, scale)) / n)
+    d1 = math.sqrt(sum((b / s) ** 2 for b, s in zip(f0, scale)) / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = _eval_rhs(rhs, h0, y0 + h0 * f0)
+    f1 = fun(h0, [a + h0 * b for a, b in zip(y0, f0)])
     if f1 is None:
         return min(h0 * 1e-3, max_step, t_end)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
+    d2 = math.sqrt(sum(((c - b) / s) ** 2 for b, c, s in zip(f0, f1, scale)) / n) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -311,16 +359,15 @@ def _hermite(t0, y0, f0, t1, y1, f1, ts):
     """Cubic Hermite interpolant on one accepted step."""
     h = t1 - t0
     if h == 0.0:
-        return y1.copy()
+        return y1
     theta = (ts - t0) / h
     t2 = theta * theta
     t3 = t2 * theta
-    return (
-        (2.0 * t3 - 3.0 * t2 + 1.0) * y0
-        + (t3 - 2.0 * t2 + theta) * h * f0
-        + (-2.0 * t3 + 3.0 * t2) * y1
-        + (t3 - t2) * h * f1
-    )
+    w0 = 2.0 * t3 - 3.0 * t2 + 1.0
+    w1 = (t3 - 2.0 * t2 + theta) * h
+    w2 = -2.0 * t3 + 3.0 * t2
+    w3 = (t3 - t2) * h
+    return [w0 * a + w1 * b + w2 * c + w3 * d for a, b, c, d in zip(y0, f0, y1, f1)]
 
 
 # -- model-level integration ---------------------------------------------------
@@ -345,32 +392,14 @@ def integrate(
         raise DomainError("initial state must be finite and componentwise >= 0")
     track_r = y0.shape[0] == 5
 
-    # stage inputs go in as Python floats; finiteness is checked on every
-    # stage output, not on every rate call
-    rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
-    Lam, lam, mu, r, k = p.Lambda, p.lam, p.mu, p.r, p.k
-    a1, a2, g1, g2 = p.alpha1, p.alpha2, p.gamma1, p.gamma2
-
-    def rhs(t, y):
-        S, V1, I1, I2, *R = y.tolist()
-        F1 = rate1(S, I1)
-        F2 = rate2(S, I2)
-        dx = (
-            Lam - F1 - F2 - lam * S,
-            r * S - (mu + k * I2) * V1,
-            F1 - a1 * I1,
-            F2 + k * I2 * V1 - a2 * I2,
-        )
-        return dx + (g1 * I1 + g2 * I2 - mu * R[0],) if R else dx
-
-    raw = adaptive_rk45(
-        rhs,
-        y0,
+    raw = _dp5(
+        _field_closure(p, inc1, inc2, track_r),
+        y0.tolist(),
         opts.t_end,
-        rtol=opts.rtol,
-        atol=opts.atol,
-        max_step=opts.max_step,
-        sample_times=opts.sample_times,
+        opts.rtol,
+        opts.atol,
+        opts.max_step,
+        opts.sample_times,
     )
 
     events: List[TrajectoryEvent] = []
@@ -404,6 +433,51 @@ def integrate(
         tracks_recovered=track_r,
         stats=raw.stats,
     )
+
+
+def _field_closure(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, track_r: bool):
+    """The model's field for the stepper: floats in, a tuple of floats out, or
+    None when a rate raises or a component is not finite. Each built-in rate
+    is bound once and runs unchecked, so finiteness is checked once per stage
+    output; the elementwise test runs only when the sum is not finite, which
+    an overflowing sum of finite parts can also be."""
+    rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
+    Lam, lam, mu, r, k = p.Lambda, p.lam, p.mu, p.r, p.k
+    a1, a2, g1, g2 = p.alpha1, p.alpha2, p.gamma1, p.gamma2
+    isfinite = math.isfinite
+
+    def field4(t, y):
+        S, V1, I1, I2 = y
+        try:
+            F1 = rate1(S, I1)
+            F2 = rate2(S, I2)
+        except (ArithmeticError, DomainError):
+            return None
+        dx = (
+            Lam - F1 - F2 - lam * S,
+            r * S - (mu + k * I2) * V1,
+            F1 - a1 * I1,
+            F2 + k * I2 * V1 - a2 * I2,
+        )
+        return dx if isfinite(sum(dx)) or all(map(isfinite, dx)) else None
+
+    def field5(t, y):
+        S, V1, I1, I2, R = y
+        try:
+            F1 = rate1(S, I1)
+            F2 = rate2(S, I2)
+        except (ArithmeticError, DomainError):
+            return None
+        dx = (
+            Lam - F1 - F2 - lam * S,
+            r * S - (mu + k * I2) * V1,
+            F1 - a1 * I1,
+            F2 + k * I2 * V1 - a2 * I2,
+            g1 * I1 + g2 * I2 - mu * R,
+        )
+        return dx if isfinite(sum(dx)) or all(map(isfinite, dx)) else None
+
+    return field5 if track_r else field4
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,22 @@ class TestRateValues:
         with pytest.raises(DomainError):
             inc.force(1.0, float("inf"))
 
+    @pytest.mark.parametrize("bad", (float("nan"), float("inf"), -float("inf")))
+    @pytest.mark.parametrize(
+        "wrap",
+        (float, np.float64, np.float32, np.array, lambda v: np.array([1.0, v])),
+        ids=("float", "float64", "float32", "0-d", "array"),
+    )
+    def test_non_finite_rejected_in_every_input_type(self, wrap, bad):
+        inc = IncidenceSpec.saturated_s(2e-4, 0.9)
+        fine = wrap(1.0)
+        for evaluate in (inc.rate, inc.force, inc.contact_factor, inc.d_rate_dS, inc.d_rate_dI):
+            with pytest.raises(DomainError):
+                evaluate(wrap(bad), fine)
+            with pytest.raises(DomainError):
+                evaluate(fine, wrap(bad))
+            assert np.all(np.isfinite(evaluate(fine, fine)))
+
 
 class TestForce:
     def test_force_times_I_recovers_rate(self):

@@ -5,12 +5,14 @@ before anything model-specific, then the model-level wrapper is checked
 against the trapping-box properties and the certified equilibria.
 """
 
+import collections
 import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp.rk import RK45
 
 from twostrain import incidence
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
@@ -348,12 +350,12 @@ class TestPersistenceProxy:
 
 
 def checked_run(p, inc1, inc2, y0, opts, calls=None):
-    """adaptive_rk45 driven by the checked vector field; the time of every
+    """adaptive_rk45 driven by the checked vector field; the (t, y) of every
     call is appended to ``calls`` when given."""
 
     def rhs(t, y):
         if calls is not None:
-            calls.append(t)
+            calls.append((t, y.copy()))
         return vector_field(p, inc1, inc2, y)
 
     return adaptive_rk45(
@@ -365,6 +367,40 @@ def checked_run(p, inc1, inc2, y0, opts, calls=None):
 def same_bits(a, b):
     a, b = np.asarray(a, float), np.asarray(b, float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+Attempt = collections.namedtuple("Attempt", "t y h times inputs accepted")
+
+
+def step_attempts(raw, calls):
+    """Split the calls of a run that stored every accepted step into step
+    attempts from (t, y): the two start-up calls come first, then six per
+    attempt, the last at (t + h, y_new), plus one at the clamped state after
+    a clamped step. Assumes no stage failed."""
+    attempts, pos, i = [], 2, 0
+    while pos < len(calls):
+        t, y = raw.times[i], raw.states[i]
+        stages = calls[pos : pos + 6]
+        t_last, y_last = stages[-1]
+        accepted = (
+            i + 1 < len(raw.times)
+            and t_last == raw.times[i + 1]
+            and same_bits(np.maximum(y_last, 0.0), raw.states[i + 1])
+        )
+        attempts.append(
+            Attempt(
+                t, y, t_last - t,
+                np.array([c[0] for c in stages]),
+                np.array([c[1] for c in stages]),
+                accepted,
+            )
+        )
+        pos += 6
+        if accepted:
+            i += 1
+            pos += 0 if same_bits(y_last, raw.states[i]) else 1
+    assert pos == len(calls)
+    return attempts
 
 
 class TestLeanStepper:
@@ -395,21 +431,58 @@ class TestLeanStepper:
 
     def test_stats_count_every_right_hand_side_call(self):
         totals = dict(clamps=0, negative_retries=0, rejected_steps=0)
+
+        def check(raw, n_calls, label):
+            # an aborted run ends on one more attempt, neither accepted nor retried
+            st = raw.stats
+            attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
+            attempts += raw.negative_abort is not None
+            assert n_calls == st.rhs_evals == 2 + 6 * attempts + st.clamps, label
+            assert st.accepted_steps == len(raw.times) - 1, label
+            for name in totals:
+                totals[name] += getattr(st, name)
+
         for example_id in EXAMPLE_IDS:
             sc = build_scenario(example_id)
             p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
             calls = []
             raw = checked_run(p, inc1, inc2, sc.initial.as_array(), sc.integrator, calls)
-            st = raw.stats
-            attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
-            assert len(calls) == st.rhs_evals == 2 + 6 * attempts + st.clamps, example_id
-            assert st.accepted_steps == len(raw.times) - 1
+            check(raw, len(calls), example_id)
             traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
-            assert traj.stats == st
-            for name in totals:
-                totals[name] += getattr(st, name)
-        # every branch of the count is exercised on the four examples
+            assert traj.stats == raw.stats
+        # a constant decay through zero at steps of at most 0.25 from 0.6005
+        # (the first step is 0.1 and the error estimate is ~0, so the step
+        # grows to max_step): 0.0005 is left, so the next steps are halved
+        # from 0.25 until 0.25/256 lands the state at -0.00048, inside the
+        # clamp band (-atol, 0); the step from 0 that follows aborts
+        calls = []
+
+        def decay(t, y):
+            calls.append(t)
+            return (-1.0,)
+
+        raw = adaptive_rk45(decay, [0.6005], 2.0, atol=1e-3, max_step=0.25)
+        check(raw, len(calls), "decay")
+        assert raw.stats.negative_retries == 8 and raw.stats.clamps == 1
+        assert raw.states[-1, 0] == 0.0 and raw.negative_abort is not None
+        # every branch of the count is exercised
         assert all(count > 0 for count in totals.values()), totals
+
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_every_attempt_starts_from_the_derivative_at_its_own_state(self, example_id):
+        # the first stage of a step of size h from (t, y) is evaluated at
+        # y + 0.2*h*f(t, y), also when the attempt retries a rejected one
+        sc = build_scenario(example_id)
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        calls = []
+        raw = checked_run(p, inc1, inc2, sc.initial.as_array(), sc.integrator, calls)
+        attempts = step_attempts(raw, calls)
+        assert raw.stats.rejected_steps + raw.stats.negative_retries >= 1
+        assert sum(not a.accepted for a in attempts) >= 1
+        for a in attempts:
+            step = 0.2 * a.h * vector_field(p, inc1, inc2, a.y)
+            gap = np.abs(a.inputs[0] - (a.y + step))
+            assert np.all(gap <= 1e-12 * (np.abs(a.y) + np.abs(step))), (a.t, a.h)
 
     def test_stats_stay_out_of_trajectory_equality(self):
         p, inc1, inc2 = setup_low_transmission()
@@ -541,6 +614,51 @@ class TestClosedFormTable:
         # unchecked: a non-finite input gives a non-finite rate, no raise
         assert not math.isfinite(fast(math.inf, 1.0))
         assert not math.isfinite(fast(1.0, math.nan))
+
+
+class TestTableauOracle:
+    def test_steps_match_scipys_dormand_prince_constants(self):
+        # every stage of every attempt of a loose-tolerance run, against the
+        # tableau scipy's RK45 keeps (A, B, C, E), evaluated with the same
+        # vector field; loose tolerances take steps long enough that the
+        # error estimate is far above the rounding of its cancelling sum
+        sc = build_scenario("6.4")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        rtol = atol = 1e-3
+        t_end = 300.0
+        calls = []
+        opts = IntegratorOptions(rtol=rtol, atol=atol, t_end=t_end)
+        raw = checked_run(p, inc1, inc2, sc.initial.as_array(), opts, calls)
+        attempts = step_attempts(raw, calls)
+        assert all(a.accepted for a in attempts) and len(attempts) > 30
+        eps = np.finfo(float).eps
+        alpha, beta = 0.7 / 5.0, 0.4 / 5.0
+        err_prev, read_back = 1.0, 0
+        for a, after in zip(attempts, attempts[1:] + [None]):
+            K = np.empty((7, 4))
+            K[0] = vector_field(p, inc1, inc2, a.y)
+            ref = np.empty((6, 4))
+            for s in range(1, 7):
+                weights = RK45.A[s, :s] if s < 6 else RK45.B
+                ref[s - 1] = a.y + a.h * (K[:s].T @ weights)
+                K[s] = vector_field(p, inc1, inc2, ref[s - 1])
+            assert np.all(np.abs(a.inputs - ref) <= 1e-13 * np.abs(ref)), a.t
+            assert np.allclose(a.times, a.t + a.h * np.append(RK45.C[1:], 1.0), rtol=1e-13, atol=0.0)
+            # the error norm, read back from the next step's size where the
+            # controller factor is not clamped and the horizon does not cut it
+            scale = atol + rtol * np.maximum(np.abs(a.y), np.abs(ref[5]))
+            err = math.sqrt(np.mean((a.h * (K.T @ RK45.E) / scale) ** 2))
+            err_terms = math.sqrt(np.mean((a.h * (np.abs(K.T) @ np.abs(RK45.E)) / scale) ** 2))
+            factor = 0.9 * err ** -alpha * err_prev ** beta
+            if after is not None and 0.21 < factor < 4.9 and after.t + 1.01 * after.h < t_end:
+                seen = (after.h / a.h / (0.9 * err_prev ** beta)) ** (-1.0 / alpha)
+                # rounding of the sum and of the step sizes read off the clock
+                slack = 1e-13 * (err + err_terms)
+                slack += 8.0 * eps * err * ((a.t + a.h) / a.h + (after.t + after.h) / after.h) / alpha
+                assert abs(seen - err) <= slack, (a.t, seen, err)
+                read_back += 1
+            err_prev = max(err, 1e-10)
+        assert read_back >= 20
 
 
 class TestRadauOracle:
