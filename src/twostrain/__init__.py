@@ -78,14 +78,12 @@ from .simulate import (
     IntegratorOptions,
     IntegratorStats,
     InvarianceReport,
-    PersistenceSummary,
     Trajectory,
     TrajectoryEvent,
     adaptive_rk45,
     detect_convergence,
     integrate,
     monitor_invariance,
-    persistence_proxy,
 )
 from .stability import (
     GridScanSummary,

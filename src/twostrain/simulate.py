@@ -6,10 +6,14 @@ surrounding contracts are not standard solver behavior: accepted states are
 clamped at zero within an atol-sized band, a component falling below -atol
 is a hard tolerance failure that stops the run, the final time is landed
 exactly, and entry into the invariant box is recorded as an event.
+
+The step loop runs on Python floats; each trial step is one call to a
+kernel generated for the state's number of components (see ``_kernel``).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
@@ -161,15 +165,19 @@ def adaptive_rk45(
 
 
 def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -> RawIntegration:
-    """The stepper behind ``adaptive_rk45``, on Python floats.
+    """The stepper behind ``adaptive_rk45`` and ``integrate``, on Python floats.
 
-    ``fun(t, y)`` takes the state as a sequence of floats and returns the
-    derivative as one, or None when the stage fails. States, stages and the
-    FSAL derivative are never written in place, so a rejected trial leaves
-    f(t, y) as the first stage of the retry.
+    ``fun(t, y)`` takes the state as a tuple of floats and returns the
+    derivative as a sequence of floats, or None when the stage fails.
+    States, stages and the FSAL derivative are never written in place, so a
+    rejected trial leaves f(t, y) as the first stage of the retry. Each
+    trial step is one call to ``_kernel(len(y0))``.
     """
     y = tuple(float(v) for v in y0)
     n = len(y)
+    if n == 0:
+        raise ValueError("the state needs at least one component")
+    kernel = _kernel(n)
     t = 0.0
     if sample_times is not None:
         samples = np.asarray(sample_times, float)
@@ -207,20 +215,14 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow at t = %g" % t, t, np.array(y))
 
-        trial = _trial(fun, t, y, f, h)
+        trial = kernel(fun, t, y, f, h, atol, rtol)
         if type(trial) is int:
             evals += trial
             rejected += 1
             h *= _MIN_FACTOR
             continue
         evals += 6
-        y_new, f_new, k2, k3, k4, k5 = trial
-
-        acc = 0.0
-        for a, b, d0, d2, d3, d4, d5, d6 in zip(y, y_new, f, k2, k3, k4, k5, f_new):
-            z = h * (_E0 * d0 + _E2 * d2 + _E3 * d3 + _E4 * d4 + _E5 * d5 + _E6 * d6)
-            z /= atol + rtol * max(abs(a), abs(b))
-            acc += z * z
+        y_new, f_new, acc = trial
         err = math.sqrt(acc / n)
 
         if not math.isfinite(err) or err > 1.0:
@@ -250,7 +252,7 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
             if floor < 0.0:
                 clamps += 1
                 evals += 1
-                y_new = [0.0 if v < 0.0 else v for v in y_new]
+                y_new = tuple(0.0 if v < 0.0 else v for v in y_new)
                 f_new = fun(t_new, y_new)
                 if f_new is None:
                     raise IntegrationError(
@@ -290,51 +292,77 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
     )
 
 
-def _trial(fun, t, y, k0, h):
-    """The stages of one trial step of size h from (t, y), with k0 = f(t, y).
+# Stages that carry a nonzero weight in B and in E (B1 = E1 = 0).
+_B_STAGES = (0, 2, 3, 4, 5)
+_E_STAGES = (0, 2, 3, 4, 5, 6)
 
-    Returns (y_new, k6, k2, k3, k4, k5), where y_new is the 5th-order
-    solution and k6 = f(t + h, y_new), or, when a stage fails, the number of
-    right-hand-side evaluations made (an int).
+
+@functools.lru_cache(maxsize=None)
+def _kernel(n: int):
+    """The trial step of ``_dp5`` for states of n components, built on first use.
+
+    ``kernel(fun, t, y, k0, h, atol, rtol)`` makes one trial step of size h
+    from (t, y), with k0 = f(t, y). It returns (y_new, k6, acc): the
+    5th-order solution, k6 = f(t + h, y_new) and the sum of squares of the
+    scaled error components. When a stage fails it returns instead the
+    number of right-hand-side evaluations made (an int).
+
+    The source is generated from the tableau names with every component
+    written out. y and each stage output are unpacked into locals (``y_i``
+    and ``k<s>_i``), each stage input is a tuple of per-component sums with
+    the terms in tableau order, and the error sum adds the components in
+    order. max(|y_i|, |z_i|) is written as a conditional that keeps max's
+    rule (the first argument unless the second is greater).
+    ``print(_kernel(4).source)`` shows the generated text. The source grows
+    linearly with n: building takes about 2 ms for n = 4 and 0.16 s for
+    n = 500 (2-core Xeon, Python 3.11), once per n and process.
     """
-    k1 = fun(t + _C1 * h, [a + h * (_A10 * b) for a, b in zip(y, k0)])
-    if k1 is None:
-        return 1
-    k2 = fun(t + _C2 * h, [a + h * (_A20 * b + _A21 * c) for a, b, c in zip(y, k0, k1)])
-    if k2 is None:
-        return 2
-    k3 = fun(
-        t + _C3 * h,
-        [a + h * (_A30 * b + _A31 * c + _A32 * d) for a, b, c, d in zip(y, k0, k1, k2)],
-    )
-    if k3 is None:
-        return 3
-    k4 = fun(
-        t + _C4 * h,
-        [
-            a + h * (_A40 * b + _A41 * c + _A42 * d + _A43 * e)
-            for a, b, c, d, e in zip(y, k0, k1, k2, k3)
-        ],
-    )
-    if k4 is None:
-        return 4
-    k5 = fun(
-        t + h,
-        [
-            a + h * (_A50 * b + _A51 * c + _A52 * d + _A53 * e + _A54 * g)
-            for a, b, c, d, e, g in zip(y, k0, k1, k2, k3, k4)
-        ],
-    )
-    if k5 is None:
-        return 5
-    y_new = [
-        a + h * (_B0 * b + _B2 * d + _B3 * e + _B4 * g + _B5 * q)
-        for a, b, d, e, g, q in zip(y, k0, k2, k3, k4, k5)
+
+    def listed(pattern):
+        # the trailing comma makes a 1-component tuple or unpacking
+        return ", ".join(pattern.format(i=i) for i in range(n)) + ("," if n == 1 else "")
+
+    def weighted(weights):
+        return " + ".join("%s * k%d_{i}" % (w, s) for s, w in weights)
+
+    lines = [
+        "def _dp5_kernel_%d(fun, t, y, k0, h, atol, rtol):" % n,
+        "    %s = y" % listed("y_{i}"),
+        "    %s = k0" % listed("k0_{i}"),
     ]
-    k6 = fun(t + h, y_new)
-    if k6 is None:
-        return 6
-    return y_new, k6, k2, k3, k4, k5
+    for s in range(1, 6):
+        stage = listed("y_{i} + h * (%s)" % weighted((j, "_A%d%d" % (s, j)) for j in range(s)))
+        lines += [
+            "    k = fun(%s, (%s))" % ("t + _C%d * h" % s if s < 5 else "t + h", stage),
+            "    if k is None:",
+            "        return %d" % s,
+            "    %s = k" % listed("k%d_{i}" % s),
+        ]
+    z = "    z_{i} = y_{i} + h * (%s)" % weighted((j, "_B%d" % j) for j in _B_STAGES)
+    lines += [z.format(i=i) for i in range(n)]
+    lines += [
+        "    y_new = (%s)" % listed("z_{i}"),
+        "    k = fun(t + h, y_new)",
+        "    if k is None:",
+        "        return 6",
+        "    %s = k" % listed("k6_{i}"),
+    ]
+    e = "    e_{i} = h * (%s) / (atol + rtol * (w if w > u else u))" % weighted(
+        (j, "_E%d" % j) for j in _E_STAGES
+    )
+    for i in range(n):
+        lines += ["    u = abs(y_%d)" % i, "    w = abs(z_%d)" % i, e.format(i=i)]
+    # one statement per component: a chained sum nests n deep, and the
+    # compiler's recursion limit caps that at a few thousand
+    lines.append("    acc = e_0 * e_0")
+    lines += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
+    lines.append("    return y_new, k, acc")
+    source = "\n".join(lines) + "\n"
+    namespace = {}
+    exec(compile(source, "<dp5 kernel, n = %d>" % n, "exec"), globals(), namespace)
+    kernel = namespace["_dp5_kernel_%d" % n]
+    kernel.source = source
+    return kernel
 
 
 def _initial_step(fun, y0, f0, t_end, rtol, atol, max_step):
@@ -589,26 +617,3 @@ def detect_convergence(
     )
     traj.events.append(event)
     return event
-
-
-@dataclass(frozen=True)
-class PersistenceSummary:
-    min_I1_tail: float
-    min_I2_tail: float
-
-
-def persistence_proxy(traj: Trajectory, burn_in_fraction: float = 0.5) -> PersistenceSummary:
-    """Tail minima of both infective classes after discarding a burn-in.
-
-    Values bounded away from zero are consistent with uniform persistence;
-    this is a numeric proxy, not a proof.
-    """
-    if not 0.0 < burn_in_fraction <= 0.5:
-        raise ValueError("burn_in_fraction must be in (0, 0.5] so the tail spans the burn-in")
-    t0, t1 = float(traj.times[0]), float(traj.times[-1])
-    cutoff = t0 + burn_in_fraction * (t1 - t0)
-    tail = traj.times >= cutoff
-    return PersistenceSummary(
-        min_I1_tail=float(np.min(traj.states[tail, 2])),
-        min_I2_tail=float(np.min(traj.states[tail, 3])),
-    )

@@ -8,13 +8,14 @@ against the trapping-box properties and the certified equilibria.
 import collections
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
-from twostrain import incidence
+from twostrain import incidence, simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.equilibria import (
     Equilibrium,
@@ -33,7 +34,6 @@ from twostrain.simulate import (
     detect_convergence,
     integrate,
     monitor_invariance,
-    persistence_proxy,
 )
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
@@ -88,6 +88,10 @@ class TestStepper:
     def test_sample_times_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
             adaptive_rk45(lambda t, y: -y, [1.0], 2.0, sample_times=[0.0, 3.0])
+
+    def test_empty_state_rejected(self):
+        with pytest.raises(ValueError):
+            adaptive_rk45(lambda t, y: -y, [], 1.0)
 
     def test_oscillator_needs_signed_states(self):
         # generic systems pass through negative values freely once the
@@ -318,37 +322,6 @@ class TestDetectConvergence:
             detect_convergence(traj, [sloppy])
 
 
-class TestPersistenceProxy:
-    def test_coexistence_keeps_both_strains_up(self):
-        p, inc1, inc2 = setup_coexistence()
-        traj = integrate(p, inc1, inc2, START)
-        summary = persistence_proxy(traj)
-        assert summary.min_I1_tail > 1.0
-        assert summary.min_I2_tail > 1.0
-
-    def test_low_transmission_extinguishes_both(self):
-        p, inc1, inc2 = setup_low_transmission()
-        traj = integrate(p, inc1, inc2, START)
-        summary = persistence_proxy(traj)
-        assert summary.min_I1_tail < 1e-3
-        assert summary.min_I2_tail < 1e-3
-
-    def test_dominant_strain_suppresses_the_other(self):
-        p, inc1, inc2 = setup_strain1_dominant()
-        traj = integrate(p, inc1, inc2, START)
-        summary = persistence_proxy(traj)
-        assert summary.min_I1_tail > 1.0
-        assert summary.min_I2_tail < 1e-3
-
-    def test_burn_in_fraction_bounds(self):
-        p, inc1, inc2 = setup_low_transmission()
-        traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0))
-        with pytest.raises(ValueError):
-            persistence_proxy(traj, burn_in_fraction=0.0)
-        with pytest.raises(ValueError):
-            persistence_proxy(traj, burn_in_fraction=0.6)
-
-
 def checked_run(p, inc1, inc2, y0, opts, calls=None):
     """adaptive_rk45 driven by the checked vector field; the (t, y) of every
     call is appended to ``calls`` when given."""
@@ -552,6 +525,79 @@ class TestLeanStepper:
             custom.scalar_rate()(math.inf, 1.0)
         assert len(seen) == n_seen
 
+    def test_custom_rate_refusing_negative_stage_inputs_costs_steps_not_the_run(self):
+        # stage inputs dip below 0 once strain 1 dies out in 6.1; a rate that
+        # raises there rejects each such stage and cuts the step fivefold
+        sc = build_scenario("6.1")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+
+        def refuses_negative_infectives(S, I):
+            if np.any(np.asarray(I) < 0.0):
+                raise DomainError("negative infectives")
+            return inc1.rate(S, I)
+
+        custom = IncidenceSpec.custom(refuses_negative_infectives)
+        traj = integrate(p, custom, inc2, sc.initial, sc.integrator)
+        base = integrate(p, inc1, inc2, sc.initial, sc.integrator)
+        assert traj.times[-1] == base.times[-1] == sc.integrator.t_end
+        final, ref = traj.states[-1], base.states[-1]
+        assert np.linalg.norm(final - ref) <= 1e-6 * np.linalg.norm(ref)
+        assert base.stats.rejected_steps < 10
+        assert traj.stats.rejected_steps > 100 * base.stats.rejected_steps
+        assert traj.stats.accepted_steps > 2 * base.stats.accepted_steps
+
+
+class TestStepKernel:
+    def test_each_attempt_is_one_kernel_call_and_six_field_calls(self):
+        # a deterministic count of Python-level calls: a per-stage helper
+        # frame put back into the step loop changes a count, not a timing
+        sc = build_scenario("6.4")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        kernel = simulate._kernel(4).__code__
+        field = simulate._field_closure(p, inc1, inc2, False).__code__
+        dp5 = simulate._dp5.__code__
+
+        def counted_run(t_end):
+            calls = collections.Counter()
+
+            def profile(frame, event, arg):
+                if event == "call":
+                    calls[frame.f_back.f_code, frame.f_code] += 1
+
+            opts = dataclasses.replace(sc.integrator, t_end=t_end)
+            sys.setprofile(profile)
+            try:
+                traj = integrate(p, inc1, inc2, sc.initial, opts)
+            finally:
+                sys.setprofile(None)
+            st = traj.stats
+            attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
+            # no stage failed, so every attempt evaluated all six stages
+            assert st.rhs_evals == 2 + 6 * attempts + st.clamps
+            assert calls[dp5, kernel] == attempts
+            made_by_kernel = {callee: n for (caller, callee), n in calls.items() if caller is kernel}
+            assert made_by_kernel == {field: 6 * attempts}
+            assert sum(n for (_, callee), n in calls.items() if callee is field) == st.rhs_evals
+            # the two incidence rates, and nothing else
+            assert sum(n for (caller, _), n in calls.items() if caller is field) == 2 * st.rhs_evals
+            stepping = attempts + st.rhs_evals + 2 * st.rhs_evals
+            return attempts, sum(calls.values()) - stepping
+
+        short_attempts, short_rest = counted_run(1000.0)
+        full_attempts, full_rest = counted_run(sc.integrator.t_end)
+        assert full_attempts > short_attempts + 100
+        # every other call is made once per run, not once per step
+        assert full_rest == short_rest
+
+    def test_thousands_of_components(self):
+        # the generated source stays flat: no expression nests n deep, which
+        # the compiler refuses past a few thousand levels
+        n = 3500
+        rates = np.linspace(0.5, 1.5, n)
+        raw = adaptive_rk45(lambda t, y: -rates * y, np.ones(n), 2.0, rtol=1e-6, atol=1e-9)
+        assert raw.states.shape[1] == n
+        assert np.allclose(raw.states[-1], np.exp(-2.0 * rates), rtol=1e-5, atol=0.0)
+
 
 class TestClosedFormTable:
     SPECS = (
@@ -616,48 +662,115 @@ class TestClosedFormTable:
         assert not math.isfinite(fast(1.0, math.nan))
 
 
+def assert_dormand_prince_steps(f, attempts, rtol, atol, t_end, widened=True):
+    """Check every stage of every attempt against the tableau scipy's RK45
+    keeps (A, B, C, E), evaluated with the same right-hand side ``f(t, y)``;
+    returns how many error norms were read back from the next step size.
+
+    The error vector is not visible through the public API, so its norm is
+    read back from the step after an accepted one, where the controller
+    factor is not clamped and the horizon does not cut the step.
+    ``widened=False`` leaves out the slack for the step size read off the
+    clock and for the rounding of the previous error sum."""
+    assert len(attempts) > 30
+    n = len(attempts[0].y)
+    eps = np.finfo(float).eps
+    alpha, beta = 0.7 / 5.0, 0.4 / 5.0
+    err_prev, prev_slack, read_back = 1.0, 0.0, 0
+    for a, after in zip(attempts, attempts[1:] + [None]):
+        # a stage's time is the one it was called at, checked against C here
+        assert np.allclose(a.times, a.t + a.h * np.append(RK45.C[1:], 1.0), rtol=1e-13, atol=0.0)
+        K = np.empty((7, n))
+        K[0] = f(a.t, a.y)
+        ref = np.empty((6, n))
+        for s in range(1, 7):
+            weights = RK45.A[s, :s] if s < 6 else RK45.B
+            ref[s - 1] = a.y + a.h * (K[:s].T @ weights)
+            K[s] = f(a.times[s - 1], ref[s - 1])
+        # the step size read off the clock is off by up to eps * (t + h)
+        clock = 2.0 * eps * (a.t + a.h) / a.h * np.abs(ref - a.y) if widened else 0.0
+        assert np.all(np.abs(a.inputs - ref) <= 1e-13 * np.abs(ref) + clock), a.t
+        scale = atol + rtol * np.maximum(np.abs(a.y), np.abs(ref[5]))
+        err = math.sqrt(np.mean((a.h * (K.T @ RK45.E) / scale) ** 2))
+        err_terms = math.sqrt(np.mean((a.h * (np.abs(K.T) @ np.abs(RK45.E)) / scale) ** 2))
+        if not a.accepted:
+            continue
+        factor = 0.9 * err ** -alpha * err_prev ** beta
+        if after is not None and 0.21 < factor < 4.9 and after.t + 1.01 * after.h < t_end:
+            seen = (after.h / a.h / (0.9 * err_prev ** beta)) ** (-1.0 / alpha)
+            # rounding of the sum, of the step sizes read off the clock and,
+            # through err_prev ** (beta / alpha), of the previous sum
+            slack = 1e-13 * (err + err_terms)
+            slack += 8.0 * eps * err * ((a.t + a.h) / a.h + (after.t + after.h) / after.h) / alpha
+            if widened:
+                slack += err * prev_slack * beta / alpha
+            assert abs(seen - err) <= slack, (a.t, seen, err)
+            read_back += 1
+        err_prev = max(err, 1e-10)
+        prev_slack = 1e-13 * (err + err_terms) / err if err > 1e-10 else 0.0
+    return read_back
+
+
 class TestTableauOracle:
+    """The kernel is generated once per state dimension; each dimension the
+    package runs is checked against scipy's Dormand-Prince constants. Loose
+    tolerances take steps long enough that the error estimate is far above
+    the rounding of its cancelling sum."""
+
+    RTOL = ATOL = 1e-3
+
     def test_steps_match_scipys_dormand_prince_constants(self):
-        # every stage of every attempt of a loose-tolerance run, against the
-        # tableau scipy's RK45 keeps (A, B, C, E), evaluated with the same
-        # vector field; loose tolerances take steps long enough that the
-        # error estimate is far above the rounding of its cancelling sum
+        # 4 components, through adaptive_rk45 on the checked vector field
         sc = build_scenario("6.4")
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-        rtol = atol = 1e-3
         t_end = 300.0
         calls = []
-        opts = IntegratorOptions(rtol=rtol, atol=atol, t_end=t_end)
+        opts = IntegratorOptions(rtol=self.RTOL, atol=self.ATOL, t_end=t_end)
         raw = checked_run(p, inc1, inc2, sc.initial.as_array(), opts, calls)
         attempts = step_attempts(raw, calls)
-        assert all(a.accepted for a in attempts) and len(attempts) > 30
-        eps = np.finfo(float).eps
-        alpha, beta = 0.7 / 5.0, 0.4 / 5.0
-        err_prev, read_back = 1.0, 0
-        for a, after in zip(attempts, attempts[1:] + [None]):
-            K = np.empty((7, 4))
-            K[0] = vector_field(p, inc1, inc2, a.y)
-            ref = np.empty((6, 4))
-            for s in range(1, 7):
-                weights = RK45.A[s, :s] if s < 6 else RK45.B
-                ref[s - 1] = a.y + a.h * (K[:s].T @ weights)
-                K[s] = vector_field(p, inc1, inc2, ref[s - 1])
-            assert np.all(np.abs(a.inputs - ref) <= 1e-13 * np.abs(ref)), a.t
-            assert np.allclose(a.times, a.t + a.h * np.append(RK45.C[1:], 1.0), rtol=1e-13, atol=0.0)
-            # the error norm, read back from the next step's size where the
-            # controller factor is not clamped and the horizon does not cut it
-            scale = atol + rtol * np.maximum(np.abs(a.y), np.abs(ref[5]))
-            err = math.sqrt(np.mean((a.h * (K.T @ RK45.E) / scale) ** 2))
-            err_terms = math.sqrt(np.mean((a.h * (np.abs(K.T) @ np.abs(RK45.E)) / scale) ** 2))
-            factor = 0.9 * err ** -alpha * err_prev ** beta
-            if after is not None and 0.21 < factor < 4.9 and after.t + 1.01 * after.h < t_end:
-                seen = (after.h / a.h / (0.9 * err_prev ** beta)) ** (-1.0 / alpha)
-                # rounding of the sum and of the step sizes read off the clock
-                slack = 1e-13 * (err + err_terms)
-                slack += 8.0 * eps * err * ((a.t + a.h) / a.h + (after.t + after.h) / after.h) / alpha
-                assert abs(seen - err) <= slack, (a.t, seen, err)
-                read_back += 1
-            err_prev = max(err, 1e-10)
+        assert all(a.accepted for a in attempts)
+        f = lambda t, y: vector_field(p, inc1, inc2, y)
+        read_back = assert_dormand_prince_steps(f, attempts, self.RTOL, self.ATOL, t_end, widened=False)
+        assert read_back >= 20
+
+    def test_integrate_tracking_the_recovered_class(self, monkeypatch):
+        # 5 components, through integrate's own field closure
+        sc = build_scenario("6.4")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        t_end = 300.0
+        calls = []
+        closure = simulate._field_closure
+
+        def recording_closure(*args):
+            field = closure(*args)
+
+            def recorded(t, y):
+                calls.append((t, np.array(y)))
+                return field(t, y)
+
+            return recorded
+
+        monkeypatch.setattr(simulate, "_field_closure", recording_closure)
+        opts = IntegratorOptions(rtol=self.RTOL, atol=self.ATOL, t_end=t_end)
+        traj = integrate(p, inc1, inc2, np.append(sc.initial.as_array(), 25.0), opts)
+        assert traj.tracks_recovered and traj.states.shape[1] == 5
+        f = lambda t, y: vector_field(p, inc1, inc2, y)
+        read_back = assert_dormand_prince_steps(f, step_attempts(traj, calls), self.RTOL, self.ATOL, t_end)
+        assert read_back >= 20
+
+    def test_one_component_adaptive_rk45(self):
+        # y' = cos(t) y, so y = exp(sin t) stays in [1/e, e]
+        t_end = 60.0
+        calls = []
+
+        def rhs(t, y):
+            calls.append((t, y.copy()))
+            return math.cos(t) * y
+
+        raw = adaptive_rk45(rhs, [1.0], t_end, rtol=self.RTOL, atol=self.ATOL)
+        assert raw.states[-1, 0] == pytest.approx(math.exp(math.sin(t_end)), rel=0.05)
+        f = lambda t, y: np.cos(t) * y
+        read_back = assert_dormand_prince_steps(f, step_attempts(raw, calls), self.RTOL, self.ATOL, t_end)
         assert read_back >= 20
 
 
