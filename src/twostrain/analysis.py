@@ -223,6 +223,18 @@ def _verdict_lines(
     return lines
 
 
+def _global_check_line(name: str, scan: GridScanSummary) -> str:
+    """One global check's summary, as the report and ``check-global`` print it."""
+    return "%s: max %.6e at (%.6g, %.6g) over %d points -> %s" % (
+        name,
+        scan.max_value,
+        scan.argmax[0],
+        scan.argmax[1],
+        scan.n_points,
+        "nonpositive everywhere" if scan.nonpositive_everywhere else "POSITIVE VALUES FOUND",
+    )
+
+
 def render_report(report: AnalysisReport) -> str:
     """Render an analysis report as structured plain text."""
     sc = report.scenario
@@ -281,18 +293,7 @@ def render_report(report: AnalysisReport) -> str:
     out.append("")
     if report.global_checks:
         out.append("== global checks ==")
-        for name, scan in report.global_checks:
-            out.append(
-                "%s: max %.6e at (%.6g, %.6g) over %d points -> %s"
-                % (
-                    name,
-                    scan.max_value,
-                    scan.argmax[0],
-                    scan.argmax[1],
-                    scan.n_points,
-                    "nonpositive everywhere" if scan.nonpositive_everywhere else "POSITIVE VALUES FOUND",
-                )
-            )
+        out.extend(_global_check_line(name, scan) for name, scan in report.global_checks)
         out.append("")
     out.append("== verdicts ==")
     out.extend(report.verdict_lines)

@@ -14,7 +14,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis import analyze, render_report, sweep
+from .analysis import _global_check_line, analyze, render_report, sweep
 from .benchmarks import EXAMPLE_IDS, render_reproduction, reproduce
 from .equilibria import solve_all
 from .errors import (
@@ -176,17 +176,7 @@ def cmd_check_global(args) -> int:
     if "strain2_lyapunov_scan" in checks:
         written.append(_write_surface(args.out, *checks["strain2_lyapunov_scan"].grid))
     for name, summary in report.global_checks:
-        print(
-            "%s: max %.6e at (%.6g, %.6g) over %d points -> %s"
-            % (
-                name,
-                summary.max_value,
-                summary.argmax[0],
-                summary.argmax[1],
-                summary.n_points,
-                "nonpositive everywhere" if summary.nonpositive_everywhere else "POSITIVE VALUES FOUND",
-            )
-        )
+        print(_global_check_line(name, summary))
     for path in written:
         print("wrote %s" % path)
     return EXIT_OK

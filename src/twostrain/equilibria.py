@@ -30,7 +30,8 @@ ignores I2, the strain-2 balance no longer depends on I2.
 invasion numbers; each row's result is bit for bit its own one-row batch,
 ``solve_all``. The per-kind solvers run the same block passes on one row.
 Every returned equilibrium is certified: the max-norm of the vector field at
-the returned point must be below RESIDUAL_TOL or the solver raises instead of
+the returned point (``model.residual``, with F = 0 for a strain the solve
+was not given) must be below RESIDUAL_TOL or the solver raises instead of
 returning a bad point.
 """
 
@@ -178,19 +179,11 @@ def disease_free(
 ) -> Equilibrium:
     """Closed-form disease-free equilibrium (Lambda/lam, r*Lambda/(mu*lam), 0, 0).
 
-    When the incidence specs are supplied the residual is the full vector
-    field norm; otherwise it uses the closed form, which is exact because
-    F(S, 0) = 0.
+    The residual is the vector field norm; a strain whose incidence is not
+    supplied has F = 0 there, as F(S, 0) = 0.
     """
     point = State(p.susceptible_cap, p.vaccinated_cap, 0.0, 0.0)
-    if inc1 is not None and inc2 is not None:
-        res = field_residual(p, inc1, inc2, point)
-    else:
-        res = max(
-            abs(p.Lambda - p.lam * point.S),
-            abs(p.r * point.S - p.mu * point.V1),
-        )
-    return _certified(Equilibrium("E0", point, float(res)))
+    return _certified(Equilibrium("E0", point, field_residual(p, inc1, inc2, point)))
 
 
 # -- strain 1 ----------------------------------------------------------------
@@ -216,17 +209,11 @@ def _strain1(rows: _Rows, R1s) -> list:
     """E1 of each block row, None where R1 <= 1."""
     out = [None] * len(R1s)
     for i, roots in _strain_roots(rows, R1s, 1).items():
-        (p, inc1, _), R1 = rows.block[i], R1s[i]
+        (p, inc1, inc2), R1 = rows.block[i], R1s[i]
         I1 = float(roots[0])
         S = (p.Lambda - p.alpha1 * I1) / p.lam
-        V1 = p.r * S / p.mu
-        point = State(S, V1, I1, 0.0)
-        F1 = float(inc1.rate(S, I1))
-        res = max(
-            abs(p.Lambda - F1 - p.lam * S),  # F2(S, 0) = 0
-            abs(p.r * S - p.mu * V1),
-            abs(F1 - p.alpha1 * I1),
-        )
+        point = State(S, p.r * S / p.mu, I1, 0.0)
+        res = field_residual(p, inc1, inc2, point)
         condition = ExistenceCondition("R1 > 1", R1, R1 > 1.0)
         out[i] = _certified(Equilibrium("E1", point, res, (condition,)))
     return out
@@ -292,7 +279,7 @@ def _strain2(rows: _Rows, R2s) -> list:
     """The E2 roots of each block row."""
     out = [[] for _ in R2s]
     for i, roots in _strain_roots(rows, R2s, 2).items():
-        (p, _, inc2), R2 = rows.block[i], R2s[i]
+        (p, inc1, inc2), R2 = rows.block[i], R2s[i]
         condition = ExistenceCondition("R2 > 1", R2, R2 > 1.0)
         d = strain2_discriminant(p)
         if d < 0.0:
@@ -310,12 +297,7 @@ def _strain2(rows: _Rows, R2s) -> list:
         for I2 in roots.tolist():
             S, V1 = strain2_coordinates(p, I2)
             point = State(S, V1, 0.0, I2)
-            F2 = float(inc2.rate(S, I2))
-            res = max(
-                abs(p.Lambda - F2 - p.lam * S),  # F1(S, 0) = 0
-                abs(p.r * S - (p.mu + p.k * I2) * V1),
-                abs(F2 + p.k * I2 * V1 - p.alpha2 * I2),
-            )
+            res = field_residual(p, inc1, inc2, point)
             dF2_dS = float(inc2.d_rate_dS(S, I2))
             note = (
                 "%s; found %d root(s) at scan resolution %d; auxiliary uniqueness flag "
@@ -329,8 +311,9 @@ def _strain2(rows: _Rows, R2s) -> list:
 # -- coexistence -------------------------------------------------------------
 
 
-def coexistence_coordinates(p: ModelParams, inc2: IncidenceSpec, I2):
-    """(S, V1, I1) of the interior equilibrium candidate at infection level I2.
+def coexistence_coordinates(p: _Rows, inc2: IncidenceSpec, I2):
+    """(S, V1, I1) of the interior equilibrium candidates at infection levels
+    I2, one row of I2 per entry of the block p.
 
     S solves f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 on [0, S0] by Newton's
     method from S = 0, safeguarded by the bracket that each iterate updates;
@@ -338,16 +321,10 @@ def coexistence_coordinates(p: ModelParams, inc2: IncidenceSpec, I2):
     equilibrium has S <= S0. I1 comes from the summed S, I1 and I2 balances
     and may be negative.
 
-    Newton stops once a parameter row's largest move is at most 4*eps*S0:
-    over all of I2 for a ModelParams; for a ``_Rows`` block (an I2 row per
-    entry) each block row freezes on its own, so it is its one-row solve.
+    Newton stops once a block row's largest move is at most 4*eps*S0; each
+    block row freezes on its own, so it is its one-row solve.
     """
-    I2 = np.asarray(I2, float)
-    shape = I2.shape
-    if isinstance(p, _Rows):
-        row, counts = p.row, p.newton
-    else:  # one parameter set: all of I2 is one row
-        I2, row, counts = I2.reshape(1, -1), np.zeros(1, int), np.zeros(1, int)
+    row, counts = p.row, p.newton
     c = p.k * p.r / (p.mu + p.k * I2)
 
     def g(S):
@@ -376,7 +353,7 @@ def coexistence_coordinates(p: ModelParams, inc2: IncidenceSpec, I2):
     S = np.where(feasible, S, np.nan)
     V1 = p.r * S / (p.mu + p.k * I2)
     I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
-    return S.reshape(shape), V1.reshape(shape), I1.reshape(shape)
+    return S, V1, I1
 
 
 def solve_coexistence(

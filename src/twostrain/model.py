@@ -10,6 +10,10 @@ The reduced four-dimensional system in (S, V1, I1, I2) is
 with lam = r + mu, alpha1 = gamma1 + v1 + mu, alpha2 = gamma2 + v2 + mu.
 The recovered class R' = gamma1*I1 + gamma2*I2 - mu*R is decoupled and is
 carried only when a state tracks it.
+
+The right-hand side is written once, in ``bound_field``. The integrator
+runs it on unchecked rates; ``vector_field``, ``field_norms`` and
+``residual``, which certifies every equilibrium, run it on checked ones.
 """
 
 from __future__ import annotations
@@ -132,15 +136,44 @@ class Thresholds:
     R1_invasion: Optional[float] = None
 
 
-def field_components(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, S, V1, I1, I2):
-    """Right-hand side of the 4-D system; broadcasts over array inputs."""
-    F1 = inc1.rate(S, I1)
-    F2 = inc2.rate(S, I2)
-    dS = p.Lambda - F1 - F2 - p.lam * S
-    dV1 = p.r * S - (p.mu + p.k * I2) * V1
-    dI1 = F1 - p.alpha1 * I1
-    dI2 = F2 + p.k * I2 * V1 - p.alpha2 * I2
-    return dS, dV1, dI1, dI2
+def bound_field(p: ModelParams, rate1, rate2):
+    """The system's right-hand side f(t, y), with p and the rates F1(S, I1)
+    and F2(S, I2) bound.
+
+    y is (S, V1, I1, I2) or (S, V1, I1, I2, R), and f(t, y) is its
+    derivative as a tuple of the same length: floats for floats, arrays for
+    component arrays (rows of a transposed state matrix broadcast
+    elementwise). f neither checks its input nor catches errors.
+    """
+    Lam, lam, mu, r, k = p.Lambda, p.lam, p.mu, p.r, p.k
+    a1, a2, g1, g2 = p.alpha1, p.alpha2, p.gamma1, p.gamma2
+
+    def field(t, y):
+        if len(y) == 5:  # the decoupled recovered class
+            S, V1, I1, I2, R = y
+            return field(t, (S, V1, I1, I2)) + (g1 * I1 + g2 * I2 - mu * R,)
+        S, V1, I1, I2 = y
+        F1 = rate1(S, I1)
+        F2 = rate2(S, I2)
+        return (
+            Lam - F1 - F2 - lam * S,
+            r * S - (mu + k * I2) * V1,
+            F1 - a1 * I1,
+            F2 + k * I2 * V1 - a2 * I2,
+        )
+
+    return field
+
+
+def _no_infection(S, I):
+    """The rate of a strain left out: F = 0, the model's F(S, 0) = 0 at the
+    equilibria without that strain."""
+    return 0.0
+
+
+def _checked_field(p: ModelParams, inc1: Optional[IncidenceSpec], inc2: Optional[IncidenceSpec]):
+    """``bound_field`` on the checked rates; an incidence of None is F = 0."""
+    return bound_field(p, inc1.rate if inc1 else _no_infection, inc2.rate if inc2 else _no_infection)
 
 
 def vector_field(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> np.ndarray:
@@ -152,24 +185,23 @@ def vector_field(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: St
     y = x.as_array() if isinstance(x, State) else np.asarray(x, float)
     if not np.all(np.isfinite(y)):
         raise DomainError("vector field evaluated at a non-finite state")
-    dS, dV1, dI1, dI2 = field_components(p, inc1, inc2, y[0], y[1], y[2], y[3])
-    if y.shape[0] == 5:
-        dR = p.gamma1 * y[2] + p.gamma2 * y[3] - p.mu * y[4]
-        return np.array([dS, dV1, dI1, dI2, dR], float)
-    return np.array([dS, dV1, dI1, dI2], float)
+    return np.array(_checked_field(p, inc1, inc2)(0.0, y), float)
 
 
 def field_norms(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, states: np.ndarray) -> np.ndarray:
     """Max-norm of the 4-D field along rows of an (n, 4+) state matrix."""
-    S, V1, I1, I2 = (states[:, j] for j in range(4))
-    parts = field_components(p, inc1, inc2, S, V1, I1, I2)
+    parts = _checked_field(p, inc1, inc2)(0.0, states[:, :4].T)
     return np.max(np.abs(np.column_stack(parts)), axis=1)
 
 
-def residual(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> float:
-    """Max-norm of the 4-D field at a point; the equilibrium certificate."""
+def residual(
+    p: ModelParams, inc1: Optional[IncidenceSpec], inc2: Optional[IncidenceSpec], x: StateLike
+) -> float:
+    """Max-norm of the 4-D field at a point; the equilibrium certificate.
+    A strain given as None has F = 0, so an equilibrium without it can be
+    certified without its incidence."""
     y = x.as_array() if isinstance(x, State) else np.asarray(x, float)
-    parts = field_components(p, inc1, inc2, y[0], y[1], y[2], y[3])
+    parts = _checked_field(p, inc1, inc2)(0.0, y[:4])
     return float(max(abs(v) for v in parts))
 
 

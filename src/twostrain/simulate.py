@@ -16,18 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from math import isfinite  # used by the generated stage code
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .incidence import IncidenceSpec
-from .model import (
-    ModelParams,
-    State,
-    field_norms as _field_norms,
-    require_certified,
-)
+from .model import ModelParams, State, bound_field, field_norms, require_certified
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980, J. Comput. Appl. Math.
 # 6). The 7th stage is taken at the 5th-order solution (its A row equals the
@@ -96,14 +92,16 @@ class IntegratorStats:
 
 @dataclass
 class Trajectory:
-    """Recorded solution samples plus events observed along the way."""
+    """Recorded solution samples plus events observed along the way.
+    ``model`` is the (p, inc1, inc2) that ``integrate`` ran, from which
+    ``detect_convergence`` evaluates the field."""
 
     times: np.ndarray
     states: np.ndarray
-    field_norms: np.ndarray
     events: List[TrajectoryEvent]
     tracks_recovered: bool = False
     stats: Optional[IntegratorStats] = field(default=None, compare=False)
+    model: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @property
     def final_state(self) -> State:
@@ -153,13 +151,10 @@ def adaptive_rk45(
     n = len(y0)
 
     def fun(t, y):
-        try:
-            f = np.array(rhs(t, np.array(y)), float, ndmin=1).tolist()
-        except (ArithmeticError, DomainError):
-            return None
+        f = np.array(rhs(t, np.array(y)), float, ndmin=1).tolist()
         if len(f) != n:
             raise ValueError("rhs returned %d components for a state of %d" % (len(f), n))
-        return f if all(map(math.isfinite, f)) else None
+        return f
 
     return _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative)
 
@@ -168,7 +163,7 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
     """The stepper behind ``adaptive_rk45`` and ``integrate``, on Python floats.
 
     ``fun(t, y)`` takes the state as a tuple of floats and returns the
-    derivative as a sequence of floats, or None when the stage fails.
+    derivative as a sequence of floats; a stage fails as ``_STAGE`` says.
     States, stages and the FSAL derivative are never written in place, so a
     rejected trial leaves f(t, y) as the first stage of the retry. Each
     trial step is one call to ``_kernel(len(y0))``.
@@ -199,7 +194,7 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
             states.append(y)
             sample_ptr += 1
 
-    f = fun(t, y)
+    f = _stage(fun, t, y)
     if f is None:
         raise IntegrationError("right-hand side failed at the initial state", t, np.array(y))
     h = _initial_step(fun, y, f, t_end, rtol, atol, max_step)
@@ -253,7 +248,7 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
                 clamps += 1
                 evals += 1
                 y_new = tuple(0.0 if v < 0.0 else v for v in y_new)
-                f_new = fun(t_new, y_new)
+                f_new = _stage(fun, t_new, y_new)
                 if f_new is None:
                     raise IntegrationError(
                         "right-hand side failed after clamping at t = %g" % t_new,
@@ -296,6 +291,42 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
 _B_STAGES = (0, 2, 3, 4, 5)
 _E_STAGES = (0, 2, 3, 4, 5, 6)
 
+# One stage, k = fun(t, y), as indented source: the stage fails when fun
+# raises an arithmetic or domain error or a component is not finite. The
+# elementwise test runs only when the sum is not finite, which an
+# overflowing sum of finite parts can also be. Each kernel writes it in per
+# stage; ``_stage`` is it on its own, for the calls outside a trial step.
+_STAGE = """\
+    try:
+        k = fun({t}, {y})
+    except (ArithmeticError, DomainError):
+        return {fail}
+    if not (isfinite(sum(k)) or all(map(isfinite, k))):
+        return {fail}"""
+
+
+def _compiled(name: str, lines: list, filename: str):
+    """The function ``name`` defined by the source ``lines``, compiled in
+    this module's namespace, with the text as its ``source``."""
+    source = "\n".join(lines) + "\n"
+    namespace = {}
+    exec(compile(source, filename, "exec"), globals(), namespace)
+    fn = namespace[name]
+    fn.source = source
+    return fn
+
+
+_stage = _compiled(
+    "_stage",
+    [
+        "def _stage(fun, t, y):",
+        '    """fun(t, y), or None when the stage fails."""',
+        _STAGE.format(t="t", y="y", fail=None),
+        "    return k",
+    ],
+    "<stage>",
+)
+
 
 @functools.lru_cache(maxsize=None)
 def _kernel(n: int):
@@ -304,8 +335,8 @@ def _kernel(n: int):
     ``kernel(fun, t, y, k0, h, atol, rtol)`` makes one trial step of size h
     from (t, y), with k0 = f(t, y). It returns (y_new, k6, acc): the
     5th-order solution, k6 = f(t + h, y_new) and the sum of squares of the
-    scaled error components. When a stage fails it returns instead the
-    number of right-hand-side evaluations made (an int).
+    scaled error components. When a stage fails (see ``_STAGE``) it returns
+    instead the number of right-hand-side evaluations made (an int).
 
     The source is generated from the tableau names with every component
     written out. y and each stage output are unpacked into locals (``y_i``
@@ -325,28 +356,21 @@ def _kernel(n: int):
     def weighted(weights):
         return " + ".join("%s * k%d_{i}" % (w, s) for s, w in weights)
 
+    def stage(s, t, y):
+        return [_STAGE.format(t=t, y=y, fail=s), "    %s = k" % listed("k%d_{i}" % s)]
+
     lines = [
         "def _dp5_kernel_%d(fun, t, y, k0, h, atol, rtol):" % n,
         "    %s = y" % listed("y_{i}"),
         "    %s = k0" % listed("k0_{i}"),
     ]
     for s in range(1, 6):
-        stage = listed("y_{i} + h * (%s)" % weighted((j, "_A%d%d" % (s, j)) for j in range(s)))
-        lines += [
-            "    k = fun(%s, (%s))" % ("t + _C%d * h" % s if s < 5 else "t + h", stage),
-            "    if k is None:",
-            "        return %d" % s,
-            "    %s = k" % listed("k%d_{i}" % s),
-        ]
+        inputs = listed("y_{i} + h * (%s)" % weighted((j, "_A%d%d" % (s, j)) for j in range(s)))
+        lines += stage(s, "t + _C%d * h" % s if s < 5 else "t + h", "(%s)" % inputs)
     z = "    z_{i} = y_{i} + h * (%s)" % weighted((j, "_B%d" % j) for j in _B_STAGES)
     lines += [z.format(i=i) for i in range(n)]
-    lines += [
-        "    y_new = (%s)" % listed("z_{i}"),
-        "    k = fun(t + h, y_new)",
-        "    if k is None:",
-        "        return 6",
-        "    %s = k" % listed("k6_{i}"),
-    ]
+    lines.append("    y_new = (%s)" % listed("z_{i}"))
+    lines += stage(6, "t + h", "y_new")
     e = "    e_{i} = h * (%s) / (atol + rtol * (w if w > u else u))" % weighted(
         (j, "_E%d" % j) for j in _E_STAGES
     )
@@ -357,12 +381,7 @@ def _kernel(n: int):
     lines.append("    acc = e_0 * e_0")
     lines += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
     lines.append("    return y_new, k, acc")
-    source = "\n".join(lines) + "\n"
-    namespace = {}
-    exec(compile(source, "<dp5 kernel, n = %d>" % n, "exec"), globals(), namespace)
-    kernel = namespace["_dp5_kernel_%d" % n]
-    kernel.source = source
-    return kernel
+    return _compiled("_dp5_kernel_%d" % n, lines, "<dp5 kernel, n = %d>" % n)
 
 
 def _initial_step(fun, y0, f0, t_end, rtol, atol, max_step):
@@ -372,7 +391,7 @@ def _initial_step(fun, y0, f0, t_end, rtol, atol, max_step):
     d0 = math.sqrt(sum((a / s) ** 2 for a, s in zip(y0, scale)) / n)
     d1 = math.sqrt(sum((b / s) ** 2 for b, s in zip(f0, scale)) / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = fun(h0, [a + h0 * b for a, b in zip(y0, f0)])
+    f1 = _stage(fun, h0, [a + h0 * b for a, b in zip(y0, f0)])
     if f1 is None:
         return min(h0 * 1e-3, max_step, t_end)
     d2 = math.sqrt(sum(((c - b) / s) ** 2 for b, c, s in zip(f0, f1, scale)) / n) / h0
@@ -421,7 +440,7 @@ def integrate(
     track_r = y0.shape[0] == 5
 
     raw = _dp5(
-        _field_closure(p, inc1, inc2, track_r),
+        bound_field(p, inc1.scalar_rate(), inc2.scalar_rate()),
         y0.tolist(),
         opts.t_end,
         opts.rtol,
@@ -431,15 +450,13 @@ def integrate(
     )
 
     events: List[TrajectoryEvent] = []
-    S0, V10 = p.susceptible_cap, p.vaccinated_cap
-    inside = (raw.states[:, 0] <= S0) & (raw.states[:, 1] <= V10)
-    hits = np.nonzero(inside)[0]
-    if hits.size:
+    i0 = _omega1_entry(raw.states, p)
+    if i0 is not None:
         events.append(
             TrajectoryEvent(
-                float(raw.times[hits[0]]),
+                float(raw.times[i0]),
                 "entered_omega1",
-                "S <= %.6g and V1 <= %.6g" % (S0, V10),
+                "S <= %.6g and V1 <= %.6g" % (p.susceptible_cap, p.vaccinated_cap),
             )
         )
     if raw.negative_abort is not None:
@@ -456,56 +473,17 @@ def integrate(
     return Trajectory(
         times=raw.times,
         states=raw.states,
-        field_norms=_field_norms(p, inc1, inc2, raw.states),
         events=events,
         tracks_recovered=track_r,
         stats=raw.stats,
+        model=(p, inc1, inc2),
     )
 
 
-def _field_closure(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, track_r: bool):
-    """The model's field for the stepper: floats in, a tuple of floats out, or
-    None when a rate raises or a component is not finite. Each built-in rate
-    is bound once and runs unchecked, so finiteness is checked once per stage
-    output; the elementwise test runs only when the sum is not finite, which
-    an overflowing sum of finite parts can also be."""
-    rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
-    Lam, lam, mu, r, k = p.Lambda, p.lam, p.mu, p.r, p.k
-    a1, a2, g1, g2 = p.alpha1, p.alpha2, p.gamma1, p.gamma2
-    isfinite = math.isfinite
-
-    def field4(t, y):
-        S, V1, I1, I2 = y
-        try:
-            F1 = rate1(S, I1)
-            F2 = rate2(S, I2)
-        except (ArithmeticError, DomainError):
-            return None
-        dx = (
-            Lam - F1 - F2 - lam * S,
-            r * S - (mu + k * I2) * V1,
-            F1 - a1 * I1,
-            F2 + k * I2 * V1 - a2 * I2,
-        )
-        return dx if isfinite(sum(dx)) or all(map(isfinite, dx)) else None
-
-    def field5(t, y):
-        S, V1, I1, I2, R = y
-        try:
-            F1 = rate1(S, I1)
-            F2 = rate2(S, I2)
-        except (ArithmeticError, DomainError):
-            return None
-        dx = (
-            Lam - F1 - F2 - lam * S,
-            r * S - (mu + k * I2) * V1,
-            F1 - a1 * I1,
-            F2 + k * I2 * V1 - a2 * I2,
-            g1 * I1 + g2 * I2 - mu * R,
-        )
-        return dx if isfinite(sum(dx)) or all(map(isfinite, dx)) else None
-
-    return field5 if track_r else field4
+def _omega1_entry(states: np.ndarray, p: ModelParams) -> Optional[int]:
+    """Index of the first state in the box {S <= S0, V1 <= V10}, or None."""
+    hits = np.nonzero((states[:, 0] <= p.susceptible_cap) & (states[:, 1] <= p.vaccinated_cap))[0]
+    return int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)
@@ -556,9 +534,8 @@ def monitor_invariance(traj: Trajectory, p: ModelParams) -> InvarianceReport:
     S0, V10 = p.susceptible_cap, p.vaccinated_cap
     entered_omega1_at = None
     first_omega1_violation = None
-    inside1 = np.nonzero((traj.states[:, 0] <= S0) & (traj.states[:, 1] <= V10))[0]
-    if inside1.size:
-        i0 = inside1[0]
+    i0 = _omega1_entry(traj.states, p)
+    if i0 is not None:
         entered_omega1_at = float(traj.times[i0])
         S_bad = traj.states[i0:, 0] > S0 * (1.0 + 1e-6)
         V_bad = traj.states[i0:, 1] > V10 * (1.0 + 1e-6)
@@ -586,9 +563,10 @@ def detect_convergence(
 ) -> Optional[TrajectoryEvent]:
     """Declare convergence to the nearest certified equilibrium, if any.
 
-    Requires the vector-field norm to stay below convergence_tol over the
-    whole tail window and the final state to sit within relative 1e-3 of a
-    candidate. On success the event is appended to the trajectory and
+    Requires the vector-field norm, evaluated at the stored states of the
+    tail window of a trajectory from ``integrate``, to stay below
+    convergence_tol there, and the final state to sit within relative 1e-3
+    of a candidate. On success the event is appended to the trajectory and
     returned.
     """
     opts = opts or IntegratorOptions()
@@ -596,9 +574,11 @@ def detect_convergence(
         return None
     for c in candidates:
         require_certified(c)
+    if traj.model is None:
+        raise ValueError("convergence needs the model of a trajectory from integrate")
     t_last = float(traj.times[-1])
     tail = traj.times >= t_last - opts.tail_window
-    if not np.all(traj.field_norms[tail] < opts.convergence_tol):
+    if not np.all(field_norms(*traj.model, traj.states[tail]) < opts.convergence_tol):
         return None
     final = traj.states[-1, :4]
     best = None

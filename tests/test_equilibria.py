@@ -529,9 +529,9 @@ class TestBatch:
         assert len(eqs.all) == 4
         assert sorted(callers) == sorted(
             ["strain1_threshold", "strain2_threshold"]  # R1, R2
-            + ["_strain1", "_strain2", "_strain2"]  # E1 certificate, E2 certificate and note
+            + ["_strain2"]  # E2 note
             + ["invasion_numbers"] * 2
-            + ["field_components"] * 4  # E3 and E0 certificates
+            + ["field"] * 8  # both rates in each of the E1, E2, E3 and E0 certificates
         )
 
     def test_memory_stays_within_one_block(self):

@@ -8,6 +8,7 @@ from twostrain.model import (
     ModelParams,
     State,
     Thresholds,
+    bound_field,
     invasion_numbers,
     jacobian,
     require_certified,
@@ -107,6 +108,33 @@ class TestVectorField:
             )
             got = vector_field(p, inc1, inc2, np.array([S, V1, I1, I2]))
             assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
+
+            # the one definition of the field, on rows of an (n, 5) state
+            # matrix, with and without R, and on Python floats: each row is
+            # bit for bit its own scalar evaluation of the formulas
+            X = rng.uniform(0.1, p.population_cap / 4.0, (6, 5))
+            field = bound_field(p, inc1.rate, inc2.rate)
+            rows5 = np.column_stack(field(0.0, X.T))
+            rows4 = np.column_stack(field(0.0, X[:, :4].T))
+            for x, row5, row4 in zip(X, rows5, rows4):
+                S, V1, I1, I2, R = x
+                F1 = inc1.rate(S, I1)
+                F2 = inc2.rate(S, I2)
+                expected = np.array(
+                    [
+                        p.Lambda - F1 - F2 - p.lam * S,
+                        p.r * S - (p.mu + p.k * I2) * V1,
+                        F1 - p.alpha1 * I1,
+                        F2 + p.k * I2 * V1 - p.alpha2 * I2,
+                        p.gamma1 * I1 + p.gamma2 * I2 - p.mu * R,
+                    ]
+                )
+                assert row5.tobytes() == expected.tobytes()
+                assert row4.tobytes() == expected[:4].tobytes()
+                assert vector_field(p, inc1, inc2, x).tobytes() == expected.tobytes()
+                scalar = field(0.0, tuple(x.tolist()))
+                assert type(scalar) is tuple and len(scalar) == 5
+                assert np.array(scalar).tobytes() == expected.tobytes()
 
     def test_recovered_component_tracked(self):
         p, inc1, inc2 = example_61()

@@ -26,7 +26,7 @@ from twostrain.equilibria import (
 )
 from twostrain.errors import DomainError, IntegrationError, PreconditionError
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import ModelParams, State, jacobian, vector_field
+from twostrain.model import ModelParams, State, field_norms, jacobian, vector_field
 from twostrain.simulate import (
     IntegratorOptions,
     Trajectory,
@@ -275,7 +275,7 @@ class TestMonitorInvariance:
                 [12000.0, 900.0, 10.0, 10.0],  # N pops back above Lambda/mu
             ]
         )
-        traj = Trajectory(times, states, np.zeros(3), [], False)
+        traj = Trajectory(times, states, [], False)
         report = monitor_invariance(traj, p)
         assert not report.ok
         assert report.first_omega_violation is not None
@@ -286,7 +286,7 @@ class TestMonitorInvariance:
 
     def test_empty_trajectory_rejected(self):
         p, _, _ = setup_low_transmission()
-        traj = Trajectory(np.array([]), np.empty((0, 4)), np.array([]), [], False)
+        traj = Trajectory(np.array([]), np.empty((0, 4)), [], False)
         with pytest.raises(ValueError):
             monitor_invariance(traj, p)
 
@@ -313,6 +313,12 @@ class TestDetectConvergence:
         p, inc1, inc2 = setup_low_transmission()
         traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0))
         assert detect_convergence(traj, []) is None
+
+    def test_trajectory_without_a_model_rejected(self):
+        p, inc1, inc2 = setup_low_transmission()
+        traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0))
+        with pytest.raises(ValueError, match="model"):
+            detect_convergence(dataclasses.replace(traj, model=None), [disease_free(p, inc1, inc2)])
 
     def test_uncertified_candidate_rejected(self):
         p, inc1, inc2 = setup_low_transmission()
@@ -386,6 +392,19 @@ class TestLeanStepper:
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         # the same built-in rates, called through the checked custom path
         checked1, checked2 = IncidenceSpec.custom(inc1.rate), IncidenceSpec.custom(inc2.rate)
+
+        # once strain 1 dies out in 6.1, stage inputs probe I1 < 0, where
+        # these strain-1 rates raise DomainError or return NaN; both paths
+        # must reject the same stages
+        def raises_below_zero(S, I):
+            if np.any(np.asarray(I) < 0.0):
+                raise DomainError("negative infectives")
+            return inc1.rate(S, I)
+
+        def nan_below_zero(S, I):
+            return np.where(np.asarray(I) < 0.0, np.nan, inc1.rate(S, I))
+
+        failing = [IncidenceSpec.custom(raises_below_zero), IncidenceSpec.custom(nan_below_zero)]
         start = sc.initial.as_array()
         for y0 in (start, np.append(start, 25.0)):
             for samples in (None, tuple(np.linspace(0.0, 1000.0, 41))):
@@ -398,9 +417,21 @@ class TestLeanStepper:
                 ref = integrate(p, checked1, checked2, y0, opts)
                 assert same_bits(traj.times, ref.times)
                 assert same_bits(traj.states, ref.states)
-                assert same_bits(traj.field_norms, ref.field_norms)
+                assert same_bits(field_norms(*traj.model, traj.states), field_norms(*ref.model, ref.states))
                 assert traj.events == ref.events and traj.events
                 assert traj.tracks_recovered == (len(y0) == 5)
+                if example_id == "6.1":
+                    runs = [
+                        run(p, custom, inc2, y0, opts)
+                        for custom in failing
+                        for run in (integrate, checked_run)
+                    ]
+                    # the NaN rate fails the very stages the raising one does
+                    for other in runs[1:]:
+                        assert same_bits(other.times, runs[0].times)
+                        assert same_bits(other.states, runs[0].states)
+                        assert other.stats == runs[0].stats
+                    assert runs[0].stats.rejected_steps > traj.stats.rejected_steps + 10
 
     def test_stats_count_every_right_hand_side_call(self):
         totals = dict(clamps=0, negative_retries=0, rejected_steps=0)
@@ -512,12 +543,8 @@ class TestLeanStepper:
         assert traj.stats.rejected_steps > base.stats.rejected_steps
         assert traj.times[-1] == sc.integrator.t_end
         assert np.all(traj.states >= 0.0)
-        # numpy scalars in the stepper and arrays in field_norms, never a
-        # non-finite input
-        assert {kind[:2] for kind in seen} == {
-            (np.float64, np.float64),
-            (np.ndarray, np.ndarray),
-        }
+        # numpy scalars in the stepper, never a non-finite input
+        assert {kind[:2] for kind in seen} == {(np.float64, np.float64)}
         assert all(kind[2] for kind in seen)
         # a non-finite input stops at the checked boundary
         n_seen = len(seen)
@@ -554,7 +581,7 @@ class TestStepKernel:
         sc = build_scenario("6.4")
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         kernel = simulate._kernel(4).__code__
-        field = simulate._field_closure(p, inc1, inc2, False).__code__
+        field = simulate.bound_field(p, None, None).__code__
         dp5 = simulate._dp5.__code__
 
         def counted_run(t_end):
@@ -734,15 +761,15 @@ class TestTableauOracle:
         assert read_back >= 20
 
     def test_integrate_tracking_the_recovered_class(self, monkeypatch):
-        # 5 components, through integrate's own field closure
+        # 5 components, through integrate's own field
         sc = build_scenario("6.4")
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         t_end = 300.0
         calls = []
-        closure = simulate._field_closure
+        bind = simulate.bound_field
 
-        def recording_closure(*args):
-            field = closure(*args)
+        def recording_field(*args):
+            field = bind(*args)
 
             def recorded(t, y):
                 calls.append((t, np.array(y)))
@@ -750,7 +777,7 @@ class TestTableauOracle:
 
             return recorded
 
-        monkeypatch.setattr(simulate, "_field_closure", recording_closure)
+        monkeypatch.setattr(simulate, "bound_field", recording_field)
         opts = IntegratorOptions(rtol=self.RTOL, atol=self.ATOL, t_end=t_end)
         traj = integrate(p, inc1, inc2, np.append(sc.initial.as_array(), 25.0), opts)
         assert traj.tracks_recovered and traj.states.shape[1] == 5
