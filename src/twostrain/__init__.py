@@ -89,6 +89,7 @@ from .stability import (
     GridScanSummary,
     StabilityReport,
     Verdict,
+    classify,
     classify_coexistence,
     classify_disease_free,
     classify_strain1,

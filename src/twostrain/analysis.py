@@ -20,13 +20,11 @@ from .model import Thresholds, thresholds
 from .scenario import Scenario
 from .simulate import Trajectory, integrate
 from .stability import (
+    KINDS,
     GridScanSummary,
     StabilityReport,
     Verdict,
-    classify_coexistence,
-    classify_disease_free,
-    classify_strain1,
-    classify_strain2,
+    classify,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
 )
@@ -34,6 +32,8 @@ from .stability import (
 
 @dataclass
 class AnalysisReport:
+    """``stability[i]`` is the report of ``equilibria[i]``."""
+
     scenario: Scenario
     thresholds: Thresholds
     equilibria: Tuple[Equilibrium, ...]
@@ -58,6 +58,8 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     e2 = eqs.E2[0] if eqs.E2 else None
     e3 = eqs.E3[0] if eqs.E3 else None
     notes: List[str] = []
+    if eqs.E1 is not None and eqs.E1.multiplicity_note:
+        notes.append(eqs.E1.multiplicity_note)
     if len(eqs.E2) > 1:
         notes.append(
             "strain-2 balance has %d roots; invasion threshold reported at the smallest"
@@ -71,11 +73,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     if eqs.coexistence_error:
         notes.append("coexistence solve failed: %s" % eqs.coexistence_error)
 
-    stability: List[StabilityReport] = [classify_disease_free(p, inc1, inc2)]
-    if eqs.E1 is not None:
-        stability.append(classify_strain1(p, inc1, inc2, eqs.E1))
-    stability.extend(classify_strain2(p, inc1, inc2, root) for root in eqs.E2)
-    stability.extend(classify_coexistence(p, inc1, inc2, root) for root in eqs.E3)
+    stability = tuple(classify(p, inc1, inc2, eq) for eq in eqs.all)
 
     global_checks: List[Tuple[str, GridScanSummary]] = []
     traj = None
@@ -91,12 +89,12 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
             summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[1:, :4])
             global_checks.append(("coexistence_tail_derivative", summary))
 
-    lines = _verdict_lines(th, eqs.E1, eqs.E2, e3, stability, dict(global_checks))
+    lines = _verdict_lines(th, stability, dict(global_checks))
     return AnalysisReport(
         scenario=sc,
         thresholds=th,
         equilibria=eqs.all,
-        stability=tuple(stability),
+        stability=stability,
         global_checks=tuple(global_checks),
         verdict_lines=tuple(lines),
         notes=tuple(notes),
@@ -106,6 +104,11 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
 def _fmt(x: Optional[float]) -> str:
     return "n/a" if x is None else "%.6g" % x
+
+
+def _first(items, kind: str):
+    """First equilibrium or stability report of ``kind`` in ``items``, or None."""
+    return next((item for item in items if item.kind == kind), None)
 
 
 def _local_verdict(rep: StabilityReport, stable: str, suffix: str = "") -> str:
@@ -124,76 +127,68 @@ def _local_verdict(rep: StabilityReport, stable: str, suffix: str = "") -> str:
 
 def _verdict_lines(
     th: Thresholds,
-    e1: Optional[Equilibrium],
-    e2_roots,
-    e3: Optional[Equilibrium],
-    stability: List[StabilityReport],
+    stability: Tuple[StabilityReport, ...],
     checks: Dict[str, GridScanSummary],
 ) -> List[str]:
-    by_kind: Dict[str, StabilityReport] = {rep.kind: rep for rep in stability}
+    """Verdict lines, each kind read at its first root (smallest I1 or I2)."""
     lines: List[str] = []
-
-    if th.R0 < 1.0:
+    e0 = _first(stability, "E0")
+    if e0.verdict is Verdict.LOCALLY_STABLE:
         lines.append(
             "E0 globally asymptotically stable: R0 = max(R1, R2) = %s < 1" % _fmt(th.R0)
         )
-    else:
+    elif e0.verdict is Verdict.UNSTABLE:
         which = "R1" if th.R1 > 1.0 else "R2"
         lines.append(
             "E0 unstable: %s = %s > 1 gives a positive growth rate" % (which, _fmt(getattr(th, which)))
         )
-
-    if e1 is None:
-        lines.append("E1 absent: R1 = %s <= 1" % _fmt(th.R1))
     else:
-        lines.append(
-            _local_verdict(
-                by_kind["E1"],
-                "R1 = %s > 1, coefficient conditions positive, R2_invasion = %s < 1"
-                % (_fmt(th.R1), _fmt(th.R2_invasion)),
-                " (R2_invasion = %s)" % _fmt(th.R2_invasion),
-            )
-        )
+        lines.append(_local_verdict(e0, ""))
 
-    if not e2_roots:
-        lines.append("E2 absent: R2 = %s <= 1" % _fmt(th.R2))
-    else:
-        lines.append(
-            _local_verdict(
-                by_kind["E2"],
-                "R2 = %s > 1, coefficient conditions positive, R1_invasion = %s < 1"
-                % (_fmt(th.R2), _fmt(th.R1_invasion)),
-                " (R1_invasion = %s)" % _fmt(th.R1_invasion),
+    for name in ("E1", "E2"):
+        kind, rep = KINDS[name], _first(stability, name)
+        R, invasion = _fmt(getattr(th, kind.threshold)), _fmt(getattr(th, kind.invasion))
+        if rep is None:
+            lines.append("%s absent: %s = %s <= 1" % (name, kind.threshold, R))
+        else:
+            lines.append(
+                _local_verdict(
+                    rep,
+                    "%s = %s > 1, coefficient conditions positive, %s = %s < 1"
+                    % (kind.threshold, R, kind.invasion, invasion),
+                    " (%s = %s)" % (kind.invasion, invasion),
+                )
             )
-        )
-        scan = checks.get("strain2_lyapunov_scan")
-        if scan is not None:
-            if scan.nonpositive_everywhere:
-                lines.append(
-                    "E2 globally asymptotically stable: R2 = %s > 1, R1 = %s <= 1, and the "
-                    "lyapunov surface is nonpositive on a %d-point grid (max %.3e at S = %s, V1 = %s)"
-                    % (
-                        _fmt(th.R2),
-                        _fmt(th.R1),
-                        scan.n_points,
-                        scan.max_value,
-                        _fmt(scan.argmax[0]),
-                        _fmt(scan.argmax[1]),
-                    )
-                )
-            else:
-                lines.append(
-                    "E2 global condition fails: lyapunov surface reaches %.3e > 0 at S = %s, V1 = %s"
-                    % (scan.max_value, _fmt(scan.argmax[0]), _fmt(scan.argmax[1]))
-                )
 
-    if e3 is None:
+    # analyze runs it only where E2 exists
+    scan = checks.get("strain2_lyapunov_scan")
+    if scan is not None:
+        if scan.nonpositive_everywhere:
+            lines.append(
+                "E2 globally asymptotically stable: R2 = %s > 1, R1 = %s <= 1, and the "
+                "lyapunov surface is nonpositive on a %d-point grid (max %.3e at S = %s, V1 = %s)"
+                % (
+                    _fmt(th.R2),
+                    _fmt(th.R1),
+                    scan.n_points,
+                    scan.max_value,
+                    _fmt(scan.argmax[0]),
+                    _fmt(scan.argmax[1]),
+                )
+            )
+        else:
+            lines.append(
+                "E2 global condition fails: lyapunov surface reaches %.3e > 0 at S = %s, V1 = %s"
+                % (scan.max_value, _fmt(scan.argmax[0]), _fmt(scan.argmax[1]))
+            )
+
+    rep = _first(stability, "E3")
+    if rep is None:
         lines.append(
             "E3 absent or not found: requires R2_invasion = %s > 1 and R1_invasion = %s > 1"
             % (_fmt(th.R2_invasion), _fmt(th.R1_invasion))
         )
     else:
-        rep = by_kind["E3"]
         c = rep.coefficients
         lines.append(
             _local_verdict(
@@ -264,8 +259,7 @@ def render_report(report: AnalysisReport) -> str:
     out.append("R1_invasion = %s" % _fmt(th.R1_invasion))
     out.append("")
     out.append("== equilibria ==")
-    by_kind = {rep.kind: rep for rep in report.stability}
-    for eq in report.equilibria:
+    for eq, rep in zip(report.equilibria, report.stability):
         pt = eq.point
         out.append(
             "%s: S=%.10g V1=%.10g I1=%.10g I2=%.10g  (residual %.3e)"
@@ -278,18 +272,16 @@ def render_report(report: AnalysisReport) -> str:
             )
         if eq.multiplicity_note:
             out.append("    note: %s" % eq.multiplicity_note)
-        rep = by_kind.get(eq.kind)
-        if rep is not None:
-            out.append(
-                "    local verdict: %s (eigensolver cross-check: %s)"
-                % (rep.verdict.value, rep.eigen_verdict.value)
-            )
-            eigs = ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in rep.eigenvalues)
-            out.append("    eigenvalues: %s" % eigs)
-            for name, ok in rep.conditions.items():
-                out.append("    condition %s: %s" % (name, "yes" if ok else "NO"))
-            for note in rep.notes:
-                out.append("    note: %s" % note)
+        out.append(
+            "    local verdict: %s (eigensolver cross-check: %s)"
+            % (rep.verdict.value, rep.eigen_verdict.value)
+        )
+        eigs = ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in rep.eigenvalues)
+        out.append("    eigenvalues: %s" % eigs)
+        for name, ok in rep.conditions.items():
+            out.append("    condition %s: %s" % (name, "yes" if ok else "NO"))
+        for note in rep.notes:
+            out.append("    note: %s" % note)
     out.append("")
     if report.global_checks:
         out.append("== global checks ==")
@@ -338,6 +330,10 @@ def apply_sweep_value(sc: Scenario, key: str, value: float) -> Scenario:
     return dataclasses.replace(sc, **{section: new_inc})
 
 
+#: the keys of ``SweepRow.exists`` and ``SweepRow.verdicts``, in order
+ALL_KINDS = ("E0", *KINDS)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     value: float
@@ -373,32 +369,37 @@ def sweep(
     values = np.linspace(start, stop, n).tolist()
     scenarios = [apply_sweep_value(sc, key, value) for value in values]
     cases = [(sci.params, sci.incidence1, sci.incidence2) for sci in scenarios]
-    absent = {"E1": "absent", "E2": "absent", "E3": "absent"}
     if not classify:
         cols = _Rows.of(cases)
         th = thresholds(cols, cols.f1, cols.f2)
         return [
             SweepRow(value, R1, R2, R0, None, None,
-                     {"E0": True, "E1": False, "E2": False, "E3": False}, {"E0": "", **absent})
+                     {"E0": True, **dict.fromkeys(KINDS, False)},
+                     {"E0": "", **dict.fromkeys(KINDS, "absent")})
             for value, R1, R2, R0 in zip(values, *(x[:, 0].tolist() for x in (th.R1, th.R2, th.R0)))
         ]
     rows: List[SweepRow] = []
-    for value, (p, inc1, inc2), eqs in zip(values, cases, solve_batch(cases)):
+    for value, case, eqs in zip(values, cases, solve_batch(cases)):
         th = eqs.thresholds
-        exists = {"E0": True, "E1": eqs.E1 is not None, "E2": bool(eqs.E2), "E3": bool(eqs.E3)}
-        verdicts = {"E0": classify_disease_free(p, inc1, inc2).verdict.value, **absent}
-        if eqs.E1 is not None:
-            verdicts["E1"] = classify_strain1(p, inc1, inc2, eqs.E1).verdict.value
-        if eqs.E2:
-            verdicts["E2"] = classify_strain2(p, inc1, inc2, eqs.E2[0]).verdict.value
-        if eqs.E3:
-            verdicts["E3"] = classify_coexistence(p, inc1, inc2, eqs.E3[0]).verdict.value
-        elif eqs.coexistence_error:
-            verdicts["E3"] = "solve failed"
         rows.append(
-            SweepRow(value, th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion, exists, verdicts)
+            SweepRow(value, th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion, *_classified(case, eqs))
         )
     return rows
+
+
+def _classified(case, eqs) -> Tuple[Dict[str, bool], Dict[str, str]]:
+    """A sweep row's (exists, verdicts): each kind's first root classified,
+    "absent" without one and "solve failed" for a failed E3 solve."""
+    first: Dict[str, Equilibrium] = {}
+    for eq in eqs.all:
+        first.setdefault(eq.kind, eq)
+    verdicts = {
+        kind: classify(*case, first[kind]).verdict.value if kind in first else "absent"
+        for kind in ALL_KINDS
+    }
+    if eqs.coexistence_error:
+        verdicts["E3"] = "solve failed"
+    return {kind: kind in first for kind in ALL_KINDS}, verdicts
 
 
 def turning_point(xs, ys) -> Optional[Tuple[int, float]]:

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .analysis import AnalysisReport, analyze
+from .analysis import AnalysisReport, _first, analyze
 from .errors import ConfigError
 from .incidence import IncidenceSpec
 from .model import ModelParams
@@ -115,11 +115,6 @@ def build_scenario(example_id: str) -> Scenario:
         inc1 = IncidenceSpec.saturated_i2(case["beta1"], case["zeta1"])
     inc2 = IncidenceSpec.saturated_s(case["beta2"], case["zeta2"])
     return Scenario(params=params, incidence1=inc1, incidence2=inc2)
-
-
-def _first(items, kind: str):
-    """First equilibrium or stability report of ``kind`` in ``items``, or None."""
-    return next((item for item in items if item.kind == kind), None)
 
 
 def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:

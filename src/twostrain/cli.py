@@ -14,7 +14,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis import _global_check_line, analyze, render_report, sweep
+from .analysis import ALL_KINDS, _global_check_line, analyze, render_report, sweep
 from .benchmarks import EXAMPLE_IDS, render_reproduction, reproduce
 from .equilibria import solve_all
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     SolverError,
 )
 from .scenario import Scenario, load_scenario
-from .simulate import Trajectory, detect_convergence, integrate, monitor_invariance
+from .simulate import detect_convergence, integrate, monitor_invariance
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,47 +54,12 @@ def _write_text(out_dir: str, name: str, text: str) -> str:
     return path
 
 
-def _write_timeseries(out_dir: str, traj: Trajectory) -> str:
-    path = _out_path(out_dir, "timeseries.csv")
-    header = ["t", "S", "V1", "I1", "I2"] + (["R"] if traj.tracks_recovered else [])
+def _write_csv(out_dir: str, name: str, header, rows) -> str:
+    path = _out_path(out_dir, name)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t, row in zip(traj.times, traj.states):
-            writer.writerow([repr(float(t))] + [repr(float(v)) for v in row])
-    return path
-
-
-def _write_surface(out_dir: str, S_values, V1_values, surface) -> str:
-    path = _out_path(out_dir, "surface.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["S", "V1", "phi"])
-        for i, s in enumerate(S_values):
-            for j, v in enumerate(V1_values):
-                writer.writerow([repr(float(s)), repr(float(v)), repr(float(surface[i, j]))])
-    return path
-
-
-def _write_sweep(out_dir: str, rows) -> str:
-    path = _out_path(out_dir, "sweep.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "value", "R1", "R2", "R0", "R2_invasion", "R1_invasion",
-                "E0_exists", "E1_exists", "E2_exists", "E3_exists",
-                "E0_verdict", "E1_verdict", "E2_verdict", "E3_verdict",
-            ]
-        )
-        for row in rows:
-            writer.writerow(
-                [repr(row.value), repr(row.R1), repr(row.R2), repr(row.R0)]
-                + ["" if row.R2_invasion is None else repr(row.R2_invasion)]
-                + ["" if row.R1_invasion is None else repr(row.R1_invasion)]
-                + [int(row.exists[k]) for k in ("E0", "E1", "E2", "E3")]
-                + [row.verdicts[k] for k in ("E0", "E1", "E2", "E3")]
-            )
+        writer.writerows(rows)
     return path
 
 
@@ -141,7 +106,9 @@ def cmd_simulate(args) -> int:
 
     written = []
     if "timeseries" in sc.outputs:
-        written.append(_write_timeseries(args.out, traj))
+        header = ["t", "S", "V1", "I1", "I2"] + (["R"] if traj.tracks_recovered else [])
+        rows = ([repr(float(v)) for v in (t, *y)] for t, y in zip(traj.times, traj.states))
+        written.append(_write_csv(args.out, "timeseries.csv", header, rows))
     if "report" in sc.outputs:
         written.append(_write_text(args.out, "report.txt", text))
     if args.format == "report":
@@ -154,7 +121,15 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     sc = _load(args)
     rows = sweep(sc, args.key, args.start, args.to, args.n)
-    path = _write_sweep(args.out, rows)
+    numbers = ("value", "R1", "R2", "R0", "R2_invasion", "R1_invasion")
+    header = [*numbers, *("%s_exists" % k for k in ALL_KINDS), *("%s_verdict" % k for k in ALL_KINDS)]
+    cells = (
+        ["" if getattr(row, n) is None else repr(getattr(row, n)) for n in numbers]
+        + [int(row.exists[k]) for k in ALL_KINDS]
+        + [row.verdicts[k] for k in ALL_KINDS]
+        for row in rows
+    )
+    path = _write_csv(args.out, "sweep.csv", header, cells)
     if args.format == "report":
         first, last = rows[0], rows[-1]
         print(
@@ -174,7 +149,13 @@ def cmd_check_global(args) -> int:
     written = []
     checks = dict(report.global_checks)
     if "strain2_lyapunov_scan" in checks:
-        written.append(_write_surface(args.out, *checks["strain2_lyapunov_scan"].grid))
+        S_values, V1_values, surface = checks["strain2_lyapunov_scan"].grid
+        rows = (
+            [repr(float(x)) for x in (s, v, surface[i, j])]
+            for i, s in enumerate(S_values)
+            for j, v in enumerate(V1_values)
+        )
+        written.append(_write_csv(args.out, "surface.csv", ["S", "V1", "phi"], rows))
     for name, summary in report.global_checks:
         print(_global_check_line(name, summary))
     for path in written:

@@ -3,7 +3,7 @@
 Four equilibrium kinds exist:
 
     E0  disease free, closed form
-    E1  strain 1 only, root of a scalar balance G(I1) on (0, Lambda/alpha1]
+    E1  strain 1 only, smallest root of a scalar balance G(I1) on (0, Lambda/alpha1]
     E2  strain 2 only, roots of a scalar balance H(I2) on (0, Lambda/alpha2]
     E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
@@ -200,13 +200,15 @@ def strain1_balance(p: ModelParams, inc1: IncidenceSpec, I1):
 
 
 def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> Optional[Equilibrium]:
-    """Unique strain-1-only equilibrium, present if and only if R1 > 1."""
+    """Strain-1-only equilibrium, present if and only if R1 > 1: the root of
+    smallest I1, whose ``multiplicity_note`` counts the roots when the
+    balance has more than one."""
     _, R1 = strain1_threshold(p, inc1)
     return _strain1(_Rows.of([(p, inc1, None)]), [R1])[0]
 
 
 def _strain1(rows: _Rows, R1s) -> list:
-    """E1 of each block row, None where R1 <= 1."""
+    """E1 (the smallest root) of each block row, None where R1 <= 1."""
     out = [None] * len(R1s)
     for i, roots in _strain_roots(rows, R1s, 1).items():
         (p, inc1, inc2), R1 = rows.block[i], R1s[i]
@@ -215,7 +217,11 @@ def _strain1(rows: _Rows, R1s) -> list:
         point = State(S, p.r * S / p.mu, I1, 0.0)
         res = field_residual(p, inc1, inc2, point)
         condition = ExistenceCondition("R1 > 1", R1, R1 > 1.0)
-        out[i] = _certified(Equilibrium("E1", point, res, (condition,)))
+        note = "" if roots.size == 1 else (
+            "strain-1 balance has %d roots at scan resolution %d; smallest I1 reported"
+            % (roots.size, SCAN_NODES)
+        )
+        out[i] = _certified(Equilibrium("E1", point, res, (condition,), note))
     return out
 
 

@@ -118,6 +118,11 @@ class State:
 StateLike = Union[State, Sequence[float], np.ndarray]
 
 
+def _as_array(x: StateLike) -> np.ndarray:
+    """A State or a length-4/5 vector as a float array."""
+    return x.as_array() if isinstance(x, State) else np.asarray(x, float)
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Reproduction numbers and the force derivatives they come from.
@@ -182,7 +187,7 @@ def vector_field(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: St
     Accepts a State or a length-4/5 vector; a fifth component is treated as
     the recovered class and its decoupled derivative is appended.
     """
-    y = x.as_array() if isinstance(x, State) else np.asarray(x, float)
+    y = _as_array(x)
     if not np.all(np.isfinite(y)):
         raise DomainError("vector field evaluated at a non-finite state")
     return np.array(_checked_field(p, inc1, inc2)(0.0, y), float)
@@ -200,14 +205,14 @@ def residual(
     """Max-norm of the 4-D field at a point; the equilibrium certificate.
     A strain given as None has F = 0, so an equilibrium without it can be
     certified without its incidence."""
-    y = x.as_array() if isinstance(x, State) else np.asarray(x, float)
+    y = _as_array(x)
     parts = _checked_field(p, inc1, inc2)(0.0, y[:4])
     return float(max(abs(v) for v in parts))
 
 
 def jacobian(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> np.ndarray:
     """4x4 Jacobian of the reduced field, rows and columns ordered (S, V1, I1, I2)."""
-    y = x.as_array() if isinstance(x, State) else np.asarray(x, float)
+    y = _as_array(x)
     if not np.all(np.isfinite(y)):
         raise DomainError("jacobian evaluated at a non-finite state")
     S, V1, I1, I2 = y[0], y[1], y[2], y[3]

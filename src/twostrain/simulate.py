@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .incidence import IncidenceSpec
-from .model import ModelParams, State, bound_field, field_norms, require_certified
+from .model import ModelParams, State, _as_array, bound_field, field_norms, require_certified
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980, J. Comput. Appl. Math.
 # 6). The 7th stage is taken at the 5th-order solution (its A row equals the
@@ -434,7 +434,7 @@ def integrate(
     tolerance failure if a component leaves the nonnegative band.
     """
     opts = opts or IntegratorOptions()
-    y0 = x0.as_array() if isinstance(x0, State) else np.asarray(x0, float)
+    y0 = _as_array(x0)
     if not np.all(np.isfinite(y0)) or np.any(y0 < 0.0):
         raise DomainError("initial state must be finite and componentwise >= 0")
     track_r = y0.shape[0] == 5

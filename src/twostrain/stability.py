@@ -2,12 +2,13 @@
 
 E0 is classified from its closed-form spectrum. E1, E2 and E3 are classified
 by the Routh-Hurwitz sign conditions on the characteristic polynomial of the
-relevant Jacobian block. One generic routine expands det(x*I - M) term by
-term from a Leibniz table built at import; the Hurwitz minors come from the
-same routine run on the leading blocks of the Hurwitz matrix. Every verdict
-is cross-checked against a dense eigensolver. The two routes are kept
-independent on purpose: an error in either one shows up as a
-cross-validation disagreement instead of a silent wrong answer.
+Jacobian block that ``KINDS`` names for each; ``classify`` takes any kind.
+One generic routine expands det(x*I - M) term by term from a Leibniz table
+built at import; the Hurwitz minors come from the same routine run on the
+leading blocks of the Hurwitz matrix. Every verdict is cross-checked against
+a dense eigensolver. The two routes are kept independent on purpose: an
+error in either one shows up as a cross-validation disagreement instead of
+a silent wrong answer.
 
 Verdicts use a dead-band: eigenvalue real parts within 1e-10 of zero, and
 coefficients within 1e-10 of the sum of the absolute values of their
@@ -20,7 +21,7 @@ import enum
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -71,7 +72,6 @@ class StabilityReport:
     verdict: Verdict
     eigen_verdict: Verdict
     notes: tuple = ()
-    global_check: Optional[GridScanSummary] = field(default=None)
 
 
 def eigen_classify(J: np.ndarray) -> tuple:
@@ -206,95 +206,96 @@ def classify_disease_free(
     )
 
 
-#: report names of c1..cn and of the Hurwitz minors D2..D(n-1) of each block
-_COEFFICIENT_NAMES = {
-    "E1": ("a2", "a1", "a0", "a2*a1 - a0"),
-    "E2": ("b2", "b1", "b0", "b2*b1 - b0"),
-    "E3": ("c1", "c2", "c3", "c4", "c1*c2 - c3", "c1*c2*c3 - c3^2 - c1^2*c4"),
+class Kind(NamedTuple):
+    """How one equilibrium kind is classified and reported.
+
+    ``block`` indexes the Jacobian rows and columns whose characteristic
+    polynomial the Routh-Hurwitz test reads; ``names`` are the report names
+    of its coefficients c1..cn and of the Hurwitz minors D2..D(n-1). The row
+    ``decoupled``, outside the block, has eigenvalue
+    ``alpha``*(``invasion`` - 1). The kind exists when ``threshold`` > 1.
+    """
+
+    block: tuple
+    names: tuple
+    threshold: str = ""
+    decoupled: Optional[int] = None
+    invasion: str = ""
+    alpha: str = ""
+
+
+#: every equilibrium kind classified by Routh-Hurwitz; E0 has a closed form
+KINDS = {
+    "E1": Kind((0, 1, 2), ("a2", "a1", "a0", "a2*a1 - a0"), "R1", 3, "R2_invasion", "alpha2"),
+    "E2": Kind((0, 1, 3), ("b2", "b1", "b0", "b2*b1 - b0"), "R2", 2, "R1_invasion", "alpha1"),
+    "E3": Kind(
+        (0, 1, 2, 3), ("c1", "c2", "c3", "c4", "c1*c2 - c3", "c1*c2*c3 - c3^2 - c1^2*c4")
+    ),
 }
 
 
-def _classify(kind: str, J: np.ndarray, block: list, decoupled: dict, notes: tuple = ()) -> StabilityReport:
-    """Routh-Hurwitz classification on the characteristic polynomial of J[block, block].
+def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> StabilityReport:
+    """Local classification of any equilibrium, by its kind.
 
-    The coefficients and Hurwitz minors must all be positive, each tested
-    with its own dead-band scale. ``decoupled`` maps a condition name to the
-    eigenvalue of a row outside the block, which must be negative.
+    E0 goes to ``classify_disease_free``. E1, E2 and E3 must be certified;
+    each is stable when the coefficients and Hurwitz minors of its block's
+    characteristic polynomial (``KINDS``) are all positive, each tested with
+    its own dead-band scale, and the decoupled row's eigenvalue is negative:
+
+    - E1: x^3 + a2*x^2 + a1*x + a0 on (S, V1, I1), and the I2 row with
+      eigenvalue alpha2*(R2_invasion - 1);
+    - E2: x^3 + b2*x^2 + b1*x + b0 on (S, V1, I2), and the I1 row with
+      eigenvalue alpha1*(R1_invasion - 1). When dF2/dI2 > 0 the sign
+      structure of the block is not automatic; the arithmetic is the same
+      either way and a note records the path;
+    - E3: the full quartic x^4 + c1*x^3 + c2*x^2 + c3*x + c4, with the
+      composite conditions c1*c2 - c3 > 0 and c1*c2*c3 - c3^2 - c1^2*c4 > 0.
     """
-    values, scales = _charpoly(J[np.ix_(block, block)].tolist())
+    if eq.kind == "E0":
+        return classify_disease_free(p, inc1, inc2)
+    kind = KINDS[eq.kind]
+    require_certified(eq)
+    pt = eq.point
+    J = jacobian(p, inc1, inc2, pt)
+    notes = []
+    if eq.kind == "E2":
+        dF2_dI2 = float(inc2.d_rate_dI(pt.S, pt.I2))
+        path = (
+            "dF2/dI2 = %.6g > 0 at the equilibrium: explicit coefficient test"
+            if dF2_dI2 > 0.0
+            else "dF2/dI2 = %.6g <= 0 at the equilibrium: sign structure applies"
+        )
+        notes.append(path % dF2_dI2)
+
+    values, scales = _charpoly(J[np.ix_(kind.block, kind.block)].tolist())
     minor_values, minor_scales = _hurwitz_minors(values)
     values += minor_values
     scales += minor_scales
-    names = _COEFFICIENT_NAMES[kind]
     signs = [_sign_banded(v, s) for v, s in zip(values, scales)]
-    conditions = {name + " > 0": v > 0.0 for name, v in zip(names, values)}
-    for name, eigenvalue in decoupled.items():
+    conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
+    if kind.decoupled is not None:
+        eigenvalue = J[kind.decoupled, kind.decoupled]
         signs.append(_sign_banded(-eigenvalue, 1.0))
-        conditions[name] = bool(eigenvalue < 0.0)
+        conditions[kind.invasion + " < 1"] = bool(eigenvalue < 0.0)
+        notes.append(
+            "invasion eigenvalue %s*(%s - 1) = %.6g (%s = %.6g)"
+            % (kind.alpha, kind.invasion, eigenvalue, kind.invasion,
+               eigenvalue / getattr(p, kind.alpha) + 1.0)
+        )
     eigs, eigen_verdict = eigen_classify(J)
     return StabilityReport(
-        kind=kind,
+        kind=eq.kind,
         eigenvalues=eigs,
-        coefficients=dict(zip(names, values)),
+        coefficients=dict(zip(kind.names, values)),
         conditions=conditions,
         verdict=_combine(signs),
         eigen_verdict=eigen_verdict,
-        notes=notes,
+        notes=tuple(notes),
     )
 
 
-def classify_strain1(
-    p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, e1
-) -> StabilityReport:
-    """E1 classification: a decoupled invasion eigenvalue plus a 3x3 block cubic.
-
-    The I2 row decouples with eigenvalue alpha2*(R2_invasion - 1); the
-    remaining (S, V1, I1) block has characteristic cubic
-    x^3 + a2*x^2 + a1*x + a0.
-    """
-    require_certified(e1)
-    J = jacobian(p, inc1, inc2, e1.point)
-    A44 = J[3, 3]  # equals alpha2*(R2_invasion - 1)
-    note = "invasion eigenvalue alpha2*(R2_invasion - 1) = %.6g (R2_invasion = %.6g)"
-    notes = (note % (A44, A44 / p.alpha2 + 1.0),)
-    return _classify("E1", J, [0, 1, 2], {"R2_invasion < 1": A44}, notes)
-
-
-def classify_strain2(
-    p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, e2
-) -> StabilityReport:
-    """E2 classification: decoupled strain-1 eigenvalue plus a 3x3 block cubic.
-
-    The I1 row decouples with eigenvalue alpha1*(R1_invasion - 1). When
-    dF2/dI2 > 0 at the equilibrium the sign structure of the block is not
-    automatic, so the coefficient conditions are tested explicitly; the
-    outcome is the same arithmetic either way and the note records the path.
-    """
-    require_certified(e2)
-    pt = e2.point
-    J = jacobian(p, inc1, inc2, pt)
-    B33 = J[2, 2]  # equals alpha1*(R1_invasion - 1)
-    dF2_dI2 = float(inc2.d_rate_dI(pt.S, pt.I2))
-    path = (
-        "dF2/dI2 = %.6g > 0 at the equilibrium: explicit coefficient test"
-        if dF2_dI2 > 0.0
-        else "dF2/dI2 = %.6g <= 0 at the equilibrium: sign structure applies"
-    )
-    note = "invasion eigenvalue alpha1*(R1_invasion - 1) = %.6g (R1_invasion = %.6g)"
-    notes = (path % dF2_dI2, note % (B33, B33 / p.alpha1 + 1.0))
-    return _classify("E2", J, [0, 1, 3], {"R1_invasion < 1": B33}, notes)
-
-
-def classify_coexistence(
-    p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, e3
-) -> StabilityReport:
-    """E3 classification via the full quartic x^4 + c1 x^3 + c2 x^2 + c3 x + c4.
-
-    Locally stable when c1..c4 > 0 together with the two composite
-    conditions c1*c2 - c3 > 0 and c1*c2*c3 - c3^2 - c1^2*c4 > 0.
-    """
-    require_certified(e3)
-    return _classify("E3", jacobian(p, inc1, inc2, e3.point), [0, 1, 2, 3], {})
+#: the per-kind names of ``classify``
+classify_strain1 = classify_strain2 = classify_coexistence = classify
 
 
 # -- Lyapunov-condition scans -------------------------------------------------
@@ -345,17 +346,11 @@ def strain2_lyapunov_scan(
     p: ModelParams,
     inc2: IncidenceSpec,
     e2,
-    S_range: Optional[tuple] = None,
-    V1_range: Optional[tuple] = None,
     n_grid: int = 200,
 ) -> GridScanSummary:
-    """Scan the E2 surface over log-spaced grids inside the invariant box."""
+    """Scan the E2 surface over the log-spaced grids of ``lyapunov_scan_grid``."""
     require_certified(e2)
     S_values, V1_values = lyapunov_scan_grid(p, n_grid)
-    if S_range is not None:
-        S_values = np.geomspace(S_range[0], S_range[1], n_grid)
-    if V1_range is not None:
-        V1_values = np.geomspace(V1_range[0], V1_range[1], n_grid)
     surface = strain2_lyapunov_surface(p, inc2, e2, S_values, V1_values)
     flat = int(np.argmax(surface))
     i, j = np.unravel_index(flat, surface.shape)

@@ -30,6 +30,21 @@ CRITERIA = {
     11: "hypothesis suite: all three families pass grid checks, partials match FD within 1e-6",
 }
 
+def wavy_rate():
+    """A custom rate beta*S*I*(1 + sin(w*I)/2) tuned to alpha = 0.21. As the
+    strain-2 rate of the test parameters (Lambda = 200, mu = 0.02, gamma2 =
+    0.09, v2 = 0.1) its E2 balance has three roots at r = 0.1 and k = 0 (one
+    at r = 0.02 and at r = 0.2); as the strain-1 rate with gamma1 = 0.09 the
+    E1 balance has the same three roots at r = 0.1."""
+    w = 6.0 * np.pi * 0.21 / 200.0
+    beta = 2.0 * 0.21 * 0.12 / 200.0
+    return IncidenceSpec.custom(
+        lambda S, I: beta * S * I * (1.0 + 0.5 * np.sin(w * I)),
+        label="wavy",
+        d_rate_dS=lambda S, I: beta * I * (1.0 + 0.5 * np.sin(w * I)),
+    )
+
+
 _RESULTS = {}
 
 

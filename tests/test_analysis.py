@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import wavy_rate
 from twostrain.analysis import (
     analyze,
     apply_sweep_value,
@@ -18,6 +19,7 @@ from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, thresholds
 from twostrain.scenario import Scenario
 from twostrain.simulate import IntegratorOptions
+from twostrain.stability import Verdict, classify
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
 
@@ -127,6 +129,65 @@ class TestRenderReport:
     def test_failed_conditions_are_flagged_loudly(self):
         text = render_report(analyze(scenario_coexistence()))
         assert "condition R2_invasion < 1: NO" in text
+
+
+class TestEveryRootItsOwnReport:
+    """stability[i] is the report of equilibria[i], and each verdict line
+    reads its kind's first root."""
+
+    def wavy_strain2_report(self):
+        # three E2 roots; R1_invasion is taken at the first, where strain 1 invades
+        sc = Scenario(ModelParams(**dict(BASE, r=0.1, k=0.0)), IncidenceSpec.bilinear(2e-4), wavy_rate())
+        return sc, analyze(sc)
+
+    def test_reports_pair_with_equilibria_by_index(self):
+        sc, report = self.wavy_strain2_report()
+        assert [e.kind for e in report.equilibria] == ["E0", "E1", "E2", "E2", "E2", "E3"]
+        assert [s.kind for s in report.stability] == [e.kind for e in report.equilibria]
+        for eq, rep in zip(report.equilibria, report.stability):
+            own = classify(sc.params, sc.incidence1, sc.incidence2, eq)
+            np.testing.assert_array_equal(rep.eigenvalues, own.eigenvalues)
+            assert rep.verdict is own.verdict and rep.notes == own.notes
+
+    def test_each_e2_block_shows_its_own_eigenvalues(self):
+        sc, report = self.wavy_strain2_report()
+        lines = render_report(report).splitlines()
+        shown = [lines[i + 4] for i, line in enumerate(lines) if line.startswith("E2: ")]
+        expected = [
+            "    eigenvalues: " + ", ".join("%.6g%+.6gj" % (z.real, z.imag) for z in rep.eigenvalues)
+            for rep in report.stability if rep.kind == "E2"
+        ]
+        assert shown == expected and len(set(shown)) == 3
+
+    def test_e2_verdict_line_reads_the_first_root(self):
+        _, report = self.wavy_strain2_report()
+        assert report.stability[2].verdict is Verdict.UNSTABLE
+        assert report.stability[4].verdict is Verdict.LOCALLY_STABLE
+        assert (
+            "E2 unstable: violated condition(s) R1_invasion < 1 (R1_invasion = 1.38533)"
+            in report.verdict_lines
+        )
+        assert not any(l.startswith("E2 locally") for l in report.verdict_lines)
+
+    def test_e0_line_on_the_margin_is_inconclusive(self):
+        # R1 = 1 exactly puts the eigenvalue alpha1*(R1 - 1) of E0 on zero
+        params = ModelParams(**dict(BASE, r=0.0, k=0.0))
+        sc = Scenario(params, IncidenceSpec.bilinear(1.9e-5), IncidenceSpec.bilinear(1e-6))
+        report = analyze(sc)
+        assert report.thresholds.R1 == 1.0
+        assert report.stability[0].verdict is Verdict.INCONCLUSIVE
+        assert report.verdict_lines[0] == (
+            "E0 classification inconclusive: a tested quantity sits on the margin"
+        )
+
+    def test_multi_root_e1_is_noted(self):
+        params = ModelParams(**dict(BASE, r=0.1, k=0.0, gamma1=0.09))
+        report = analyze(Scenario(params, wavy_rate(), IncidenceSpec.bilinear(1e-6)))
+        note = "strain-1 balance has 3 roots at scan resolution 4096; smallest I1 reported"
+        assert report.notes == (note,)
+        assert report.equilibria[1].point.I1 == pytest.approx(200.34306106, rel=1e-9)
+        text = render_report(report)
+        assert "    note: %s\n" % note in text and text.endswith("note: %s\n" % note)
 
 
 class TestApplySweepValue:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_cases
+from conftest import random_cases, wavy_rate
 from twostrain import equilibria, incidence
 from twostrain.analysis import apply_sweep_value
 from twostrain.benchmarks import build_scenario
@@ -84,6 +84,19 @@ class TestStrain1:
         assert e1.residual < RESIDUAL_TOL
         assert e1.existence[0].name == "R1 > 1"
         assert e1.existence[0].satisfied
+        assert e1.multiplicity_note == ""
+
+    def test_multi_root_balance_reports_the_smallest_and_says_so(self):
+        p, inc1 = params(r=0.1, k=0.0, gamma1=0.09), wavy_rate()
+        hi = p.Lambda / p.alpha1
+        g = strain1_balance(p, inc1, np.linspace(1e-9 * hi, hi, SCAN_NODES + 1))
+        assert np.count_nonzero((g[:-1] > 0.0) != (g[1:] > 0.0)) == 3
+        e1 = solve_strain1(p, inc1)
+        assert e1.point.I1 == pytest.approx(200.34306106, rel=1e-9)
+        assert e1.residual < RESIDUAL_TOL
+        assert e1.multiplicity_note == (
+            "strain-1 balance has 3 roots at scan resolution %d; smallest I1 reported" % SCAN_NODES
+        )
 
     def test_balance_at_upper_bracket_end(self):
         # at I1 = Lambda/alpha1 all inflow is spent: G = F1(0, .) - Lambda
@@ -379,18 +392,6 @@ def assert_rows_equal_their_solve_all(rows, results):
         assert _bits(eqs) == _bits(alone)
 
 
-def wavy_strain2():
-    """A custom strain-2 rate beta*S*I*(1 + sin(w*I)/2) whose E2 balance has
-    three roots at r = 0.1 and k = 0 (one at r = 0.02 and at r = 0.2)."""
-    w = 6.0 * np.pi * 0.21 / 200.0
-    beta = 2.0 * 0.21 * 0.12 / 200.0
-    return IncidenceSpec.custom(
-        lambda S, I: beta * S * I * (1.0 + 0.5 * np.sin(w * I)),
-        label="wavy",
-        d_rate_dS=lambda S, I: beta * I * (1.0 + 0.5 * np.sin(w * I)),
-    )
-
-
 class TestBatch:
     """solve_batch: one scan per kind for a block of rows, each row bit for
     bit its own solve_all."""
@@ -424,7 +425,7 @@ class TestBatch:
 
     def test_multi_root_row_between_single_root_rows(self):
         optimize = pytest.importorskip("scipy.optimize")
-        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_strain2()
+        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
         rows = [(params(r=r, k=0.0), inc1, inc2) for r in (0.02, 0.1, 0.05, 0.2)]
         results = solve_batch(rows)
         assert [len(eqs.E2) for eqs in results] == [1, 3, 3, 1]
@@ -479,7 +480,7 @@ class TestBatch:
             return roots(balance, rows, hi, kind)
 
         monkeypatch.setattr(equilibria, "_roots", counted)
-        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_strain2()
+        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
         rows = [(params(r=r, k=0.0), inc1, inc2) for r in (0.02, 0.1, 0.25)]
         results = solve_batch(rows)
         assert [eqs.stats for eqs in solve_batch(rows)] == [eqs.stats for eqs in results]
@@ -496,7 +497,7 @@ class TestBatch:
         # the E3 S-solve calls dF2/dS once per Newton iteration, the E2
         # notes once per root
         calls = []
-        wavy = wavy_strain2()
+        wavy = wavy_rate()
 
         def dF2_dS(S, I):
             calls.append(S)

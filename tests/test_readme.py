@@ -1,0 +1,18 @@
+"""The README's library quick start runs as written."""
+
+import pathlib
+import re
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_quick_start_runs(capsys):
+    section = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md quick start", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == [
+        "E0 Verdict.UNSTABLE Verdict.UNSTABLE",
+        "E2 Verdict.LOCALLY_STABLE Verdict.LOCALLY_STABLE",
+    ]
+    assert lines[2].startswith("State(S=")

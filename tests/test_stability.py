@@ -23,8 +23,10 @@ from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, State, invasion_numbers, jacobian, thresholds
 from twostrain.stability import (
     EIGEN_DEADBAND,
+    KINDS,
     GridScanSummary,
     Verdict,
+    classify,
     classify_coexistence,
     classify_disease_free,
     classify_strain1,
@@ -138,6 +140,42 @@ class TestDiseaseFree:
         report = classify_disease_free(p, inc1, inc2)
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.eigen_verdict is Verdict.INCONCLUSIVE
+
+
+class TestClassify:
+    """One classifier for every kind, driven by the KINDS table."""
+
+    def test_per_kind_names_are_the_one_classifier(self):
+        assert classify_strain1 is classify
+        assert classify_strain2 is classify
+        assert classify_coexistence is classify
+
+    def test_disease_free_goes_to_the_closed_form(self):
+        p, inc1, inc2 = setup_strain1_dominant()
+        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
+        closed = classify_disease_free(p, inc1, inc2)
+        assert report.kind == "E0" and report.notes == closed.notes
+        np.testing.assert_array_equal(report.eigenvalues, closed.eigenvalues)
+
+    def test_table_matches_every_report(self):
+        for setup in (setup_strain1_dominant, setup_strain2_dominant, setup_coexistence):
+            p, inc1, inc2 = setup()
+            eqs = solve_all(p, inc1, inc2)
+            for eq in eqs.all[1:]:
+                kind, report = KINDS[eq.kind], classify(p, inc1, inc2, eq)
+                assert report.kind == eq.kind
+                assert tuple(report.coefficients) == kind.names
+                J = jacobian(p, inc1, inc2, eq.point)
+                if kind.decoupled is None:
+                    assert kind.block == (0, 1, 2, 3)
+                    continue
+                # the decoupled row has no entry in the block's columns
+                assert kind.decoupled not in kind.block
+                assert np.all(J[kind.decoupled, list(kind.block)] == 0.0)
+                eigenvalue = J[kind.decoupled, kind.decoupled]
+                invasion = getattr(eqs.thresholds, kind.invasion)
+                assert eigenvalue == pytest.approx(getattr(p, kind.alpha) * (invasion - 1.0), rel=1e-12)
+                assert report.conditions[kind.invasion + " < 1"] == (eigenvalue < 0.0)
 
 
 class TestStrain1:
@@ -338,11 +376,11 @@ class TestStrain2LyapunovScan:
     def test_explicit_ranges(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]
-        summary = strain2_lyapunov_scan(
-            p, inc2, e2, S_range=(100.0, 1500.0), V1_range=(1000.0, 5000.0), n_grid=50
+        surface = strain2_lyapunov_surface(
+            p, inc2, e2, np.geomspace(100.0, 1500.0, 50), np.geomspace(1000.0, 5000.0, 50)
         )
-        assert summary.n_points == 2500
-        assert summary.max_value <= 0.0
+        assert surface.size == 2500
+        assert surface.max() <= 0.0
 
     def test_rejects_boundary_grid_points(self):
         p, inc1, inc2 = setup_strain2_dominant()
