@@ -68,6 +68,7 @@ from .model import (
     Thresholds,
     invasion_numbers,
     jacobian,
+    reproduction_number,
     require_certified,
     residual,
     thresholds,
@@ -90,10 +91,7 @@ from .stability import (
     StabilityReport,
     Verdict,
     classify,
-    classify_coexistence,
     classify_disease_free,
-    classify_strain1,
-    classify_strain2,
     coexistence_lyapunov_scan,
     coexistence_lyapunov_values,
     eigen_classify,

@@ -16,7 +16,7 @@ import numpy as np
 from .equilibria import Equilibrium, _Rows, solve_all, solve_batch
 from .errors import ConfigError
 from .incidence import BUILT_IN_FAMILIES
-from .model import Thresholds, thresholds
+from .model import PARAM_NAMES, Thresholds, thresholds
 from .scenario import Scenario
 from .simulate import Trajectory, integrate
 from .stability import (
@@ -58,18 +58,13 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     e2 = eqs.E2[0] if eqs.E2 else None
     e3 = eqs.E3[0] if eqs.E3 else None
     notes: List[str] = []
-    if eqs.E1 is not None and eqs.E1.multiplicity_note:
-        notes.append(eqs.E1.multiplicity_note)
-    if len(eqs.E2) > 1:
-        notes.append(
-            "strain-2 balance has %d roots; invasion threshold reported at the smallest"
-            % len(eqs.E2)
-        )
-    if len(eqs.E3) > 1:
-        notes.append(
-            "coexistence balance has %d roots; trajectory check run at the smallest I2"
-            % len(eqs.E3)
-        )
+    for balance, roots, at_first in (
+        ("strain-1", eqs.E1, "invasion threshold reported at the smallest"),
+        ("strain-2", eqs.E2, "invasion threshold reported at the smallest"),
+        ("coexistence", eqs.E3, "trajectory check run at the smallest I2"),
+    ):
+        if len(roots) > 1:
+            notes.append("%s balance has %d roots; %s" % (balance, len(roots), at_first))
     if eqs.coexistence_error:
         notes.append("coexistence solve failed: %s" % eqs.coexistence_error)
 
@@ -147,16 +142,17 @@ def _verdict_lines(
 
     for name in ("E1", "E2"):
         kind, rep = KINDS[name], _first(stability, name)
-        R, invasion = _fmt(getattr(th, kind.threshold)), _fmt(getattr(th, kind.invasion))
+        threshold, invasion = "R%d" % kind.strain, "R%d_invasion" % kind.absent
+        R, R_invasion = _fmt(getattr(th, threshold)), _fmt(getattr(th, invasion))
         if rep is None:
-            lines.append("%s absent: %s = %s <= 1" % (name, kind.threshold, R))
+            lines.append("%s absent: %s = %s <= 1" % (name, threshold, R))
         else:
             lines.append(
                 _local_verdict(
                     rep,
                     "%s = %s > 1, coefficient conditions positive, %s = %s < 1"
-                    % (kind.threshold, R, kind.invasion, invasion),
-                    " (%s = %s)" % (kind.invasion, invasion),
+                    % (threshold, R, invasion, R_invasion),
+                    " (%s = %s)" % (invasion, R_invasion),
                 )
             )
 
@@ -236,10 +232,7 @@ def render_report(report: AnalysisReport) -> str:
     out: List[str] = []
     out.append("== scenario ==")
     p = sc.params
-    out.append(
-        "params: Lambda=%r mu=%r r=%r k=%r gamma1=%r gamma2=%r v1=%r v2=%r"
-        % (p.Lambda, p.mu, p.r, p.k, p.gamma1, p.gamma2, p.v1, p.v2)
-    )
+    out.append("params: " + " ".join("%s=%r" % (name, getattr(p, name)) for name in PARAM_NAMES))
     for name, inc in (("incidence1", sc.incidence1), ("incidence2", sc.incidence2)):
         if inc.family in ("saturated_s", "saturated_i2"):
             out.append("%s: %s(beta=%r, zeta=%r)" % (name, inc.family, inc.beta, inc.zeta))
@@ -297,17 +290,15 @@ def render_report(report: AnalysisReport) -> str:
 
 # -- parameter sweeps ----------------------------------------------------------
 
-_PARAM_FIELDS = ("Lambda", "mu", "r", "k", "gamma1", "gamma2", "v1", "v2")
-
 
 def _resolve_key(key: str) -> Tuple[str, str]:
     if "." in key:
         section, field = key.split(".", 1)
-    elif key in _PARAM_FIELDS:
+    elif key in PARAM_NAMES:
         section, field = "params", key
     else:
         raise ConfigError("sweep key %r is not a numeric scenario field" % key)
-    if section == "params" and field in _PARAM_FIELDS:
+    if section == "params" and field in PARAM_NAMES:
         return section, field
     if section in ("incidence1", "incidence2") and field in ("beta", "zeta"):
         return section, field

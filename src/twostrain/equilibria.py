@@ -3,7 +3,7 @@
 Four equilibrium kinds exist:
 
     E0  disease free, closed form
-    E1  strain 1 only, smallest root of a scalar balance G(I1) on (0, Lambda/alpha1]
+    E1  strain 1 only, roots of a scalar balance G(I1) on (0, Lambda/alpha1]
     E2  strain 2 only, roots of a scalar balance H(I2) on (0, Lambda/alpha2]
     E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
@@ -28,11 +28,12 @@ ignores I2, the strain-2 balance no longer depends on I2.
 
 ``solve_batch`` solves rows in blocks of at most BLOCK_ROWS and fills in the
 invasion numbers; each row's result is bit for bit its own one-row batch,
-``solve_all``. The per-kind solvers run the same block passes on one row.
-Every returned equilibrium is certified: the max-norm of the vector field at
-the returned point (``model.residual``, with F = 0 for a strain the solve
-was not given) must be below RESIDUAL_TOL or the solver raises instead of
-returning a bad point.
+``solve_all``. The per-kind solvers run the same block passes on one row
+and, like ``EquilibriumSet``, give every root of a kind by increasing I1
+or I2. Every returned equilibrium is certified: the max-norm of the vector
+field at the returned point (``model.residual``, with F = 0 for a strain
+the solve was not given) must be below RESIDUAL_TOL or the solver raises
+instead of returning a bad point.
 """
 
 from __future__ import annotations
@@ -53,9 +54,8 @@ from .model import (
     State,
     Thresholds,
     invasion_numbers,
+    reproduction_number,
     residual as field_residual,
-    strain1_threshold,
-    strain2_threshold,
     thresholds,
 )
 
@@ -132,7 +132,7 @@ class _Rows:
     def __init__(self, block, data, row, scans, newton):
         self.block, self.data, self.row, self.scans, self.newton = block, data, row, scans, newton
         (self.Lambda, self.mu, self.r, self.k, self.lam, self.alpha1, self.alpha2,
-         self.susceptible_cap) = data[:8]
+         self.susceptible_cap, self.vaccinated_cap) = data[:9]
 
     @classmethod
     def of(cls, block) -> "_Rows":
@@ -147,11 +147,11 @@ class _Rows:
             raise ValueError("batched rows must share one incidence family pair")
         data = [
             (p.Lambda, p.mu, p.r, p.k, p.lam, p.alpha1, p.alpha2, p.susceptible_cap,
-             *coefficients(inc1), *coefficients(inc2))
+             p.vaccinated_cap, *coefficients(inc1), *coefficients(inc2))
             for p, inc1, inc2 in block
         ]
         n = len(block)
-        columns = data[0] if n == 1 else np.array(data).T.reshape(12, n, 1)
+        columns = data[0] if n == 1 else np.array(data).T.reshape(13, n, 1)
         return cls(block, columns, np.arange(n), np.zeros((n, 4, 3), int), np.zeros(n, int))
 
     def take(self, idx) -> "_Rows":
@@ -165,11 +165,11 @@ class _Rows:
 
     @functools.cached_property
     def f1(self):
-        return self.block[0][1].bound_forms(self.data[8], self.data[9])
+        return self.block[0][1].bound_forms(self.data[9], self.data[10])
 
     @functools.cached_property
     def f2(self):
-        return self.block[0][2].bound_forms(self.data[10], self.data[11])
+        return self.block[0][2].bound_forms(self.data[11], self.data[12])
 
 
 def disease_free(
@@ -186,7 +186,7 @@ def disease_free(
     return _certified(Equilibrium("E0", point, field_residual(p, inc1, inc2, point)))
 
 
-# -- strain 1 ----------------------------------------------------------------
+# -- one strain only --------------------------------------------------------
 
 
 def strain1_balance(p: ModelParams, inc1: IncidenceSpec, I1):
@@ -197,56 +197,6 @@ def strain1_balance(p: ModelParams, inc1: IncidenceSpec, I1):
     """
     S = (p.Lambda - p.alpha1 * I1) / p.lam
     return inc1.rate(S, I1) - p.alpha1 * I1
-
-
-def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> Optional[Equilibrium]:
-    """Strain-1-only equilibrium, present if and only if R1 > 1: the root of
-    smallest I1, whose ``multiplicity_note`` counts the roots when the
-    balance has more than one."""
-    _, R1 = strain1_threshold(p, inc1)
-    return _strain1(_Rows.of([(p, inc1, None)]), [R1])[0]
-
-
-def _strain1(rows: _Rows, R1s) -> list:
-    """E1 (the smallest root) of each block row, None where R1 <= 1."""
-    out = [None] * len(R1s)
-    for i, roots in _strain_roots(rows, R1s, 1).items():
-        (p, inc1, inc2), R1 = rows.block[i], R1s[i]
-        I1 = float(roots[0])
-        S = (p.Lambda - p.alpha1 * I1) / p.lam
-        point = State(S, p.r * S / p.mu, I1, 0.0)
-        res = field_residual(p, inc1, inc2, point)
-        condition = ExistenceCondition("R1 > 1", R1, R1 > 1.0)
-        note = "" if roots.size == 1 else (
-            "strain-1 balance has %d roots at scan resolution %d; smallest I1 reported"
-            % (roots.size, SCAN_NODES)
-        )
-        out[i] = _certified(Equilibrium("E1", point, res, (condition,), note))
-    return out
-
-
-def _strain_roots(rows: _Rows, Rs, strain: int) -> dict:
-    """The strain-only balance's roots of each block row with R > 1, by row.
-    A root must exist there, so a row without one raises."""
-    todo = [i for i, R in enumerate(Rs) if R > 1.0]
-    if not todo:
-        return {}
-    sub = rows.take(todo)
-    if strain == 1:
-        fn, alpha = (lambda c, x: strain1_balance(c, c.f1, x)), sub.alpha1
-    else:
-        fn, alpha = (lambda c, x: strain2_balance(c, c.f2, x)), sub.alpha2
-    found = dict(zip(todo, _roots(fn, sub, sub.each(sub.Lambda / alpha), strain - 1)))
-    for i, roots in found.items():
-        if not roots.size:
-            raise SolverError(
-                "strain-%d balance shows no sign change at scan resolution %d although "
-                "R%d = %.6g > 1" % (strain, SCAN_NODES, strain, Rs[i])
-            )
-    return found
-
-
-# -- strain 2 ----------------------------------------------------------------
 
 
 def strain2_coordinates(p: ModelParams, I2):
@@ -271,47 +221,94 @@ def strain2_discriminant(p: ModelParams) -> float:
     return -p.alpha2 * p.r * p.mu - p.alpha2 * p.mu * p.mu + p.k * p.Lambda * p.r
 
 
+def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> List[Equilibrium]:
+    """All strain-1-only equilibria, by increasing I1; see ``solve_strain2``.
+    Each built-in family gives exactly one when R1 > 1, as G(I1)/I1 falls
+    strictly."""
+    R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
+    return _strain_only(_Rows.of([(p, inc1, None)]), [R1], 1)[0]
+
+
 def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
-    """All strain-2-only equilibria, found by the shared scan-bracket-polish pass.
+    """All strain-2-only equilibria, by increasing I2, found by the shared
+    scan-bracket-polish pass.
 
     Returns an empty list when R2 <= 1. Raises SolverError when R2 > 1 but
     the scan resolution shows no sign change, since a root must exist.
     """
-    _, R2 = strain2_threshold(p, inc2)
-    return _strain2(_Rows.of([(p, None, inc2)]), [R2])[0]
+    R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
+    return _strain_only(_Rows.of([(p, None, inc2)]), [R2], 2)[0]
 
 
-def _strain2(rows: _Rows, R2s) -> list:
-    """The E2 roots of each block row."""
-    out = [[] for _ in R2s]
-    for i, roots in _strain_roots(rows, R2s, 2).items():
-        (p, inc1, inc2), R2 = rows.block[i], R2s[i]
-        condition = ExistenceCondition("R2 > 1", R2, R2 > 1.0)
-        d = strain2_discriminant(p)
-        if d < 0.0:
-            structure = "discriminant %.6g < 0: unique positive root expected" % d
-        elif d > 0.0:
-            L = (
-                -p.r * p.alpha2
-                - p.alpha2 * p.mu
-                + math.sqrt(p.r * p.alpha2 * (p.r * p.alpha2 + p.alpha2 * p.mu + p.k * p.Lambda))
-            ) / (p.alpha2 * p.k)
-            structure = "discriminant %.6g > 0: at most one root expected in [%.6g, %.6g]" % (
-                d, L, p.Lambda / p.alpha2)
-        else:
-            structure = "discriminant is exactly 0"
-        for I2 in roots.tolist():
-            S, V1 = strain2_coordinates(p, I2)
-            point = State(S, V1, 0.0, I2)
-            res = field_residual(p, inc1, inc2, point)
-            dF2_dS = float(inc2.d_rate_dS(S, I2))
-            note = (
-                "%s; found %d root(s) at scan resolution %d; auxiliary uniqueness flag "
-                "dF2/dS <= I2 %s (dF2/dS = %.6g, I2 = %.6g)"
-                % (structure, roots.size, SCAN_NODES, "holds" if dF2_dS <= I2 else "fails", dF2_dS, I2)
+def _strain_only(rows: _Rows, Rs, strain: int) -> list:
+    """The roots of each block row's ``strain``-only balance, as Equilibrium
+    lists by increasing I; empty where R = ``Rs[i]`` <= 1. A root must exist
+    where R > 1, so a row without one raises."""
+    out = [[] for _ in Rs]
+    todo = [i for i, R in enumerate(Rs) if R > 1.0]
+    if not todo:
+        return out
+    sub = rows.take(todo)
+    balance, alpha = (strain1_balance, sub.alpha1) if strain == 1 else (strain2_balance, sub.alpha2)
+    found = _roots(
+        lambda c, x: balance(c, getattr(c, "f%d" % strain), x), sub, sub.each(sub.Lambda / alpha), strain - 1
+    )
+    for i, roots in zip(todo, found):
+        (p, inc1, inc2), R = rows.block[i], Rs[i]
+        if not roots.size:
+            raise SolverError(
+                "strain-%d balance shows no sign change at scan resolution %d although "
+                "R%d = %.6g > 1" % (strain, SCAN_NODES, strain, R)
             )
-            out[i].append(_certified(Equilibrium("E2", point, res, (condition,), note)))
+        condition = ExistenceCondition("R%d > 1" % strain, R, R > 1.0)
+        points = [_strain_point(p, strain, I) for I in roots.tolist()]
+        notes = _strain2_notes(p, inc2, points) if strain == 2 else [""] * len(points)
+        for point, note in zip(points, notes):
+            res = field_residual(p, inc1, inc2, point)
+            out[i].append(_certified(Equilibrium("E%d" % strain, point, res, (condition,), note)))
     return out
+
+
+def _strain_point(p: ModelParams, strain: int, I: float) -> State:
+    """The strain-only equilibrium of ``strain`` at its infection level I."""
+    if strain == 1:
+        S = (p.Lambda - p.alpha1 * I) / p.lam
+        return State(S, p.r * S / p.mu, I, 0.0)
+    S, V1 = strain2_coordinates(p, I)
+    return State(S, V1, 0.0, I)
+
+
+def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points) -> list:
+    """Each E2 root's note: the root structure that ``strain2_discriminant``
+    predicts, the root count and the auxiliary uniqueness flag dF2/dS <= I2.
+    Where the roots break the predicted uniqueness, the note says so in
+    place of the flag."""
+    d = strain2_discriminant(p)
+    if d < 0.0:
+        structure, covered = "discriminant %.6g < 0: unique positive root expected" % d, len(points)
+    elif d > 0.0:
+        L = (
+            -p.r * p.alpha2
+            - p.alpha2 * p.mu
+            + math.sqrt(p.r * p.alpha2 * (p.r * p.alpha2 + p.alpha2 * p.mu + p.k * p.Lambda))
+        ) / (p.alpha2 * p.k)
+        hi = p.Lambda / p.alpha2
+        structure = "discriminant %.6g > 0: at most one root expected in [%.6g, %.6g]" % (d, L, hi)
+        covered = sum(L <= pt.I2 <= hi for pt in points)
+    else:
+        structure, covered = "discriminant is exactly 0", 0
+    found = "found %d root(s) at scan resolution %d" % (len(points), SCAN_NODES)
+    notes = []
+    for pt in points:
+        dF2_dS = float(inc2.d_rate_dS(pt.S, pt.I2))
+        values = "(dF2/dS = %.6g, I2 = %.6g)" % (dF2_dS, pt.I2)
+        if covered > 1:
+            note = "%s, which does not hold for this rate; %s %s" % (structure, found, values)
+        else:
+            flag = "holds" if dF2_dS <= pt.I2 else "fails"
+            note = "%s; %s; auxiliary uniqueness flag dF2/dS <= I2 %s %s" % (structure, found, flag, values)
+        notes.append(note)
+    return notes
 
 
 # -- coexistence -------------------------------------------------------------
@@ -445,15 +442,16 @@ def _coexistence(rows: _Rows, ths) -> list:
 class EquilibriumSet:
     """Every equilibrium of one parameter set and the thresholds behind them.
 
-    ``thresholds`` carries the invasion numbers, taken at E1 and at the
-    E2 root of smallest I2. ``coexistence_error`` holds the message of a
-    failed E3 solve, which leaves ``E3`` empty. ``stats`` records what the
-    solve did; it takes no part in comparisons.
+    E1, E2 and E3 hold every root of their kind, by increasing I1 or I2.
+    ``thresholds`` carries the invasion numbers, taken at the first E1 and
+    E2 roots. ``coexistence_error`` holds the message of a failed E3 solve,
+    which leaves ``E3`` empty. ``stats`` records what the solve did; it
+    takes no part in comparisons.
     """
 
     thresholds: Thresholds
     E0: Equilibrium
-    E1: Optional[Equilibrium]
+    E1: Tuple[Equilibrium, ...]
     E2: Tuple[Equilibrium, ...]
     E3: Tuple[Equilibrium, ...]
     coexistence_error: str = ""
@@ -461,8 +459,8 @@ class EquilibriumSet:
 
     @property
     def all(self) -> Tuple[Equilibrium, ...]:
-        """E0, E1 when present, then the E2 and E3 roots."""
-        return (self.E0,) + ((self.E1,) if self.E1 is not None else ()) + self.E2 + self.E3
+        """E0, then the E1, E2 and E3 roots."""
+        return (self.E0, *self.E1, *self.E2, *self.E3)
 
 
 def solve_all(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> EquilibriumSet:
@@ -483,14 +481,16 @@ def solve_batch(rows) -> List[EquilibriumSet]:
 def _solve_block(block) -> List[EquilibriumSet]:
     rows = _Rows.of(block)
     ths = [thresholds(p, inc1, inc2) for p, inc1, inc2 in block]
-    e1s, e2s = _strain1(rows, [th.R1 for th in ths]), _strain2(rows, [th.R2 for th in ths])
+    e1s = _strain_only(rows, [th.R1 for th in ths], 1)
+    e2s = _strain_only(rows, [th.R2 for th in ths], 2)
     for i, ((p, inc1, inc2), e1, e2) in enumerate(zip(block, e1s, e2s)):
-        r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2[0] if e2 else None)
+        first = [roots[0] if roots else None for roots in (e1, e2)]
+        r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, *first)
         ths[i] = dataclasses.replace(ths[i], R2_invasion=r2_inv, R1_invasion=r1_inv)
     e3s = _coexistence(rows, ths)
     return [
         EquilibriumSet(
-            th, disease_free(p, inc1, inc2), e1, tuple(e2), e3, error,
+            th, disease_free(p, inc1, inc2), tuple(e1), tuple(e2), e3, error,
             SolveStats(len(block), *map(ScanStats._make, scans), newton),
         )
         for (p, inc1, inc2), th, e1, e2, (e3, error), scans, newton in zip(

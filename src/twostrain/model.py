@@ -1,4 +1,4 @@
-"""Model parameters, state, vector field, Jacobian, and threshold numbers.
+"""Model parameters, state, vector field, Jacobian, and reproduction numbers.
 
 The reduced four-dimensional system in (S, V1, I1, I2) is
 
@@ -18,8 +18,8 @@ runs it on unchecked rates; ``vector_field``, ``field_norms`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -45,7 +45,7 @@ class ModelParams:
 
     def __post_init__(self):
         bad = []
-        for name in ("Lambda", "mu", "r", "k", "gamma1", "gamma2", "v1", "v2"):
+        for name in PARAM_NAMES:
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
                 bad.append(name)
@@ -83,6 +83,10 @@ class ModelParams:
     def vaccinated_cap(self) -> float:
         """Disease-free vaccinated level r*Lambda/(mu*lam)."""
         return self.r * self.Lambda / (self.mu * self.lam)
+
+
+#: the ModelParams field names, in order: scenario keys, sweep keys and report order
+PARAM_NAMES = tuple(f.name for f in fields(ModelParams))
 
 
 @dataclass(frozen=True)
@@ -125,15 +129,13 @@ def _as_array(x: StateLike) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Reproduction numbers and the force derivatives they come from.
+    """Reproduction numbers, each a ``reproduction_number``.
 
-    ``R2_invasion`` is the strain-2 number evaluated at the strain-1-only
-    equilibrium and ``R1_invasion`` the converse; both are None until the
-    corresponding equilibrium is available.
+    R1 and R2 are taken at the disease-free state. ``R2_invasion`` is the
+    strain-2 number at the strain-1-only equilibrium and ``R1_invasion`` the
+    converse; both are None until that equilibrium is available.
     """
 
-    sigma1: float
-    sigma2: float
     R1: float
     R2: float
     R0: float
@@ -231,30 +233,27 @@ def jacobian(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateL
     )
 
 
-def strain1_threshold(p: ModelParams, inc1: IncidenceSpec) -> Tuple[float, float]:
-    """(sigma1, R1): sigma1 = dF1/dI1 at the disease-free state (S0, 0), R1 = sigma1/alpha1."""
-    sigma1 = _real(inc1.d_rate_dI(p.susceptible_cap, 0.0))
-    return sigma1, sigma1 / p.alpha1
+def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):
+    """Reproduction number of ``strain`` where it is absent, at (S, V1).
 
-
-def strain2_threshold(p: ModelParams, inc2: IncidenceSpec) -> Tuple[float, float]:
-    """(sigma2, R2): sigma2 = dF2/dI2 at (S0, 0), and R2 = sigma2/alpha2 plus the
-    vaccinated-class route k*V1_0/alpha2 with V1_0 = r*Lambda/(mu*lam)."""
-    sigma2 = _real(inc2.d_rate_dI(p.susceptible_cap, 0.0))
-    return sigma2, sigma2 / p.alpha2 + p.k * p.r * p.Lambda / (p.alpha2 * p.mu * p.lam)
+    It is the strain's growth rate per infective at I = 0, dF/dI(S, 0) plus
+    the vaccinated-class route k*V1 for strain 2, over its alpha. So the
+    decoupled I row there has eigenvalue alpha*(R - 1) (van den Driessche
+    and Watmough 2002). At (S0, V10) it is R1 or R2; at the other strain's
+    equilibrium it is an invasion number. Given parameter columns and forms
+    bound to coefficient columns, it gives each row's value in one array
+    evaluation.
+    """
+    route, alpha = (0.0, p.alpha1) if strain == 1 else (p.k * V1, p.alpha2)
+    return _real((inc.d_rate_dI(S, 0.0) + route) / alpha)
 
 
 def thresholds(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Thresholds:
-    """Strain reproduction numbers at the disease-free state.
-
-    sigma_i is dF_i/dI_i at (S0, 0). Strain 2 picks up the vaccinated-class
-    route k*V1_0 = k*r*Lambda/(mu*lam) on top of sigma2/alpha2.
-    Given parameter columns and forms bound to coefficient columns, it gives
-    each row's values in one array evaluation.
-    """
-    sigma1, R1 = strain1_threshold(p, inc1)
-    sigma2, R2 = strain2_threshold(p, inc2)
-    return Thresholds(sigma1, sigma2, R1, R2, _real(np.maximum(R1, R2)))
+    """R1, R2 and R0 = max(R1, R2): each strain's ``reproduction_number`` at
+    the disease-free state (S0, V10), on scalars or on parameter columns."""
+    R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
+    R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
+    return Thresholds(R1, R2, _real(np.maximum(R1, R2)))
 
 
 def _real(x):
@@ -269,21 +268,21 @@ def invasion_numbers(
     e1=None,
     e2=None,
 ) -> tuple:
-    """Invasion numbers (R2 at the strain-1 equilibrium, R1 at the strain-2 one).
+    """(R2_invasion, R1_invasion): the ``reproduction_number`` of strain 2 at
+    the strain-1-only equilibrium e1, and of strain 1 at the strain-2-only
+    equilibrium e2.
 
-    Each entry is None when the corresponding equilibrium is not supplied.
-    Supplied equilibria must carry a residual below RESIDUAL_TOL.
+    Each entry is None when its equilibrium is not supplied. Supplied
+    equilibria must carry a residual below RESIDUAL_TOL.
     """
-    R2_invasion = None
-    R1_invasion = None
-    if e1 is not None:
-        require_certified(e1)
-        pt = e1.point
-        R2_invasion = float(inc2.d_rate_dI(pt.S, 0.0) + p.k * pt.V1) / p.alpha2
-    if e2 is not None:
-        require_certified(e2)
-        R1_invasion = float(inc1.d_rate_dI(e2.point.S, 0.0)) / p.alpha1
-    return R2_invasion, R1_invasion
+
+    def at(eq, inc, strain):
+        if eq is None:
+            return None
+        require_certified(eq)
+        return reproduction_number(p, inc, strain, eq.point.S, eq.point.V1)
+
+    return at(e1, inc2, 2), at(e2, inc1, 1)
 
 
 def require_certified(equilibrium) -> None:

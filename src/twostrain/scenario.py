@@ -17,10 +17,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
 from .incidence import BUILT_IN_FAMILIES as _FAMILIES, IncidenceSpec
-from .model import ModelParams, State
+from .model import PARAM_NAMES, ModelParams, State
 from .simulate import IntegratorOptions
 
-_PARAM_KEYS = ("Lambda", "mu", "r", "k", "gamma1", "gamma2", "v1", "v2")
 _INITIAL_KEYS = ("S", "V1", "I1", "I2")
 _INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "t_end", "convergence_tol", "tail_window")
 _ARTIFACTS = ("report", "timeseries", "surface")
@@ -122,7 +121,7 @@ def parse_scenario(text: str) -> Scenario:
         _fail(errors)
 
     sec = sections["params"]
-    values = {key: _parse_float(sec, "params", key, errors) for key in _PARAM_KEYS}
+    values = {key: _parse_float(sec, "params", key, errors) for key in PARAM_NAMES}
     _reject_unknown(sec, "params", errors)
     params = None
     if all(v is not None for v in values.values()):
@@ -215,7 +214,7 @@ def serialize_scenario(sc: Scenario) -> str:
         raise ConfigError("custom incidence is code-only and cannot be serialized")
     out = io.StringIO()
     out.write("[params]\n")
-    for key in _PARAM_KEYS:
+    for key in PARAM_NAMES:
         out.write("%s = %r\n" % (key, getattr(sc.params, key)))
     out.write("\n")
     _emit_incidence(out, "incidence1", sc.incidence1)

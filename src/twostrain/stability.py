@@ -31,6 +31,7 @@ from .model import (
     ModelParams,
     State,
     jacobian,
+    reproduction_number,
     require_certified,
     thresholds,
 )
@@ -211,23 +212,26 @@ class Kind(NamedTuple):
 
     ``block`` indexes the Jacobian rows and columns whose characteristic
     polynomial the Routh-Hurwitz test reads; ``names`` are the report names
-    of its coefficients c1..cn and of the Hurwitz minors D2..D(n-1). The row
-    ``decoupled``, outside the block, has eigenvalue
-    ``alpha``*(``invasion`` - 1). The kind exists when ``threshold`` > 1.
+    of its coefficients c1..cn and of the Hurwitz minors D2..D(n-1). A
+    boundary kind has one ``strain`` present and exists when that strain's
+    R exceeds 1. The I row of the ``absent`` strain j, Jacobian row 1 + j,
+    lies outside the block; its eigenvalue is alpha_j*(Rj_invasion - 1).
     """
 
     block: tuple
     names: tuple
-    threshold: str = ""
-    decoupled: Optional[int] = None
-    invasion: str = ""
-    alpha: str = ""
+    strain: Optional[int] = None
+
+    @property
+    def absent(self) -> int:
+        """The strain missing from a boundary kind."""
+        return 3 - self.strain
 
 
 #: every equilibrium kind classified by Routh-Hurwitz; E0 has a closed form
 KINDS = {
-    "E1": Kind((0, 1, 2), ("a2", "a1", "a0", "a2*a1 - a0"), "R1", 3, "R2_invasion", "alpha2"),
-    "E2": Kind((0, 1, 3), ("b2", "b1", "b0", "b2*b1 - b0"), "R2", 2, "R1_invasion", "alpha1"),
+    "E1": Kind((0, 1, 2), ("a2", "a1", "a0", "a2*a1 - a0"), 1),
+    "E2": Kind((0, 1, 3), ("b2", "b1", "b0", "b2*b1 - b0"), 2),
     "E3": Kind(
         (0, 1, 2, 3), ("c1", "c2", "c3", "c4", "c1*c2 - c3", "c1*c2*c3 - c3^2 - c1^2*c4")
     ),
@@ -273,14 +277,16 @@ def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> St
     scales += minor_scales
     signs = [_sign_banded(v, s) for v, s in zip(values, scales)]
     conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
-    if kind.decoupled is not None:
-        eigenvalue = J[kind.decoupled, kind.decoupled]
+    if kind.strain is not None:
+        absent = kind.absent
+        eigenvalue = J[1 + absent, 1 + absent]
+        invasion = "R%d_invasion" % absent
         signs.append(_sign_banded(-eigenvalue, 1.0))
-        conditions[kind.invasion + " < 1"] = bool(eigenvalue < 0.0)
+        conditions[invasion + " < 1"] = bool(eigenvalue < 0.0)
+        number = reproduction_number(p, (inc1, inc2)[absent - 1], absent, pt.S, pt.V1)
         notes.append(
-            "invasion eigenvalue %s*(%s - 1) = %.6g (%s = %.6g)"
-            % (kind.alpha, kind.invasion, eigenvalue, kind.invasion,
-               eigenvalue / getattr(p, kind.alpha) + 1.0)
+            "invasion eigenvalue alpha%d*(%s - 1) = %.6g (%s = %.6g)"
+            % (absent, invasion, eigenvalue, invasion, number)
         )
     eigs, eigen_verdict = eigen_classify(J)
     return StabilityReport(
@@ -293,9 +299,6 @@ def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> St
         notes=tuple(notes),
     )
 
-
-#: the per-kind names of ``classify``
-classify_strain1 = classify_strain2 = classify_coexistence = classify
 
 
 # -- Lyapunov-condition scans -------------------------------------------------

@@ -35,10 +35,8 @@ from twostrain.scenario import Scenario
 from twostrain.simulate import detect_convergence, integrate, monitor_invariance
 from twostrain.stability import (
     Verdict,
-    classify_coexistence,
+    classify,
     classify_disease_free,
-    classify_strain1,
-    classify_strain2,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
     strain2_lyapunov_surface,
@@ -81,7 +79,7 @@ class TestAcceptance:
 
             def work():
                 th = thresholds(p, inc1, inc2)
-                e1 = solve_strain1(p, inc1)
+                e1 = solve_strain1(p, inc1)[0]
                 e2 = solve_strain2(p, inc2)[0]
                 r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2)
                 return th.R1, th.R2, r2_inv, r1_inv
@@ -134,7 +132,7 @@ class TestAcceptance:
         with record_criterion(4):
             sc = build_scenario("6.2")
             p, beta = sc.params, sc.incidence1.beta
-            e1 = solve_strain1(p, sc.incidence1)
+            e1 = solve_strain1(p, sc.incidence1)[0]
             assert e1.point.S == pytest.approx(950.0, rel=1e-3)
 
             # independent route: plain bisection on the reduced balance
@@ -189,12 +187,12 @@ class TestAcceptance:
                 compare(classify_disease_free(p, inc1, inc2))
                 eqs = solve_all(p, inc1, inc2)
                 assert eqs.coexistence_error == ""
-                if eqs.E1 is not None:
-                    compare(classify_strain1(p, inc1, inc2, eqs.E1))
+                for e1 in eqs.E1:
+                    compare(classify(p, inc1, inc2, e1))
                 for e2 in eqs.E2:
-                    compare(classify_strain2(p, inc1, inc2, e2))
+                    compare(classify(p, inc1, inc2, e2))
                 for e3 in eqs.E3:
-                    compare(classify_coexistence(p, inc1, inc2, e3))
+                    compare(classify(p, inc1, inc2, e3))
 
             assert compared >= 200
             assert disagreements == []
@@ -204,7 +202,7 @@ class TestAcceptance:
             sc = build_scenario("6.4")
             p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
             e3 = solve_all(p, inc1, inc2).E3[0]
-            stab = classify_coexistence(p, inc1, inc2, e3)
+            stab = classify(p, inc1, inc2, e3)
             c = stab.coefficients
             x = e3.point.as_array()[:4]
             assert float(np.max(np.abs(vector_field(p, inc1, inc2, x)))) < 1e-8

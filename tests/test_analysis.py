@@ -183,14 +183,23 @@ class TestEveryRootItsOwnReport:
             "E0 classification inconclusive: a tested quantity sits on the margin"
         )
 
+    def test_e2_notes_say_the_predicted_uniqueness_fails(self):
+        _, report = self.wavy_strain2_report()
+        notes = [eq.multiplicity_note for eq in report.equilibria if eq.kind == "E2"]
+        assert notes == [
+            "discriminant -0.000504 < 0: unique positive root expected, which does not hold for "
+            "this rate; found 3 root(s) at scan resolution 4096 (dF2/dS = %s, I2 = %s)" % values
+            for values in (("0.031968", "200.343"), ("0.0517296", "286.883"), ("0.12", "476.19"))
+        ]
+
     def test_multi_root_e1_is_noted(self):
         params = ModelParams(**dict(BASE, r=0.1, k=0.0, gamma1=0.09))
         report = analyze(Scenario(params, wavy_rate(), IncidenceSpec.bilinear(1e-6)))
-        note = "strain-1 balance has 3 roots at scan resolution 4096; smallest I1 reported"
+        note = "strain-1 balance has 3 roots; invasion threshold reported at the smallest"
         assert report.notes == (note,)
+        assert [eq.kind for eq in report.equilibria] == ["E0", "E1", "E1", "E1"]
         assert report.equilibria[1].point.I1 == pytest.approx(200.34306106, rel=1e-9)
-        text = render_report(report)
-        assert "    note: %s\n" % note in text and text.endswith("note: %s\n" % note)
+        assert render_report(report).endswith("\nnote: %s\n" % note)
 
 
 class TestApplySweepValue:

@@ -18,13 +18,7 @@ from conftest import random_cases
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import solve_all
 from twostrain.model import jacobian
-from twostrain.stability import (
-    _charpoly,
-    _hurwitz_minors,
-    classify_coexistence,
-    classify_strain1,
-    classify_strain2,
-)
+from twostrain.stability import _charpoly, _hurwitz_minors, classify
 
 C11, C13, C14, C22, C24, C31, C33, C41, C42, C44, r, mu = sp.symbols(
     "C11 C13 C14 C22 C24 C31 C33 C41 C42 C44 r mu"
@@ -154,21 +148,19 @@ def test_symbolic_jacobian_has_the_structure_of_model_jacobian():
         assert J[1, 0] == p.r
     eqs = solve_all(p, inc1, inc2)
     # the row left out of each block decouples: its other entries vanish
-    assert np.all(jacobian(p, inc1, inc2, eqs.E1.point)[3, :3] == 0.0)
-    assert jacobian(p, inc1, inc2, eqs.E1.point)[1, 1] == -p.mu
+    assert np.all(jacobian(p, inc1, inc2, eqs.E1[0].point)[3, :3] == 0.0)
+    assert jacobian(p, inc1, inc2, eqs.E1[0].point)[1, 1] == -p.mu
     assert np.all(jacobian(p, inc1, inc2, eqs.E2[0].point)[2, [0, 1, 3]] == 0.0)
 
 
 def test_generic_scales_equal_closed_form_term_sums():
-    kinds = {"E1": classify_strain1, "E2": classify_strain2, "E3": classify_coexistence}
     evaluate = {
         kind: sp.lambdify(ENTRIES, CLOSED[kind][2], "math") for kind in CLOSED
     }
     checked = dict.fromkeys(CLOSED, 0)
     for p, inc1, inc2 in random_cases(1105, 200):
         eqs = solve_all(p, inc1, inc2)
-        roots = ([eqs.E1] if eqs.E1 is not None else []) + list(eqs.E2) + list(eqs.E3)
-        for eq in roots:
+        for eq in eqs.all[1:]:
             J = jacobian(p, inc1, inc2, eq.point)
             rows = CLOSED[eq.kind][0]
             values, scales = _charpoly(J[np.ix_(rows, rows)].tolist())
@@ -183,7 +175,7 @@ def test_generic_scales_equal_closed_form_term_sums():
                 magnitude = sum(abs(t) for t in terms)
                 assert scale == pytest.approx(magnitude, rel=1e-14, abs=0.0)
                 assert abs(value - sum(terms)) <= 1e-14 * scale
-            report = kinds[eq.kind](p, inc1, inc2, eq)
+            report = classify(p, inc1, inc2, eq)
             assert list(report.coefficients.values()) == values
             checked[eq.kind] += 1
     assert min(checked.values()) >= 20, checked

@@ -67,7 +67,7 @@ class TestStrain1:
     def test_absent_below_threshold(self):
         p = params()
         inc1 = IncidenceSpec.saturated_i2(3e-5, 0.7)  # R1 = 0.263
-        assert solve_strain1(p, inc1) is None
+        assert solve_strain1(p, inc1) == []
 
     def test_example_bilinear_values(self):
         # with bilinear strain-1 incidence the susceptible coordinate is
@@ -75,8 +75,10 @@ class TestStrain1:
         # S balance
         p = params()
         inc1 = IncidenceSpec.bilinear(2e-4)
-        e1 = solve_strain1(p, inc1)
-        assert e1 is not None and e1.kind == "E1"
+        roots = solve_strain1(p, inc1)
+        assert len(roots) == 1
+        e1 = roots[0]
+        assert e1.kind == "E1"
         assert e1.point.S == pytest.approx(950.0, rel=1e-12)
         assert e1.point.I1 == pytest.approx(452.6315789473683, rel=1e-10)
         assert e1.point.V1 == pytest.approx(4750.0, rel=1e-12)
@@ -86,17 +88,22 @@ class TestStrain1:
         assert e1.existence[0].satisfied
         assert e1.multiplicity_note == ""
 
-    def test_multi_root_balance_reports_the_smallest_and_says_so(self):
-        p, inc1 = params(r=0.1, k=0.0, gamma1=0.09), wavy_rate()
+    def test_mirror_of_a_three_root_strain2_balance(self):
+        # with k = 0 and equal gammas, v's and rates the strain-1 and strain-2
+        # balances are one function, so E1 and E2 are the same three roots
+        p, rate = params(r=0.1, k=0.0, gamma1=0.09), wavy_rate()
+        assert (p.gamma1, p.v1) == (p.gamma2, p.v2)
         hi = p.Lambda / p.alpha1
-        g = strain1_balance(p, inc1, np.linspace(1e-9 * hi, hi, SCAN_NODES + 1))
+        g = strain1_balance(p, rate, np.linspace(1e-9 * hi, hi, SCAN_NODES + 1))
         assert np.count_nonzero((g[:-1] > 0.0) != (g[1:] > 0.0)) == 3
-        e1 = solve_strain1(p, inc1)
-        assert e1.point.I1 == pytest.approx(200.34306106, rel=1e-9)
-        assert e1.residual < RESIDUAL_TOL
-        assert e1.multiplicity_note == (
-            "strain-1 balance has 3 roots at scan resolution %d; smallest I1 reported" % SCAN_NODES
+        eqs = solve_all(p, rate, rate)
+        assert len(eqs.E1) == len(eqs.E2) == 3
+        np.testing.assert_allclose(
+            [e1.point.I1 for e1 in eqs.E1], [e2.point.I2 for e2 in eqs.E2], rtol=1e-12, atol=0.0
         )
+        assert eqs.E1[0].point.I1 == pytest.approx(200.34306106, rel=1e-9)
+        assert all(eq.residual < RESIDUAL_TOL for eq in eqs.E1 + eqs.E2)
+        assert [eq.point for eq in solve_strain1(p, rate)] == [eq.point for eq in eqs.E1]
 
     def test_balance_at_upper_bracket_end(self):
         # at I1 = Lambda/alpha1 all inflow is spent: G = F1(0, .) - Lambda
@@ -132,8 +139,8 @@ class TestStrain1:
                 inc1 = IncidenceSpec.saturated_s(target * p.alpha1 * (1.0 + zeta * S0) / S0, zeta)
             else:
                 inc1 = IncidenceSpec.saturated_i2(target * p.alpha1 / S0, 10.0 ** rng.uniform(-5.0, 0.0))
-            e1 = solve_strain1(p, inc1)
-            assert e1 is not None
+            # G(I1)/I1 falls strictly for every built-in family: one root
+            (e1,) = solve_strain1(p, inc1)
             assert e1.residual < RESIDUAL_TOL
             assert 0.0 < e1.point.I1 <= p.Lambda / p.alpha1
 
@@ -289,7 +296,7 @@ class TestCoexistence:
         p = params()
         inc1 = IncidenceSpec.saturated_i2(3e-5, 0.7)
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.9)
-        th = Thresholds(1.0, 1.0, 2.0, 2.0, 2.0, R2_invasion=2.0, R1_invasion=2.0)
+        th = Thresholds(2.0, 2.0, 2.0, R2_invasion=2.0, R1_invasion=2.0)
         assert solve_coexistence(p, inc1, inc2, thresholds(p, inc1, inc2)) == []
         with pytest.raises(SolverError, match="no sign change"):
             solve_coexistence(p, inc1, inc2, th)
@@ -367,14 +374,14 @@ class TestSolveAll:
         inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
         eqs = solve_all(p, inc1, inc2)
         assert [eq.kind for eq in eqs.all] == ["E0", "E1", "E2", "E3"]
-        expected = invasion_numbers(p, inc1, inc2, eqs.E1, eqs.E2[0])
+        expected = invasion_numbers(p, inc1, inc2, eqs.E1[0], eqs.E2[0])
         assert (eqs.thresholds.R2_invasion, eqs.thresholds.R1_invasion) == expected
         assert eqs.thresholds.R1 == thresholds(p, inc1, inc2).R1
 
     def test_absent_kinds_leave_empty_slots(self):
         p = params()
         eqs = solve_all(p, IncidenceSpec.saturated_i2(3e-5, 0.7), IncidenceSpec.saturated_s(2e-4, 0.9))
-        assert eqs.E1 is None and eqs.E2 == () and eqs.E3 == ()
+        assert eqs.E1 == () and eqs.E2 == () and eqs.E3 == ()
         assert eqs.thresholds.R2_invasion is None and eqs.thresholds.R1_invasion is None
         assert [eq.kind for eq in eqs.all] == ["E0"]
 
@@ -529,9 +536,8 @@ class TestBatch:
         eqs = solve_all(sc.params, sc.incidence1, sc.incidence2)
         assert len(eqs.all) == 4
         assert sorted(callers) == sorted(
-            ["strain1_threshold", "strain2_threshold"]  # R1, R2
-            + ["_strain2"]  # E2 note
-            + ["invasion_numbers"] * 2
+            ["reproduction_number"] * 4  # R1, R2 and both invasion numbers
+            + ["_strain2_notes"]  # E2 note
             + ["field"] * 8  # both rates in each of the E1, E2, E3 and E0 certificates
         )
 

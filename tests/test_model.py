@@ -202,12 +202,13 @@ class TestThresholds:
             assert th.R1 >= 0.0 and th.R2 >= 0.0
             assert np.isfinite(th.R0)
 
-    def test_sigma_matches_slope_at_disease_free(self):
+    def test_thresholds_are_slopes_at_disease_free(self):
+        # R1 = dF1/dI1(S0, 0)/alpha1 and R2 = (dF2/dI2(S0, 0) + k*V10)/alpha2
         p, inc1, inc2 = example_61()
         th = thresholds(p, inc1, inc2)
-        S0 = p.susceptible_cap
-        assert th.sigma1 == pytest.approx(inc1.d_rate_dI(S0, 0.0), rel=1e-14)
-        assert th.sigma2 == pytest.approx(inc2.d_rate_dI(S0, 0.0), rel=1e-14)
+        S0, V10 = p.susceptible_cap, p.vaccinated_cap
+        assert th.R1 == pytest.approx(inc1.d_rate_dI(S0, 0.0) / p.alpha1, rel=1e-14)
+        assert th.R2 == pytest.approx((inc2.d_rate_dI(S0, 0.0) + p.k * V10) / p.alpha2, rel=1e-14)
 
     def test_invasion_numbers_bounded_by_thresholds(self):
         # at equilibrium the available susceptible pool never exceeds the
@@ -217,8 +218,8 @@ class TestThresholds:
         while found1 < 25 or found2 < 25:
             p, inc1, inc2 = _random_setup(rng)
             th = thresholds(p, inc1, inc2)
-            e1 = solve_strain1(p, inc1) if th.R1 > 1.0 else None
-            e2_roots = solve_strain2(p, inc2) if th.R2 > 1.0 else []
+            e1_roots, e2_roots = solve_strain1(p, inc1), solve_strain2(p, inc2)
+            e1 = e1_roots[0] if e1_roots else None
             e2 = e2_roots[0] if e2_roots else None
             r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2)
             if r2_inv is not None:
@@ -248,6 +249,6 @@ class TestResidualCertification:
             require_certified(sloppy)
 
     def test_thresholds_dataclass_is_frozen(self):
-        th = Thresholds(sigma1=1.0, sigma2=1.0, R1=0.5, R2=0.5, R0=0.5)
+        th = Thresholds(R1=0.5, R2=0.5, R0=0.5)
         with pytest.raises(Exception):
             th.R1 = 2.0

@@ -233,7 +233,7 @@ class TestIntegrate:
         p, inc1, inc2 = setup_low_transmission()
         cases.append((p, inc1, inc2, disease_free(p, inc1, inc2)))
         p, inc1, inc2 = setup_strain1_dominant()
-        cases.append((p, inc1, inc2, solve_strain1(p, inc1)))
+        cases.append((p, inc1, inc2, solve_strain1(p, inc1)[0]))
         p, inc1, inc2 = setup_strain2_dominant()
         cases.append((p, inc1, inc2, solve_strain2(p, inc2)[0]))
         p, inc1, inc2 = setup_coexistence()
@@ -295,7 +295,7 @@ class TestDetectConvergence:
     def test_dominant_strain_run_lands_on_its_equilibrium(self):
         p, inc1, inc2 = setup_strain1_dominant()
         e0 = disease_free(p, inc1, inc2)
-        e1 = solve_strain1(p, inc1)
+        e1 = solve_strain1(p, inc1)[0]
         traj = integrate(p, inc1, inc2, START)
         event = detect_convergence(traj, [e0, e1])
         assert event is not None
@@ -305,7 +305,7 @@ class TestDetectConvergence:
 
     def test_short_run_is_not_declared_converged(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)
+        e1 = solve_strain1(p, inc1)[0]
         traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0))
         assert detect_convergence(traj, [e1]) is None
 

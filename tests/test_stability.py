@@ -20,17 +20,14 @@ from twostrain.equilibria import (
 )
 from twostrain.errors import DomainError, PreconditionError
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import ModelParams, State, invasion_numbers, jacobian, thresholds
+from twostrain.model import ModelParams, State, invasion_numbers, jacobian, reproduction_number, thresholds
 from twostrain.stability import (
     EIGEN_DEADBAND,
     KINDS,
     GridScanSummary,
     Verdict,
     classify,
-    classify_coexistence,
     classify_disease_free,
-    classify_strain1,
-    classify_strain2,
     coexistence_lyapunov_scan,
     coexistence_lyapunov_values,
     eigen_classify,
@@ -145,11 +142,6 @@ class TestDiseaseFree:
 class TestClassify:
     """One classifier for every kind, driven by the KINDS table."""
 
-    def test_per_kind_names_are_the_one_classifier(self):
-        assert classify_strain1 is classify
-        assert classify_strain2 is classify
-        assert classify_coexistence is classify
-
     def test_disease_free_goes_to_the_closed_form(self):
         p, inc1, inc2 = setup_strain1_dominant()
         report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
@@ -166,23 +158,26 @@ class TestClassify:
                 assert report.kind == eq.kind
                 assert tuple(report.coefficients) == kind.names
                 J = jacobian(p, inc1, inc2, eq.point)
-                if kind.decoupled is None:
+                if kind.strain is None:
                     assert kind.block == (0, 1, 2, 3)
                     continue
-                # the decoupled row has no entry in the block's columns
-                assert kind.decoupled not in kind.block
-                assert np.all(J[kind.decoupled, list(kind.block)] == 0.0)
-                eigenvalue = J[kind.decoupled, kind.decoupled]
-                invasion = getattr(eqs.thresholds, kind.invasion)
-                assert eigenvalue == pytest.approx(getattr(p, kind.alpha) * (invasion - 1.0), rel=1e-12)
-                assert report.conditions[kind.invasion + " < 1"] == (eigenvalue < 0.0)
+                # the absent strain's row has no entry in the block's columns
+                j = kind.absent
+                assert kind.block == (0, 1, 1 + kind.strain) and 1 + j not in kind.block
+                assert np.all(J[1 + j, list(kind.block)] == 0.0)
+                eigenvalue = J[1 + j, 1 + j]
+                invasion = getattr(eqs.thresholds, "R%d_invasion" % j)
+                assert invasion == reproduction_number(p, (inc1, inc2)[j - 1], j, eq.point.S, eq.point.V1)
+                alpha = (p.alpha1, p.alpha2)[j - 1]
+                assert eigenvalue == pytest.approx(alpha * (invasion - 1.0), rel=1e-12)
+                assert report.conditions["R%d_invasion < 1" % j] == (eigenvalue < 0.0)
 
 
 class TestStrain1:
     def test_dominant_case_is_stable_both_routes(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)
-        report = classify_strain1(p, inc1, inc2, e1)
+        e1 = solve_strain1(p, inc1)[0]
+        report = classify(p, inc1, inc2, e1)
         assert report.kind == "E1"
         assert report.verdict is Verdict.LOCALLY_STABLE
         assert report.eigen_verdict is Verdict.LOCALLY_STABLE
@@ -194,25 +189,25 @@ class TestStrain1:
         # with F1 = beta*S*I1 the I1 balance pins beta*S = alpha1 at the
         # equilibrium, so the (I1, I1) Jacobian entry vanishes
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)
+        e1 = solve_strain1(p, inc1)[0]
         J = jacobian(p, inc1, inc2, e1.point)
         assert J[2, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_invasion_eigenvalue_matches_invasion_number(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)
+        e1 = solve_strain1(p, inc1)[0]
         J = jacobian(p, inc1, inc2, e1.point)
         R2_invasion, _ = invasion_numbers(p, inc1, inc2, e1=e1)
         assert R2_invasion == pytest.approx(0.453437917222964, rel=1e-12)
         assert J[3, 3] == pytest.approx(p.alpha2 * (R2_invasion - 1.0), rel=1e-12)
-        report = classify_strain1(p, inc1, inc2, e1)
+        report = classify(p, inc1, inc2, e1)
         assert report.conditions["R2_invasion < 1"] is True
         assert "R2_invasion = 0.453438" in report.notes[0]
 
     def test_unstable_when_strain2_can_invade(self):
         p, inc1, inc2 = setup_coexistence()
-        e1 = solve_strain1(p, inc1)
-        report = classify_strain1(p, inc1, inc2, e1)
+        e1 = solve_strain1(p, inc1)[0]
+        report = classify(p, inc1, inc2, e1)
         assert report.verdict is Verdict.UNSTABLE
         assert report.eigen_verdict is Verdict.UNSTABLE
         assert report.conditions["R2_invasion < 1"] is False
@@ -221,14 +216,14 @@ class TestStrain1:
         p, inc1, inc2 = setup_strain1_dominant()
         sloppy = Equilibrium(kind="E1", point=State(900.0, 4700.0, 400.0, 0.0), residual=1.0)
         with pytest.raises(PreconditionError):
-            classify_strain1(p, inc1, inc2, sloppy)
+            classify(p, inc1, inc2, sloppy)
 
 
 class TestStrain2:
     def test_dominant_case_is_stable_both_routes(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]
-        report = classify_strain2(p, inc1, inc2, e2)
+        report = classify(p, inc1, inc2, e2)
         assert report.kind == "E2"
         assert report.verdict is Verdict.LOCALLY_STABLE
         assert report.eigen_verdict is Verdict.LOCALLY_STABLE
@@ -242,7 +237,7 @@ class TestStrain2:
         _, R1_invasion = invasion_numbers(p, inc1, inc2, e2=e2)
         assert R1_invasion == pytest.approx(0.2080488351515158, rel=1e-9)
         assert J[2, 2] == pytest.approx(p.alpha1 * (R1_invasion - 1.0), rel=1e-12)
-        report = classify_strain2(p, inc1, inc2, e2)
+        report = classify(p, inc1, inc2, e2)
         # saturated_s keeps dF2/dI2 > 0 at the equilibrium, so the explicit
         # coefficient test is the path taken
         assert "explicit coefficient test" in report.notes[0]
@@ -250,7 +245,7 @@ class TestStrain2:
     def test_unstable_when_strain1_can_invade(self):
         p, inc1, inc2 = setup_coexistence()
         e2 = solve_strain2(p, inc2)[0]
-        report = classify_strain2(p, inc1, inc2, e2)
+        report = classify(p, inc1, inc2, e2)
         assert report.verdict is Verdict.UNSTABLE
         assert report.eigen_verdict is Verdict.UNSTABLE
         assert report.conditions["R1_invasion < 1"] is False
@@ -260,7 +255,7 @@ class TestCoexistence:
     def test_quartic_coefficients_frozen_values(self):
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
-        report = classify_coexistence(p, inc1, inc2, e3)
+        report = classify(p, inc1, inc2, e3)
         c = report.coefficients
         assert c["c1"] == pytest.approx(0.2592811352935187, rel=1e-9)
         assert c["c2"] == pytest.approx(0.044404900159116995, rel=1e-9)
@@ -277,7 +272,7 @@ class TestCoexistence:
     def test_spectrum_frozen_values(self):
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
-        report = classify_coexistence(p, inc1, inc2, e3)
+        report = classify(p, inc1, inc2, e3)
         eigs = report.eigenvalues
         assert eigs[0] == pytest.approx(-0.03797667, rel=1e-6)
         assert eigs[1] == pytest.approx(-0.05812961, rel=1e-6)
@@ -290,7 +285,7 @@ class TestCoexistence:
         # independent routes; Vieta's formulas must reconcile them
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
-        report = classify_coexistence(p, inc1, inc2, e3)
+        report = classify(p, inc1, inc2, e3)
         eigs = report.eigenvalues
         c = report.coefficients
         assert float(np.real(-np.sum(eigs))) == pytest.approx(c["c1"], rel=1e-9)
@@ -330,11 +325,8 @@ class TestCrossValidation:
             inc1 = IncidenceSpec.bilinear(beta1)
             inc2 = IncidenceSpec.saturated_s(beta2, 10.0 ** rng.uniform(-4.0, 0.0))
             reports = [classify_disease_free(p, inc1, inc2)]
-            e1 = solve_strain1(p, inc1)
-            if e1 is not None:
-                reports.append(classify_strain1(p, inc1, inc2, e1))
-            for e2 in solve_strain2(p, inc2):
-                reports.append(classify_strain2(p, inc1, inc2, e2))
+            for eq in solve_strain1(p, inc1) + solve_strain2(p, inc2):
+                reports.append(classify(p, inc1, inc2, eq))
             for report in reports:
                 if (
                     report.verdict is not Verdict.INCONCLUSIVE
