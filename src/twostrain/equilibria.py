@@ -17,8 +17,9 @@ through its bracket ends. The scans evaluate the closed forms unchecked
 (``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
-at each I2 (its left side rises strictly in S from -alpha2 at S = 0),
-V1 = r*S/(mu + k*I2) follows, and the summed balance gives I1 linearly.
+at each I2 (its left side rises strictly in S from 0 at S = 0; see
+``coexistence_coordinates``), V1 = r*S/(mu + k*I2) follows, and the summed
+balance gives I1 linearly.
 psi(I2) = f1(S, I1) - alpha1 then vanishes exactly at interior equilibria.
 I1 reaches 0 at the E2 levels; psi is continued past them with I1 held at
 0, so that roots next to them are bracketed, and roots with I1 <= 0 are
@@ -76,8 +77,8 @@ BLOCK_ROWS = 16
 SECTIONS = 64
 _CUTS = np.linspace(0.0, 1.0, SECTIONS + 1)
 
-#: iteration cap of the safeguarded Newton solve for S in the E3 reduction
-_S_ITERATIONS = 100
+#: halvings of [0, S0] that solve for S in E3 with a custom strain-2 rate
+_S_HALVINGS = 52
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,14 @@ class ScanStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What solving one row did: its block's rows, each balance's pass (E3_cap
-    finds the end of the E3 range) and the E3 S-solve Newton iterations."""
+    """What solving one row did: its block's rows and each balance's pass
+    (E3_cap finds the end of the E3 range)."""
 
     rows: int
     E1: ScanStats
     E2: ScanStats
     E3_cap: ScanStats
     E3: ScanStats
-    newton_iterations: int
 
 
 class _Rows:
@@ -126,11 +126,10 @@ class _Rows:
     f1 and f2 are the strains' closed forms bound to coefficient columns.
     One row keeps Python floats, which broadcast faster than (1, 1) columns.
     ``row`` labels each entry with its block row. Shared by every ``take``:
-    ``scans`` holds each block row's ScanStats of E1, E2, E3_cap and E3,
-    ``newton`` its E3 S-solve iterations."""
+    ``scans`` holds each block row's ScanStats of E1, E2, E3_cap and E3."""
 
-    def __init__(self, block, data, row, scans, newton):
-        self.block, self.data, self.row, self.scans, self.newton = block, data, row, scans, newton
+    def __init__(self, block, data, row, scans):
+        self.block, self.data, self.row, self.scans = block, data, row, scans
         (self.Lambda, self.mu, self.r, self.k, self.lam, self.alpha1, self.alpha2,
          self.susceptible_cap, self.vaccinated_cap) = data[:9]
 
@@ -152,12 +151,12 @@ class _Rows:
         ]
         n = len(block)
         columns = data[0] if n == 1 else np.array(data).T.reshape(13, n, 1)
-        return cls(block, columns, np.arange(n), np.zeros((n, 4, 3), int), np.zeros(n, int))
+        return cls(block, columns, np.arange(n), np.zeros((n, 4, 3), int))
 
     def take(self, idx) -> "_Rows":
         """The entries at ``idx``, repeats allowed."""
         data = self.data if isinstance(self.data, tuple) else self.data[:, idx]
-        return _Rows(self.block, data, self.row[idx], self.scans, self.newton)
+        return _Rows(self.block, data, self.row[idx], self.scans)
 
     def each(self, column) -> np.ndarray:
         """A column expression's value for each entry, as an (n,) array."""
@@ -314,45 +313,31 @@ def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points) -> list:
 # -- coexistence -------------------------------------------------------------
 
 
-def coexistence_coordinates(p: _Rows, inc2: IncidenceSpec, I2):
+def coexistence_coordinates(p: _Rows, I2):
     """(S, V1, I1) of the interior equilibrium candidates at infection levels
     I2, one row of I2 per entry of the block p.
 
-    S solves f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 on [0, S0] by Newton's
-    method from S = 0, safeguarded by the bracket that each iterate updates;
-    S is NaN where the left side stays below alpha2 up to S0, since every
+    S solves f2(S, I2) + k*r*S/(mu + k*I2) = alpha2: by the family's closed
+    form ``susceptible``, or for a custom rate by _S_HALVINGS halvings of
+    [0, S0], the same number for every entry, so a block row is bit for bit
+    its one-row solve. S is NaN where no S <= S0 solves it, since every
     equilibrium has S <= S0. I1 comes from the summed S, I1 and I2 balances
     and may be negative.
-
-    Newton stops once a block row's largest move is at most 4*eps*S0; each
-    block row freezes on its own, so it is its one-row solve.
     """
-    row, counts = p.row, p.newton
     c = p.k * p.r / (p.mu + p.k * I2)
-
-    def g(S):
-        return inc2.force(S, I2) + c * S - p.alpha2
-
-    lo = np.zeros_like(I2)
-    hi = np.full_like(I2, p.susceptible_cap)
-    feasible = g(hi) >= 0.0
-    S = np.where(feasible, lo, hi)  # an infeasible node stays at S0
-    live = np.bincount(row, minlength=counts.size) > 0
-    tol = np.reshape(4.0 * np.finfo(float).eps * p.susceptible_cap, -1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(_S_ITERATIONS):
-            counts += live
-            gs = g(S)
-            np.copyto(lo, S, where=gs < 0.0)
-            np.copyto(hi, S, where=gs > 0.0)
-            step = S - gs / (inc2.d_rate_dS(S, I2) / I2 + c)
-            new = np.where((step > lo) & (step < hi), step, 0.5 * (lo + hi))
-            moved = np.zeros(counts.size, bool)
-            np.logical_or.at(moved, row, np.max(np.abs(new - S), axis=1, initial=0.0) > tol)
-            S = new if live.all() else np.where(live[row, None], new, S)
-            live &= moved
-            if not live.any():
-                break
+    S0 = p.susceptible_cap
+    if p.f2.susceptible is not None:
+        S = p.f2.susceptible(I2, p.alpha2, c)
+        feasible = S <= S0
+    else:
+        # [S, S + width] holds the root wherever one exists on [0, S0]
+        feasible = p.f2.force(S0, I2) + c * S0 >= p.alpha2
+        S, width = np.zeros_like(I2), S0
+        for _ in range(_S_HALVINGS):
+            width = 0.5 * width
+            mid = S + width
+            S = np.where(p.f2.force(mid, I2) + c * mid < p.alpha2, mid, S)
+        S = S + 0.5 * width
     S = np.where(feasible, S, np.nan)
     V1 = p.r * S / (p.mu + p.k * I2)
     I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
@@ -384,7 +369,7 @@ def solve_coexistence(
 
 
 def _psi(c: _Rows, I2):
-    S, _, I1 = coexistence_coordinates(c, c.f2, I2)
+    S, _, I1 = coexistence_coordinates(c, I2)
     feasible = np.isfinite(S)
     S, I1 = np.where(feasible, S, 0.0), np.where(feasible, np.maximum(I1, 0.0), 0.0)
     return np.where(feasible, c.f1.force(S, I1) - c.alpha1, np.nan)
@@ -406,7 +391,7 @@ def _coexistence(rows: _Rows, ths) -> list:
     roots = _roots(_psi, rows, ends, 3)
     label = np.repeat(np.arange(len(roots)), [r.size for r in roots])
     I2, at = np.concatenate(roots), rows.take(label)
-    coords = coexistence_coordinates(at, at.f2, I2[:, None]) if I2.size else (I2[:, None],) * 3
+    coords = coexistence_coordinates(at, I2[:, None]) if I2.size else (I2[:, None],) * 3
     S, V1, I1 = (x[:, 0] for x in coords)
     out = []
     for i, th in enumerate(ths):
@@ -491,10 +476,10 @@ def _solve_block(block) -> List[EquilibriumSet]:
     return [
         EquilibriumSet(
             th, disease_free(p, inc1, inc2), tuple(e1), tuple(e2), e3, error,
-            SolveStats(len(block), *map(ScanStats._make, scans), newton),
+            SolveStats(len(block), *map(ScanStats._make, scans)),
         )
-        for (p, inc1, inc2), th, e1, e2, (e3, error), scans, newton in zip(
-            block, ths, e1s, e2s, e3s, rows.scans.tolist(), rows.newton.tolist()
+        for (p, inc1, inc2), th, e1, e2, (e3, error), scans in zip(
+            block, ths, e1s, e2s, e3s, rows.scans.tolist()
         )
     ]
 

@@ -53,10 +53,22 @@ def _require_finite(*values) -> None:
             raise DomainError("incidence evaluated at a non-finite input")
 
 
-# Each built-in family's formulas, each a function of (beta, zeta, S, I).
+def _saturated_s_susceptible(b, z, I, target, c):
+    """The positive root of c*z*S**2 + lin*S - target = 0, lin = b + c - target*z,
+    in the form that subtracts no nearly equal terms for the sign of lin."""
+    a, lin = c * z, b + c - target * z + 0.0 * I
+    root = np.sqrt(lin * lin + 4.0 * a * target)
+    # a division by 0 falls in the branch np.where drops, or gives the inf of no root
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lin >= 0.0, 2.0 * target / (lin + root), (root - lin) / (2.0 * a))
+
+
+# Each built-in family's formulas, each a function of (beta, zeta, S, I),
+# and ``susceptible`` of (beta, zeta, I, target, c): the S > 0 with
+# force(S, I) + c*S = target (c >= 0, target > 0), inf where none exists.
 # Terms like 0.0 * I broadcast a result that is constant in one argument
 # against it, so array shapes survive.
-_ClosedForms = namedtuple("_ClosedForms", "rate force contact_factor d_rate_dS d_rate_dI")
+_ClosedForms = namedtuple("_ClosedForms", "rate force contact_factor d_rate_dS d_rate_dI susceptible")
 _CLOSED_FORMS = {
     "bilinear": _ClosedForms(
         rate=lambda b, z, S, I: b * S * I,
@@ -64,6 +76,7 @@ _CLOSED_FORMS = {
         contact_factor=lambda b, z, S, I: b + 0.0 * S + 0.0 * I,
         d_rate_dS=lambda b, z, S, I: b * I,
         d_rate_dI=lambda b, z, S, I: b * S,
+        susceptible=lambda b, z, I, target, c: target / (b + c + 0.0 * I),
     ),
     "saturated_s": _ClosedForms(
         rate=lambda b, z, S, I: b * S * I / (1.0 + z * S),
@@ -71,6 +84,7 @@ _CLOSED_FORMS = {
         contact_factor=lambda b, z, S, I: b / (1.0 + z * S) + 0.0 * I,
         d_rate_dS=lambda b, z, S, I: b * I / ((1.0 + z * S) * (1.0 + z * S)),
         d_rate_dI=lambda b, z, S, I: b * S / (1.0 + z * S),
+        susceptible=_saturated_s_susceptible,
     ),
     "saturated_i2": _ClosedForms(
         rate=lambda b, z, S, I: b * S * I / (1.0 + z * I * I),
@@ -78,6 +92,7 @@ _CLOSED_FORMS = {
         contact_factor=lambda b, z, S, I: b / (1.0 + z * I * I) + 0.0 * S,
         d_rate_dS=lambda b, z, S, I: b * I / (1.0 + z * I * I),
         d_rate_dI=lambda b, z, S, I: b * S * (1.0 - z * I * I) / ((1.0 + z * I * I) * (1.0 + z * I * I)),
+        susceptible=lambda b, z, I, target, c: target / (b / (1.0 + z * I * I) + c),
     ),
 }
 BUILT_IN_FAMILIES = tuple(_CLOSED_FORMS)
@@ -88,7 +103,7 @@ class IncidenceSpec:
     """Immutable description of one strain's incidence rate.
 
     Use the classmethod constructors; the raw constructor validates the
-    coefficients of built-in families but not custom callables.
+    family, a built-in family's coefficients and that a custom rate is callable.
     """
 
     family: str
@@ -102,6 +117,10 @@ class IncidenceSpec:
     def __post_init__(self):
         if self.family in _CLOSED_FORMS:
             _check_coefficients(self.beta, self.zeta)
+        elif self.family != "custom":
+            raise ValueError("unknown incidence family %r" % (self.family,))
+        elif not callable(self.rate_fn):
+            raise ValueError("a custom incidence rate needs a callable rate_fn")
 
     @classmethod
     def bilinear(cls, beta: float) -> "IncidenceSpec":
@@ -195,11 +214,13 @@ class IncidenceSpec:
         """The family's closed forms as functions of (S, I) with no input check,
         for loops that check their outputs. ``beta`` and ``zeta`` replace the
         spec's own, e.g. by (n, 1) columns that give each row of an (n, m)
-        argument its own. A custom spec gets its checked evaluators back.
+        argument its own. A custom spec gets its checked evaluators back and
+        no ``susceptible``.
         """
         forms = _CLOSED_FORMS.get(self.family)
         if forms is None:
-            return _ClosedForms(self.rate, self.force, self.contact_factor, self.d_rate_dS, self.d_rate_dI)
+            checked = (self.rate, self.force, self.contact_factor, self.d_rate_dS, self.d_rate_dI)
+            return _ClosedForms(*checked, None)
         b = self.beta if beta is None else beta
         z = self.zeta if zeta is None else zeta
         return _ClosedForms._make(partial(form, b, z) for form in forms)
@@ -262,19 +283,9 @@ class IncidenceSpec:
         checks = {}
 
         # boundary_zero: exact zeros on both axes
-        viol = None
-        for s in S_axis:
-            if self.rate(s, 0.0) != 0.0:
-                viol = (float(s), 0.0)
-                break
-        if viol is None:
-            for i in I_axis:
-                if self.rate(0.0, i) != 0.0:
-                    viol = (0.0, float(i))
-                    break
-        checks["boundary_zero"] = HypothesisCheck(
-            "boundary_zero", viol is None, first_violation=viol
-        )
+        axes = [(s, 0.0) for s in S_axis] + [(0.0, i) for i in I_axis]
+        viol = next((tuple(map(float, pt)) for pt in axes if self.rate(*pt) != 0.0), None)
+        checks["boundary_zero"] = HypothesisCheck("boundary_zero", viol is None, first_violation=viol)
 
         # interior lattice for the force-based checks
         S_pos = S_axis[1:]

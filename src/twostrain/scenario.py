@@ -86,8 +86,8 @@ def _parse_incidence(section: Dict[str, str], sec_name: str, errors: List[str]):
     zeta = 0.0
     if family == "bilinear":
         if "zeta" in section:
-            raw = section.pop("zeta")
-            if raw.strip() not in ("0", "0.0"):
+            raw = section["zeta"]
+            if _parse_float(section, sec_name, "zeta", []) != 0.0:  # one message for every reason
                 errors.append("%s.zeta: bilinear incidence takes no zeta (got %r)" % (sec_name, raw))
     else:
         zeta = _parse_float(section, sec_name, "zeta", errors)

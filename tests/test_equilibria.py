@@ -332,6 +332,40 @@ class TestCoexistence:
         np.testing.assert_allclose(roots[0].point.as_array(), expected, rtol=1e-10)
         assert roots[0].residual < RESIDUAL_TOL
 
+    @pytest.mark.parametrize(
+        "inc2, r, k",
+        [
+            (IncidenceSpec.saturated_s(2e-4, 1e-2), 0.1, 1e-4),  # b + c - alpha2*zeta < 0
+            (IncidenceSpec.saturated_s(2e-4, 1e-4), 0.1, 2e-5),  # b + c - alpha2*zeta > 0
+            (IncidenceSpec.saturated_s(2e-4, 1e-4), 0.0, 2e-5),  # c = 0
+            (IncidenceSpec.saturated_i2(3e-4, 1e-5), 0.1, 0.0),  # c = 0
+            (IncidenceSpec.bilinear(2e-4), 0.1, 2e-5),
+        ],
+    )
+    def test_strain2_solve_for_S_matches_brentq(self, inc2, r, k):
+        # S solves f2(S, I2) + c*S = alpha2, c = k*r/(mu + k*I2): by the
+        # closed form to 1e-13 relative, and for the same rate as a custom
+        # one by bisection to eps*S0; NaN where no S <= S0 solves it
+        optimize = pytest.importorskip("scipy.optimize")
+        p = params(r=r, k=k)
+        S0, eps = p.susceptible_cap, np.finfo(float).eps
+        I2 = np.linspace(0.0, p.Lambda / p.alpha2, 41)[1:]
+        for inc, rel, tol in ((inc2, 1e-13, 0.0), (IncidenceSpec.custom(inc2.rate), 0.0, eps * S0)):
+            rows = equilibria._Rows.of([(p, IncidenceSpec.bilinear(2e-4), inc)])
+            S = equilibria.coexistence_coordinates(rows, I2[None, :])[0][0]
+            for x, s in zip(I2, S):
+                c = p.k * p.r / (p.mu + p.k * x)
+
+                def g(v):
+                    return inc.force(v, x) + c * v - p.alpha2
+
+                if g(S0) < 0.0:
+                    assert np.isnan(s)
+                else:
+                    expected = optimize.brentq(g, 0.0, S0, xtol=1e-300, rtol=4.0 * eps)
+                    assert s == pytest.approx(expected, rel=rel, abs=tol)
+            assert np.isfinite(S).any()
+
 
 def _oracle_interior_roots(p, inc1, inc2):
     """Certified interior roots of the full vector field from a grid of starts."""
@@ -459,6 +493,14 @@ class TestBatch:
         assert any(eqs.E3 for eqs in results)
         assert_rows_equal_their_solve_all(rows, results)
 
+    def test_custom_strain2_rows(self):
+        # the E3 solve for S bisects a custom strain-2 rate
+        inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
+        rows = [(params(r=r, k=k), inc1, inc2) for r, k in ((0.02, 2e-5), (0.1, 0.0), (0.1, 2e-5), (0.25, 0.0))]
+        results = solve_batch(rows)
+        assert [len(eqs.E3) for eqs in results] == [5, 1, 3, 0]
+        assert_rows_equal_their_solve_all(rows, results)
+
     def test_rows_must_share_one_family_pair(self):
         p = params()
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
@@ -501,19 +543,33 @@ class TestBatch:
         assert [eqs.stats.E2.rounds for eqs in results] == [5, 5, 0]
         assert results[2].stats.E1.nodes == 0  # R1 < 1 at r = 0.25: no E1 scan
 
-        # the E3 S-solve calls dF2/dS once per Newton iteration, the E2
-        # notes once per root
-        calls = []
-        wavy = wavy_rate()
+        # with a custom strain-2 rate each E3 balance call solves for S with
+        # one force evaluation at S0 and one per halving, each a single rate
+        # call, and never calls dF2/dS; the E2 notes call it once per root
+        rate_calls, dS_calls, per_balance = [], [], []
+        wavy, psi = wavy_rate(), equilibria._psi
+
+        def rate(S, I):
+            rate_calls.append(S)
+            return wavy.rate_fn(S, I)
 
         def dF2_dS(S, I):
-            calls.append(S)
+            dS_calls.append(S)
             return wavy.d_rate_dS_fn(S, I)
 
-        inc2 = IncidenceSpec.custom(wavy.rate_fn, d_rate_dS=dF2_dS)
+        def counted_psi(c, I2):
+            before = len(rate_calls)
+            out = psi(c, I2)
+            per_balance.append(len(rate_calls) - before)
+            return out
+
+        monkeypatch.setattr(equilibria, "_psi", counted_psi)
+        inc2 = IncidenceSpec.custom(rate, d_rate_dS=dF2_dS)
         eqs = solve_all(params(r=0.1, k=0.0), inc1, inc2)
-        assert len(calls) == eqs.stats.newton_iterations + len(eqs.E2)
-        assert eqs.stats.newton_iterations > 0
+        assert eqs.stats.E3.brackets > 0
+        # the scan, one call per narrowing round and the polish
+        assert per_balance == [1 + equilibria._S_HALVINGS] * (eqs.stats.E3.rounds + 2)
+        assert len(dS_calls) == len(eqs.E2) > 0
 
     def test_no_checked_evaluation_inside_a_scan(self, monkeypatch):
         # the scans run on bound closed forms; the only checked evaluator

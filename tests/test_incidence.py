@@ -45,6 +45,18 @@ class TestConstruction:
         # custom callables carry no coefficients to check
         assert IncidenceSpec("custom", rate_fn=lambda S, I: S * I).beta == 0.0
 
+    @pytest.mark.parametrize("family", ["bilinar", "Bilinear", "", "saturated"])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(ValueError, match="unknown incidence family %r" % family):
+            IncidenceSpec(family, 1e-4)
+
+    @pytest.mark.parametrize("rate_fn", [None, 1e-4, "S*I"])
+    def test_custom_rate_must_be_callable(self, rate_fn):
+        with pytest.raises(ValueError, match="callable rate_fn"):
+            IncidenceSpec("custom", rate_fn=rate_fn)
+        with pytest.raises(ValueError, match="callable rate_fn"):
+            dataclasses.replace(IncidenceSpec.custom(lambda S, I: S * I), rate_fn=rate_fn)
+
     def test_family_labels(self):
         assert IncidenceSpec.bilinear(1e-4).family == "bilinear"
         assert IncidenceSpec.saturated_s(1e-4, 0.5).family == "saturated_s"
@@ -250,9 +262,104 @@ class TestHypothesisChecks:
         assert report.checks["force_monotone"].strict is False
         assert not report.all_pass
 
+    # each custom rate below breaks one hypothesis on the 11 x 11 lattice of
+    # [0, 10]^2, whose S and I axes are the integers 0..10
+    def _report(self, rate_fn):
+        return IncidenceSpec.custom(rate_fn, label="probe").check_hypotheses(10.0, 10.0, n_grid=11)
+
+    @pytest.mark.parametrize(
+        "rate_fn, first",
+        [(lambda S, I: S * I + S, (1.0, 0.0)), (lambda S, I: S * I + I, (0.0, 1.0))],
+        ids=["S axis", "I axis"],
+    )
+    def test_rate_off_an_axis_fails_boundary_zero(self, rate_fn, first):
+        check = self._report(rate_fn).checks["boundary_zero"]
+        assert not check.passed and check.first_violation == first
+
+    def test_force_falling_in_S_fails_monotone(self):
+        # f = S/(1 + S^2) falls from S = 1 to S = 2
+        report = self._report(lambda S, I: S * I / (1.0 + S * S))
+        check = report.checks["force_monotone"]
+        assert not check.passed and check.first_violation == (2.0, 0.0)
+        assert check.strict is False
+        assert [name for name, c in report.checks.items() if not c.passed] == ["force_monotone"]
+
+    def test_force_rising_in_I_fails_monotone(self):
+        # f = S*(1 + I) rises from I = 0 to I = 1 at the first interior S
+        report = self._report(lambda S, I: S * I * (1.0 + I))
+        check = report.checks["force_monotone"]
+        assert not check.passed and check.first_violation == (1.0, 1.0)
+        assert check.strict is True
+        assert [name for name, c in report.checks.items() if not c.passed] == ["force_monotone"]
+
+    def test_vanishing_force_limit_fails_limit_positive(self):
+        # f(S, 0) = S*(5 - S) is 0 at S = 5 and negative beyond
+        report = self._report(lambda S, I: S * I * (5.0 - S))
+        check = report.checks["force_limit_positive"]
+        assert not check.passed and check.first_violation == (5.0, 0.0)
+        assert report.checks["force_monotone"].first_violation == (4.0, 0.0)
+        assert report.checks["boundary_zero"].passed and report.checks["contact_factorization"].passed
+
+    def test_unsupported_force_limit_fails_every_force_check(self):
+        # F = S*sqrt(I) has no finite force limit at I = 0: the force-based
+        # checks fail with the error as their detail, boundary_zero still runs
+        report = self._report(lambda S, I: S * np.sqrt(I))
+        detail = "force limit at I=0 did not stabilize under step halving for custom rate 'probe'"
+        assert report.checks["boundary_zero"].passed
+        for name in ("force_monotone", "force_limit_positive", "contact_factorization"):
+            check = report.checks[name]
+            assert (check.passed, check.first_violation, check.strict, check.detail) == (False, None, None, detail)
+        assert not report.all_pass
+
     def test_grid_arguments_validated(self):
         inc = IncidenceSpec.bilinear(2e-4)
         with pytest.raises(ValueError):
             inc.check_hypotheses(-1.0, 10.0)
         with pytest.raises(ValueError):
             inc.check_hypotheses(10.0, 10.0, n_grid=4)
+
+
+class TestSusceptible:
+    # (spec, I, target, c) with the sign of saturated_s's linear coefficient
+    # b + c - target*zeta noted; c = 0 is a row with r = 0 or k = 0
+    CASES = [
+        (IncidenceSpec.bilinear(2e-4), 50.0, 0.11, 1e-5),
+        (IncidenceSpec.bilinear(2e-4), 50.0, 0.11, 0.0),
+        (IncidenceSpec.saturated_i2(3e-4, 0.7), 0.5, 0.21, 1e-5),
+        (IncidenceSpec.saturated_i2(3e-4, 0.7), 0.5, 0.21, 0.0),
+        (IncidenceSpec.saturated_i2(3e-4, 0.7), 0.0, 0.21, 1e-5),
+        (IncidenceSpec.saturated_s(2e-4, 1e-3), 50.0, 0.1, 1e-5),  # positive
+        (IncidenceSpec.saturated_s(2e-4, 1e-3), 50.0, 0.1, 0.0),  # positive
+        (IncidenceSpec.saturated_s(2e-4, 1e-2), 50.0, 0.21, 1e-4),  # negative
+        (IncidenceSpec.saturated_s(2e-4, 1e-2), 50.0, 0.21, 2e-7),  # negative
+        (IncidenceSpec.saturated_s(2e-4, 1e-2), 50.0, 0.0201, 1e-9),  # negative, near 0
+    ]
+
+    @pytest.mark.parametrize("inc, I, target, c", CASES)
+    def test_closed_form_matches_brentq(self, inc, I, target, c):
+        optimize = pytest.importorskip("scipy.optimize")
+
+        def g(S):
+            return inc.force(S, I) + c * S - target
+
+        hi = 1.0
+        while g(hi) <= 0.0:
+            hi *= 2.0
+        expected = optimize.brentq(g, 0.0, hi, xtol=1e-300, rtol=4.0 * np.finfo(float).eps)
+        S = inc.bound_forms().susceptible(I, target, c)
+        assert S == pytest.approx(expected, rel=1e-13, abs=0.0)
+        # an array of entries gives each its scalar value, bit for bit
+        many = inc.bound_forms(np.full((3, 1), inc.beta), np.full((3, 1), inc.zeta)).susceptible(
+            np.full((3, 2), I), target, np.full((3, 2), c)
+        )
+        assert many.shape == (3, 2) and np.all(many == S)
+
+    @pytest.mark.parametrize("target", [0.5, 0.75, 4.0])
+    def test_saturated_s_has_no_root_past_its_saturation(self, target):
+        # with c = 0 the force stays below beta/zeta = 0.5 for every S; at
+        # target 0.5 the linear coefficient is exactly 0
+        S = IncidenceSpec.saturated_s(0.25, 0.5).bound_forms().susceptible(50.0, target, 0.0)
+        assert S == np.inf
+
+    def test_custom_spec_has_none(self):
+        assert IncidenceSpec.custom(lambda S, I: S * I).bound_forms().susceptible is None

@@ -88,6 +88,35 @@ class TestParsing:
         with pytest.raises(ConfigError, match="bilinear incidence takes no zeta"):
             parse_scenario(text)
 
+    @pytest.mark.parametrize(
+        "raw, accepted",
+        [
+            ("0", True),
+            ("0.0", True),
+            ("0.00", True),
+            ("0e0", True),
+            ("-0.0", True),
+            ("+0", True),
+            ("0.3", False),
+            ("1e-300", False),
+            ("-1e-300", False),
+            ("nan", False),
+            ("inf", False),
+            ("zero", False),
+        ],
+    )
+    def test_bilinear_zeta_is_judged_by_its_value(self, raw, accepted):
+        text = MINIMAL.replace("family = saturated_i2\nbeta = 3e-5\nzeta = 0.7",
+                               "family = bilinear\nbeta = 2e-4\nzeta = %s" % raw)
+        if accepted:
+            sc = parse_scenario(text)
+            assert sc.incidence1 == IncidenceSpec.bilinear(2e-4)
+            assert math.copysign(1.0, sc.incidence1.zeta) == 1.0
+        else:
+            with pytest.raises(ConfigError) as info:
+                parse_scenario(text)
+            assert info.value.errors == ("incidence1.zeta: bilinear incidence takes no zeta (got %r)" % raw,)
+
     def test_scenario_is_frozen(self):
         sc = parse_scenario(MINIMAL)
         with pytest.raises(Exception):
