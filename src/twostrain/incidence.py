@@ -22,7 +22,8 @@ extrapolation and not an accepted state. A custom rate that raises
 rejects its step and cuts the step size fivefold. The run still completes
 and lands on the same state, but it takes many more steps: example 6.1 with
 a strain-1 rate that refuses I < 0 takes 2257 accepted and 1957 rejected
-steps, against 395 and 2 with the built-in rate.
+steps, against 395 and 2 with the built-in rate. Its finite-difference
+partials never probe I < 0, so that example also analyzes with such a rate.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ import numpy as np
 
 from .errors import DomainError, UnsupportedLimitError
 
-# Step scale for one-coordinate central differences on custom rates.
+# Step scale for one-coordinate finite differences on custom rates.
 _FD_EPS = math.sqrt(np.finfo(float).eps)
 
-# Probe size for the F(S, I)/I limit of custom rates at I = 0.
+# Probe size for the F(S, I)/I limit at I = 0, of custom rates and in the limit check.
 _LIMIT_DELTA = 1e-8
 _LIMIT_RTOL = 1e-4
 
@@ -51,6 +52,16 @@ def _require_finite(*values) -> None:
         ok = math.isfinite(v) if isinstance(v, (float, np.floating)) else np.all(np.isfinite(v))
         if not ok:
             raise DomainError("incidence evaluated at a non-finite input")
+
+
+def _difference(g, x):
+    """g'(x) by the central difference with step h = _FD_EPS*max(1, |x|), or where x < h
+    (it would probe below 0) by the second-order one-sided difference on [x, x + 2h]."""
+    h = _FD_EPS * np.maximum(1.0, np.abs(x))
+    low = x < h
+    up = g(x + h)
+    down = g(np.where(low, x, x - h)[()])  # [()] makes a scalar of a 0-d result
+    return np.where(low, 4.0 * up - 3.0 * down - g(x + 2.0 * h), up - down)[()] / (2.0 * h)
 
 
 def _saturated_s_susceptible(b, z, I, target, c):
@@ -147,8 +158,8 @@ class IncidenceSpec:
         """Wrap an arbitrary rate evaluator F(S, I).
 
         The evaluator must broadcast over numpy arrays. Partials default to
-        central finite differences; the force at I = 0 is estimated
-        numerically and must pass a step-halving consistency check.
+        finite differences that probe no negative argument; the force at
+        I = 0 is estimated numerically and must pass a step-halving check.
 
         The integrator's stage inputs can be slightly negative once a strain
         dies out. An evaluator that raises ``DomainError`` there rejects each
@@ -191,14 +202,13 @@ class IncidenceSpec:
         return forms.contact_factor(self.beta, self.zeta, S, I)
 
     def d_rate_dS(self, S, I):
-        """dF/dS, analytic for built-ins and central-difference for custom."""
+        """dF/dS, analytic for built-ins, else the given partial or ``_difference``."""
         forms = self._checked_forms(S, I)
         if forms is not None:
             return forms.d_rate_dS(self.beta, self.zeta, S, I)
         if self.d_rate_dS_fn is not None:
             return self.d_rate_dS_fn(S, I)
-        h = _FD_EPS * np.maximum(1.0, np.abs(S))
-        return (self.rate_fn(S + h, I) - self.rate_fn(S - h, I)) / (2.0 * h)
+        return _difference(lambda v: self.rate_fn(v, I), S)
 
     def d_rate_dI(self, S, I):
         """dF/dI; at I = 0 this is the force limit for the built-in families."""
@@ -207,8 +217,7 @@ class IncidenceSpec:
             return forms.d_rate_dI(self.beta, self.zeta, S, I)
         if self.d_rate_dI_fn is not None:
             return self.d_rate_dI_fn(S, I)
-        h = _FD_EPS * np.maximum(1.0, np.abs(I))
-        return (self.rate_fn(S, I + h) - self.rate_fn(S, I - h)) / (2.0 * h)
+        return _difference(partial(self.rate_fn, S), I)
 
     def bound_forms(self, beta=None, zeta=None) -> _ClosedForms:
         """The family's closed forms as functions of (S, I) with no input check,
@@ -249,8 +258,7 @@ class IncidenceSpec:
 
     def _force_limit(self, S):
         """Estimate lim F(S, I)/I for I -> 0+ and verify it is stable."""
-        q1 = self.rate_fn(S, _LIMIT_DELTA) / _LIMIT_DELTA
-        q2 = self.rate_fn(S, _LIMIT_DELTA / 2.0) / (_LIMIT_DELTA / 2.0)
+        q1, q2 = self._limit_probes(S)
         gap = np.abs(q1 - q2) / np.maximum(1.0, np.abs(q2))
         if np.any(gap > _LIMIT_RTOL) or not np.all(np.isfinite(q1)):
             raise UnsupportedLimitError(
@@ -258,6 +266,10 @@ class IncidenceSpec:
                 "for custom rate %r" % (self.label,)
             )
         return q1
+
+    def _limit_probes(self, S):
+        """F(S, d)/d at d = _LIMIT_DELTA and d/2, the probes of the I -> 0+ force limit."""
+        return tuple(self.rate(S, d) / d for d in (_LIMIT_DELTA, _LIMIT_DELTA / 2.0))
 
     # -- hypothesis checking --------------------------------------------------
 
@@ -270,7 +282,7 @@ class IncidenceSpec:
           boundary_zero           F(S, 0) = 0 and F(0, I) = 0
           force_monotone          f nondecreasing in S, nonincreasing in I
                                   (``strict`` flags a strict increase in S)
-          force_limit_positive    f(S, 0) finite and > 0 for S > 0
+          force_limit_positive    lim f(S, I) as I -> 0+ finite and > 0 for S > 0
           contact_factorization   f = S * g on interior points
         """
         if not (S_max > 0.0 and I_max > 0.0):
@@ -304,26 +316,20 @@ class IncidenceSpec:
         tol = 1e-12 * np.maximum(1.0, np.abs(f_grid))
         dS_steps = np.diff(f_grid, axis=0)
         dI_steps = np.diff(f_grid, axis=1)
-        viol = None
-        bad_S = dS_steps < -tol[1:, :]
-        bad_I = dI_steps > tol[:, :-1]
-        if np.any(bad_S):
-            r, c = np.argwhere(bad_S)[0]
-            viol = (float(S_pos[r + 1]), float(I_axis[c]))
-        elif np.any(bad_I):
-            r, c = np.argwhere(bad_I)[0]
-            viol = (float(S_pos[r]), float(I_axis[c + 1]))
+        viol = _first_violation(dS_steps < -tol[1:, :], S_pos[1:], I_axis)
+        if viol is None:
+            viol = _first_violation(dI_steps > tol[:, :-1], S_pos, I_axis[1:])
         strict = bool(np.all(dS_steps > 0.0))
         checks["force_monotone"] = HypothesisCheck(
             "force_monotone", viol is None, strict=strict, first_violation=viol
         )
 
-        # force_limit_positive: f(S, 0) > 0 off the S = 0 corner
-        f_at_zero = f_grid[:, 0]
-        viol = None
-        bad = ~(np.isfinite(f_at_zero) & (f_at_zero > 0.0))
-        if np.any(bad):
-            viol = (float(S_pos[np.argmax(bad)]), 0.0)
+        # force_limit_positive: lim f(S, I) > 0 as I -> 0+ off the S = 0 corner.
+        # The probe q(d) reads S*d for F = S*I**2, whose limit is 0, so the
+        # extrapolate 2*q(d/2) - q(d) must exceed the step-halving change.
+        q1, q2 = self._limit_probes(S_pos)
+        not_positive = ~(2.0 * q2 - q1 > np.abs(q1 - q2))
+        viol = _first_violation(not_positive[:, None], S_pos, I_axis[:1])
         checks["force_limit_positive"] = HypothesisCheck(
             "force_limit_positive", viol is None, first_violation=viol
         )
@@ -333,16 +339,21 @@ class IncidenceSpec:
             np.asarray(self.contact_factor(S_grid, I_grid), float), S_grid.shape
         )
         gap = np.abs(f_grid - S_grid * g_grid)
-        bad = gap > 1e-12 * np.maximum(1.0, np.abs(f_grid))
-        viol = None
-        if np.any(bad):
-            r, c = np.argwhere(bad)[0]
-            viol = (float(S_pos[r]), float(I_axis[c]))
+        viol = _first_violation(gap > 1e-12 * np.maximum(1.0, np.abs(f_grid)), S_pos, I_axis)
         checks["contact_factorization"] = HypothesisCheck(
             "contact_factorization", viol is None, first_violation=viol
         )
 
         return HypothesisReport(self.label, n_grid, float(S_max), float(I_max), checks)
+
+
+def _first_violation(bad, S_values, I_values) -> Optional[tuple]:
+    """(S, I) at the first True of ``bad`` (rows S_values, columns I_values), or None."""
+    hits = np.argwhere(bad)
+    if hits.size == 0:
+        return None
+    r, c = hits[0]
+    return (float(S_values[r]), float(I_values[c]))
 
 
 def _check_coefficients(beta: float, zeta: float) -> None:

@@ -3,8 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
+from twostrain.benchmarks import build_scenario
+from twostrain.equilibria import solve_all
 from twostrain.errors import DomainError, UnsupportedLimitError
 from twostrain.incidence import IncidenceSpec
+from twostrain.model import thresholds
+from twostrain.stability import classify
 
 
 def _log_grid(lo, hi, n=25):
@@ -227,9 +231,48 @@ class TestPartials:
         custom = IncidenceSpec.custom(lambda S, I: beta * S * I / (1.0 + zeta * S))
         exact = IncidenceSpec.saturated_s(beta, zeta)
         for S in (0.5, 50.0, 5000.0):
-            for I in (0.5, 50.0, 5000.0):
+            for I in (0.0, 1e-9, 0.5, 50.0, 5000.0):
                 assert custom.d_rate_dS(S, I) == pytest.approx(exact.d_rate_dS(S, I), rel=1e-6)
                 assert custom.d_rate_dI(S, I) == pytest.approx(exact.d_rate_dI(S, I), rel=1e-6)
+
+    def test_custom_partials_never_probe_a_negative_argument(self):
+        # below the step h the central stencil would reach under 0; arrays
+        # mixing such points with others give each its scalar value
+        probed = []
+
+        def rate(S, I):
+            probed.append(min(np.min(S), np.min(I)))
+            return 2e-4 * S * I / (1.0 + 0.9 * S)
+
+        custom = IncidenceSpec.custom(rate)
+        x = np.array([0.0, 1e-9, 1e-8, 0.5, 50.0])
+        assert custom.d_rate_dI(50.0, x).tolist() == [custom.d_rate_dI(50.0, v) for v in x]
+        assert custom.d_rate_dS(x, 50.0).tolist() == [custom.d_rate_dS(v, 50.0) for v in x]
+        assert min(probed) == 0.0
+
+    def test_rate_refusing_negative_infectives_still_analyzes(self):
+        # thresholds, the equilibrium solve and every classification of 6.1
+        # take the strain-1 partial at I1 = 0 without probing I1 < 0
+        sc = build_scenario("6.1")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        probed = []
+
+        def refuses_negative_infectives(S, I):
+            probed.append(np.min(I, initial=np.inf))
+            if np.any(np.asarray(I) < 0.0):
+                raise DomainError("negative infectives")
+            return inc1.rate(S, I)
+
+        custom = IncidenceSpec.custom(refuses_negative_infectives)
+        th, th_ref = thresholds(p, custom, inc2), thresholds(p, inc1, inc2)
+        assert th.R1 == pytest.approx(th_ref.R1, rel=1e-9)
+        eqs, eqs_ref = solve_all(p, custom, inc2), solve_all(p, inc1, inc2)
+        assert [eq.kind for eq in eqs.all] == [eq.kind for eq in eqs_ref.all]
+        for eq, ref in zip(eqs.all, eqs_ref.all):
+            report, expected = classify(p, custom, inc2, eq), classify(p, inc1, inc2, ref)
+            assert np.allclose(report.eigenvalues, expected.eigenvalues, rtol=1e-9, atol=0.0)
+            assert (report.verdict, report.eigen_verdict) == (expected.verdict, expected.eigen_verdict)
+        assert probed and min(probed) >= 0.0
 
 
 class TestHypothesisChecks:
@@ -299,6 +342,12 @@ class TestHypothesisChecks:
         assert not check.passed and check.first_violation == (5.0, 0.0)
         assert report.checks["force_monotone"].first_violation == (4.0, 0.0)
         assert report.checks["boundary_zero"].passed and report.checks["contact_factorization"].passed
+
+    def test_force_limit_vanishing_like_I_fails_limit_positive(self):
+        # f = S*I tends to 0 at I = 0, while its probe quotient reads S*1e-8
+        report = self._report(lambda S, I: S * I * I)
+        check = report.checks["force_limit_positive"]
+        assert not check.passed and check.first_violation == (1.0, 0.0)
 
     def test_unsupported_force_limit_fails_every_force_check(self):
         # F = S*sqrt(I) has no finite force limit at I = 0: the force-based

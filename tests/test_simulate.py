@@ -85,6 +85,36 @@ class TestStepper:
         assert np.array_equal(raw.times, samples)
         assert np.allclose(raw.states[:, 0], 2.0 * np.exp(-samples), rtol=1e-7)
 
+    def test_sample_times_come_back_sorted_and_unique(self):
+        samples = [3.0, 0.5, 3.0, 0.0, 1.25, 0.5, 0.0]
+        raw = adaptive_rk45(lambda t, y: -y, [2.0], 4.0, sample_times=samples)
+        assert raw.times.tolist() == [0.0, 0.5, 1.25, 3.0]
+        assert raw.states.shape == (4, 1)
+        assert raw.states[0, 0] == 2.0
+        assert np.allclose(raw.states[:, 0], 2.0 * np.exp(-raw.times), rtol=1e-7)
+
+    def test_sample_at_zero_is_the_start_even_without_an_accepted_step(self):
+        # the first trial step already crosses zero with outward flow, so the
+        # run aborts before accepting a step; the sample at 0 is still stored
+        raw = adaptive_rk45(lambda t, y: (-1.0,), [0.0], 1.0, sample_times=[0.5, 0.0, 0.0])
+        assert raw.negative_abort is not None and raw.stats.accepted_steps == 0
+        assert raw.times.tolist() == [0.0]
+        assert raw.states.tolist() == [[0.0]]
+
+    def test_zero_horizon_returns_the_start(self):
+        raw = adaptive_rk45(lambda t, y: -y, [1.0], 0.0, sample_times=[0.0])
+        assert raw.stats.accepted_steps == 0
+        assert raw.times.tolist() == [0.0]
+        assert raw.states.tolist() == [[1.0]]
+
+    def test_samples_past_a_negative_abort_are_dropped(self):
+        raw = adaptive_rk45(lambda t, y: (-1.0,), [0.5], 2.0, sample_times=[0.0, 0.25, 1.5])
+        assert raw.negative_abort is not None
+        assert raw.negative_abort[0] == pytest.approx(0.5, abs=1e-6)
+        assert raw.times.tolist() == [0.0, 0.25]
+        assert raw.states[0, 0] == 0.5
+        assert raw.states[1, 0] == pytest.approx(0.25, abs=1e-12)
+
     def test_sample_times_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
             adaptive_rk45(lambda t, y: -y, [1.0], 2.0, sample_times=[0.0, 3.0])
@@ -283,6 +313,20 @@ class TestMonitorInvariance:
         assert t_bad == 2.0 and N_bad == pytest.approx(12920.0)
         assert report.first_omega1_violation is not None
         assert report.first_omega1_violation[1] == "S"
+
+        # here V1 leaves its bound first, a step before S does
+        V10 = p.vaccinated_cap
+        states = np.array(
+            [
+                [1000.0, 0.5 * V10, 10.0, 10.0],
+                [1000.0, 0.9 * V10, 10.0, 10.0],
+                [1000.0, 2.0 * V10, 10.0, 10.0],
+                [12000.0, 3.0 * V10, 10.0, 10.0],
+            ]
+        )
+        report = monitor_invariance(Trajectory(np.arange(4.0), states, [], False), p)
+        assert report.entered_omega1_at == 0.0
+        assert report.first_omega1_violation == (2.0, "V1", 2.0 * V10)
 
     def test_empty_trajectory_rejected(self):
         p, _, _ = setup_low_transmission()
