@@ -74,6 +74,21 @@ def _saturated_s_susceptible(b, z, I, target, c):
         return np.where(lin >= 0.0, 2.0 * target / (lin + root), (root - lin) / (2.0 * a))
 
 
+# Each built-in family's F(S, I) as one expression over (b, z, S, I) for
+# (beta, zeta, S, I): the table's ``rate`` is compiled from this text, and
+# the integrator's kernel writes it into its stages.
+_RATE_TEXTS = {
+    "bilinear": "b * S * I",
+    "saturated_s": "b * S * I / (1.0 + z * S)",
+    "saturated_i2": "b * S * I / (1.0 + z * I * I)",
+}
+
+
+def _rate(family):
+    """The family's F as a function of (b, z, S, I), compiled from its text."""
+    return eval("lambda b, z, S, I: " + _RATE_TEXTS[family])
+
+
 # Each built-in family's formulas, each a function of (beta, zeta, S, I),
 # and ``susceptible`` of (beta, zeta, I, target, c): the S > 0 with
 # force(S, I) + c*S = target (c >= 0, target > 0), inf where none exists.
@@ -82,7 +97,7 @@ def _saturated_s_susceptible(b, z, I, target, c):
 _ClosedForms = namedtuple("_ClosedForms", "rate force contact_factor d_rate_dS d_rate_dI susceptible")
 _CLOSED_FORMS = {
     "bilinear": _ClosedForms(
-        rate=lambda b, z, S, I: b * S * I,
+        rate=_rate("bilinear"),
         force=lambda b, z, S, I: b * S + 0.0 * I,
         contact_factor=lambda b, z, S, I: b + 0.0 * S + 0.0 * I,
         d_rate_dS=lambda b, z, S, I: b * I,
@@ -90,7 +105,7 @@ _CLOSED_FORMS = {
         susceptible=lambda b, z, I, target, c: target / (b + c + 0.0 * I),
     ),
     "saturated_s": _ClosedForms(
-        rate=lambda b, z, S, I: b * S * I / (1.0 + z * S),
+        rate=_rate("saturated_s"),
         force=lambda b, z, S, I: b * S / (1.0 + z * S) + 0.0 * I,
         contact_factor=lambda b, z, S, I: b / (1.0 + z * S) + 0.0 * I,
         d_rate_dS=lambda b, z, S, I: b * I / ((1.0 + z * S) * (1.0 + z * S)),
@@ -98,7 +113,7 @@ _CLOSED_FORMS = {
         susceptible=_saturated_s_susceptible,
     ),
     "saturated_i2": _ClosedForms(
-        rate=lambda b, z, S, I: b * S * I / (1.0 + z * I * I),
+        rate=_rate("saturated_i2"),
         force=lambda b, z, S, I: b * S / (1.0 + z * I * I),
         contact_factor=lambda b, z, S, I: b / (1.0 + z * I * I) + 0.0 * S,
         d_rate_dS=lambda b, z, S, I: b * I / (1.0 + z * I * I),

@@ -11,13 +11,17 @@ with lam = r + mu, alpha1 = gamma1 + v1 + mu, alpha2 = gamma2 + v2 + mu.
 The recovered class R' = gamma1*I1 + gamma2*I2 - mu*R is decoupled and is
 carried only when a state tracks it.
 
-The right-hand side is written once, in ``bound_field``. The integrator
-runs it on unchecked rates; ``vector_field``, ``field_norms`` and
-``residual``, which certifies every equilibrium, run it on checked ones.
+The right-hand side is written once, as text: one expression per
+component in ``_FIELD``. ``bound_field`` is compiled from it, and so is the
+integrator's trial step, which writes it into each of its stages
+(``simulate._kernel``). The integrator runs it on unchecked rates;
+``vector_field``, ``field_norms`` and ``residual``, which certifies every
+equilibrium, run it on checked ones.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
 
@@ -143,33 +147,75 @@ class Thresholds:
     R1_invasion: Optional[float] = None
 
 
+# The field as text: the rates F1 = F1(S, I1) and F2 = F2(S, I2), then one
+# expression per component of (S, V1, I1, I2, R), over the ModelParams
+# names in _COEFFICIENTS.
+_STATE = ("S", "V1", "I1", "I2", "R")
+_COEFFICIENTS = ("Lambda", "lam", "mu", "r", "k", "alpha1", "alpha2", "gamma1", "gamma2")
+_FIELD = (
+    "Lambda - F1 - F2 - lam * S",
+    "r * S - (mu + k * I2) * V1",
+    "F1 - alpha1 * I1",
+    "F2 + k * I2 * V1 - alpha2 * I2",
+    "gamma1 * I1 + gamma2 * I2 - mu * R",  # the decoupled recovered class
+)
+# a strain's rate written as a call of the bound rate F(S, I)
+_RATE_CALL = "rate(S, I)"
+
+
+def _field_lines(n: int, rates=(_RATE_CALL, _RATE_CALL), out: str = "f_{i}") -> list:
+    """The field of n = 4 or 5 components as source lines over locals named
+    as in ``_STATE``: F1 and F2 from ``rates``, each a text over (b, z, S, I)
+    or ``_RATE_CALL`` in which strain j's b, z, I and rate become bj, zj, Ij
+    and ratej, then component i into ``out.format(i=i)``."""
+    lines = []
+    for j, text in enumerate(rates, 1):
+        names = {"b": "b%d" % j, "z": "z%d" % j, "I": "I%d" % j, "rate": "rate%d" % j}
+        lines.append("F%d = %s" % (j, re.sub(r"\b\w+", lambda m: names.get(m[0], m[0]), text)))
+    return lines + ["%s = %s" % (out.format(i=i), _FIELD[i]) for i in range(n)]
+
+
+def _compiled(name: str, lines: list, filename: str, namespace: dict):
+    """The function ``name`` defined by the source ``lines``, compiled with
+    ``namespace`` as its globals, with the text as its ``source``."""
+    source = "\n".join(lines) + "\n"
+    scope = {}
+    exec(compile(source, filename, "exec"), namespace, scope)
+    fn = scope[name]
+    fn.source = source
+    return fn
+
+
+_bind_field = _compiled(
+    "_bind_field",
+    [
+        "def _bind_field(%s, rate1, rate2):" % ", ".join(_COEFFICIENTS),
+        "    def field(t, y):",
+        "        if len(y) == 5:",
+        "            S, V1, I1, I2, R = y",
+        *("            " + line for line in _field_lines(5)),
+        "            return (f_0, f_1, f_2, f_3, f_4)",
+        "        S, V1, I1, I2 = y",
+        *("        " + line for line in _field_lines(4)),
+        "        return (f_0, f_1, f_2, f_3)",
+        "    return field",
+    ],
+    "<model field>",
+    globals(),
+)
+
+
 def bound_field(p: ModelParams, rate1, rate2):
     """The system's right-hand side f(t, y), with p and the rates F1(S, I1)
-    and F2(S, I2) bound.
+    and F2(S, I2) bound, compiled from the field's text.
 
     y is (S, V1, I1, I2) or (S, V1, I1, I2, R), and f(t, y) is its
     derivative as a tuple of the same length: floats for floats, arrays for
     component arrays (rows of a transposed state matrix broadcast
-    elementwise). f neither checks its input nor catches errors.
+    elementwise), expressions for sympy symbols. f neither checks its input
+    nor catches errors. ``print(model._bind_field.source)`` shows the text.
     """
-    Lam, lam, mu, r, k = p.Lambda, p.lam, p.mu, p.r, p.k
-    a1, a2, g1, g2 = p.alpha1, p.alpha2, p.gamma1, p.gamma2
-
-    def field(t, y):
-        if len(y) == 5:  # the decoupled recovered class
-            S, V1, I1, I2, R = y
-            return field(t, (S, V1, I1, I2)) + (g1 * I1 + g2 * I2 - mu * R,)
-        S, V1, I1, I2 = y
-        F1 = rate1(S, I1)
-        F2 = rate2(S, I2)
-        return (
-            Lam - F1 - F2 - lam * S,
-            r * S - (mu + k * I2) * V1,
-            F1 - a1 * I1,
-            F2 + k * I2 * V1 - a2 * I2,
-        )
-
-    return field
+    return _bind_field(*(getattr(p, name) for name in _COEFFICIENTS), rate1, rate2)
 
 
 def _no_infection(S, I):

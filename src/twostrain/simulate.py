@@ -9,6 +9,7 @@ exactly, and entry into the invariant box is recorded as an event.
 
 The step loop runs on Python floats; each trial step is one call to a
 kernel generated for the state's number of components (see ``_kernel``).
+``integrate``'s kernel has the model's field written into its stages.
 """
 
 from __future__ import annotations
@@ -22,24 +23,26 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .incidence import IncidenceSpec
-from .model import ModelParams, State, _as_array, bound_field, field_norms, require_certified
+from .incidence import _RATE_TEXTS, IncidenceSpec
+from .model import ModelParams, State, bound_field, field_norms, require_certified
+from .model import _COEFFICIENTS, _RATE_CALL, _STATE, _as_array, _compiled, _field_lines
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980, J. Comput. Appl. Math.
-# 6). The 7th stage is taken at the 5th-order solution (its A row equals the
-# weights B; B1 = 0), so the last stage of an accepted step is the first of
-# the next. E = B - B*, the embedded error weights (E1 = 0).
-_C1, _C2, _C3, _C4 = 0.2, 0.3, 0.8, 8.0 / 9.0
-_A10 = 0.2
-_A20, _A21 = 3.0 / 40.0, 9.0 / 40.0
-_A30, _A31, _A32 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A40, _A41, _A42, _A43 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A50, _A51, _A52, _A53, _A54 = (
-    9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0,
+# 6): the nodes C1-C4 (C5 = C6 = 1), the rows of A, the weights B and
+# E = B - B*, the embedded error weights. The 7th stage is taken at the
+# 5th-order solution (its A row equals B; B1 = 0), so the last stage of an
+# accepted step is the first of the next.
+_C = (0.2, 0.3, 0.8, 8.0 / 9.0)
+_A = (
+    (0.2,),
+    (3.0 / 40.0, 9.0 / 40.0),
+    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
+    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
+    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
 )
-_B0, _B2, _B3, _B4, _B5 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E0, _E2, _E3, _E4, _E5, _E6 = (
-    71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
+_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0)
+_E = (
+    71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0, -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
 )
 
 _SAFETY = 0.9
@@ -64,7 +67,9 @@ class IntegratorOptions:
 
     def __post_init__(self):
         names = ("rtol", "atol", "t_end", "max_step", "convergence_tol", "tail_window")
-        bad = [name for name in names if not getattr(self, name) > 0.0]
+        values = {name: getattr(self, name) for name in names}
+        # every option is positive, and every one but max_step finite
+        bad = [name for name, v in values.items() if not (v > 0.0 and (math.isfinite(v) or name == "max_step"))]
         if bad:
             raise ValueError("invalid integrator options: " + ", ".join(bad))
 
@@ -110,12 +115,15 @@ class Trajectory:
 
 @dataclass
 class RawIntegration:
-    """Low-level stepper output, before model-specific bookkeeping."""
+    """Low-level stepper output, before model-specific bookkeeping. ``steps``
+    is the (times, states) of the start and every accepted step: the arrays
+    ``times`` and ``states`` themselves unless the run was sampled."""
 
     times: np.ndarray
     states: np.ndarray
     negative_abort: Optional[tuple] = None  # (time, component index)
     stats: Optional[IntegratorStats] = None
+    steps: Optional[tuple] = field(default=None, repr=False)
 
 
 def adaptive_rk45(
@@ -159,25 +167,27 @@ def adaptive_rk45(
     return _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative)
 
 
-def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -> RawIntegration:
+def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True, kernel=None) -> RawIntegration:
     """The stepper behind ``adaptive_rk45`` and ``integrate``, on Python floats.
 
     ``fun(t, y)`` takes the state as a tuple of floats and returns the
     derivative as a sequence of floats; a stage fails as ``_STAGE`` says.
     States, stages and the FSAL derivative are never written in place, so a
     rejected trial leaves f(t, y) as the first stage of the retry. Each
-    trial step is one call to ``_kernel(len(y0))``. Each accepted step's
-    (t, y, f) is kept; ``_hermite`` maps them to ``sample_times`` after the loop.
+    trial step is one call to ``kernel``, by default ``_kernel(len(y0))``
+    calling fun; a kernel with fun's field written in must give its bits.
+    Each accepted step's (t, y, f) is kept; ``_hermite`` maps them to
+    ``sample_times`` after the loop.
     """
     y = tuple(float(v) for v in y0)
     n = len(y)
     if n == 0:
         raise ValueError("the state needs at least one component")
-    kernel = _kernel(n)
+    kernel = kernel or _kernel(n)
     t = 0.0
     if sample_times is not None:
         samples = np.asarray(sample_times, float)
-        if samples.ndim != 1 or np.any(samples < 0.0) or np.any(samples > t_end):
+        if samples.ndim != 1 or not np.all((samples >= 0.0) & (samples <= t_end)):
             raise ValueError("sample_times must lie within [0, t_end]")
 
     f = _stage(fun, t, y)
@@ -260,43 +270,35 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -
     else:
         raise IntegrationError("step limit exceeded", t, np.array(y))
 
-    if sample_times is not None:
-        times, states = _hermite(times, states, slopes, np.unique(samples))
+    steps = np.array(times, float), np.array(states, float)
+    sampled = steps if sample_times is None else _hermite(*steps, slopes, np.unique(samples))
     return RawIntegration(
-        times=np.array(times, float),
-        states=np.array(states, float),
+        times=sampled[0],
+        states=sampled[1],
         negative_abort=negative_abort,
         stats=IntegratorStats(evals, accepted, rejected, clamps, retries),
+        steps=steps,
     )
 
 
-# Stages that carry a nonzero weight in B and in E (B1 = E1 = 0).
-_B_STAGES = (0, 2, 3, 4, 5)
-_E_STAGES = (0, 2, 3, 4, 5, 6)
-
-# One stage, k = fun(t, y), as indented source: the stage fails when fun
-# raises an arithmetic or domain error or a component is not finite. The
-# elementwise test runs only when the sum is not finite, which an
-# overflowing sum of finite parts can also be. Each kernel writes it in per
-# stage; ``_stage`` is it on its own, for the calls outside a trial step.
+# One stage as indented source: {body} sets the stage output, and the stage
+# fails when it raises an arithmetic or domain error or a component is not
+# finite. The elementwise test runs only when the sum {total} is not
+# finite, which an overflowing sum of finite parts can also be. Each kernel
+# writes it in per stage; ``_stage`` is it on its own, for the calls outside
+# a trial step.
 _STAGE = """\
     try:
-        k = fun({t}, {y})
+{body}
     except (ArithmeticError, DomainError):
         return {fail}
-    if not (isfinite(sum(k)) or all(map(isfinite, k))):
+    if not (isfinite({total}) or all(map(isfinite, {parts}))):
         return {fail}"""
 
 
-def _compiled(name: str, lines: list, filename: str):
-    """The function ``name`` defined by the source ``lines``, compiled in
-    this module's namespace, with the text as its ``source``."""
-    source = "\n".join(lines) + "\n"
-    namespace = {}
-    exec(compile(source, filename, "exec"), globals(), namespace)
-    fn = namespace[name]
-    fn.source = source
-    return fn
+def _call_stage(t, y, fail):
+    """``_STAGE`` with k = fun(t, y) as its body."""
+    return _STAGE.format(body="        k = fun(%s, %s)" % (t, y), total="sum(k)", parts="k", fail=fail)
 
 
 _stage = _compiled(
@@ -304,15 +306,16 @@ _stage = _compiled(
     [
         "def _stage(fun, t, y):",
         '    """fun(t, y), or None when the stage fails."""',
-        _STAGE.format(t="t", y="y", fail=None),
+        _call_stage("t", "y", None),
         "    return k",
     ],
     "<stage>",
+    globals(),
 )
 
 
 @functools.lru_cache(maxsize=None)
-def _kernel(n: int):
+def _kernel(n: int, rates: Optional[tuple] = None):
     """The trial step of ``_dp5`` for states of n components, built on first use.
 
     ``kernel(fun, t, y, k0, h, atol, rtol)`` makes one trial step of size h
@@ -321,26 +324,49 @@ def _kernel(n: int):
     scaled error components. When a stage fails (see ``_STAGE``) it returns
     instead the number of right-hand-side evaluations made (an int).
 
-    The source is generated from the tableau names with every component
-    written out. y and each stage output are unpacked into locals (``y_i``
-    and ``k<s>_i``), each stage input is a tuple of per-component sums with
-    the terms in tableau order, and the error sum adds the components in
-    order. max(|y_i|, |z_i|) is written as a conditional that keeps max's
-    rule (the first argument unless the second is greater).
-    ``print(_kernel(4).source)`` shows the generated text. The source grows
-    linearly with n: building takes about 2 ms for n = 4 and 0.16 s for
-    n = 500 (2-core Xeon, Python 3.11), once per n and process.
+    With ``rates`` None, the cache key is n and each stage calls fun. With
+    ``rates``, the two strains' rate texts (``incidence._RATE_TEXTS`` or
+    ``model._RATE_CALL``) and n = 4 or 5, it returns instead a factory
+    ``(*model._COEFFICIENTS, b1, z1, b2, z2, rate1, rate2) -> kernel`` whose
+    kernel ignores fun: each stage assigns the model's field
+    (``model._field_lines``) to its output locals, so it makes no Python call
+    for a built-in rate and calls ``rate<j>`` for a custom strain j. The
+    coefficients are closure cells, so one cached factory serves every
+    parameter value, and its kernel gives the generic kernel's bits on
+    ``bound_field`` of the same rates.
+
+    The source is generated from the tableau with every component written
+    out and each weight a float literal, whose repr reads back exactly. y
+    and each stage output are unpacked into locals (``y_i`` and
+    ``k<s>_i``), each stage input is a per-component sum with the terms in
+    tableau order, and the error sum adds the components in order.
+    max(|y_i|, |z_i|) is written as a conditional that keeps max's rule
+    (the first argument unless the second is greater).
+    ``print(_kernel(4).source)`` and ``print(_kernel(4, rates).source)``
+    show the generated text. The source grows linearly with n: building
+    takes about 2 ms for n = 4 and 0.17 s for n = 500, and a factory about
+    3 ms for n = 4 or 5 (2-core Xeon, Python 3.11), once per key and
+    process, on first use.
     """
 
     def listed(pattern):
         # the trailing comma makes a 1-component tuple or unpacking
         return ", ".join(pattern.format(i=i) for i in range(n)) + ("," if n == 1 else "")
 
-    def weighted(weights):
-        return " + ".join("%s * k%d_{i}" % (w, s) for s, w in weights)
+    def weighted(row):
+        # a zero weight (B1, E1) leaves its stage out
+        return " + ".join("%r * k%d_{i}" % (w, s) for s, w in enumerate(row) if w)
 
-    def stage(s, t, y):
-        return [_STAGE.format(t=t, y=y, fail=s), "    %s = k" % listed("k%d_{i}" % s)]
+    def stage(s, t, inputs):
+        # ``inputs`` is the pattern of the stage input's component {i}
+        outputs = listed("k%d_{i}" % s)
+        if rates is None:
+            return [_call_stage(t, "(%s)" % listed(inputs), s), "    %s = k" % outputs]
+        # the field reads the stage input from the model's state names
+        lines = ["    %s = %s" % (_STATE[i], inputs.format(i=i)) for i in range(n)]
+        body = "\n".join("        " + line for line in _field_lines(n, rates, "k%d_{i}" % s))
+        total = " + ".join("k%d_%d" % (s, i) for i in range(n))
+        return lines + [_STAGE.format(body=body, total=total, parts="(%s)" % outputs, fail=s)]
 
     lines = [
         "def _dp5_kernel_%d(fun, t, y, k0, h, atol, rtol):" % n,
@@ -348,23 +374,29 @@ def _kernel(n: int):
         "    %s = k0" % listed("k0_{i}"),
     ]
     for s in range(1, 6):
-        inputs = listed("y_{i} + h * (%s)" % weighted((j, "_A%d%d" % (s, j)) for j in range(s)))
-        lines += stage(s, "t + _C%d * h" % s if s < 5 else "t + h", "(%s)" % inputs)
-    z = "    z_{i} = y_{i} + h * (%s)" % weighted((j, "_B%d" % j) for j in _B_STAGES)
+        inputs = "y_{i} + h * (%s)" % weighted(_A[s - 1])
+        lines += stage(s, "t + %r * h" % _C[s - 1] if s < 5 else "t + h", inputs)
+    z = "    z_{i} = y_{i} + h * (%s)" % weighted(_B)
     lines += [z.format(i=i) for i in range(n)]
     lines.append("    y_new = (%s)" % listed("z_{i}"))
-    lines += stage(6, "t + h", "y_new")
-    e = "    e_{i} = h * (%s) / (atol + rtol * (w if w > u else u))" % weighted(
-        (j, "_E%d" % j) for j in _E_STAGES
-    )
+    lines += stage(6, "t + h", "z_{i}")
+    e = "    e_{i} = h * (%s) / (atol + rtol * (w if w > u else u))" % weighted(_E)
     for i in range(n):
         lines += ["    u = abs(y_%d)" % i, "    w = abs(z_%d)" % i, e.format(i=i)]
     # one statement per component: a chained sum nests n deep, and the
     # compiler's recursion limit caps that at a few thousand
     lines.append("    acc = e_0 * e_0")
     lines += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
-    lines.append("    return y_new, k, acc")
-    return _compiled("_dp5_kernel_%d" % n, lines, "<dp5 kernel, n = %d>" % n)
+    name = "_dp5_kernel_%d" % n
+    if rates is None:
+        lines.append("    return y_new, k, acc")
+        return _compiled(name, lines, "<dp5 kernel, n = %d>" % n, globals())
+    lines.append("    return y_new, (%s), acc" % listed("k6_{i}"))
+    args = ", ".join(_COEFFICIENTS + ("b1", "z1", "b2", "z2", "rate1", "rate2"))
+    lines = ["def _bind_kernel(%s):" % args] + ["    " + line for line in "\n".join(lines).split("\n")]
+    lines.append("    return " + name)
+    filename = "<dp5 kernel, n = %d, F1 = %s, F2 = %s>" % ((n,) + rates)
+    return _compiled("_bind_kernel", lines, filename, globals())
 
 
 def _initial_step(fun, y0, f0, t_end, rtol, atol, max_step):
@@ -424,31 +456,47 @@ def integrate(
     """Run the model from a nonnegative initial state.
 
     Tracks the recovered class exactly when the initial state carries one.
-    Events recorded: entry into the box {S <= S0, V1 <= V10} and a
-    tolerance failure if a component leaves the nonnegative band.
+    Events recorded: entry into the box {S <= S0, V1 <= V10}, read off the
+    accepted steps whether or not the run is sampled, and a tolerance
+    failure if a component leaves the nonnegative band.
+
+    Each trial step is one call to a kernel with the model's field and the
+    built-in rates written in (``_kernel(n, rates)``); a custom rate is
+    called as its ``scalar_rate()``. It gives the bits of the generic
+    kernel on ``bound_field`` of the same rates.
     """
     opts = opts or IntegratorOptions()
     y0 = _as_array(x0)
+    if y0.ndim != 1 or len(y0) not in (4, 5):
+        raise ValueError("state vector must have 4 or 5 components")
     if not np.all(np.isfinite(y0)) or np.any(y0 < 0.0):
         raise DomainError("initial state must be finite and componentwise >= 0")
     track_r = y0.shape[0] == 5
 
+    rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
+    rates = tuple(_RATE_TEXTS.get(inc.family, _RATE_CALL) for inc in (inc1, inc2))
+    kernel = _kernel(len(y0), rates)(
+        *(getattr(p, name) for name in _COEFFICIENTS),
+        inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, rate1, rate2,
+    )
     raw = _dp5(
-        bound_field(p, inc1.scalar_rate(), inc2.scalar_rate()),
+        bound_field(p, rate1, rate2),
         y0.tolist(),
         opts.t_end,
         opts.rtol,
         opts.atol,
         opts.max_step,
         opts.sample_times,
+        kernel=kernel,
     )
 
     events: List[TrajectoryEvent] = []
-    i0 = _omega1_entry(raw.states, p)
+    step_times, step_states = raw.steps
+    i0 = _omega1_entry(step_states, p)
     if i0 is not None:
         events.append(
             TrajectoryEvent(
-                float(raw.times[i0]),
+                float(step_times[i0]),
                 "entered_omega1",
                 "S <= %.6g and V1 <= %.6g" % (p.susceptible_cap, p.vaccinated_cap),
             )
@@ -513,6 +561,10 @@ def monitor_invariance(traj: Trajectory, p: ModelParams) -> InvarianceReport:
     the final N must satisfy the asymptotic bound with 1e-3 slack, and once
     (S, V1) enters the sub-box bounded by the disease-free coordinates it
     must remain inside (1e-6 slack).
+
+    Only the states of ``traj`` are checked: for a sampled run, entry times
+    read the first sample inside, and an exit and return between two
+    samples goes unseen.
     """
     if len(traj.times) == 0:
         raise ValueError("empty trajectory")

@@ -7,6 +7,7 @@ against the trapping-box properties and the certified equilibria.
 
 import collections
 import dataclasses
+import gc
 import math
 import sys
 
@@ -15,7 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
-from twostrain import incidence, simulate
+from twostrain import incidence, model, simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.equilibria import (
     Equilibrium,
@@ -26,7 +27,7 @@ from twostrain.equilibria import (
 )
 from twostrain.errors import DomainError, IntegrationError, PreconditionError
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import ModelParams, State, field_norms, jacobian, vector_field
+from twostrain.model import PARAM_NAMES, ModelParams, State, field_norms, jacobian, vector_field
 from twostrain.simulate import (
     IntegratorOptions,
     Trajectory,
@@ -119,6 +120,10 @@ class TestStepper:
         with pytest.raises(ValueError):
             adaptive_rk45(lambda t, y: -y, [1.0], 2.0, sample_times=[0.0, 3.0])
 
+    def test_nan_sample_time_rejected(self):
+        with pytest.raises(ValueError, match="within"):
+            adaptive_rk45(lambda t, y: -y, [1.0], 2.0, sample_times=[0.5, math.nan])
+
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError):
             adaptive_rk45(lambda t, y: -y, [], 1.0)
@@ -179,6 +184,16 @@ class TestIntegratorOptions:
         with pytest.raises(Exception):
             IntegratorOptions().rtol = 1e-3
 
+    def test_only_max_step_may_be_infinite(self):
+        # an infinite horizon would spin to the step limit
+        assert IntegratorOptions(max_step=math.inf).max_step == math.inf
+        for name in ("rtol", "atol", "t_end", "convergence_tol", "tail_window"):
+            for value in (math.inf, math.nan):
+                with pytest.raises(ValueError, match=name):
+                    IntegratorOptions(**{name: value})
+        with pytest.raises(ValueError, match="max_step"):
+            IntegratorOptions(max_step=math.nan)
+
 
 class TestIntegrate:
     def test_rejects_bad_initial_states(self):
@@ -187,6 +202,8 @@ class TestIntegrate:
             integrate(p, inc1, inc2, np.array([500.0, -1.0, 50.0, 50.0]))
         with pytest.raises(DomainError):
             integrate(p, inc1, inc2, np.array([500.0, np.nan, 50.0, 50.0]))
+        with pytest.raises(ValueError, match="4 or 5"):
+            integrate(p, inc1, inc2, np.array([500.0, 50.0, 50.0]))
 
     def test_states_stay_nonnegative_and_events_recorded(self):
         p, inc1, inc2 = setup_low_transmission()
@@ -197,6 +214,20 @@ class TestIntegrate:
         # the start already satisfies S <= S0 and V1 <= V10
         omega1 = [e for e in traj.events if e.kind == "entered_omega1"]
         assert omega1 and omega1[0].time == 0.0
+
+    def test_sampled_run_reads_the_omega1_entry_off_the_steps(self):
+        sc = build_scenario("6.4")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        x0 = (2.0 * p.susceptible_cap, 1.5 * p.vaccinated_cap, 10.0, 10.0)
+        full = integrate(p, inc1, inc2, x0, sc.integrator)
+        opts = dataclasses.replace(sc.integrator, sample_times=(0.0, 1000.0, 5000.0))
+        sampled = integrate(p, inc1, inc2, x0, opts)
+        assert sampled.times.tolist() == [0.0, 1000.0, 5000.0]
+        assert sampled.events == full.events
+        (entry,) = [e for e in full.events if e.kind == "entered_omega1"]
+        assert entry.time == pytest.approx(8.4779, abs=1e-4)
+        # monitor_invariance checks only the samples it is given
+        assert monitor_invariance(sampled, p).entered_omega1_at == 1000.0
 
     def test_recovered_class_tracked_when_present(self):
         p, inc1, inc2 = setup_low_transmission()
@@ -621,14 +652,17 @@ class TestLeanStepper:
 class TestStepKernel:
     def test_each_attempt_is_one_kernel_call_and_six_field_calls(self):
         # a deterministic count of Python-level calls: a per-stage helper
-        # frame put back into the step loop changes a count, not a timing
+        # frame put back into the step loop changes a count, not a timing.
+        # integrate's kernel has the field written in, so with built-in rates
+        # it makes no Python call and with a custom strain it calls that
+        # strain's rate once per stage; adaptive_rk45's generic kernel calls
+        # its fun once per stage
         sc = build_scenario("6.4")
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
-        kernel = simulate._kernel(4).__code__
-        field = simulate.bound_field(p, None, None).__code__
+        custom2 = IncidenceSpec.custom(inc2.rate)
         dp5 = simulate._dp5.__code__
 
-        def counted_run(t_end):
+        def counted_run(run, t_end):
             calls = collections.Counter()
 
             def profile(frame, event, arg):
@@ -636,29 +670,45 @@ class TestStepKernel:
                     calls[frame.f_back.f_code, frame.f_code] += 1
 
             opts = dataclasses.replace(sc.integrator, t_end=t_end)
+            # a collection would finalize other objects inside a kernel frame
+            gc.disable()
             sys.setprofile(profile)
             try:
-                traj = integrate(p, inc1, inc2, sc.initial, opts)
+                st = run(opts).stats
             finally:
                 sys.setprofile(None)
-            st = traj.stats
+                gc.enable()
             attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
             # no stage failed, so every attempt evaluated all six stages
             assert st.rhs_evals == 2 + 6 * attempts + st.clamps
+            (kernel,) = {callee for caller, callee in calls if caller is dp5 and callee.co_name.startswith("_dp5_kernel")}
             assert calls[dp5, kernel] == attempts
             made_by_kernel = {callee: n for (caller, callee), n in calls.items() if caller is kernel}
-            assert made_by_kernel == {field: 6 * attempts}
-            assert sum(n for (_, callee), n in calls.items() if callee is field) == st.rhs_evals
-            # the two incidence rates, and nothing else
-            assert sum(n for (caller, _), n in calls.items() if caller is field) == 2 * st.rhs_evals
-            stepping = attempts + st.rhs_evals + 2 * st.rhs_evals
-            return attempts, sum(calls.values()) - stepping
+            return attempts, made_by_kernel, sum(calls.values())
 
-        short_attempts, short_rest = counted_run(1000.0)
-        full_attempts, full_rest = counted_run(sc.integrator.t_end)
-        assert full_attempts > short_attempts + 100
-        # every other call is made once per run, not once per step
-        assert full_rest == short_rest
+        def built_in(opts):
+            return integrate(p, inc1, inc2, sc.initial, opts)
+
+        def custom(opts):
+            return integrate(p, inc1, custom2, sc.initial, opts)
+
+        def generic(opts):
+            field = simulate.bound_field(p, inc1.scalar_rate(), inc2.scalar_rate())
+            return adaptive_rk45(field, sc.initial.as_array(), opts.t_end, opts.rtol, opts.atol)
+
+        built_in(sc.integrator)  # builds and caches the kernel
+        short_attempts, made, short_total = counted_run(built_in, 1000.0)
+        assert made == {}
+        full_attempts, made, full_total = counted_run(built_in, sc.integrator.t_end)
+        assert made == {} and full_attempts > short_attempts + 100
+        # every call but the kernel's is made once per run, not once per step
+        assert full_total - full_attempts == short_total - short_attempts
+
+        attempts, made, _ = counted_run(custom, 1000.0)
+        assert made == {custom2.scalar_rate().__code__: 6 * attempts}
+        attempts, made, _ = counted_run(generic, 1000.0)
+        ((fun, n),) = made.items()
+        assert fun.co_name == "fun" and n == 6 * attempts
 
     def test_thousands_of_components(self):
         # the generated source stays flat: no expression nests n deep, which
@@ -668,6 +718,129 @@ class TestStepKernel:
         raw = adaptive_rk45(lambda t, y: -rates * y, np.ones(n), 2.0, rtol=1e-6, atol=1e-9)
         assert raw.states.shape[1] == n
         assert np.allclose(raw.states[-1], np.exp(-2.0 * rates), rtol=1e-5, atol=0.0)
+
+
+def generic_integrate(*args):
+    """``integrate`` with each trial step on the generic kernel, which calls
+    ``bound_field`` of the same rates, instead of the kernel with the field
+    written in."""
+    kernel = simulate._kernel
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulate, "_kernel", lambda n, rates=None: lambda *bound: kernel(n))
+        return integrate(*args)
+
+
+class TestInlinedKernel:
+    """integrate's kernel, with the field and the built-in rates written in,
+    gives the generic kernel's times, states, events and stats bit for bit."""
+
+    def check(self, p, inc1, inc2, y0, opts):
+        traj = integrate(p, inc1, inc2, y0, opts)
+        ref = generic_integrate(p, inc1, inc2, y0, opts)
+        assert same_bits(traj.times, ref.times) and same_bits(traj.states, ref.states)
+        assert traj.events == ref.events and traj.stats == ref.stats
+        return traj
+
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_examples_with_and_without_R_and_samples(self, example_id):
+        sc = build_scenario(example_id)
+        start = sc.initial.as_array()
+        samples = tuple(np.linspace(0.0, sc.integrator.t_end, 137))
+        for y0 in (start, np.append(start, 25.0)):
+            for opts in (sc.integrator, dataclasses.replace(sc.integrator, sample_times=samples)):
+                self.check(sc.params, sc.incidence1, sc.incidence2, y0, opts)
+
+    def test_criterion_9_starts(self):
+        # 25 starts per example, drawn as criterion 9 draws them
+        for seed, example_id in enumerate(EXAMPLE_IDS, start=901):
+            sc = build_scenario(example_id)
+            rng = np.random.default_rng(seed)
+            for _ in range(25):
+                shares = rng.exponential(1.0, 4)
+                x0 = shares / shares.sum() * rng.uniform(0.0, 1.0) * sc.params.population_cap
+                self.check(sc.params, sc.incidence1, sc.incidence2, x0, sc.integrator)
+
+    def test_clamping_run(self):
+        p = ModelParams(Lambda=5.77, mu=0.02, r=0.01, k=0.417, gamma1=0.557, gamma2=0.598, v1=0.0, v2=0.0)
+        inc1, inc2 = IncidenceSpec.bilinear(0.23), IncidenceSpec.saturated_i2(0.405, 1.7e-4)
+        opts = IntegratorOptions(rtol=0.0076, atol=0.023, t_end=20.0)
+        traj = self.check(p, inc1, inc2, (71.55, 19.7, 26.58, 32.48), opts)
+        assert traj.stats.clamps > 0
+
+    @pytest.mark.parametrize("strains", [(1,), (2,), (1, 2)])
+    def test_custom_rates(self, strains):
+        sc = build_scenario("6.3")
+        incs = [sc.incidence1, sc.incidence2]
+        for j in strains:
+            incs[j - 1] = IncidenceSpec.custom(incs[j - 1].rate)
+        traj = self.check(sc.params, *incs, sc.initial, sc.integrator)
+        built_in = integrate(sc.params, sc.incidence1, sc.incidence2, sc.initial, sc.integrator)
+        assert same_bits(traj.states, built_in.states) and traj.stats == built_in.stats
+
+    def test_rate_refusing_negative_infectives(self):
+        # every stage probing I1 < 0 fails in both kernels: the same stats,
+        # so the same rejected steps and the same failing stage indices
+        sc = build_scenario("6.1")
+        inc1 = sc.incidence1
+
+        def refuses_negative_infectives(S, I):
+            if np.any(np.asarray(I) < 0.0):
+                raise DomainError("negative infectives")
+            return inc1.rate(S, I)
+
+        custom = IncidenceSpec.custom(refuses_negative_infectives)
+        traj = self.check(sc.params, custom, sc.incidence2, sc.initial, sc.integrator)
+        assert traj.stats.rejected_steps > 100
+
+    def test_zero_denominator_fails_the_same_stage(self):
+        # strain 2 is saturated_s and I2 = 0 in every stage, so F2 = 0 and the
+        # stage inputs do not depend on zeta; zeta = -1/S of stage s makes
+        # F2 = 0/0 there, which both kernels must report as stage s
+        p = build_scenario("6.4").params
+        inc1 = IncidenceSpec.bilinear(2e-4)
+        y, k0, h = (-5.0, 10.0, 3.0, 0.0), (1.0, -2.0, 0.5, 0.0), 0.01
+        rate2 = IncidenceSpec.saturated_s(1e-4, 0.0).scalar_rate()
+        field = simulate.bound_field(p, inc1.scalar_rate(), rate2)
+        stage_S = []
+
+        def recorded(t, x):
+            stage_S.append(x[0])
+            return field(t, x)
+
+        simulate._kernel(4)(recorded, 0.0, y, k0, h, 1e-10, 1e-8)
+        assert len(set(stage_S)) == 6 and max(stage_S) < 0.0
+        coefficients = [getattr(p, name) for name in model._COEFFICIENTS]
+        factory = simulate._kernel(4, (incidence._RATE_TEXTS["bilinear"], incidence._RATE_TEXTS["saturated_s"]))
+        failed = []
+        for s, S in enumerate(stage_S, 1):
+            inc2 = IncidenceSpec.saturated_s(1e-4, -1.0 / S)
+            if 1.0 + inc2.zeta * S != 0.0:
+                continue
+            rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
+            generic = simulate._kernel(4)(simulate.bound_field(p, rate1, rate2), 0.0, y, k0, h, 1e-10, 1e-8)
+            inlined = factory(*coefficients, inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, rate1, rate2)
+            assert inlined(None, 0.0, y, k0, h, 1e-10, 1e-8) == generic == s
+            failed.append(s)
+        assert len(failed) >= 3
+
+    def test_one_kernel_serves_every_parameter_value(self):
+        # the factory is cached per (n, rate texts): no parameter value or
+        # coefficient compiles a new kernel
+        sc = build_scenario("6.4")
+        opts = dataclasses.replace(sc.integrator, t_end=200.0)
+        self.check(sc.params, sc.incidence1, sc.incidence2, sc.initial, opts)
+        before = simulate._kernel.cache_info()
+        rng = np.random.default_rng(14)
+        for _ in range(20):
+            scaled = {name: getattr(sc.params, name) * rng.uniform(0.5, 2.0) for name in PARAM_NAMES}
+            inc1, inc2 = (
+                dataclasses.replace(inc, beta=inc.beta * rng.uniform(0.5, 2.0), zeta=inc.zeta * rng.uniform(0.5, 2.0))
+                for inc in (sc.incidence1, sc.incidence2)
+            )
+            self.check(ModelParams(**scaled), inc1, inc2, sc.initial, opts)
+        after = simulate._kernel.cache_info()
+        assert (after.currsize, after.misses) == (before.currsize, before.misses)
+        assert after.hits >= before.hits + 20
 
 
 class TestClosedFormTable:
@@ -715,6 +888,21 @@ class TestClosedFormTable:
         assert forms.rate == custom.rate and forms.d_rate_dS == custom.d_rate_dS
         with pytest.raises(DomainError):
             forms.force(math.nan, 1.0)
+
+    @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
+    def test_rate_text_gives_the_table_rate_bitwise(self, inc):
+        # the text as written, and as the kernel writes it for either strain
+        text = incidence._RATE_TEXTS[inc.family]
+        rate = incidence._CLOSED_FORMS[inc.family].rate
+        lines = model._field_lines(4, (text, text))[:2]
+        I_grid, S_grid = np.meshgrid(self.I_AXIS, self.S_AXIS)
+        for S, I in [(S, I) for S in self.S_AXIS for I in self.I_AXIS] + [(S_grid, I_grid)]:
+            expected = rate(inc.beta, inc.zeta, S, I)
+            assert same_bits(eval(text, {"b": inc.beta, "z": inc.zeta, "S": S, "I": I}), expected)
+            for j, line in enumerate(lines, 1):
+                scope = {"b%d" % j: inc.beta, "z%d" % j: inc.zeta, "S": S, "I%d" % j: I}
+                exec(line, scope)
+                assert same_bits(scope["F%d" % j], expected), line
 
     @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
     def test_scalar_rate_equals_the_checked_rate_bitwise(self, inc):
@@ -804,29 +992,27 @@ class TestTableauOracle:
         read_back = assert_dormand_prince_steps(f, attempts, self.RTOL, self.ATOL, t_end, widened=False)
         assert read_back >= 20
 
-    def test_integrate_tracking_the_recovered_class(self, monkeypatch):
-        # 5 components, through integrate's own field
+    def test_integrate_tracking_the_recovered_class(self):
+        # 5 components: the generic kernel on integrate's own field, whose
+        # stages are recorded; integrate's inlined kernel must equal that run
         sc = build_scenario("6.4")
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         t_end = 300.0
         calls = []
-        bind = simulate.bound_field
+        field = simulate.bound_field(p, inc1.scalar_rate(), inc2.scalar_rate())
 
-        def recording_field(*args):
-            field = bind(*args)
+        def recorded(t, y):
+            calls.append((t, np.array(y)))
+            return field(t, y)
 
-            def recorded(t, y):
-                calls.append((t, np.array(y)))
-                return field(t, y)
-
-            return recorded
-
-        monkeypatch.setattr(simulate, "bound_field", recording_field)
-        opts = IntegratorOptions(rtol=self.RTOL, atol=self.ATOL, t_end=t_end)
-        traj = integrate(p, inc1, inc2, np.append(sc.initial.as_array(), 25.0), opts)
+        y0 = np.append(sc.initial.as_array(), 25.0)
+        raw = simulate._dp5(recorded, y0.tolist(), t_end, self.RTOL, self.ATOL, math.inf, None)
+        traj = integrate(p, inc1, inc2, y0, IntegratorOptions(rtol=self.RTOL, atol=self.ATOL, t_end=t_end))
         assert traj.tracks_recovered and traj.states.shape[1] == 5
+        assert same_bits(traj.times, raw.times) and same_bits(traj.states, raw.states)
+        assert traj.stats == raw.stats
         f = lambda t, y: vector_field(p, inc1, inc2, y)
-        read_back = assert_dormand_prince_steps(f, step_attempts(traj, calls), self.RTOL, self.ATOL, t_end)
+        read_back = assert_dormand_prince_steps(f, step_attempts(raw, calls), self.RTOL, self.ATOL, t_end)
         assert read_back >= 20
 
     def test_one_component_adaptive_rk45(self):
