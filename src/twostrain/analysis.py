@@ -347,7 +347,8 @@ def sweep(
 ) -> List[SweepRow]:
     """Evaluate thresholds (and optionally equilibria with verdicts) on a grid.
 
-    Every row is built by ``apply_sweep_value``. Without ``classify`` the
+    Every row is built by ``apply_sweep_value``; a value it refuses is a
+    ConfigError naming the key and the value. Without ``classify`` the
     thresholds of all rows come from one array evaluation. With it the rows
     go through ``solve_batch``, one batched pass per block of rows, and are
     classified one by one; each row's result is bit for bit that of solving
@@ -356,9 +357,16 @@ def sweep(
     """
     if n < 2:
         raise ConfigError("sweep needs n >= 2 grid points")
+    if not np.all(np.isfinite([start, stop])):
+        raise ConfigError("sweep bounds must be finite, got %r and %r" % (start, stop))
     _resolve_key(key)  # validate before running
     values = np.linspace(start, stop, n).tolist()
-    scenarios = [apply_sweep_value(sc, key, value) for value in values]
+    scenarios = []
+    for value in values:
+        try:
+            scenarios.append(apply_sweep_value(sc, key, value))
+        except ValueError as exc:
+            raise ConfigError("sweep %s = %r: %s" % (key, value, exc)) from None
     cases = [(sci.params, sci.incidence1, sci.incidence2) for sci in scenarios]
     if not classify:
         cols = _Rows.of(cases)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import os
 import sys
 from typing import List, Optional
@@ -42,25 +43,30 @@ def _load(args) -> Scenario:
     return sc
 
 
-def _out_path(out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    return os.path.join(out_dir, name)
+def _write(out_dir: str, name: str, write, newline=None) -> str:
+    """Create ``out_dir`` if needed and fill its file ``name`` with
+    ``write(fh)``; failing to create or write either is a ConfigError."""
+    path = os.path.join(out_dir, name)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from None
+    return path
 
 
 def _write_text(out_dir: str, name: str, text: str) -> str:
-    path = _out_path(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+    return _write(out_dir, name, lambda fh: fh.write(text))
 
 
 def _write_csv(out_dir: str, name: str, header, rows) -> str:
-    path = _out_path(out_dir, name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    def write(fh):
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-    return path
+
+    return _write(out_dir, name, write, newline="")
 
 
 def cmd_analyze(args) -> int:
@@ -177,6 +183,25 @@ def cmd_reproduce(args) -> int:
     return EXIT_OK if ok else EXIT_REPRODUCE
 
 
+def _checked(convert, test, expected: str):
+    """An argparse ``type``: ``convert(text)`` when it passes ``test``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not test(value):
+            raise argparse.ArgumentTypeError("expected %s, got %r" % (expected, text))
+        return value
+
+    return parse
+
+
+_GRID = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_T_END = _checked(float, lambda v: 0.0 < v < math.inf, "a finite number > 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twostrain",
@@ -194,12 +219,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("analyze", help="thresholds, equilibria, stability, verdicts")
     common(sp)
-    sp.add_argument("--grid", type=int, default=200, help="global-scan grid size per axis")
+    sp.add_argument("--grid", type=_GRID, default=200, help="global-scan grid size per axis")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("simulate", help="integrate the scenario and summarize events")
     common(sp)
-    sp.add_argument("--t-end", type=float, default=None, help="override scenario t_end")
+    sp.add_argument("--t-end", type=_T_END, default=None, help="override scenario t_end")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("sweep", help="threshold and verdict table over one parameter")
@@ -212,13 +237,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-global", help="run applicable global-stability scans")
     common(sp)
-    sp.add_argument("--grid", type=int, default=200)
+    sp.add_argument("--grid", type=_GRID, default=200)
     sp.set_defaults(func=cmd_check_global)
 
     sp = sub.add_parser("reproduce", help="run a built-in benchmark and assert its values")
     sp.add_argument("example", choices=EXAMPLE_IDS + ("all",))
     sp.add_argument("--out", default=".")
-    sp.add_argument("--grid", type=int, default=200)
+    sp.add_argument("--grid", type=_GRID, default=200)
     sp.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -7,9 +7,10 @@ clamped at zero within an atol-sized band, a component falling below -atol
 is a hard tolerance failure that stops the run, the final time is landed
 exactly, and entry into the invariant box is recorded as an event.
 
-The step loop runs on Python floats; each trial step is one call to a
-kernel generated for the state's number of components (see ``_kernel``).
-``integrate``'s kernel has the model's field written into its stages.
+The step loop runs on Python floats. Its right-hand side and its trial
+step are generated together for the state's number of components (see
+``_kernel``): ``adaptive_rk45`` binds them to its ``rhs``, and
+``integrate`` to the model's field, written into every stage.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .incidence import _RATE_TEXTS, IncidenceSpec
-from .model import ModelParams, State, bound_field, field_norms, require_certified
+from .model import ModelParams, State, field_norms, require_certified
 from .model import _COEFFICIENTS, _RATE_CALL, _STATE, _as_array, _compiled, _field_lines
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980, J. Comput. Appl. Math.
@@ -157,6 +158,8 @@ def adaptive_rk45(
     the stored steps after the run by ``_hermite``, which sets the edge rules.
     """
     n = len(y0)
+    if n == 0:
+        raise ValueError("the state needs at least one component")
 
     def fun(t, y):
         f = np.array(rhs(t, np.array(y)), float, ndmin=1).tolist()
@@ -164,36 +167,32 @@ def adaptive_rk45(
             raise ValueError("rhs returned %d components for a state of %d" % (len(f), n))
         return f
 
-    return _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative)
+    return _dp5(*_kernel(n)(fun), y0, t_end, rtol, atol, max_step, sample_times, nonnegative)
 
 
-def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True, kernel=None) -> RawIntegration:
+def _dp5(stage, step, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -> RawIntegration:
     """The stepper behind ``adaptive_rk45`` and ``integrate``, on Python floats.
 
-    ``fun(t, y)`` takes the state as a tuple of floats and returns the
-    derivative as a sequence of floats; a stage fails as ``_STAGE`` says.
+    ``stage`` and ``step`` are one binding of ``_kernel(len(y0), ...)``:
+    ``stage(t, y)`` gives f(t, y) at the start, for the first-step probe
+    and after each clamp, and each trial step is one call to ``step``.
     States, stages and the FSAL derivative are never written in place, so a
     rejected trial leaves f(t, y) as the first stage of the retry. Each
-    trial step is one call to ``kernel``, by default ``_kernel(len(y0))``
-    calling fun; a kernel with fun's field written in must give its bits.
-    Each accepted step's (t, y, f) is kept; ``_hermite`` maps them to
+    accepted step's (t, y, f) is kept; ``_hermite`` maps them to
     ``sample_times`` after the loop.
     """
     y = tuple(float(v) for v in y0)
     n = len(y)
-    if n == 0:
-        raise ValueError("the state needs at least one component")
-    kernel = kernel or _kernel(n)
     t = 0.0
     if sample_times is not None:
         samples = np.asarray(sample_times, float)
         if samples.ndim != 1 or not np.all((samples >= 0.0) & (samples <= t_end)):
             raise ValueError("sample_times must lie within [0, t_end]")
 
-    f = _stage(fun, t, y)
+    f = stage(t, y)
     if f is None:
         raise IntegrationError("right-hand side failed at the initial state", t, np.array(y))
-    h = _initial_step(fun, y, f, t_end, rtol, atol, max_step)
+    h = _initial_step(stage, y, f, t_end, rtol, atol, max_step)
     # every accepted step's end point and FSAL derivative, the start first
     times, states, slopes = [t], [y], [f]
 
@@ -208,7 +207,7 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True, k
         if h < 1e-14 * max(1.0, abs(t)):
             raise IntegrationError("step size underflow at t = %g" % t, t, np.array(y))
 
-        trial = kernel(fun, t, y, f, h, atol, rtol)
+        trial = step(t, y, f, h, atol, rtol)
         if type(trial) is int:
             evals += trial
             rejected += 1
@@ -246,7 +245,7 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True, k
                 clamps += 1
                 evals += 1
                 y_new = tuple(0.0 if v < 0.0 else v for v in y_new)
-                f_new = _stage(fun, t_new, y_new)
+                f_new = stage(t_new, y_new)
                 if f_new is None:
                     raise IntegrationError(
                         "right-hand side failed after clamping at t = %g" % t_new,
@@ -284,9 +283,9 @@ def _dp5(fun, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True, k
 # One stage as indented source: {body} sets the stage output, and the stage
 # fails when it raises an arithmetic or domain error or a component is not
 # finite. The elementwise test runs only when the sum {total} is not
-# finite, which an overflowing sum of finite parts can also be. Each kernel
-# writes it in per stage; ``_stage`` is it on its own, for the calls outside
-# a trial step.
+# finite, which an overflowing sum of finite parts can also be. ``_kernel``
+# writes it into each stage of a trial step and into ``stage``, the
+# evaluation outside a trial step.
 _STAGE = """\
     try:
 {body}
@@ -296,43 +295,27 @@ _STAGE = """\
         return {fail}"""
 
 
-def _call_stage(t, y, fail):
-    """``_STAGE`` with k = fun(t, y) as its body."""
-    return _STAGE.format(body="        k = fun(%s, %s)" % (t, y), total="sum(k)", parts="k", fail=fail)
-
-
-_stage = _compiled(
-    "_stage",
-    [
-        "def _stage(fun, t, y):",
-        '    """fun(t, y), or None when the stage fails."""',
-        _call_stage("t", "y", None),
-        "    return k",
-    ],
-    "<stage>",
-    globals(),
-)
-
-
 @functools.lru_cache(maxsize=None)
 def _kernel(n: int, rates: Optional[tuple] = None):
-    """The trial step of ``_dp5`` for states of n components, built on first use.
+    """The binder of ``_dp5``'s right-hand side and trial step for states of
+    n components, built on first use. It returns ``(stage, step)``.
 
-    ``kernel(fun, t, y, k0, h, atol, rtol)`` makes one trial step of size h
-    from (t, y), with k0 = f(t, y). It returns (y_new, k6, acc): the
-    5th-order solution, k6 = f(t + h, y_new) and the sum of squares of the
-    scaled error components. When a stage fails (see ``_STAGE``) it returns
+    ``stage(t, y)`` is f(t, y) as a tuple, or None when the stage fails
+    (see ``_STAGE``). ``step(t, y, k0, h, atol, rtol)`` makes one trial
+    step of size h from (t, y), with k0 = f(t, y). It returns (y_new, k6,
+    acc): the 5th-order solution, k6 = f(t + h, y_new) and the sum of
+    squares of the scaled error components. When a stage fails it returns
     instead the number of right-hand-side evaluations made (an int).
 
-    With ``rates`` None, the cache key is n and each stage calls fun. With
-    ``rates``, the two strains' rate texts (``incidence._RATE_TEXTS`` or
-    ``model._RATE_CALL``) and n = 4 or 5, it returns instead a factory
-    ``(*model._COEFFICIENTS, b1, z1, b2, z2, rate1, rate2) -> kernel`` whose
-    kernel ignores fun: each stage assigns the model's field
-    (``model._field_lines``) to its output locals, so it makes no Python call
-    for a built-in rate and calls ``rate<j>`` for a custom strain j. The
-    coefficients are closure cells, so one cached factory serves every
-    parameter value, and its kernel gives the generic kernel's bits on
+    With ``rates`` None, the cache key is n, the binder is ``bind(fun)``
+    and each stage calls fun(t, y). With ``rates``, the two strains' rate
+    texts (``incidence._RATE_TEXTS`` or ``model._RATE_CALL``) and n = 4 or
+    5, the binder is ``bind(*model._COEFFICIENTS, b1, z1, b2, z2, rate1,
+    rate2)`` and each stage assigns the model's field
+    (``model._field_lines``) to its output locals, so it makes no Python
+    call for a built-in rate and calls ``rate<j>`` for a custom strain j.
+    The bound values are closure cells, so one cached binder serves every
+    parameter value, and it gives the bits of ``bind(fun)`` with fun =
     ``bound_field`` of the same rates.
 
     The source is generated from the tableau with every component written
@@ -344,8 +327,8 @@ def _kernel(n: int, rates: Optional[tuple] = None):
     (the first argument unless the second is greater).
     ``print(_kernel(4).source)`` and ``print(_kernel(4, rates).source)``
     show the generated text. The source grows linearly with n: building
-    takes about 2 ms for n = 4 and 0.17 s for n = 500, and a factory about
-    3 ms for n = 4 or 5 (2-core Xeon, Python 3.11), once per key and
+    takes about 2 ms for n = 4 and 0.17 s for n = 500, and about 3 ms for
+    n = 4 or 5 with rates (2-core Xeon, Python 3.11), once per key and
     process, on first use.
     """
 
@@ -357,56 +340,61 @@ def _kernel(n: int, rates: Optional[tuple] = None):
         # a zero weight (B1, E1) leaves its stage out
         return " + ".join("%r * k%d_{i}" % (w, s) for s, w in enumerate(row) if w)
 
-    def stage(s, t, inputs):
-        # ``inputs`` is the pattern of the stage input's component {i}
-        outputs = listed("k%d_{i}" % s)
+    def evaluate(out, t, inputs, fail):
+        # lines setting the locals <out>_i to f(t, x), where ``inputs`` is
+        # the pattern of x's component {i}; a failed stage returns ``fail``
+        outputs = listed(out + "_{i}")
         if rates is None:
-            return [_call_stage(t, "(%s)" % listed(inputs), s), "    %s = k" % outputs]
+            body = "        k = fun(%s, (%s))" % (t, listed(inputs))
+            return [_STAGE.format(body=body, total="sum(k)", parts="k", fail=fail), "    %s = k" % outputs]
         # the field reads the stage input from the model's state names
         lines = ["    %s = %s" % (_STATE[i], inputs.format(i=i)) for i in range(n)]
-        body = "\n".join("        " + line for line in _field_lines(n, rates, "k%d_{i}" % s))
-        total = " + ".join("k%d_%d" % (s, i) for i in range(n))
-        return lines + [_STAGE.format(body=body, total=total, parts="(%s)" % outputs, fail=s)]
+        body = "\n".join("        " + line for line in _field_lines(n, rates, out + "_{i}"))
+        total = " + ".join("%s_%d" % (out, i) for i in range(n))
+        return lines + [_STAGE.format(body=body, total=total, parts="(%s)" % outputs, fail=fail)]
 
-    lines = [
-        "def _dp5_kernel_%d(fun, t, y, k0, h, atol, rtol):" % n,
+    stage = ["def stage(t, y):", "    %s = y" % listed("y_{i}")]
+    stage += evaluate("k", "t", "y_{i}", None)
+    stage.append("    return (%s)" % listed("k_{i}"))
+    step = [
+        "def step(t, y, k0, h, atol, rtol):",
         "    %s = y" % listed("y_{i}"),
         "    %s = k0" % listed("k0_{i}"),
     ]
     for s in range(1, 6):
         inputs = "y_{i} + h * (%s)" % weighted(_A[s - 1])
-        lines += stage(s, "t + %r * h" % _C[s - 1] if s < 5 else "t + h", inputs)
+        step += evaluate("k%d" % s, "t + %r * h" % _C[s - 1] if s < 5 else "t + h", inputs, s)
     z = "    z_{i} = y_{i} + h * (%s)" % weighted(_B)
-    lines += [z.format(i=i) for i in range(n)]
-    lines.append("    y_new = (%s)" % listed("z_{i}"))
-    lines += stage(6, "t + h", "z_{i}")
+    step += [z.format(i=i) for i in range(n)]
+    step.append("    y_new = (%s)" % listed("z_{i}"))
+    step += evaluate("k6", "t + h", "z_{i}", 6)
     e = "    e_{i} = h * (%s) / (atol + rtol * (w if w > u else u))" % weighted(_E)
     for i in range(n):
-        lines += ["    u = abs(y_%d)" % i, "    w = abs(z_%d)" % i, e.format(i=i)]
+        step += ["    u = abs(y_%d)" % i, "    w = abs(z_%d)" % i, e.format(i=i)]
     # one statement per component: a chained sum nests n deep, and the
     # compiler's recursion limit caps that at a few thousand
-    lines.append("    acc = e_0 * e_0")
-    lines += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
-    name = "_dp5_kernel_%d" % n
+    step.append("    acc = e_0 * e_0")
+    step += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
+    step.append("    return y_new, (%s), acc" % listed("k6_{i}"))
+
     if rates is None:
-        lines.append("    return y_new, k, acc")
-        return _compiled(name, lines, "<dp5 kernel, n = %d>" % n, globals())
-    lines.append("    return y_new, (%s), acc" % listed("k6_{i}"))
-    args = ", ".join(_COEFFICIENTS + ("b1", "z1", "b2", "z2", "rate1", "rate2"))
-    lines = ["def _bind_kernel(%s):" % args] + ["    " + line for line in "\n".join(lines).split("\n")]
-    lines.append("    return " + name)
-    filename = "<dp5 kernel, n = %d, F1 = %s, F2 = %s>" % ((n,) + rates)
+        args, filename = "fun", "<dp5 kernel, n = %d>" % n
+    else:
+        args = ", ".join(_COEFFICIENTS + ("b1", "z1", "b2", "z2", "rate1", "rate2"))
+        filename = "<dp5 kernel, n = %d, F1 = %s, F2 = %s>" % ((n,) + rates)
+    body = "\n".join(stage + step + ["return stage, step"]).split("\n")
+    lines = ["def _bind_kernel(%s):" % args] + ["    " + line for line in body]
     return _compiled("_bind_kernel", lines, filename, globals())
 
 
-def _initial_step(fun, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(stage, y0, f0, t_end, rtol, atol, max_step):
     """Starting step from the standard two-probe heuristic."""
     n = len(y0)
     scale = [atol + rtol * abs(a) for a in y0]
     d0 = math.sqrt(sum((a / s) ** 2 for a, s in zip(y0, scale)) / n)
     d1 = math.sqrt(sum((b / s) ** 2 for b, s in zip(f0, scale)) / n)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    f1 = _stage(fun, h0, [a + h0 * b for a, b in zip(y0, f0)])
+    f1 = stage(h0, [a + h0 * b for a, b in zip(y0, f0)])
     if f1 is None:
         return min(h0 * 1e-3, max_step, t_end)
     d2 = math.sqrt(sum(((c - b) / s) ** 2 for b, c, s in zip(f0, f1, scale)) / n) / h0
@@ -460,10 +448,10 @@ def integrate(
     accepted steps whether or not the run is sampled, and a tolerance
     failure if a component leaves the nonnegative band.
 
-    Each trial step is one call to a kernel with the model's field and the
-    built-in rates written in (``_kernel(n, rates)``); a custom rate is
-    called as its ``scalar_rate()``. It gives the bits of the generic
-    kernel on ``bound_field`` of the same rates.
+    The stepper runs the binding of ``_kernel(n, rates)``, whose stage and
+    trial step have the model's field and the built-in rates written in; a
+    custom rate is called as its ``scalar_rate()``. It gives the bits of
+    the generic binding on ``bound_field`` of the same rates.
     """
     opts = opts or IntegratorOptions()
     y0 = _as_array(x0)
@@ -473,21 +461,13 @@ def integrate(
         raise DomainError("initial state must be finite and componentwise >= 0")
     track_r = y0.shape[0] == 5
 
-    rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
     rates = tuple(_RATE_TEXTS.get(inc.family, _RATE_CALL) for inc in (inc1, inc2))
-    kernel = _kernel(len(y0), rates)(
+    stage, step = _kernel(len(y0), rates)(
         *(getattr(p, name) for name in _COEFFICIENTS),
-        inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, rate1, rate2,
+        inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, inc1.scalar_rate(), inc2.scalar_rate(),
     )
     raw = _dp5(
-        bound_field(p, rate1, rate2),
-        y0.tolist(),
-        opts.t_end,
-        opts.rtol,
-        opts.atol,
-        opts.max_step,
-        opts.sample_times,
-        kernel=kernel,
+        stage, step, y0.tolist(), opts.t_end, opts.rtol, opts.atol, opts.max_step, opts.sample_times
     )
 
     events: List[TrajectoryEvent] = []

@@ -270,3 +270,73 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+
+def run_main(argv, capsys):
+    """main's exit code, whether it returns or the parser exits, and the
+    lines written to stderr."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err.splitlines()
+
+
+class TestRefusedValues:
+    """A value the library refuses exits with 2 and a one-line message, not
+    with a traceback. The parser prints its usage above its message."""
+
+    def check(self, argv, capsys, message):
+        code, err = run_main(argv, capsys)
+        assert code == 2
+        assert [line for line in err if "error" in line] == [err[-1]]
+        assert err[-1].startswith(message), err[-1]
+        assert not any("Traceback" in line for line in err)
+        return err
+
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    @pytest.mark.parametrize("verb", ["analyze", "check-global", "reproduce"])
+    def test_grid_below_one(self, verb, grid, low_transmission_file, tmp_path, capsys):
+        source = ["6.1"] if verb == "reproduce" else ["--scenario", low_transmission_file]
+        self.check(
+            [verb, *source, "--out", str(tmp_path), "--grid", grid], capsys,
+            "twostrain %s: error: argument --grid: expected an integer >= 1, got %r" % (verb, grid),
+        )
+
+    @pytest.mark.parametrize("t_end", ["0", "-5", "inf", "nan"])
+    def test_t_end_not_finite_and_positive(self, t_end, strain1_file, tmp_path, capsys):
+        self.check(
+            ["simulate", "--scenario", strain1_file, "--out", str(tmp_path), "--t-end", t_end], capsys,
+            "twostrain simulate: error: argument --t-end: expected a finite number > 0, got %r" % t_end,
+        )
+
+    def test_sweep_to_a_negative_rate(self, strain2_file, tmp_path, capsys):
+        err = self.check([
+            "sweep", "--scenario", strain2_file, "--out", str(tmp_path),
+            "--key", "r", "--from", "-0.1", "--to", "0.1", "--n", "3",
+        ], capsys, "config error: sweep r = -0.1: ")
+        assert err == ["config error: sweep r = -0.1: invalid model parameters: r"]
+
+    def test_sweep_to_a_zero_coefficient(self, strain2_file, tmp_path, capsys):
+        err = self.check([
+            "sweep", "--scenario", strain2_file, "--out", str(tmp_path),
+            "--key", "incidence2.beta", "--from", "0", "--to", "2e-4", "--n", "3",
+        ], capsys, "config error: sweep incidence2.beta = 0.0: ")
+        assert err == ["config error: sweep incidence2.beta = 0.0: beta must be finite and > 0"]
+
+    def test_sweep_from_infinity(self, strain2_file, tmp_path, capsys):
+        err = self.check([
+            "sweep", "--scenario", strain2_file, "--out", str(tmp_path),
+            "--key", "r", "--from", "inf", "--to", "0.1", "--n", "3",
+        ], capsys, "config error: ")
+        assert err == ["config error: sweep bounds must be finite, got inf and 0.1"]
+
+    def test_out_under_a_file(self, low_transmission_file, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "x"
+        err = self.check(
+            ["analyze", "--scenario", low_transmission_file, "--out", str(out)], capsys,
+            "config error: cannot write %s: " % (out / "report.txt"),
+        )
+        assert len(err) == 1

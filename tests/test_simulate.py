@@ -681,10 +681,10 @@ class TestStepKernel:
             attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
             # no stage failed, so every attempt evaluated all six stages
             assert st.rhs_evals == 2 + 6 * attempts + st.clamps
-            (kernel,) = {callee for caller, callee in calls if caller is dp5 and callee.co_name.startswith("_dp5_kernel")}
-            assert calls[dp5, kernel] == attempts
-            made_by_kernel = {callee: n for (caller, callee), n in calls.items() if caller is kernel}
-            return attempts, made_by_kernel, sum(calls.values())
+            (step,) = {callee for caller, callee in calls if caller is dp5 and callee.co_name == "step"}
+            assert calls[dp5, step] == attempts
+            made_by_step = {callee: n for (caller, callee), n in calls.items() if caller is step}
+            return attempts, made_by_step, sum(calls.values())
 
         def built_in(opts):
             return integrate(p, inc1, inc2, sc.initial, opts)
@@ -693,7 +693,7 @@ class TestStepKernel:
             return integrate(p, inc1, custom2, sc.initial, opts)
 
         def generic(opts):
-            field = simulate.bound_field(p, inc1.scalar_rate(), inc2.scalar_rate())
+            field = model.bound_field(p, inc1.scalar_rate(), inc2.scalar_rate())
             return adaptive_rk45(field, sc.initial.as_array(), opts.t_end, opts.rtol, opts.atol)
 
         built_in(sc.integrator)  # builds and caches the kernel
@@ -720,14 +720,16 @@ class TestStepKernel:
         assert np.allclose(raw.states[-1], np.exp(-2.0 * rates), rtol=1e-5, atol=0.0)
 
 
-def generic_integrate(*args):
-    """``integrate`` with each trial step on the generic kernel, which calls
-    ``bound_field`` of the same rates, instead of the kernel with the field
+def generic_integrate(p, *args):
+    """``integrate`` on the generic binding of ``_kernel(n)`` to
+    ``bound_field`` of the same rates, instead of the binding with the field
     written in."""
     kernel = simulate._kernel
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(simulate, "_kernel", lambda n, rates=None: lambda *bound: kernel(n))
-        return integrate(*args)
+        # integrate binds the coefficients, then rate1 and rate2
+        bind = lambda n, rates=None: lambda *bound: kernel(n)(model.bound_field(p, *bound[-2:]))
+        m.setattr(simulate, "_kernel", bind)
+        return integrate(p, *args)
 
 
 class TestInlinedKernel:
@@ -800,14 +802,15 @@ class TestInlinedKernel:
         inc1 = IncidenceSpec.bilinear(2e-4)
         y, k0, h = (-5.0, 10.0, 3.0, 0.0), (1.0, -2.0, 0.5, 0.0), 0.01
         rate2 = IncidenceSpec.saturated_s(1e-4, 0.0).scalar_rate()
-        field = simulate.bound_field(p, inc1.scalar_rate(), rate2)
+        field = model.bound_field(p, inc1.scalar_rate(), rate2)
         stage_S = []
 
         def recorded(t, x):
             stage_S.append(x[0])
             return field(t, x)
 
-        simulate._kernel(4)(recorded, 0.0, y, k0, h, 1e-10, 1e-8)
+        _, step = simulate._kernel(4)(recorded)
+        step(0.0, y, k0, h, 1e-10, 1e-8)
         assert len(set(stage_S)) == 6 and max(stage_S) < 0.0
         coefficients = [getattr(p, name) for name in model._COEFFICIENTS]
         factory = simulate._kernel(4, (incidence._RATE_TEXTS["bilinear"], incidence._RATE_TEXTS["saturated_s"]))
@@ -817,9 +820,9 @@ class TestInlinedKernel:
             if 1.0 + inc2.zeta * S != 0.0:
                 continue
             rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
-            generic = simulate._kernel(4)(simulate.bound_field(p, rate1, rate2), 0.0, y, k0, h, 1e-10, 1e-8)
-            inlined = factory(*coefficients, inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, rate1, rate2)
-            assert inlined(None, 0.0, y, k0, h, 1e-10, 1e-8) == generic == s
+            _, generic = simulate._kernel(4)(model.bound_field(p, rate1, rate2))
+            _, inlined = factory(*coefficients, inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, rate1, rate2)
+            assert inlined(0.0, y, k0, h, 1e-10, 1e-8) == generic(0.0, y, k0, h, 1e-10, 1e-8) == s
             failed.append(s)
         assert len(failed) >= 3
 
@@ -841,6 +844,109 @@ class TestInlinedKernel:
         after = simulate._kernel.cache_info()
         assert (after.currsize, after.misses) == (before.currsize, before.misses)
         assert after.hits >= before.hits + 20
+
+
+def integrate_stage(p, inc1, inc2, n):
+    """The ``stage`` that ``integrate`` binds for n components, and
+    ``bound_field`` of the rates it binds with it."""
+    kernel, bound = simulate._kernel, []
+
+    def recording(n, rates=None):
+        def bind(*args):
+            stage, step = kernel(n, rates)(*args)
+            # integrate binds the coefficients, then rate1 and rate2
+            bound.append((stage, model.bound_field(p, *args[-2:])))
+            return stage, step
+
+        return bind
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(simulate, "_kernel", recording)
+        integrate(p, inc1, inc2, np.ones(n), IntegratorOptions(t_end=1e-6))
+    ((stage, field),) = bound
+    return stage, field
+
+
+class TestBoundStage:
+    """integrate's ``stage``, which evaluates the field at the start, for the
+    first-step probe and after each clamp, is ``bound_field`` of the same
+    rates: the same bits, and None exactly where that field raises an
+    arithmetic or domain error or gives a non-finite component."""
+
+    def check(self, stage, field, states):
+        """Compare at every state; returns how many stages failed."""
+        failed = 0
+        for y in states:
+            y = tuple(float(v) for v in y)
+            try:
+                expected = field(0.0, y)
+            except (ArithmeticError, DomainError):
+                expected = None
+            if expected is None or not all(map(math.isfinite, expected)):
+                assert stage(0.0, y) is None, y
+                failed += 1
+                continue
+            got = stage(0.0, y)
+            assert type(got) is tuple and same_bits(got, expected), y
+        return failed
+
+    @pytest.mark.parametrize("custom", [(), (1,), (2,), (1, 2)], ids=lambda c: "custom%s" % "".join(map(str, c)))
+    @pytest.mark.parametrize("example_id", EXAMPLE_IDS)
+    def test_equals_bound_field(self, example_id, custom):
+        sc = build_scenario(example_id)
+        incs = [sc.incidence1, sc.incidence2]
+        for j in custom:
+            incs[j - 1] = IncidenceSpec.custom(incs[j - 1].rate)
+        rng = np.random.default_rng(15)
+        for n in (4, 5):
+            stage, field = integrate_stage(sc.params, *incs, n)
+            # stage inputs extrapolate, so a few components dip below 0
+            states = rng.uniform(-0.05, 1.0, (40, n)) * sc.params.population_cap
+            assert self.check(stage, field, states) == 0
+
+    def test_zero_denominator(self):
+        # saturated_s with zeta = 0.25 divides by 1 + zeta*S == 0 at S = -4,
+        # which a stage input may reach: F2 = 0/0 at I2 = 0, 2/0 at I2 = 2
+        p = build_scenario("6.4").params
+        inc1, inc2 = IncidenceSpec.bilinear(2e-4), IncidenceSpec.saturated_s(1e-4, 0.25)
+        for n in (4, 5):
+            stage, field = integrate_stage(p, inc1, inc2, n)
+            states = [(-4.0, 10.0, 3.0, 0.0, 1.0)[:n], (-4.0, 10.0, 3.0, 2.0, 1.0)[:n], (5.0, 10.0, 3.0, 2.0, 1.0)[:n]]
+            with pytest.raises(ZeroDivisionError):
+                field(0.0, states[0])
+            assert self.check(stage, field, states) == 2
+
+    def test_rate_refusing_negative_infectives(self):
+        sc = build_scenario("6.1")
+        inc1 = sc.incidence1
+
+        def refuses_negative_infectives(S, I):
+            if np.any(np.asarray(I) < 0.0):
+                raise DomainError("negative infectives")
+            return inc1.rate(S, I)
+
+        custom = IncidenceSpec.custom(refuses_negative_infectives)
+        rng = np.random.default_rng(61)
+        for n in (4, 5):
+            stage, field = integrate_stage(sc.params, custom, sc.incidence2, n)
+            states = rng.uniform(0.0, 1.0, (40, n)) * sc.params.population_cap
+            states[::4, 2] *= -1e-6  # I1 < 0 in every fourth state
+            assert self.check(stage, field, states) == 10
+
+    def test_generic_binding_returns_the_values_of_fun(self):
+        seen = []
+
+        def fun(t, y):
+            seen.append((t, y))
+            if y[0] < 0.0:
+                raise ArithmeticError("undefined")
+            return [math.sqrt(y[0]) * t, -y[1] / 3.0, math.inf if y[2] > 1.0 else y[2]]
+
+        stage, _ = simulate._kernel(3)(fun)
+        assert stage(0.7, (2.0, 1.0, 0.5)) == (math.sqrt(2.0) * 0.7, -1.0 / 3.0, 0.5)
+        assert seen == [(0.7, (2.0, 1.0, 0.5))]
+        assert stage(0.7, [-1.0, 1.0, 0.5]) is None
+        assert stage(0.7, (2.0, 1.0, 2.0)) is None
 
 
 class TestClosedFormTable:
@@ -999,14 +1105,14 @@ class TestTableauOracle:
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         t_end = 300.0
         calls = []
-        field = simulate.bound_field(p, inc1.scalar_rate(), inc2.scalar_rate())
+        field = model.bound_field(p, inc1.scalar_rate(), inc2.scalar_rate())
 
         def recorded(t, y):
             calls.append((t, np.array(y)))
             return field(t, y)
 
         y0 = np.append(sc.initial.as_array(), 25.0)
-        raw = simulate._dp5(recorded, y0.tolist(), t_end, self.RTOL, self.ATOL, math.inf, None)
+        raw = simulate._dp5(*simulate._kernel(5)(recorded), y0.tolist(), t_end, self.RTOL, self.ATOL, math.inf, None)
         traj = integrate(p, inc1, inc2, y0, IntegratorOptions(rtol=self.RTOL, atol=self.ATOL, t_end=t_end))
         assert traj.tracks_recovered and traj.states.shape[1] == 5
         assert same_bits(traj.times, raw.times) and same_bits(traj.states, raw.states)
