@@ -43,12 +43,26 @@ def _load(args) -> Scenario:
     return sc
 
 
-def _write(out_dir: str, name: str, write, newline=None) -> str:
-    """Create ``out_dir`` if needed and fill its file ``name`` with
-    ``write(fh)``; failing to create or write either is a ConfigError."""
+def _ready(out_dir: str, name: str) -> str:
+    """The path of ``name`` in ``out_dir``, creating the directory if needed.
+    A directory that cannot be created or written is a ConfigError. The
+    verbs that will write call it before their run, so that a bad ``--out``
+    costs no run."""
     path = os.path.join(out_dir, name)
     try:
         os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from None
+    if not os.access(out_dir, os.W_OK):
+        raise ConfigError("cannot write %s: the directory is not writable" % path)
+    return path
+
+
+def _write(out_dir: str, name: str, write, newline=None) -> str:
+    """Fill the file ``name`` of ``out_dir`` (see ``_ready``) with
+    ``write(fh)``; failing to write it is a ConfigError."""
+    path = _ready(out_dir, name)
+    try:
         with open(path, "w", newline=newline, encoding="utf-8") as fh:
             write(fh)
     except OSError as exc:
@@ -71,6 +85,8 @@ def _write_csv(out_dir: str, name: str, header, rows) -> str:
 
 def cmd_analyze(args) -> int:
     sc = _load(args)
+    if "report" in sc.outputs:
+        _ready(args.out, "report.txt")
     report = analyze(sc, grid=args.grid)
     text = render_report(report)
     written = []
@@ -86,6 +102,8 @@ def cmd_analyze(args) -> int:
 def cmd_simulate(args) -> int:
     sc = _load(args)
     p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+    if "timeseries" in sc.outputs or "report" in sc.outputs:
+        _ready(args.out, "timeseries.csv" if "timeseries" in sc.outputs else "report.txt")
     candidates = solve_all(p, inc1, inc2).all
 
     traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
@@ -126,6 +144,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     sc = _load(args)
+    _ready(args.out, "sweep.csv")
     rows = sweep(sc, args.key, args.start, args.to, args.n)
     numbers = ("value", "R1", "R2", "R0", "R2_invasion", "R1_invasion")
     header = [*numbers, *("%s_exists" % k for k in ALL_KINDS), *("%s_verdict" % k for k in ALL_KINDS)]
@@ -171,6 +190,7 @@ def cmd_check_global(args) -> int:
 
 def cmd_reproduce(args) -> int:
     ids = EXAMPLE_IDS if args.example == "all" else (args.example,)
+    _ready(args.out, "report.txt")
     texts = []
     ok = True
     for example_id in ids:

@@ -84,40 +84,47 @@ _RATE_TEXTS = {
 }
 
 
+# The complex step h: Im F(x + i*h)/h is dF/dx exact to rounding for a text of +, -, * and /
+# (Squire and Trapp 1998). A power of two divides exactly, and h*h underflows to 0. Both
+# arguments are complex128 for every input: float32 gives complex64, in which h underflows.
+_STEP = 2.0 ** -600
+
+
 def _rate(family):
-    """The family's F as a function of (b, z, S, I), compiled from its text."""
-    return eval("lambda b, z, S, I: " + _RATE_TEXTS[family])
+    """The family's F, compiled from its text, and its complex-step dF/dS and dF/dI, of (b, z, S, I)."""
+    rate = eval("lambda b, z, S, I: " + _RATE_TEXTS[family])
+    return (
+        rate,
+        lambda b, z, S, I: rate(b, z, np.complex128(S) + 1j * _STEP, np.complex128(I)).imag / _STEP,
+        lambda b, z, S, I: rate(b, z, np.complex128(S), np.complex128(I) + 1j * _STEP).imag / _STEP,
+    )
 
 
 # Each built-in family's formulas, each a function of (beta, zeta, S, I),
 # and ``susceptible`` of (beta, zeta, I, target, c): the S > 0 with
 # force(S, I) + c*S = target (c >= 0, target > 0), inf where none exists.
-# Terms like 0.0 * I broadcast a result that is constant in one argument
-# against it, so array shapes survive.
-_ClosedForms = namedtuple("_ClosedForms", "rate force contact_factor d_rate_dS d_rate_dI susceptible")
+# The rate and its partials come from the family's text (``_rate``), so a
+# new family needs its text, ``force``, ``contact_factor`` and
+# ``susceptible``. Terms like 0.0 * I broadcast a result that is constant
+# in one argument against it, so array shapes survive.
+_ClosedForms = namedtuple("_ClosedForms", "rate d_rate_dS d_rate_dI force contact_factor susceptible")
 _CLOSED_FORMS = {
     "bilinear": _ClosedForms(
-        rate=_rate("bilinear"),
+        *_rate("bilinear"),
         force=lambda b, z, S, I: b * S + 0.0 * I,
         contact_factor=lambda b, z, S, I: b + 0.0 * S + 0.0 * I,
-        d_rate_dS=lambda b, z, S, I: b * I,
-        d_rate_dI=lambda b, z, S, I: b * S,
         susceptible=lambda b, z, I, target, c: target / (b + c + 0.0 * I),
     ),
     "saturated_s": _ClosedForms(
-        rate=_rate("saturated_s"),
+        *_rate("saturated_s"),
         force=lambda b, z, S, I: b * S / (1.0 + z * S) + 0.0 * I,
         contact_factor=lambda b, z, S, I: b / (1.0 + z * S) + 0.0 * I,
-        d_rate_dS=lambda b, z, S, I: b * I / ((1.0 + z * S) * (1.0 + z * S)),
-        d_rate_dI=lambda b, z, S, I: b * S / (1.0 + z * S),
         susceptible=_saturated_s_susceptible,
     ),
     "saturated_i2": _ClosedForms(
-        rate=_rate("saturated_i2"),
+        *_rate("saturated_i2"),
         force=lambda b, z, S, I: b * S / (1.0 + z * I * I),
         contact_factor=lambda b, z, S, I: b / (1.0 + z * I * I) + 0.0 * S,
-        d_rate_dS=lambda b, z, S, I: b * I / (1.0 + z * I * I),
-        d_rate_dI=lambda b, z, S, I: b * S * (1.0 - z * I * I) / ((1.0 + z * I * I) * (1.0 + z * I * I)),
         susceptible=lambda b, z, I, target, c: target / (b / (1.0 + z * I * I) + c),
     ),
 }
@@ -217,7 +224,8 @@ class IncidenceSpec:
         return forms.contact_factor(self.beta, self.zeta, S, I)
 
     def d_rate_dS(self, S, I):
-        """dF/dS, analytic for built-ins, else the given partial or ``_difference``."""
+        """dF/dS: for a built-in family the complex step of its rate text,
+        else the given partial or ``_difference``."""
         forms = self._checked_forms(S, I)
         if forms is not None:
             return forms.d_rate_dS(self.beta, self.zeta, S, I)
@@ -226,13 +234,22 @@ class IncidenceSpec:
         return _difference(lambda v: self.rate_fn(v, I), S)
 
     def d_rate_dI(self, S, I):
-        """dF/dI; at I = 0 this is the force limit for the built-in families."""
+        """dF/dI, as ``d_rate_dS``; at I = 0 this is the force limit for the
+        built-in families."""
         forms = self._checked_forms(S, I)
         if forms is not None:
             return forms.d_rate_dI(self.beta, self.zeta, S, I)
         if self.d_rate_dI_fn is not None:
             return self.d_rate_dI_fn(S, I)
         return _difference(partial(self.rate_fn, S), I)
+
+    def complex_rate(self, S, I) -> Callable:
+        """F(s, i) for complex (s, i) near (S, I): a built-in family's text, unchecked, or a custom
+        rate's linearisation there, so that its evaluator sees no complex input."""
+        if self.family in _CLOSED_FORMS:
+            return partial(_CLOSED_FORMS[self.family].rate, self.beta, self.zeta)
+        F, dS, dI = self.rate(S, I), self.d_rate_dS(S, I), self.d_rate_dI(S, I)
+        return lambda s, i: F + dS * (s - S) + dI * (i - I)
 
     def bound_forms(self, beta=None, zeta=None) -> _ClosedForms:
         """The family's closed forms as functions of (S, I) with no input check,
@@ -243,7 +260,7 @@ class IncidenceSpec:
         """
         forms = _CLOSED_FORMS.get(self.family)
         if forms is None:
-            checked = (self.rate, self.force, self.contact_factor, self.d_rate_dS, self.d_rate_dI)
+            checked = (self.rate, self.d_rate_dS, self.d_rate_dI, self.force, self.contact_factor)
             return _ClosedForms(*checked, None)
         b = self.beta if beta is None else beta
         z = self.zeta if zeta is None else zeta

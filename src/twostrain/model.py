@@ -16,7 +16,8 @@ component in ``_FIELD``. ``bound_field`` is compiled from it, and so is the
 integrator's trial step, which writes it into each of its stages
 (``simulate._kernel``). The integrator runs it on unchecked rates;
 ``vector_field``, ``field_norms`` and ``residual``, which certifies every
-equilibrium, run it on checked ones.
+equilibrium, run it on checked ones. ``jacobian`` is its complex step, so
+no derivative of the field is written by hand.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .incidence import IncidenceSpec
+from .incidence import _STEP, IncidenceSpec
 
 #: residual bound below which an equilibrium is accepted as certified
 RESIDUAL_TOL = 1e-8
@@ -259,24 +260,23 @@ def residual(
 
 
 def jacobian(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> np.ndarray:
-    """4x4 Jacobian of the reduced field, rows and columns ordered (S, V1, I1, I2)."""
+    """4x4 Jacobian of the reduced field, rows and columns ordered (S, V1, I1, I2).
+
+    Column j is the complex step Im f(y + i*h*e_j)/h of ``bound_field``, the
+    field's text, on Python complex scalars. Each strain's rate is its
+    ``IncidenceSpec.complex_rate`` at y: a built-in rate's text is stepped
+    through, and a custom rate's partials enter by its linearisation.
+    """
     y = _as_array(x)
     if not np.all(np.isfinite(y)):
         raise DomainError("jacobian evaluated at a non-finite state")
-    S, V1, I1, I2 = y[0], y[1], y[2], y[3]
-    dF1_dS = inc1.d_rate_dS(S, I1)
-    dF1_dI = inc1.d_rate_dI(S, I1)
-    dF2_dS = inc2.d_rate_dS(S, I2)
-    dF2_dI = inc2.d_rate_dI(S, I2)
-    return np.array(
-        [
-            [-dF1_dS - dF2_dS - p.lam, 0.0, -dF1_dI, -dF2_dI],
-            [p.r, -p.mu - p.k * I2, 0.0, -p.k * V1],
-            [dF1_dS, 0.0, dF1_dI - p.alpha1, 0.0],
-            [dF2_dS, p.k * I2, 0.0, dF2_dI + p.k * V1 - p.alpha2],
-        ],
-        float,
-    )
+    field = bound_field(p, inc1.complex_rate(y[0], y[2]), inc2.complex_rate(y[0], y[3]))
+    point = y[:4].tolist()
+    J = np.empty((4, 4))
+    for j in range(4):
+        stepped = point[:j] + [complex(point[j], _STEP)] + point[j + 1:]
+        J[:, j] = [v.imag / _STEP for v in field(0.0, stepped)]
+    return J
 
 
 def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):

@@ -204,7 +204,9 @@ def _dp5(stage, step, y0, t_end, rtol, atol, max_step, sample_times, nonnegative
         if t >= t_end:
             break
         h = min(h, max_step, t_end - t)
-        if h < 1e-14 * max(1.0, abs(t)):
+        # a step under the floor underflows only if it falls short of t_end:
+        # a horizon nearer than the floor is reached in one clipped step
+        if h < 1e-14 * max(1.0, abs(t)) and h < t_end - t:
             raise IntegrationError("step size underflow at t = %g" % t, t, np.array(y))
 
         trial = step(t, y, f, h, atol, rtol)

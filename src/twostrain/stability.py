@@ -263,7 +263,7 @@ def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> St
     J = jacobian(p, inc1, inc2, pt)
     notes = []
     if eq.kind == "E2":
-        dF2_dI2 = float(inc2.d_rate_dI(pt.S, pt.I2))
+        dF2_dI2 = -J[0, 3]  # the S row holds -F2(S, I2)
         path = (
             "dF2/dI2 = %.6g > 0 at the equilibrium: explicit coefficient test"
             if dF2_dI2 > 0.0

@@ -45,6 +45,21 @@ def wavy_rate():
     )
 
 
+def text_derivatives(texts, wrt, args, names):
+    """sympy's derivatives of the expressions ``texts`` by each symbol of
+    ``wrt``, as an mpmath function of the symbols ``args``. ``names`` maps
+    each name in the texts to a symbol or an expression; numbers in the
+    texts are read as exact rationals. The function gives two matrices: the
+    derivatives, and as each one's scale the sum of |term| over the terms of
+    its sum, the size that rounding in a term's evaluation is relative to.
+    Evaluate it under ``mpmath.workdps``."""
+    import sympy as sp
+
+    J = sp.Matrix([sp.sympify(t, locals=names, rational=True) for t in texts]).jacobian(wrt)
+    scale = J.applyfunc(lambda e: sp.Add(*map(sp.Abs, sp.Add.make_args(e))))
+    return sp.lambdify(args, (J, scale), "mpmath")
+
+
 _RESULTS = {}
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from twostrain import stability
+from twostrain import cli, stability
 from twostrain.cli import main
 from twostrain.equilibria import solve_strain2
 from twostrain.errors import SolverError
@@ -116,6 +116,13 @@ class TestSimulate:
         assert float(rows[-1][0]) == 50.0
         report = (out / "report.txt").read_text(encoding="utf-8")
         assert "no convergence to a computed equilibrium was detected" in report
+
+    def test_t_end_below_the_underflow_floor(self, strain1_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["simulate", "--scenario", strain1_file, "--out", str(out), "--t-end", "1e-300"])
+        assert code == 0
+        _, rows = read_csv(str(out / "timeseries.csv"))
+        assert [float(row[0]) for row in rows] == [0.0, 1e-300]
 
 
 class TestSweep:
@@ -340,3 +347,30 @@ class TestRefusedValues:
             "config error: cannot write %s: " % (out / "report.txt"),
         )
         assert len(err) == 1
+
+    @pytest.mark.parametrize(
+        "verb, work, name",
+        [
+            ("analyze", "analyze", "report.txt"),
+            ("simulate", "solve_all", "timeseries.csv"),
+            ("sweep", "sweep", "sweep.csv"),
+            ("reproduce", "reproduce", "report.txt"),
+        ],
+    )
+    def test_out_under_a_file_is_refused_before_the_run(
+        self, verb, work, name, low_transmission_file, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(cli, work, never)
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "x"
+        source = ["6.1"] if verb == "reproduce" else ["--scenario", low_transmission_file]
+        sweep = ["--key", "r", "--from", "0.05", "--to", "0.1", "--n", "2"] if verb == "sweep" else []
+        assert main([verb, *source, "--out", str(out), *sweep]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("config error: cannot write %s: " % (out / name)), line

@@ -1,13 +1,17 @@
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
+from conftest import text_derivatives
 
+from twostrain import incidence
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import solve_all
 from twostrain.errors import DomainError, UnsupportedLimitError
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import thresholds
+from twostrain.model import jacobian, thresholds
 from twostrain.stability import classify
 
 
@@ -206,6 +210,47 @@ class TestPartials:
                     tol = 1e-6 * max(abs(analytic), abs(fd)) + noise
                     assert abs(analytic - fd) <= tol, (inc.family, wrt, S, I)
 
+    @pytest.mark.parametrize(
+        "inc",
+        [
+            IncidenceSpec.bilinear(2e-4),
+            IncidenceSpec.saturated_s(2e-4, 0.9),
+            IncidenceSpec.saturated_i2(3e-5, 0.7),
+        ],
+        ids=["bilinear", "saturated_s", "saturated_i2"],
+    )
+    def test_partials_match_sympy_on_log_grid(self, inc):
+        # sympy's diff of the family's rate text, evaluated with 40 digits.
+        # Bound: a few ulps of the sum of |term| of the derivative. The
+        # complex step keeps the quotient rule's cancellation: for
+        # saturated_s, dF/dS = b*I/(1 + z*S) - b*z*S*I/(1 + z*S)**2 has the
+        # term sum (1 + 2*z*S)*dF/dS, so its relative error may grow like
+        # eps*z*S: it reads up to 1.7e-12 here, at z*S near 1e4.
+        S, I, b, z = sp.symbols("S I b z")
+        names = {"S": S, "I": I, "b": b, "z": z}
+        partials = text_derivatives([incidence._RATE_TEXTS[inc.family]], (S, I), (S, I, b, z), names)
+        eps = np.finfo(float).eps
+        grid = _log_grid(1e-2, 1e4)
+        with mpmath.workdps(40):
+            for s in grid:
+                for i in grid:
+                    exact, scale = partials(*map(mpmath.mpf, (s, i, inc.beta, inc.zeta)))
+                    for k, computed in enumerate((inc.d_rate_dS(s, i), inc.d_rate_dI(s, i))):
+                        error = abs(mpmath.mpf(computed) - exact[0, k])
+                        assert error <= 4.0 * eps * scale[0, k], (k, s, i)
+
+    @pytest.mark.parametrize("family", incidence.BUILT_IN_FAMILIES)
+    def test_float32_inputs_give_the_float64_partials(self, family):
+        # the complex step is complex128 for every input: in complex64 the
+        # step 2**-600 would underflow to 0
+        inc = IncidenceSpec(family, 2e-4, 0.9)
+        S32, I32 = np.geomspace(1e-2, 1e4, 9, dtype=np.float32), np.geomspace(1e4, 1e-2, 9, dtype=np.float32)
+        S64, I64 = S32.astype(float), I32.astype(float)
+        for partial in (inc.d_rate_dS, inc.d_rate_dI):
+            assert partial(S32, I32).tolist() == partial(S64, I64).tolist()
+            for s, i, s64, i64 in zip(S32, I32, S64, I64):
+                assert partial(s, i) == partial(s64, i64) == partial(float(s64), float(i64)) != 0.0
+
     def test_dS_nonneg_and_dI_bounded_by_force(self):
         # H3/H4 differential forms on a positive grid
         rng = np.random.default_rng(11)
@@ -273,6 +318,51 @@ class TestPartials:
             assert np.allclose(report.eigenvalues, expected.eigenvalues, rtol=1e-9, atol=0.0)
             assert (report.verdict, report.eigen_verdict) == (expected.verdict, expected.eigen_verdict)
         assert probed and min(probed) >= 0.0
+
+    def test_rate_refusing_complex_input_analyzes(self):
+        # a custom rate enters the Jacobian by its linearisation, so its
+        # evaluator never sees the complex step
+        sc = build_scenario("6.1")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+
+        def refuses_complex_input(S, I):
+            if np.iscomplexobj(S) or np.iscomplexobj(I):
+                raise TypeError("complex input")
+            return inc1.rate(S, I)
+
+        custom = IncidenceSpec.custom(refuses_complex_input)
+        eqs = solve_all(p, custom, inc2)
+        assert [eq.kind for eq in eqs.all] == [eq.kind for eq in solve_all(p, inc1, inc2).all]
+        for eq in eqs.all:
+            J, expected = jacobian(p, custom, inc2, eq.point), jacobian(p, inc1, inc2, eq.point)
+            assert np.allclose(J, expected, rtol=1e-6, atol=1e-9)
+            report, reference = classify(p, custom, inc2, eq), classify(p, inc1, inc2, eq)
+            assert (report.verdict, report.eigen_verdict) == (reference.verdict, reference.eigen_verdict)
+            assert report.conditions == reference.conditions
+
+    def test_custom_rate_with_exact_partials_gives_the_built_in_jacobian(self):
+        # saturated_s's text as a custom rate with its partials written out:
+        # the linearisation reproduces the complex step of the text to a few
+        # ulps of each row's absolute sum
+        beta, zeta = 2e-4, 0.9
+        builtin = IncidenceSpec.saturated_s(beta, zeta)
+        text = eval("lambda S, I: " + incidence._RATE_TEXTS["saturated_s"], {"b": beta, "z": zeta})
+        custom = IncidenceSpec.custom(
+            text,
+            d_rate_dS=lambda S, I: beta * I / ((1.0 + zeta * S) * (1.0 + zeta * S)),
+            d_rate_dI=lambda S, I: beta * S / (1.0 + zeta * S),
+        )
+        sc = build_scenario("6.1")
+        p, inc1 = sc.params, sc.incidence1
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(16)
+        for x in [eq.point.as_array() for eq in solve_all(p, inc1, builtin).all] + list(
+            rng.uniform(1.0, 5000.0, size=(20, 4))
+        ):
+            for incs in ((inc1, custom, inc1, builtin), (custom, inc1, builtin, inc1)):
+                J, expected = jacobian(p, incs[0], incs[1], x), jacobian(p, incs[2], incs[3], x)
+                rows = np.abs(expected).sum(axis=1, keepdims=True)
+                assert np.all(np.abs(J - expected) <= 4.0 * eps * rows), x
 
 
 class TestHypothesisChecks:

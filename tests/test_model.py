@@ -1,7 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
+from conftest import random_cases, text_derivatives
 
-from twostrain.equilibria import Equilibrium, disease_free, solve_strain1, solve_strain2
+from twostrain import incidence, model
+from twostrain.equilibria import Equilibrium, disease_free, solve_all, solve_strain1, solve_strain2
 from twostrain.errors import DomainError, PreconditionError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import (
@@ -173,6 +177,49 @@ class TestJacobian:
                 inc2.family,
             )
             draws += 1
+
+    def test_matches_sympy_derivatives_of_the_field_text(self):
+        # sympy differentiates model._FIELD with each strain's
+        # incidence._RATE_TEXTS rate written in, and the oracle evaluates it
+        # with 40 digits at every equilibrium of criterion 5's first 60
+        # draws. Bound: the complex step evaluates each term of an entry's
+        # derivative with a few roundings and adds the terms, so it is off
+        # by a few ulps of the sum of |term|. (Measured: at most 1.1 eps.)
+        # The row's absolute sum is no scale where terms cancel: at E2,
+        # dF1/dI1 - alpha1 with R1_invasion near 1 is off by 47 eps of it.
+        y = sp.symbols("S V1 I1 I2")
+        coefficients = sp.symbols(model._COEFFICIENTS)
+        rates = sp.symbols("b1 z1 b2 z2")
+        oracles = {}
+
+        def oracle(families):
+            names = dict(zip(("S", "V1", "I1", "I2"), y))
+            names.update(zip(model._COEFFICIENTS, coefficients))
+            for j, family in enumerate(families):
+                symbols = {"b": rates[2 * j], "z": rates[2 * j + 1], "S": y[0], "I": y[2 + j]}
+                names["F%d" % (j + 1)] = sp.sympify(
+                    incidence._RATE_TEXTS[family], locals=symbols, rational=True
+                )
+            return text_derivatives(model._FIELD[:4], y, (*y, *coefficients, *rates), names)
+
+        eps = np.finfo(float).eps
+        points = 0
+        for p, inc1, inc2 in random_cases(1105, 60):
+            families = (inc1.family, inc2.family)
+            if families not in oracles:
+                oracles[families] = oracle(families)
+            for eq in solve_all(p, inc1, inc2).all:
+                J = jacobian(p, inc1, inc2, eq.point)
+                values = (*eq.point.as_array(), *(getattr(p, name) for name in model._COEFFICIENTS))
+                values += (inc1.beta, inc1.zeta, inc2.beta, inc2.zeta)
+                with mpmath.workdps(40):
+                    exact, scale = oracles[families](*map(mpmath.mpf, values))
+                    for i in range(4):
+                        for j in range(4):
+                            error = abs(mpmath.mpf(J[i, j]) - exact[i, j])
+                            assert error <= 4.0 * eps * scale[i, j], (eq.kind, i, j)
+                points += 1
+        assert points == 186
 
     def test_structural_zeros(self):
         p, inc1, inc2 = example_61()

@@ -80,6 +80,15 @@ class TestStepper:
         assert raw.times[-1] == 3.0
         assert np.all(np.diff(raw.times) <= 0.1 + 1e-12)
 
+    @pytest.mark.parametrize("t_end", [1e-15, 1e-300, 5e-324])
+    def test_horizon_below_the_underflow_floor_is_one_step(self, t_end):
+        # the floor 1e-14*max(1, |t|) refuses a shrinking step, not a
+        # horizon nearer than it
+        raw = adaptive_rk45(lambda t, y: -y, [1.0, 2.0], t_end)
+        assert raw.times.tolist() == [0.0, t_end]
+        assert raw.stats.accepted_steps == 1 and raw.stats.rejected_steps == 0
+        assert np.allclose(raw.states[-1], [1.0, 2.0], rtol=1e-14)
+
     def test_dense_output_at_requested_times(self):
         samples = np.linspace(0.0, 4.0, 17)
         raw = adaptive_rk45(lambda t, y: -y, [2.0], 4.0, sample_times=samples)
@@ -228,6 +237,14 @@ class TestIntegrate:
         assert entry.time == pytest.approx(8.4779, abs=1e-4)
         # monitor_invariance checks only the samples it is given
         assert monitor_invariance(sampled, p).entered_omega1_at == 1000.0
+
+    @pytest.mark.parametrize("t_end", [1e-15, 1e-300])
+    def test_horizon_below_the_underflow_floor_is_reached(self, t_end):
+        p, inc1, inc2 = setup_low_transmission()
+        traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=t_end))
+        assert traj.times.tolist() == [0.0, t_end]
+        assert traj.stats.accepted_steps == 1
+        assert np.allclose(traj.states[-1], START.as_array(), rtol=1e-12)
 
     def test_recovered_class_tracked_when_present(self):
         p, inc1, inc2 = setup_low_transmission()
