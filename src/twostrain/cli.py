@@ -167,9 +167,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_check_global(args) -> int:
     sc = _load(args)
+    _ready(args.out, "surface.csv")
     report = analyze(sc, grid=args.grid)
     if not report.global_checks:
-        print("no global checks apply: needs E2 with R1 <= 1, or E3")
+        if args.format == "report":
+            print("no global checks apply: needs E2 with R1 <= 1, or E3")
         return EXIT_OK
     written = []
     checks = dict(report.global_checks)
@@ -181,8 +183,9 @@ def cmd_check_global(args) -> int:
             for j, v in enumerate(V1_values)
         )
         written.append(_write_csv(args.out, "surface.csv", ["S", "V1", "phi"], rows))
-    for name, summary in report.global_checks:
-        print(_global_check_line(name, summary))
+    if args.format == "report":
+        for name, summary in report.global_checks:
+            print(_global_check_line(name, summary))
     for path in written:
         print("wrote %s" % path)
     return EXIT_OK
@@ -230,9 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp, scenario=True):
-        if scenario:
-            sp.add_argument("--scenario", required=True, help="scenario file path")
+    def common(sp):
+        sp.add_argument("--scenario", required=True, help="scenario file path")
         sp.add_argument("--out", default=".", help="output directory (default: .)")
         sp.add_argument("--format", choices=("csv", "report"), default="report",
                         help="stdout style: human report or files only")

@@ -10,10 +10,10 @@ Four equilibrium kinds exist:
 E1, E2 and E3 share one root finder, run on a block of parameter rows at
 once. It evaluates every row's balance on SCAN_NODES cells, as one
 (rows x nodes) array, and brackets every sign change between neighbouring
-finite values. It then narrows all brackets together, each round cutting
-every bracket into SECTIONS parts, until a row's brackets are narrower than
-BISECT_WIDTH times its scan range, and polishes each root with a secant step
-through its bracket ends. The scans evaluate the closed forms unchecked
+finite values. It then narrows all brackets together for _ROUNDS rounds, a
+count the constants fix (no width is tested), each cutting every bracket
+into SECTIONS parts, and polishes each root with a secant step through its
+bracket ends. The scans evaluate the closed forms unchecked
 (``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
@@ -63,7 +64,7 @@ from .model import (
 #: relative lower end of the scan; the E1 and E2 balances vanish at 0
 BRACKET_EPSILON = 1e-9
 
-#: relative bracket width at which narrowing stops and the secant polish runs
+#: relative bracket width that narrowing reaches before the polish; fixes _ROUNDS
 BISECT_WIDTH = 1e-12
 
 #: sign-change scan resolution shared by every balance
@@ -76,6 +77,10 @@ BLOCK_ROWS = 16
 #: equal parts each bracket is cut into per narrowing round
 SECTIONS = 64
 _CUTS = np.linspace(0.0, 1.0, SECTIONS + 1)
+
+#: narrowing rounds: a bracket starts as one scan cell and each round keeps
+#: one of its SECTIONS parts, so after these it is below BISECT_WIDTH*hi wide
+_ROUNDS = next(r for r in itertools.count() if SCAN_NODES * SECTIONS**r * BISECT_WIDTH >= 1)
 
 #: halvings of [0, S0] that solve for S in E3 with a custom strain-2 rate
 _S_HALVINGS = 52
@@ -494,13 +499,12 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     columns c of some rows and abscissae x, one row of x per entry of c, to
     balance values, NaN where the balance is undefined. Each row's scan
     starts at BRACKET_EPSILON*hi and has SCAN_NODES cells; a cell brackets a
-    root when both ends are finite and exactly one is positive. Each round
-    cuts every bracket of the rows still narrowing into SECTIONS equal
-    parts, all in one call of fn, and keeps the first part with a sign
-    change; a row stops once its brackets are narrower than its
-    BISECT_WIDTH*hi (bisection with SECTIONS parts in place of two). Then
-    the secant point of each final bracket replaces its midpoint where it
-    gives the smaller |fn|.
+    root when both ends are finite and exactly one is positive. Each of the
+    _ROUNDS rounds cuts every bracket into SECTIONS equal parts, all in one
+    call of fn, and keeps the first part with a sign change (bisection with
+    SECTIONS parts in place of two), which leaves every bracket narrower
+    than BISECT_WIDTH*hi. Then the secant point of each final bracket
+    replaces its midpoint where it gives the smaller |fn|.
 
     Returns each row's roots in increasing order and records its pass in
     ``rows.scans[:, kind]``.
@@ -512,30 +516,19 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     finite, positive = np.isfinite(f), f > 0.0
     row, cell = np.nonzero(finite[:, :-1] & finite[:, 1:] & (positive[:, :-1] != positive[:, 1:]))
     a, b, fa, fb = x[row, cell], x[row, cell + 1], f[row, cell], f[row, cell + 1]
-    width = BISECT_WIDTH * hi
-    at, passes = rows.take(row), np.zeros(row.size, int)
-    while True:
-        wide = b - a > width[row]
-        if not wide.any():
-            break
-        if not wide.all():  # a row narrows all its brackets while one is wide
-            narrowing = np.zeros(n, bool)
-            narrowing[row[wide]] = True
-            wide = narrowing[row]
-        passes += wide
-        k = np.nonzero(wide)[0]
-        t = a[k, None] + (b - a)[k, None] * _CUTS
-        ft = fn(at if k.size == row.size else at.take(k), t)
-        # first cut whose sign differs from the bracket's left end
-        j = np.argmax((ft[:, 1:] > 0.0) != (ft[:, :1] > 0.0), axis=1)
-        i = np.arange(k.size)
-        a[k], b[k], fa[k], fb[k] = t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]
-
     scans = np.zeros((n, 3), int)
-    scans[:, 0], scans[:, 1], scans[row, 2] = SCAN_NODES + 1, np.bincount(row, minlength=n), passes
+    scans[:, 0], scans[:, 1], scans[row, 2] = SCAN_NODES + 1, np.bincount(row, minlength=n), _ROUNDS
     rows.scans[rows.row, kind] = scans
     if not row.size:
         return [a] * n
+
+    at, i = rows.take(row), np.arange(row.size)
+    for _ in range(_ROUNDS):
+        t = a[:, None] + (b - a)[:, None] * _CUTS
+        ft = fn(at, t)
+        # first cut whose sign differs from the bracket's left end
+        j = np.argmax((ft[:, 1:] > 0.0) != (ft[:, :1] > 0.0), axis=1)
+        a, b, fa, fb = t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]
 
     mid = 0.5 * (a + b)
     secant = a - fa * (b - a) / (fb - fa)
@@ -545,6 +538,7 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     found = np.isfinite(np.where(use_secant, f_secant, f_mid))
     row, roots = row[found], roots[found]
     # a root on a scan node can close two neighbouring brackets of a row
+    width = BISECT_WIDTH * hi
     keep = np.ones(row.size, bool)
     keep[1:] = (row[1:] != row[:-1]) | (roots[1:] - roots[:-1] > 10.0 * width[row[1:]])
     row, roots = row[keep], roots[keep]

@@ -485,12 +485,11 @@ def integrate(
         )
     if raw.negative_abort is not None:
         t_abort, comp = raw.negative_abort
-        names = ("S", "V1", "I1", "I2", "R")
         events.append(
             TrajectoryEvent(
                 float(t_abort),
                 "tolerance_failure",
-                "component %s fell below -atol" % names[comp],
+                "component %s fell below -atol" % _STATE[comp],
             )
         )
 

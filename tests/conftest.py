@@ -3,10 +3,14 @@
 The acceptance suite registers one result per numbered criterion; the
 terminal summary prints a PASS/FAIL line for each so the run ends with an
 auditable checklist. Criteria not executed (filtered runs) show NOT RUN.
+The summary also prints the package's line count, which the project tracks.
 """
+
+import pathlib
 
 import numpy as np
 
+import twostrain
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams
 
@@ -84,9 +88,12 @@ class record_criterion:
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
+    tr = terminalreporter
+    modules = list(pathlib.Path(twostrain.__file__).parent.glob("*.py"))
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in modules)
+    tr.write_line("src/twostrain: {:,} lines in {} modules".format(lines, len(modules)))
     if not _RESULTS:
         return
-    tr = terminalreporter
     tr.write_sep("=", "acceptance criteria")
     for number in sorted(CRITERIA):
         if number in _RESULTS:

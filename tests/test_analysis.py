@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import wavy_rate
+from twostrain import analysis, equilibria
 from twostrain.analysis import (
     analyze,
     apply_sweep_value,
@@ -19,7 +20,7 @@ from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, thresholds
 from twostrain.scenario import Scenario
 from twostrain.simulate import IntegratorOptions
-from twostrain.stability import Verdict, classify
+from twostrain.stability import GridScanSummary, Verdict, classify
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
 
@@ -105,6 +106,46 @@ class TestAnalyze:
     def test_grid_argument_sizes_the_scan(self):
         report = analyze(scenario_strain2_dominant(), grid=50)
         assert report.global_checks[0][1].n_points == 2500
+
+
+class TestFailedChecks:
+    """The lines a failed solve or a failed global condition prints, reached
+    through the public path with the failing piece patched in."""
+
+    POSITIVE = GridScanSummary(0.5, (1000.0, 2000.0), 4, False)
+
+    def test_failed_coexistence_solve(self, monkeypatch):
+        # psi undefined everywhere: 6.4's invasion numbers both exceed 1, so
+        # finding no E3 root is an error, which analyze notes and sweep flags
+        monkeypatch.setattr(equilibria, "_psi", lambda c, I2: np.full(np.shape(I2), np.nan))
+        sc = build_scenario("6.4")
+        report = analyze(sc)
+        requires = "R2_invasion = 3.55597 > 1 and R1_invasion = 1.194 > 1"
+        assert report.notes == (
+            "coexistence solve failed: coexistence balance shows no sign change with I1 > 0 "
+            "at scan resolution 4096 although " + requires,
+        )
+        assert [e.kind for e in report.equilibria] == ["E0", "E1", "E2"]
+        assert "E3 absent or not found: requires " + requires in report.verdict_lines
+        rows = sweep(sc, "r", 0.01, 0.02, 2)
+        assert [row.verdicts["E3"] for row in rows] == ["solve failed"] * 2
+        assert not any(row.exists["E3"] for row in rows)
+
+    def test_failed_strain2_surface(self, monkeypatch):
+        monkeypatch.setattr(analysis, "strain2_lyapunov_scan", lambda *args, **kwargs: self.POSITIVE)
+        report = analyze(scenario_strain2_dominant())
+        assert report.global_checks == (("strain2_lyapunov_scan", self.POSITIVE),)
+        assert report.verdict_lines[-2] == (
+            "E2 global condition fails: lyapunov surface reaches 5.000e-01 > 0 at S = 1000, V1 = 2000"
+        )
+
+    def test_failed_coexistence_derivative(self, monkeypatch):
+        monkeypatch.setattr(analysis, "coexistence_lyapunov_scan", lambda *args: self.POSITIVE)
+        report = analyze(scenario_coexistence())
+        assert report.global_checks == (("coexistence_tail_derivative", self.POSITIVE),)
+        assert report.verdict_lines[-1] == (
+            "E3 global condition fails: lyapunov time derivative reaches 5.000e-01 > 0"
+        )
 
 
 class TestRenderReport:

@@ -214,6 +214,16 @@ class TestCheckGlobal:
             "wrote %s" % (out / "surface.csv"),
         ]
 
+    def test_csv_format_prints_only_the_written_file(self, strain2_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([
+            "check-global", "--scenario", strain2_file,
+            "--out", str(out), "--grid", "20", "--format", "csv",
+        ])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines() == ["wrote %s" % (out / "surface.csv")]
+        assert len(read_csv(str(out / "surface.csv"))[1]) == 20 * 20
+
     def test_no_applicable_checks(self, low_transmission_file, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(["check-global", "--scenario", low_transmission_file, "--out", str(out)])
@@ -354,6 +364,7 @@ class TestRefusedValues:
             ("analyze", "analyze", "report.txt"),
             ("simulate", "solve_all", "timeseries.csv"),
             ("sweep", "sweep", "sweep.csv"),
+            ("check-global", "analyze", "surface.csv"),
             ("reproduce", "reproduce", "report.txt"),
         ],
     )

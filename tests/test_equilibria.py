@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import re
 import sys
 import tracemalloc
 
@@ -185,6 +187,37 @@ class TestStrain2:
         for e2 in roots:
             assert e2.residual < RESIDUAL_TOL
             assert "at most one" in e2.multiplicity_note
+
+    def test_positive_discriminant_note(self):
+        # 6.3 with k raised to 1e-4: the note bounds the interval that holds
+        # at most one root, from L up to Lambda/alpha2
+        (e2,) = solve_strain2(params(r=0.1, k=1e-4), build_scenario("6.3").incidence2)
+        assert e2.multiplicity_note.startswith(
+            "discriminant 0.001496 > 0: at most one root expected in [267.1, 952.381]; "
+            "found 1 root(s) at scan resolution 4096; auxiliary uniqueness flag"
+        )
+
+    def test_positive_discriminant_interval_over_random_draws(self):
+        # criterion 5's draws with k scaled by 30, so most have d > 0: the
+        # printed L is the positive root of
+        # alpha2*k^2*L^2 + 2*alpha2*k*(r + mu)*L - d = 0, and no draw has two
+        # E2 roots in [L, Lambda/alpha2], the claim the note makes
+        interval = re.compile(r"at most one root expected in \[(\S+), (\S+)\]")
+        checked = 0
+        for p, _, inc2 in random_cases(1105, 200):
+            p = dataclasses.replace(p, k=30.0 * p.k)
+            d, roots = strain2_discriminant(p), solve_strain2(p, inc2)
+            if d <= 0.0 or not roots:
+                continue
+            checked += 1
+            L = np.roots([p.alpha2 * p.k**2, 2.0 * p.alpha2 * p.k * (p.r + p.mu), -d]).max()
+            hi = p.Lambda / p.alpha2
+            for e2 in roots:
+                printed_L, printed_hi = map(float, interval.search(e2.multiplicity_note).groups())
+                assert printed_L == pytest.approx(L, rel=1e-5)
+                assert printed_hi == pytest.approx(hi, rel=1e-5)
+            assert sum(L <= e2.point.I2 <= hi for e2 in roots) <= 1
+        assert checked >= 100
 
     def test_roots_match_a_cell_by_cell_reference(self):
         # the scan as a plain loop over its cells, with brentq on each sign
@@ -509,6 +542,21 @@ class TestBatch:
         custom = [IncidenceSpec.custom(lambda S, I: 2e-4 * S * I) for _ in range(2)]
         with pytest.raises(ValueError, match="family pair"):
             solve_batch([(p, custom[0], inc2), (p, custom[1], inc2)])
+
+    def test_every_bracket_narrows_for_the_derived_rounds(self):
+        # a bracket starts as one scan cell and each round keeps one of its
+        # SECTIONS parts: the least count of rounds that takes it below
+        # BISECT_WIDTH of the scan range, and every bracketed balance runs it
+        rounds = equilibria._ROUNDS
+        assert SCAN_NODES * SECTIONS**rounds * equilibria.BISECT_WIDTH >= 1.0
+        assert SCAN_NODES * SECTIONS ** (rounds - 1) * equilibria.BISECT_WIDTH < 1.0
+        seen = set()
+        for case in random_cases(1105, 200):
+            st = solve_all(*case).stats
+            for scan in (st.E1, st.E2, st.E3_cap, st.E3):
+                assert scan.rounds == (rounds if scan.brackets else 0)
+                seen.add(scan.brackets > 0)
+        assert seen == {False, True}
 
     def test_stats_repeat_and_match_the_balance_evaluations(self, monkeypatch):
         # a counting wrapper around every balance callable handed to the

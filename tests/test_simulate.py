@@ -246,6 +246,21 @@ class TestIntegrate:
         assert traj.stats.accepted_steps == 1
         assert np.allclose(traj.states[-1], START.as_array(), rtol=1e-12)
 
+    def test_infective_pushed_below_zero_ends_with_a_tolerance_failure(self):
+        # F1(S, 0) = -1e-3 < 0: I1 starts at 0 and flows outward, so no
+        # smaller step can keep it nonnegative and the first step aborts
+        sc = build_scenario("6.1")
+        p, inc2 = sc.params, sc.incidence2
+        inc1 = IncidenceSpec.custom(lambda S, I: 2e-4 * S * I - 1e-3)
+        y0, opts = State(500.0, 500.0, 0.0, 50.0), IntegratorOptions(t_end=50.0)
+        traj = integrate(p, inc1, inc2, y0, opts)
+        raw = adaptive_rk45(lambda t, y: tuple(vector_field(p, inc1, inc2, y)), y0.as_array(), opts.t_end)
+        assert raw.negative_abort[1] == 2
+        assert traj.stats.accepted_steps == 0 and traj.times.tolist() == [0.0]
+        (event,) = [e for e in traj.events if e.kind == "tolerance_failure"]
+        assert event.time == raw.negative_abort[0] == pytest.approx(0.01404, rel=1e-3)
+        assert event.detail == "component I1 fell below -atol"
+
     def test_recovered_class_tracked_when_present(self):
         p, inc1, inc2 = setup_low_transmission()
         traj = integrate(
