@@ -68,6 +68,7 @@ from .model import (
     Thresholds,
     invasion_numbers,
     jacobian,
+    jacobians,
     reproduction_number,
     require_certified,
     residual,
@@ -91,6 +92,7 @@ from .stability import (
     StabilityReport,
     Verdict,
     classify,
+    classify_batch,
     classify_disease_free,
     coexistence_lyapunov_scan,
     coexistence_lyapunov_values,

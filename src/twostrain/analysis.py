@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .equilibria import Equilibrium, _Rows, solve_all, solve_batch
+from .equilibria import BLOCK_ROWS, Equilibrium, _Rows, solve_all, solve_batch
 from .errors import ConfigError
 from .incidence import BUILT_IN_FAMILIES
 from .model import PARAM_NAMES, Thresholds, thresholds
@@ -24,7 +24,7 @@ from .stability import (
     GridScanSummary,
     StabilityReport,
     Verdict,
-    classify,
+    classify_batch,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
 )
@@ -68,7 +68,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     if eqs.coexistence_error:
         notes.append("coexistence solve failed: %s" % eqs.coexistence_error)
 
-    stability = tuple(classify(p, inc1, inc2, eq) for eq in eqs.all)
+    stability = tuple(classify_batch((p, inc1, inc2, eq) for eq in eqs.all))
 
     global_checks: List[Tuple[str, GridScanSummary]] = []
     traj = None
@@ -350,10 +350,12 @@ def sweep(
     Every row is built by ``apply_sweep_value``; a value it refuses is a
     ConfigError naming the key and the value. Without ``classify`` the
     thresholds of all rows come from one array evaluation. With it the rows
-    go through ``solve_batch``, one batched pass per block of rows, and are
-    classified one by one; each row's result is bit for bit that of solving
-    it alone, so a row does not depend on its neighbours. A row whose
-    coexistence solve fails reads "solve failed" as its E3 verdict.
+    go through ``solve_batch``, one batched pass per block of BLOCK_ROWS
+    rows, and the first root of each kind in a block goes through one
+    ``classify_batch`` call. Each row's result is bit for bit that of
+    solving and classifying it alone, so a row does not depend on its
+    neighbours. A row whose coexistence solve fails reads "solve failed" as
+    its E3 verdict.
     """
     if n < 2:
         raise ConfigError("sweep needs n >= 2 grid points")
@@ -378,27 +380,24 @@ def sweep(
             for value, R1, R2, R0 in zip(values, *(x[:, 0].tolist() for x in (th.R1, th.R2, th.R0)))
         ]
     rows: List[SweepRow] = []
-    for value, case, eqs in zip(values, cases, solve_batch(cases)):
-        th = eqs.thresholds
-        rows.append(
-            SweepRow(value, th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion, *_classified(case, eqs))
-        )
+    solved = solve_batch(cases)
+    for at in range(0, n, BLOCK_ROWS):
+        # each row's first root of each kind, or None
+        firsts = [{kind: _first(eqs.all, kind) for kind in ALL_KINDS} for eqs in solved[at : at + BLOCK_ROWS]]
+        reports = iter(classify_batch(
+            (*case, eq) for case, first in zip(cases[at:], firsts) for eq in first.values() if eq is not None
+        ))
+        for value, eqs, first in zip(values[at:], solved[at:], firsts):
+            verdicts = {
+                kind: "absent" if eq is None else next(reports).verdict.value for kind, eq in first.items()
+            }
+            if eqs.coexistence_error:
+                verdicts["E3"] = "solve failed"
+            exists = {kind: eq is not None for kind, eq in first.items()}
+            th = eqs.thresholds
+            numbers = (th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion)
+            rows.append(SweepRow(value, *numbers, exists, verdicts))
     return rows
-
-
-def _classified(case, eqs) -> Tuple[Dict[str, bool], Dict[str, str]]:
-    """A sweep row's (exists, verdicts): each kind's first root classified,
-    "absent" without one and "solve failed" for a failed E3 solve."""
-    first: Dict[str, Equilibrium] = {}
-    for eq in eqs.all:
-        first.setdefault(eq.kind, eq)
-    verdicts = {
-        kind: classify(*case, first[kind]).verdict.value if kind in first else "absent"
-        for kind in ALL_KINDS
-    }
-    if eqs.coexistence_error:
-        verdicts["E3"] = "solve failed"
-    return {kind: kind in first for kind in ALL_KINDS}, verdicts
 
 
 def turning_point(xs, ys) -> Optional[Tuple[int, float]]:

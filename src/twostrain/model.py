@@ -16,12 +16,13 @@ component in ``_FIELD``. ``bound_field`` is compiled from it, and so is the
 integrator's trial step, which writes it into each of its stages
 (``simulate._kernel``). The integrator runs it on unchecked rates;
 ``vector_field``, ``field_norms`` and ``residual``, which certifies every
-equilibrium, run it on checked ones. ``jacobian`` is its complex step, so
+equilibrium, run it on checked ones. ``jacobians`` is its complex step, so
 no derivative of the field is written by hand.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence, Union
@@ -29,7 +30,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .incidence import _STEP, IncidenceSpec
+from .incidence import _STEP, BUILT_IN_FAMILIES, IncidenceSpec
 
 #: residual bound below which an equilibrium is accepted as certified
 RESIDUAL_TOL = 1e-8
@@ -206,6 +207,9 @@ _bind_field = _compiled(
 )
 
 
+_coefficients = operator.attrgetter(*_COEFFICIENTS)
+
+
 def bound_field(p: ModelParams, rate1, rate2):
     """The system's right-hand side f(t, y), with p and the rates F1(S, I1)
     and F2(S, I2) bound, compiled from the field's text.
@@ -216,7 +220,7 @@ def bound_field(p: ModelParams, rate1, rate2):
     elementwise), expressions for sympy symbols. f neither checks its input
     nor catches errors. ``print(model._bind_field.source)`` shows the text.
     """
-    return _bind_field(*(getattr(p, name) for name in _COEFFICIENTS), rate1, rate2)
+    return _bind_field(*_coefficients(p), rate1, rate2)
 
 
 def _no_infection(S, I):
@@ -260,23 +264,61 @@ def residual(
 
 
 def jacobian(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> np.ndarray:
-    """4x4 Jacobian of the reduced field, rows and columns ordered (S, V1, I1, I2).
+    """4x4 Jacobian of the reduced field, rows and columns ordered (S, V1, I1, I2):
+    the one-row case of ``jacobians``."""
+    return jacobians([(p, inc1, inc2, x)])[0]
 
-    Column j is the complex step Im f(y + i*h*e_j)/h of ``bound_field``, the
-    field's text, on Python complex scalars. Each strain's rate is its
-    ``IncidenceSpec.complex_rate`` at y: a built-in rate's text is stepped
-    through, and a custom rate's partials enter by its linearisation.
+
+_COMPONENTS = np.arange(4)
+
+
+def jacobians(rows) -> np.ndarray:
+    """The ``jacobian`` of each (p, inc1, inc2, x) row, as an (m, 4, 4) array.
+
+    Column j of row i's matrix is the complex step Im f(y_i + i*h*e_j)/h of
+    ``bound_field``, the field's text. One evaluation takes every step, on
+    (m, 4) object arrays of state components: entry [i, j] is row i's
+    component as a Python float, or a Python complex stepped by i*h where
+    the component is j. Each coefficient is an (m, 1) column of Python
+    floats. So every entry is bit for bit the scalar complex step: numpy's
+    complex128 loops would round differently (a fused multiply-add, and a
+    quotient through a reciprocal). Each strain's rate is its
+    ``IncidenceSpec.complex_rate`` at the rows' points on their beta and
+    zeta columns: a built-in rate's text is stepped through, and a custom
+    rate's partials enter by its linearisation. The rows share one
+    incidence family pair (``_family_pair``).
     """
-    y = _as_array(x)
-    if not np.all(np.isfinite(y)):
+    inc1, inc2 = _family_pair(rows)
+    y = np.array([_as_array(x)[:4] for *_, x in rows])
+    if not np.isfinite(y).all():
         raise DomainError("jacobian evaluated at a non-finite state")
-    field = bound_field(p, inc1.complex_rate(y[0], y[2]), inc2.complex_rate(y[0], y[3]))
-    point = y[:4].tolist()
-    J = np.empty((4, 4))
-    for j in range(4):
-        stepped = point[:j] + [complex(point[j], _STEP)] + point[j + 1:]
-        J[:, j] = [v.imag / _STEP for v in field(0.0, stepped)]
-    return J
+    columns = np.array(
+        [_coefficients(p) + (a.beta, a.zeta, b.beta, b.zeta) for p, a, b, _ in rows], dtype=object
+    ).T[:, :, None]
+    S, I1, I2 = y[:, 0:1], y[:, 2:3], y[:, 3:4]
+    field = _bind_field(
+        *columns[:9], inc1.complex_rate(S, I1, *columns[9:11]), inc2.complex_rate(S, I2, *columns[11:])
+    )
+    # [c, i, j]: row i's component c, stepped where c == j
+    stepped = np.empty((4, len(y), 4), dtype=object)
+    stepped[...] = y.T[:, :, None]
+    stepped[_COMPONENTS, :, _COMPONENTS] = y.T + 1j * _STEP
+    # a non-finite entry is returned as is, as by the scalar step; classify refuses it
+    with np.errstate(all="ignore"):
+        return np.stack(field(0.0, stepped), axis=1).astype(complex).imag / _STEP
+
+
+def _family_pair(rows) -> tuple:
+    """(inc1, inc2) of the first of some (p, inc1, inc2, ...) rows, which
+    must all have the same built-in families, or the same custom specs. A
+    strain may be None."""
+
+    def family(inc):
+        return inc.family if inc is not None and inc.family in BUILT_IN_FAMILIES else inc
+
+    if len({(family(inc1), family(inc2)) for _, inc1, inc2, *_ in rows}) > 1:
+        raise ValueError("batched rows must share one incidence family pair")
+    return rows[0][1], rows[0][2]
 
 
 def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):

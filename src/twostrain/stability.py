@@ -2,13 +2,15 @@
 
 E0 is classified from its closed-form spectrum. E1, E2 and E3 are classified
 by the Routh-Hurwitz sign conditions on the characteristic polynomial of the
-Jacobian block that ``KINDS`` names for each; ``classify`` takes any kind.
-One generic routine expands det(x*I - M) term by term from a Leibniz table
-built at import; the Hurwitz minors come from the same routine run on the
-leading blocks of the Hurwitz matrix. Every verdict is cross-checked against
-a dense eigensolver. The two routes are kept independent on purpose: an
-error in either one shows up as a cross-validation disagreement instead of
-a silent wrong answer.
+Jacobian block that ``KINDS`` names for each. ``classify_batch`` classifies
+a block of equilibria of any kinds in one pass, and ``classify`` is its
+one-row case. One routine, ``_expand``, expands det(x*I - M) term by term
+from signed-product tables built at import from a Leibniz table; the
+Hurwitz minors come from the same routine over the leading blocks of the
+Hurwitz matrix. Every verdict is cross-checked against a dense
+eigensolver. The two routes are kept independent on purpose: an error in
+either one shows up as a cross-validation disagreement instead of a silent
+wrong answer.
 
 Verdicts use a dead-band: eigenvalue real parts within 1e-10 of zero, and
 coefficients within 1e-10 of the sum of the absolute values of their
@@ -19,18 +21,17 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from .equilibria import disease_free
 from .errors import DomainError, SolverError
 from .incidence import IncidenceSpec
 from .model import (
     ModelParams,
-    State,
-    jacobian,
+    jacobians,
     reproduction_number,
     require_certified,
     thresholds,
@@ -79,132 +80,43 @@ def eigen_classify(J: np.ndarray) -> tuple:
     """Dense-eigensolver classification of a real matrix.
 
     Returns (eigenvalues sorted by descending real part, verdict). This is
-    the generic oracle the Routh-Hurwitz classifiers are validated against.
+    the generic oracle the Routh-Hurwitz route is validated against, and
+    the one-matrix case of ``_spectra``.
     """
-    J = np.asarray(J, float)
-    if not np.all(np.isfinite(J)):
+    eigs, signs = _spectra(np.asarray(J, float)[None])
+    return eigs[0], _combine(signs)[0]
+
+
+def _spectra(J: np.ndarray) -> tuple:
+    """The eigenvalues of each matrix of an (m, n, n) stack, from one
+    eigensolve, as complex numbers sorted by descending real part, and the
+    banded signs of their negated real parts."""
+    if not np.isfinite(J).all():
         raise DomainError("eigen_classify requires finite matrix entries")
     try:
-        eigs = np.linalg.eigvals(J)
+        eigs = np.linalg.eigvals(J).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise SolverError("eigensolver failed to converge") from exc
-    eigs = eigs[np.argsort(-eigs.real)]
-    return eigs, _combine([_sign_banded(-x, 1.0) for x in eigs.real])
+    eigs = eigs[np.arange(len(eigs))[:, None], np.argsort(-eigs.real, axis=-1)]
+    return eigs, _sign_banded(-eigs.real, 1.0)
 
 
-def _sign_banded(value: float, scale: float) -> int:
-    """Sign of a quantity with a relative dead-band: +1, -1, or 0 (marginal)."""
-    band = EIGEN_DEADBAND * max(1.0, scale)
-    if value > band:
-        return 1
-    if value < -band:
-        return -1
-    return 0
+def _sign_banded(value, scale) -> np.ndarray:
+    """Sign of each quantity with a relative dead-band: +1, -1, or 0 (marginal)."""
+    band = EIGEN_DEADBAND * np.fmax(1.0, scale)
+    return (value > band).astype(int) - (value < -band)
 
 
-def _leibniz_terms(n: int) -> list:
-    """Terms of det(x*I - M) for an n x n matrix M, as (k, sign, factors) triples.
-
-    A term takes either x or -M[i][perm[i]] in every row i, and may take x
-    only where perm[i] == i. A term with k matrix factors belongs to the
-    coefficient c_k of x^(n-k); ``factors`` are their flat indices i*n + j.
-    """
-    terms = []
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        for takes_x in itertools.product((False, True), repeat=n):
-            rows = [i for i in range(n) if not takes_x[i]]
-            if rows and all(perm[i] == i for i in range(n) if takes_x[i]):
-                sign = (-1) ** (inversions + len(rows))
-                terms.append((len(rows), sign, [i * n + perm[i] for i in rows]))
-    return terms
-
-
-_LEIBNIZ = {n: _leibniz_terms(n) for n in (2, 3, 4)}
-
-
-def _charpoly(M) -> tuple:
-    """Coefficients c1..cn of det(x*I - M) = x^n + c1*x^(n-1) + ... + cn.
-
-    ``M`` is a list of rows. Returns (values, scales): the scale of c_k is
-    the sum of the absolute values of its terms, the width of its sign
-    dead-band; structural zeros of M add nothing to it.
-    """
-    n = len(M)
-    entry = [x for row in M for x in row].__getitem__
-    values, scales = [0] * n, [0] * n
-    for k, sign, factors in _LEIBNIZ[n]:
-        term = sign * math.prod(map(entry, factors))
-        values[k - 1] += term
-        scales[k - 1] += abs(term)
-    return values, scales
-
-
-def _hurwitz_minors(c) -> tuple:
-    """Leading Hurwitz minors D2..D(n-1) of x^n + c1*x^(n-1) + ... + cn.
-
-    D1 = c1, and Dn = cn*D(n-1) adds no condition once cn > 0. The k x k
-    minor is (-1)^k times the constant coefficient of its characteristic
-    polynomial, so it comes with its scale. Returns (values, scales).
-    """
-    n = len(c)
-    # H[i][j] = c_(2j-i+1) with c_0 = 1; out-of-range indices read the zero padding
-    a = [1, *c] + [0] * n
-    hurwitz = [[a[2 * j - i + 1] for j in range(n)] for i in range(n)]
-    values, scales = [], []
-    for k in range(2, n):
-        minor_values, minor_scales = _charpoly([row[:k] for row in hurwitz[:k]])
-        values.append((-1) ** k * minor_values[-1])
-        scales.append(minor_scales[-1])
-    return values, scales
-
-
-def _combine(signs) -> Verdict:
-    """Verdict from the banded signs of quantities that a stable point makes positive.
+def _combine(signs) -> list:
+    """The verdict of each row of banded signs of quantities that a stable
+    point makes positive.
 
     The quantities are negated eigenvalues, or Routh-Hurwitz coefficients and
     minors. A single strictly negative one already certifies instability:
     every one of them is positive when all eigenvalues have negative real part.
     """
-    return (Verdict.UNSTABLE, Verdict.INCONCLUSIVE, Verdict.LOCALLY_STABLE)[min(signs) + 1]
-
-
-# -- per-kind classifiers -----------------------------------------------------
-
-
-def classify_disease_free(
-    p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec
-) -> StabilityReport:
-    """E0 classification from the closed-form spectrum.
-
-    The Jacobian at E0 is block triangular, so the eigenvalues are exactly
-    -lam, -mu, alpha1*(R1 - 1), alpha2*(R2 - 1).
-    """
-    th = thresholds(p, inc1, inc2)
-    closed = np.array(
-        [
-            -p.lam,
-            -p.mu,
-            p.alpha1 * (th.R1 - 1.0),
-            p.alpha2 * (th.R2 - 1.0),
-        ]
-    )
-    verdict = _combine([_sign_banded(-x, 1.0) for x in closed])
-    point = State(p.susceptible_cap, p.vaccinated_cap, 0.0, 0.0)
-    eigs, eigen_verdict = eigen_classify(jacobian(p, inc1, inc2, point))
-    return StabilityReport(
-        kind="E0",
-        eigenvalues=np.sort_complex(closed.astype(complex))[::-1],
-        coefficients={},
-        conditions={"R1 < 1": th.R1 < 1.0, "R2 < 1": th.R2 < 1.0},
-        verdict=verdict,
-        eigen_verdict=eigen_verdict,
-        notes=(
-            "closed-form eigenvalues: -lam = %.6g, -mu = %.6g, "
-            "alpha1*(R1-1) = %.6g, alpha2*(R2-1) = %.6g"
-            % (-p.lam, -p.mu, closed[2], closed[3]),
-        ),
-    )
+    verdicts = (Verdict.UNSTABLE, Verdict.INCONCLUSIVE, Verdict.LOCALLY_STABLE)
+    return [verdicts[sign + 1] for sign in np.min(signs, axis=-1).tolist()]
 
 
 class Kind(NamedTuple):
@@ -238,13 +150,122 @@ KINDS = {
 }
 
 
-def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> StabilityReport:
-    """Local classification of any equilibrium, by its kind.
+# -- the Routh-Hurwitz quantities, from tables built at import ----------------
 
-    E0 goes to ``classify_disease_free``. E1, E2 and E3 must be certified;
-    each is stable when the coefficients and Hurwitz minors of its block's
-    characteristic polynomial (``KINDS``) are all positive, each tested with
-    its own dead-band scale, and the decoupled row's eigenvalue is negative:
+
+def _leibniz_terms(n: int) -> list:
+    """Terms of det(x*I - M) for an n x n matrix M, as (k, sign, factors) triples.
+
+    A term takes either x or -M[i][perm[i]] in every row i, and may take x
+    only where perm[i] == i. A term with k matrix factors belongs to the
+    coefficient c_k of x^(n-k); ``factors`` are their entries (i, perm[i]).
+    """
+    terms = []
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for takes_x in itertools.product((False, True), repeat=n):
+            rows = [i for i in range(n) if not takes_x[i]]
+            if rows and all(perm[i] == i for i in range(n) if takes_x[i]):
+                sign = (-1) ** (inversions + len(rows))
+                terms.append((len(rows), sign, [(i, perm[i]) for i in rows]))
+    return terms
+
+
+_LEIBNIZ = {n: _leibniz_terms(n) for n in (2, 3, 4)}
+
+# the constants 1 and 0, which ``_expand`` appends to each source row
+_ONE, _ZERO = -2, -1
+
+
+def _sums(kind: Kind) -> tuple:
+    """One kind's sums, each an (outer sign, terms) pair with its terms as
+    (sign, factor indices) in Leibniz order: the coefficients c1..cn of
+    det(x*I - B) for its block B of J, over J's 16 entries, and the leading
+    Hurwitz minors D2..D(n-1), over the coefficients. D1 = c1, and Dn =
+    cn*D(n-1) adds no condition once cn > 0. The k x k minor is (-1)^k
+    times the constant coefficient of its characteristic polynomial, so it
+    comes with its scale."""
+    n, b = len(kind.block), kind.block
+
+    def hurwitz(i, j):
+        # H[i][j] = c_(2j-i+1) with c_0 = 1; out-of-range indices read 0
+        q = 2 * j - i + 1
+        return _ONE if q == 0 else q - 1 if 0 < q <= n else _ZERO
+
+    def terms(size, k, entry):
+        """The terms with k factors of det(x*I - M), M of ``size``, over ``entry``."""
+        return [(sign, [entry(*f) for f in factors]) for order, sign, factors in _LEIBNIZ[size] if order == k]
+
+    coefficients = [(1, terms(n, k, lambda i, j: 4 * b[i] + b[j])) for k in range(1, n + 1)]
+    return coefficients, [((-1) ** k, terms(k, k, hurwitz)) for k in range(2, n)]
+
+
+def _table(tables, width: int) -> tuple:
+    """(factors, signs, outer signs) arrays of shapes (kinds, K, T, F),
+    (kinds, K, T) and (kinds, K): each kind's sums, over a source row of
+    ``width`` entries followed by the constants 1 and 0.
+
+    Each sum starts with a zero term, as a Python sum starts from 0; zero
+    terms and factors of one pad it to T terms of F factors, which changes
+    no value or scale. Sums of 1 pad a kind to K sums, so that a padded
+    quantity reads as positive.
+    """
+    K = max(len(sums) for sums in tables)
+    T = 1 + max(len(terms) for sums in tables for _, terms in sums)
+    F = max(len(f) for sums in tables for _, terms in sums for _, f in terms)
+    zero = (1, [_ZERO])
+    factors, signs, outer = [], [], []
+    for sums in tables:
+        sums = sums + [(1, [(1, [_ONE])])] * (K - len(sums))
+        padded = [[zero, *terms] + [zero] * (T - 1 - len(terms)) for _, terms in sums]
+        factors.append([[f + [_ONE] * (F - len(f)) for _, f in terms] for terms in padded])
+        signs.append([[s for s, _ in terms] for terms in padded])
+        outer.append([s for s, _ in sums])
+    return np.array(factors) % (width + 2), np.array(signs), np.array(outer)
+
+
+# every kind's coefficients over J's 16 entries, and its minors over the coefficients
+_COEFFICIENTS, _MINORS = (
+    _table(sums, width) for sums, width in zip(zip(*map(_sums, KINDS.values())), (16, 4))
+)
+_CODE = {kind: code for code, kind in enumerate(KINDS)}
+
+
+def _expand(source, tables, kinds) -> tuple:
+    """(values, scales) of each row's sums in ``tables`` (``_COEFFICIENTS``
+    or ``_MINORS``) for its kind in ``kinds``, over its row of ``source``:
+    an (m, N) array of floats or of sympy expressions. Padded sums read 1.
+
+    Factors multiply left to right and terms add in order, so each value is
+    bit for bit the Python sum of the same products, and no row depends on
+    another. The scale of a sum is the sum of the absolute values of its
+    terms, the width of its sign dead-band; a structural zero of the source
+    adds nothing to it.
+    """
+    m, n = source.shape
+    factors, signs, outer = (a[[_CODE[kind] for kind in kinds]] for a in tables)
+    row = np.empty((m, n + 2), source.dtype)
+    row[:, :n], row[:, n], row[:, n + 1] = source, 1, 0
+    gathered = row.ravel()[factors + (n + 2) * np.arange(m).reshape(m, 1, 1, 1)]
+    terms = gathered[..., 0]
+    for f in range(1, gathered.shape[-1]):
+        terms = terms * gathered[..., f]
+    terms = signs * terms
+    return outer * np.cumsum(terms, axis=-1)[..., -1], np.cumsum(abs(terms), axis=-1)[..., -1]
+
+
+# -- classification -----------------------------------------------------------
+
+
+def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> StabilityReport:
+    """Local classification of any equilibrium, by its kind: the one-row
+    case of ``classify_batch``.
+
+    E0 is classified from its closed-form spectrum. E1, E2 and E3 must be
+    certified; each is stable when the coefficients and Hurwitz minors of
+    its block's characteristic polynomial (``KINDS``) are all positive, each
+    tested with its own dead-band scale, and the decoupled row's eigenvalue
+    is negative:
 
     - E1: x^3 + a2*x^2 + a1*x + a0 on (S, V1, I1), and the I2 row with
       eigenvalue alpha2*(R2_invasion - 1);
@@ -255,12 +276,96 @@ def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> St
     - E3: the full quartic x^4 + c1*x^3 + c2*x^2 + c3*x + c4, with the
       composite conditions c1*c2 - c3 > 0 and c1*c2*c3 - c3^2 - c1^2*c4 > 0.
     """
-    if eq.kind == "E0":
-        return classify_disease_free(p, inc1, inc2)
+    return classify_batch([(p, inc1, inc2, eq)])[0]
+
+
+def classify_disease_free(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> StabilityReport:
+    """``classify`` of the disease-free equilibrium."""
+    return classify(p, inc1, inc2, disease_free(p, inc1, inc2))
+
+
+def classify_batch(rows) -> list:
+    """``classify`` of each (p, inc1, inc2, eq) row, bit for bit, in one pass.
+
+    The rows share one incidence family pair, as in ``solve_batch``. One
+    ``model.jacobians`` call and one stacked eigensolve serve every row. One
+    ``_expand`` pass gives the coefficients of the E1, E2 and E3 rows and
+    one their minors, and the closed-form spectra of the E0 rows are one
+    array, whose banded signs are taken with the rest.
+    """
+    rows = list(rows)
+    if not rows:
+        return []
+    for *_, eq in rows:
+        if eq.kind != "E0":
+            require_certified(eq)
+    J = jacobians([(p, inc1, inc2, eq.point) for p, inc1, inc2, eq in rows])
+    eigs, eigen_signs = _spectra(J)
+    e0 = [i for i, row in enumerate(rows) if row[3].kind == "E0"]
+    rh = [i for i, row in enumerate(rows) if row[3].kind != "E0"]
+    # each row's quantities that a stable point makes positive, with their
+    # dead-band scales: E0's negated eigenvalues, or a kind's coefficients,
+    # minors and negated invasion eigenvalue; 1 fills the unused columns
+    tested, scales = np.ones((len(rows), 7)), np.ones((len(rows), 7))
+    fields = {}
+    if e0:
+        closed, e0_fields = _closed_form_fields([rows[i][:3] for i in e0])
+        tested[e0, :4] = -closed
+        fields.update(zip(e0, e0_fields))
+    if rh:
+        kinds = [rows[i][3].kind for i in rh]
+        c, c_scales = _expand(J[rh].reshape(len(rh), 16), _COEFFICIENTS, kinds)
+        minors, minor_scales = _expand(c, _MINORS, kinds)
+        tested[rh, :6], scales[rh, :6] = np.hstack([c, minors]), np.hstack([c_scales, minor_scales])
+        invaded = [i for i in rh if KINDS[rows[i][3].kind].strain is not None]
+        diagonal = [1 + KINDS[rows[i][3].kind].absent for i in invaded]
+        tested[invaded, 6] = -J[invaded, diagonal, diagonal]
+        values = tested.tolist()
+        fields.update((i, _coefficient_fields(rows[i], values[i], J[i], eigs[i])) for i in rh)
+    verdicts = zip(_combine(_sign_banded(tested, scales)), _combine(eigen_signs))
+    return [
+        StabilityReport(row[3].kind, verdict=verdict, eigen_verdict=eigen_verdict, **fields[i])
+        for i, (row, (verdict, eigen_verdict)) in enumerate(zip(rows, verdicts))
+    ]
+
+
+def _closed_form_fields(cases) -> tuple:
+    """E0's spectrum for each (p, inc1, inc2) case, as one (k, 4) array,
+    and the eigenvalues, coefficients, conditions and notes of its report.
+
+    The Jacobian at E0 is block triangular, so the eigenvalues are exactly
+    -lam, -mu, alpha1*(R1 - 1) and alpha2*(R2 - 1), from the case's
+    parameters and thresholds.
+    """
+    ths = [thresholds(*case) for case in cases]
+    closed = np.array([
+        (-p.lam, -p.mu, p.alpha1 * (th.R1 - 1.0), p.alpha2 * (th.R2 - 1.0))
+        for (p, *_), th in zip(cases, ths)
+    ])
+    spectra = np.sort(closed, axis=1)[:, ::-1].astype(complex)
+    fields = [
+        dict(
+            eigenvalues=eigenvalues,
+            coefficients={},
+            conditions={"R1 < 1": th.R1 < 1.0, "R2 < 1": th.R2 < 1.0},
+            notes=(
+                "closed-form eigenvalues: -lam = %.6g, -mu = %.6g, "
+                "alpha1*(R1-1) = %.6g, alpha2*(R2-1) = %.6g" % tuple(values),
+            ),
+        )
+        for eigenvalues, values, th in zip(spectra, closed.tolist(), ths)
+    ]
+    return closed, fields
+
+
+def _coefficient_fields(row, tested: list, J: np.ndarray, eigenvalues: np.ndarray) -> dict:
+    """The eigenvalues, coefficients, conditions and notes of the report of
+    an E1, E2 or E3 row, from its tested quantities and its Jacobian."""
+    p, inc1, inc2, eq = row
     kind = KINDS[eq.kind]
-    require_certified(eq)
-    pt = eq.point
-    J = jacobian(p, inc1, inc2, pt)
+    n = len(kind.block)
+    values = tested[:n] + tested[4 : n + 2]
+    conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
     notes = []
     if eq.kind == "E2":
         dF2_dI2 = -J[0, 3]  # the S row holds -F2(S, I2)
@@ -270,35 +375,22 @@ def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> St
             else "dF2/dI2 = %.6g <= 0 at the equilibrium: sign structure applies"
         )
         notes.append(path % dF2_dI2)
-
-    values, scales = _charpoly(J[np.ix_(kind.block, kind.block)].tolist())
-    minor_values, minor_scales = _hurwitz_minors(values)
-    values += minor_values
-    scales += minor_scales
-    signs = [_sign_banded(v, s) for v, s in zip(values, scales)]
-    conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
     if kind.strain is not None:
-        absent = kind.absent
+        absent, pt = kind.absent, eq.point
         eigenvalue = J[1 + absent, 1 + absent]
         invasion = "R%d_invasion" % absent
-        signs.append(_sign_banded(-eigenvalue, 1.0))
         conditions[invasion + " < 1"] = bool(eigenvalue < 0.0)
         number = reproduction_number(p, (inc1, inc2)[absent - 1], absent, pt.S, pt.V1)
         notes.append(
             "invasion eigenvalue alpha%d*(%s - 1) = %.6g (%s = %.6g)"
             % (absent, invasion, eigenvalue, invasion, number)
         )
-    eigs, eigen_verdict = eigen_classify(J)
-    return StabilityReport(
-        kind=eq.kind,
-        eigenvalues=eigs,
+    return dict(
+        eigenvalues=eigenvalues,
         coefficients=dict(zip(kind.names, values)),
         conditions=conditions,
-        verdict=_combine(signs),
-        eigen_verdict=eigen_verdict,
         notes=tuple(notes),
     )
-
 
 
 # -- Lyapunov-condition scans -------------------------------------------------

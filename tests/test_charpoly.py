@@ -1,14 +1,18 @@
-"""The generic characteristic-polynomial expansion against the paper's closed forms.
+"""The one characteristic-polynomial expansion against the paper's closed forms.
 
-``stability._charpoly`` and ``stability._hurwitz_minors`` run unchanged on
-sympy symbols. The symbolic Jacobian carries the structural zeros of
-``model.jacobian`` and J[1, 0] = r. The closed forms are the coefficient
-term lists of the E1 cubic (a2, a1, a0), the E2 cubic (b2, b1, b0) and the
-E3 quartic (c1..c4), and the Hurwitz composites built from them. Every
-generic coefficient and minor expands to its closed form, and on criterion
-5's random scenarios every generic dead-band scale is the sum of |term|
-over the closed form's terms.
+``stability._expand``, the one expansion routine, runs unchanged on sympy
+object arrays, over the coefficient tables and over the minor tables. The
+symbolic Jacobian carries the structural zeros of ``model.jacobian`` and
+J[1, 0] = r. The closed forms are the coefficient term lists of the E1
+cubic (a2, a1, a0), the E2 cubic (b2, b1, b0) and the E3 quartic (c1..c4),
+and the Hurwitz composites built from them. Every generic coefficient and
+minor expands to its closed form, and on criterion 5's random scenarios
+every generic dead-band scale is the sum of |term| over the closed form's
+terms. The expansion of a stack of Jacobians equals the expansion of each
+one alone, bit for bit.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from conftest import random_cases
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import solve_all
 from twostrain.model import jacobian
-from twostrain.stability import _charpoly, _hurwitz_minors, classify
+from twostrain.stability import _COEFFICIENTS, _LEIBNIZ, _MINORS, KINDS, _expand, classify
 
 C11, C13, C14, C22, C24, C31, C33, C41, C42, C44, r, mu = sp.symbols(
     "C11 C13 C14 C22 C24 C31 C33 C41 C42 C44 r mu"
@@ -106,16 +110,30 @@ def composite_terms(c):
     return [[c1 * c2, -c3], [c1 * c2 * c3, -c3 * c3, -c1 * c1 * c4]]
 
 
-def symbolic_block(kind):
-    rows, fixed, _ = CLOSED[kind]
-    return JACOBIAN.extract(rows, rows).subs(fixed).tolist()
+def symbolic_jacobian(kind):
+    """The symbolic Jacobian at ``kind`` as a one-matrix object stack."""
+    _, fixed, _ = CLOSED[kind]
+    return np.array(JACOBIAN.subs(fixed).tolist(), dtype=object)[None]
+
+
+def charpoly(J, kinds):
+    return _expand(J.reshape(len(J), 16), _COEFFICIENTS, kinds)
+
+
+def expansion(J, kinds):
+    """Each matrix's coefficients then minors, as (values, scales) row lists."""
+    c, c_scales = charpoly(J, kinds)
+    minors, minor_scales = _expand(c, _MINORS, kinds)
+    n = [len(KINDS[kind].block) for kind in kinds]
+    values = [list(c[i, :k]) + list(minors[i, : k - 2]) for i, k in enumerate(n)]
+    scales = [list(c_scales[i, :k]) + list(minor_scales[i, : k - 2]) for i, k in enumerate(n)]
+    return values, scales
 
 
 @pytest.mark.parametrize("kind", sorted(CLOSED))
 def test_generic_coefficients_expand_to_the_closed_forms(kind):
     closed = CLOSED[kind][2]
-    values, scales = _charpoly(symbolic_block(kind))
-    assert len(values) == len(closed)
+    values, scales = (x[0, : len(closed)] for x in charpoly(symbolic_jacobian(kind), [kind]))
     for value, scale, terms in zip(values, scales, closed):
         assert sp.expand(value - sp.Add(*terms)) == 0
         assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
@@ -125,15 +143,15 @@ def test_generic_coefficients_expand_to_the_closed_forms(kind):
 def test_generic_hurwitz_minors_expand_to_the_composites(kind):
     closed = [sp.Add(*terms) for terms in CLOSED[kind][2]]
     coefficients = sp.symbols("x1:%d" % (len(closed) + 1))
-    values, scales = _hurwitz_minors(list(coefficients))
+    source = np.array([[*coefficients, 1][:4]], dtype=object)
     composites = composite_terms(coefficients)
-    assert len(values) == len(composites)
+    values, scales = (x[0, : len(composites)] for x in _expand(source, _MINORS, [kind]))
     for value, scale, terms in zip(values, scales, composites):
         assert sp.expand(value - sp.Add(*terms)) == 0
         assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
     # and in the Jacobian entries, through the generic coefficients
-    generic, _ = _charpoly(symbolic_block(kind))
-    for value, terms in zip(_hurwitz_minors(generic)[0], composite_terms(closed)):
+    generic, _ = charpoly(symbolic_jacobian(kind), [kind])
+    for value, terms in zip(_expand(generic, _MINORS, [kind])[0][0], composite_terms(closed)):
         assert sp.expand(value - sp.Add(*terms)) == 0
 
 
@@ -162,15 +180,11 @@ def test_generic_scales_equal_closed_form_term_sums():
         eqs = solve_all(p, inc1, inc2)
         for eq in eqs.all[1:]:
             J = jacobian(p, inc1, inc2, eq.point)
-            rows = CLOSED[eq.kind][0]
-            values, scales = _charpoly(J[np.ix_(rows, rows)].tolist())
+            (values,), (scales,) = expansion(J[None], [eq.kind])
             entries = [J[0, 0], J[0, 2], J[0, 3], J[1, 1], J[1, 3], J[2, 0], J[2, 2]]
             entries += [J[3, 0], J[3, 1], J[3, 3], p.r, p.mu]
             closed = evaluate[eq.kind](*entries)
-            minor_values, minor_scales = _hurwitz_minors(values)
-            closed += composite_terms(values)
-            values += minor_values
-            scales += minor_scales
+            closed += composite_terms(values[: len(closed)])
             for value, scale, terms in zip(values, scales, closed):
                 magnitude = sum(abs(t) for t in terms)
                 assert scale == pytest.approx(magnitude, rel=1e-14, abs=0.0)
@@ -179,3 +193,62 @@ def test_generic_scales_equal_closed_form_term_sums():
             assert list(report.coefficients.values()) == values
             checked[eq.kind] += 1
     assert min(checked.values()) >= 20, checked
+
+
+def test_stacked_expansion_equals_each_one_row_expansion():
+    stack, kinds = [], []
+    for p, inc1, inc2 in random_cases(1105, 200):
+        for eq in solve_all(p, inc1, inc2).all[1:]:
+            stack.append(jacobian(p, inc1, inc2, eq.point))
+            kinds.append(eq.kind)
+    assert set(kinds) == set(KINDS)
+    J = np.array(stack)
+    c, c_scales = charpoly(J, kinds)
+    minors, minor_scales = _expand(c, _MINORS, kinds)
+    for i, kind in enumerate(kinds):
+        one_c, one_c_scales = charpoly(J[i : i + 1], [kind])
+        one_minors, one_minor_scales = _expand(one_c, _MINORS, [kind])
+        assert one_c.tobytes() == c[i : i + 1].tobytes()
+        assert one_c_scales.tobytes() == c_scales[i : i + 1].tobytes()
+        assert one_minors.tobytes() == minors[i : i + 1].tobytes()
+        assert one_minor_scales.tobytes() == minor_scales[i : i + 1].tobytes()
+
+
+def python_charpoly(M):
+    """The reference: the coefficients c1..cn of det(x*I - M) and their
+    scales, as Python sums over the Leibniz terms of a list of rows."""
+    n = len(M)
+    values, scales = [0] * n, [0] * n
+    for k, sign, factors in _LEIBNIZ[n]:
+        term = sign * math.prod(M[i][j] for i, j in factors)
+        values[k - 1] += term
+        scales[k - 1] += abs(term)
+    return values, scales
+
+
+def python_minors(c):
+    """The reference: the leading Hurwitz minors D2..D(n-1) and their scales."""
+    n = len(c)
+    a = [1, *c] + [0] * n
+    hurwitz = [[a[2 * j - i + 1] for j in range(n)] for i in range(n)]
+    values, scales = [], []
+    for k in range(2, n):
+        minor_values, minor_scales = python_charpoly([row[:k] for row in hurwitz[:k]])
+        values.append((-1) ** k * minor_values[-1])
+        scales.append(minor_scales[-1])
+    return values, scales
+
+
+def test_expansion_is_the_python_sum_of_its_terms_bit_for_bit():
+    stack, kinds = [], []
+    for p, inc1, inc2 in random_cases(1105, 200):
+        for eq in solve_all(p, inc1, inc2).all[1:]:
+            stack.append(jacobian(p, inc1, inc2, eq.point))
+            kinds.append(eq.kind)
+    values, scales = expansion(np.array(stack), kinds)
+    for J, kind, value, scale in zip(stack, kinds, values, scales):
+        block = KINDS[kind].block
+        c, c_scales = python_charpoly(J[np.ix_(block, block)].tolist())
+        minors, minor_scales = python_minors(c)
+        assert [float(x).hex() for x in value] == [float(x).hex() for x in c + minors]
+        assert [float(x).hex() for x in scale] == [float(x).hex() for x in c_scales + minor_scales]

@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from conftest import random_cases, text_derivatives
+from conftest import random_cases, text_derivatives, wavy_rate
 
 from twostrain import incidence, model
 from twostrain.equilibria import Equilibrium, disease_free, solve_all, solve_strain1, solve_strain2
@@ -177,6 +177,32 @@ class TestJacobian:
                 inc2.family,
             )
             draws += 1
+
+    def test_block_rows_are_the_scalar_complex_step_bit_for_bit(self):
+        # the reference steps the field's text one column at a time on
+        # Python scalars, each strain's rate its complex_rate at the point
+        def scalar_step(p, inc1, inc2, x):
+            y = [float(v) for v in x]
+            field = bound_field(p, inc1.complex_rate(y[0], y[2]), inc2.complex_rate(y[0], y[3]))
+            J = np.empty((4, 4))
+            for j in range(4):
+                stepped = y[:j] + [complex(y[j], incidence._STEP)] + y[j + 1 :]
+                J[:, j] = [v.imag / incidence._STEP for v in field(0.0, stepped)]
+            return J
+
+        blocks = {}
+        for p, inc1, inc2 in random_cases(1105, 60):
+            rows = [(p, inc1, inc2, eq.point.as_array()) for eq in solve_all(p, inc1, inc2).all]
+            blocks.setdefault((inc1.family, inc2.family), []).extend(rows)
+        inc1, wavy = IncidenceSpec.saturated_i2(2e-4, 1e-4), wavy_rate()
+        for r in np.linspace(0.02, 0.2, 4):
+            p = ModelParams(r=r, **BASE)
+            eqs = solve_all(p, inc1, wavy)
+            blocks.setdefault("wavy", []).extend((p, inc1, wavy, eq.point.as_array()) for eq in eqs.all)
+        assert len(blocks["wavy"]) > 8
+        for rows in blocks.values():
+            J = model.jacobians(rows)
+            assert J.tobytes() == np.array([scalar_step(*row) for row in rows]).tobytes()
 
     def test_matches_sympy_derivatives_of_the_field_text(self):
         # sympy differentiates model._FIELD with each strain's

@@ -8,13 +8,20 @@ computed spectrum. tests/test_charpoly.py proves the expansion equal to
 the closed-form coefficients symbolically.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import random_cases, wavy_rate
 
+from twostrain import analysis, model, stability
+from twostrain.analysis import apply_sweep_value
+from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import (
     Equilibrium,
     disease_free,
     solve_all,
+    solve_batch,
     solve_strain1,
     solve_strain2,
 )
@@ -27,6 +34,7 @@ from twostrain.stability import (
     GridScanSummary,
     Verdict,
     classify,
+    classify_batch,
     classify_disease_free,
     coexistence_lyapunov_scan,
     coexistence_lyapunov_values,
@@ -335,6 +343,117 @@ class TestCrossValidation:
                     assert report.verdict is report.eigen_verdict, report
                     compared += 1
         assert compared >= 20
+
+
+def r_sweep(sc, start, stop, n):
+    """The (p, inc1, inc2, eq) rows of every equilibrium of an r-sweep of
+    ``sc``, one list per sweep row."""
+    cases = []
+    for value in np.linspace(start, stop, n):
+        row = apply_sweep_value(sc, "r", value)
+        cases.append((row.params, row.incidence1, row.incidence2))
+    return [[(*case, eq) for eq in eqs.all] for case, eqs in zip(cases, solve_batch(cases))]
+
+
+def report_bits(report):
+    """Everything a report holds, with each float as its exact bits."""
+    return (
+        report.kind,
+        report.eigenvalues.dtype,
+        report.eigenvalues.tobytes(),
+        [(name, float(value).hex()) for name, value in report.coefficients.items()],
+        report.conditions,
+        report.verdict,
+        report.eigen_verdict,
+        report.notes,
+    )
+
+
+def classify_batch_by_family(rows):
+    """``classify_batch`` over rows of mixed family pairs, one call per pair."""
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault((row[1].family, row[2].family), []).append(i)
+    out = [None] * len(rows)
+    for idx in groups.values():
+        for i, report in zip(idx, classify_batch([rows[i] for i in idx])):
+            out[i] = report
+    return out
+
+
+class TestBatch:
+    """``classify`` is the one-row case of ``classify_batch``."""
+
+    @pytest.mark.parametrize("strain2", ["built-in", "wavy"])
+    def test_rows_are_independent_of_their_block(self, strain2):
+        sc = build_scenario("6.4")
+        if strain2 == "built-in":
+            groups = r_sweep(sc, 0.0, 0.2, 40)
+        else:
+            # a custom rate enters by linearisation columns, stacked like the rest
+            groups = r_sweep(dataclasses.replace(sc, incidence2=wavy_rate()), 0.02, 0.2, 10)
+        rows = [row for group in groups for row in group]
+        reports = classify_batch(rows)
+        assert {report.kind for report in reports} == {"E0", "E1", "E2", "E3"}
+        block = list(map(report_bits, reports))
+        assert block == [report_bits(classify(*row)) for row in rows]
+        slices = [groups[at : at + 2] for at in range(0, len(groups), 2)]
+        assert len(slices) == len(groups) // 2
+        assert block == [
+            report_bits(report)
+            for pair in slices
+            for report in classify_batch([row for group in pair for row in group])
+        ]
+
+    def test_eigenvalues_keep_the_order_of_eigen_classify(self):
+        rows = [row for group in r_sweep(build_scenario("6.4"), 0.0, 0.2, 40) for row in group]
+        for p, inc1, inc2 in random_cases(1105, 40):
+            rows += [(p, inc1, inc2, eq) for eq in solve_all(p, inc1, inc2).all]
+        pairs = 0
+        for (p, inc1, inc2, eq), report in zip(rows, classify_batch_by_family(rows)):
+            if eq.kind == "E0":
+                continue
+            J = jacobian(p, inc1, inc2, eq.point)
+            eigs = np.linalg.eigvals(J).astype(complex)
+            expected = eigs[np.argsort(-eigs.real)]
+            assert report.eigenvalues.tobytes() == expected.tobytes()
+            assert report.eigenvalues.tobytes() == eigen_classify(J)[0].tobytes()
+            pairs += np.count_nonzero(expected.imag > 0.0)
+        assert pairs > 0  # some conjugate pair has its order checked
+
+    def test_non_finite_jacobian_raises_for_the_block(self):
+        p, inc1, inc2 = setup_coexistence()
+        rows = [(p, inc1, inc2, eq) for eq in solve_all(p, inc1, inc2).all]
+        e3 = rows[-1][3]
+        at_nan = dataclasses.replace(e3, point=State(np.nan, 100.0, 10.0, 10.0))
+        with pytest.raises(DomainError):
+            classify_batch(rows + [(p, inc1, inc2, at_nan)])
+        # a finite state whose strain-2 partial overflows
+        steep = IncidenceSpec.custom(
+            lambda S, I: 2e-4 * S * I,
+            d_rate_dI=lambda S, I: np.where(I > 100.0, np.inf, 2e-4 * S),
+        )
+        points = [State(500.0, 500.0, 50.0, 50.0), State(500.0, 500.0, 50.0, 150.0)]
+        block = [(p, inc1, steep, dataclasses.replace(e3, point=pt)) for pt in points]
+        assert classify_batch(block[:1])[0].kind == "E3"
+        with pytest.raises(DomainError):
+            classify_batch(block)
+
+    def test_a_classified_sweep_block_makes_one_jacobian_and_one_eigensolve(self, monkeypatch):
+        calls = {"jacobians": 0, "eigvals": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(stability, "jacobians", counted("jacobians", model.jacobians))
+        monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+        rows = analysis.sweep(build_scenario("6.4"), "r", 0.02, 0.035, 4)
+        assert all(row.verdicts["E3"] != "absent" for row in rows)
+        assert calls == {"jacobians": 1, "eigvals": 1}
 
 
 class TestStrain2LyapunovScan:
