@@ -243,14 +243,11 @@ class IncidenceSpec:
             return self.d_rate_dI_fn(S, I)
         return _difference(partial(self.rate_fn, S), I)
 
-    def complex_rate(self, S, I, beta=None, zeta=None) -> Callable:
-        """F(s, i) for complex (s, i) near (S, I): a built-in family's text, unchecked, with
-        ``beta`` and ``zeta`` replacing the spec's own as in ``bound_forms``, or a custom rate's
-        linearisation there, so that its evaluator sees no complex input."""
+    def complex_rate(self, S, I) -> Callable:
+        """F(s, i) for complex (s, i) near (S, I): a built-in family's text, unchecked, or a custom
+        rate's linearisation there, so that its evaluator sees no complex input."""
         if self.family in _CLOSED_FORMS:
-            b = self.beta if beta is None else beta
-            z = self.zeta if zeta is None else zeta
-            return partial(_CLOSED_FORMS[self.family].rate, b, z)
+            return partial(_CLOSED_FORMS[self.family].rate, self.beta, self.zeta)
         F, dS, dI = self.rate(S, I), self.d_rate_dS(S, I), self.d_rate_dI(S, I)
         return lambda s, i: F + dS * (s - S) + dI * (i - I)
 

@@ -22,6 +22,7 @@ no derivative of the field is written by hand.
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
 from dataclasses import dataclass, fields
@@ -30,7 +31,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .incidence import _STEP, BUILT_IN_FAMILIES, IncidenceSpec
+from .incidence import _RATE_TEXTS, _STEP, BUILT_IN_FAMILIES, IncidenceSpec
 
 #: residual bound below which an equilibrium is accepted as certified
 RESIDUAL_TOL = 1e-8
@@ -269,43 +270,58 @@ def jacobian(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateL
     return jacobians([(p, inc1, inc2, x)])[0]
 
 
-_COMPONENTS = np.arange(4)
-
-
 def jacobians(rows) -> np.ndarray:
     """The ``jacobian`` of each (p, inc1, inc2, x) row, as an (m, 4, 4) array.
 
     Column j of row i's matrix is the complex step Im f(y_i + i*h*e_j)/h of
-    ``bound_field``, the field's text. One evaluation takes every step, on
-    (m, 4) object arrays of state components: entry [i, j] is row i's
-    component as a Python float, or a Python complex stepped by i*h where
-    the component is j. Each coefficient is an (m, 1) column of Python
-    floats. So every entry is bit for bit the scalar complex step: numpy's
-    complex128 loops would round differently (a fused multiply-add, and a
-    quotient through a reciprocal). Each strain's rate is its
-    ``IncidenceSpec.complex_rate`` at the rows' points on their beta and
-    zeta columns: a built-in rate's text is stepped through, and a custom
-    rate's partials enter by its linearisation. The rows share one
-    incidence family pair (``_family_pair``).
+    the field's text. One call of ``_stepper`` takes every step of the
+    block, on Python floats and complex numbers, so each entry is bit for
+    bit the scalar complex step of ``bound_field``; numpy's complex128 loops
+    would round some entries differently (a fused multiply-add, and a
+    quotient through a reciprocal). A built-in rate's text is written into
+    the stepper and stepped through. A custom rate enters by its
+    linearisation at each row's point, ``IncidenceSpec.complex_rate``, so
+    its evaluator sees no complex input. The rows share one incidence
+    family pair (``_family_pair``).
     """
     inc1, inc2 = _family_pair(rows)
     y = np.array([_as_array(x)[:4] for *_, x in rows])
     if not np.isfinite(y).all():
         raise DomainError("jacobian evaluated at a non-finite state")
-    columns = np.array(
-        [_coefficients(p) + (a.beta, a.zeta, b.beta, b.zeta) for p, a, b, _ in rows], dtype=object
-    ).T[:, :, None]
-    S, I1, I2 = y[:, 0:1], y[:, 2:3], y[:, 3:4]
-    field = _bind_field(
-        *columns[:9], inc1.complex_rate(S, I1, *columns[9:11]), inc2.complex_rate(S, I2, *columns[11:])
-    )
-    # [c, i, j]: row i's component c, stepped where c == j
-    stepped = np.empty((4, len(y), 4), dtype=object)
-    stepped[...] = y.T[:, :, None]
-    stepped[_COMPONENTS, :, _COMPONENTS] = y.T + 1j * _STEP
-    # a non-finite entry is returned as is, as by the scalar step; classify refuses it
+    steps = []
+    for (p, a, b, _), point in zip(rows, y.tolist()):
+        stepped = [point[:j] + [complex(point[j], _STEP)] + point[j + 1 :] for j in range(4)]
+        rates = a.complex_rate(point[0], point[2]), b.complex_rate(point[0], point[3])
+        steps.append((_coefficients(p), a.beta, a.zeta, b.beta, b.zeta, *rates, stepped))
+    field = _stepper(tuple(_RATE_TEXTS.get(inc.family, _RATE_CALL) for inc in (inc1, inc2)))
+    # [i, j, c]: component c of row i's field, stepped in component j. A
+    # non-finite entry is returned as is, as by the scalar step; classify
+    # refuses it.
     with np.errstate(all="ignore"):
-        return np.stack(field(0.0, stepped), axis=1).astype(complex).imag / _STEP
+        J = np.array(field(steps), complex).imag.reshape(len(rows), 4, 4) / _STEP
+    return np.ascontiguousarray(J.transpose(0, 2, 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _stepper(rates: tuple):
+    """The field at every stepped state of some rows, each (coefficients,
+    b1, z1, b2, z2, rate1, rate2, stepped states), as one list, with
+    ``rates`` written in by ``_field_lines``. ``print(model._stepper(rates).source)``
+    shows the text."""
+    return _compiled(
+        "_steps",
+        [
+            "def _steps(rows):",
+            "    out = []",
+            "    for (%s), b1, z1, b2, z2, rate1, rate2, stepped in rows:" % ", ".join(_COEFFICIENTS),
+            "        for S, V1, I1, I2 in stepped:",
+            *("            " + line for line in _field_lines(4, rates)),
+            "            out.append((f_0, f_1, f_2, f_3))",
+            "    return out",
+        ],
+        "<model stepper>",
+        {},
+    )
 
 
 def _family_pair(rows) -> tuple:

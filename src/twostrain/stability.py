@@ -79,9 +79,10 @@ class StabilityReport:
 def eigen_classify(J: np.ndarray) -> tuple:
     """Dense-eigensolver classification of a real matrix.
 
-    Returns (eigenvalues sorted by descending real part, verdict). This is
-    the generic oracle the Routh-Hurwitz route is validated against, and
-    the one-matrix case of ``_spectra``.
+    Returns (eigenvalues sorted by descending real part, verdict). The
+    eigenvalues are complex128 even when the spectrum is real. This is the
+    generic oracle the Routh-Hurwitz route is validated against, and the
+    one-matrix case of ``_spectra``.
     """
     eigs, signs = _spectra(np.asarray(J, float)[None])
     return eigs[0], _combine(signs)[0]

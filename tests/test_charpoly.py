@@ -22,7 +22,7 @@ from conftest import random_cases
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import solve_all
 from twostrain.model import jacobian
-from twostrain.stability import _COEFFICIENTS, _LEIBNIZ, _MINORS, KINDS, _expand, classify
+from twostrain.stability import _COEFFICIENTS, _LEIBNIZ, _MINORS, KINDS, _expand, _sums, classify
 
 C11, C13, C14, C22, C24, C31, C33, C41, C42, C44, r, mu = sp.symbols(
     "C11 C13 C14 C22 C24 C31 C33 C41 C42 C44 r mu"
@@ -125,6 +125,9 @@ def expansion(J, kinds):
     c, c_scales = charpoly(J, kinds)
     minors, minor_scales = _expand(c, _MINORS, kinds)
     n = [len(KINDS[kind].block) for kind in kinds]
+    for i, k in enumerate(n):  # a padded slot reads exactly 1
+        padded = [*c[i, k:], *minors[i, k - 2 :], *c_scales[i, k:], *minor_scales[i, k - 2 :]]
+        assert padded == [1.0] * len(padded)
     values = [list(c[i, :k]) + list(minors[i, : k - 2]) for i, k in enumerate(n)]
     scales = [list(c_scales[i, :k]) + list(minor_scales[i, : k - 2]) for i, k in enumerate(n)]
     return values, scales
@@ -133,7 +136,12 @@ def expansion(J, kinds):
 @pytest.mark.parametrize("kind", sorted(CLOSED))
 def test_generic_coefficients_expand_to_the_closed_forms(kind):
     closed = CLOSED[kind][2]
-    values, scales = (x[0, : len(closed)] for x in charpoly(symbolic_jacobian(kind), [kind]))
+    coefficients, minors = _sums(KINDS[kind])
+    assert len(coefficients) == len(closed)
+    assert len(coefficients) + len(minors) == len(KINDS[kind].names)
+    values, scales = (x[0] for x in charpoly(symbolic_jacobian(kind), [kind]))
+    # a padded slot, which classify_batch tests with the rest, reads exactly 1
+    assert list(values[len(closed) :]) == list(scales[len(closed) :]) == [1] * (len(values) - len(closed))
     for value, scale, terms in zip(values, scales, closed):
         assert sp.expand(value - sp.Add(*terms)) == 0
         assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
@@ -145,13 +153,18 @@ def test_generic_hurwitz_minors_expand_to_the_composites(kind):
     coefficients = sp.symbols("x1:%d" % (len(closed) + 1))
     source = np.array([[*coefficients, 1][:4]], dtype=object)
     composites = composite_terms(coefficients)
-    values, scales = (x[0, : len(composites)] for x in _expand(source, _MINORS, [kind]))
+    assert len(_sums(KINDS[kind])[1]) == len(composites)
+    values, scales = (x[0] for x in _expand(source, _MINORS, [kind]))
+    padding = [1] * (len(values) - len(composites))
+    assert list(values[len(composites) :]) == list(scales[len(composites) :]) == padding
     for value, scale, terms in zip(values, scales, composites):
         assert sp.expand(value - sp.Add(*terms)) == 0
         assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
     # and in the Jacobian entries, through the generic coefficients
     generic, _ = charpoly(symbolic_jacobian(kind), [kind])
-    for value, terms in zip(_expand(generic, _MINORS, [kind])[0][0], composite_terms(closed)):
+    values, scales = (x[0] for x in _expand(generic, _MINORS, [kind]))
+    assert list(values[len(composites) :]) == list(scales[len(composites) :]) == padding
+    for value, terms in zip(values, composite_terms(closed)):
         assert sp.expand(value - sp.Add(*terms)) == 0
 
 

@@ -81,6 +81,9 @@ class TestEigenClassify:
         assert np.allclose(eigs.real, [-0.5, -1.0, -2.0, -3.0])
         assert verdict is Verdict.LOCALLY_STABLE
 
+    def test_eigenvalues_are_complex_for_a_real_spectrum(self):
+        assert eigen_classify(np.diag([-1.0, -2.0]))[0].dtype == complex
+
     def test_unstable_and_marginal(self):
         eigs, verdict = eigen_classify(np.diag([1e-6, -1.0]))
         assert verdict is Verdict.UNSTABLE
