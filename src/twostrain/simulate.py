@@ -7,10 +7,10 @@ clamped at zero within an atol-sized band, a component falling below -atol
 is a hard tolerance failure that stops the run, the final time is landed
 exactly, and entry into the invariant box is recorded as an event.
 
-The step loop runs on Python floats. Its right-hand side and its trial
-step are generated together for the state's number of components (see
-``_kernel``): ``adaptive_rk45`` binds them to its ``rhs``, and
-``integrate`` to the model's field, written into every stage.
+The whole step loop is one function on Python floats, generated with its
+right-hand side for the state's number of components (see ``_kernel``):
+``adaptive_rk45`` binds it to its ``rhs``, and ``integrate`` to the
+model's field, written into every stage.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from math import isfinite  # used by the generated stage code
+from math import isfinite, sqrt  # used by the generated code
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -68,11 +68,19 @@ class IntegratorOptions:
 
     def __post_init__(self):
         names = ("rtol", "atol", "t_end", "max_step", "convergence_tol", "tail_window")
-        values = {name: getattr(self, name) for name in names}
-        # every option is positive, and every one but max_step finite
-        bad = [name for name, v in values.items() if not (v > 0.0 and (math.isfinite(v) or name == "max_step"))]
-        if bad:
-            raise ValueError("invalid integrator options: " + ", ".join(bad))
+        _check_options({name: getattr(self, name) for name in names})
+
+
+def _check_options(values: dict, zero_ok: tuple = ()) -> None:
+    """Refuse, by name, every option in ``values`` that is not positive, or
+    0 for the names in ``zero_ok``, and finite, or infinite for max_step."""
+    bad = [
+        name
+        for name, v in values.items()
+        if not ((v > 0.0 or (v == 0.0 and name in zero_ok)) and (math.isfinite(v) or name == "max_step"))
+    ]
+    if bad:
+        raise ValueError("invalid integrator options: " + ", ".join(bad))
 
 
 @dataclass(frozen=True)
@@ -153,10 +161,15 @@ def adaptive_rk45(
     exception. Step size underflow raises IntegrationError carrying the
     last good state.
 
+    ``t_end`` must be finite and >= 0, ``atol`` finite and > 0, ``rtol``
+    finite and >= 0 and ``max_step`` > 0, possibly infinite; a ValueError
+    names every input that is not, before any evaluation.
+
     Every accepted step is stored; given ``sample_times``, the run returns
     instead the states at those times, sorted and unique, interpolated over
     the stored steps after the run by ``_hermite``, which sets the edge rules.
     """
+    _check_options(dict(t_end=t_end, rtol=rtol, atol=atol, max_step=max_step), zero_ok=("t_end", "rtol"))
     n = len(y0)
     if n == 0:
         raise ValueError("the state needs at least one component")
@@ -170,114 +183,35 @@ def adaptive_rk45(
     return _dp5(*_kernel(n)(fun), y0, t_end, rtol, atol, max_step, sample_times, nonnegative)
 
 
-def _dp5(stage, step, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -> RawIntegration:
+def _dp5(stage, run, y0, t_end, rtol, atol, max_step, sample_times, nonnegative=True) -> RawIntegration:
     """The stepper behind ``adaptive_rk45`` and ``integrate``, on Python floats.
 
-    ``stage`` and ``step`` are one binding of ``_kernel(len(y0), ...)``:
-    ``stage(t, y)`` gives f(t, y) at the start, for the first-step probe
-    and after each clamp, and each trial step is one call to ``step``.
-    States, stages and the FSAL derivative are never written in place, so a
-    rejected trial leaves f(t, y) as the first stage of the retry. Each
-    accepted step's (t, y, f) is kept; ``_hermite`` maps them to
-    ``sample_times`` after the loop.
+    ``stage`` and ``run`` are one binding of ``_kernel(len(y0), ...)``:
+    ``stage(t, y)`` gives f(t, y) at the start and for the first-step probe,
+    and ``run`` takes every step from there. Each accepted step's (t, y, f)
+    is kept; ``_hermite`` maps them to ``sample_times`` after the run.
     """
     y = tuple(float(v) for v in y0)
     n = len(y)
-    t = 0.0
     if sample_times is not None:
         samples = np.asarray(sample_times, float)
         if samples.ndim != 1 or not np.all((samples >= 0.0) & (samples <= t_end)):
             raise ValueError("sample_times must lie within [0, t_end]")
 
-    f = stage(t, y)
+    f = stage(0.0, y)
     if f is None:
-        raise IntegrationError("right-hand side failed at the initial state", t, np.array(y))
+        raise IntegrationError("right-hand side failed at the initial state", 0.0, np.array(y))
     h = _initial_step(stage, y, f, t_end, rtol, atol, max_step)
-    # every accepted step's end point and FSAL derivative, the start first
-    times, states, slopes = [t], [y], [f]
-
-    err_prev = 1.0
-    negative_abort = None
-    evals, accepted, rejected, clamps, retries = 2, 0, 0, 0, 0
-
-    for _ in range(_MAX_STEPS):
-        if t >= t_end:
-            break
-        h = min(h, max_step, t_end - t)
-        # a step under the floor underflows only if it falls short of t_end:
-        # a horizon nearer than the floor is reached in one clipped step
-        if h < 1e-14 * max(1.0, abs(t)) and h < t_end - t:
-            raise IntegrationError("step size underflow at t = %g" % t, t, np.array(y))
-
-        trial = step(t, y, f, h, atol, rtol)
-        if type(trial) is int:
-            evals += trial
-            rejected += 1
-            h *= _MIN_FACTOR
-            continue
-        evals += 6
-        y_new, f_new, acc = trial
-        err = math.sqrt(acc / n)
-
-        if not math.isfinite(err) or err > 1.0:
-            rejected += 1
-            factor = _MIN_FACTOR
-            if math.isfinite(err):
-                factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            h *= min(1.0, factor)
-            continue
-
-        # accepted by the error test; now enforce feasibility
-        t_new = t + h
-        if nonnegative:
-            floor = min(y_new)
-            if floor <= -atol:
-                j = y_new.index(floor)
-                # a component pinned at zero with outward flow cannot be
-                # rescued by a smaller step: the continuous solution leaves
-                # the orthant, so the violation is real; otherwise retry,
-                # aborting only if it survives down to the minimal step
-                if (y[j] <= 0.0 and f[j] < 0.0) or h < 1e-13 * max(1.0, abs(t)):
-                    negative_abort = (t_new, j)
-                    break
-                retries += 1
-                h *= 0.5
-                continue
-            if floor < 0.0:
-                clamps += 1
-                evals += 1
-                y_new = tuple(0.0 if v < 0.0 else v for v in y_new)
-                f_new = stage(t_new, y_new)
-                if f_new is None:
-                    raise IntegrationError(
-                        "right-hand side failed after clamping at t = %g" % t_new,
-                        t,
-                        np.array(y),
-                    )
-
-        accepted += 1
-        times.append(t_new)
-        states.append(y_new)
-        slopes.append(f_new)
-
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = _SAFETY * err ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-10)
-        t, y, f = t_new, y_new, f_new
-        h *= factor
-    else:
-        raise IntegrationError("step limit exceeded", t, np.array(y))
-
-    steps = np.array(times, float), np.array(states, float)
+    times, states, slopes, negative_abort, (evals, *counts) = run(
+        y, f, h, t_end, rtol, atol, max_step, nonnegative
+    )
+    steps = np.array(times, float), np.array(states, float).reshape(-1, n)
     sampled = steps if sample_times is None else _hermite(*steps, slopes, np.unique(samples))
     return RawIntegration(
         times=sampled[0],
         states=sampled[1],
         negative_abort=negative_abort,
-        stats=IntegratorStats(evals, accepted, rejected, clamps, retries),
+        stats=IntegratorStats(2 + evals, *counts),
         steps=steps,
     )
 
@@ -286,28 +220,33 @@ def _dp5(stage, step, y0, t_end, rtol, atol, max_step, sample_times, nonnegative
 # fails when it raises an arithmetic or domain error or a component is not
 # finite. The elementwise test runs only when the sum {total} is not
 # finite, which an overflowing sum of finite parts can also be. ``_kernel``
-# writes it into each stage of a trial step and into ``stage``, the
-# evaluation outside a trial step.
+# writes it into ``stage``, where a failed stage runs {fail} = ``return
+# None``, and into each stage of the step loop, where it rejects the step.
 _STAGE = """\
     try:
 {body}
     except (ArithmeticError, DomainError):
-        return {fail}
+        {fail}
     if not (isfinite({total}) or all(map(isfinite, {parts}))):
-        return {fail}"""
+        {fail}"""
 
 
 @functools.lru_cache(maxsize=None)
 def _kernel(n: int, rates: Optional[tuple] = None):
-    """The binder of ``_dp5``'s right-hand side and trial step for states of
-    n components, built on first use. It returns ``(stage, step)``.
+    """The binder of ``_dp5``'s right-hand side and step loop for states of
+    n components, built on first use. It returns ``(stage, run)``.
 
     ``stage(t, y)`` is f(t, y) as a tuple, or None when the stage fails
-    (see ``_STAGE``). ``step(t, y, k0, h, atol, rtol)`` makes one trial
-    step of size h from (t, y), with k0 = f(t, y). It returns (y_new, k6,
-    acc): the 5th-order solution, k6 = f(t + h, y_new) and the sum of
-    squares of the scaled error components. When a stage fails it returns
-    instead the number of right-hand-side evaluations made (an int).
+    (see ``_STAGE``). ``run(y, k0, h, t_end, rtol, atol, max_step,
+    nonnegative)`` is the whole step loop from t = 0, with k0 = f(0, y) and
+    h the first trial step: the trial stages, the error test, the PI
+    controller, the negative retry and abort, the clamp band (whose
+    re-evaluation calls ``stage``), and the step-size underflow and step
+    limit, which raise IntegrationError with the last accepted state. It
+    returns (times, states, slopes, negative_abort, (evals, accepted,
+    rejected, clamps, retries)): the accepted steps' t, and their y and f
+    as flat lists of n values per step, the start first; evals leaves out
+    the two evaluations that precede the first step.
 
     With ``rates`` None, the cache key is n, the binder is ``bind(fun)``
     and each stage calls fun(t, y). With ``rates``, the two strains' rate
@@ -322,16 +261,19 @@ def _kernel(n: int, rates: Optional[tuple] = None):
 
     The source is generated from the tableau with every component written
     out and each weight a float literal, whose repr reads back exactly. y
-    and each stage output are unpacked into locals (``y_i`` and
-    ``k<s>_i``), each stage input is a per-component sum with the terms in
-    tableau order, and the error sum adds the components in order.
-    max(|y_i|, |z_i|) is written as a conditional that keeps max's rule
-    (the first argument unless the second is greater).
-    ``print(_kernel(4).source)`` and ``print(_kernel(4, rates).source)``
-    show the generated text. The source grows linearly with n: building
-    takes about 2 ms for n = 4 and 0.17 s for n = 500, and about 3 ms for
-    n = 4 or 5 with rates (2-core Xeon, Python 3.11), once per key and
-    process, on first use.
+    and each stage output are locals (``y_i`` and ``k<s>_i``) for the whole
+    run, the last stage becoming the first of the next; each stage input is
+    a per-component sum with the terms in tableau order, and the error sum
+    adds the components in order. The loop's only builtin calls are
+    ``sqrt`` once per attempt and the stage rule's ``isfinite``: min, max
+    and abs are written as conditionals with their tie rules (the first
+    argument unless a later one is strictly smaller or greater), and the
+    error test ``not err <= 1.0`` is ``not isfinite(err) or err > 1.0``, as
+    err = sqrt(acc/n) is >= 0 or NaN. ``print(_kernel(4).source)`` and
+    ``print(_kernel(4, rates).source)`` show the generated text. The source
+    grows linearly with n: building takes about 1.9 ms for n = 4 or 5 and
+    0.13 s for n = 500, and 2.2-2.6 ms for n = 4 or 5 with rates (2-core
+    Xeon, Python 3.11), once per key and process, on first use.
     """
 
     def listed(pattern):
@@ -344,7 +286,7 @@ def _kernel(n: int, rates: Optional[tuple] = None):
 
     def evaluate(out, t, inputs, fail):
         # lines setting the locals <out>_i to f(t, x), where ``inputs`` is
-        # the pattern of x's component {i}; a failed stage returns ``fail``
+        # the pattern of x's component {i}; a failed stage runs ``fail``
         outputs = listed(out + "_{i}")
         if rates is None:
             body = "        k = fun(%s, (%s))" % (t, listed(inputs))
@@ -355,36 +297,127 @@ def _kernel(n: int, rates: Optional[tuple] = None):
         total = " + ".join("%s_%d" % (out, i) for i in range(n))
         return lines + [_STAGE.format(body=body, total=total, parts="(%s)" % outputs, fail=fail)]
 
+    def each(*lines):
+        # the lines for each component in turn
+        return [line.format(i=i) for i in range(n) for line in lines]
+
+    y, z = "(%s)" % listed("y_{i}"), "(%s)" % listed("z_{i}")
+    # max(1.0, abs(t)), as t >= 0
+    t_scale = "(t if t > 1.0 else 1.0)"
     stage = ["def stage(t, y):", "    %s = y" % listed("y_{i}")]
-    stage += evaluate("k", "t", "y_{i}", None)
+    stage += evaluate("k", "t", "y_{i}", "return None")
     stage.append("    return (%s)" % listed("k_{i}"))
-    step = [
-        "def step(t, y, k0, h, atol, rtol):",
-        "    %s = y" % listed("y_{i}"),
-        "    %s = k0" % listed("k0_{i}"),
+
+    # the loop body, indented one level less than it runs
+    loop = [
+        "    if t >= t_end:",
+        "        break",
+        # h = min(h, max_step, t_end - t)
+        "    if max_step < h:",
+        "        h = max_step",
+        "    if t_end - t < h:",
+        "        h = t_end - t",
+        # a step under the floor underflows only if it falls short of t_end:
+        # a horizon nearer than the floor is reached in one clipped step
+        "    if h < 1e-14 * %s and h < t_end - t:" % t_scale,
+        '        raise IntegrationError("step size underflow at t = %%g" %% t, t, np.array(%s))' % y,
     ]
+    # a failed stage s rejects the step after s evaluations
+    fail = "evals += {}; rejected += 1; h *= %r; continue" % _MIN_FACTOR
     for s in range(1, 6):
         inputs = "y_{i} + h * (%s)" % weighted(_A[s - 1])
-        step += evaluate("k%d" % s, "t + %r * h" % _C[s - 1] if s < 5 else "t + h", inputs, s)
-    z = "    z_{i} = y_{i} + h * (%s)" % weighted(_B)
-    step += [z.format(i=i) for i in range(n)]
-    step.append("    y_new = (%s)" % listed("z_{i}"))
-    step += evaluate("k6", "t + h", "z_{i}", 6)
+        loop += evaluate("k%d" % s, "t + %r * h" % _C[s - 1] if s < 5 else "t + h", inputs, fail.format(s))
+    loop += each("    z_{i} = y_{i} + h * (%s)" % weighted(_B))
+    loop += evaluate("k6", "t + h", "z_{i}", fail.format(6))
+    # u, w = abs(y_i), abs(z_i)
     e = "    e_{i} = h * (%s) / (atol + rtol * (w if w > u else u))" % weighted(_E)
-    for i in range(n):
-        step += ["    u = abs(y_%d)" % i, "    w = abs(z_%d)" % i, e.format(i=i)]
+    loop += each("    u = -y_{i} if y_{i} < 0.0 else y_{i}", "    w = -z_{i} if z_{i} < 0.0 else z_{i}", e)
     # one statement per component: a chained sum nests n deep, and the
     # compiler's recursion limit caps that at a few thousand
-    step.append("    acc = e_0 * e_0")
-    step += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
-    step.append("    return y_new, (%s), acc" % listed("k6_{i}"))
+    loop.append("    acc = e_0 * e_0")
+    loop += ["    acc += e_%d * e_%d" % (i, i) for i in range(1, n)]
+    loop += [
+        "    evals += 6",
+        "    err = sqrt(acc / %d)" % n,
+        "    if not err <= 1.0:",
+        "        rejected += 1",
+        # min(1.0, max(_MIN_FACTOR, factor)), and _MIN_FACTOR for a non-finite err
+        "        factor = %r * err ** %r" % (_SAFETY, -0.2),
+        "        h *= factor if factor > %r else %r" % (_MIN_FACTOR, _MIN_FACTOR),
+        "        continue",
+        # accepted by the error test; now enforce feasibility
+        "    t_new = t + h",
+        "    if nonnegative:",
+        # floor, j = min(y_new), y_new.index(floor)
+        "        floor = z_0",
+        "        j = 0",
+    ]
+    loop += ["        if z_%d < floor: floor = z_%d; j = %d" % (i, i, i) for i in range(1, n)]
+    loop += [
+        "        if floor <= -atol:",
+        # a component pinned at zero with outward flow cannot be rescued by
+        # a smaller step: the continuous solution leaves the orthant, so the
+        # violation is real; otherwise retry, aborting only if it survives
+        # down to the minimal step
+        "            if (%s[j] <= 0.0 and (%s)[j] < 0.0) or h < 1e-13 * %s:" % (y, listed("k0_{i}"), t_scale),
+        "                negative_abort = (t_new, j)",
+        "                break",
+        "            retries += 1",
+        "            h *= 0.5",
+        "            continue",
+        "        if floor < 0.0:",
+        "            clamps += 1",
+        "            evals += 1",
+    ]
+    loop += each("            if z_{i} < 0.0: z_{i} = 0.0")
+    loop += [
+        "            f_new = stage(t_new, %s)" % z,
+        "            if f_new is None:",
+        '                raise IntegrationError("right-hand side failed after clamping at t = %%g" %% t_new, t, np.array(%s))'
+        % y,
+        "            %s = f_new" % listed("k6_{i}"),
+        "    accepted += 1",
+        "    times += (t_new,)",
+        "    states += %s" % z,
+        "    slopes += (%s)" % listed("k6_{i}"),
+        "    if err == 0.0:",
+        "        factor = %r" % _MAX_FACTOR,
+        "    else:",
+        "        factor = %r * err ** %r * err_prev ** %r" % (_SAFETY, -_PI_ALPHA, _PI_BETA),
+        # min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+        "        if not factor > %r:" % _MIN_FACTOR,
+        "            factor = %r" % _MIN_FACTOR,
+        "        elif not factor < %r:" % _MAX_FACTOR,
+        "            factor = %r" % _MAX_FACTOR,
+        # max(err, 1e-10)
+        "    err_prev = 1e-10 if 1e-10 > err else err",
+        "    t = t_new",
+    ]
+    loop += each("    y_{i} = z_{i}") + each("    k0_{i} = k6_{i}") + ["    h *= factor"]
+    run = [
+        "def run(y, k0, h, t_end, rtol, atol, max_step, nonnegative):",
+        "    %s = y" % listed("y_{i}"),
+        "    %s = k0" % listed("k0_{i}"),
+        "    t = 0.0",
+        "    times, states, slopes = [t], list(y), list(k0)",
+        "    err_prev = 1.0",
+        "    negative_abort = None",
+        "    evals = accepted = rejected = clamps = retries = 0",
+        "    for _ in range(%d):" % _MAX_STEPS,
+    ]
+    run += ["    " + line for line in "\n".join(loop).split("\n")]
+    run += [
+        "    else:",
+        '        raise IntegrationError("step limit exceeded", t, np.array(%s))' % y,
+        "    return times, states, slopes, negative_abort, (evals, accepted, rejected, clamps, retries)",
+    ]
 
     if rates is None:
         args, filename = "fun", "<dp5 kernel, n = %d>" % n
     else:
         args = ", ".join(_COEFFICIENTS + ("b1", "z1", "b2", "z2", "rate1", "rate2"))
         filename = "<dp5 kernel, n = %d, F1 = %s, F2 = %s>" % ((n,) + rates)
-    body = "\n".join(stage + step + ["return stage, step"]).split("\n")
+    body = "\n".join(stage + run + ["return stage, run"]).split("\n")
     lines = ["def _bind_kernel(%s):" % args] + ["    " + line for line in body]
     return _compiled("_bind_kernel", lines, filename, globals())
 
@@ -409,12 +442,13 @@ def _initial_step(stage, y0, f0, t_end, rtol, atol, max_step):
 
 def _hermite(times, states, slopes, samples):
     """Cubic Hermite dense output at sorted, unique ``samples`` over each
-    accepted step's (t, y, f), the start first: a sample reads the first step
-    ending at or within 1e-12*max(1, |t|) past it, a sample at 0 the start,
-    and samples past the last step are dropped. Returns (times, states)."""
+    accepted step's (t, y, f), the start first, the f in one flat sequence:
+    a sample reads the first step ending at or within 1e-12*max(1, |t|) past
+    it, a sample at 0 the start, and samples past the last step are dropped.
+    Returns (times, states)."""
     t = np.array(times, float)
     y = np.array(states, float)
-    f = np.array(slopes, float)
+    f = np.array(slopes, float).reshape(y.shape)
     first = np.count_nonzero(samples <= 0.0)  # at most one, as samples are unique
     ends = t[1:] + 1e-12 * np.maximum(1.0, np.abs(t[1:]))
     ts = samples[first:]
@@ -451,7 +485,7 @@ def integrate(
     failure if a component leaves the nonnegative band.
 
     The stepper runs the binding of ``_kernel(n, rates)``, whose stage and
-    trial step have the model's field and the built-in rates written in; a
+    step loop have the model's field and the built-in rates written in; a
     custom rate is called as its ``scalar_rate()``. It gives the bits of
     the generic binding on ``bound_field`` of the same rates.
     """
@@ -464,12 +498,12 @@ def integrate(
     track_r = y0.shape[0] == 5
 
     rates = tuple(_RATE_TEXTS.get(inc.family, _RATE_CALL) for inc in (inc1, inc2))
-    stage, step = _kernel(len(y0), rates)(
+    stage, run = _kernel(len(y0), rates)(
         *(getattr(p, name) for name in _COEFFICIENTS),
         inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, inc1.scalar_rate(), inc2.scalar_rate(),
     )
     raw = _dp5(
-        stage, step, y0.tolist(), opts.t_end, opts.rtol, opts.atol, opts.max_step, opts.sample_times
+        stage, run, y0.tolist(), opts.t_end, opts.rtol, opts.atol, opts.max_step, opts.sample_times
     )
 
     events: List[TrajectoryEvent] = []

@@ -133,6 +133,49 @@ class TestStepper:
         with pytest.raises(ValueError, match="within"):
             adaptive_rk45(lambda t, y: -y, [1.0], 2.0, sample_times=[0.5, math.nan])
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("t_end", math.nan),
+            ("t_end", math.inf),
+            ("t_end", -1.0),
+            ("atol", math.nan),
+            ("atol", math.inf),
+            ("atol", 0.0),
+            ("atol", -1e-10),
+            ("rtol", math.nan),
+            ("rtol", math.inf),
+            ("rtol", -1e-8),
+            ("max_step", math.nan),
+            ("max_step", 0.0),
+            ("max_step", -1.0),
+        ],
+    )
+    def test_bad_inputs_are_refused_before_any_evaluation(self, name, value):
+        # a NaN or infinite horizon or atol would spin to the step limit, a
+        # zero atol divides by zero at a zero component and a negative one
+        # retries without end
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            return -y
+
+        kwargs = dict(t_end=1.0, rtol=1e-8, atol=1e-10, max_step=math.inf)
+        kwargs[name] = value
+        with pytest.raises(ValueError, match="invalid integrator options: %s$" % name):
+            adaptive_rk45(rhs, [1.0, 0.0], **kwargs)
+        assert calls == []
+
+    def test_every_bad_input_is_named(self):
+        with pytest.raises(ValueError, match="options: t_end, rtol, atol$"):
+            adaptive_rk45(lambda t, y: -y, [1.0], math.nan, rtol=-1.0, atol=0.0)
+
+    def test_zero_rtol_and_infinite_max_step_are_valid(self):
+        raw = adaptive_rk45(lambda t, y: -y, [1.0], 2.0, rtol=0.0, atol=1e-10, max_step=math.inf)
+        assert raw.times[-1] == 2.0
+        assert raw.states[-1, 0] == pytest.approx(math.exp(-2.0), rel=1e-8)
+
     def test_empty_state_rejected(self):
         with pytest.raises(ValueError):
             adaptive_rk45(lambda t, y: -y, [], 1.0)
@@ -682,24 +725,28 @@ class TestLeanStepper:
 
 
 class TestStepKernel:
-    def test_each_attempt_is_one_kernel_call_and_six_field_calls(self):
-        # a deterministic count of Python-level calls: a per-stage helper
-        # frame put back into the step loop changes a count, not a timing.
-        # integrate's kernel has the field written in, so with built-in rates
-        # it makes no Python call and with a custom strain it calls that
-        # strain's rate once per stage; adaptive_rk45's generic kernel calls
-        # its fun once per stage
+    def test_one_loop_call_per_run_and_six_field_calls_per_attempt(self):
+        # deterministic counts of Python-level and builtin calls: a helper
+        # frame or a builtin put back into the step loop changes a count, not
+        # a timing. integrate's run has the field written in, so with
+        # built-in rates it makes no Python call and with a custom strain it
+        # calls that strain's rate once per stage; adaptive_rk45's generic
+        # run calls its fun once per stage. The loop's builtins are isfinite
+        # once per stage (and sum in the generic binding) and sqrt once per
+        # attempt
         sc = build_scenario("6.4")
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         custom2 = IncidenceSpec.custom(inc2.rate)
         dp5 = simulate._dp5.__code__
 
         def counted_run(run, t_end):
-            calls = collections.Counter()
+            calls, builtins = collections.Counter(), collections.Counter()
 
             def profile(frame, event, arg):
                 if event == "call":
                     calls[frame.f_back.f_code, frame.f_code] += 1
+                elif event == "c_call":
+                    builtins[frame.f_code, arg.__name__] += 1
 
             opts = dataclasses.replace(sc.integrator, t_end=t_end)
             # a collection would finalize other objects inside a kernel frame
@@ -713,10 +760,11 @@ class TestStepKernel:
             attempts = st.accepted_steps + st.rejected_steps + st.negative_retries
             # no stage failed, so every attempt evaluated all six stages
             assert st.rhs_evals == 2 + 6 * attempts + st.clamps
-            (step,) = {callee for caller, callee in calls if caller is dp5 and callee.co_name == "step"}
-            assert calls[dp5, step] == attempts
-            made_by_step = {callee: n for (caller, callee), n in calls.items() if caller is step}
-            return attempts, made_by_step, sum(calls.values())
+            (loop,) = {callee for caller, callee in calls if caller is dp5 and callee.co_name == "run"}
+            assert calls[dp5, loop] == 1
+            made = {callee: n for (caller, callee), n in calls.items() if caller is loop}
+            used = {name: n for (code, name), n in builtins.items() if code is loop}
+            return attempts, made, used, sum(calls.values()), sum(builtins.values())
 
         def built_in(opts):
             return integrate(p, inc1, inc2, sc.initial, opts)
@@ -729,18 +777,23 @@ class TestStepKernel:
             return adaptive_rk45(field, sc.initial.as_array(), opts.t_end, opts.rtol, opts.atol)
 
         built_in(sc.integrator)  # builds and caches the kernel
-        short_attempts, made, short_total = counted_run(built_in, 1000.0)
-        assert made == {}
-        full_attempts, made, full_total = counted_run(built_in, sc.integrator.t_end)
-        assert made == {} and full_attempts > short_attempts + 100
-        # every call but the kernel's is made once per run, not once per step
-        assert full_total - full_attempts == short_total - short_attempts
+        short_attempts, made, used, short_calls, short_builtins = counted_run(built_in, 1000.0)
+        assert made == {} and used == {"isfinite": 6 * short_attempts, "sqrt": short_attempts}
+        full_attempts, made, used, full_calls, full_builtins = counted_run(built_in, sc.integrator.t_end)
+        assert made == {} and used == {"isfinite": 6 * full_attempts, "sqrt": full_attempts}
+        assert full_attempts > short_attempts + 100
+        # no Python-level call is made per attempt, and every builtin but
+        # the loop's is called once per run, not once per step
+        assert full_calls == short_calls
+        assert full_builtins - 7 * full_attempts == short_builtins - 7 * short_attempts
 
-        attempts, made, _ = counted_run(custom, 1000.0)
+        attempts, made, used, _, _ = counted_run(custom, 1000.0)
         assert made == {custom2.scalar_rate().__code__: 6 * attempts}
-        attempts, made, _ = counted_run(generic, 1000.0)
+        assert used == {"isfinite": 6 * attempts, "sqrt": attempts}
+        attempts, made, used, _, _ = counted_run(generic, 1000.0)
         ((fun, n),) = made.items()
         assert fun.co_name == "fun" and n == 6 * attempts
+        assert used == {"isfinite": 6 * attempts, "sum": 6 * attempts, "sqrt": attempts}
 
     def test_thousands_of_components(self):
         # the generated source stays flat: no expression nests n deep, which
@@ -828,11 +881,14 @@ class TestInlinedKernel:
 
     def test_zero_denominator_fails_the_same_stage(self):
         # strain 2 is saturated_s and I2 = 0 in every stage, so F2 = 0 and the
-        # stage inputs do not depend on zeta; zeta = -1/S of stage s makes
-        # F2 = 0/0 there, which both kernels must report as stage s
+        # stage inputs do not depend on zeta; zeta = -1/S of stage s of the
+        # first attempt makes F2 = 0/0 there, which both bindings must report
+        # as stage s: that attempt counts s evaluations and every later one 6
         p = build_scenario("6.4").params
         inc1 = IncidenceSpec.bilinear(2e-4)
         y, k0, h = (-5.0, 10.0, 3.0, 0.0), (1.0, -2.0, 0.5, 0.0), 0.01
+        # one step of size h reaches t_end, the state may stay signed
+        args = (y, k0, h, h, 1e-8, 1e-10, math.inf, False)
         rate2 = IncidenceSpec.saturated_s(1e-4, 0.0).scalar_rate()
         field = model.bound_field(p, inc1.scalar_rate(), rate2)
         stage_S = []
@@ -841,8 +897,9 @@ class TestInlinedKernel:
             stage_S.append(x[0])
             return field(t, x)
 
-        _, step = simulate._kernel(4)(recorded)
-        step(0.0, y, k0, h, 1e-10, 1e-8)
+        _, run = simulate._kernel(4)(recorded)
+        run(*args)
+        stage_S = stage_S[:6]
         assert len(set(stage_S)) == 6 and max(stage_S) < 0.0
         coefficients = [getattr(p, name) for name in model._COEFFICIENTS]
         factory = simulate._kernel(4, (incidence._RATE_TEXTS["bilinear"], incidence._RATE_TEXTS["saturated_s"]))
@@ -854,7 +911,11 @@ class TestInlinedKernel:
             rate1, rate2 = inc1.scalar_rate(), inc2.scalar_rate()
             _, generic = simulate._kernel(4)(model.bound_field(p, rate1, rate2))
             _, inlined = factory(*coefficients, inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, rate1, rate2)
-            assert inlined(0.0, y, k0, h, 1e-10, 1e-8) == generic(0.0, y, k0, h, 1e-10, 1e-8) == s
+            (times, states, _, _, counts), ref = inlined(*args), generic(*args)
+            assert same_bits(times, ref[0]) and same_bits(states, ref[1]) and counts == ref[4]
+            evals, accepted, rejected, clamps, retries = counts
+            assert times[-1] == h and rejected >= 1 and clamps == retries == 0
+            assert evals == s + 6 * (accepted + rejected - 1)
             failed.append(s)
         assert len(failed) >= 3
 
@@ -885,10 +946,10 @@ def integrate_stage(p, inc1, inc2, n):
 
     def recording(n, rates=None):
         def bind(*args):
-            stage, step = kernel(n, rates)(*args)
+            stage, run = kernel(n, rates)(*args)
             # integrate binds the coefficients, then rate1 and rate2
             bound.append((stage, model.bound_field(p, *args[-2:])))
-            return stage, step
+            return stage, run
 
         return bind
 
