@@ -34,6 +34,12 @@ CRITERIA = {
     11: "hypothesis suite: all three families pass grid checks, partials match FD within 1e-6",
 }
 
+def same_bits(a, b):
+    """Equal shapes and equal bytes as float arrays."""
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def wavy_rate():
     """A custom rate beta*S*I*(1 + sin(w*I)/2) tuned to alpha = 0.21. As the
     strain-2 rate of the test parameters (Lambda = 200, mu = 0.02, gamma2 =

@@ -16,6 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
+from conftest import same_bits
 from twostrain import incidence, model, simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.equilibria import (
@@ -491,11 +492,6 @@ def checked_run(p, inc1, inc2, y0, opts, calls=None):
         rhs, y0, opts.t_end, rtol=opts.rtol, atol=opts.atol,
         max_step=opts.max_step, sample_times=opts.sample_times,
     )
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 Attempt = collections.namedtuple("Attempt", "t y h times inputs accepted")

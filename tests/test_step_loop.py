@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import same_bits
 from twostrain import simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.errors import DomainError, IntegrationError
@@ -132,11 +133,6 @@ def reference_dp5(stage, y0, t_end, rtol, atol, max_step, sample_times, nonnegat
         stats=IntegratorStats(evals, accepted, rejected, clamps, retries),
         steps=steps,
     )
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a, float), np.asarray(b, float)
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def outcome(call):
