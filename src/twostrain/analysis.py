@@ -24,6 +24,7 @@ from .stability import (
     GridScanSummary,
     StabilityReport,
     Verdict,
+    _require_grid,
     classify_batch,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
@@ -50,8 +51,10 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
     strain-2-only equilibrium exists with R1 <= 1, and the trajectory
-    derivative check when the coexistence equilibrium exists.
+    derivative check when the coexistence equilibrium exists. ``grid``, the
+    scan's points per axis, must be an integer >= 1.
     """
+    _require_grid(grid, "grid")
     p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
     eqs = solve_all(p, inc1, inc2)
     th = eqs.thresholds

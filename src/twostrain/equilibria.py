@@ -49,13 +49,12 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .incidence import IncidenceSpec
+from .incidence import BUILT_IN_FAMILIES, IncidenceSpec
 from .model import (
     RESIDUAL_TOL,
     ModelParams,
     State,
     Thresholds,
-    _family_pair,
     invasion_numbers,
     reproduction_number,
     residual as field_residual,
@@ -141,11 +140,16 @@ class _Rows:
 
     @classmethod
     def of(cls, block) -> "_Rows":
-        """The rows share one incidence family pair (``model._family_pair``)."""
+        """The rows must share one incidence family pair: the same built-in
+        families, or the same custom specs. A strain may be None."""
         def coefficients(inc):
             return (0.0, 0.0) if inc is None else (inc.beta, inc.zeta)
 
-        _family_pair(block)
+        def family(inc):
+            return inc.family if inc is not None and inc.family in BUILT_IN_FAMILIES else inc
+
+        if len({(family(inc1), family(inc2)) for _, inc1, inc2 in block}) > 1:
+            raise ValueError("batched rows must share one incidence family pair")
         data = [
             (p.Lambda, p.mu, p.r, p.k, p.lam, p.alpha1, p.alpha2, p.susceptible_cap,
              p.vaccinated_cap, *coefficients(inc1), *coefficients(inc2))

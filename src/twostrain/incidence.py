@@ -317,8 +317,8 @@ class IncidenceSpec:
           force_limit_positive    lim f(S, I) as I -> 0+ finite and > 0 for S > 0
           contact_factorization   f = S * g on interior points
         """
-        if not (S_max > 0.0 and I_max > 0.0):
-            raise ValueError("S_max and I_max must be positive")
+        if not (0.0 < S_max < np.inf and 0.0 < I_max < np.inf):
+            raise ValueError("S_max and I_max must be finite and positive")
         if n_grid < 8:
             raise ValueError("n_grid must be at least 8")
 

@@ -12,12 +12,13 @@ The recovered class R' = gamma1*I1 + gamma2*I2 - mu*R is decoupled and is
 carried only when a state tracks it.
 
 The right-hand side is written once, as text: one expression per
-component in ``_FIELD``. ``bound_field`` is compiled from it, and so is the
-integrator's trial step, which writes it into each of its stages
-(``simulate._kernel``). The integrator runs it on unchecked rates;
-``vector_field``, ``field_norms`` and ``residual``, which certifies every
-equilibrium, run it on checked ones. ``jacobians`` is its complex step, so
-no derivative of the field is written by hand.
+component in ``_FIELD``. ``_field`` compiles it once per pair of rate texts,
+and the integrator writes it into each of its stages (``simulate._kernel``),
+both with one binding of the coefficients and rates. The integrator runs it
+on unchecked rates; ``vector_field``, ``field_norms`` and ``residual``,
+which certifies every equilibrium, run ``bound_field`` on checked ones.
+``jacobians`` is its complex step, so no derivative of the field is written
+by hand.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, PreconditionError
-from .incidence import _RATE_TEXTS, _STEP, BUILT_IN_FAMILIES, IncidenceSpec
+from .incidence import _RATE_TEXTS, _STEP, IncidenceSpec
 
 #: residual bound below which an equilibrium is accepted as certified
 RESIDUAL_TOL = 1e-8
@@ -131,7 +132,10 @@ StateLike = Union[State, Sequence[float], np.ndarray]
 
 def _as_array(x: StateLike) -> np.ndarray:
     """A State or a length-4/5 vector as a float array."""
-    return x.as_array() if isinstance(x, State) else np.asarray(x, float)
+    y = x.as_array() if isinstance(x, State) else np.asarray(x, float)
+    if y.shape not in ((4,), (5,)):
+        raise ValueError("state vector must have 4 or 5 components")
+    return y
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,12 @@ _FIELD = (
 _RATE_CALL = "rate(S, I)"
 
 
+def _rate_text(inc: IncidenceSpec) -> str:
+    """A strain's rate as ``_field_lines`` takes it: its built-in family's
+    text, or ``_RATE_CALL`` for a custom rate."""
+    return _RATE_TEXTS.get(inc.family, _RATE_CALL)
+
+
 def _field_lines(n: int, rates=(_RATE_CALL, _RATE_CALL), out: str = "f_{i}") -> list:
     """The field of n = 4 or 5 components as source lines over locals named
     as in ``_STATE``: F1 and F2 from ``rates``, each a text over (b, z, S, I)
@@ -189,23 +199,30 @@ def _compiled(name: str, lines: list, filename: str, namespace: dict):
     return fn
 
 
-_bind_field = _compiled(
-    "_bind_field",
-    [
-        "def _bind_field(%s, rate1, rate2):" % ", ".join(_COEFFICIENTS),
-        "    def field(t, y):",
-        "        if len(y) == 5:",
-        "            S, V1, I1, I2, R = y",
-        *("            " + line for line in _field_lines(5)),
-        "            return (f_0, f_1, f_2, f_3, f_4)",
-        "        S, V1, I1, I2 = y",
-        *("        " + line for line in _field_lines(4)),
-        "        return (f_0, f_1, f_2, f_3)",
-        "    return field",
-    ],
-    "<model field>",
-    globals(),
-)
+@functools.lru_cache(maxsize=None)
+def _field(rates: tuple):
+    """The binder of the field with the two strains' rate texts ``rates``
+    written in by ``_field_lines``, compiled once per rate pair:
+    ``bind(*_COEFFICIENTS, b1, z1, b2, z2, rate1, rate2)`` returns f(t, y)
+    for y of 4 or 5 components, the binding of ``simulate._kernel(n,
+    rates)``. ``print(model._field(rates).source)`` shows the text."""
+    return _compiled(
+        "_bind_field",
+        [
+            "def _bind_field(%s, b1, z1, b2, z2, rate1, rate2):" % ", ".join(_COEFFICIENTS),
+            "    def field(t, y):",
+            "        if len(y) == 5:",
+            "            S, V1, I1, I2, R = y",
+            *("            " + line for line in _field_lines(5, rates)),
+            "            return (f_0, f_1, f_2, f_3, f_4)",
+            "        S, V1, I1, I2 = y",
+            *("        " + line for line in _field_lines(4, rates)),
+            "        return (f_0, f_1, f_2, f_3)",
+            "    return field",
+        ],
+        "<model field, F1 = %s, F2 = %s>" % rates,
+        {},
+    )
 
 
 _coefficients = operator.attrgetter(*_COEFFICIENTS)
@@ -219,9 +236,11 @@ def bound_field(p: ModelParams, rate1, rate2):
     derivative as a tuple of the same length: floats for floats, arrays for
     component arrays (rows of a transposed state matrix broadcast
     elementwise), expressions for sympy symbols. f neither checks its input
-    nor catches errors. ``print(model._bind_field.source)`` shows the text.
+    nor catches errors. It is the binding of ``_field`` with both rates
+    called; ``print(model._field((model._RATE_CALL,) * 2).source)`` shows
+    the text.
     """
-    return _bind_field(*_coefficients(p), rate1, rate2)
+    return _field((_RATE_CALL, _RATE_CALL))(*_coefficients(p), None, None, None, None, rate1, rate2)
 
 
 def _no_infection(S, I):
@@ -274,67 +293,36 @@ def jacobians(rows) -> np.ndarray:
     """The ``jacobian`` of each (p, inc1, inc2, x) row, as an (m, 4, 4) array.
 
     Column j of row i's matrix is the complex step Im f(y_i + i*h*e_j)/h of
-    the field's text. One call of ``_stepper`` takes every step of the
-    block, on Python floats and complex numbers, so each entry is bit for
-    bit the scalar complex step of ``bound_field``; numpy's complex128 loops
-    would round some entries differently (a fused multiply-add, and a
-    quotient through a reciprocal). A built-in rate's text is written into
-    the stepper and stepped through. A custom rate enters by its
-    linearisation at each row's point, ``IncidenceSpec.complex_rate``, so
-    its evaluator sees no complex input. The rows share one incidence
-    family pair (``_family_pair``).
+    the field's text. Each row binds ``_field`` of its own strains' rate
+    texts (``_rate_text``) and steps it on Python floats and complex
+    numbers, so each entry is bit for bit the scalar complex step of
+    ``bound_field``; numpy's complex128 loops would round some entries
+    differently (a fused multiply-add, and a quotient through a
+    reciprocal). A built-in rate's text is stepped through. A custom rate
+    enters by its linearisation at each row's point,
+    ``IncidenceSpec.complex_rate``, so its evaluator sees no complex input.
     """
-    inc1, inc2 = _family_pair(rows)
-    y = np.array([_as_array(x)[:4] for *_, x in rows])
-    if not np.isfinite(y).all():
+    points = np.array([_as_array(x)[:4] for *_, x in rows]).reshape(len(rows), 4)
+    if not np.isfinite(points).all():
         raise DomainError("jacobian evaluated at a non-finite state")
-    steps = []
-    for (p, a, b, _), point in zip(rows, y.tolist()):
-        stepped = [point[:j] + [complex(point[j], _STEP)] + point[j + 1 :] for j in range(4)]
-        rates = a.complex_rate(point[0], point[2]), b.complex_rate(point[0], point[3])
-        steps.append((_coefficients(p), a.beta, a.zeta, b.beta, b.zeta, *rates, stepped))
-    field = _stepper(tuple(_RATE_TEXTS.get(inc.family, _RATE_CALL) for inc in (inc1, inc2)))
+    points = points.tolist()
+    fields = [
+        _field((_rate_text(a), _rate_text(b)))(
+            *_coefficients(p), a.beta, a.zeta, b.beta, b.zeta, a.complex_rate(S, I1), b.complex_rate(S, I2)
+        )
+        for (p, a, b, _), (S, _, I1, I2) in zip(rows, points)
+    ]
     # [i, j, c]: component c of row i's field, stepped in component j. A
     # non-finite entry is returned as is, as by the scalar step; classify
     # refuses it.
     with np.errstate(all="ignore"):
-        J = np.array(field(steps), complex).imag.reshape(len(rows), 4, 4) / _STEP
+        steps = [
+            field(0.0, point[:j] + [complex(point[j], _STEP)] + point[j + 1 :])
+            for field, point in zip(fields, points)
+            for j in range(4)
+        ]
+        J = np.array(steps, complex).imag.reshape(len(rows), 4, 4) / _STEP
     return np.ascontiguousarray(J.transpose(0, 2, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _stepper(rates: tuple):
-    """The field at every stepped state of some rows, each (coefficients,
-    b1, z1, b2, z2, rate1, rate2, stepped states), as one list, with
-    ``rates`` written in by ``_field_lines``. ``print(model._stepper(rates).source)``
-    shows the text."""
-    return _compiled(
-        "_steps",
-        [
-            "def _steps(rows):",
-            "    out = []",
-            "    for (%s), b1, z1, b2, z2, rate1, rate2, stepped in rows:" % ", ".join(_COEFFICIENTS),
-            "        for S, V1, I1, I2 in stepped:",
-            *("            " + line for line in _field_lines(4, rates)),
-            "            out.append((f_0, f_1, f_2, f_3))",
-            "    return out",
-        ],
-        "<model stepper>",
-        {},
-    )
-
-
-def _family_pair(rows) -> tuple:
-    """(inc1, inc2) of the first of some (p, inc1, inc2, ...) rows, which
-    must all have the same built-in families, or the same custom specs. A
-    strain may be None."""
-
-    def family(inc):
-        return inc.family if inc is not None and inc.family in BUILT_IN_FAMILIES else inc
-
-    if len({(family(inc1), family(inc2)) for _, inc1, inc2, *_ in rows}) > 1:
-        raise ValueError("batched rows must share one incidence family pair")
-    return rows[0][1], rows[0][2]
 
 
 def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):

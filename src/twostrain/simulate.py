@@ -24,9 +24,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .incidence import _RATE_TEXTS, IncidenceSpec
+from .incidence import IncidenceSpec
 from .model import ModelParams, State, field_norms, require_certified
-from .model import _COEFFICIENTS, _RATE_CALL, _STATE, _as_array, _compiled, _field_lines
+from .model import _COEFFICIENTS, _STATE, _as_array, _compiled, _field_lines, _rate_text
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince 1980, J. Comput. Appl. Math.
 # 6): the nodes C1-C4 (C5 = C6 = 1), the rows of A, the weights B and
@@ -250,9 +250,9 @@ def _kernel(n: int, rates: Optional[tuple] = None):
 
     With ``rates`` None, the cache key is n, the binder is ``bind(fun)``
     and each stage calls fun(t, y). With ``rates``, the two strains' rate
-    texts (``incidence._RATE_TEXTS`` or ``model._RATE_CALL``) and n = 4 or
-    5, the binder is ``bind(*model._COEFFICIENTS, b1, z1, b2, z2, rate1,
-    rate2)`` and each stage assigns the model's field
+    texts (``model._rate_text``) and n = 4 or 5, the binder is
+    ``bind(*model._COEFFICIENTS, b1, z1, b2, z2, rate1, rate2)``, as for
+    ``model._field(rates)``, and each stage assigns the model's field
     (``model._field_lines``) to its output locals, so it makes no Python
     call for a built-in rate and calls ``rate<j>`` for a custom strain j.
     The bound values are closure cells, so one cached binder serves every
@@ -491,14 +491,11 @@ def integrate(
     """
     opts = opts or IntegratorOptions()
     y0 = _as_array(x0)
-    if y0.ndim != 1 or len(y0) not in (4, 5):
-        raise ValueError("state vector must have 4 or 5 components")
     if not np.all(np.isfinite(y0)) or np.any(y0 < 0.0):
         raise DomainError("initial state must be finite and componentwise >= 0")
     track_r = y0.shape[0] == 5
 
-    rates = tuple(_RATE_TEXTS.get(inc.family, _RATE_CALL) for inc in (inc1, inc2))
-    stage, run = _kernel(len(y0), rates)(
+    stage, run = _kernel(len(y0), (_rate_text(inc1), _rate_text(inc2)))(
         *(getattr(p, name) for name in _COEFFICIENTS),
         inc1.beta, inc1.zeta, inc2.beta, inc2.zeta, inc1.scalar_rate(), inc2.scalar_rate(),
     )

@@ -3,14 +3,14 @@
 E0 is classified from its closed-form spectrum. E1, E2 and E3 are classified
 by the Routh-Hurwitz sign conditions on the characteristic polynomial of the
 Jacobian block that ``KINDS`` names for each. ``classify_batch`` classifies
-a block of equilibria of any kinds in one pass, and ``classify`` is its
-one-row case. One routine, ``_expand``, expands det(x*I - M) term by term
-from signed-product tables built at import from a Leibniz table; the
-Hurwitz minors come from the same routine over the leading blocks of the
-Hurwitz matrix. Every verdict is cross-checked against a dense
-eigensolver. The two routes are kept independent on purpose: an error in
-either one shows up as a cross-validation disagreement instead of a silent
-wrong answer.
+a block of equilibria of any kinds and incidence families in one pass, and
+``classify`` is its one-row case. One routine, ``_expand``, expands
+det(x*I - M) term by term from signed-product tables built at import from a
+Leibniz table; the Hurwitz minors come from the same routine over the
+leading blocks of the Hurwitz matrix. Every verdict is cross-checked
+against a dense eigensolver. The two routes are kept independent on
+purpose: an error in either one shows up as a cross-validation disagreement
+instead of a silent wrong answer.
 
 Verdicts use a dead-band: eigenvalue real parts within 1e-10 of zero, and
 coefficients within 1e-10 of the sum of the absolute values of their
@@ -84,7 +84,10 @@ def eigen_classify(J: np.ndarray) -> tuple:
     generic oracle the Routh-Hurwitz route is validated against, and the
     one-matrix case of ``_spectra``.
     """
-    eigs, signs = _spectra(np.asarray(J, float)[None])
+    J = np.asarray(J, float)
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.size == 0:
+        raise ValueError("eigen_classify needs a square 2-D matrix of size >= 1, not shape %s" % (J.shape,))
+    eigs, signs = _spectra(J[None])
     return eigs[0], _combine(signs)[0]
 
 
@@ -288,11 +291,11 @@ def classify_disease_free(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSp
 def classify_batch(rows) -> list:
     """``classify`` of each (p, inc1, inc2, eq) row, bit for bit, in one pass.
 
-    The rows share one incidence family pair, as in ``solve_batch``. One
-    ``model.jacobians`` call and one stacked eigensolve serve every row. One
-    ``_expand`` pass gives the coefficients of the E1, E2 and E3 rows and
-    one their minors, and the closed-form spectra of the E0 rows are one
-    array, whose banded signs are taken with the rest.
+    The rows may mix incidence family pairs: each row's Jacobian binds its
+    own rate texts. One ``model.jacobians`` call and one stacked eigensolve
+    serve every row. One ``_expand`` pass gives the coefficients of the E1,
+    E2 and E3 rows and one their minors, and the closed-form spectra of the
+    E0 rows are one array, whose banded signs are taken with the rest.
     """
     rows = list(rows)
     if not rows:
@@ -433,9 +436,16 @@ def lyapunov_scan_grid(p: ModelParams, n_grid: int = 200):
     Ranges are (1e-6*S0, S0] and (1e-6*V10, V10]; the lower ends stay off
     the singular boundary where the surface diverges to -inf.
     """
+    _require_grid(n_grid, "n_grid")
     S_values = np.geomspace(1e-6 * p.susceptible_cap, p.susceptible_cap, n_grid)
     V1_values = np.geomspace(1e-6 * p.vaccinated_cap, p.vaccinated_cap, n_grid)
     return S_values, V1_values
+
+
+def _require_grid(n, name: str) -> None:
+    """Refuse a grid size ``name`` that is not an integer >= 1."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError("%s must be an integer >= 1, not %r" % (name, n))
 
 
 def strain2_lyapunov_scan(
@@ -539,6 +549,8 @@ def coexistence_lyapunov_scan(
     """
     require_certified(e3)
     pts = _points(trajectory_or_grid)
+    if len(pts) == 0:
+        raise ValueError("coexistence_lyapunov_scan needs at least one state")
     values, bound = _coexistence_lyapunov(p, inc1, inc2, e3, pts)
     resolved = np.flatnonzero(np.abs(values) > bound)
     pick = resolved if resolved.size else np.arange(values.size)

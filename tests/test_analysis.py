@@ -14,7 +14,7 @@ from twostrain.analysis import (
     sweep,
     turning_point,
 )
-from twostrain.benchmarks import build_scenario
+from twostrain.benchmarks import build_scenario, reproduce
 from twostrain.errors import ConfigError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, thresholds
@@ -106,6 +106,18 @@ class TestAnalyze:
     def test_grid_argument_sizes_the_scan(self):
         report = analyze(scenario_strain2_dominant(), grid=50)
         assert report.global_checks[0][1].n_points == 2500
+
+
+    @pytest.mark.parametrize("grid", [0, -1, 2.5, None])
+    def test_refuses_a_grid_not_an_integer_at_least_one_before_any_solve(self, grid, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved before refusing the grid")
+
+        monkeypatch.setattr(analysis, "solve_all", no_solve)
+        with pytest.raises(ValueError, match="grid must be an integer >= 1"):
+            analyze(build_scenario("6.3"), grid=grid)
+        with pytest.raises(ValueError, match="grid must be an integer >= 1"):
+            reproduce("6.3", grid=grid)
 
 
 class TestFailedChecks:

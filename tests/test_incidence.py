@@ -379,6 +379,13 @@ class TestHypothesisChecks:
         report = inc.check_hypotheses(S_max=1e4, I_max=1e4)
         assert report.all_pass, {k: v.passed for k, v in report.checks.items()}
 
+    @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, np.nan])
+    def test_refuses_a_bound_not_finite_and_positive(self, bound):
+        inc = IncidenceSpec.bilinear(2e-4)
+        for S_max, I_max in ((bound, 1e3), (1e3, bound)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                inc.check_hypotheses(S_max, I_max)
+
     def test_strictness_flag(self):
         # bilinear force is strictly increasing in S; saturated_s too;
         # the flag records strict monotonicity separately from the pass

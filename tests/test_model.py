@@ -247,6 +247,29 @@ class TestJacobian:
                 points += 1
         assert points == 186
 
+    def test_no_rows_give_an_empty_stack(self):
+        J = model.jacobians([])
+        assert J.shape == (0, 4, 4) and J.dtype == float
+
+    @pytest.mark.parametrize("x", [[1.0, 2.0, 3.0], [1.0] * 6, [[1.0] * 4] * 2])
+    def test_refuses_a_state_without_4_or_5_components(self, x):
+        p, inc1, inc2 = example_61()
+        with pytest.raises(ValueError, match="4 or 5 components"):
+            jacobian(p, inc1, inc2, x)
+        with pytest.raises(ValueError, match="4 or 5 components"):
+            model.jacobians([(p, inc1, inc2, [800.0, 400.0, 30.0, 20.0]), (p, inc1, inc2, x)])
+
+    def test_rows_of_mixed_family_pairs_are_their_one_row_jacobians(self):
+        rows = []
+        for p, inc1, inc2 in random_cases(1105, 20):
+            rows += [(p, inc1, inc2, eq.point) for eq in solve_all(p, inc1, inc2).all]
+        p = ModelParams(r=0.1, **BASE)
+        inc1, wavy = IncidenceSpec.saturated_i2(2e-4, 1e-4), wavy_rate()
+        rows += [(p, inc1, wavy, eq.point) for eq in solve_all(p, inc1, wavy).all]
+        assert len({(row[1].family, row[2].family) for row in rows}) > 3
+        J = model.jacobians(rows)
+        assert J.tobytes() == np.array([jacobian(*row) for row in rows]).tobytes()
+
     def test_structural_zeros(self):
         p, inc1, inc2 = example_61()
         J = jacobian(p, inc1, inc2, np.array([800.0, 400.0, 30.0, 20.0]))

@@ -9,6 +9,7 @@ the closed-form coefficients symbolically.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from twostrain.equilibria import (
     solve_strain1,
     solve_strain2,
 )
-from twostrain.errors import DomainError, PreconditionError
+from twostrain.errors import DomainError, PreconditionError, SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, State, invasion_numbers, jacobian, reproduction_number, thresholds
 from twostrain.stability import (
@@ -96,6 +97,19 @@ class TestEigenClassify:
         J[1, 2] = np.nan
         with pytest.raises(DomainError):
             eigen_classify(J)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (4,), (1, 2, 2), ()])
+    def test_refuses_a_matrix_not_square_2d_and_nonempty_by_its_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape("not shape %s" % (shape,))):
+            eigen_classify(np.zeros(shape))
+
+    def test_non_convergence_stays_a_solver_error(self, monkeypatch):
+        def fails(J):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fails)
+        with pytest.raises(SolverError, match="converge"):
+            eigen_classify(np.eye(2))
 
 
 class TestDiseaseFree:
@@ -372,18 +386,6 @@ def report_bits(report):
     )
 
 
-def classify_batch_by_family(rows):
-    """``classify_batch`` over rows of mixed family pairs, one call per pair."""
-    groups = {}
-    for i, row in enumerate(rows):
-        groups.setdefault((row[1].family, row[2].family), []).append(i)
-    out = [None] * len(rows)
-    for idx in groups.values():
-        for i, report in zip(idx, classify_batch([rows[i] for i in idx])):
-            out[i] = report
-    return out
-
-
 class TestBatch:
     """``classify`` is the one-row case of ``classify_batch``."""
 
@@ -408,12 +410,28 @@ class TestBatch:
             for report in classify_batch([row for group in pair for row in group])
         ]
 
+    def test_a_block_may_mix_family_pairs(self):
+        # each row binds the field of its own rate texts: the built-in pair
+        # of 6.4 and the same rows with wavy_rate as strain 2, in one block
+        sc = build_scenario("6.4")
+        built_in = [row for group in r_sweep(sc, 0.02, 0.2, 6) for row in group]
+        custom = dataclasses.replace(sc, incidence2=wavy_rate())
+        wavy = [row for group in r_sweep(custom, 0.02, 0.2, 6) for row in group]
+        rows = [row for pair in zip(built_in, wavy) for row in pair]
+        assert {(row[1].family, row[2].family) for row in rows} == {
+            (sc.incidence1.family, sc.incidence2.family),
+            (sc.incidence1.family, "custom"),
+        }
+        assert [report_bits(report) for report in classify_batch(rows)] == [
+            report_bits(classify(*row)) for row in rows
+        ]
+
     def test_eigenvalues_keep_the_order_of_eigen_classify(self):
         rows = [row for group in r_sweep(build_scenario("6.4"), 0.0, 0.2, 40) for row in group]
         for p, inc1, inc2 in random_cases(1105, 40):
             rows += [(p, inc1, inc2, eq) for eq in solve_all(p, inc1, inc2).all]
         pairs = 0
-        for (p, inc1, inc2, eq), report in zip(rows, classify_batch_by_family(rows)):
+        for (p, inc1, inc2, eq), report in zip(rows, classify_batch(rows)):
             if eq.kind == "E0":
                 continue
             J = jacobian(p, inc1, inc2, eq.point)
@@ -496,6 +514,22 @@ class TestStrain2LyapunovScan:
         assert surface.size == 2500
         assert surface.max() <= 0.0
 
+    @pytest.mark.parametrize("n_grid", [0, -3, 2.0, True, None])
+    def test_refuses_a_grid_size_not_an_integer_at_least_one(self, n_grid):
+        p, inc1, inc2 = setup_strain2_dominant()
+        e2 = solve_strain2(p, inc2)[0]
+        with pytest.raises(ValueError, match="n_grid must be an integer >= 1"):
+            lyapunov_scan_grid(p, n_grid)
+        with pytest.raises(ValueError, match="n_grid must be an integer >= 1"):
+            strain2_lyapunov_scan(p, inc2, e2, n_grid=n_grid)
+
+    def test_one_point_grid(self):
+        p, inc1, inc2 = setup_strain2_dominant()
+        e2 = solve_strain2(p, inc2)[0]
+        summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=1)
+        assert summary.n_points == 1
+        assert summary.argmax == (1e-6 * p.susceptible_cap, 1e-6 * p.vaccinated_cap)
+
     def test_rejects_boundary_grid_points(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]
@@ -550,6 +584,13 @@ class TestCoexistenceLyapunovValues:
         values = coexistence_lyapunov_values(p, inc1, inc2, e3, cloud)
         assert np.all(np.isfinite(values))
         assert coexistence_lyapunov_scan(p, inc1, inc2, e3, cloud).nonpositive_everywhere
+
+    def test_scan_refuses_zero_states(self):
+        p, inc1, inc2 = setup_coexistence()
+        e3 = solve_all(p, inc1, inc2).E3[0]
+        assert coexistence_lyapunov_values(p, inc1, inc2, e3, np.empty((0, 4))).shape == (0,)
+        with pytest.raises(ValueError, match="at least one state"):
+            coexistence_lyapunov_scan(p, inc1, inc2, e3, np.empty((0, 4)))
 
     def test_rejects_boundary_states(self):
         p, inc1, inc2 = setup_coexistence()
