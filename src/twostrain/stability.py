@@ -4,13 +4,12 @@ E0 is classified from its closed-form spectrum. E1, E2 and E3 are classified
 by the Routh-Hurwitz sign conditions on the characteristic polynomial of the
 Jacobian block that ``KINDS`` names for each. ``classify_batch`` classifies
 a block of equilibria of any kinds and incidence families in one pass, and
-``classify`` is its one-row case. One routine, ``_expand``, expands
-det(x*I - M) term by term from signed-product tables built at import from a
-Leibniz table; the Hurwitz minors come from the same routine over the
-leading blocks of the Hurwitz matrix. Every verdict is cross-checked
-against a dense eigensolver. The two routes are kept independent on
-purpose: an error in either one shows up as a cross-validation disagreement
-instead of a silent wrong answer.
+``classify`` is its one-row case. Each kind's coefficients of det(x*I - M)
+and its Hurwitz minors are written out term by term as text from a Leibniz
+table, and compiled once per kind on first use (``_quantities``). Every
+verdict is cross-checked against a dense eigensolver. The two routes are
+kept independent on purpose: an error in either one shows up as a
+cross-validation disagreement instead of a silent wrong answer.
 
 Verdicts use a dead-band: eigenvalue real parts within 1e-10 of zero, and
 coefficients within 1e-10 of the sum of the absolute values of their
@@ -20,6 +19,7 @@ terms, yield Inconclusive rather than a guess.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -31,6 +31,7 @@ from .errors import DomainError, SolverError
 from .incidence import IncidenceSpec
 from .model import (
     ModelParams,
+    _compiled,
     jacobians,
     reproduction_number,
     require_certified,
@@ -154,7 +155,7 @@ KINDS = {
 }
 
 
-# -- the Routh-Hurwitz quantities, from tables built at import ----------------
+# -- the Routh-Hurwitz quantities, as text compiled once per kind -------------
 
 
 def _leibniz_terms(n: int) -> list:
@@ -177,85 +178,56 @@ def _leibniz_terms(n: int) -> list:
 
 _LEIBNIZ = {n: _leibniz_terms(n) for n in (2, 3, 4)}
 
-# the constants 1 and 0, which ``_expand`` appends to each source row
-_ONE, _ZERO = -2, -1
-
 
 def _sums(kind: Kind) -> tuple:
     """One kind's sums, each an (outer sign, terms) pair with its terms as
-    (sign, factor indices) in Leibniz order: the coefficients c1..cn of
-    det(x*I - B) for its block B of J, over J's 16 entries, and the leading
-    Hurwitz minors D2..D(n-1), over the coefficients. D1 = c1, and Dn =
-    cn*D(n-1) adds no condition once cn > 0. The k x k minor is (-1)^k
-    times the constant coefficient of its characteristic polynomial, so it
-    comes with its scale."""
+    (sign, factor texts) in Leibniz order: the coefficients c1..cn of
+    det(x*I - B) for its block B of J, over J's 16 entries j0..j15, and the
+    leading Hurwitz minors D2..D(n-1), over the coefficients and the
+    Hurwitz matrix's literals 1 and 0. D1 = c1, and Dn = cn*D(n-1) adds no
+    condition once cn > 0. The k x k minor is (-1)^k times the constant
+    coefficient of its characteristic polynomial, so it comes with its
+    scale."""
     n, b = len(kind.block), kind.block
 
     def hurwitz(i, j):
         # H[i][j] = c_(2j-i+1) with c_0 = 1; out-of-range indices read 0
         q = 2 * j - i + 1
-        return _ONE if q == 0 else q - 1 if 0 < q <= n else _ZERO
+        return "1" if q == 0 else "c%d" % q if 0 < q <= n else "0"
 
     def terms(size, k, entry):
         """The terms with k factors of det(x*I - M), M of ``size``, over ``entry``."""
         return [(sign, [entry(*f) for f in factors]) for order, sign, factors in _LEIBNIZ[size] if order == k]
 
-    coefficients = [(1, terms(n, k, lambda i, j: 4 * b[i] + b[j])) for k in range(1, n + 1)]
+    coefficients = [(1, terms(n, k, lambda i, j: "j%d" % (4 * b[i] + b[j]))) for k in range(1, n + 1)]
     return coefficients, [((-1) ** k, terms(k, k, hurwitz)) for k in range(2, n)]
 
 
-def _table(tables, width: int) -> tuple:
-    """(factors, signs, outer signs) arrays of shapes (kinds, K, T, F),
-    (kinds, K, T) and (kinds, K): each kind's sums, over a source row of
-    ``width`` entries followed by the constants 1 and 0.
+@functools.lru_cache(maxsize=None)
+def _quantities(kind: str):
+    """``quantities(j) -> (values, scales)`` for the ``KINDS`` entry
+    ``kind``, compiled from ``_sums`` on first use: over the 16 entries
+    ``j`` of J in row-major order, the coefficients c1..cn and then the
+    Hurwitz minors D2..D(n-1), which read the coefficients.
 
-    Each sum starts with a zero term, as a Python sum starts from 0; zero
-    terms and factors of one pad it to T terms of F factors, which changes
-    no value or scale. Sums of 1 pad a kind to K sums, so that a padded
-    quantity reads as positive.
+    Each value is outer*(0 + t1 + t2 + ...) with its factors multiplied
+    left to right and its terms in Leibniz order, so it is bit for bit the
+    Python sum of the same products, on floats or on sympy objects. Its
+    scale, 0 + |t1| + |t2| + ..., is the width of its sign dead-band; a
+    structural zero of J adds nothing to it.
+    ``print(stability._quantities("E3").source)`` shows the text.
     """
-    K = max(len(sums) for sums in tables)
-    T = 1 + max(len(terms) for sums in tables for _, terms in sums)
-    F = max(len(f) for sums in tables for _, terms in sums for _, f in terms)
-    zero = (1, [_ZERO])
-    factors, signs, outer = [], [], []
-    for sums in tables:
-        sums = sums + [(1, [(1, [_ONE])])] * (K - len(sums))
-        padded = [[zero, *terms] + [zero] * (T - 1 - len(terms)) for _, terms in sums]
-        factors.append([[f + [_ONE] * (F - len(f)) for _, f in terms] for terms in padded])
-        signs.append([[s for s, _ in terms] for terms in padded])
-        outer.append([s for s, _ in sums])
-    return np.array(factors) % (width + 2), np.array(signs), np.array(outer)
-
-
-# every kind's coefficients over J's 16 entries, and its minors over the coefficients
-_COEFFICIENTS, _MINORS = (
-    _table(sums, width) for sums, width in zip(zip(*map(_sums, KINDS.values())), (16, 4))
-)
-_CODE = {kind: code for code, kind in enumerate(KINDS)}
-
-
-def _expand(source, tables, kinds) -> tuple:
-    """(values, scales) of each row's sums in ``tables`` (``_COEFFICIENTS``
-    or ``_MINORS``) for its kind in ``kinds``, over its row of ``source``:
-    an (m, N) array of floats or of sympy expressions. Padded sums read 1.
-
-    Factors multiply left to right and terms add in order, so each value is
-    bit for bit the Python sum of the same products, and no row depends on
-    another. The scale of a sum is the sum of the absolute values of its
-    terms, the width of its sign dead-band; a structural zero of the source
-    adds nothing to it.
-    """
-    m, n = source.shape
-    factors, signs, outer = (a[[_CODE[kind] for kind in kinds]] for a in tables)
-    row = np.empty((m, n + 2), source.dtype)
-    row[:, :n], row[:, n], row[:, n + 1] = source, 1, 0
-    gathered = row.ravel()[factors + (n + 2) * np.arange(m).reshape(m, 1, 1, 1)]
-    terms = gathered[..., 0]
-    for f in range(1, gathered.shape[-1]):
-        terms = terms * gathered[..., f]
-    terms = signs * terms
-    return outer * np.cumsum(terms, axis=-1)[..., -1], np.cumsum(abs(terms), axis=-1)[..., -1]
+    coefficients, minors = _sums(KINDS[kind])
+    names = ["c%d" % k for k in range(1, len(coefficients) + 1)]
+    names += ["D%d" % k for k in range(2, len(minors) + 2)]
+    lines = ["def quantities(j):", "    %s = j" % ", ".join("j%d" % i for i in range(16))]
+    for name, (outer, terms) in zip(names, coefficients + minors):
+        products = ["*".join(factors) for _, factors in terms]
+        value = "0" + "".join(" %s %s" % ("+-"[sign < 0], t) for (sign, _), t in zip(terms, products))
+        lines.append("    %s = %s" % (name, value if outer > 0 else "-(%s)" % value))
+        lines.append("    %s_scale = 0%s" % (name, "".join(" + abs(%s)" % t for t in products)))
+    lines.append("    return (%s), (%s)" % tuple(", ".join(n + suffix for n in names) for suffix in ("", "_scale")))
+    return _compiled("quantities", lines, "<stability quantities, %s>" % kind, {})
 
 
 # -- classification -----------------------------------------------------------
@@ -293,9 +265,10 @@ def classify_batch(rows) -> list:
 
     The rows may mix incidence family pairs: each row's Jacobian binds its
     own rate texts. One ``model.jacobians`` call and one stacked eigensolve
-    serve every row. One ``_expand`` pass gives the coefficients of the E1,
-    E2 and E3 rows and one their minors, and the closed-form spectra of the
-    E0 rows are one array, whose banded signs are taken with the rest.
+    serve every row. Each E1, E2 and E3 row's coefficients and minors come
+    from its kind's compiled ``_quantities`` on its Jacobian's entries, and
+    the closed-form spectra of the E0 rows are one array, whose banded
+    signs are taken with the rest.
     """
     rows = list(rows)
     if not rows:
@@ -306,7 +279,6 @@ def classify_batch(rows) -> list:
     J = jacobians([(p, inc1, inc2, eq.point) for p, inc1, inc2, eq in rows])
     eigs, eigen_signs = _spectra(J)
     e0 = [i for i, row in enumerate(rows) if row[3].kind == "E0"]
-    rh = [i for i, row in enumerate(rows) if row[3].kind != "E0"]
     # each row's quantities that a stable point makes positive, with their
     # dead-band scales: E0's negated eigenvalues, or a kind's coefficients,
     # minors and negated invasion eigenvalue; 1 fills the unused columns
@@ -316,16 +288,15 @@ def classify_batch(rows) -> list:
         closed, e0_fields = _closed_form_fields([rows[i][:3] for i in e0])
         tested[e0, :4] = -closed
         fields.update(zip(e0, e0_fields))
-    if rh:
-        kinds = [rows[i][3].kind for i in rh]
-        c, c_scales = _expand(J[rh].reshape(len(rh), 16), _COEFFICIENTS, kinds)
-        minors, minor_scales = _expand(c, _MINORS, kinds)
-        tested[rh, :6], scales[rh, :6] = np.hstack([c, minors]), np.hstack([c_scales, minor_scales])
-        invaded = [i for i in rh if KINDS[rows[i][3].kind].strain is not None]
-        diagonal = [1 + KINDS[rows[i][3].kind].absent for i in invaded]
-        tested[invaded, 6] = -J[invaded, diagonal, diagonal]
-        values = tested.tolist()
-        fields.update((i, _coefficient_fields(rows[i], values[i], J[i], eigs[i])) for i in rh)
+    for i, row in enumerate(rows):
+        if row[3].kind == "E0":
+            continue
+        kind = KINDS[row[3].kind]
+        values, value_scales = _quantities(row[3].kind)(J[i].ravel().tolist())
+        tested[i, : len(values)], scales[i, : len(values)] = values, value_scales
+        if kind.strain is not None:
+            tested[i, 6] = -J[i, 1 + kind.absent, 1 + kind.absent]
+        fields[i] = _coefficient_fields(row, values, J[i], eigs[i])
     verdicts = zip(_combine(_sign_banded(tested, scales)), _combine(eigen_signs))
     return [
         StabilityReport(row[3].kind, verdict=verdict, eigen_verdict=eigen_verdict, **fields[i])
@@ -362,13 +333,11 @@ def _closed_form_fields(cases) -> tuple:
     return closed, fields
 
 
-def _coefficient_fields(row, tested: list, J: np.ndarray, eigenvalues: np.ndarray) -> dict:
+def _coefficient_fields(row, values: tuple, J: np.ndarray, eigenvalues: np.ndarray) -> dict:
     """The eigenvalues, coefficients, conditions and notes of the report of
-    an E1, E2 or E3 row, from its tested quantities and its Jacobian."""
+    an E1, E2 or E3 row, from its coefficients and minors and its Jacobian."""
     p, inc1, inc2, eq = row
     kind = KINDS[eq.kind]
-    n = len(kind.block)
-    values = tested[:n] + tested[4 : n + 2]
     conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
     notes = []
     if eq.kind == "E2":

@@ -1,15 +1,16 @@
-"""The one characteristic-polynomial expansion against the paper's closed forms.
+"""The compiled Routh-Hurwitz sums against the paper's closed forms.
 
-``stability._expand``, the one expansion routine, runs unchanged on sympy
-object arrays, over the coefficient tables and over the minor tables. The
-symbolic Jacobian carries the structural zeros of ``model.jacobian`` and
-J[1, 0] = r. The closed forms are the coefficient term lists of the E1
-cubic (a2, a1, a0), the E2 cubic (b2, b1, b0) and the E3 quartic (c1..c4),
-and the Hurwitz composites built from them. Every generic coefficient and
-minor expands to its closed form, and on criterion 5's random scenarios
-every generic dead-band scale is the sum of |term| over the closed form's
-terms. The expansion of a stack of Jacobians equals the expansion of each
-one alone, bit for bit.
+``stability._quantities(kind)`` runs unchanged on the 16 entries of a
+flattened sympy Jacobian. The symbolic Jacobian carries the structural
+zeros of ``model.jacobian`` and J[1, 0] = r. The closed forms are the
+coefficient term lists of the E1 cubic (a2, a1, a0), the E2 cubic (b2, b1,
+b0) and the E3 quartic (c1..c4), and the Hurwitz composites built from
+them. Every generic coefficient and minor expands to its closed form; on a
+companion matrix with free coefficients every minor and its scale are the
+composite and the sum of |term| over its terms; and on criterion 5's
+random scenarios every generic dead-band scale is the sum of |term| over
+the closed form's terms, and every value and scale is the Python sum of
+its Leibniz terms bit for bit.
 """
 
 import math
@@ -22,7 +23,7 @@ from conftest import random_cases
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import solve_all
 from twostrain.model import jacobian
-from twostrain.stability import _COEFFICIENTS, _LEIBNIZ, _MINORS, KINDS, _expand, _sums, classify
+from twostrain.stability import _LEIBNIZ, KINDS, _quantities, _sums, classify
 
 C11, C13, C14, C22, C24, C31, C33, C41, C42, C44, r, mu = sp.symbols(
     "C11 C13 C14 C22 C24 C31 C33 C41 C42 C44 r mu"
@@ -111,26 +112,21 @@ def composite_terms(c):
 
 
 def symbolic_jacobian(kind):
-    """The symbolic Jacobian at ``kind`` as a one-matrix object stack."""
+    """The 16 entries of the symbolic Jacobian at ``kind``, row by row."""
     _, fixed, _ = CLOSED[kind]
-    return np.array(JACOBIAN.subs(fixed).tolist(), dtype=object)[None]
+    return list(JACOBIAN.subs(fixed))
 
 
-def charpoly(J, kinds):
-    return _expand(J.reshape(len(J), 16), _COEFFICIENTS, kinds)
-
-
-def expansion(J, kinds):
-    """Each matrix's coefficients then minors, as (values, scales) row lists."""
-    c, c_scales = charpoly(J, kinds)
-    minors, minor_scales = _expand(c, _MINORS, kinds)
-    n = [len(KINDS[kind].block) for kind in kinds]
-    for i, k in enumerate(n):  # a padded slot reads exactly 1
-        padded = [*c[i, k:], *minors[i, k - 2 :], *c_scales[i, k:], *minor_scales[i, k - 2 :]]
-        assert padded == [1.0] * len(padded)
-    values = [list(c[i, :k]) + list(minors[i, : k - 2]) for i, k in enumerate(n)]
-    scales = [list(c_scales[i, :k]) + list(minor_scales[i, : k - 2]) for i, k in enumerate(n)]
-    return values, scales
+def companion(kind, coefficients):
+    """The 16 entries of a matrix whose ``kind`` block is the companion
+    matrix of x^n + coefficients[0]*x^(n-1) + ..., zero elsewhere."""
+    block, n = KINDS[kind].block, len(coefficients)
+    M = sp.zeros(4, 4)
+    for j, c in enumerate(coefficients):
+        M[block[0], block[j]] = -c
+    for i in range(1, n):
+        M[block[i], block[i - 1]] = 1
+    return list(M)
 
 
 @pytest.mark.parametrize("kind", sorted(CLOSED))
@@ -139,9 +135,8 @@ def test_generic_coefficients_expand_to_the_closed_forms(kind):
     coefficients, minors = _sums(KINDS[kind])
     assert len(coefficients) == len(closed)
     assert len(coefficients) + len(minors) == len(KINDS[kind].names)
-    values, scales = (x[0] for x in charpoly(symbolic_jacobian(kind), [kind]))
-    # a padded slot, which classify_batch tests with the rest, reads exactly 1
-    assert list(values[len(closed) :]) == list(scales[len(closed) :]) == [1] * (len(values) - len(closed))
+    values, scales = _quantities(kind)(symbolic_jacobian(kind))
+    assert len(values) == len(scales) == len(KINDS[kind].names)
     for value, scale, terms in zip(values, scales, closed):
         assert sp.expand(value - sp.Add(*terms)) == 0
         assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
@@ -151,20 +146,17 @@ def test_generic_coefficients_expand_to_the_closed_forms(kind):
 def test_generic_hurwitz_minors_expand_to_the_composites(kind):
     closed = [sp.Add(*terms) for terms in CLOSED[kind][2]]
     coefficients = sp.symbols("x1:%d" % (len(closed) + 1))
-    source = np.array([[*coefficients, 1][:4]], dtype=object)
     composites = composite_terms(coefficients)
     assert len(_sums(KINDS[kind])[1]) == len(composites)
-    values, scales = (x[0] for x in _expand(source, _MINORS, [kind]))
-    padding = [1] * (len(values) - len(composites))
-    assert list(values[len(composites) :]) == list(scales[len(composites) :]) == padding
-    for value, scale, terms in zip(values, scales, composites):
+    # over free coefficients, read off a companion block
+    values, scales = _quantities(kind)(companion(kind, coefficients))
+    assert list(values[: len(closed)]) == list(coefficients)
+    for value, scale, terms in zip(values[len(closed) :], scales[len(closed) :], composites):
         assert sp.expand(value - sp.Add(*terms)) == 0
         assert sp.expand(scale - sp.Add(*map(sp.Abs, terms))) == 0
     # and in the Jacobian entries, through the generic coefficients
-    generic, _ = charpoly(symbolic_jacobian(kind), [kind])
-    values, scales = (x[0] for x in _expand(generic, _MINORS, [kind]))
-    assert list(values[len(composites) :]) == list(scales[len(composites) :]) == padding
-    for value, terms in zip(values, composite_terms(closed)):
+    values, _ = _quantities(kind)(symbolic_jacobian(kind))
+    for value, terms in zip(values[len(closed) :], composite_terms(closed)):
         assert sp.expand(value - sp.Add(*terms)) == 0
 
 
@@ -193,7 +185,7 @@ def test_generic_scales_equal_closed_form_term_sums():
         eqs = solve_all(p, inc1, inc2)
         for eq in eqs.all[1:]:
             J = jacobian(p, inc1, inc2, eq.point)
-            (values,), (scales,) = expansion(J[None], [eq.kind])
+            values, scales = _quantities(eq.kind)(J.ravel().tolist())
             entries = [J[0, 0], J[0, 2], J[0, 3], J[1, 1], J[1, 3], J[2, 0], J[2, 2]]
             entries += [J[3, 0], J[3, 1], J[3, 3], p.r, p.mu]
             closed = evaluate[eq.kind](*entries)
@@ -203,28 +195,9 @@ def test_generic_scales_equal_closed_form_term_sums():
                 assert scale == pytest.approx(magnitude, rel=1e-14, abs=0.0)
                 assert abs(value - sum(terms)) <= 1e-14 * scale
             report = classify(p, inc1, inc2, eq)
-            assert list(report.coefficients.values()) == values
+            assert list(report.coefficients.values()) == list(values)
             checked[eq.kind] += 1
     assert min(checked.values()) >= 20, checked
-
-
-def test_stacked_expansion_equals_each_one_row_expansion():
-    stack, kinds = [], []
-    for p, inc1, inc2 in random_cases(1105, 200):
-        for eq in solve_all(p, inc1, inc2).all[1:]:
-            stack.append(jacobian(p, inc1, inc2, eq.point))
-            kinds.append(eq.kind)
-    assert set(kinds) == set(KINDS)
-    J = np.array(stack)
-    c, c_scales = charpoly(J, kinds)
-    minors, minor_scales = _expand(c, _MINORS, kinds)
-    for i, kind in enumerate(kinds):
-        one_c, one_c_scales = charpoly(J[i : i + 1], [kind])
-        one_minors, one_minor_scales = _expand(one_c, _MINORS, [kind])
-        assert one_c.tobytes() == c[i : i + 1].tobytes()
-        assert one_c_scales.tobytes() == c_scales[i : i + 1].tobytes()
-        assert one_minors.tobytes() == minors[i : i + 1].tobytes()
-        assert one_minor_scales.tobytes() == minor_scales[i : i + 1].tobytes()
 
 
 def python_charpoly(M):
@@ -253,15 +226,15 @@ def python_minors(c):
 
 
 def test_expansion_is_the_python_sum_of_its_terms_bit_for_bit():
-    stack, kinds = [], []
+    kinds = set()
     for p, inc1, inc2 in random_cases(1105, 200):
         for eq in solve_all(p, inc1, inc2).all[1:]:
-            stack.append(jacobian(p, inc1, inc2, eq.point))
-            kinds.append(eq.kind)
-    values, scales = expansion(np.array(stack), kinds)
-    for J, kind, value, scale in zip(stack, kinds, values, scales):
-        block = KINDS[kind].block
-        c, c_scales = python_charpoly(J[np.ix_(block, block)].tolist())
-        minors, minor_scales = python_minors(c)
-        assert [float(x).hex() for x in value] == [float(x).hex() for x in c + minors]
-        assert [float(x).hex() for x in scale] == [float(x).hex() for x in c_scales + minor_scales]
+            J = jacobian(p, inc1, inc2, eq.point)
+            value, scale = _quantities(eq.kind)(J.ravel().tolist())
+            block = KINDS[eq.kind].block
+            c, c_scales = python_charpoly(J[np.ix_(block, block)].tolist())
+            minors, minor_scales = python_minors(c)
+            assert [x.hex() for x in value] == [float(x).hex() for x in c + minors]
+            assert [x.hex() for x in scale] == [float(x).hex() for x in c_scales + minor_scales]
+            kinds.add(eq.kind)
+    assert kinds == set(KINDS)
