@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .equilibria import BLOCK_ROWS, Equilibrium, _Rows, solve_all, solve_batch
-from .errors import ConfigError
+from .errors import ConfigError, _require_grid
 from .incidence import BUILT_IN_FAMILIES
 from .model import PARAM_NAMES, Thresholds, thresholds
 from .scenario import Scenario
@@ -24,7 +24,6 @@ from .stability import (
     GridScanSummary,
     StabilityReport,
     Verdict,
-    _require_grid,
     classify_batch,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
@@ -54,7 +53,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     derivative check when the coexistence equilibrium exists. ``grid``, the
     scan's points per axis, must be an integer >= 1.
     """
-    _require_grid(grid, "grid")
+    _require_grid(grid, "grid", 1)
     p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
     eqs = solve_all(p, inc1, inc2)
     th = eqs.thresholds
@@ -348,7 +347,8 @@ def sweep(
     n: int,
     classify: bool = True,
 ) -> List[SweepRow]:
-    """Evaluate thresholds (and optionally equilibria with verdicts) on a grid.
+    """Evaluate thresholds (and optionally equilibria with verdicts) on a
+    grid of ``n`` points, an integer >= 2.
 
     Every row is built by ``apply_sweep_value``; a value it refuses is a
     ConfigError naming the key and the value. Without ``classify`` the
@@ -360,8 +360,10 @@ def sweep(
     neighbours. A row whose coexistence solve fails reads "solve failed" as
     its E3 verdict.
     """
-    if n < 2:
-        raise ConfigError("sweep needs n >= 2 grid points")
+    try:
+        _require_grid(n, "n", 2)
+    except ValueError as exc:
+        raise ConfigError("sweep %s" % exc) from None
     if not np.all(np.isfinite([start, stop])):
         raise ConfigError("sweep bounds must be finite, got %r and %r" % (start, stop))
     _resolve_key(key)  # validate before running

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one rule for grid sizes."""
+
+import numbers
 
 
 class TwoStrainError(Exception):
@@ -32,3 +34,10 @@ class IntegrationError(TwoStrainError):
         super().__init__(message)
         self.last_time = last_time
         self.last_state = last_state
+
+
+def _require_grid(n, name: str, minimum: int) -> None:
+    """Refuse a grid size ``name`` that is not an integer >= ``minimum``;
+    numpy integers count, bools and floats do not."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < minimum:
+        raise ValueError("%s must be an integer >= %d, not %r" % (name, minimum, n))

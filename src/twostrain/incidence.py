@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedLimitError
+from .errors import DomainError, UnsupportedLimitError, _require_grid
 
 # Step scale for one-coordinate finite differences on custom rates.
 _FD_EPS = math.sqrt(np.finfo(float).eps)
@@ -136,7 +136,8 @@ class IncidenceSpec:
     """Immutable description of one strain's incidence rate.
 
     Use the classmethod constructors; the raw constructor validates the
-    family, a built-in family's coefficients and that a custom rate is callable.
+    family, a built-in family's coefficients (bilinear takes no zeta) and
+    that a custom rate is callable.
     """
 
     family: str
@@ -150,6 +151,8 @@ class IncidenceSpec:
     def __post_init__(self):
         if self.family in _CLOSED_FORMS:
             _check_coefficients(self.beta, self.zeta)
+            if self.family == "bilinear" and self.zeta != 0.0:
+                raise ValueError("bilinear incidence takes no zeta")
         elif self.family != "custom":
             raise ValueError("unknown incidence family %r" % (self.family,))
         elif not callable(self.rate_fn):
@@ -306,7 +309,8 @@ class IncidenceSpec:
     # -- hypothesis checking --------------------------------------------------
 
     def check_hypotheses(self, S_max: float, I_max: float, n_grid: int = 64) -> "HypothesisReport":
-        """Certify the structural hypotheses on an n_grid x n_grid lattice.
+        """Certify the structural hypotheses on an n_grid x n_grid lattice,
+        n_grid an integer >= 8.
 
         This is a necessary-condition check on finitely many points of
         [0, S_max] x [0, I_max], not a proof over the continuum. Checks:
@@ -319,8 +323,7 @@ class IncidenceSpec:
         """
         if not (0.0 < S_max < np.inf and 0.0 < I_max < np.inf):
             raise ValueError("S_max and I_max must be finite and positive")
-        if n_grid < 8:
-            raise ValueError("n_grid must be at least 8")
+        _require_grid(n_grid, "n_grid", 8)
 
         S_axis = np.linspace(0.0, float(S_max), n_grid)
         I_axis = np.linspace(0.0, float(I_max), n_grid)

@@ -27,7 +27,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .equilibria import disease_free
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, _require_grid
 from .incidence import IncidenceSpec
 from .model import (
     ModelParams,
@@ -223,10 +223,11 @@ def _quantities(kind: str):
     lines = ["def quantities(j):", "    %s = j" % ", ".join("j%d" % i for i in range(16))]
     for name, (outer, terms) in zip(names, coefficients + minors):
         products = ["*".join(factors) for _, factors in terms]
-        value = "0" + "".join(" %s %s" % ("+-"[sign < 0], t) for (sign, _), t in zip(terms, products))
+        value = "0" + "".join(" %s %s" % ("-" if sign < 0 else "+", t) for (sign, _), t in zip(terms, products))
         lines.append("    %s = %s" % (name, value if outer > 0 else "-(%s)" % value))
         lines.append("    %s_scale = 0%s" % (name, "".join(" + abs(%s)" % t for t in products)))
-    lines.append("    return (%s), (%s)" % tuple(", ".join(n + suffix for n in names) for suffix in ("", "_scale")))
+    scales = [name + "_scale" for name in names]
+    lines.append("    return (%s), (%s)" % (", ".join(names), ", ".join(scales)))
     return _compiled("quantities", lines, "<stability quantities, %s>" % kind, {})
 
 
@@ -405,16 +406,10 @@ def lyapunov_scan_grid(p: ModelParams, n_grid: int = 200):
     Ranges are (1e-6*S0, S0] and (1e-6*V10, V10]; the lower ends stay off
     the singular boundary where the surface diverges to -inf.
     """
-    _require_grid(n_grid, "n_grid")
+    _require_grid(n_grid, "n_grid", 1)
     S_values = np.geomspace(1e-6 * p.susceptible_cap, p.susceptible_cap, n_grid)
     V1_values = np.geomspace(1e-6 * p.vaccinated_cap, p.vaccinated_cap, n_grid)
     return S_values, V1_values
-
-
-def _require_grid(n, name: str) -> None:
-    """Refuse a grid size ``name`` that is not an integer >= 1."""
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError("%s must be an integer >= 1, not %r" % (name, n))
 
 
 def strain2_lyapunov_scan(

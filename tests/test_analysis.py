@@ -345,6 +345,16 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(sc, "r", 0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("n", [1, 2.5, 3.0, True, None])
+    def test_refuses_a_size_not_an_integer_at_least_two(self, n):
+        # a float size used to fail inside np.linspace with a TypeError
+        with pytest.raises(ConfigError, match="sweep n must be an integer >= 2, not %r" % (n,)):
+            sweep(build_scenario("6.4"), "r", 0.0, 0.2, n)
+
+    def test_a_numpy_integer_size_is_a_size(self):
+        sc = build_scenario("6.4")
+        assert sweep(sc, "r", 0.0, 0.2, np.int64(3), classify=False) == sweep(sc, "r", 0.0, 0.2, 3, classify=False)
+
 
 class TestTurningPoint:
     def test_interior_maximum_found(self):

@@ -14,6 +14,9 @@ its Leibniz terms bit for bit.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -158,6 +161,19 @@ def test_generic_hurwitz_minors_expand_to_the_composites(kind):
     values, _ = _quantities(kind)(symbolic_jacobian(kind))
     for value, terms in zip(values[len(closed) :], composite_terms(closed)):
         assert sp.expand(value - sp.Add(*terms)) == 0
+
+
+def test_each_kind_is_compiled_once_on_first_use():
+    # importing the package compiles none, so a run that never classifies
+    # (the ensemble) never pays for them
+    code = "import twostrain.stability as s; print(s._quantities.cache_info().currsize)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+    for kind in KINDS:
+        assert _quantities(kind) is _quantities(kind)
+        assert _quantities(kind).__code__.co_filename == "<stability quantities, %s>" % kind
+        assert _quantities(kind).source.startswith("def quantities(j):\n")
 
 
 def test_symbolic_jacobian_has_the_structure_of_model_jacobian():

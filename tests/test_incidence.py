@@ -53,6 +53,15 @@ class TestConstruction:
         # custom callables carry no coefficients to check
         assert IncidenceSpec("custom", rate_fn=lambda S, I: S * I).beta == 0.0
 
+    def test_bilinear_takes_no_zeta(self):
+        # its rate ignores zeta, so a zeta would be printed and serialized
+        # nowhere and lost in a scenario's round trip
+        with pytest.raises(ValueError, match="bilinear incidence takes no zeta"):
+            IncidenceSpec("bilinear", 2e-4, 0.5)
+        with pytest.raises(ValueError, match="bilinear incidence takes no zeta"):
+            dataclasses.replace(IncidenceSpec.bilinear(2e-4), zeta=0.5)
+        assert IncidenceSpec("bilinear", 2e-4, 0.0, label="bilinear") == IncidenceSpec.bilinear(2e-4)
+
     @pytest.mark.parametrize("family", ["bilinar", "Bilinear", "", "saturated"])
     def test_unknown_family_rejected(self, family):
         with pytest.raises(ValueError, match="unknown incidence family %r" % family):
@@ -243,7 +252,7 @@ class TestPartials:
     def test_float32_inputs_give_the_float64_partials(self, family):
         # the complex step is complex128 for every input: in complex64 the
         # step 2**-600 would underflow to 0
-        inc = IncidenceSpec(family, 2e-4, 0.9)
+        inc = IncidenceSpec(family, 2e-4, 0.0 if family == "bilinear" else 0.9)
         S32, I32 = np.geomspace(1e-2, 1e4, 9, dtype=np.float32), np.geomspace(1e4, 1e-2, 9, dtype=np.float32)
         S64, I64 = S32.astype(float), I32.astype(float)
         for partial in (inc.d_rate_dS, inc.d_rate_dI):
@@ -463,6 +472,18 @@ class TestHypothesisChecks:
             inc.check_hypotheses(-1.0, 10.0)
         with pytest.raises(ValueError):
             inc.check_hypotheses(10.0, 10.0, n_grid=4)
+
+    @pytest.mark.parametrize("n_grid", [7, 10.5, 8.0, True, None])
+    def test_refuses_a_grid_size_not_an_integer_at_least_eight(self, n_grid):
+        # a float size used to fail inside np.linspace with a TypeError
+        with pytest.raises(ValueError, match="n_grid must be an integer >= 8, not %r" % (n_grid,)):
+            IncidenceSpec.bilinear(2e-4).check_hypotheses(1e3, 1e3, n_grid=n_grid)
+
+    def test_a_numpy_integer_grid_size_is_a_size(self):
+        inc = IncidenceSpec.saturated_s(2e-4, 0.9)
+        report = inc.check_hypotheses(1e3, 1e3, n_grid=np.int64(10))
+        assert report == inc.check_hypotheses(1e3, 1e3, n_grid=10)
+        assert report.n_grid == 10
 
 
 class TestSusceptible:

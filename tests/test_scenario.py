@@ -1,11 +1,12 @@
 """Scenario file parsing, validation, and bit-identical serialization."""
 
+import dataclasses
 import math
 
 import pytest
 
 from twostrain.errors import ConfigError
-from twostrain.incidence import IncidenceSpec
+from twostrain.incidence import BUILT_IN_FAMILIES, IncidenceSpec
 from twostrain.model import ModelParams, State
 from twostrain.scenario import (
     Scenario,
@@ -244,6 +245,15 @@ class TestSerialization:
     def test_parse_serialize_parse_round_trip(self):
         sc = parse_scenario(FULL)
         assert parse_scenario(serialize_scenario(sc)) == sc
+
+    @pytest.mark.parametrize("family", BUILT_IN_FAMILIES)
+    def test_round_trip_of_each_family(self, family):
+        zeta = 0.0 if family == "bilinear" else 0.7 / 3.0
+        inc = IncidenceSpec(family, 2e-4 / 3.0, zeta, label=family)
+        sc = parse_scenario(MINIMAL)
+        for field in ("incidence1", "incidence2"):
+            other = dataclasses.replace(sc, **{field: inc})
+            assert parse_scenario(serialize_scenario(other)) == other
 
     def test_bilinear_serializes_without_zeta(self):
         sc = parse_scenario(MINIMAL.replace(
