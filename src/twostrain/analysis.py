@@ -410,11 +410,14 @@ def turning_point(xs, ys) -> Optional[Tuple[int, float]]:
 
     Returns (index, xs[index]) of the largest sample when it is interior,
     None when the maximum sits on either end (no turning point resolved).
+    A non-finite sample has no place in the order, so it is refused.
     """
     xs = np.asarray(xs, float)
     ys = np.asarray(ys, float)
     if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 3:
         raise ValueError("need matching 1-D arrays with at least 3 samples")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("turning_point needs finite samples")
     i = int(np.argmax(ys))
     if i == 0 or i == xs.size - 1:
         return None

@@ -74,14 +74,15 @@ def _saturated_s_susceptible(b, z, I, target, c):
         return np.where(lin >= 0.0, 2.0 * target / (lin + root), (root - lin) / (2.0 * a))
 
 
-# Each built-in family's F(S, I) as one expression over (b, z, S, I) for
-# (beta, zeta, S, I): the table's ``rate`` is compiled from this text, and
-# the integrator's kernel writes it into its stages.
-_RATE_TEXTS = {
-    "bilinear": "b * S * I",
-    "saturated_s": "b * S * I / (1.0 + z * S)",
-    "saturated_i2": "b * S * I / (1.0 + z * I * I)",
+# Each built-in family's saturation, as text over (b, z, S, I) for (beta,
+# zeta, S, I): it divides the rate b*S*I, the force b*S and the contact
+# factor b alike. The integrator's kernel writes the rate into its stages.
+_SATURATION = {
+    "bilinear": "",
+    "saturated_s": " / (1.0 + z * S)",
+    "saturated_i2": " / (1.0 + z * I * I)",
 }
+_RATE_TEXTS = {family: "b * S * I" + saturation for family, saturation in _SATURATION.items()}
 
 
 # The complex step h: Im F(x + i*h)/h is dF/dx exact to rounding for a text of +, -, * and /
@@ -89,44 +90,37 @@ _RATE_TEXTS = {
 # arguments are complex128 for every input: float32 gives complex64, in which h underflows.
 _STEP = 2.0 ** -600
 
+# Each built-in family's closed forms, each a function of (beta, zeta, S, I),
+# and ``susceptible`` of (beta, zeta, I, target, c): the S > 0 with
+# force(S, I) + c*S = target (c >= 0, target > 0), inf where none exists.
+_ClosedForms = namedtuple("_ClosedForms", "rate d_rate_dS d_rate_dI force contact_factor susceptible")
 
-def _rate(family):
-    """The family's F, compiled from its text, and its complex-step dF/dS and dF/dI, of (b, z, S, I)."""
-    rate = eval("lambda b, z, S, I: " + _RATE_TEXTS[family])
-    return (
-        rate,
-        lambda b, z, S, I: rate(b, z, np.complex128(S) + 1j * _STEP, np.complex128(I)).imag / _STEP,
-        lambda b, z, S, I: rate(b, z, np.complex128(S), np.complex128(I) + 1j * _STEP).imag / _STEP,
+
+def _forms(family, susceptible) -> _ClosedForms:
+    """The family's rate, force and contact factor compiled from their texts,
+    the complex-step dF/dS and dF/dI of its rate, and ``susceptible``. A term
+    0.0 * S or 0.0 * I broadcasts a form that is constant in that argument
+    against it, so array shapes survive."""
+    saturation = _SATURATION[family]
+    texts = dict(rate=_RATE_TEXTS[family], force="b * S" + saturation, contact_factor="b" + saturation)
+    forms = {
+        name: eval("lambda b, z, S, I: " + text + "".join(" + 0.0 * " + x for x in "SI" if x not in text))
+        for name, text in texts.items()
+    }
+    rate = forms["rate"]
+    return _ClosedForms(
+        d_rate_dS=lambda b, z, S, I: rate(b, z, np.complex128(S) + 1j * _STEP, np.complex128(I)).imag / _STEP,
+        d_rate_dI=lambda b, z, S, I: rate(b, z, np.complex128(S), np.complex128(I) + 1j * _STEP).imag / _STEP,
+        susceptible=susceptible,
+        **forms,
     )
 
 
-# Each built-in family's formulas, each a function of (beta, zeta, S, I),
-# and ``susceptible`` of (beta, zeta, I, target, c): the S > 0 with
-# force(S, I) + c*S = target (c >= 0, target > 0), inf where none exists.
-# The rate and its partials come from the family's text (``_rate``), so a
-# new family needs its text, ``force``, ``contact_factor`` and
-# ``susceptible``. Terms like 0.0 * I broadcast a result that is constant
-# in one argument against it, so array shapes survive.
-_ClosedForms = namedtuple("_ClosedForms", "rate d_rate_dS d_rate_dI force contact_factor susceptible")
+# A new family needs its saturation text and ``susceptible``.
 _CLOSED_FORMS = {
-    "bilinear": _ClosedForms(
-        *_rate("bilinear"),
-        force=lambda b, z, S, I: b * S + 0.0 * I,
-        contact_factor=lambda b, z, S, I: b + 0.0 * S + 0.0 * I,
-        susceptible=lambda b, z, I, target, c: target / (b + c + 0.0 * I),
-    ),
-    "saturated_s": _ClosedForms(
-        *_rate("saturated_s"),
-        force=lambda b, z, S, I: b * S / (1.0 + z * S) + 0.0 * I,
-        contact_factor=lambda b, z, S, I: b / (1.0 + z * S) + 0.0 * I,
-        susceptible=_saturated_s_susceptible,
-    ),
-    "saturated_i2": _ClosedForms(
-        *_rate("saturated_i2"),
-        force=lambda b, z, S, I: b * S / (1.0 + z * I * I),
-        contact_factor=lambda b, z, S, I: b / (1.0 + z * I * I) + 0.0 * S,
-        susceptible=lambda b, z, I, target, c: target / (b / (1.0 + z * I * I) + c),
-    ),
+    "bilinear": _forms("bilinear", lambda b, z, I, target, c: target / (b + c + 0.0 * I)),
+    "saturated_s": _forms("saturated_s", _saturated_s_susceptible),
+    "saturated_i2": _forms("saturated_i2", lambda b, z, I, target, c: target / (b / (1.0 + z * I * I) + c)),
 }
 BUILT_IN_FAMILIES = tuple(_CLOSED_FORMS)
 

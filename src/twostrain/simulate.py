@@ -626,6 +626,8 @@ def detect_convergence(
         require_certified(c)
     if traj.model is None:
         raise ValueError("convergence needs the model of a trajectory from integrate")
+    if len(traj.times) == 0:
+        raise ValueError("empty trajectory")
     t_last = float(traj.times[-1])
     tail = traj.times >= t_last - opts.tail_window
     if not np.all(field_norms(*traj.model, traj.states[tail]) < opts.convergence_tol):

@@ -11,9 +11,10 @@ verdict is cross-checked against a dense eigensolver. The two routes are
 kept independent on purpose: an error in either one shows up as a
 cross-validation disagreement instead of a silent wrong answer.
 
-Verdicts use a dead-band: eigenvalue real parts within 1e-10 of zero, and
-coefficients within 1e-10 of the sum of the absolute values of their
-terms, yield Inconclusive rather than a guess.
+Both routes sign their quantities by one rule, ``_verdict``: one within
+1e-10*max(1, scale) of zero, with scale 1 for an eigenvalue real part and
+the sum of the absolute values of its terms for a Routh-Hurwitz sum, yields
+Inconclusive rather than a guess.
 """
 
 from __future__ import annotations
@@ -88,40 +89,45 @@ def eigen_classify(J: np.ndarray) -> tuple:
     J = np.asarray(J, float)
     if J.ndim != 2 or J.shape[0] != J.shape[1] or J.size == 0:
         raise ValueError("eigen_classify needs a square 2-D matrix of size >= 1, not shape %s" % (J.shape,))
-    eigs, signs = _spectra(J[None])
-    return eigs[0], _combine(signs)[0]
+    eigs = _spectra(J[None])[0]
+    return eigs, _verdict((-eigs.real).tolist(), _UNIT)
 
 
-def _spectra(J: np.ndarray) -> tuple:
+def _spectra(J: np.ndarray) -> np.ndarray:
     """The eigenvalues of each matrix of an (m, n, n) stack, from one
-    eigensolve, as complex numbers sorted by descending real part, and the
-    banded signs of their negated real parts."""
+    eigensolve, as complex numbers sorted by descending real part."""
     if not np.isfinite(J).all():
         raise DomainError("eigen_classify requires finite matrix entries")
     try:
         eigs = np.linalg.eigvals(J).astype(complex)
     except np.linalg.LinAlgError as exc:
         raise SolverError("eigensolver failed to converge") from exc
-    eigs = eigs[np.arange(len(eigs))[:, None], np.argsort(-eigs.real, axis=-1)]
-    return eigs, _sign_banded(-eigs.real, 1.0)
+    return eigs[np.arange(len(eigs))[:, None], np.argsort(-eigs.real, axis=-1)]
 
 
-def _sign_banded(value, scale) -> np.ndarray:
-    """Sign of each quantity with a relative dead-band: +1, -1, or 0 (marginal)."""
-    band = EIGEN_DEADBAND * np.fmax(1.0, scale)
-    return (value > band).astype(int) - (value < -band)
+#: unit scales, the bare EIGEN_DEADBAND, for any number of quantities
+_UNIT = itertools.repeat(1.0)
 
 
-def _combine(signs) -> list:
-    """The verdict of each row of banded signs of quantities that a stable
-    point makes positive.
+def _verdict(tested, scales) -> Verdict:
+    """The verdict on quantities that a stable point makes positive, each
+    with the scale of its dead-band EIGEN_DEADBAND*max(1, scale); a NaN
+    scale gives the bare EIGEN_DEADBAND.
 
     The quantities are negated eigenvalues, or Routh-Hurwitz coefficients and
-    minors. A single strictly negative one already certifies instability:
-    every one of them is positive when all eigenvalues have negative real part.
+    minors. A single one below its band already certifies instability: every
+    one of them is positive when all eigenvalues have negative real part.
+    Otherwise one that is not above its band, NaN included, is marginal.
     """
-    verdicts = (Verdict.UNSTABLE, Verdict.INCONCLUSIVE, Verdict.LOCALLY_STABLE)
-    return [verdicts[sign + 1] for sign in np.min(signs, axis=-1).tolist()]
+    verdict = Verdict.LOCALLY_STABLE
+    for q, scale in zip(tested, scales):
+        # EIGEN_DEADBAND*max(1, scale), NaN scale included, without the call
+        band = EIGEN_DEADBAND * scale if scale > 1.0 else EIGEN_DEADBAND
+        if q < -band:
+            return Verdict.UNSTABLE
+        if not q > band:
+            verdict = Verdict.INCONCLUSIVE
+    return verdict
 
 
 class Kind(NamedTuple):
@@ -266,10 +272,12 @@ def classify_batch(rows) -> list:
 
     The rows may mix incidence family pairs: each row's Jacobian binds its
     own rate texts. One ``model.jacobians`` call and one stacked eigensolve
-    serve every row. Each E1, E2 and E3 row's coefficients and minors come
-    from its kind's compiled ``_quantities`` on its Jacobian's entries, and
-    the closed-form spectra of the E0 rows are one array, whose banded
-    signs are taken with the rest.
+    serve every row. Each row is then signed on Python floats, by one rule
+    (``_verdict``) for both routes: the eigen route tests the negated real
+    parts of its spectrum; the Routh-Hurwitz route tests an E0 row's
+    negated closed-form eigenvalues, or an E1, E2 or E3 row's coefficients
+    and minors from its kind's compiled ``_quantities``, with the negated
+    invasion eigenvalue of a boundary kind.
     """
     rows = list(rows)
     if not rows:
@@ -278,71 +286,59 @@ def classify_batch(rows) -> list:
         if eq.kind != "E0":
             require_certified(eq)
     J = jacobians([(p, inc1, inc2, eq.point) for p, inc1, inc2, eq in rows])
-    eigs, eigen_signs = _spectra(J)
-    e0 = [i for i, row in enumerate(rows) if row[3].kind == "E0"]
-    # each row's quantities that a stable point makes positive, with their
-    # dead-band scales: E0's negated eigenvalues, or a kind's coefficients,
-    # minors and negated invasion eigenvalue; 1 fills the unused columns
-    tested, scales = np.ones((len(rows), 7)), np.ones((len(rows), 7))
-    fields = {}
-    if e0:
-        closed, e0_fields = _closed_form_fields([rows[i][:3] for i in e0])
-        tested[e0, :4] = -closed
-        fields.update(zip(e0, e0_fields))
-    for i, row in enumerate(rows):
-        if row[3].kind == "E0":
-            continue
-        kind = KINDS[row[3].kind]
-        values, value_scales = _quantities(row[3].kind)(J[i].ravel().tolist())
-        tested[i, : len(values)], scales[i, : len(values)] = values, value_scales
-        if kind.strain is not None:
-            tested[i, 6] = -J[i, 1 + kind.absent, 1 + kind.absent]
-        fields[i] = _coefficient_fields(row, values, J[i], eigs[i])
-    verdicts = zip(_combine(_sign_banded(tested, scales)), _combine(eigen_signs))
-    return [
-        StabilityReport(row[3].kind, verdict=verdict, eigen_verdict=eigen_verdict, **fields[i])
-        for i, (row, (verdict, eigen_verdict)) in enumerate(zip(rows, verdicts))
-    ]
+    eigs = _spectra(J)
+    reports = []
+    # each row's 16 entries of J and negated eigenvalue real parts, as Python floats
+    entries, negated = J.reshape(len(rows), 16).tolist(), (-eigs.real).tolist()
+    for row, j, eigenvalues, minus_real in zip(rows, entries, eigs, negated):
+        kind = row[3].kind
+        tested, scales, fields = (
+            _closed_form_fields(*row[:3]) if kind == "E0" else _coefficient_fields(row, j, eigenvalues)
+        )
+        verdict, eigen_verdict = _verdict(tested, scales), _verdict(minus_real, _UNIT)
+        reports.append(StabilityReport(kind, verdict=verdict, eigen_verdict=eigen_verdict, **fields))
+    return reports
 
 
-def _closed_form_fields(cases) -> tuple:
-    """E0's spectrum for each (p, inc1, inc2) case, as one (k, 4) array,
-    and the eigenvalues, coefficients, conditions and notes of its report.
+def _closed_form_fields(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> tuple:
+    """E0's negated closed-form eigenvalues, the quantities its verdict
+    tests, with unit scales, and the eigenvalues, coefficients, conditions
+    and notes of its report.
 
     The Jacobian at E0 is block triangular, so the eigenvalues are exactly
-    -lam, -mu, alpha1*(R1 - 1) and alpha2*(R2 - 1), from the case's
-    parameters and thresholds.
+    -lam, -mu, alpha1*(R1 - 1) and alpha2*(R2 - 1), from the parameters and
+    thresholds.
     """
-    ths = [thresholds(*case) for case in cases]
-    closed = np.array([
-        (-p.lam, -p.mu, p.alpha1 * (th.R1 - 1.0), p.alpha2 * (th.R2 - 1.0))
-        for (p, *_), th in zip(cases, ths)
-    ])
-    spectra = np.sort(closed, axis=1)[:, ::-1].astype(complex)
-    fields = [
-        dict(
-            eigenvalues=eigenvalues,
-            coefficients={},
-            conditions={"R1 < 1": th.R1 < 1.0, "R2 < 1": th.R2 < 1.0},
-            notes=(
-                "closed-form eigenvalues: -lam = %.6g, -mu = %.6g, "
-                "alpha1*(R1-1) = %.6g, alpha2*(R2-1) = %.6g" % tuple(values),
-            ),
-        )
-        for eigenvalues, values, th in zip(spectra, closed.tolist(), ths)
-    ]
-    return closed, fields
+    th = thresholds(p, inc1, inc2)
+    closed = (-p.lam, -p.mu, p.alpha1 * (th.R1 - 1.0), p.alpha2 * (th.R2 - 1.0))
+    fields = dict(
+        eigenvalues=np.array(sorted(closed, reverse=True), complex),
+        coefficients={},
+        conditions={"R1 < 1": th.R1 < 1.0, "R2 < 1": th.R2 < 1.0},
+        notes=(
+            "closed-form eigenvalues: -lam = %.6g, -mu = %.6g, "
+            "alpha1*(R1-1) = %.6g, alpha2*(R2-1) = %.6g" % closed,
+        ),
+    )
+    return [-value for value in closed], _UNIT, fields
 
 
-def _coefficient_fields(row, values: tuple, J: np.ndarray, eigenvalues: np.ndarray) -> dict:
-    """The eigenvalues, coefficients, conditions and notes of the report of
-    an E1, E2 or E3 row, from its coefficients and minors and its Jacobian."""
+def _coefficient_fields(row, j: list, eigenvalues: np.ndarray) -> tuple:
+    """An E1, E2 or E3 row's tested quantities and their scales, and the
+    eigenvalues, coefficients, conditions and notes of its report, from the
+    16 entries ``j`` of its Jacobian in row-major order.
+
+    The quantities are its kind's ``_quantities``, then for a boundary kind
+    the negated invasion eigenvalue, with scale 1.
+    """
     p, inc1, inc2, eq = row
     kind = KINDS[eq.kind]
+    values, scales = _quantities(eq.kind)(j)
+    tested = values
     conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
     notes = []
     if eq.kind == "E2":
-        dF2_dI2 = -J[0, 3]  # the S row holds -F2(S, I2)
+        dF2_dI2 = -j[3]  # the S row holds -F2(S, I2)
         path = (
             "dF2/dI2 = %.6g > 0 at the equilibrium: explicit coefficient test"
             if dF2_dI2 > 0.0
@@ -351,15 +347,16 @@ def _coefficient_fields(row, values: tuple, J: np.ndarray, eigenvalues: np.ndarr
         notes.append(path % dF2_dI2)
     if kind.strain is not None:
         absent, pt = kind.absent, eq.point
-        eigenvalue = J[1 + absent, 1 + absent]
+        eigenvalue = j[5 * (1 + absent)]  # the diagonal entry of the absent strain's I row
+        tested, scales = values + (-eigenvalue,), scales + (1.0,)
         invasion = "R%d_invasion" % absent
-        conditions[invasion + " < 1"] = bool(eigenvalue < 0.0)
+        conditions[invasion + " < 1"] = eigenvalue < 0.0
         number = reproduction_number(p, (inc1, inc2)[absent - 1], absent, pt.S, pt.V1)
         notes.append(
             "invasion eigenvalue alpha%d*(%s - 1) = %.6g (%s = %.6g)"
             % (absent, invasion, eigenvalue, invasion, number)
         )
-    return dict(
+    return tested, scales, dict(
         eigenvalues=eigenvalues,
         coefficients=dict(zip(kind.names, values)),
         conditions=conditions,

@@ -375,6 +375,14 @@ class TestTurningPoint:
         with pytest.raises(ValueError):
             turning_point([0.0, 1.0, 2.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        # np.argmax stops at the first NaN, which read as an interior maximum
+        with pytest.raises(ValueError, match="finite"):
+            turning_point([0.0, 1.0, 2.0, 3.0], [0.0, bad, 1.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            turning_point([0.0, bad, 2.0, 3.0], [0.0, 2.0, 1.0, 0.0])
+
     def test_vaccination_rate_maximizing_strain2_threshold(self):
         # with S-saturated strain-2 incidence the threshold first rises with
         # the vaccination rate (the k*V1 route grows) and then falls again;

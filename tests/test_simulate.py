@@ -478,6 +478,16 @@ class TestDetectConvergence:
         with pytest.raises(PreconditionError):
             detect_convergence(traj, [sloppy])
 
+    def test_empty_trajectory_rejected(self):
+        # as monitor_invariance rejects it, not by an IndexError
+        p, inc1, inc2 = setup_low_transmission()
+        traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0, sample_times=()))
+        assert len(traj.times) == 0
+        with pytest.raises(ValueError, match="empty trajectory"):
+            detect_convergence(traj, [disease_free(p, inc1, inc2)])
+        with pytest.raises(ValueError, match="empty trajectory"):
+            monitor_invariance(traj, p)
+
 
 def checked_run(p, inc1, inc2, y0, opts, calls=None):
     """adaptive_rk45 driven by the checked vector field; the (t, y) of every
@@ -1061,6 +1071,37 @@ class TestClosedFormTable:
                     expected = public(np.float64(S), np.float64(I))
                     assert same_bits(entry(inc.beta, inc.zeta, S, I), expected), (name, S, I)
                     assert same_bits(public(S, I), expected), (name, S, I)
+
+    # each family's force and contact factor as written by hand before they
+    # were compiled from its saturation text: the bit oracle of that text
+    HAND_WRITTEN = {
+        "bilinear": (
+            lambda b, z, S, I: b * S + 0.0 * I,
+            lambda b, z, S, I: b + 0.0 * S + 0.0 * I,
+        ),
+        "saturated_s": (
+            lambda b, z, S, I: b * S / (1.0 + z * S) + 0.0 * I,
+            lambda b, z, S, I: b / (1.0 + z * S) + 0.0 * I,
+        ),
+        "saturated_i2": (
+            lambda b, z, S, I: b * S / (1.0 + z * I * I),
+            lambda b, z, S, I: b / (1.0 + z * I * I) + 0.0 * S,
+        ),
+    }
+
+    @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
+    def test_forms_compiled_from_the_saturation_equal_the_hand_written_ones(self, inc):
+        forms = incidence._CLOSED_FORMS[inc.family]
+        I_grid, S_grid = np.meshgrid(self.I_AXIS, self.S_AXIS)
+        points = [(S, I) for S in self.S_AXIS for I in self.I_AXIS]
+        points += [(-S, -I) for S, I in points] + [(S_grid, I_grid), (S_grid[:, :1], I_grid[:1])]
+        for name, oracle in zip(("force", "contact_factor"), self.HAND_WRITTEN[inc.family]):
+            entry = getattr(forms, name)
+            for S, I in points:
+                expected = oracle(inc.beta, inc.zeta, S, I)
+                value = entry(inc.beta, inc.zeta, S, I)
+                # the bytes hold the sign of a zero; the shape, the broadcast
+                assert type(value) is type(expected) and same_bits(value, expected), (name, S, I)
 
     @pytest.mark.parametrize("inc", SPECS, ids=lambda inc: inc.family)
     def test_bound_forms_equal_the_public_evaluators_bitwise(self, inc):

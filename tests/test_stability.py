@@ -9,6 +9,7 @@ the closed-form coefficients symbolically.
 """
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -110,6 +111,107 @@ class TestEigenClassify:
         monkeypatch.setattr(np.linalg, "eigvals", fails)
         with pytest.raises(SolverError, match="converge"):
             eigen_classify(np.eye(2))
+
+
+def former_verdict(tested, scales):
+    """The verdict rule as it stood on padded numpy rows, ``_sign_banded``
+    then ``_combine``: the oracle of ``stability._verdict``."""
+    band = EIGEN_DEADBAND * np.fmax(1.0, np.array(scales, float))
+    value = np.array(tested, float)
+    signs = (value > band).astype(int) - (value < -band)
+    return (Verdict.UNSTABLE, Verdict.INCONCLUSIVE, Verdict.LOCALLY_STABLE)[int(np.min(signs)) + 1]
+
+
+class TestVerdictRule:
+    """``_verdict`` is the former banded signs and their minimum, one
+    quantity at a time, on Python floats."""
+
+    SCALES = (0.0, 0.5, 1.0, 2.5, 1e300, math.inf, math.nan)
+
+    @staticmethod
+    def edges(scale):
+        """Quantities at, just inside and just outside the band of ``scale``,
+        and the values every band must place."""
+        band = EIGEN_DEADBAND * max(1.0, scale)  # max keeps 1.0 over a NaN
+        near = [band, -band, math.nextafter(band, math.inf), math.nextafter(-band, -math.inf)]
+        near += [math.nextafter(band, 0.0), math.nextafter(-band, 0.0)]
+        return near + [0.0, -0.0, 1.0, -1.0, 1e305, -1e305, math.inf, -math.inf, math.nan]
+
+    def check(self, tested, scales):
+        expected = former_verdict(tested, scales)
+        assert stability._verdict(tested, scales) is expected, (tested, scales)
+        if all(scale == 1.0 for scale in scales):
+            assert stability._verdict(tested, stability._UNIT) is expected
+        return expected
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_one_quantity_at_each_edge_of_its_band(self, scale):
+        seen = {self.check([q], [scale]) for q in self.edges(scale)}
+        if math.isfinite(scale):
+            assert seen == set(Verdict)
+
+    def test_band_edges_and_nan(self):
+        assert self.check([EIGEN_DEADBAND], [1.0]) is Verdict.INCONCLUSIVE
+        assert self.check([-EIGEN_DEADBAND], [1.0]) is Verdict.INCONCLUSIVE
+        assert self.check([math.nextafter(-EIGEN_DEADBAND, -1.0)], [1.0]) is Verdict.UNSTABLE
+        assert self.check([math.nan], [1.0]) is Verdict.INCONCLUSIVE
+        # a NaN scale is the bare band, and an infinite one makes any finite value marginal
+        assert self.check([2e-10], [math.nan]) is Verdict.LOCALLY_STABLE
+        assert self.check([1e300], [math.inf]) is Verdict.INCONCLUSIVE
+        assert self.check([-1e290], [1e300]) is Verdict.INCONCLUSIVE
+
+    def test_unstable_wins_in_either_order_after_a_marginal_one(self):
+        for tested in ([0.0, -1.0], [-1.0, 0.0], [math.nan, -1.0], [-1.0, math.nan], [1.0, 0.0, 1.0, -1.0]):
+            assert self.check(tested, [1.0] * len(tested)) is Verdict.UNSTABLE
+        assert self.check([1.0, 0.0, 1.0], [1.0] * 3) is Verdict.INCONCLUSIVE
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_only_the_last_quantity_decides(self, n):
+        # E1/E2's invasion eigenvalue is the 5th quantity, E3's last minor the 6th
+        decided = ((-1.0, Verdict.UNSTABLE), (0.0, Verdict.INCONCLUSIVE), (math.nan, Verdict.INCONCLUSIVE))
+        for last, verdict in decided + ((1.0, Verdict.LOCALLY_STABLE),):
+            for scale in (0.0, 1.0, 2.5, math.nan):
+                assert self.check([0.5] * (n - 1) + [last], [2.0] * (n - 1) + [scale]) is verdict
+
+    def test_random_rows_of_edge_values(self):
+        rng = np.random.default_rng(23)
+        for _ in range(3000):
+            n = int(rng.integers(1, 8))
+            scales = [float(s) for s in rng.choice(self.SCALES, n)]
+            tested = [float(rng.choice(self.edges(scale))) for scale in scales]
+            self.check(tested, scales)
+
+    def test_reports_follow_the_former_rule(self):
+        # each route's quantities rebuilt from the Jacobian, through the oracle
+        seen = set()
+        for p, inc1, inc2 in random_cases(1105, 60):
+            rows = [(p, inc1, inc2, eq) for eq in solve_all(p, inc1, inc2).all]
+            for (*_, eq), report in zip(rows, classify_batch(rows)):
+                J = jacobian(p, inc1, inc2, eq.point)
+                assert report.eigen_verdict is former_verdict(-np.linalg.eigvals(J).real, [1.0] * 4)
+                if eq.kind == "E0":
+                    tested, scales = -report.eigenvalues.real, [1.0] * 4
+                else:
+                    tested, scales = stability._quantities(eq.kind)(J.ravel().tolist())
+                    if KINDS[eq.kind].strain is not None:
+                        absent = 1 + KINDS[eq.kind].absent
+                        tested, scales = tested + (-J[absent, absent],), scales + (1.0,)
+                assert report.verdict is former_verdict(tested, scales)
+                seen.add((eq.kind, report.verdict))
+        assert {verdict for _, verdict in seen} >= {Verdict.LOCALLY_STABLE, Verdict.UNSTABLE}
+        assert {kind for kind, _ in seen} == {"E0", "E1", "E2", "E3"}
+
+    @pytest.mark.parametrize("n", [1, 6])
+    def test_eigen_classify_of_any_size(self, n):
+        rng = np.random.default_rng(n)
+        Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        for last in (-1.0, EIGEN_DEADBAND / 2.0, -EIGEN_DEADBAND / 2.0, 1e-6):
+            # one eigenvalue at ``last``, the others well inside the left half-plane
+            real = np.array([-1.0 - k for k in range(n - 1)] + [last])
+            eigs, verdict = eigen_classify(Q @ np.diag(real) @ Q.T)
+            assert eigs.shape == (n,) and verdict is former_verdict((-eigs.real).tolist(), [1.0] * n)
+            expected = {-1.0: Verdict.LOCALLY_STABLE, 1e-6: Verdict.UNSTABLE}.get(last, Verdict.INCONCLUSIVE)
+            assert verdict is expected, (n, last)
 
 
 class TestDiseaseFree:
