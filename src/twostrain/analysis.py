@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .equilibria import BLOCK_ROWS, Equilibrium, _Rows, solve_all, solve_batch
+from .equilibria import Equilibrium, _Rows, solve_all, solve_batch
 from .errors import ConfigError, _require_grid
 from .incidence import BUILT_IN_FAMILIES
 from .model import PARAM_NAMES, Thresholds, thresholds
@@ -49,9 +49,10 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
-    strain-2-only equilibrium exists with R1 <= 1, and the trajectory
-    derivative check when the coexistence equilibrium exists. ``grid``, the
-    scan's points per axis, must be an integer >= 1.
+    strain-2-only equilibrium exists with R1 <= 1 and V10 > 0 (at r = 0 a
+    note says it was not run, and no E2 global claim is made), and the
+    trajectory derivative check when the coexistence equilibrium exists.
+    ``grid``, the scan's points per axis, must be an integer >= 1.
     """
     _require_grid(grid, "grid", 1)
     p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
@@ -76,8 +77,11 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     traj = None
     if include_global:
         if e2 is not None and th.R1 <= 1.0:
-            summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
-            global_checks.append(("strain2_lyapunov_scan", summary))
+            if p.vaccinated_cap > 0.0:
+                summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
+                global_checks.append(("strain2_lyapunov_scan", summary))
+            else:
+                notes.append("E2 surface scan not run: r = 0 leaves no vaccinated class (V10 = 0)")
         if e3 is not None:
             # every state after the start, which may lie on the boundary; the
             # scan sets aside the late states, whose values are below their
@@ -353,12 +357,11 @@ def sweep(
     Every row is built by ``apply_sweep_value``; a value it refuses is a
     ConfigError naming the key and the value. Without ``classify`` the
     thresholds of all rows come from one array evaluation. With it the rows
-    go through ``solve_batch``, one batched pass per block of BLOCK_ROWS
-    rows, and the first root of each kind in a block goes through one
-    ``classify_batch`` call. Each row's result is bit for bit that of
-    solving and classifying it alone, so a row does not depend on its
-    neighbours. A row whose coexistence solve fails reads "solve failed" as
-    its E3 verdict.
+    go through ``solve_batch``, and the first root of each kind of every
+    row goes through one ``classify_batch`` call. Each row's result is bit
+    for bit that of solving and classifying it alone, so a row does not
+    depend on its neighbours. A row whose coexistence solve fails reads
+    "solve failed" as its E3 verdict.
     """
     try:
         _require_grid(n, "n", 2)
@@ -386,22 +389,21 @@ def sweep(
         ]
     rows: List[SweepRow] = []
     solved = solve_batch(cases)
-    for at in range(0, n, BLOCK_ROWS):
-        # each row's first root of each kind, or None
-        firsts = [{kind: _first(eqs.all, kind) for kind in ALL_KINDS} for eqs in solved[at : at + BLOCK_ROWS]]
-        reports = iter(classify_batch(
-            (*case, eq) for case, first in zip(cases[at:], firsts) for eq in first.values() if eq is not None
-        ))
-        for value, eqs, first in zip(values[at:], solved[at:], firsts):
-            verdicts = {
-                kind: "absent" if eq is None else next(reports).verdict.value for kind, eq in first.items()
-            }
-            if eqs.coexistence_error:
-                verdicts["E3"] = "solve failed"
-            exists = {kind: eq is not None for kind, eq in first.items()}
-            th = eqs.thresholds
-            numbers = (th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion)
-            rows.append(SweepRow(value, *numbers, exists, verdicts))
+    # each row's first root of each kind, or None
+    firsts = [{kind: _first(eqs.all, kind) for kind in ALL_KINDS} for eqs in solved]
+    reports = iter(classify_batch(
+        (*case, eq) for case, first in zip(cases, firsts) for eq in first.values() if eq is not None
+    ))
+    for value, eqs, first in zip(values, solved, firsts):
+        verdicts = {
+            kind: "absent" if eq is None else next(reports).verdict.value for kind, eq in first.items()
+        }
+        if eqs.coexistence_error:
+            verdicts["E3"] = "solve failed"
+        exists = {kind: eq is not None for kind, eq in first.items()}
+        th = eqs.thresholds
+        numbers = (th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion)
+        rows.append(SweepRow(value, *numbers, exists, verdicts))
     return rows
 
 

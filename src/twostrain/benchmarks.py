@@ -2,16 +2,20 @@
 
 Four benchmark setups, ids "6.1" through "6.4", shared parameter base
 Lambda = 200, mu = 0.02, gamma1 = 0.07, gamma2 = 0.09, v1 = v2 = 0.1 and
-k = 2e-5. Expected values come from the published reference; where a
-published number is inconsistent with the published balance equations the
-certified value (independent residual-checked solve) is asserted instead
-and the published number is kept in the report with a discrepancy note.
+k = 2e-5. Each example's inputs (r, incidence coefficients, attractor) are
+its entry of ``_CASES``. Its expected values are rows keyed by the check
+name the report prints, which ``_computed`` reads off the analysis report:
+``_PUBLISHED`` holds the published reference values, and ``_CERTIFIED`` the
+certified value (independent residual-checked solve) asserted where a
+published number is inconsistent with the published balance equations;
+that published number is kept in the report with a discrepancy note. The
+verdict flags are written in ``reproduce``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,16 +36,33 @@ _CASES = {
     "6.4": dict(r=0.01, beta1=2e-4, zeta1=1e-4, beta2=2e-4, zeta2=1e-4, attractor="E3"),
 }
 
-# certified values: independent residual-checked solves, frozen
+# published values, in report order: (check name, value, rel_tol)
+_PUBLISHED = {
+    "6.1": (("R1", 0.2632, 5e-3), ("R2", 0.7947, 5e-3), ("S0", 1667.0, 5e-3), ("V10", 8333.0, 5e-3)),
+    "6.2": (("R1", 1.7544, 5e-3), ("R2", 0.7947, 5e-3), ("E1.S", 950.0, 1e-3)),
+    "6.3": (("R1", 0.2632, 5e-3), ("R2", 1.3889, 5e-3),
+            ("E2.S", 1314.0, 1.5e-2), ("E2.V1", 4814.0, 1.5e-2), ("E2.I2", 368.0, 1.5e-2)),
+    "6.4": (("R1", 7.0175, 1e-2), ("R2", 4.1270, 1e-2),
+            ("R2_invasion", 3.555, 1e-2), ("R1_invasion", 1.194, 1e-2),
+            ("E1.S", 5310.0, 5e-3), ("E1.V1", 2655.0, 5e-3), ("E2.S", 1134.0, 5e-3),
+            ("E3.S", 1133.0, 1.5e-2), ("E3.V1", 320.0, 1.5e-2),
+            ("E3.I1", 44.0, 1.5e-2), ("E3.I2", 774.0, 1.5e-2)),
+}
+
+# where a published value fails its own balance equations: (check name,
+# certified value, frozen, published text)
 _CERTIFIED = {
-    "6.2": dict(V1=4750.0, I1=452.6315789473683),
-    "6.4": dict(
-        c1=0.2592811352935187,
-        c2=0.044404900159116995,
-        c3=0.0029084972347433904,
-        c4=5.853413767019629e-05,
+    "6.2": (("E1.I1", 452.6315789473683, "253"), ("E1.V1", 4750.0, "4737")),
+    "6.4": (
+        ("E3.c1", 0.2592811352935187, "0.2501"),
+        ("E3.c2", 0.044404900159116995, "0.0171"),
+        ("E3.c3", 0.0029084972347433904, "3.4759e-04"),
+        ("E3.c4", 5.853413767019629e-05, "3.4759x3.9242 10^{-06} (malformed)"),
     ),
 }
+
+# the check names of the params' derived caps
+_CAPS = {"S0": "susceptible_cap", "V10": "vaccinated_cap"}
 
 
 @dataclass(frozen=True)
@@ -111,47 +132,45 @@ def build_scenario(example_id: str) -> Scenario:
     return Scenario(params=params, incidence1=inc1, incidence2=inc2)
 
 
+def _computed(report: AnalysisReport, name: str) -> float:
+    """The value a table row's check name reads off the report: a
+    ``Thresholds`` field, ``S0`` or ``V10`` of the params, or ``KIND.FIELD``
+    at the first root of that kind, a state coordinate or a coefficient cN
+    of its stability report."""
+    if name in _CAPS:
+        return getattr(report.scenario.params, _CAPS[name])
+    if "." not in name:
+        return getattr(report.thresholds, name)
+    kind, field = name.split(".")
+    if field.startswith("c"):
+        return _first(report.stability, kind).coefficients[field]
+    return getattr(_first(report.equilibria, kind).point, field)
+
+
 def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
     """Run one benchmark and compare against the embedded expected values."""
     sc = build_scenario(example_id)
     report = analyze(sc, grid=grid)
     th = report.thresholds
-    checks: List[ValueCheck] = []
-    flags: List[FlagCheck] = []
-
-    def pub(name, expected, actual, rel_tol):
-        checks.append(ValueCheck(name, expected, actual, rel_tol, "published"))
-
-    def cert(name, expected, actual, published):
-        checks.append(
-            ValueCheck(
-                name,
-                expected,
-                actual,
-                1e-6,
-                "certified",
-                discrepancy=(
-                    "published reference value %s is inconsistent with the formulas "
-                    "published alongside it; certified value %.10g asserted instead"
-                    % (published, expected)
-                ),
-            )
-        )
-
-    residual_ok = all(eq.residual < 1e-8 for eq in report.equilibria)
-    flags.append(
+    checks = [
+        ValueCheck(name, value, _computed(report, name), rel_tol, "published")
+        for name, value, rel_tol in _PUBLISHED[example_id]
+    ]
+    checks += [
+        ValueCheck(name, value, _computed(report, name), 1e-6, "certified", discrepancy=(
+            "published reference value %s is inconsistent with the formulas published "
+            "alongside it; certified value %.10g asserted instead" % (published, value)))
+        for name, value, published in _CERTIFIED.get(example_id, ())
+    ]
+    flags = [
         FlagCheck(
             "equilibrium residuals < 1e-8",
-            residual_ok,
+            all(eq.residual < 1e-8 for eq in report.equilibria),
             "max residual %.3e" % max(eq.residual for eq in report.equilibria),
         )
-    )
+    ]
 
     if example_id == "6.1":
-        pub("R1", 0.2632, th.R1, 5e-3)
-        pub("R2", 0.7947, th.R2, 5e-3)
-        pub("S0", 1667.0, sc.params.susceptible_cap, 5e-3)
-        pub("V10", 8333.0, sc.params.vaccinated_cap, 5e-3)
         flags.append(
             FlagCheck(
                 "verdict: E0 globally asymptotically stable",
@@ -160,13 +179,6 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         )
 
     elif example_id == "6.2":
-        e1 = _first(report.equilibria, "E1")
-        pub("R1", 1.7544, th.R1, 5e-3)
-        pub("R2", 0.7947, th.R2, 5e-3)
-        pub("E1.S", 950.0, e1.point.S, 1e-3)
-        c = _CERTIFIED["6.2"]
-        cert("E1.I1", c["I1"], e1.point.I1, "253")
-        cert("E1.V1", c["V1"], e1.point.V1, "4737")
         stab = _first(report.stability, "E1")
         flags.append(
             FlagCheck(
@@ -180,12 +192,6 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         )
 
     elif example_id == "6.3":
-        e2 = _first(report.equilibria, "E2")
-        pub("R1", 0.2632, th.R1, 5e-3)
-        pub("R2", 1.3889, th.R2, 5e-3)
-        pub("E2.S", 1314.0, e2.point.S, 1.5e-2)
-        pub("E2.V1", 4814.0, e2.point.V1, 1.5e-2)
-        pub("E2.I2", 368.0, e2.point.I2, 1.5e-2)
         scan = dict(report.global_checks).get("strain2_lyapunov_scan")
         flags.append(
             FlagCheck(
@@ -196,34 +202,14 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
         )
 
     else:  # 6.4
-        e1 = _first(report.equilibria, "E1")
-        e2 = _first(report.equilibria, "E2")
-        e3 = _first(report.equilibria, "E3")
-        pub("R1", 7.0175, th.R1, 1e-2)
-        pub("R2", 4.1270, th.R2, 1e-2)
-        pub("R2_invasion", 3.555, th.R2_invasion, 1e-2)
-        pub("R1_invasion", 1.194, th.R1_invasion, 1e-2)
-        pub("E1.S", 5310.0, e1.point.S, 5e-3)
-        pub("E1.V1", 2655.0, e1.point.V1, 5e-3)
-        pub("E2.S", 1134.0, e2.point.S, 5e-3)
-        pub("E3.S", 1133.0, e3.point.S, 1.5e-2)
-        pub("E3.V1", 320.0, e3.point.V1, 1.5e-2)
-        pub("E3.I1", 44.0, e3.point.I1, 1.5e-2)
-        pub("E3.I2", 774.0, e3.point.I2, 1.5e-2)
-        c = _CERTIFIED["6.4"]
         stab = _first(report.stability, "E3")
         coeff = stab.coefficients
-        cert("E3.c1", c["c1"], coeff["c1"], "0.2501")
-        cert("E3.c2", c["c2"], coeff["c2"], "0.0171")
-        cert("E3.c3", c["c3"], coeff["c3"], "3.4759e-04")
-        cert("E3.c4", c["c4"], coeff["c4"], "3.4759x3.9242 10^{-06} (malformed)")
         # independent route: for a monic quartic the constant term is the
         # product of the roots, so the spectrum gives c4 without the
         # coefficient formulas
         spectral_c4 = float(np.real(np.prod(stab.eigenvalues)))
-        checks.append(
-            ValueCheck("E3.c4 (spectrum product)", c["c4"], spectral_c4, 1e-6, "certified")
-        )
+        c4 = next(value for name, value, _ in _CERTIFIED["6.4"] if name == "E3.c4")
+        checks.append(ValueCheck("E3.c4 (spectrum product)", c4, spectral_c4, 1e-6, "certified"))
         flags.append(
             FlagCheck(
                 "composite conditions c1*c2 - c3 > 0 and c1*c2*c3 - c3^2 - c1^2*c4 > 0",

@@ -209,9 +209,13 @@ def _emit_incidence(out: io.StringIO, name: str, inc: IncidenceSpec) -> None:
 
 def serialize_scenario(sc: Scenario) -> str:
     """Render a scenario back to text. repr precision makes the round trip
-    reproduce every float bit-for-bit."""
+    reproduce every float bit-for-bit. Custom incidence and
+    ``integrator.sample_times`` have no scenario-file key, so a scenario
+    with either is refused."""
     if sc.incidence1.family not in _FAMILIES or sc.incidence2.family not in _FAMILIES:
         raise ConfigError("custom incidence is code-only and cannot be serialized")
+    if sc.integrator.sample_times is not None:
+        raise ConfigError("integrator.sample_times is code-only and cannot be serialized")
     out = io.StringIO()
     out.write("[params]\n")
     for key in PARAM_NAMES:

@@ -401,9 +401,12 @@ def lyapunov_scan_grid(p: ModelParams, n_grid: int = 200):
     """Default log-spaced (S, V1) scan grids inside the invariant box.
 
     Ranges are (1e-6*S0, S0] and (1e-6*V10, V10]; the lower ends stay off
-    the singular boundary where the surface diverges to -inf.
+    the singular boundary where the surface diverges to -inf. At r = 0,
+    V10 = 0 and there is no V1 range: a DomainError.
     """
     _require_grid(n_grid, "n_grid", 1)
+    if not p.vaccinated_cap > 0.0:
+        raise DomainError("the scan needs V10 = r*Lambda/(mu*lam) > 0, but r = %r" % p.r)
     S_values = np.geomspace(1e-6 * p.susceptible_cap, p.susceptible_cap, n_grid)
     V1_values = np.geomspace(1e-6 * p.vaccinated_cap, p.vaccinated_cap, n_grid)
     return S_values, V1_values

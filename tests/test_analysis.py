@@ -47,6 +47,12 @@ def scenario_strain2_dominant():
     )
 
 
+def scenario_strain2_without_vaccination():
+    return make_scenario(
+        0.0, IncidenceSpec.saturated_i2(1e-6, 0.7), IncidenceSpec.saturated_s(2e-4, 1e-4)
+    )
+
+
 def scenario_coexistence():
     return make_scenario(
         0.01, IncidenceSpec.saturated_i2(2e-4, 1e-4), IncidenceSpec.saturated_s(2e-4, 1e-4)
@@ -106,6 +112,19 @@ class TestAnalyze:
     def test_grid_argument_sizes_the_scan(self):
         report = analyze(scenario_strain2_dominant(), grid=50)
         assert report.global_checks[0][1].n_points == 2500
+
+    def test_no_vaccination_skips_the_surface_scan_with_a_note(self):
+        # E2 exists with R1 <= 1, but r = 0 leaves V10 = 0 and no V1 range
+        report = analyze(scenario_strain2_without_vaccination())
+        assert [e.kind for e in report.equilibria] == ["E0", "E2"]
+        assert report.thresholds.R1 <= 1.0
+        assert report.global_checks == ()
+        assert report.notes == (
+            "E2 surface scan not run: r = 0 leaves no vaccinated class (V10 = 0)",
+        )
+        assert any(l.startswith("E2 locally asymptotically stable") for l in report.verdict_lines)
+        assert not any(l.startswith("E2 global") for l in report.verdict_lines)
+        assert "note: E2 surface scan not run" in render_report(report)
 
 
     @pytest.mark.parametrize("grid", [0, -1, 2.5, None])

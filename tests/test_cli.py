@@ -232,6 +232,24 @@ class TestCheckGlobal:
         assert not (out / "surface.csv").exists()
 
 
+    @pytest.mark.parametrize("verb", ["analyze", "check-global"])
+    def test_no_vaccination_runs_without_the_surface_scan(self, verb, write_scenario, tmp_path, capsys):
+        # E2 exists with R1 <= 1 at r = 0, where the surface has no V1 range
+        path = write_scenario(
+            make_scenario(
+                0.0, IncidenceSpec.saturated_i2(1e-6, 0.7), IncidenceSpec.saturated_s(2e-4, 1e-4)
+            )
+        )
+        out = tmp_path / "out"
+        assert main([verb, "--scenario", path, "--out", str(out), "--grid", "20"]) == 0
+        text = capsys.readouterr().out
+        if verb == "analyze":
+            assert "note: E2 surface scan not run" in text
+        else:
+            assert "no global checks apply" in text
+        assert not (out / "surface.csv").exists()
+
+
 class TestReproduce:
     def test_single_example_passes(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from twostrain.benchmarks import build_scenario
 from twostrain.errors import ConfigError
 from twostrain.incidence import BUILT_IN_FAMILIES, IncidenceSpec
 from twostrain.model import ModelParams, State
@@ -271,3 +272,12 @@ class TestSerialization:
         broken = Scenario(sc.params, custom, sc.incidence2)
         with pytest.raises(ConfigError, match="code-only"):
             serialize_scenario(broken)
+
+    def test_sample_times_cannot_be_serialized(self):
+        # the scenario file has no sample_times key, so the round trip would
+        # drop it
+        sc = build_scenario("6.4")
+        sampled = dataclasses.replace(sc, integrator=IntegratorOptions(sample_times=(1.0, 2.0)))
+        with pytest.raises(ConfigError, match="sample_times"):
+            serialize_scenario(sampled)
+        assert parse_scenario(serialize_scenario(sc)) == sc

@@ -625,6 +625,10 @@ class TestStrain2LyapunovScan:
         with pytest.raises(ValueError, match="n_grid must be an integer >= 1"):
             strain2_lyapunov_scan(p, inc2, e2, n_grid=n_grid)
 
+    def test_no_vaccination_leaves_no_v1_range(self):
+        with pytest.raises(DomainError, match="r = 0.0"):
+            lyapunov_scan_grid(params(r=0.0))
+
     def test_one_point_grid(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]
