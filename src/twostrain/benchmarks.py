@@ -22,7 +22,7 @@ import numpy as np
 from .analysis import AnalysisReport, _first, analyze
 from .errors import ConfigError
 from .incidence import IncidenceSpec
-from .model import ModelParams
+from .model import RESIDUAL_TOL, ModelParams
 from .scenario import Scenario
 from .simulate import detect_convergence, integrate
 from .stability import Verdict
@@ -165,7 +165,7 @@ def reproduce(example_id: str, grid: int = 200) -> ReproductionResult:
     flags = [
         FlagCheck(
             "equilibrium residuals < 1e-8",
-            all(eq.residual < 1e-8 for eq in report.equilibria),
+            all(eq.residual < RESIDUAL_TOL for eq in report.equilibria),
             "max residual %.3e" % max(eq.residual for eq in report.equilibria),
         )
     ]

@@ -171,7 +171,7 @@ def cmd_check_global(args) -> int:
     report = analyze(sc, grid=args.grid)
     if not report.global_checks:
         if args.format == "report":
-            print("no global checks apply: needs E2 with R1 <= 1 and r > 0, or E3")
+            print("no global checks apply: needs E2 with R1 <= 1 and 1e-6*V10 > 0, or E3")
         return EXIT_OK
     written = []
     checks = dict(report.global_checks)

@@ -1,5 +1,7 @@
-"""Exception hierarchy shared by all modules, and the one rule for grid sizes."""
+"""Exception hierarchy shared by all modules, and the two rules for named
+numeric inputs: grid sizes, and the ranges of rates, tolerances and bounds."""
 
+import math
 import numbers
 
 
@@ -41,3 +43,15 @@ def _require_grid(n, name: str, minimum: int) -> None:
     numpy integers count, bools and floats do not."""
     if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < minimum:
         raise ValueError("%s must be an integer >= %d, not %r" % (name, minimum, n))
+
+
+def _require_positive(what: str, values: dict, zero_ok=(), inf_ok=()) -> None:
+    """Refuse, by name and in order, every entry of ``values`` that is not
+    finite and > 0; a name in ``zero_ok`` may be 0, one in ``inf_ok`` +inf."""
+    bad = [
+        name
+        for name, v in values.items()
+        if not ((v > 0.0 or (v == 0.0 and name in zero_ok)) and (math.isfinite(v) or name in inf_ok))
+    ]
+    if bad:
+        raise ValueError("invalid %s: %s" % (what, ", ".join(bad)))

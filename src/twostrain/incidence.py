@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedLimitError, _require_grid
+from .errors import DomainError, UnsupportedLimitError, _require_grid, _require_positive
 
 # Step scale for one-coordinate finite differences on custom rates.
 _FD_EPS = math.sqrt(np.finfo(float).eps)
@@ -131,7 +131,7 @@ class IncidenceSpec:
 
     Use the classmethod constructors; the raw constructor validates the
     family, a built-in family's coefficients (bilinear takes no zeta) and
-    that a custom rate is callable.
+    that a custom rate is callable and its partials None or callable.
     """
 
     family: str
@@ -144,13 +144,18 @@ class IncidenceSpec:
 
     def __post_init__(self):
         if self.family in _CLOSED_FORMS:
-            _check_coefficients(self.beta, self.zeta)
+            _require_positive("incidence coefficients", dict(beta=self.beta, zeta=self.zeta), zero_ok=("zeta",))
             if self.family == "bilinear" and self.zeta != 0.0:
                 raise ValueError("bilinear incidence takes no zeta")
         elif self.family != "custom":
             raise ValueError("unknown incidence family %r" % (self.family,))
         elif not callable(self.rate_fn):
             raise ValueError("a custom incidence rate needs a callable rate_fn")
+        else:
+            partials = dict(d_rate_dS_fn=self.d_rate_dS_fn, d_rate_dI_fn=self.d_rate_dI_fn)
+            bad = [name for name, fn in partials.items() if not (fn is None or callable(fn))]
+            if bad:
+                raise ValueError("a custom incidence partial must be None or callable: " + ", ".join(bad))
 
     @classmethod
     def bilinear(cls, beta: float) -> "IncidenceSpec":
@@ -315,8 +320,7 @@ class IncidenceSpec:
           force_limit_positive    lim f(S, I) as I -> 0+ finite and > 0 for S > 0
           contact_factorization   f = S * g on interior points
         """
-        if not (0.0 < S_max < np.inf and 0.0 < I_max < np.inf):
-            raise ValueError("S_max and I_max must be finite and positive")
+        _require_positive("hypothesis-check bounds", dict(S_max=S_max, I_max=I_max))
         _require_grid(n_grid, "n_grid", 8)
 
         S_axis = np.linspace(0.0, float(S_max), n_grid)
@@ -383,13 +387,6 @@ def _first_violation(bad, S_values, I_values) -> Optional[tuple]:
         return None
     r, c = hits[0]
     return (float(S_values[r]), float(I_values[c]))
-
-
-def _check_coefficients(beta: float, zeta: float) -> None:
-    if not (np.isfinite(beta) and beta > 0.0):
-        raise ValueError("beta must be finite and > 0")
-    if not (np.isfinite(zeta) and zeta >= 0.0):
-        raise ValueError("zeta must be finite and >= 0")
 
 
 @dataclass(frozen=True)

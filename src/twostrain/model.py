@@ -31,7 +31,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, _require_positive
 from .incidence import _RATE_TEXTS, _STEP, IncidenceSpec
 
 #: residual bound below which an equilibrium is accepted as certified
@@ -52,17 +52,9 @@ class ModelParams:
     v2: float
 
     def __post_init__(self):
-        bad = []
-        for name in PARAM_NAMES:
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0.0:
-                bad.append(name)
-        if self.Lambda <= 0.0 and "Lambda" not in bad:
-            bad.append("Lambda")
-        if self.mu <= 0.0 and "mu" not in bad:
-            bad.append("mu")
-        if bad:
-            raise ValueError("invalid model parameters: " + ", ".join(bad))
+        # every rate but Lambda and mu may be 0
+        values = {name: getattr(self, name) for name in PARAM_NAMES}
+        _require_positive("model parameters", values, zero_ok=PARAM_NAMES[2:])
 
     @property
     def lam(self) -> float:
@@ -378,7 +370,7 @@ def invasion_numbers(
 
 
 def require_certified(equilibrium) -> None:
-    if equilibrium.residual >= RESIDUAL_TOL:
+    if not equilibrium.residual < RESIDUAL_TOL:  # a NaN residual is not certified
         raise PreconditionError(
             "equilibrium %s has residual %.3e, not certified below %.0e"
             % (equilibrium.kind, equilibrium.residual, RESIDUAL_TOL)

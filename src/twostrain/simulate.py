@@ -23,7 +23,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, IntegrationError
+from .errors import DomainError, IntegrationError, _require_positive
 from .incidence import IncidenceSpec
 from .model import ModelParams, State, field_norms, require_certified
 from .model import _COEFFICIENTS, _STATE, _as_array, _compiled, _field_lines, _rate_text
@@ -68,19 +68,7 @@ class IntegratorOptions:
 
     def __post_init__(self):
         names = ("rtol", "atol", "t_end", "max_step", "convergence_tol", "tail_window")
-        _check_options({name: getattr(self, name) for name in names})
-
-
-def _check_options(values: dict, zero_ok: tuple = ()) -> None:
-    """Refuse, by name, every option in ``values`` that is not positive, or
-    0 for the names in ``zero_ok``, and finite, or infinite for max_step."""
-    bad = [
-        name
-        for name, v in values.items()
-        if not ((v > 0.0 or (v == 0.0 and name in zero_ok)) and (math.isfinite(v) or name == "max_step"))
-    ]
-    if bad:
-        raise ValueError("invalid integrator options: " + ", ".join(bad))
+        _require_positive("integrator options", {n: getattr(self, n) for n in names}, inf_ok=("max_step",))
 
 
 @dataclass(frozen=True)
@@ -169,7 +157,8 @@ def adaptive_rk45(
     instead the states at those times, sorted and unique, interpolated over
     the stored steps after the run by ``_hermite``, which sets the edge rules.
     """
-    _check_options(dict(t_end=t_end, rtol=rtol, atol=atol, max_step=max_step), zero_ok=("t_end", "rtol"))
+    options = dict(t_end=t_end, rtol=rtol, atol=atol, max_step=max_step)
+    _require_positive("integrator options", options, zero_ok=("t_end", "rtol"), inf_ok=("max_step",))
     n = len(y0)
     if n == 0:
         raise ValueError("the state needs at least one component")

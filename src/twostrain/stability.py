@@ -397,16 +397,22 @@ def strain2_lyapunov_surface(p: ModelParams, inc2: IncidenceSpec, e2, S_values, 
     )
 
 
+def _has_v1_range(p: ModelParams) -> bool:
+    """Whether the scan's V1 range has a positive lower end 1e-6*V10: not at
+    r = 0, where V10 = 0, nor at a subnormal r, where 1e-6*V10 underflows."""
+    return 1e-6 * p.vaccinated_cap > 0.0
+
+
 def lyapunov_scan_grid(p: ModelParams, n_grid: int = 200):
     """Default log-spaced (S, V1) scan grids inside the invariant box.
 
     Ranges are (1e-6*S0, S0] and (1e-6*V10, V10]; the lower ends stay off
-    the singular boundary where the surface diverges to -inf. At r = 0,
-    V10 = 0 and there is no V1 range: a DomainError.
+    the singular boundary where the surface diverges to -inf. Without a V1
+    range (see ``_has_v1_range``) the call is a DomainError that names r.
     """
     _require_grid(n_grid, "n_grid", 1)
-    if not p.vaccinated_cap > 0.0:
-        raise DomainError("the scan needs V10 = r*Lambda/(mu*lam) > 0, but r = %r" % p.r)
+    if not _has_v1_range(p):
+        raise DomainError("the scan needs 1e-6*V10 > 0, V10 = r*Lambda/(mu*lam), but r = %r" % p.r)
     S_values = np.geomspace(1e-6 * p.susceptible_cap, p.susceptible_cap, n_grid)
     V1_values = np.geomspace(1e-6 * p.vaccinated_cap, p.vaccinated_cap, n_grid)
     return S_values, V1_values

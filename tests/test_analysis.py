@@ -126,6 +126,20 @@ class TestAnalyze:
         assert not any(l.startswith("E2 global") for l in report.verdict_lines)
         assert "note: E2 surface scan not run" in render_report(report)
 
+    def test_subnormal_r_skips_the_surface_scan_with_a_note_naming_r(self):
+        # 1e-6*V10 underflows to 0 at the smallest subnormal r
+        sc = scenario_strain2_without_vaccination()
+        report = analyze(dataclasses.replace(sc, params=dataclasses.replace(sc.params, r=5e-324)))
+        assert report.global_checks == ()
+        assert report.notes == ("E2 surface scan not run: r = 5e-324 leaves no V1 range (1e-6*V10 = 0)",)
+        assert not any(l.startswith("E2 global") for l in report.verdict_lines)
+
+    def test_a_larger_subnormal_r_still_runs_the_surface_scan(self):
+        sc = scenario_strain2_without_vaccination()
+        report = analyze(dataclasses.replace(sc, params=dataclasses.replace(sc.params, r=1e-322)), grid=8)
+        assert [name for name, _ in report.global_checks] == ["strain2_lyapunov_scan"]
+        assert report.notes == ()
+
 
     @pytest.mark.parametrize("grid", [0, -1, 2.5, None])
     def test_refuses_a_grid_not_an_integer_at_least_one_before_any_solve(self, grid, monkeypatch):

@@ -1,8 +1,11 @@
 """The package's public names and its modules' imports."""
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import twostrain
 
@@ -46,3 +49,20 @@ def test_no_module_imports_a_name_it_never_uses():
         if imported - used:
             unused[path.name] = sorted(imported - used)
     assert unused == {}
+
+
+def test_the_runtime_needs_numpy_alone():
+    # a module set to None in sys.modules cannot be imported, nor can its submodules
+    code = """if True:
+        import sys
+        sys.modules.update(dict.fromkeys(["scipy", "sympy", "mpmath"]))
+        from twostrain.analysis import sweep
+        from twostrain.benchmarks import build_scenario, reproduce
+        assert reproduce("6.4").all_pass
+        rows = sweep(build_scenario("6.4"), "r", 0.0, 0.2, 4)
+        assert [sorted(row.verdicts) for row in rows] == [["E0", "E1", "E2", "E3"]] * 4
+    """
+    src = str(pathlib.Path(twostrain.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

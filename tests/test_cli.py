@@ -235,9 +235,17 @@ class TestCheckGlobal:
     @pytest.mark.parametrize("verb", ["analyze", "check-global"])
     def test_no_vaccination_runs_without_the_surface_scan(self, verb, write_scenario, tmp_path, capsys):
         # E2 exists with R1 <= 1 at r = 0, where the surface has no V1 range
+        self.check_no_surface_scan(verb, 0.0, write_scenario, tmp_path, capsys)
+
+    @pytest.mark.parametrize("verb", ["analyze", "check-global"])
+    def test_subnormal_r_runs_without_the_surface_scan(self, verb, write_scenario, tmp_path, capsys):
+        # at the smallest subnormal r the V1 range's lower end 1e-6*V10 underflows to 0
+        self.check_no_surface_scan(verb, 5e-324, write_scenario, tmp_path, capsys)
+
+    def check_no_surface_scan(self, verb, r, write_scenario, tmp_path, capsys):
         path = write_scenario(
             make_scenario(
-                0.0, IncidenceSpec.saturated_i2(1e-6, 0.7), IncidenceSpec.saturated_s(2e-4, 1e-4)
+                r, IncidenceSpec.saturated_i2(1e-6, 0.7), IncidenceSpec.saturated_s(2e-4, 1e-4)
             )
         )
         out = tmp_path / "out"
@@ -357,7 +365,7 @@ class TestRefusedValues:
             "sweep", "--scenario", strain2_file, "--out", str(tmp_path),
             "--key", "incidence2.beta", "--from", "0", "--to", "2e-4", "--n", "3",
         ], capsys, "config error: sweep incidence2.beta = 0.0: ")
-        assert err == ["config error: sweep incidence2.beta = 0.0: beta must be finite and > 0"]
+        assert err == ["config error: sweep incidence2.beta = 0.0: invalid incidence coefficients: beta"]
 
     def test_sweep_from_infinity(self, strain2_file, tmp_path, capsys):
         err = self.check([

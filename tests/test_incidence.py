@@ -74,6 +74,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="callable rate_fn"):
             dataclasses.replace(IncidenceSpec.custom(lambda S, I: S * I), rate_fn=rate_fn)
 
+    @pytest.mark.parametrize("partial", [5, 1e-4, "S"])
+    def test_custom_partials_must_be_none_or_callable(self, partial):
+        rate = lambda S, I: S * I
+        with pytest.raises(ValueError, match="None or callable: d_rate_dS_fn$"):
+            IncidenceSpec.custom(rate, d_rate_dS=partial)
+        with pytest.raises(ValueError, match="None or callable: d_rate_dS_fn, d_rate_dI_fn$"):
+            IncidenceSpec.custom(rate, d_rate_dS=partial, d_rate_dI=partial)
+        with pytest.raises(ValueError, match="None or callable: d_rate_dI_fn$"):
+            dataclasses.replace(IncidenceSpec.custom(rate), d_rate_dI_fn=partial)
+
     def test_family_labels(self):
         assert IncidenceSpec.bilinear(1e-4).family == "bilinear"
         assert IncidenceSpec.saturated_s(1e-4, 0.5).family == "saturated_s"
@@ -391,8 +401,8 @@ class TestHypothesisChecks:
     @pytest.mark.parametrize("bound", [0.0, -1.0, np.inf, np.nan])
     def test_refuses_a_bound_not_finite_and_positive(self, bound):
         inc = IncidenceSpec.bilinear(2e-4)
-        for S_max, I_max in ((bound, 1e3), (1e3, bound)):
-            with pytest.raises(ValueError, match="finite and positive"):
+        for S_max, I_max, name in ((bound, 1e3, "S_max"), (1e3, bound, "I_max")):
+            with pytest.raises(ValueError, match="invalid hypothesis-check bounds: %s$" % name):
                 inc.check_hypotheses(S_max, I_max)
 
     def test_strictness_flag(self):

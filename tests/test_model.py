@@ -1,3 +1,4 @@
+import dataclasses
 import mpmath
 import numpy as np
 import pytest
@@ -5,6 +6,7 @@ import sympy as sp
 from conftest import random_cases, text_derivatives, wavy_rate
 
 from twostrain import incidence, model
+from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import Equilibrium, disease_free, solve_all, solve_strain1, solve_strain2
 from twostrain.errors import DomainError, PreconditionError
 from twostrain.incidence import IncidenceSpec
@@ -20,6 +22,8 @@ from twostrain.model import (
     thresholds,
     vector_field,
 )
+from twostrain.simulate import IntegratorOptions, detect_convergence, integrate
+from twostrain.stability import classify, coexistence_lyapunov_scan, strain2_lyapunov_scan
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
 
@@ -343,6 +347,29 @@ class TestResidualCertification:
         )
         with pytest.raises(PreconditionError):
             require_certified(sloppy)
+
+    @pytest.mark.parametrize("consumer", [
+        "classify", "invasion_numbers", "detect_convergence", "strain2_lyapunov_scan",
+        "coexistence_lyapunov_scan",
+    ])
+    def test_a_nan_residual_is_not_certified(self, consumer):
+        sc = build_scenario("6.4")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        e1, e2, e3 = (
+            dataclasses.replace(eq, residual=float("nan")) for eq in solve_all(p, inc1, inc2).all[1:]
+        )
+        traj = integrate(p, inc1, inc2, sc.initial, IntegratorOptions(t_end=10.0))
+        call = {
+            "classify": lambda: classify(p, inc1, inc2, e3),
+            "invasion_numbers": lambda: invasion_numbers(p, inc1, inc2, e1=e1),
+            "detect_convergence": lambda: detect_convergence(traj, [e3]),
+            "strain2_lyapunov_scan": lambda: strain2_lyapunov_scan(p, inc2, e2, n_grid=4),
+            "coexistence_lyapunov_scan": lambda: coexistence_lyapunov_scan(
+                p, inc1, inc2, e3, traj.states[1:, :4]
+            ),
+        }[consumer]
+        with pytest.raises(PreconditionError, match="residual nan"):
+            call()
 
     def test_thresholds_dataclass_is_frozen(self):
         th = Thresholds(R1=0.5, R2=0.5, R0=0.5)

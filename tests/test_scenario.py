@@ -218,6 +218,12 @@ dpi = 100
         with pytest.raises(ConfigError, match="params: "):
             parse_scenario(text)
 
+    def test_every_bad_coefficient_reported_in_one_pass(self):
+        text = MINIMAL.replace("beta = 3e-5\nzeta = 0.7", "beta = -1\nzeta = -1")
+        with pytest.raises(ConfigError) as info:
+            parse_scenario(text)
+        assert info.value.errors == ("incidence1: invalid incidence coefficients: beta, zeta",)
+
 
 class TestSerialization:
     def test_round_trip_is_bit_identical(self):

@@ -629,6 +629,11 @@ class TestStrain2LyapunovScan:
         with pytest.raises(DomainError, match="r = 0.0"):
             lyapunov_scan_grid(params(r=0.0))
 
+    def test_subnormal_r_leaves_no_v1_range(self):
+        # V10 > 0, but the range's lower end 1e-6*V10 underflows to 0
+        with pytest.raises(DomainError, match="r = 5e-324"):
+            lyapunov_scan_grid(params(r=5e-324))
+
     def test_one_point_grid(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]
