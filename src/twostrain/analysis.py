@@ -24,7 +24,7 @@ from .stability import (
     GridScanSummary,
     StabilityReport,
     Verdict,
-    _has_v1_range,
+    _empty_scan_range,
     classify_batch,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
@@ -50,10 +50,10 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
-    strain-2-only equilibrium exists with R1 <= 1 and 1e-6*V10 > 0 (at r = 0
-    or a subnormal r a note says it was not run, and no E2 global claim is
-    made), and the trajectory derivative check when the coexistence
-    equilibrium exists.
+    strain-2-only equilibrium exists with R1 <= 1 and both lower ends
+    1e-6*S0 and 1e-6*V10 are positive (at r = 0, a subnormal r or a tiny
+    Lambda a note says it was not run, and no E2 global claim is made), and
+    the trajectory derivative check when the coexistence equilibrium exists.
     ``grid``, the scan's points per axis, must be an integer >= 1.
     """
     _require_grid(grid, "grid", 1)
@@ -79,13 +79,14 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     traj = None
     if include_global:
         if e2 is not None and th.R1 <= 1.0:
-            if _has_v1_range(p):
+            empty = _empty_scan_range(p)
+            if not empty:
                 summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
                 global_checks.append(("strain2_lyapunov_scan", summary))
             elif p.r == 0.0:
                 notes.append("E2 surface scan not run: r = 0 leaves no vaccinated class (V10 = 0)")
             else:
-                notes.append("E2 surface scan not run: r = %r leaves no V1 range (1e-6*V10 = 0)" % p.r)
+                notes.append("E2 surface scan not run: " + empty)
         if e3 is not None:
             # every state after the start, which may lie on the boundary; the
             # scan sets aside the late states, whose values are below their

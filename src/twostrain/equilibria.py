@@ -8,12 +8,13 @@ Four equilibrium kinds exist:
     E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
 E1, E2 and E3 share one root finder, run on a block of parameter rows at
-once. It evaluates every row's balance on SCAN_NODES cells, as one
-(rows x nodes) array, and brackets every sign change between neighbouring
-finite values. It then narrows all brackets together for _ROUNDS rounds, a
-count the constants fix (no width is tested), each cutting every bracket
-into SECTIONS parts, and polishes each root with a secant step through its
-bracket ends. The scans evaluate the closed forms unchecked
+once. It evaluates each row's balance on SCAN_NODES cells, one row at a
+time in arrays of SCAN_NODES + 1 floats (32 KiB, which malloc reuses from
+row to row), and brackets every sign change between neighbouring finite
+values. It then narrows the brackets of all rows together for _ROUNDS
+rounds, a count the constants fix (no width is tested), each cutting every
+bracket into SECTIONS parts, and polishes each root with a secant step
+through its bracket ends. The scans evaluate the closed forms unchecked
 (``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
@@ -71,7 +72,7 @@ BISECT_WIDTH = 1e-12
 SCAN_NODES = 4096
 _NODES = np.arange(SCAN_NODES + 1.0)
 
-#: most rows solved in one pass; bounds the (rows x nodes) scan arrays
+#: most rows solved in one pass; bounds the brackets narrowed together
 BLOCK_ROWS = 16
 
 #: equal parts each bracket is cut into per narrowing round
@@ -142,19 +143,12 @@ class _Rows:
     def of(cls, block) -> "_Rows":
         """The rows must share one incidence family pair: the same built-in
         families, or the same custom specs. A strain may be None."""
-        def coefficients(inc):
-            return (0.0, 0.0) if inc is None else (inc.beta, inc.zeta)
-
         def family(inc):
             return inc.family if inc is not None and inc.family in BUILT_IN_FAMILIES else inc
 
         if len({(family(inc1), family(inc2)) for _, inc1, inc2 in block}) > 1:
             raise ValueError("batched rows must share one incidence family pair")
-        data = [
-            (p.Lambda, p.mu, p.r, p.k, p.lam, p.alpha1, p.alpha2, p.susceptible_cap,
-             p.vaccinated_cap, *coefficients(inc1), *coefficients(inc2))
-            for p, inc1, inc2 in block
-        ]
+        data = [_row_data(*row) for row in block]
         n = len(block)
         columns = data[0] if n == 1 else np.array(data).T.reshape(13, n, 1)
         return cls(block, columns, np.arange(n), np.zeros((n, 4, 3), int))
@@ -163,6 +157,12 @@ class _Rows:
         """The entries at ``idx``, repeats allowed."""
         data = self.data if isinstance(self.data, tuple) else self.data[:, idx]
         return _Rows(self.block, data, self.row[idx], self.scans)
+
+    def one(self, e) -> "_Rows":
+        """Entry ``e`` alone, with the Python floats that ``of`` gives its row."""
+        if isinstance(self.data, tuple) and self.row.size == 1:
+            return self
+        return _Rows(self.block, _row_data(*self.block[self.row[e]]), self.row[e : e + 1], self.scans)
 
     def each(self, column) -> np.ndarray:
         """A column expression's value for each entry, as an (n,) array."""
@@ -175,6 +175,14 @@ class _Rows:
     @functools.cached_property
     def f2(self):
         return self.block[0][2].bound_forms(self.data[11], self.data[12])
+
+
+def _row_data(p: ModelParams, inc1, inc2) -> tuple:
+    """One row's _Rows columns; a strain that is None has coefficients 0."""
+    b1, z1 = (0.0, 0.0) if inc1 is None else (inc1.beta, inc1.zeta)
+    b2, z2 = (0.0, 0.0) if inc2 is None else (inc2.beta, inc2.zeta)
+    return (p.Lambda, p.mu, p.r, p.k, p.lam, p.alpha1, p.alpha2, p.susceptible_cap,
+            p.vaccinated_cap, b1, z1, b2, z2)
 
 
 def disease_free(
@@ -499,8 +507,9 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     ``hi`` holds one scan end per row of ``rows``. fn(c, x) maps the
     columns c of some rows and abscissae x, one row of x per entry of c, to
     balance values, NaN where the balance is undefined. Each row's scan
-    starts at BRACKET_EPSILON*hi and has SCAN_NODES cells; a cell brackets a
-    root when both ends are finite and exactly one is positive. Each of the
+    starts at BRACKET_EPSILON*hi and has SCAN_NODES cells, evaluated in one
+    call of fn on that row alone (``_Rows.one``); a cell brackets a root
+    when both ends are finite and exactly one is positive. Each of the
     _ROUNDS rounds cuts every bracket into SECTIONS equal parts, all in one
     call of fn, and keeps the first part with a sign change (bisection with
     SECTIONS parts in place of two), which leaves every bracket narrower
@@ -511,14 +520,22 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     ``rows.scans[:, kind]``.
     """
     n = hi.size
-    x = (hi / SCAN_NODES)[:, None] * _NODES  # np.linspace's arithmetic, row-major
-    x[:, 0], x[:, -1] = BRACKET_EPSILON * hi, hi
-    f = fn(rows, x)
-    finite, positive = np.isfinite(f), f > 0.0
-    row, cell = np.nonzero(finite[:, :-1] & finite[:, 1:] & (positive[:, :-1] != positive[:, 1:]))
-    a, b, fa, fb = x[row, cell], x[row, cell + 1], f[row, cell], f[row, cell + 1]
+    brackets = []
+    for e in range(n):
+        # one row at a time: a (rows x nodes) array passes glibc's 128 KiB
+        # mmap threshold from 4 rows on, and each of its temporaries would
+        # fault in fresh pages; one row's 32 KiB arrays reuse the same memory
+        x = (hi[e : e + 1] / SCAN_NODES)[:, None] * _NODES  # np.linspace's arithmetic
+        x[:, 0], x[:, -1] = BRACKET_EPSILON * hi[e], hi[e]
+        (x,), (f,) = x, fn(rows.one(e), x)
+        finite, positive = np.isfinite(f), f > 0.0
+        cell = np.flatnonzero(finite[:-1] & finite[1:] & (positive[:-1] != positive[1:]))
+        brackets.append((x[cell], x[cell + 1], f[cell], f[cell + 1]))
+    counts = [a.size for a, *_ in brackets]
+    row = np.repeat(np.arange(n), counts)
+    a, b, fa, fb = map(np.concatenate, zip(*brackets))
     scans = np.zeros((n, 3), int)
-    scans[:, 0], scans[:, 1], scans[row, 2] = SCAN_NODES + 1, np.bincount(row, minlength=n), _ROUNDS
+    scans[:, 0], scans[:, 1], scans[row, 2] = SCAN_NODES + 1, counts, _ROUNDS
     rows.scans[rows.row, kind] = scans
     if not row.size:
         return [a] * n

@@ -397,22 +397,29 @@ def strain2_lyapunov_surface(p: ModelParams, inc2: IncidenceSpec, e2, S_values, 
     )
 
 
-def _has_v1_range(p: ModelParams) -> bool:
-    """Whether the scan's V1 range has a positive lower end 1e-6*V10: not at
-    r = 0, where V10 = 0, nor at a subnormal r, where 1e-6*V10 underflows."""
-    return 1e-6 * p.vaccinated_cap > 0.0
+def _empty_scan_range(p: ModelParams) -> str:
+    """The empty string when the scan's S and V1 ranges both have a positive
+    lower end; else which input leaves which range empty. 1e-6*S0 underflows at a tiny
+    Lambda (S0 = Lambda/lam); 1e-6*V10 is 0 at r = 0 and underflows at a
+    subnormal r (V10 = r*S0/mu)."""
+    if not 1e-6 * p.susceptible_cap > 0.0:
+        return "Lambda = %r leaves no S range (1e-6*S0 = 0)" % p.Lambda
+    if not 1e-6 * p.vaccinated_cap > 0.0:
+        return "r = %r leaves no V1 range (1e-6*V10 = 0)" % p.r
+    return ""
 
 
 def lyapunov_scan_grid(p: ModelParams, n_grid: int = 200):
     """Default log-spaced (S, V1) scan grids inside the invariant box.
 
     Ranges are (1e-6*S0, S0] and (1e-6*V10, V10]; the lower ends stay off
-    the singular boundary where the surface diverges to -inf. Without a V1
-    range (see ``_has_v1_range``) the call is a DomainError that names r.
+    the singular boundary where the surface diverges to -inf. An empty range
+    (see ``_empty_scan_range``) is a DomainError that names its input.
     """
     _require_grid(n_grid, "n_grid", 1)
-    if not _has_v1_range(p):
-        raise DomainError("the scan needs 1e-6*V10 > 0, V10 = r*Lambda/(mu*lam), but r = %r" % p.r)
+    empty = _empty_scan_range(p)
+    if empty:
+        raise DomainError("the scan needs 1e-6*S0 > 0 and 1e-6*V10 > 0, but " + empty)
     S_values = np.geomspace(1e-6 * p.susceptible_cap, p.susceptible_cap, n_grid)
     V1_values = np.geomspace(1e-6 * p.vaccinated_cap, p.vaccinated_cap, n_grid)
     return S_values, V1_values

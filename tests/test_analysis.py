@@ -134,6 +134,16 @@ class TestAnalyze:
         assert report.notes == ("E2 surface scan not run: r = 5e-324 leaves no V1 range (1e-6*V10 = 0)",)
         assert not any(l.startswith("E2 global") for l in report.verdict_lines)
 
+    def test_tiny_lambda_skips_the_surface_scan_with_a_note_naming_lambda(self):
+        # S0 = Lambda/lam is about 2e-318 and 1e-6*S0 underflows to 0; a
+        # large k lets strain 2 persist on the vaccinated class
+        p = ModelParams(**dict(BASE, Lambda=2e-308, r=1e10, k=1e307))
+        report = analyze(Scenario(p, IncidenceSpec.bilinear(2e-4), IncidenceSpec.saturated_s(2e-4, 0.001)))
+        assert [e.kind for e in report.equilibria] == ["E0", "E2"]
+        assert report.global_checks == ()
+        assert report.notes == ("E2 surface scan not run: Lambda = 2e-308 leaves no S range (1e-6*S0 = 0)",)
+        assert not any(l.startswith("E2 global") for l in report.verdict_lines)
+
     def test_a_larger_subnormal_r_still_runs_the_surface_scan(self):
         sc = scenario_strain2_without_vaccination()
         report = analyze(dataclasses.replace(sc, params=dataclasses.replace(sc.params, r=1e-322)), grid=8)

@@ -466,6 +466,41 @@ def assert_rows_equal_their_solve_all(rows, results):
         assert _bits(eqs) == _bits(alone)
 
 
+def sweep_rows(n):
+    """Example 6.4's rows at n rates r evenly spaced over [0, 0.2]."""
+    sc = build_scenario("6.4")
+    return [
+        (sci.params, sci.incidence1, sci.incidence2)
+        for sci in (apply_sweep_value(sc, "r", r) for r in np.linspace(0.0, 0.2, n))
+    ]
+
+
+def traced(call):
+    """The memory traced before ``call()``, after it while its result is
+    still held, and at its peak."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        held = call()
+        after, peak = tracemalloc.get_traced_memory()
+        del held
+    finally:
+        tracemalloc.stop()
+    return before, after, peak
+
+
+def working_memory(call):
+    """The peak of ``call()`` less the memory its result still holds."""
+    _, after, peak = traced(call)
+    return peak - after
+
+
+def peak_memory(call):
+    """The peak of ``call()`` above the memory traced before it."""
+    before, _, peak = traced(call)
+    return peak - before
+
+
 class TestBatch:
     """solve_batch: one scan per kind for a block of rows, each row bit for
     bit its own solve_all."""
@@ -646,18 +681,18 @@ class TestBatch:
         )
 
     def test_memory_stays_within_one_block(self):
-        sc = build_scenario("6.4")
-        rows = []
-        for r in np.linspace(0.0, 0.2, 256):
-            sci = apply_sweep_value(sc, "r", r)
-            rows.append((sci.params, sci.incidence1, sci.incidence2))
-        tracemalloc.start()
-        try:
-            solve_batch(rows[:BLOCK_ROWS])
-            _, one_block = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            solve_batch(rows)
-            _, all_rows = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # the working memory, the peak less what the results still hold
+        # after the call, of 256 rows is that of one block
+        rows = sweep_rows(256)
+        one_block = working_memory(lambda: solve_batch(rows[:BLOCK_ROWS]))
+        all_rows = working_memory(lambda: solve_batch(rows))
         assert all_rows <= 1.5 * one_block
+
+    def test_block_peak_stays_near_one_row(self):
+        # each row is scanned in its own (SCAN_NODES + 1) arrays, so a full
+        # block's peak stays near one row's; one (rows x nodes) scan array
+        # per block would peak at about 14 times one row
+        rows = sweep_rows(BLOCK_ROWS)
+        block = peak_memory(lambda: solve_batch(rows))
+        one_row = peak_memory(lambda: solve_all(*rows[BLOCK_ROWS // 2]))
+        assert block <= 2.0 * one_row

@@ -634,6 +634,14 @@ class TestStrain2LyapunovScan:
         with pytest.raises(DomainError, match="r = 5e-324"):
             lyapunov_scan_grid(params(r=5e-324))
 
+    @pytest.mark.parametrize("Lambda, r", [(2e-308, 1e10), (1e-318, 1.0)])
+    def test_tiny_lambda_leaves_no_s_range(self, Lambda, r):
+        # S0 = Lambda/lam > 0, but 1e-6*S0 underflows to 0; at the second
+        # point 1e-6*V10 does too, and the error still names Lambda, not r
+        p = ModelParams(Lambda=Lambda, mu=1.0, r=r, k=0.0, gamma1=0.0, gamma2=0.0, v1=0.0, v2=0.0)
+        with pytest.raises(DomainError, match=r"Lambda = %r leaves no S range \(1e-6\*S0 = 0\)$" % Lambda):
+            lyapunov_scan_grid(p)
+
     def test_one_point_grid(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]

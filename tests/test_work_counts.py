@@ -1,0 +1,43 @@
+"""Exact work counts on fixed inputs: a change that moves one changes what
+the solver or the integrator does, and says so with the old and new counts."""
+
+import pytest
+
+from twostrain import analysis
+from twostrain.benchmarks import build_scenario
+from twostrain.simulate import integrate
+
+
+def test_classified_sweep_scan_counts(monkeypatch):
+    # the summed ScanStats (nodes, brackets, rounds) of each balance over the
+    # 41 rows of example 6.4's classified r-sweep on [0, 0.2]
+    solved, solve_batch = [], analysis.solve_batch
+
+    def recorded(cases):
+        solved.extend(solve_batch(cases))
+        return solved
+
+    monkeypatch.setattr(analysis, "solve_batch", recorded)
+    rows = analysis.sweep(build_scenario("6.4"), "r", 0.0, 0.2, 41)
+    assert len(rows) == len(solved) == 41
+    sums = {
+        kind: tuple(map(sum, zip(*(getattr(eqs.stats, kind) for eqs in solved))))
+        for kind in ("E1", "E2", "E3_cap", "E3")
+    }
+    assert sums == {
+        "E1": (159783, 39, 195),
+        "E2": (167977, 41, 205),
+        "E3_cap": (167977, 0, 0),
+        "E3": (167977, 15, 75),
+    }
+
+
+@pytest.mark.parametrize(
+    "example, counts",
+    [("6.1", (2384, 395, 2)), ("6.2", (2258, 374, 2)), ("6.3", (2948, 490, 1)), ("6.4", (2444, 406, 1))],
+)
+def test_default_start_integrator_counts(example, counts):
+    # rhs evaluations, accepted and rejected steps from the scenario's start
+    sc = build_scenario(example)
+    st = integrate(sc.params, sc.incidence1, sc.incidence2, sc.initial, sc.integrator).stats
+    assert (st.rhs_evals, st.accepted_steps, st.rejected_steps) == counts
