@@ -50,9 +50,10 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
-    strain-2-only equilibrium exists with R1 <= 1 and both lower ends
-    1e-6*S0 and 1e-6*V10 are positive (at r = 0, a subnormal r or a tiny
-    Lambda a note says it was not run, and no E2 global claim is made), and
+    strain-2-only equilibrium exists with R1 <= 1, both lower ends 1e-6*S0
+    and 1e-6*V10 are positive and both upper ends S0 and V10 are finite (at
+    r = 0, a subnormal r, a tiny Lambda or an overflowing S0 or V10 a note
+    says it was not run, and no E2 global claim is made), and
     the trajectory derivative check when the coexistence equilibrium exists.
     ``grid``, the scan's points per axis, must be an integer >= 1.
     """

@@ -11,10 +11,13 @@ E1, E2 and E3 share one root finder, run on a block of parameter rows at
 once. It evaluates each row's balance on SCAN_NODES cells, one row at a
 time in arrays of SCAN_NODES + 1 floats (32 KiB, which malloc reuses from
 row to row), and brackets every sign change between neighbouring finite
-values. It then narrows the brackets of all rows together for _ROUNDS
-rounds, a count the constants fix (no width is tested), each cutting every
-bracket into SECTIONS parts, and polishes each root with a secant step
-through its bracket ends. The scans evaluate the closed forms unchecked
+values. It then narrows the brackets of all rows together. Each round cuts
+every bracket at its secant point, at cuts that close in on that point by
+halvings and at even cuts that leave no part wider than 1/SECTIONS, and
+keeps the first part with a sign change; a bracket stops once it is
+narrower than BISECT_WIDTH*hi, mostly after two rounds and at the latest
+after _ROUNDS. Each root is the secant point of its final bracket, with no
+further evaluation. The scans evaluate the closed forms unchecked
 (``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
@@ -65,7 +68,7 @@ from .model import (
 #: relative lower end of the scan; the E1 and E2 balances vanish at 0
 BRACKET_EPSILON = 1e-9
 
-#: relative bracket width that narrowing reaches before the polish; fixes _ROUNDS
+#: relative bracket width below which narrowing stops; fixes _ROUNDS and _FINEST
 BISECT_WIDTH = 1e-12
 
 #: sign-change scan resolution shared by every balance
@@ -75,13 +78,26 @@ _NODES = np.arange(SCAN_NODES + 1.0)
 #: most rows solved in one pass; bounds the brackets narrowed together
 BLOCK_ROWS = 16
 
-#: equal parts each bracket is cut into per narrowing round
+#: each narrowing round cuts a bracket into parts at most 1/SECTIONS as wide
 SECTIONS = 64
-_CUTS = np.linspace(0.0, 1.0, SECTIONS + 1)
 
-#: narrowing rounds: a bracket starts as one scan cell and each round keeps
-#: one of its SECTIONS parts, so after these it is below BISECT_WIDTH*hi wide
+#: narrowing rounds at most: a bracket starts as one scan cell and each round
+#: keeps one part of it, so after these it is below BISECT_WIDTH*hi wide
 _ROUNDS = next(r for r in itertools.count() if SCAN_NODES * SECTIONS**r * BISECT_WIDTH >= 1)
+
+#: the finest cut beside the secant point lies 2**-_FINEST of the way to a
+#: bracket end: a secant point that close takes one scan cell below
+#: BISECT_WIDTH*hi in one round
+_FINEST = next(k for k in itertools.count() if SCAN_NODES * 2**k * BISECT_WIDTH >= 1)
+_SHIFTS = 2.0 ** -np.arange(_FINEST, math.log2(SECTIONS), -1.0)
+
+#: a round cuts a bracket at the fractions t*_SLOPE + _STEP of its width, for
+#: the secant point's fraction t: the even cuts j/SECTIONS, then the secant
+#: point shifted 2**-k of the way to the left end, itself, and shifted 2**-k
+#: of the way to the right end, for k from _FINEST to log2(SECTIONS) + 1;
+#: every cut lies in [0, 1] for t in [0, 1]
+_SLOPE = np.concatenate([np.zeros(SECTIONS - 1), 1.0 - _SHIFTS[::-1], [1.0], 1.0 - _SHIFTS])
+_STEP = np.concatenate([np.arange(1.0, SECTIONS) / SECTIONS, np.zeros(_SHIFTS.size + 1), _SHIFTS])
 
 #: halvings of [0, S0] that solve for S in E3 with a custom strain-2 rate
 _S_HALVINGS = 52
@@ -106,8 +122,10 @@ class Equilibrium:
 
 
 class ScanStats(NamedTuple):
-    """One row's pass on one balance (nodes 0: not scanned). Each round takes
-    SECTIONS + 1 points per bracket, the polish 2."""
+    """One row's pass on one balance (nodes 0: not scanned). ``rounds`` sums
+    over the row's brackets the narrowing rounds of its pass, the rounds
+    until the last bracket of the pass is narrow; each takes _SLOPE.size
+    points, so the balance ran at nodes + rounds*_SLOPE.size points."""
 
     nodes: int = 0
     brackets: int = 0
@@ -509,12 +527,14 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     balance values, NaN where the balance is undefined. Each row's scan
     starts at BRACKET_EPSILON*hi and has SCAN_NODES cells, evaluated in one
     call of fn on that row alone (``_Rows.one``); a cell brackets a root
-    when both ends are finite and exactly one is positive. Each of the
-    _ROUNDS rounds cuts every bracket into SECTIONS equal parts, all in one
-    call of fn, and keeps the first part with a sign change (bisection with
-    SECTIONS parts in place of two), which leaves every bracket narrower
-    than BISECT_WIDTH*hi. Then the secant point of each final bracket
-    replaces its midpoint where it gives the smaller |fn|.
+    when both ends are finite and exactly one is positive. Each round then
+    cuts every bracket that is not yet narrower than BISECT_WIDTH*hi, all in
+    one call of fn (see ``_narrowed``), and freezes the others in place, so
+    each row's roots are those of its one-row pass. Where the balance is
+    finite a round keeps a part at most 1/SECTIONS as wide, so the _ROUNDS
+    rounds that take one scan cell below BISECT_WIDTH*hi bound the loop;
+    most brackets need two. Each root is the secant point of its final
+    bracket.
 
     Returns each row's roots in increasing order and records its pass in
     ``rows.scans[:, kind]``.
@@ -534,33 +554,44 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     counts = [a.size for a, *_ in brackets]
     row = np.repeat(np.arange(n), counts)
     a, b, fa, fb = map(np.concatenate, zip(*brackets))
-    scans = np.zeros((n, 3), int)
-    scans[:, 0], scans[:, 1], scans[row, 2] = SCAN_NODES + 1, counts, _ROUNDS
-    rows.scans[rows.row, kind] = scans
+    rows.scans[rows.row, kind, 0], rows.scans[rows.row, kind, 1] = SCAN_NODES + 1, counts
     if not row.size:
         return [a] * n
 
-    at, i = rows.take(row), np.arange(row.size)
-    for _ in range(_ROUNDS):
-        t = a[:, None] + (b - a)[:, None] * _CUTS
-        ft = fn(at, t)
-        # first cut whose sign differs from the bracket's left end
-        j = np.argmax((ft[:, 1:] > 0.0) != (ft[:, :1] > 0.0), axis=1)
-        a, b, fa, fb = t[i, j], t[i, j + 1], ft[i, j], ft[i, j + 1]
-
-    mid = 0.5 * (a + b)
-    secant = a - fa * (b - a) / (fb - fa)
-    f_mid, f_secant = fn(at, np.column_stack([mid, secant])).T
-    use_secant = np.abs(f_secant) <= np.abs(f_mid)
-    roots = np.where(use_secant, secant, mid)
-    found = np.isfinite(np.where(use_secant, f_secant, f_mid))
-    row, roots = row[found], roots[found]
+    # every scan cell is wider than BISECT_WIDTH*hi; a narrow bracket is
+    # frozen while the others narrow on, so each row's roots are its own
+    at, width, live = rows.take(row), (BISECT_WIDTH * hi)[row], np.ones(row.size, bool)
+    for ran in range(1, _ROUNDS + 1):
+        a, b, fa, fb = _narrowed(fn, at, a, b, fa, fb, live)
+        live = b - a >= width
+        if not live.any():
+            break
+    rows.scans[rows.row, kind, 2] = np.multiply(counts, ran)
+    roots = np.clip(a + fa / (fa - fb) * (b - a), a, b)
     # a root on a scan node can close two neighbouring brackets of a row
-    width = BISECT_WIDTH * hi
     keep = np.ones(row.size, bool)
-    keep[1:] = (row[1:] != row[:-1]) | (roots[1:] - roots[:-1] > 10.0 * width[row[1:]])
+    keep[1:] = (row[1:] != row[:-1]) | (roots[1:] - roots[:-1] > 10.0 * width[1:])
     row, roots = row[keep], roots[keep]
     return [roots[row == i] for i in range(n)]
+
+
+def _narrowed(fn, c: _Rows, a, b, fa, fb, live):
+    """One narrowing round of the brackets [a, b], whose finite ends fa and fb
+    have exactly one positive: cut each at _SLOPE and _STEP, all in one call
+    of fn, and keep the first part between finite values with a sign change.
+    Its right end is the least finite point whose sign differs from fa's,
+    its left end the greatest finite point below that, so the cuts need no
+    sort. A bracket that is not ``live`` keeps its ends."""
+    t = fa / (fa - fb)  # the secant point's fraction of [a, b], in [0, 1]
+    cuts = a[:, None] + (b - a)[:, None] * (t[:, None] * _SLOPE + _STEP)
+    x = np.concatenate((a[:, None], cuts, b[:, None]), axis=1)
+    f = np.concatenate((fa[:, None], fn(c, cuts), fb[:, None]), axis=1)
+    finite, i = np.isfinite(f), np.arange(a.size)
+    j = np.where(finite & ((f > 0.0) != (fa > 0.0)[:, None]), x, np.inf).argmin(axis=1)
+    j = np.where(live, j, -1)
+    b, fb = x[i, j], f[i, j]
+    j = np.where(live, np.where(finite & (x < b[:, None]), x, -np.inf).argmax(axis=1), 0)
+    return x[i, j], b, f[i, j], fb
 
 
 def _certified(eq: Equilibrium) -> Equilibrium:

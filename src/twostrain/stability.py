@@ -399,13 +399,20 @@ def strain2_lyapunov_surface(p: ModelParams, inc2: IncidenceSpec, e2, S_values, 
 
 def _empty_scan_range(p: ModelParams) -> str:
     """The empty string when the scan's S and V1 ranges both have a positive
-    lower end; else which input leaves which range empty. 1e-6*S0 underflows at a tiny
-    Lambda (S0 = Lambda/lam); 1e-6*V10 is 0 at r = 0 and underflows at a
-    subnormal r (V10 = r*S0/mu)."""
-    if not 1e-6 * p.susceptible_cap > 0.0:
+    lower end and a finite upper end; else which input leaves which range
+    empty. 1e-6*S0 underflows at a tiny Lambda, and S0 = Lambda/lam
+    overflows at a huge Lambda over a tiny lam; 1e-6*V10 is 0 at r = 0 and
+    underflows at a subnormal r, and V10 = r*S0/mu overflows at a huge r
+    over a tiny mu."""
+    S0, V10 = p.susceptible_cap, p.vaccinated_cap
+    if not 1e-6 * S0 > 0.0:
         return "Lambda = %r leaves no S range (1e-6*S0 = 0)" % p.Lambda
-    if not 1e-6 * p.vaccinated_cap > 0.0:
+    if not S0 < np.inf:
+        return "Lambda = %r over lam = %r leaves no finite S range (S0 = inf)" % (p.Lambda, p.lam)
+    if not 1e-6 * V10 > 0.0:
         return "r = %r leaves no V1 range (1e-6*V10 = 0)" % p.r
+    if not V10 < np.inf:
+        return "r = %r over mu = %r leaves no finite V1 range (V10 = inf)" % (p.r, p.mu)
     return ""
 
 
@@ -413,13 +420,14 @@ def lyapunov_scan_grid(p: ModelParams, n_grid: int = 200):
     """Default log-spaced (S, V1) scan grids inside the invariant box.
 
     Ranges are (1e-6*S0, S0] and (1e-6*V10, V10]; the lower ends stay off
-    the singular boundary where the surface diverges to -inf. An empty range
-    (see ``_empty_scan_range``) is a DomainError that names its input.
+    the singular boundary where the surface diverges to -inf. A range with a
+    lower end of 0 or an infinite upper end (see ``_empty_scan_range``) is a
+    DomainError that names its input.
     """
     _require_grid(n_grid, "n_grid", 1)
     empty = _empty_scan_range(p)
     if empty:
-        raise DomainError("the scan needs 1e-6*S0 > 0 and 1e-6*V10 > 0, but " + empty)
+        raise DomainError("the scan needs 0 < 1e-6*S0, S0 < inf, 0 < 1e-6*V10 and V10 < inf, but " + empty)
     S_values = np.geomspace(1e-6 * p.susceptible_cap, p.susceptible_cap, n_grid)
     V1_values = np.geomspace(1e-6 * p.vaccinated_cap, p.vaccinated_cap, n_grid)
     return S_values, V1_values

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import itertools
 import re
@@ -579,25 +580,22 @@ class TestBatch:
             solve_batch([(p, custom[0], inc2), (p, custom[1], inc2)])
 
     def test_every_bracket_narrows_for_the_derived_rounds(self):
-        # a bracket starts as one scan cell and each round keeps one of its
-        # SECTIONS parts: the least count of rounds that takes it below
-        # BISECT_WIDTH of the scan range, and every bracketed balance runs it
-        rounds = equilibria._ROUNDS
-        assert SCAN_NODES * SECTIONS**rounds * equilibria.BISECT_WIDTH >= 1.0
-        assert SCAN_NODES * SECTIONS ** (rounds - 1) * equilibria.BISECT_WIDTH < 1.0
-        seen = set()
+        # a pass cuts all its brackets in each round until the last of them
+        # is narrow, at most _ROUNDS rounds, so a row's rounds are its
+        # brackets times that count; most passes need two
+        passes = collections.Counter()
         for case in random_cases(1105, 200):
             st = solve_all(*case).stats
             for scan in (st.E1, st.E2, st.E3_cap, st.E3):
-                assert scan.rounds == (rounds if scan.brackets else 0)
-                seen.add(scan.brackets > 0)
-        assert seen == {False, True}
+                ran, rest = divmod(scan.rounds, max(scan.brackets, 1))
+                assert rest == 0 and (1 <= ran <= equilibria._ROUNDS if scan.brackets else ran == 0)
+                passes[ran] += 1
+        assert passes[0] and passes[2] > sum(passes[r] for r in range(3, equilibria._ROUNDS + 1))
 
     def test_stats_repeat_and_match_the_balance_evaluations(self, monkeypatch):
         # a counting wrapper around every balance callable handed to the
         # root finder tallies the abscissae of each row; a row's tally is
-        # its scan, SECTIONS + 1 points per bracket and round, and 2 per
-        # bracket for the polish
+        # its scan and _SLOPE.size cuts per bracket and round
         tallies = []
         roots = equilibria._roots
 
@@ -621,9 +619,9 @@ class TestBatch:
             st = eqs.stats
             assert st.rows == 3
             for tally, scan in ((e1, st.E1), (e2, st.E2), (cap, st.E3_cap), (e3, st.E3)):
-                assert tally[i] == scan.nodes + scan.brackets * (scan.rounds * (SECTIONS + 1) + 2)
+                assert tally[i] == scan.nodes + scan.rounds * equilibria._SLOPE.size
             assert st.E2.brackets == len(eqs.E2)
-        assert [eqs.stats.E2.rounds for eqs in results] == [5, 5, 0]
+        assert [eqs.stats.E2.rounds for eqs in results] == [2, 6, 0]  # 1, 3 and no brackets
         assert results[2].stats.E1.nodes == 0  # R1 < 1 at r = 0.25: no E1 scan
 
         # with a custom strain-2 rate each E3 balance call solves for S with
@@ -650,8 +648,9 @@ class TestBatch:
         inc2 = IncidenceSpec.custom(rate, d_rate_dS=dF2_dS)
         eqs = solve_all(params(r=0.1, k=0.0), inc1, inc2)
         assert eqs.stats.E3.brackets > 0
-        # the scan, one call per narrowing round and the polish
-        assert per_balance == [1 + equilibria._S_HALVINGS] * (eqs.stats.E3.rounds + 2)
+        # the scan and one call per narrowing round
+        ran = eqs.stats.E3.rounds // eqs.stats.E3.brackets
+        assert per_balance == [1 + equilibria._S_HALVINGS] * (ran + 1)
         assert len(dS_calls) == len(eqs.E2) > 0
 
     def test_no_checked_evaluation_inside_a_scan(self, monkeypatch):
@@ -696,3 +695,125 @@ class TestBatch:
         block = peak_memory(lambda: solve_batch(rows))
         one_row = peak_memory(lambda: solve_all(*rows[BLOCK_ROWS // 2]))
         assert block <= 2.0 * one_row
+
+
+#: a synthetic balance's root: off every scan node of the range (0, 1], 0.8
+#: of the way through its scan cell
+ROOT = (1000.0 + 0.8) / SCAN_NODES
+CELL = 1.0 / SCAN_NODES
+
+
+def _nan_beside(x):
+    """c - x, NaN on [c - 0.6, c - 0.05] scan cells: the NaN stretch lies
+    inside the root's scan cell, between its positive left end and the root."""
+    return np.where((x >= ROOT - 0.6 * CELL) & (x <= ROOT - 0.05 * CELL), np.nan, ROOT - x)
+
+
+#: balances on (0, 1] on which the secant point is a poor guide: fn(x) and
+#: its roots
+SYNTHETIC = {
+    "triple root": (lambda x: (x - ROOT) ** 3, [ROOT]),
+    "kink": (lambda x: np.sign(ROOT - x) * np.sqrt(np.abs(x - ROOT)), [ROOT]),
+    "NaN beside the root": (_nan_beside, [ROOT]),
+}
+
+
+def narrowing(monkeypatch, fn, rows, hi, kind=0):
+    """``_roots(fn, rows, hi, kind)`` with every point it hands fn counted and
+    each narrowing round's brackets and live flags recorded: the roots, the
+    point count, the last round's (a, b) and each bracket's live rounds."""
+    rounds, points = [], [0]
+    narrowed = equilibria._narrowed
+
+    def recorded(fn, c, a, b, fa, fb, live):
+        out = narrowed(fn, c, a, b, fa, fb, live)
+        rounds.append((live.copy(), out[0], out[1]))
+        return out
+
+    def counted(c, x):
+        points[0] += x.size
+        return fn(c, x)
+
+    monkeypatch.setattr(equilibria, "_narrowed", recorded)
+    roots = equilibria._roots(counted, rows, hi, kind)
+    live = np.sum([flags for flags, _, _ in rounds], axis=0)
+    return roots, points[0], rounds[-1][1:], live
+
+
+class TestNarrowing:
+    """_roots on balances chosen to defeat the secant point: each bracket
+    still ends below BISECT_WIDTH*hi within _ROUNDS rounds, and the points
+    handed to the balance are exactly the scan and the rounds' cuts."""
+
+    def test_the_constants_bound_the_rounds_and_the_finest_cut(self):
+        rounds, finest = equilibria._ROUNDS, equilibria._FINEST
+        assert SCAN_NODES * SECTIONS**rounds * equilibria.BISECT_WIDTH >= 1.0
+        assert SCAN_NODES * SECTIONS ** (rounds - 1) * equilibria.BISECT_WIDTH < 1.0
+        assert SCAN_NODES * 2.0**finest * equilibria.BISECT_WIDTH >= 1.0
+        assert SCAN_NODES * 2.0 ** (finest - 1) * equilibria.BISECT_WIDTH < 1.0
+        # at any secant fraction every cut lies in the bracket, and no part
+        # is wider than 1/SECTIONS of it
+        for t in (0.0, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0):
+            cuts = np.sort(np.concatenate([[0.0], t * equilibria._SLOPE + equilibria._STEP, [1.0]]))
+            assert 0.0 <= cuts[0] and cuts[-1] <= 1.0
+            assert np.diff(cuts).max() <= 1.0 / SECTIONS
+
+    @pytest.mark.parametrize("name", sorted(SYNTHETIC))
+    def test_a_poor_secant_point_still_narrows_within_the_rounds(self, monkeypatch, name):
+        fn, expected = SYNTHETIC[name]
+        rows = equilibria._Rows.of([(params(), None, None)])
+        roots, points, (a, b), live = narrowing(monkeypatch, lambda c, x: fn(x), rows, np.array([1.0]))
+        (found,) = roots
+        width = equilibria.BISECT_WIDTH
+        np.testing.assert_allclose(found, expected, rtol=0.0, atol=width)
+        assert np.all(b - a < width) and np.all((a <= found) & (found <= b))
+        assert 1 <= live.max() <= equilibria._ROUNDS
+        nodes, brackets, rounds = rows.scans[0, 0]
+        assert (nodes, brackets) == (SCAN_NODES + 1, len(expected))
+        assert rounds == brackets * live.max()
+        assert points == nodes + rounds * equilibria._SLOPE.size
+
+    def test_three_e2_roots_of_the_wavy_rate(self, monkeypatch):
+        optimize = pytest.importorskip("scipy.optimize")
+        p, inc2 = params(r=0.1, k=0.0), wavy_rate()
+        rows = equilibria._Rows.of([(p, None, inc2)])
+        hi = p.Lambda / p.alpha2
+        roots, points, (a, b), live = narrowing(
+            monkeypatch, lambda c, x: strain2_balance(c, c.f2, x), rows, np.array([hi]), kind=1
+        )
+        (found,) = roots
+        xs = np.linspace(0.0, hi, SCAN_NODES + 1)
+        xs[0] = 1e-9 * hi
+        h = strain2_balance(p, inc2, xs)
+        expected = [
+            optimize.brentq(lambda x: strain2_balance(p, inc2, x), xs[i], xs[i + 1], xtol=1e-13)
+            for i in np.flatnonzero((h[:-1] > 0.0) != (h[1:] > 0.0))
+        ]
+        assert len(expected) == 3
+        np.testing.assert_allclose(found, expected, rtol=1e-12)
+        assert np.all(b - a < equilibria.BISECT_WIDTH * hi)
+        assert 1 <= live.max() <= equilibria._ROUNDS
+        nodes, brackets, rounds = rows.scans[0, 1]
+        assert brackets == 3 and rounds == brackets * live.max()
+        assert points == nodes + rounds * equilibria._SLOPE.size
+
+    def test_a_narrow_bracket_is_frozen_while_its_block_narrows_on(self):
+        # a block of rows whose brackets need different numbers of rounds:
+        # each row's roots are bit for bit its one-row pass
+        fns = [fn for fn, _ in SYNTHETIC.values()] + [lambda x: ROOT - x]
+
+        def balance(c, x):
+            return np.choose(c.row[:, None], [fn(x) for fn in fns])
+
+        block = [(params(), None, None)] * len(fns)
+        rows = equilibria._Rows.of(block)
+        together = equilibria._roots(balance, rows, np.ones(len(fns)), 0)
+        ran = set()
+        for i in range(len(fns)):
+            alone = equilibria._Rows.of([block[i]])
+            fn = fns[i]
+            (root,) = equilibria._roots(lambda c, x: fn(x), alone, np.array([1.0]), 0)
+            assert together[i].tobytes() == root.tobytes()
+            ran.add(alone.scans[0, 0, 2])
+        assert len(ran) > 1
+        assert (rows.scans[:, 0, 2] == max(ran)).all()

@@ -642,6 +642,20 @@ class TestStrain2LyapunovScan:
         with pytest.raises(DomainError, match=r"Lambda = %r leaves no S range \(1e-6\*S0 = 0\)$" % Lambda):
             lyapunov_scan_grid(p)
 
+    @pytest.mark.parametrize(
+        "Lambda, mu, r, message",
+        [
+            (1e308, 1e-10, 1e-10, r"Lambda = 1e\+308 over lam = 2e-10 leaves no finite S range \(S0 = inf\)$"),
+            (1e300, 1e-10, 1e10, r"r = 10000000000.0 over mu = 1e-10 leaves no finite V1 range \(V10 = inf\)$"),
+        ],
+    )
+    def test_overflowing_cap_leaves_no_finite_range(self, Lambda, mu, r, message):
+        # S0 = Lambda/lam, or else V10 = r*Lambda/(mu*lam), overflows to inf,
+        # where the grid would run from inf to inf through NaN
+        p = ModelParams(Lambda=Lambda, mu=mu, r=r, k=0.0, gamma1=0.0, gamma2=0.0, v1=0.0, v2=0.0)
+        with pytest.raises(DomainError, match=message):
+            lyapunov_scan_grid(p, 4)
+
     def test_one_point_grid(self):
         p, inc1, inc2 = setup_strain2_dominant()
         e2 = solve_strain2(p, inc2)[0]

@@ -4,7 +4,7 @@ the solver or the integrator does, and says so with the old and new counts."""
 import pytest
 
 from twostrain import analysis
-from twostrain.benchmarks import build_scenario
+from twostrain.benchmarks import build_scenario, reproduce
 from twostrain.simulate import integrate
 
 
@@ -25,11 +25,36 @@ def test_classified_sweep_scan_counts(monkeypatch):
         for kind in ("E1", "E2", "E3_cap", "E3")
     }
     assert sums == {
-        "E1": (159783, 39, 195),
-        "E2": (167977, 41, 205),
+        "E1": (159783, 39, 85),
+        "E2": (167977, 41, 82),
         "E3_cap": (167977, 0, 0),
-        "E3": (167977, 15, 75),
+        "E3": (167977, 15, 30),
     }
+
+
+@pytest.mark.parametrize(
+    "example, counts",
+    [
+        ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3_cap": (4097, 0, 0), "E3": (4097, 0, 0)}),
+        ("6.2", {"E1": (4097, 1, 2), "E2": (0, 0, 0), "E3_cap": (4097, 0, 0), "E3": (4097, 0, 0)}),
+        ("6.3", {"E1": (0, 0, 0), "E2": (4097, 1, 2), "E3_cap": (4097, 0, 0), "E3": (4097, 0, 0)}),
+        ("6.4", {"E1": (4097, 1, 2), "E2": (4097, 1, 2), "E3_cap": (4097, 0, 0), "E3": (4097, 1, 2)}),
+    ],
+)
+def test_reproduce_scan_counts(monkeypatch, example, counts):
+    # each balance's ScanStats (nodes, brackets, rounds) in the one solve of
+    # a worked example's replay; a balance with R <= 1 is not scanned
+    solved, solve_all = [], analysis.solve_all
+
+    def recorded(*case):
+        solved.append(solve_all(*case))
+        return solved[-1]
+
+    monkeypatch.setattr(analysis, "solve_all", recorded)
+    assert reproduce(example).all_pass
+    (eqs,) = solved
+    assert eqs.stats.rows == 1
+    assert {kind: tuple(getattr(eqs.stats, kind)) for kind in counts} == counts
 
 
 @pytest.mark.parametrize(
