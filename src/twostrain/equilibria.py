@@ -31,6 +31,18 @@ dropped.
 The reduction is in I2 rather than S because with r*k = 0 and an f2 that
 ignores I2, the strain-2 balance no longer depends on I2.
 
+Every equilibrium has S <= S0 and V1 <= V10. Where both forces f = F/I are
+nondecreasing in S and nonincreasing in I (``force_monotone`` of
+``IncidenceSpec.check_hypotheses``; the algebra proves it for every built-in
+family), this bounds psi by f1(S0, 0) - alpha1 = alpha1*(R1 - 1) and the
+strain-2 balance's left side minus alpha2 by alpha2*(R2 - 1), so R1 <= 1 or
+R2 <= 1 leaves no interior equilibrium (Korobeinikov and Maini 2005, Math.
+Med. Biol. 22). It also makes the strain-2 balance at S0, which ends the E3
+scan, nonincreasing in I2 from alpha2*(R2 - 1). So for built-in rows the E3
+scans are skipped where R1 <= 1 or R2 <= 1, and the end of the E3 range is
+Lambda/alpha2 without a scan where that balance is still positive there.
+Custom rates, whose monotonicity is not proved, are always scanned.
+
 ``solve_batch`` solves rows in blocks of at most BLOCK_ROWS and fills in the
 invasion numbers; each row's result is bit for bit its own one-row batch,
 ``solve_all``. The per-kind solvers run the same block passes on one row
@@ -122,10 +134,12 @@ class Equilibrium:
 
 
 class ScanStats(NamedTuple):
-    """One row's pass on one balance (nodes 0: not scanned). ``rounds`` sums
-    over the row's brackets the narrowing rounds of its pass, the rounds
-    until the last bracket of the pass is narrow; each takes _SLOPE.size
-    points, so the balance ran at nodes + rounds*_SLOPE.size points."""
+    """One row's pass on one balance: nodes 0 means the balance never ran,
+    and nodes 1 that it ran only at the scan end (E3_cap, positive there).
+    ``rounds`` sums over the row's brackets the narrowing rounds of its
+    pass, the rounds until the last bracket of the pass is narrow; each
+    takes _SLOPE.size points, so the balance ran at nodes +
+    rounds*_SLOPE.size points."""
 
     nodes: int = 0
     brackets: int = 0
@@ -134,8 +148,10 @@ class ScanStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What solving one row did: its block's rows and each balance's pass
-    (E3_cap finds the end of the E3 range)."""
+    """What solving one row did: its block's rows and each balance's pass.
+    E3_cap finds the end of the E3 range; for built-in families E3_cap and
+    E3 are (0, 0, 0) where R1 <= 1 or R2 <= 1, and E3_cap is (1, 0, 0)
+    where its end value rules out a root."""
 
     rows: int
     E1: ScanStats
@@ -150,10 +166,11 @@ class _Rows:
     f1 and f2 are the strains' closed forms bound to coefficient columns.
     One row keeps Python floats, which broadcast faster than (1, 1) columns.
     ``row`` labels each entry with its block row. Shared by every ``take``:
-    ``scans`` holds each block row's ScanStats of E1, E2, E3_cap and E3."""
+    ``scans`` holds each block row's ScanStats of E1, E2, E3_cap and E3, and
+    ``views`` each block row alone, with its bound forms (a view has none)."""
 
-    def __init__(self, block, data, row, scans):
-        self.block, self.data, self.row, self.scans = block, data, row, scans
+    def __init__(self, block, data, row, scans, views):
+        self.block, self.data, self.row, self.scans, self.views = block, data, row, scans, views
         (self.Lambda, self.mu, self.r, self.k, self.lam, self.alpha1, self.alpha2,
          self.susceptible_cap, self.vaccinated_cap) = data[:9]
 
@@ -168,19 +185,20 @@ class _Rows:
             raise ValueError("batched rows must share one incidence family pair")
         data = [_row_data(*row) for row in block]
         n = len(block)
+        scans = np.zeros((n, 4, 3), int)
+        views = [cls(block, columns, np.array([i]), scans, None) for i, columns in enumerate(data)]
         columns = data[0] if n == 1 else np.array(data).T.reshape(13, n, 1)
-        return cls(block, columns, np.arange(n), np.zeros((n, 4, 3), int))
+        return cls(block, columns, np.arange(n), scans, views)
 
     def take(self, idx) -> "_Rows":
         """The entries at ``idx``, repeats allowed."""
         data = self.data if isinstance(self.data, tuple) else self.data[:, idx]
-        return _Rows(self.block, data, self.row[idx], self.scans)
+        return _Rows(self.block, data, self.row[idx], self.scans, self.views)
 
     def one(self, e) -> "_Rows":
-        """Entry ``e`` alone, with the Python floats that ``of`` gives its row."""
-        if isinstance(self.data, tuple) and self.row.size == 1:
-            return self
-        return _Rows(self.block, _row_data(*self.block[self.row[e]]), self.row[e : e + 1], self.scans)
+        """Entry ``e`` alone: its block row's view, with the Python floats
+        that ``of`` gives that row."""
+        return self.views[self.row[e]]
 
     def each(self, column) -> np.ndarray:
         """A column expression's value for each entry, as an (n,) array."""
@@ -262,7 +280,7 @@ def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> List[Equilibrium]:
 
 def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
     """All strain-2-only equilibria, by increasing I2, found by the shared
-    scan-bracket-polish pass.
+    scan-and-narrow pass (``_roots``).
 
     Returns an empty list when R2 <= 1. Raises SolverError when R2 > 1 but
     the scan resolution shows no sign change, since a root must exist.
@@ -407,24 +425,33 @@ def _psi(c: _Rows, I2):
     return np.where(feasible, c.f1.force(S, I1) - c.alpha1, np.nan)
 
 
+def _cap(c: _Rows, I2):
+    """The strain-2 balance at S = S0, f2(S0, I2) + k*r*S0/(mu + k*I2) - alpha2,
+    which is alpha2*(R2 - 1) at I2 = 0: where it is negative no S <= S0
+    solves the strain-2 balance."""
+    S0 = c.susceptible_cap
+    return c.f2.force(S0, I2) + c.k * c.r * S0 / (c.mu + c.k * I2) - c.alpha2
+
+
 def _coexistence(rows: _Rows, ths) -> list:
-    """Each block row's E3 roots and the message of its SolverError or ""."""
-    # every equilibrium has S <= S0, and the strain-2 balance at S0 falls in
-    # I2 from alpha2*(R2 - 1); past its last root no S solves it, so the scan
-    # ends there and spends its nodes where psi is defined
+    """Each block row's E3 roots and the message of its SolverError or "".
+    The psi scan ends at the cap balance's last root, or else at
+    Lambda/alpha2; the module docstring says which scans built-in rows skip."""
+    monotone = all(inc.family in BUILT_IN_FAMILIES for inc in rows.block[0][1:])
     hi = rows.each(rows.Lambda / rows.alpha2)
-    caps = _roots(
-        lambda c, x: c.f2.force(c.susceptible_cap, x)
-        + c.k * c.r * c.susceptible_cap / (c.mu + c.k * x)
-        - c.alpha2,
-        rows, hi, 2,
-    )
-    ends = np.array([cap[-1] if cap.size else end for cap, end in zip(caps, hi.tolist())])
-    roots = _roots(_psi, rows, ends, 3)
-    label = np.repeat(np.arange(len(roots)), [r.size for r in roots])
-    I2, at = np.concatenate(roots), rows.take(label)
-    coords = coexistence_coordinates(at, I2[:, None]) if I2.size else (I2[:, None],) * 3
-    S, V1, I1 = (x[:, 0] for x in coords)
+    ends = hi.copy()
+    todo = [i for i, th in enumerate(ths) if not monotone or (th.R1 > 1.0 and th.R2 > 1.0)]
+    capped = []
+    for i in todo:
+        # the end value as the scan's last node gives it
+        if monotone and _cap(rows.one(i), hi[i : i + 1])[0] > 0.0:
+            rows.scans[i, 2, 0] = 1
+        else:
+            capped.append(i)
+    for i, cap in zip(capped, _roots(_cap, rows.take(capped), hi[capped], 2) if capped else ()):
+        if cap.size:
+            ends[i] = cap[-1]
+    roots = dict(zip(todo, _roots(_psi, rows.take(todo), ends[todo], 3) if todo else ()))
     out = []
     for i, th in enumerate(ths):
         p, inc1, inc2 = rows.block[i]
@@ -434,16 +461,20 @@ def _coexistence(rows: _Rows, ths) -> list:
             for name, value in (("R2_invasion > 1", r2_inv), ("R1_invasion > 1", r1_inv))
             if value is not None
         )
-        interior = (label == i) & (I1 > 0.0)
+        I2, points = roots.get(i, np.empty(0)), []
+        if I2.size:
+            S, V1, I1 = (x[0] for x in coexistence_coordinates(rows.one(i), I2[None, :]))
+            interior = I1 > 0.0
+            points = list(map(State, *(x[interior].tolist() for x in (S, V1, I1, I2))))
         try:
-            if not interior.any() and len(conditions) == 2 and all(c.satisfied for c in conditions):
+            if not points and len(conditions) == 2 and all(c.satisfied for c in conditions):
                 raise SolverError(
                     "coexistence balance shows no sign change with I1 > 0 at scan resolution %d "
                     "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
                     % (SCAN_NODES, r2_inv, r1_inv)
                 )
             e3 = []
-            for point in map(State, *(x[interior].tolist() for x in (S, V1, I1, I2))):
+            for point in points:
                 res = field_residual(p, inc1, inc2, point)
                 e3.append(_certified(Equilibrium("E3", point, res, conditions)))
             out.append((tuple(e3), ""))

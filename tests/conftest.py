@@ -119,6 +119,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         tr.write_line(line, **kwargs)
 
 
+def trapping_box_starts(seed, cap, n):
+    """Criterion 9's n seeded starts: random shares of a total drawn
+    uniformly from [0, cap], the trapping box's population cap."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        shares = rng.exponential(1.0, 4)
+        yield shares / shares.sum() * rng.uniform(0.0, 1.0) * cap
+
+
 def random_cases(seed, n):
     """Criterion 5's random scenarios: n (params, incidence1, incidence2) draws.
 

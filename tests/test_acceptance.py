@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_cases, record_criterion
+from conftest import random_cases, record_criterion, trapping_box_starts
 
 from twostrain.analysis import analyze, sweep, turning_point
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario, render_reproduction, reproduce
@@ -301,10 +301,7 @@ class TestAcceptance:
                 p = sc.params
                 cap = p.population_cap
                 atol = sc.integrator.atol
-                rng = np.random.default_rng(seed)
-                for _ in range(100):
-                    shares = rng.exponential(1.0, 4)
-                    x0 = shares / shares.sum() * rng.uniform(0.0, 1.0) * cap
+                for x0 in trapping_box_starts(seed, cap, 100):
                     traj = integrate(p, sc.incidence1, sc.incidence2, x0, sc.integrator)
                     low = float(np.min(traj.states))
                     assert low >= -atol and low >= 0.0

@@ -467,9 +467,9 @@ def assert_rows_equal_their_solve_all(rows, results):
         assert _bits(eqs) == _bits(alone)
 
 
-def sweep_rows(n):
-    """Example 6.4's rows at n rates r evenly spaced over [0, 0.2]."""
-    sc = build_scenario("6.4")
+def sweep_rows(n, example="6.4"):
+    """The example's rows at n rates r evenly spaced over [0, 0.2]."""
+    sc = build_scenario(example)
     return [
         (sci.params, sci.incidence1, sci.incidence2)
         for sci in (apply_sweep_value(sc, "r", r) for r in np.linspace(0.0, 0.2, n))
@@ -695,6 +695,99 @@ class TestBatch:
         block = peak_memory(lambda: solve_batch(rows))
         one_row = peak_memory(lambda: solve_all(*rows[BLOCK_ROWS // 2]))
         assert block <= 2.0 * one_row
+
+
+def scanned_in_full(case):
+    """One row's E3 balances scanned in full whatever its thresholds, as
+    ``_coexistence`` scans a custom row: the cap balance's value at the scan
+    end Lambda/alpha2 and its roots, and I2 and I1 at the psi roots."""
+    p = case[0]
+    rows = equilibria._Rows.of([case])
+    hi = np.array([p.Lambda / p.alpha2])
+    (cap,) = equilibria._roots(equilibria._cap, rows, hi, 2)
+    (I2,) = equilibria._roots(equilibria._psi, rows, cap[-1:] if cap.size else hi, 3)
+    I1 = equilibria.coexistence_coordinates(rows, I2[None, :])[2][0]
+    return equilibria._cap(rows, hi)[0], cap, I2, I1
+
+
+class TestCoexistenceSkip:
+    """For built-in families the thresholds rule E3 scans out (see the
+    equilibria module docstring): a row with R1 <= 1 or R2 <= 1 has no E3
+    scan, and a cap balance positive at the scan end is not scanned. Every
+    row still gets the roots that both scans in full give."""
+
+    def test_each_row_has_the_roots_of_both_scans_in_full(self):
+        cases = list(random_cases(1105, 600))
+        cases += [row for example in ("6.1", "6.2", "6.3", "6.4") for row in sweep_rows(41, example)]
+        # R1 just above 1, where E3 still exists in some rows: beta1 scales R1
+        near_one = [
+            (p, dataclasses.replace(inc1, beta=inc1.beta * 1.02 / thresholds(p, inc1, inc2).R1), inc2)
+            for p, inc1, inc2 in cases[:100]
+        ]
+        assert sum(bool(solve_all(*case).E3) for case in near_one) > 10
+        cap_nodes = collections.Counter()
+        for case in cases + near_one:
+            eqs = solve_all(*case)
+            st, th = eqs.stats, eqs.thresholds
+            end, cap, I2, I1 = scanned_in_full(case)
+            assert [e3.point.I2 for e3 in eqs.E3] == I2[I1 > 0.0].tolist()
+            ruled_out = th.R1 <= 1.0 or th.R2 <= 1.0
+            if ruled_out:
+                assert st.E3_cap == st.E3 == (0, 0, 0)
+                assert not np.any(I1 > 0.0)
+            elif end > 0.0:
+                assert st.E3_cap == (1, 0, 0) and cap.size == 0
+            else:
+                assert st.E3_cap.nodes == SCAN_NODES + 1
+            assert (st.E3.nodes == 0) == ruled_out
+            cap_nodes[st.E3_cap.nodes] += 1
+        # ruled out, positive at the end, and scanned: 150, 289 and 161 draws
+        assert cap_nodes[0] and cap_nodes[1] and cap_nodes[SCAN_NODES + 1]
+
+    def test_psi_and_the_cap_balance_obey_their_bounds_at_every_node(self):
+        # S <= S0 and V1 <= V10 with monotone forces bound psi by
+        # alpha1*(R1 - 1), up to rounding, and make the cap balance fall
+        eps = np.finfo(float).eps
+        cases = list(random_cases(1105, 600))
+        cases += [sweep_rows(1, example)[0] for example in ("6.1", "6.2", "6.3", "6.4")]
+        for case in cases:
+            p, th = case[0], thresholds(*case)
+            rows = equilibria._Rows.of([case])
+            hi = p.Lambda / p.alpha2
+            x = np.linspace(0.0, hi, SCAN_NODES + 1)[None, :]
+            x[0, 0] = equilibria.BRACKET_EPSILON * hi
+            psi = equilibria._psi(rows, x)[0]
+            bound = p.alpha1 * (th.R1 - 1.0) + 4.0 * eps * p.alpha1 * max(th.R1, 1.0)
+            assert np.all(psi[np.isfinite(psi)] <= bound)
+            assert np.all(np.diff(equilibria._cap(rows, x)[0]) <= 0.0)
+
+    @pytest.mark.parametrize("custom", ["wavy", "copy of saturated_i2"])
+    def test_custom_rates_are_scanned_with_r1_below_one(self, custom):
+        # a custom force is not proved monotone, so its rows keep both scans
+        if custom == "wavy":
+            p, inc1 = params(r=0.3, gamma1=0.09), wavy_rate()
+            inc2 = IncidenceSpec.saturated_s(2e-4, 1e-4)
+        else:
+            p, inc1 = params(), IncidenceSpec.saturated_i2(3e-5, 0.7)
+            inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
+            built_in = solve_all(p, inc1, inc2)
+            assert built_in.stats.E3_cap == built_in.stats.E3 == (0, 0, 0)
+            inc1 = IncidenceSpec.custom(inc1.rate)
+        eqs = solve_all(p, inc1, inc2)
+        assert eqs.thresholds.R1 <= 1.0 < eqs.thresholds.R2
+        assert eqs.stats.E3_cap.nodes == eqs.stats.E3.nodes == SCAN_NODES + 1
+        assert eqs.E3 == () and eqs.coexistence_error == ""
+
+    def test_each_block_row_is_built_once(self, monkeypatch):
+        # every balance of a block, and the cap's end value, evaluates a row
+        # on the one view that _Rows.of builds for it
+        built, row_data = [], equilibria._row_data
+        monkeypatch.setattr(equilibria, "_row_data", lambda *row: built.append(row) or row_data(*row))
+        rows = sweep_rows(4)
+        results = solve_batch(rows)
+        assert len(built) == len(rows)
+        assert [eqs.stats.E3_cap.nodes for eqs in results] == [1, 1, 1, 0]  # R1 < 1 at r = 0.2
+        assert_rows_equal_their_solve_all(rows, results)
 
 
 #: a synthetic balance's root: off every scan node of the range (0, 1], 0.8

@@ -16,7 +16,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp.rk import RK45
 
-from conftest import same_bits
+from conftest import same_bits, trapping_box_starts
 from twostrain import incidence, model, simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.equilibria import (
@@ -847,10 +847,7 @@ class TestInlinedKernel:
         # 25 starts per example, drawn as criterion 9 draws them
         for seed, example_id in enumerate(EXAMPLE_IDS, start=901):
             sc = build_scenario(example_id)
-            rng = np.random.default_rng(seed)
-            for _ in range(25):
-                shares = rng.exponential(1.0, 4)
-                x0 = shares / shares.sum() * rng.uniform(0.0, 1.0) * sc.params.population_cap
+            for x0 in trapping_box_starts(seed, sc.params.population_cap, 25):
                 self.check(sc.params, sc.incidence1, sc.incidence2, x0, sc.integrator)
 
     def test_clamping_run(self):

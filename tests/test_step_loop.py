@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import same_bits
+from conftest import same_bits, trapping_box_starts
 from twostrain import simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.errors import DomainError, IntegrationError
@@ -183,10 +183,7 @@ class TestModelRuns:
         # 10 starts per example, drawn as criterion 9 draws them
         for seed, example_id in enumerate(EXAMPLE_IDS, start=909):
             sc = build_scenario(example_id)
-            rng = np.random.default_rng(seed)
-            for _ in range(10):
-                shares = rng.exponential(1.0, 4)
-                x0 = shares / shares.sum() * rng.uniform(0.0, 1.0) * sc.params.population_cap
+            for x0 in trapping_box_starts(seed, sc.params.population_cap, 10):
                 integrate(sc.params, sc.incidence1, sc.incidence2, x0, sc.integrator)
         assert len(checked) == 40
 

@@ -3,6 +3,7 @@ the solver or the integrator does, and says so with the old and new counts."""
 
 import pytest
 
+from conftest import trapping_box_starts
 from twostrain import analysis
 from twostrain.benchmarks import build_scenario, reproduce
 from twostrain.simulate import integrate
@@ -27,23 +28,24 @@ def test_classified_sweep_scan_counts(monkeypatch):
     assert sums == {
         "E1": (159783, 39, 85),
         "E2": (167977, 41, 82),
-        "E3_cap": (167977, 0, 0),
-        "E3": (167977, 15, 30),
+        "E3_cap": (39, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
+        "E3": (159783, 15, 30),
     }
 
 
 @pytest.mark.parametrize(
     "example, counts",
     [
-        ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3_cap": (4097, 0, 0), "E3": (4097, 0, 0)}),
-        ("6.2", {"E1": (4097, 1, 2), "E2": (0, 0, 0), "E3_cap": (4097, 0, 0), "E3": (4097, 0, 0)}),
-        ("6.3", {"E1": (0, 0, 0), "E2": (4097, 1, 2), "E3_cap": (4097, 0, 0), "E3": (4097, 0, 0)}),
-        ("6.4", {"E1": (4097, 1, 2), "E2": (4097, 1, 2), "E3_cap": (4097, 0, 0), "E3": (4097, 1, 2)}),
+        ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.2", {"E1": (4097, 1, 2), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.3", {"E1": (0, 0, 0), "E2": (4097, 1, 2), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.4", {"E1": (4097, 1, 2), "E2": (4097, 1, 2), "E3_cap": (1, 0, 0), "E3": (4097, 1, 2)}),
     ],
 )
 def test_reproduce_scan_counts(monkeypatch, example, counts):
     # each balance's ScanStats (nodes, brackets, rounds) in the one solve of
-    # a worked example's replay; a balance with R <= 1 is not scanned
+    # a worked example's replay; a balance with R <= 1 is not scanned, nor
+    # are E3's with R1 <= 1 or R2 <= 1; E3_cap (1, 0, 0) is its end value alone
     solved, solve_all = [], analysis.solve_all
 
     def recorded(*case):
@@ -66,3 +68,23 @@ def test_default_start_integrator_counts(example, counts):
     sc = build_scenario(example)
     st = integrate(sc.params, sc.incidence1, sc.incidence2, sc.initial, sc.integrator).stats
     assert (st.rhs_evals, st.accepted_steps, st.rejected_steps) == counts
+
+
+@pytest.mark.parametrize(
+    "seed, example, counts",
+    [
+        (901, "6.1", (265808, 44143, 125)),
+        (902, "6.2", (244472, 40567, 145)),
+        (903, "6.3", (296534, 49257, 132)),
+        (904, "6.4", (235760, 39134, 126)),
+    ],
+)
+def test_criterion_9_integrator_counts(seed, example, counts):
+    # rhs evaluations, accepted and rejected steps summed over criterion 9's
+    # 100 seeded starts in the example's trapping box
+    sc = build_scenario(example)
+    runs = []
+    for x0 in trapping_box_starts(seed, sc.params.population_cap, 100):
+        st = integrate(sc.params, sc.incidence1, sc.incidence2, x0, sc.integrator).stats
+        runs.append((st.rhs_evals, st.accepted_steps, st.rejected_steps))
+    assert tuple(map(sum, zip(*runs))) == counts
