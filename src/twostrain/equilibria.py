@@ -8,17 +8,19 @@ Four equilibrium kinds exist:
     E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
 E1, E2 and E3 share one root finder, run on a block of parameter rows at
-once. It evaluates each row's balance on SCAN_NODES cells, one row at a
-time in arrays of SCAN_NODES + 1 floats (32 KiB, which malloc reuses from
-row to row), and brackets every sign change between neighbouring finite
-values. It then narrows the brackets of all rows together. Each round cuts
-every bracket at its secant point, at cuts that close in on that point by
-halvings and at even cuts that leave no part wider than 1/SECTIONS, and
-keeps the first part with a sign change; a bracket stops once it is
-narrower than BISECT_WIDTH*hi, mostly after two rounds and at the latest
-after _ROUNDS. Each root is the secant point of its final bracket, with no
-further evaluation. The scans evaluate the closed forms unchecked
-(``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
+once. It evaluates each row's balance on a grid of cells, one row at a
+time in arrays of at most SCAN_NODES + 1 floats (32 KiB, which malloc
+reuses from row to row), and brackets every sign change between
+neighbouring finite values. It then narrows the brackets of all rows
+together. Each round cuts every bracket at its secant point, at cuts that
+close in on that point by halvings and at even cuts that leave no part
+wider than 1/SECTIONS, and keeps the first part with a sign change; a
+bracket stops once it is narrower than BISECT_WIDTH*hi, mostly after two
+or three rounds and at the latest after _rounds(cells) for the cells of
+the scan it came from. Each root is the secant point of its final
+bracket, with no further evaluation. The scans evaluate the closed forms
+unchecked (``IncidenceSpec.bound_forms``); the certified outputs are
+checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
 at each I2 (its left side rises strictly in S from 0 at S = 0; see
@@ -27,21 +29,49 @@ balance gives I1 linearly.
 psi(I2) = f1(S, I1) - alpha1 then vanishes exactly at interior equilibria.
 I1 reaches 0 at the E2 levels; psi is continued past them with I1 held at
 0, so that roots next to them are bracketed, and roots with I1 <= 0 are
-dropped.
+dropped. The scan of psi ends at the last root of the cap balance
+f2(S0, I2) + k*r*S0/(mu + k*I2) - alpha2, past which no S <= S0 solves
+the strain-2 balance.
 The reduction is in I2 rather than S because with r*k = 0 and an f2 that
 ignores I2, the strain-2 balance no longer depends on I2.
 
-Every equilibrium has S <= S0 and V1 <= V10. Where both forces f = F/I are
-nondecreasing in S and nonincreasing in I (``force_monotone`` of
-``IncidenceSpec.check_hypotheses``; the algebra proves it for every built-in
-family), this bounds psi by f1(S0, 0) - alpha1 = alpha1*(R1 - 1) and the
-strain-2 balance's left side minus alpha2 by alpha2*(R2 - 1), so R1 <= 1 or
-R2 <= 1 leaves no interior equilibrium (Korobeinikov and Maini 2005, Math.
-Med. Biol. 22). It also makes the strain-2 balance at S0, which ends the E3
-scan, nonincreasing in I2 from alpha2*(R2 - 1). So for built-in rows the E3
-scans are skipped where R1 <= 1 or R2 <= 1, and the end of the E3 range is
-Lambda/alpha2 without a scan where that balance is still positive there.
-Custom rates, whose monotonicity is not proved, are always scanned.
+Where both forces f = F/I are nondecreasing in S and nonincreasing in I
+(``force_monotone`` of ``IncidenceSpec.check_hypotheses``; the algebra
+proves it for every built-in family), each balance changes sign at most
+once on its range (Korobeinikov and Maini 2005, Math. Med. Biol. 22):
+
+- E1: G(I1)/I1 = f1(S, I1) - alpha1 falls, as S = (Lambda - alpha1*I1)/lam
+  falls.
+- E2: H(I2)/I2 = f2(S, I2) + k*V1 - alpha2, with ``strain2_coordinates``.
+  d log S/dI2 = -alpha2/(Lambda - alpha2*I2) + k*r/((mu + k*I2)*(lam + k*I2))
+  decreases from the sign of ``strain2_discriminant``, so S rises on (0, L)
+  and falls on [L, hi] (L = 0 if the discriminant is <= 0). On (0, L)
+  S > S0, where no equilibrium lies (lam*S = Lambda - F1 - F2 <= Lambda),
+  so H has no root; on [L, hi] S and V1 = r*S/(mu + k*I2) fall, so H/I2 does.
+- The cap balance falls in I2.
+- psi: the strain-2 balance's left side rises in S and falls in I2, so S
+  rises with I2. In the summed balance alpha1*I1 = Lambda - lam*S -
+  alpha2*I2 + k*r*S*I2/(mu + k*I2), S has a coefficient below -mu, and
+  alpha2 >= k*r*S/(mu + k*I2) makes the I2 slope at fixed S <= 0, so I1
+  falls and psi = f1(S, max(I1, 0)) - alpha1 rises.
+
+So no cell holds two roots, and built-in rows are scanned on SECTIONS
+cells. One that meets a non-finite value (psi is NaN past the cap
+balance's root, where rounding can put the scan end) is scanned again on
+SCAN_NODES cells, so that the value hides no more of the range than there.
+E1 and E2 scan G/I and H/I from I = 0, where they are alpha*(R - 1) > 0,
+so a root below BRACKET_EPSILON*hi, as for R just above 1, is bracketed.
+Custom rates, whose monotonicity is not proved (``check_hypotheses`` checks
+a grid), scan G and H from BRACKET_EPSILON*hi, and every balance on
+SCAN_NODES cells.
+
+The hypothesis also gives S <= S0 and V1 <= V10 at every equilibrium, so
+psi <= alpha1*(R1 - 1) and the strain-2 balance's left side minus alpha2
+is at most alpha2*(R2 - 1): R1 <= 1 or R2 <= 1 leaves no interior
+equilibrium, and built-in rows skip both E3 scans there. The cap balance
+falls from alpha2*(R2 - 1), so where it is still positive at
+Lambda/alpha2 that is the end of the E3 range, without a scan. Custom
+rates always scan both.
 
 ``solve_batch`` solves rows in blocks of at most BLOCK_ROWS and fills in the
 invasion numbers; each row's result is bit for bit its own one-row batch,
@@ -77,13 +107,15 @@ from .model import (
     thresholds,
 )
 
-#: relative lower end of the scan; the E1 and E2 balances vanish at 0
+#: relative lower end of the E3 scans and of a custom rate's E1 and E2
+#: scans, whose balances G and H vanish at 0
 BRACKET_EPSILON = 1e-9
 
-#: relative bracket width below which narrowing stops; fixes _ROUNDS and _FINEST
+#: relative bracket width below which narrowing stops; fixes _rounds and _FINEST
 BISECT_WIDTH = 1e-12
 
-#: sign-change scan resolution shared by every balance
+#: sign-change scan resolution of custom rates, and of a built-in row whose
+#: scan on SECTIONS cells meets a non-finite value
 SCAN_NODES = 4096
 _NODES = np.arange(SCAN_NODES + 1.0)
 
@@ -93,13 +125,18 @@ BLOCK_ROWS = 16
 #: each narrowing round cuts a bracket into parts at most 1/SECTIONS as wide
 SECTIONS = 64
 
-#: narrowing rounds at most: a bracket starts as one scan cell and each round
-#: keeps one part of it, so after these it is below BISECT_WIDTH*hi wide
-_ROUNDS = next(r for r in itertools.count() if SCAN_NODES * SECTIONS**r * BISECT_WIDTH >= 1)
+
+def _rounds(cells: int) -> int:
+    """Narrowing rounds at most for a bracket that starts as one of ``cells``
+    scan cells: each round keeps one part of it at most 1/SECTIONS as wide,
+    so after these it is below BISECT_WIDTH*hi wide (5 for SCAN_NODES cells,
+    6 for SECTIONS)."""
+    return next(r for r in itertools.count() if cells * SECTIONS**r * BISECT_WIDTH >= 1)
+
 
 #: the finest cut beside the secant point lies 2**-_FINEST of the way to a
-#: bracket end: a secant point that close takes one scan cell below
-#: BISECT_WIDTH*hi in one round
+#: bracket end: a secant point that close takes one of SCAN_NODES scan cells
+#: below BISECT_WIDTH*hi in one round
 _FINEST = next(k for k in itertools.count() if SCAN_NODES * 2**k * BISECT_WIDTH >= 1)
 _SHIFTS = 2.0 ** -np.arange(_FINEST, math.log2(SECTIONS), -1.0)
 
@@ -136,9 +173,11 @@ class Equilibrium:
 class ScanStats(NamedTuple):
     """One row's pass on one balance: nodes 0 means the balance never ran,
     and nodes 1 that it ran only at the scan end (E3_cap, positive there).
-    ``rounds`` sums over the row's brackets the narrowing rounds of its
-    pass, the rounds until the last bracket of the pass is narrow; each
-    takes _SLOPE.size points, so the balance ran at nodes +
+    Otherwise it is SECTIONS + 1, SCAN_NODES + 1, or their sum where a scan
+    on SECTIONS cells met a non-finite value and one on SCAN_NODES
+    followed. ``rounds`` sums over the row's brackets the narrowing rounds
+    of its pass, the rounds until the last bracket of the pass is narrow;
+    each takes _SLOPE.size points, so the balance ran at nodes +
     rounds*_SLOPE.size points."""
 
     nodes: int = 0
@@ -264,8 +303,11 @@ def strain2_balance(p: ModelParams, inc2: IncidenceSpec, I2):
 def strain2_discriminant(p: ModelParams) -> float:
     """Sign classifier for the root structure of the strain-2 balance.
 
-    Negative values mean a unique positive root is expected when R2 > 1;
-    positive values confine multiple roots to an explicit interval.
+    It has the sign of d log S/dI2 at I2 = 0. Negative values mean a unique
+    positive root is expected when R2 > 1; positive values confine the roots
+    to [L, Lambda/alpha2], where S falls from its maximum at L. Where the
+    force is monotone, as for every built-in family, there is at most one
+    root in either case (see the module docstring).
     """
     return -p.alpha2 * p.r * p.mu - p.alpha2 * p.mu * p.mu + p.k * p.Lambda * p.r
 
@@ -273,7 +315,7 @@ def strain2_discriminant(p: ModelParams) -> float:
 def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> List[Equilibrium]:
     """All strain-1-only equilibria, by increasing I1; see ``solve_strain2``.
     Each built-in family gives exactly one when R1 > 1, as G(I1)/I1 falls
-    strictly."""
+    from alpha1*(R1 - 1)."""
     R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
     return _strain_only(_Rows.of([(p, inc1, None)]), [R1], 1)[0]
 
@@ -283,7 +325,10 @@ def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
     scan-and-narrow pass (``_roots``).
 
     Returns an empty list when R2 <= 1. Raises SolverError when R2 > 1 but
-    the scan resolution shows no sign change, since a root must exist.
+    the scan shows no sign change, since a root must exist. Each built-in
+    family gives exactly one root when R2 > 1, whatever the sign of
+    ``strain2_discriminant``: the module docstring proves that H(I2)/I2
+    changes sign once. A custom rate may give several.
     """
     R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
     return _strain_only(_Rows.of([(p, None, inc2)]), [R2], 2)[0]
@@ -298,24 +343,37 @@ def _strain_only(rows: _Rows, Rs, strain: int) -> list:
     if not todo:
         return out
     sub = rows.take(todo)
-    balance, alpha = (strain1_balance, sub.alpha1) if strain == 1 else (strain2_balance, sub.alpha2)
-    found = _roots(
-        lambda c, x: balance(c, getattr(c, "f%d" % strain), x), sub, sub.each(sub.Lambda / alpha), strain - 1
-    )
+    hi = sub.each(sub.Lambda / (sub.alpha1 if strain == 1 else sub.alpha2))
+    if rows.block[0][strain].family in BUILT_IN_FAMILIES:
+        found = _roots(lambda c, x: _per_infective(c, strain, x), sub, hi, strain - 1, SECTIONS, 0.0)
+    else:
+        balance = strain1_balance if strain == 1 else strain2_balance
+        found = _roots(lambda c, x: balance(c, getattr(c, "f%d" % strain), x), sub, hi, strain - 1)
     for i, roots in zip(todo, found):
         (p, inc1, inc2), R = rows.block[i], Rs[i]
+        cells = _cells(rows.scans[i, strain - 1, 0])
         if not roots.size:
             raise SolverError(
                 "strain-%d balance shows no sign change at scan resolution %d although "
-                "R%d = %.6g > 1" % (strain, SCAN_NODES, strain, R)
+                "R%d = %r > 1" % (strain, cells, strain, R)
             )
         condition = ExistenceCondition("R%d > 1" % strain, R, R > 1.0)
         points = [_strain_point(p, strain, I) for I in roots.tolist()]
-        notes = _strain2_notes(p, inc2, points) if strain == 2 else [""] * len(points)
+        notes = _strain2_notes(p, inc2, points, cells) if strain == 2 else [""] * len(points)
         for point, note in zip(points, notes):
             res = field_residual(p, inc1, inc2, point)
             out[i].append(_certified(Equilibrium("E%d" % strain, point, res, (condition,), note)))
     return out
+
+
+def _per_infective(c: _Rows, strain: int, I):
+    """The ``strain``-only balance over I, from the force f = F/I: G(I1)/I1 =
+    f1(S, I1) - alpha1 or H(I2)/I2 = f2(S, I2) + k*V1 - alpha2, which is
+    alpha*(R - 1) at I = 0."""
+    if strain == 1:
+        return c.f1.force((c.Lambda - c.alpha1 * I) / c.lam, I) - c.alpha1
+    S, V1 = strain2_coordinates(c, I)
+    return c.f2.force(S, I) + c.k * V1 - c.alpha2
 
 
 def _strain_point(p: ModelParams, strain: int, I: float) -> State:
@@ -327,9 +385,10 @@ def _strain_point(p: ModelParams, strain: int, I: float) -> State:
     return State(S, V1, 0.0, I)
 
 
-def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points) -> list:
+def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points, cells: int) -> list:
     """Each E2 root's note: the root structure that ``strain2_discriminant``
-    predicts, the root count and the auxiliary uniqueness flag dF2/dS <= I2.
+    predicts, the root count at the scan's ``cells`` and the auxiliary
+    uniqueness flag dF2/dS <= I2.
     Where the roots break the predicted uniqueness, the note says so in
     place of the flag."""
     d = strain2_discriminant(p)
@@ -346,7 +405,7 @@ def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points) -> list:
         covered = sum(L <= pt.I2 <= hi for pt in points)
     else:
         structure, covered = "discriminant is exactly 0", 0
-    found = "found %d root(s) at scan resolution %d" % (len(points), SCAN_NODES)
+    found = "found %d root(s) at scan resolution %d" % (len(points), cells)
     notes = []
     for pt in points:
         dF2_dS = float(inc2.d_rate_dS(pt.S, pt.I2))
@@ -438,6 +497,7 @@ def _coexistence(rows: _Rows, ths) -> list:
     The psi scan ends at the cap balance's last root, or else at
     Lambda/alpha2; the module docstring says which scans built-in rows skip."""
     monotone = all(inc.family in BUILT_IN_FAMILIES for inc in rows.block[0][1:])
+    cells = SECTIONS if monotone else SCAN_NODES
     hi = rows.each(rows.Lambda / rows.alpha2)
     ends = hi.copy()
     todo = [i for i, th in enumerate(ths) if not monotone or (th.R1 > 1.0 and th.R2 > 1.0)]
@@ -448,10 +508,10 @@ def _coexistence(rows: _Rows, ths) -> list:
             rows.scans[i, 2, 0] = 1
         else:
             capped.append(i)
-    for i, cap in zip(capped, _roots(_cap, rows.take(capped), hi[capped], 2) if capped else ()):
+    for i, cap in zip(capped, _roots(_cap, rows.take(capped), hi[capped], 2, cells) if capped else ()):
         if cap.size:
             ends[i] = cap[-1]
-    roots = dict(zip(todo, _roots(_psi, rows.take(todo), ends[todo], 3) if todo else ()))
+    roots = dict(zip(todo, _roots(_psi, rows.take(todo), ends[todo], 3, cells) if todo else ()))
     out = []
     for i, th in enumerate(ths):
         p, inc1, inc2 = rows.block[i]
@@ -471,7 +531,7 @@ def _coexistence(rows: _Rows, ths) -> list:
                 raise SolverError(
                     "coexistence balance shows no sign change with I1 > 0 at scan resolution %d "
                     "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
-                    % (SCAN_NODES, r2_inv, r1_inv)
+                    % (_cells(rows.scans[i, 3, 0]), r2_inv, r1_inv)
                 )
             e3 = []
             for point in points:
@@ -550,51 +610,56 @@ def _solve_block(block) -> List[EquilibriumSet]:
 # -- shared helpers ----------------------------------------------------------
 
 
-def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
+def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int, cells: int = SCAN_NODES,
+           start: float = BRACKET_EPSILON) -> List[np.ndarray]:
     """Every root of each row's balance on (0, hi] that the scan brackets.
 
     ``hi`` holds one scan end per row of ``rows``. fn(c, x) maps the
     columns c of some rows and abscissae x, one row of x per entry of c, to
     balance values, NaN where the balance is undefined. Each row's scan
-    starts at BRACKET_EPSILON*hi and has SCAN_NODES cells, evaluated in one
-    call of fn on that row alone (``_Rows.one``); a cell brackets a root
-    when both ends are finite and exactly one is positive. Each round then
-    cuts every bracket that is not yet narrower than BISECT_WIDTH*hi, all in
-    one call of fn (see ``_narrowed``), and freezes the others in place, so
-    each row's roots are those of its one-row pass. Where the balance is
-    finite a round keeps a part at most 1/SECTIONS as wide, so the _ROUNDS
-    rounds that take one scan cell below BISECT_WIDTH*hi bound the loop;
-    most brackets need two. Each root is the secant point of its final
-    bracket.
+    runs from start*hi to hi in ``cells`` cells, evaluated in one call of fn
+    on that row alone (``_Rows.one``); a row whose scan on fewer than
+    SCAN_NODES cells meets a non-finite value is scanned again on
+    SCAN_NODES. A cell brackets a root when both ends are finite and
+    exactly one is positive. Each round then cuts every bracket that is not
+    yet narrower than BISECT_WIDTH*hi, all in one call of fn (see
+    ``_narrowed``), and freezes the others in place, so each row's roots
+    are those of its one-row pass. Where the balance is finite a round
+    keeps a part at most 1/SECTIONS as wide, so _rounds of the cells a
+    bracket comes from bound its rounds; most brackets need two or three.
+    Each root is the secant point of its final bracket.
 
     Returns each row's roots in increasing order and records its pass in
     ``rows.scans[:, kind]``.
     """
     n = hi.size
-    brackets = []
+    brackets, nodes, limits = [], np.zeros(n, int), []
     for e in range(n):
-        # one row at a time: a (rows x nodes) array passes glibc's 128 KiB
-        # mmap threshold from 4 rows on, and each of its temporaries would
-        # fault in fresh pages; one row's 32 KiB arrays reuse the same memory
-        x = (hi[e : e + 1] / SCAN_NODES)[:, None] * _NODES  # np.linspace's arithmetic
-        x[:, 0], x[:, -1] = BRACKET_EPSILON * hi[e], hi[e]
-        (x,), (f,) = x, fn(rows.one(e), x)
+        x, f = _scan(fn, rows.one(e), hi[e], cells, start)
+        if cells < SCAN_NODES and not np.isfinite(f).all():
+            # a non-finite node hides both its cells, 1/64 as wide on SCAN_NODES
+            nodes[e] = x.size
+            x, f = _scan(fn, rows.one(e), hi[e], SCAN_NODES, start)
+        nodes[e] += x.size
         finite, positive = np.isfinite(f), f > 0.0
         cell = np.flatnonzero(finite[:-1] & finite[1:] & (positive[:-1] != positive[1:]))
         brackets.append((x[cell], x[cell + 1], f[cell], f[cell + 1]))
+        limits.append(_rounds(x.size - 1))
     counts = [a.size for a, *_ in brackets]
     row = np.repeat(np.arange(n), counts)
     a, b, fa, fb = map(np.concatenate, zip(*brackets))
-    rows.scans[rows.row, kind, 0], rows.scans[rows.row, kind, 1] = SCAN_NODES + 1, counts
+    rows.scans[rows.row, kind, 0], rows.scans[rows.row, kind, 1] = nodes, counts
     if not row.size:
         return [a] * n
 
-    # every scan cell is wider than BISECT_WIDTH*hi; a narrow bracket is
-    # frozen while the others narrow on, so each row's roots are its own
+    # every scan cell is wider than BISECT_WIDTH*hi; a narrow bracket, or
+    # one at the rounds that its scan's cells bound, is frozen while the
+    # others narrow on, so each row's roots are its own
     at, width, live = rows.take(row), (BISECT_WIDTH * hi)[row], np.ones(row.size, bool)
-    for ran in range(1, _ROUNDS + 1):
+    limit = np.repeat(limits, counts)
+    for ran in range(1, limit.max() + 1):
         a, b, fa, fb = _narrowed(fn, at, a, b, fa, fb, live)
-        live = b - a >= width
+        live = (b - a >= width) & (ran < limit)
         if not live.any():
             break
     rows.scans[rows.row, kind, 2] = np.multiply(counts, ran)
@@ -604,6 +669,23 @@ def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int) -> List[np.ndarray]:
     keep[1:] = (row[1:] != row[:-1]) | (roots[1:] - roots[:-1] > 10.0 * width[1:])
     row, roots = row[keep], roots[keep]
     return [roots[row == i] for i in range(n)]
+
+
+def _scan(fn, c: _Rows, hi: float, cells: int, start: float):
+    """The nodes of one row's scan from start*hi to hi in ``cells`` cells,
+    with np.linspace's arithmetic, and fn's values there. One row at a
+    time: a (rows x nodes) array passes glibc's 128 KiB mmap threshold from
+    4 rows of SCAN_NODES on, and each of its temporaries would fault in
+    fresh pages; one row's arrays of at most 32 KiB reuse the same memory."""
+    x = (hi / cells) * _NODES[None, : cells + 1]
+    x[:, 0], x[:, -1] = start * hi, hi
+    (x,), (f,) = x, fn(c, x)
+    return x, f
+
+
+def _cells(nodes: int) -> int:
+    """The cells of the last scan of a pass that ran ``nodes`` scan nodes."""
+    return SECTIONS if nodes == SECTIONS + 1 else SCAN_NODES
 
 
 def _narrowed(fn, c: _Rows, a, b, fa, fb, live):

@@ -195,7 +195,7 @@ class TestStrain2:
         (e2,) = solve_strain2(params(r=0.1, k=1e-4), build_scenario("6.3").incidence2)
         assert e2.multiplicity_note.startswith(
             "discriminant 0.001496 > 0: at most one root expected in [267.1, 952.381]; "
-            "found 1 root(s) at scan resolution 4096; auxiliary uniqueness flag"
+            "found 1 root(s) at scan resolution 64; auxiliary uniqueness flag"
         )
 
     def test_positive_discriminant_interval_over_random_draws(self):
@@ -581,16 +581,19 @@ class TestBatch:
 
     def test_every_bracket_narrows_for_the_derived_rounds(self):
         # a pass cuts all its brackets in each round until the last of them
-        # is narrow, at most _ROUNDS rounds, so a row's rounds are its
-        # brackets times that count; most passes need two
+        # is narrow, at most _rounds of the cells its scan ran on (6 for
+        # SECTIONS, 5 for SCAN_NODES), so a row's rounds are its brackets
+        # times that count; most passes need two or three
         passes = collections.Counter()
         for case in random_cases(1105, 200):
             st = solve_all(*case).stats
             for scan in (st.E1, st.E2, st.E3_cap, st.E3):
                 ran, rest = divmod(scan.rounds, max(scan.brackets, 1))
-                assert rest == 0 and (1 <= ran <= equilibria._ROUNDS if scan.brackets else ran == 0)
+                bound = equilibria._rounds(equilibria._cells(scan.nodes))
+                assert rest == 0 and (1 <= ran <= bound if scan.brackets else ran == 0)
                 passes[ran] += 1
-        assert passes[0] and passes[2] > sum(passes[r] for r in range(3, equilibria._ROUNDS + 1))
+        most = passes[2] + passes[3]
+        assert passes[0] and most > sum(passes[r] for r in range(4, equilibria._rounds(SECTIONS) + 1))
 
     def test_stats_repeat_and_match_the_balance_evaluations(self, monkeypatch):
         # a counting wrapper around every balance callable handed to the
@@ -599,7 +602,7 @@ class TestBatch:
         tallies = []
         roots = equilibria._roots
 
-        def counted(fn, rows, hi, kind):
+        def counted(fn, rows, hi, kind, *scan):
             tally = np.zeros(len(rows.block), int)
 
             def balance(c, x):
@@ -607,7 +610,7 @@ class TestBatch:
                 return fn(c, x)
 
             tallies.append(tally)
-            return roots(balance, rows, hi, kind)
+            return roots(balance, rows, hi, kind, *scan)
 
         monkeypatch.setattr(equilibria, "_roots", counted)
         inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
@@ -690,8 +693,12 @@ class TestBatch:
     def test_block_peak_stays_near_one_row(self):
         # each row is scanned in its own (SCAN_NODES + 1) arrays, so a full
         # block's peak stays near one row's; one (rows x nodes) scan array
-        # per block would peak at about 14 times one row
-        rows = sweep_rows(BLOCK_ROWS)
+        # per block would peak at about 14 times one row. Custom rates are
+        # scanned on SCAN_NODES cells, the built-in ones on SECTIONS
+        rows = [
+            (p, IncidenceSpec.custom(inc1.rate), IncidenceSpec.custom(inc2.rate))
+            for p, inc1, inc2 in sweep_rows(BLOCK_ROWS)
+        ]
         block = peak_memory(lambda: solve_batch(rows))
         one_row = peak_memory(lambda: solve_all(*rows[BLOCK_ROWS // 2]))
         assert block <= 2.0 * one_row
@@ -699,15 +706,23 @@ class TestBatch:
 
 def scanned_in_full(case):
     """One row's E3 balances scanned in full whatever its thresholds, as
-    ``_coexistence`` scans a custom row: the cap balance's value at the scan
-    end Lambda/alpha2 and its roots, and I2 and I1 at the psi roots."""
+    ``_coexistence`` scans a custom row, on SCAN_NODES cells: the cap
+    balance's value at the scan end Lambda/alpha2 and its roots, I2 and I1
+    at the psi roots, and the psi scan's end."""
     p = case[0]
     rows = equilibria._Rows.of([case])
     hi = np.array([p.Lambda / p.alpha2])
     (cap,) = equilibria._roots(equilibria._cap, rows, hi, 2)
-    (I2,) = equilibria._roots(equilibria._psi, rows, cap[-1:] if cap.size else hi, 3)
+    end = cap[-1:] if cap.size else hi
+    (I2,) = equilibria._roots(equilibria._psi, rows, end, 3)
     I1 = equilibria.coexistence_coordinates(rows, I2[None, :])[2][0]
-    return equilibria._cap(rows, hi)[0], cap, I2, I1
+    return equilibria._cap(rows, hi)[0], cap, I2, I1, end[0]
+
+
+def sweep_cases():
+    """Criterion 5's 600 draws and the 41-row r-sweeps of 6.1-6.4."""
+    cases = list(random_cases(1105, 600))
+    return cases + [row for example in ("6.1", "6.2", "6.3", "6.4") for row in sweep_rows(41, example)]
 
 
 class TestCoexistenceSkip:
@@ -717,48 +732,57 @@ class TestCoexistenceSkip:
     row still gets the roots that both scans in full give."""
 
     def test_each_row_has_the_roots_of_both_scans_in_full(self):
-        cases = list(random_cases(1105, 600))
-        cases += [row for example in ("6.1", "6.2", "6.3", "6.4") for row in sweep_rows(41, example)]
+        # the solve scans on SECTIONS cells, the full scans on SCAN_NODES:
+        # the same roots, each within the final bracket width
+        cases = sweep_cases()
         # R1 just above 1, where E3 still exists in some rows: beta1 scales R1
         near_one = [
             (p, dataclasses.replace(inc1, beta=inc1.beta * 1.02 / thresholds(p, inc1, inc2).R1), inc2)
             for p, inc1, inc2 in cases[:100]
         ]
         assert sum(bool(solve_all(*case).E3) for case in near_one) > 10
-        cap_nodes = collections.Counter()
+        cap_nodes, psi_nodes = collections.Counter(), collections.Counter()
         for case in cases + near_one:
             eqs = solve_all(*case)
             st, th = eqs.stats, eqs.thresholds
-            end, cap, I2, I1 = scanned_in_full(case)
-            assert [e3.point.I2 for e3 in eqs.E3] == I2[I1 > 0.0].tolist()
+            end, cap, I2, I1, psi_end = scanned_in_full(case)
+            I2 = I2[I1 > 0.0]
+            assert len(eqs.E3) == I2.size
+            for e3, root in zip(eqs.E3, I2):
+                assert abs(e3.point.I2 - root) <= equilibria.BISECT_WIDTH * psi_end
             ruled_out = th.R1 <= 1.0 or th.R2 <= 1.0
             if ruled_out:
                 assert st.E3_cap == st.E3 == (0, 0, 0)
-                assert not np.any(I1 > 0.0)
+                assert not I2.size
             elif end > 0.0:
                 assert st.E3_cap == (1, 0, 0) and cap.size == 0
             else:
-                assert st.E3_cap.nodes == SCAN_NODES + 1
+                assert st.E3_cap.nodes == SECTIONS + 1
             assert (st.E3.nodes == 0) == ruled_out
             cap_nodes[st.E3_cap.nodes] += 1
+            psi_nodes[st.E3.nodes] += 1
         # ruled out, positive at the end, and scanned: 150, 289 and 161 draws
-        assert cap_nodes[0] and cap_nodes[1] and cap_nodes[SCAN_NODES + 1]
+        assert cap_nodes[0] and cap_nodes[1] and cap_nodes[SECTIONS + 1]
+        # psi NaN at a coarse node, its scan end, scans again on SCAN_NODES
+        assert set(psi_nodes) == {0, SECTIONS + 1, SECTIONS + 1 + SCAN_NODES + 1}
 
     def test_psi_and_the_cap_balance_obey_their_bounds_at_every_node(self):
         # S <= S0 and V1 <= V10 with monotone forces bound psi by
-        # alpha1*(R1 - 1), up to rounding, and make the cap balance fall
+        # alpha1*(R1 - 1), up to rounding, and make the cap balance fall;
+        # psi rises where it is finite, the lemma that lets one coarse scan
+        # cell hold at most one of its roots
         eps = np.finfo(float).eps
-        cases = list(random_cases(1105, 600))
-        cases += [sweep_rows(1, example)[0] for example in ("6.1", "6.2", "6.3", "6.4")]
-        for case in cases:
+        for case in sweep_cases():
             p, th = case[0], thresholds(*case)
             rows = equilibria._Rows.of([case])
             hi = p.Lambda / p.alpha2
             x = np.linspace(0.0, hi, SCAN_NODES + 1)[None, :]
             x[0, 0] = equilibria.BRACKET_EPSILON * hi
             psi = equilibria._psi(rows, x)[0]
-            bound = p.alpha1 * (th.R1 - 1.0) + 4.0 * eps * p.alpha1 * max(th.R1, 1.0)
-            assert np.all(psi[np.isfinite(psi)] <= bound)
+            rounding = 4.0 * eps * p.alpha1 * max(th.R1, 1.0)
+            psi = psi[np.isfinite(psi)]
+            assert np.all(psi <= p.alpha1 * (th.R1 - 1.0) + rounding)
+            assert np.all(np.diff(psi) >= -rounding)
             assert np.all(np.diff(equilibria._cap(rows, x)[0]) <= 0.0)
 
     @pytest.mark.parametrize("custom", ["wavy", "copy of saturated_i2"])
@@ -788,6 +812,102 @@ class TestCoexistenceSkip:
         assert len(built) == len(rows)
         assert [eqs.stats.E3_cap.nodes for eqs in results] == [1, 1, 1, 0]  # R1 < 1 at r = 0.2
         assert_rows_equal_their_solve_all(rows, results)
+
+
+def near_threshold(example, strain, excess):
+    """The example with the strain's beta scaled so that R = 1 + ``excess``:
+    R is linear in beta, plus k*V10/alpha2 for strain 2."""
+    sc = build_scenario(example)
+    p, incs = sc.params, [sc.incidence1, sc.incidence2]
+    R = getattr(thresholds(p, *incs), "R%d" % strain)
+    route = 0.0 if strain == 1 else p.k * p.vaccinated_cap / p.alpha2
+    inc = incs[strain - 1]
+    incs[strain - 1] = dataclasses.replace(inc, beta=inc.beta * (1.0 + excess - route) / (R - route))
+    return (p, *incs)
+
+
+class TestCoarseScan:
+    """Built-in rows are scanned on SECTIONS cells, as each of their
+    balances changes sign at most once (the equilibria module docstring);
+    custom rates keep the SCAN_NODES scan."""
+
+    def test_strain_balances_change_sign_once_on_the_dense_grid(self):
+        # G(I1)/I1 falls; H(I2)/I2 keeps its sign while S rises, where no
+        # equilibrium lies, and falls after
+        eps = np.finfo(float).eps
+        for case in sweep_cases():
+            p, th = case[0], thresholds(*case)
+            rows = equilibria._Rows.of([case])
+            x = np.linspace(0.0, p.Lambda / p.alpha1, SCAN_NODES + 1)[None, :]
+            g = equilibria._per_infective(rows, 1, x)[0]
+            assert g[0] == pytest.approx(p.alpha1 * (th.R1 - 1.0), rel=1e-12, abs=1e-15)
+            assert np.all(np.diff(g) <= 4.0 * eps * p.alpha1 * max(th.R1, 1.0))
+            x = np.linspace(0.0, p.Lambda / p.alpha2, SCAN_NODES + 1)[None, :]
+            h = equilibria._per_infective(rows, 2, x)[0]
+            assert h[0] == pytest.approx(p.alpha2 * (th.R2 - 1.0), rel=1e-12, abs=1e-15)
+            top = np.argmax(strain2_coordinates(p, x[0])[0])
+            assert len(set(h[: top + 1] > 0.0)) == 1
+            assert np.all(np.diff(h[top:]) <= 4.0 * eps * p.alpha2 * max(th.R2, 1.0))
+
+    def test_coarse_roots_match_a_dense_scan(self):
+        # each E1 and E2 root equals the one that G or H gives on SCAN_NODES
+        # cells from BRACKET_EPSILON*hi, as for a custom rate, within the
+        # final bracket width
+        counts = collections.Counter()
+        for p, inc1, inc2 in sweep_cases():
+            eqs = solve_all(p, inc1, inc2)
+            for strain, balance, found in ((1, strain1_balance, eqs.E1), (2, strain2_balance, eqs.E2)):
+                if not found:
+                    continue
+                rows = equilibria._Rows.of([(p, inc1, inc2)])
+                hi = p.Lambda / (p.alpha1 if strain == 1 else p.alpha2)
+                forms = rows.f1 if strain == 1 else rows.f2
+                (dense,) = equilibria._roots(lambda c, x: balance(c, forms, x), rows, np.array([hi]), 0)
+                coarse = [eq.point.I1 if strain == 1 else eq.point.I2 for eq in found]
+                assert len(coarse) == dense.size == 1
+                assert abs(coarse[0] - dense[0]) <= equilibria.BISECT_WIDTH * hi
+                assert getattr(eqs.stats, "E%d" % strain).nodes == SECTIONS + 1
+                counts[strain] += 1
+        assert counts[1] > 300 and counts[2] > 300
+
+    def test_custom_rates_keep_the_dense_scan_bit_for_bit(self):
+        # the three E2 roots of the wavy rate and its E3 root, as a custom
+        # strain-2 rate beside a built-in strain 1, and its three E1 roots as
+        # both rates: SCAN_NODES cells, and the values before the coarse scan
+        wavy = wavy_rate()
+        three = [200.34306106073927, 286.8827404747128, 476.1904761904762]
+        eqs = solve_all(params(r=0.1, k=0.0), IncidenceSpec.bilinear(2e-4), wavy)
+        assert [e2.point.I2 for e2 in eqs.E2] == three
+        assert [e3.point.I2 for e3 in eqs.E3] == [171.2681871138849]
+        assert eqs.stats.E2 == (SCAN_NODES + 1, 3, 6)
+        assert eqs.stats.E3_cap.nodes == eqs.stats.E3.nodes == SCAN_NODES + 1
+        assert eqs.stats.E1.nodes == SECTIONS + 1  # the built-in strain
+        eqs = solve_all(params(r=0.1, k=0.0, gamma1=0.09), wavy, wavy)
+        assert [e1.point.I1 for e1 in eqs.E1] == [e2.point.I2 for e2 in eqs.E2] == three
+        assert eqs.stats.E1 == eqs.stats.E2 == (SCAN_NODES + 1, 3, 6)
+
+    @pytest.mark.parametrize("example, strain", [("6.2", 1), ("6.3", 2), ("6.4", 1), ("6.4", 2)])
+    def test_roots_just_above_the_threshold_are_found(self, example, strain):
+        # G/I and H/I equal alpha*(R - 1) > 0 at I = 0, so a root below
+        # BRACKET_EPSILON*hi is bracketed too
+        for excess in (1e-6, 1e-10, 1e-12, 2.0**-52):
+            p, inc1, inc2 = near_threshold(example, strain, excess)
+            R = getattr(thresholds(p, inc1, inc2), "R%d" % strain)
+            assert R == pytest.approx(1.0 + excess, rel=0.0, abs=1e-15) and R > 1.0
+            found = getattr(solve_all(p, inc1, inc2), "E%d" % strain)
+            assert len(found) == 1 and found[0].residual < RESIDUAL_TOL
+            I = found[0].point.I1 if strain == 1 else found[0].point.I2
+            hi = p.Lambda / (p.alpha1 if strain == 1 else p.alpha2)
+            assert 0.0 < I and (excess > 1e-10 or I < equilibria.BRACKET_EPSILON * hi)
+
+    def test_a_custom_rate_just_above_the_threshold_is_refused_by_name(self):
+        # a custom rate is scanned from BRACKET_EPSILON*hi, below which this
+        # root lies: the message names the resolution and R in full
+        p, inc1, inc2 = near_threshold("6.2", 1, 1e-10)
+        R1 = thresholds(p, inc1, inc2).R1
+        message = "strain-1 balance shows no sign change at scan resolution 4096 although R1 = %r > 1" % R1
+        with pytest.raises(SolverError, match=re.escape(message)):
+            solve_all(p, IncidenceSpec.custom(inc1.rate), inc2)
 
 
 #: a synthetic balance's root: off every scan node of the range (0, 1], 0.8
@@ -835,13 +955,17 @@ def narrowing(monkeypatch, fn, rows, hi, kind=0):
 
 class TestNarrowing:
     """_roots on balances chosen to defeat the secant point: each bracket
-    still ends below BISECT_WIDTH*hi within _ROUNDS rounds, and the points
-    handed to the balance are exactly the scan and the rounds' cuts."""
+    still ends below BISECT_WIDTH*hi within _rounds(SCAN_NODES) rounds, and
+    the points handed to the balance are exactly the scan and the rounds'
+    cuts."""
 
     def test_the_constants_bound_the_rounds_and_the_finest_cut(self):
-        rounds, finest = equilibria._ROUNDS, equilibria._FINEST
-        assert SCAN_NODES * SECTIONS**rounds * equilibria.BISECT_WIDTH >= 1.0
-        assert SCAN_NODES * SECTIONS ** (rounds - 1) * equilibria.BISECT_WIDTH < 1.0
+        finest = equilibria._FINEST
+        assert (equilibria._rounds(SCAN_NODES), equilibria._rounds(SECTIONS)) == (5, 6)
+        for cells in (SCAN_NODES, SECTIONS):
+            rounds = equilibria._rounds(cells)
+            assert cells * SECTIONS**rounds * equilibria.BISECT_WIDTH >= 1.0
+            assert cells * SECTIONS ** (rounds - 1) * equilibria.BISECT_WIDTH < 1.0
         assert SCAN_NODES * 2.0**finest * equilibria.BISECT_WIDTH >= 1.0
         assert SCAN_NODES * 2.0 ** (finest - 1) * equilibria.BISECT_WIDTH < 1.0
         # at any secant fraction every cut lies in the bracket, and no part
@@ -860,7 +984,7 @@ class TestNarrowing:
         width = equilibria.BISECT_WIDTH
         np.testing.assert_allclose(found, expected, rtol=0.0, atol=width)
         assert np.all(b - a < width) and np.all((a <= found) & (found <= b))
-        assert 1 <= live.max() <= equilibria._ROUNDS
+        assert 1 <= live.max() <= equilibria._rounds(SCAN_NODES)
         nodes, brackets, rounds = rows.scans[0, 0]
         assert (nodes, brackets) == (SCAN_NODES + 1, len(expected))
         assert rounds == brackets * live.max()
@@ -885,7 +1009,7 @@ class TestNarrowing:
         assert len(expected) == 3
         np.testing.assert_allclose(found, expected, rtol=1e-12)
         assert np.all(b - a < equilibria.BISECT_WIDTH * hi)
-        assert 1 <= live.max() <= equilibria._ROUNDS
+        assert 1 <= live.max() <= equilibria._rounds(SCAN_NODES)
         nodes, brackets, rounds = rows.scans[0, 1]
         assert brackets == 3 and rounds == brackets * live.max()
         assert points == nodes + rounds * equilibria._SLOPE.size
@@ -910,3 +1034,27 @@ class TestNarrowing:
             ran.add(alone.scans[0, 0, 2])
         assert len(ran) > 1
         assert (rows.scans[:, 0, 2] == max(ran)).all()
+
+    def test_a_coarse_scan_narrows_within_its_rounds_and_repeats_past_a_nan(self):
+        # on SECTIONS cells each poor secant point narrows within
+        # _rounds(SECTIONS); a NaN at the scan end hides the last coarse
+        # cell, so that row is scanned again on SCAN_NODES cells, which find
+        # its root. In one block each row keeps the bits of its own pass
+        last = 1.0 - 0.3 / SECTIONS
+        fns = [fn for fn, _ in SYNTHETIC.values()] + [lambda x: np.where(x < 1.0, last - x, np.nan)]
+        expected = [roots[0] for _, roots in SYNTHETIC.values()] + [last]
+
+        def balance(c, x):
+            return np.choose(c.row[:, None], [fn(x) for fn in fns])
+
+        block = [(params(), None, None)] * len(fns)
+        together = equilibria._roots(balance, equilibria._Rows.of(block), np.ones(len(fns)), 0, SECTIONS)
+        for fn, root, both in zip(fns, expected, together):
+            rows = equilibria._Rows.of(block[:1])
+            (found,) = equilibria._roots(lambda c, x: fn(x), rows, np.array([1.0]), 0, SECTIONS)
+            assert found.tobytes() == both.tobytes()
+            np.testing.assert_allclose(found, [root], rtol=0.0, atol=equilibria.BISECT_WIDTH)
+            nodes, brackets, rounds = rows.scans[0, 0]
+            cells = SECTIONS if root != last else SCAN_NODES
+            assert nodes == SECTIONS + 1 + (cells == SCAN_NODES) * (SCAN_NODES + 1)
+            assert brackets == 1 and 1 <= rounds <= equilibria._rounds(cells)

@@ -11,7 +11,8 @@ from twostrain.simulate import integrate
 
 def test_classified_sweep_scan_counts(monkeypatch):
     # the summed ScanStats (nodes, brackets, rounds) of each balance over the
-    # 41 rows of example 6.4's classified r-sweep on [0, 0.2]
+    # 41 rows of example 6.4's classified r-sweep on [0, 0.2]; every balance
+    # is scanned on SECTIONS (64) cells, 65 nodes, as the forces are monotone
     solved, solve_batch = [], analysis.solve_batch
 
     def recorded(cases):
@@ -26,10 +27,10 @@ def test_classified_sweep_scan_counts(monkeypatch):
         for kind in ("E1", "E2", "E3_cap", "E3")
     }
     assert sums == {
-        "E1": (159783, 39, 85),
-        "E2": (167977, 41, 82),
+        "E1": (2535, 39, 124),
+        "E2": (2665, 41, 123),
         "E3_cap": (39, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
-        "E3": (159783, 15, 30),
+        "E3": (2535, 15, 45),
     }
 
 
@@ -37,9 +38,9 @@ def test_classified_sweep_scan_counts(monkeypatch):
     "example, counts",
     [
         ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.2", {"E1": (4097, 1, 2), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.3", {"E1": (0, 0, 0), "E2": (4097, 1, 2), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.4", {"E1": (4097, 1, 2), "E2": (4097, 1, 2), "E3_cap": (1, 0, 0), "E3": (4097, 1, 2)}),
+        ("6.2", {"E1": (65, 1, 2), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.3", {"E1": (0, 0, 0), "E2": (65, 1, 3), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.4", {"E1": (65, 1, 3), "E2": (65, 1, 3), "E3_cap": (1, 0, 0), "E3": (65, 1, 3)}),
     ],
 )
 def test_reproduce_scan_counts(monkeypatch, example, counts):
