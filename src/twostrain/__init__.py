@@ -42,7 +42,6 @@ from .equilibria import (
     SolveStats,
     disease_free,
     solve_all,
-    solve_batch,
     solve_coexistence,
     solve_strain1,
     solve_strain2,

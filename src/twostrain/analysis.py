@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .equilibria import Equilibrium, _Rows, solve_all, solve_batch
+from .equilibria import Equilibrium, solve_all
 from .errors import ConfigError, _require_grid
 from .incidence import BUILT_IN_FAMILIES
 from .model import PARAM_NAMES, Thresholds, thresholds
@@ -361,13 +361,13 @@ def sweep(
     grid of ``n`` points, an integer >= 2.
 
     Every row is built by ``apply_sweep_value``; a value it refuses is a
-    ConfigError naming the key and the value. Without ``classify`` the
-    thresholds of all rows come from one array evaluation. With it the rows
-    go through ``solve_batch``, and the first root of each kind of every
-    row goes through one ``classify_batch`` call. Each row's result is bit
-    for bit that of solving and classifying it alone, so a row does not
-    depend on its neighbours. A row whose coexistence solve fails reads
-    "solve failed" as its E3 verdict.
+    ConfigError naming the key and the value. Without ``classify`` each
+    row gets its ``thresholds``. With it each row goes through
+    ``solve_all``, and the first root of each kind of every row goes
+    through one ``classify_batch`` call. Each row's result is bit for bit
+    that of solving and classifying it alone, so a row does not depend on
+    its neighbours. A row whose coexistence solve fails reads "solve
+    failed" as its E3 verdict.
     """
     try:
         _require_grid(n, "n", 2)
@@ -385,16 +385,14 @@ def sweep(
             raise ConfigError("sweep %s = %r: %s" % (key, value, exc)) from None
     cases = [(sci.params, sci.incidence1, sci.incidence2) for sci in scenarios]
     if not classify:
-        cols = _Rows.of(cases)
-        th = thresholds(cols, cols.f1, cols.f2)
         return [
-            SweepRow(value, R1, R2, R0, None, None,
+            SweepRow(value, th.R1, th.R2, th.R0, None, None,
                      {"E0": True, **dict.fromkeys(KINDS, False)},
                      {"E0": "", **dict.fromkeys(KINDS, "absent")})
-            for value, R1, R2, R0 in zip(values, *(x[:, 0].tolist() for x in (th.R1, th.R2, th.R0)))
+            for value, th in zip(values, (thresholds(*case) for case in cases))
         ]
     rows: List[SweepRow] = []
-    solved = solve_batch(cases)
+    solved = [solve_all(*case) for case in cases]
     # each row's first root of each kind, or None
     firsts = [{kind: _first(eqs.all, kind) for kind in ALL_KINDS} for eqs in solved]
     reports = iter(classify_batch(

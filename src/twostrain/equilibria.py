@@ -7,20 +7,12 @@ Four equilibrium kinds exist:
     E2  strain 2 only, roots of a scalar balance H(I2) on (0, Lambda/alpha2]
     E3  coexistence, roots of a scalar balance psi(I2) on (0, Lambda/alpha2]
 
-E1, E2 and E3 share one root finder, run on a block of parameter rows at
-once. It evaluates each row's balance on a grid of cells, one row at a
-time in arrays of at most SCAN_NODES + 1 floats (32 KiB, which malloc
-reuses from row to row), and brackets every sign change between
-neighbouring finite values. It then narrows the brackets of all rows
-together. Each round cuts every bracket at its secant point, at cuts that
-close in on that point by halvings and at even cuts that leave no part
-wider than 1/SECTIONS, and keeps the first part with a sign change; a
-bracket stops once it is narrower than BISECT_WIDTH*hi, mostly after two
-or three rounds and at the latest after _rounds(cells) for the cells of
-the scan it came from. Each root is the secant point of its final
-bracket, with no further evaluation. The scans evaluate the closed forms
-unchecked (``IncidenceSpec.bound_forms``); the certified outputs are
-checked instead.
+E1, E2 and E3 share one root finder, ``_roots``. It brackets every sign
+change of a balance between finite values at the nodes of a scan, and
+solves each bracket alone by Brent's zeroin on Python floats (``_zero``;
+Brent 1973, Algorithms for Minimization without Derivatives, ch. 4), to
+machine precision. The balances evaluate the closed forms unchecked
+(``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
 at each I2 (its left side rises strictly in S from 0 at S = 0; see
@@ -55,39 +47,33 @@ once on its range (Korobeinikov and Maini 2005, Math. Med. Biol. 22):
   alpha2 >= k*r*S/(mu + k*I2) makes the I2 slope at fixed S <= 0, so I1
   falls and psi = f1(S, max(I1, 0)) - alpha1 rises.
 
-So no cell holds two roots, and built-in rows are scanned on SECTIONS
-cells. One that meets a non-finite value (psi is NaN past the cap
-balance's root, where rounding can put the scan end) is scanned again on
-SCAN_NODES cells, so that the value hides no more of the range than there.
-E1 and E2 scan G/I and H/I from I = 0, where they are alpha*(R - 1) > 0,
-so a root below BRACKET_EPSILON*hi, as for R just above 1, is bracketed.
-Custom rates, whose monotonicity is not proved (``check_hypotheses`` checks
-a grid), scan G and H from BRACKET_EPSILON*hi, and every balance on
-SCAN_NODES cells.
+So a built-in balance needs no scan: the two ends of its range are its
+one cell. E1 and E2 take G/I and H/I from I = 0, where they are
+alpha*(R - 1) > 0, so a root however close to 0, as for R just above 1,
+is bracketed. Custom rates, whose monotonicity is not proved
+(``check_hypotheses`` checks a grid), are scanned on SCAN_NODES cells, E1
+and E2 in the same form from I = 0. The E3 scans start at BRACKET_EPSILON
+of their range. psi is NaN past the cap balance's root, where rounding can
+put the scan end, so a non-finite last node is stepped back (``_roots``).
 
 The hypothesis also gives S <= S0 and V1 <= V10 at every equilibrium, so
 psi <= alpha1*(R1 - 1) and the strain-2 balance's left side minus alpha2
 is at most alpha2*(R2 - 1): R1 <= 1 or R2 <= 1 leaves no interior
-equilibrium, and built-in rows skip both E3 scans there. The cap balance
-falls from alpha2*(R2 - 1), so where it is still positive at
-Lambda/alpha2 that is the end of the E3 range, without a scan. Custom
-rates always scan both.
+equilibrium, and built-in rows skip both E3 scans there. Custom rates
+always scan both.
 
-``solve_batch`` solves rows in blocks of at most BLOCK_ROWS and fills in the
-invasion numbers; each row's result is bit for bit its own one-row batch,
-``solve_all``. The per-kind solvers run the same block passes on one row
-and, like ``EquilibriumSet``, give every root of a kind by increasing I1
-or I2. Every returned equilibrium is certified: the max-norm of the vector
-field at the returned point (``model.residual``, with F = 0 for a strain
-the solve was not given) must be below RESIDUAL_TOL or the solver raises
+``solve_all`` solves every kind of one row and fills in the invasion
+numbers. The per-kind solvers run the same passes and, like
+``EquilibriumSet``, give every root of a kind by increasing I1 or I2.
+Every returned equilibrium is certified: the max-norm of the vector field
+at the returned point (``model.residual``, with F = 0 for a strain the
+solve was not given) must be below RESIDUAL_TOL or the solver raises
 instead of returning a bad point.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Tuple
@@ -107,49 +93,17 @@ from .model import (
     thresholds,
 )
 
-#: relative lower end of the E3 scans and of a custom rate's E1 and E2
-#: scans, whose balances G and H vanish at 0
+#: relative lower end of the E3 scans: an interior equilibrium has I2 > 0
 BRACKET_EPSILON = 1e-9
 
-#: relative bracket width below which narrowing stops; fixes _rounds and _FINEST
-BISECT_WIDTH = 1e-12
-
-#: sign-change scan resolution of custom rates, and of a built-in row whose
-#: scan on SECTIONS cells meets a non-finite value
+#: scan resolution of custom rates, whose balances may change sign more than once
 SCAN_NODES = 4096
 _NODES = np.arange(SCAN_NODES + 1.0)
 
-#: most rows solved in one pass; bounds the brackets narrowed together
-BLOCK_ROWS = 16
-
-#: each narrowing round cuts a bracket into parts at most 1/SECTIONS as wide
-SECTIONS = 64
-
-
-def _rounds(cells: int) -> int:
-    """Narrowing rounds at most for a bracket that starts as one of ``cells``
-    scan cells: each round keeps one part of it at most 1/SECTIONS as wide,
-    so after these it is below BISECT_WIDTH*hi wide (5 for SCAN_NODES cells,
-    6 for SECTIONS)."""
-    return next(r for r in itertools.count() if cells * SECTIONS**r * BISECT_WIDTH >= 1)
-
-
-#: the finest cut beside the secant point lies 2**-_FINEST of the way to a
-#: bracket end: a secant point that close takes one of SCAN_NODES scan cells
-#: below BISECT_WIDTH*hi in one round
-_FINEST = next(k for k in itertools.count() if SCAN_NODES * 2**k * BISECT_WIDTH >= 1)
-_SHIFTS = 2.0 ** -np.arange(_FINEST, math.log2(SECTIONS), -1.0)
-
-#: a round cuts a bracket at the fractions t*_SLOPE + _STEP of its width, for
-#: the secant point's fraction t: the even cuts j/SECTIONS, then the secant
-#: point shifted 2**-k of the way to the left end, itself, and shifted 2**-k
-#: of the way to the right end, for k from _FINEST to log2(SECTIONS) + 1;
-#: every cut lies in [0, 1] for t in [0, 1]
-_SLOPE = np.concatenate([np.zeros(SECTIONS - 1), 1.0 - _SHIFTS[::-1], [1.0], 1.0 - _SHIFTS])
-_STEP = np.concatenate([np.arange(1.0, SECTIONS) / SECTIONS, np.zeros(_SHIFTS.size + 1), _SHIFTS])
-
 #: halvings of [0, S0] that solve for S in E3 with a custom strain-2 rate
 _S_HALVINGS = 52
+
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -171,93 +125,56 @@ class Equilibrium:
 
 
 class ScanStats(NamedTuple):
-    """One row's pass on one balance: nodes 0 means the balance never ran,
-    and nodes 1 that it ran only at the scan end (E3_cap, positive there).
-    Otherwise it is SECTIONS + 1, SCAN_NODES + 1, or their sum where a scan
-    on SECTIONS cells met a non-finite value and one on SCAN_NODES
-    followed. ``rounds`` sums over the row's brackets the narrowing rounds
-    of its pass, the rounds until the last bracket of the pass is narrow;
-    each takes _SLOPE.size points, so the balance ran at nodes +
-    rounds*_SLOPE.size points."""
+    """One pass of ``_roots`` on one balance: nodes 0 means the balance never
+    ran. Otherwise it is 2, the ends of a built-in balance's range, or
+    SCAN_NODES + 1 for a custom rate. ``evaluations`` counts the other
+    points, the steps back from a non-finite last node and the ``_zero``
+    trials, so the balance ran at nodes + evaluations points."""
 
     nodes: int = 0
     brackets: int = 0
-    rounds: int = 0
+    evaluations: int = 0
 
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What solving one row did: its block's rows and each balance's pass.
-    E3_cap finds the end of the E3 range; for built-in families E3_cap and
-    E3 are (0, 0, 0) where R1 <= 1 or R2 <= 1, and E3_cap is (1, 0, 0)
-    where its end value rules out a root."""
+    """Each balance's pass in one solve. E3_cap finds the end of the E3
+    range; for built-in families E3_cap and E3 are (0, 0, 0) where R1 <= 1
+    or R2 <= 1."""
 
-    rows: int
     E1: ScanStats
     E2: ScanStats
     E3_cap: ScanStats
     E3: ScanStats
 
 
-class _Rows:
-    """A block of (p, inc1, inc2) rows as (n, 1) columns named as in
-    ModelParams, so the balances broadcast over (n, m) abscissae unchanged;
-    f1 and f2 are the strains' closed forms bound to coefficient columns.
-    One row keeps Python floats, which broadcast faster than (1, 1) columns.
-    ``row`` labels each entry with its block row. Shared by every ``take``:
-    ``scans`` holds each block row's ScanStats of E1, E2, E3_cap and E3, and
-    ``views`` each block row alone, with its bound forms (a view has none)."""
+class _Row:
+    """One (p, inc1, inc2) row, as ``case``: p's values under the ModelParams
+    names, which the balances read as they would p, and f1 and f2, the
+    strains' closed forms bound to their coefficients (None for a strain
+    that is None)."""
 
-    def __init__(self, block, data, row, scans, views):
-        self.block, self.data, self.row, self.scans, self.views = block, data, row, scans, views
-        (self.Lambda, self.mu, self.r, self.k, self.lam, self.alpha1, self.alpha2,
-         self.susceptible_cap, self.vaccinated_cap) = data[:9]
-
-    @classmethod
-    def of(cls, block) -> "_Rows":
-        """The rows must share one incidence family pair: the same built-in
-        families, or the same custom specs. A strain may be None."""
-        def family(inc):
-            return inc.family if inc is not None and inc.family in BUILT_IN_FAMILIES else inc
-
-        if len({(family(inc1), family(inc2)) for _, inc1, inc2 in block}) > 1:
-            raise ValueError("batched rows must share one incidence family pair")
-        data = [_row_data(*row) for row in block]
-        n = len(block)
-        scans = np.zeros((n, 4, 3), int)
-        views = [cls(block, columns, np.array([i]), scans, None) for i, columns in enumerate(data)]
-        columns = data[0] if n == 1 else np.array(data).T.reshape(13, n, 1)
-        return cls(block, columns, np.arange(n), scans, views)
-
-    def take(self, idx) -> "_Rows":
-        """The entries at ``idx``, repeats allowed."""
-        data = self.data if isinstance(self.data, tuple) else self.data[:, idx]
-        return _Rows(self.block, data, self.row[idx], self.scans, self.views)
-
-    def one(self, e) -> "_Rows":
-        """Entry ``e`` alone: its block row's view, with the Python floats
-        that ``of`` gives that row."""
-        return self.views[self.row[e]]
-
-    def each(self, column) -> np.ndarray:
-        """A column expression's value for each entry, as an (n,) array."""
-        return np.broadcast_to(column, (self.row.size, 1))[:, 0]
-
-    @functools.cached_property
-    def f1(self):
-        return self.block[0][1].bound_forms(self.data[9], self.data[10])
-
-    @functools.cached_property
-    def f2(self):
-        return self.block[0][2].bound_forms(self.data[11], self.data[12])
+    def __init__(self, p: ModelParams, inc1, inc2):
+        self.case = (p, inc1, inc2)
+        self.Lambda, self.mu, self.r, self.k = p.Lambda, p.mu, p.r, p.k
+        self.lam, self.alpha1, self.alpha2 = p.lam, p.alpha1, p.alpha2
+        self.susceptible_cap, self.vaccinated_cap = p.susceptible_cap, p.vaccinated_cap
+        self.f1, self.f2 = (None if inc is None else inc.bound_forms() for inc in (inc1, inc2))
 
 
-def _row_data(p: ModelParams, inc1, inc2) -> tuple:
-    """One row's _Rows columns; a strain that is None has coefficients 0."""
-    b1, z1 = (0.0, 0.0) if inc1 is None else (inc1.beta, inc1.zeta)
-    b2, z2 = (0.0, 0.0) if inc2 is None else (inc2.beta, inc2.zeta)
-    return (p.Lambda, p.mu, p.r, p.k, p.lam, p.alpha1, p.alpha2, p.susceptible_cap,
-            p.vaccinated_cap, b1, z1, b2, z2)
+def _scan_cells(*incs) -> int:
+    """The cells of a scan of these strains' balances: one for built-in
+    families, whose balances change sign at most once (see the module
+    docstring), and SCAN_NODES for custom rates."""
+    return 1 if all(inc.family in BUILT_IN_FAMILIES for inc in incs) else SCAN_NODES
+
+
+def _searched(cells: int) -> str:
+    """Where a pass on ``cells`` cells looked for sign changes, as notes and
+    messages say it."""
+    if cells == 1:
+        return "between its range ends (monotone forces allow one sign change)"
+    return "at scan resolution %d" % cells
 
 
 def disease_free(
@@ -317,56 +234,50 @@ def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> List[Equilibrium]:
     Each built-in family gives exactly one when R1 > 1, as G(I1)/I1 falls
     from alpha1*(R1 - 1)."""
     R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
-    return _strain_only(_Rows.of([(p, inc1, None)]), [R1], 1)[0]
+    return _strain_only(_Row(p, inc1, None), R1, 1)[0]
 
 
 def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
     """All strain-2-only equilibria, by increasing I2, found by the shared
-    scan-and-narrow pass (``_roots``).
+    root finder (``_roots``).
 
     Returns an empty list when R2 <= 1. Raises SolverError when R2 > 1 but
-    the scan shows no sign change, since a root must exist. Each built-in
+    the balance shows no sign change, since a root must exist. Each built-in
     family gives exactly one root when R2 > 1, whatever the sign of
     ``strain2_discriminant``: the module docstring proves that H(I2)/I2
     changes sign once. A custom rate may give several.
     """
     R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
-    return _strain_only(_Rows.of([(p, None, inc2)]), [R2], 2)[0]
+    return _strain_only(_Row(p, None, inc2), R2, 2)[0]
 
 
-def _strain_only(rows: _Rows, Rs, strain: int) -> list:
-    """The roots of each block row's ``strain``-only balance, as Equilibrium
-    lists by increasing I; empty where R = ``Rs[i]`` <= 1. A root must exist
-    where R > 1, so a row without one raises."""
-    out = [[] for _ in Rs]
-    todo = [i for i, R in enumerate(Rs) if R > 1.0]
-    if not todo:
-        return out
-    sub = rows.take(todo)
-    hi = sub.each(sub.Lambda / (sub.alpha1 if strain == 1 else sub.alpha2))
-    if rows.block[0][strain].family in BUILT_IN_FAMILIES:
-        found = _roots(lambda c, x: _per_infective(c, strain, x), sub, hi, strain - 1, SECTIONS, 0.0)
-    else:
-        balance = strain1_balance if strain == 1 else strain2_balance
-        found = _roots(lambda c, x: balance(c, getattr(c, "f%d" % strain), x), sub, hi, strain - 1)
-    for i, roots in zip(todo, found):
-        (p, inc1, inc2), R = rows.block[i], Rs[i]
-        cells = _cells(rows.scans[i, strain - 1, 0])
-        if not roots.size:
-            raise SolverError(
-                "strain-%d balance shows no sign change at scan resolution %d although "
-                "R%d = %r > 1" % (strain, cells, strain, R)
-            )
-        condition = ExistenceCondition("R%d > 1" % strain, R, R > 1.0)
-        points = [_strain_point(p, strain, I) for I in roots.tolist()]
-        notes = _strain2_notes(p, inc2, points, cells) if strain == 2 else [""] * len(points)
-        for point, note in zip(points, notes):
-            res = field_residual(p, inc1, inc2, point)
-            out[i].append(_certified(Equilibrium("E%d" % strain, point, res, (condition,), note)))
-    return out
+def _strain_only(row: _Row, R: float, strain: int) -> tuple:
+    """The roots of the row's ``strain``-only balance, as a list of
+    Equilibrium by increasing I, and the ScanStats of its pass; empty, with
+    no pass, where R <= 1. A root must exist where R > 1, so a pass without
+    one raises."""
+    if not R > 1.0:
+        return [], ScanStats()
+    p, inc1, inc2 = row.case
+    cells = _scan_cells(row.case[strain])
+    hi = row.Lambda / (row.alpha1 if strain == 1 else row.alpha2)
+    roots, stats = _roots(lambda I: _per_infective(row, strain, I), 0.0, hi, cells)
+    if not roots:
+        raise SolverError(
+            "strain-%d balance shows no sign change %s although R%d = %r > 1"
+            % (strain, _searched(cells), strain, R)
+        )
+    condition = ExistenceCondition("R%d > 1" % strain, R, R > 1.0)
+    points = [_strain_point(p, strain, I) for I in roots]
+    notes = _strain2_notes(p, inc2, points, cells) if strain == 2 else [""] * len(points)
+    found = [
+        _certified(Equilibrium("E%d" % strain, point, field_residual(p, inc1, inc2, point), (condition,), note))
+        for point, note in zip(points, notes)
+    ]
+    return found, stats
 
 
-def _per_infective(c: _Rows, strain: int, I):
+def _per_infective(c: _Row, strain: int, I):
     """The ``strain``-only balance over I, from the force f = F/I: G(I1)/I1 =
     f1(S, I1) - alpha1 or H(I2)/I2 = f2(S, I2) + k*V1 - alpha2, which is
     alpha*(R - 1) at I = 0."""
@@ -387,8 +298,8 @@ def _strain_point(p: ModelParams, strain: int, I: float) -> State:
 
 def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points, cells: int) -> list:
     """Each E2 root's note: the root structure that ``strain2_discriminant``
-    predicts, the root count at the scan's ``cells`` and the auxiliary
-    uniqueness flag dF2/dS <= I2.
+    predicts, the root count and where the pass on ``cells`` cells looked
+    for it, and the auxiliary uniqueness flag dF2/dS <= I2.
     Where the roots break the predicted uniqueness, the note says so in
     place of the flag."""
     d = strain2_discriminant(p)
@@ -405,7 +316,7 @@ def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points, cells: int) -> l
         covered = sum(L <= pt.I2 <= hi for pt in points)
     else:
         structure, covered = "discriminant is exactly 0", 0
-    found = "found %d root(s) at scan resolution %d" % (len(points), cells)
+    found = "found %d root(s) %s" % (len(points), _searched(cells))
     notes = []
     for pt in points:
         dF2_dS = float(inc2.d_rate_dS(pt.S, pt.I2))
@@ -422,16 +333,15 @@ def _strain2_notes(p: ModelParams, inc2: IncidenceSpec, points, cells: int) -> l
 # -- coexistence -------------------------------------------------------------
 
 
-def coexistence_coordinates(p: _Rows, I2):
-    """(S, V1, I1) of the interior equilibrium candidates at infection levels
-    I2, one row of I2 per entry of the block p.
+def coexistence_coordinates(p: _Row, I2):
+    """(S, V1, I1) of the interior equilibrium candidates of the row p at
+    infection levels I2, a float or an array.
 
     S solves f2(S, I2) + k*r*S/(mu + k*I2) = alpha2: by the family's closed
     form ``susceptible``, or for a custom rate by _S_HALVINGS halvings of
-    [0, S0], the same number for every entry, so a block row is bit for bit
-    its one-row solve. S is NaN where no S <= S0 solves it, since every
-    equilibrium has S <= S0. I1 comes from the summed S, I1 and I2 balances
-    and may be negative.
+    [0, S0]. S is NaN where no S <= S0 solves it, since every equilibrium
+    has S <= S0. I1 comes from the summed S, I1 and I2 balances and may be
+    negative.
     """
     c = p.k * p.r / (p.mu + p.k * I2)
     S0 = p.susceptible_cap
@@ -447,7 +357,7 @@ def coexistence_coordinates(p: _Rows, I2):
             mid = S + width
             S = np.where(p.f2.force(mid, I2) + c * mid < p.alpha2, mid, S)
         S = S + 0.5 * width
-    S = np.where(feasible, S, np.nan)
+    S = np.where(feasible, S, np.nan)[()]  # [()] makes a scalar of a 0-d result
     V1 = p.r * S / (p.mu + p.k * I2)
     I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
     return S, V1, I1
@@ -465,26 +375,26 @@ def solve_coexistence(
     ``coexistence_coordinates`` and I1 > 0; psi is undefined where no S
     exists. I1 falls to 0 exactly at an E2 level, where psi equals
     alpha1*(R1_invasion - 1); past it psi is continued with I1 held at 0, so
-    a root next to that boundary is still bracketed by the scan, and roots
-    with I1 <= 0 are then dropped. ``th`` carries the invasion numbers, as
-    ``solve_all`` fills them in; each root records the known ones as
-    existence conditions. When both exceed 1 an interior root must exist, so
-    finding none raises SolverError.
+    a root next to that boundary is still bracketed, and roots with I1 <= 0
+    are then dropped. ``th`` carries the invasion numbers, as ``solve_all``
+    fills them in; each root records the known ones as existence
+    conditions. When both exceed 1 an interior root must exist, so finding
+    none raises SolverError.
     """
-    (e3, error), = _coexistence(_Rows.of([(p, inc1, inc2)]), [th])
+    e3, error, _, _ = _coexistence(_Row(p, inc1, inc2), th)
     if error:
         raise SolverError(error)
     return list(e3)
 
 
-def _psi(c: _Rows, I2):
+def _psi(c: _Row, I2):
     S, _, I1 = coexistence_coordinates(c, I2)
     feasible = np.isfinite(S)
-    S, I1 = np.where(feasible, S, 0.0), np.where(feasible, np.maximum(I1, 0.0), 0.0)
-    return np.where(feasible, c.f1.force(S, I1) - c.alpha1, np.nan)
+    S, I1 = np.where(feasible, S, 0.0)[()], np.where(feasible, np.maximum(I1, 0.0), 0.0)[()]
+    return np.where(feasible, c.f1.force(S, I1) - c.alpha1, np.nan)[()]
 
 
-def _cap(c: _Rows, I2):
+def _cap(c: _Row, I2):
     """The strain-2 balance at S = S0, f2(S0, I2) + k*r*S0/(mu + k*I2) - alpha2,
     which is alpha2*(R2 - 1) at I2 = 0: where it is negative no S <= S0
     solves the strain-2 balance."""
@@ -492,55 +402,44 @@ def _cap(c: _Rows, I2):
     return c.f2.force(S0, I2) + c.k * c.r * S0 / (c.mu + c.k * I2) - c.alpha2
 
 
-def _coexistence(rows: _Rows, ths) -> list:
-    """Each block row's E3 roots and the message of its SolverError or "".
-    The psi scan ends at the cap balance's last root, or else at
-    Lambda/alpha2; the module docstring says which scans built-in rows skip."""
-    monotone = all(inc.family in BUILT_IN_FAMILIES for inc in rows.block[0][1:])
-    cells = SECTIONS if monotone else SCAN_NODES
-    hi = rows.each(rows.Lambda / rows.alpha2)
-    ends = hi.copy()
-    todo = [i for i, th in enumerate(ths) if not monotone or (th.R1 > 1.0 and th.R2 > 1.0)]
-    capped = []
-    for i in todo:
-        # the end value as the scan's last node gives it
-        if monotone and _cap(rows.one(i), hi[i : i + 1])[0] > 0.0:
-            rows.scans[i, 2, 0] = 1
-        else:
-            capped.append(i)
-    for i, cap in zip(capped, _roots(_cap, rows.take(capped), hi[capped], 2, cells) if capped else ()):
-        if cap.size:
-            ends[i] = cap[-1]
-    roots = dict(zip(todo, _roots(_psi, rows.take(todo), ends[todo], 3, cells) if todo else ()))
-    out = []
-    for i, th in enumerate(ths):
-        p, inc1, inc2 = rows.block[i]
-        r2_inv, r1_inv = th.R2_invasion, th.R1_invasion
-        conditions = tuple(
-            ExistenceCondition(name, value, value > 1.0)
-            for name, value in (("R2_invasion > 1", r2_inv), ("R1_invasion > 1", r1_inv))
-            if value is not None
+def _coexistence(row: _Row, th: Thresholds) -> tuple:
+    """The row's E3 roots as a tuple of Equilibrium, the message of its
+    SolverError or "", and the ScanStats of the cap balance's and of psi's
+    passes. The psi scan ends at the cap balance's last root, or else at
+    Lambda/alpha2; the module docstring says which rows skip both scans."""
+    p, inc1, inc2 = row.case
+    cells = _scan_cells(inc1, inc2)
+    I2, cap_stats, psi_stats = [], ScanStats(), ScanStats()
+    if cells > 1 or (th.R1 > 1.0 and th.R2 > 1.0):
+        hi = row.Lambda / row.alpha2
+        caps, cap_stats = _roots(lambda x: _cap(row, x), BRACKET_EPSILON * hi, hi, cells)
+        end = caps[-1] if caps else hi
+        I2, psi_stats = _roots(lambda x: _psi(row, x), BRACKET_EPSILON * end, end, cells)
+    points = []
+    for x in I2:
+        S, V1, I1 = coexistence_coordinates(row, x)
+        if I1 > 0.0:
+            points.append(State(float(S), float(V1), float(I1), x))
+    r2_inv, r1_inv = th.R2_invasion, th.R1_invasion
+    conditions = tuple(
+        ExistenceCondition(name, value, value > 1.0)
+        for name, value in (("R2_invasion > 1", r2_inv), ("R1_invasion > 1", r1_inv))
+        if value is not None
+    )
+    try:
+        if not points and len(conditions) == 2 and all(c.satisfied for c in conditions):
+            raise SolverError(
+                "coexistence balance shows no sign change with I1 > 0 %s "
+                "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
+                % (_searched(cells), r2_inv, r1_inv)
+            )
+        e3 = tuple(
+            _certified(Equilibrium("E3", point, field_residual(p, inc1, inc2, point), conditions))
+            for point in points
         )
-        I2, points = roots.get(i, np.empty(0)), []
-        if I2.size:
-            S, V1, I1 = (x[0] for x in coexistence_coordinates(rows.one(i), I2[None, :]))
-            interior = I1 > 0.0
-            points = list(map(State, *(x[interior].tolist() for x in (S, V1, I1, I2))))
-        try:
-            if not points and len(conditions) == 2 and all(c.satisfied for c in conditions):
-                raise SolverError(
-                    "coexistence balance shows no sign change with I1 > 0 at scan resolution %d "
-                    "although R2_invasion = %.6g > 1 and R1_invasion = %.6g > 1"
-                    % (_cells(rows.scans[i, 3, 0]), r2_inv, r1_inv)
-                )
-            e3 = []
-            for point in points:
-                res = field_residual(p, inc1, inc2, point)
-                e3.append(_certified(Equilibrium("E3", point, res, conditions)))
-            out.append((tuple(e3), ""))
-        except SolverError as exc:
-            out.append(((), str(exc)))
-    return out
+    except SolverError as exc:
+        return (), str(exc), cap_stats, psi_stats
+    return e3, "", cap_stats, psi_stats
 
 
 # -- every equilibrium at once -----------------------------------------------
@@ -572,139 +471,117 @@ class EquilibriumSet:
 
 
 def solve_all(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> EquilibriumSet:
-    """Solve for every equilibrium kind once and fill in the invasion numbers."""
-    return solve_batch([(p, inc1, inc2)])[0]
-
-
-def solve_batch(rows) -> List[EquilibriumSet]:
-    """``solve_all`` of each (p, inc1, inc2) row, bit for bit, with one pass
-    per kind for each block of BLOCK_ROWS rows. The rows share one incidence
-    family pair (and a custom spec). An E1 or E2 SolverError raises for the
-    batch; a failed E3 solve is the row's ``coexistence_error``.
-    """
-    rows = list(rows)
-    return [eqs for at in range(0, len(rows), BLOCK_ROWS) for eqs in _solve_block(rows[at : at + BLOCK_ROWS])]
-
-
-def _solve_block(block) -> List[EquilibriumSet]:
-    rows = _Rows.of(block)
-    ths = [thresholds(p, inc1, inc2) for p, inc1, inc2 in block]
-    e1s = _strain_only(rows, [th.R1 for th in ths], 1)
-    e2s = _strain_only(rows, [th.R2 for th in ths], 2)
-    for i, ((p, inc1, inc2), e1, e2) in enumerate(zip(block, e1s, e2s)):
-        first = [roots[0] if roots else None for roots in (e1, e2)]
-        r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, *first)
-        ths[i] = dataclasses.replace(ths[i], R2_invasion=r2_inv, R1_invasion=r1_inv)
-    e3s = _coexistence(rows, ths)
-    return [
-        EquilibriumSet(
-            th, disease_free(p, inc1, inc2), tuple(e1), tuple(e2), e3, error,
-            SolveStats(len(block), *map(ScanStats._make, scans)),
-        )
-        for (p, inc1, inc2), th, e1, e2, (e3, error), scans in zip(
-            block, ths, e1s, e2s, e3s, rows.scans.tolist()
-        )
-    ]
+    """Solve for every equilibrium kind once and fill in the invasion numbers.
+    An E1 or E2 SolverError raises; a failed E3 solve is the set's
+    ``coexistence_error``."""
+    row = _Row(p, inc1, inc2)
+    th = thresholds(p, inc1, inc2)
+    e1, e1_stats = _strain_only(row, th.R1, 1)
+    e2, e2_stats = _strain_only(row, th.R2, 2)
+    r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, *(roots[0] if roots else None for roots in (e1, e2)))
+    th = dataclasses.replace(th, R2_invasion=r2_inv, R1_invasion=r1_inv)
+    e3, error, cap_stats, e3_stats = _coexistence(row, th)
+    stats = SolveStats(e1_stats, e2_stats, cap_stats, e3_stats)
+    return EquilibriumSet(th, disease_free(p, inc1, inc2), tuple(e1), tuple(e2), e3, error, stats)
 
 
 # -- shared helpers ----------------------------------------------------------
 
 
-def _roots(fn, rows: _Rows, hi: np.ndarray, kind: int, cells: int = SCAN_NODES,
-           start: float = BRACKET_EPSILON) -> List[np.ndarray]:
-    """Every root of each row's balance on (0, hi] that the scan brackets.
+def _roots(fn, lo: float, hi: float, cells: int) -> tuple:
+    """Every root of fn on [lo, hi] that a scan of ``cells`` cells brackets,
+    by increasing x, and the ScanStats of the pass.
 
-    ``hi`` holds one scan end per row of ``rows``. fn(c, x) maps the
-    columns c of some rows and abscissae x, one row of x per entry of c, to
-    balance values, NaN where the balance is undefined. Each row's scan
-    runs from start*hi to hi in ``cells`` cells, evaluated in one call of fn
-    on that row alone (``_Rows.one``); a row whose scan on fewer than
-    SCAN_NODES cells meets a non-finite value is scanned again on
-    SCAN_NODES. A cell brackets a root when both ends are finite and
-    exactly one is positive. Each round then cuts every bracket that is not
-    yet narrower than BISECT_WIDTH*hi, all in one call of fn (see
-    ``_narrowed``), and freezes the others in place, so each row's roots
-    are those of its one-row pass. Where the balance is finite a round
-    keeps a part at most 1/SECTIONS as wide, so _rounds of the cells a
-    bracket comes from bound its rounds; most brackets need two or three.
-    Each root is the secant point of its final bracket.
-
-    Returns each row's roots in increasing order and records its pass in
-    ``rows.scans[:, kind]``.
+    fn maps a float, and for more than one cell an array, to balance values,
+    NaN where the balance is undefined. One cell is the two ends of the
+    range, evaluated on floats. More are evaluated in one array call, at the
+    nodes j*hi/cells with the first moved to lo. A non-finite last node is
+    stepped back by 2**-52, 2**-51, ... of the range while it stays past the
+    node before it: steps from coarse to fine, halving from half the range,
+    would pass over the roots next to the end of psi's range. A cell
+    brackets a root when both ends are finite and exactly one is positive;
+    ``_zero`` solves each bracket alone, and a root on a node that ends two
+    brackets is returned once.
     """
-    n = hi.size
-    brackets, nodes, limits = [], np.zeros(n, int), []
-    for e in range(n):
-        x, f = _scan(fn, rows.one(e), hi[e], cells, start)
-        if cells < SCAN_NODES and not np.isfinite(f).all():
-            # a non-finite node hides both its cells, 1/64 as wide on SCAN_NODES
-            nodes[e] = x.size
-            x, f = _scan(fn, rows.one(e), hi[e], SCAN_NODES, start)
-        nodes[e] += x.size
-        finite, positive = np.isfinite(f), f > 0.0
-        cell = np.flatnonzero(finite[:-1] & finite[1:] & (positive[:-1] != positive[1:]))
-        brackets.append((x[cell], x[cell + 1], f[cell], f[cell + 1]))
-        limits.append(_rounds(x.size - 1))
-    counts = [a.size for a, *_ in brackets]
-    row = np.repeat(np.arange(n), counts)
-    a, b, fa, fb = map(np.concatenate, zip(*brackets))
-    rows.scans[rows.row, kind, 0], rows.scans[rows.row, kind, 1] = nodes, counts
-    if not row.size:
-        return [a] * n
+    evaluations = 0
 
-    # every scan cell is wider than BISECT_WIDTH*hi; a narrow bracket, or
-    # one at the rounds that its scan's cells bound, is frozen while the
-    # others narrow on, so each row's roots are its own
-    at, width, live = rows.take(row), (BISECT_WIDTH * hi)[row], np.ones(row.size, bool)
-    limit = np.repeat(limits, counts)
-    for ran in range(1, limit.max() + 1):
-        a, b, fa, fb = _narrowed(fn, at, a, b, fa, fb, live)
-        live = (b - a >= width) & (ran < limit)
-        if not live.any():
+    def at(x):
+        nonlocal evaluations
+        evaluations += 1
+        return float(fn(x))
+
+    if cells == 1:
+        x, f = [lo, hi], [float(fn(lo)), float(fn(hi))]
+    else:
+        x = (hi / cells) * _NODES[: cells + 1]
+        x[0], x[-1] = lo, hi
+        f = fn(x)
+    for k in range(52, 0, -1):
+        end = hi - (hi - lo) * 2.0**-k
+        if math.isfinite(f[-1]) or end <= x[-2]:
             break
-    rows.scans[rows.row, kind, 2] = np.multiply(counts, ran)
-    roots = np.clip(a + fa / (fa - fb) * (b - a), a, b)
-    # a root on a scan node can close two neighbouring brackets of a row
-    keep = np.ones(row.size, bool)
-    keep[1:] = (row[1:] != row[:-1]) | (roots[1:] - roots[:-1] > 10.0 * width[1:])
-    row, roots = row[keep], roots[keep]
-    return [roots[row == i] for i in range(n)]
+        x[-1], f[-1] = end, at(end)
+    # the cells whose ends differ in sign, found in one array pass on a scan
+    changes = [0] if cells == 1 else np.flatnonzero((f[:-1] > 0.0) != (f[1:] > 0.0)).tolist()
+    brackets = [
+        (float(x[i]), float(x[i + 1]), float(f[i]), float(f[i + 1]))
+        for i in changes
+        if (f[i] > 0.0) != (f[i + 1] > 0.0) and math.isfinite(f[i]) and math.isfinite(f[i + 1])
+    ]
+    roots = list(dict.fromkeys([_zero(at, *bracket) for bracket in brackets]))
+    return roots, ScanStats(len(x), len(brackets), evaluations)
 
 
-def _scan(fn, c: _Rows, hi: float, cells: int, start: float):
-    """The nodes of one row's scan from start*hi to hi in ``cells`` cells,
-    with np.linspace's arithmetic, and fn's values there. One row at a
-    time: a (rows x nodes) array passes glibc's 128 KiB mmap threshold from
-    4 rows of SCAN_NODES on, and each of its temporaries would fault in
-    fresh pages; one row's arrays of at most 32 KiB reuse the same memory."""
-    x = (hi / cells) * _NODES[None, : cells + 1]
-    x[:, 0], x[:, -1] = start * hi, hi
-    (x,), (f,) = x, fn(c, x)
-    return x, f
+def _zero(fn, a: float, b: float, fa: float, fb: float) -> float:
+    """A root of fn between a and b, whose finite values fa and fb have
+    exactly one positive: Brent's zeroin on Python floats.
 
-
-def _cells(nodes: int) -> int:
-    """The cells of the last scan of a pass that ran ``nodes`` scan nodes."""
-    return SECTIONS if nodes == SECTIONS + 1 else SCAN_NODES
-
-
-def _narrowed(fn, c: _Rows, a, b, fa, fb, live):
-    """One narrowing round of the brackets [a, b], whose finite ends fa and fb
-    have exactly one positive: cut each at _SLOPE and _STEP, all in one call
-    of fn, and keep the first part between finite values with a sign change.
-    Its right end is the least finite point whose sign differs from fa's,
-    its left end the greatest finite point below that, so the cuts need no
-    sort. A bracket that is not ``live`` keeps its ends."""
-    t = fa / (fa - fb)  # the secant point's fraction of [a, b], in [0, 1]
-    cuts = a[:, None] + (b - a)[:, None] * (t[:, None] * _SLOPE + _STEP)
-    x = np.concatenate((a[:, None], cuts, b[:, None]), axis=1)
-    f = np.concatenate((fa[:, None], fn(c, cuts), fb[:, None]), axis=1)
-    finite, i = np.isfinite(f), np.arange(a.size)
-    j = np.where(finite & ((f > 0.0) != (fa > 0.0)[:, None]), x, np.inf).argmin(axis=1)
-    j = np.where(live, j, -1)
-    b, fb = x[i, j], f[i, j]
-    j = np.where(live, np.where(finite & (x < b[:, None]), x, -np.inf).argmax(axis=1), 0)
-    return x[i, j], b, f[i, j], fb
+    It keeps a bracket [b, c] whose end b has the smaller |f|, and takes an
+    inverse quadratic or secant step from b where that step stays well
+    inside the bracket and shrinks fast enough, and bisects otherwise. It
+    stops once the half-width is at most 2*eps*|b|, machine precision, and
+    returns the secant point of that final bracket. A trial whose value is
+    not finite is retried halfway back to the last finite point; once that
+    is the point itself, the bracket can narrow no further and it stops.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * _EPS * abs(b)
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            break
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        step = d if abs(d) > tol else math.copysign(tol, m)
+        b = a + step
+        fb = fn(b)
+        while not math.isfinite(fb):
+            step *= 0.5
+            b = a + step
+            fb = fn(b)
+        if b == a:
+            break
+    return b + fb / (fb - fc) * (c - b)
 
 
 def _certified(eq: Equilibrium) -> Equilibrium:

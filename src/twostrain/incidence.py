@@ -71,7 +71,7 @@ def _saturated_s_susceptible(b, z, I, target, c):
     root = np.sqrt(lin * lin + 4.0 * a * target)
     # a division by 0 falls in the branch np.where drops, or gives the inf of no root
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lin >= 0.0, 2.0 * target / (lin + root), (root - lin) / (2.0 * a))
+        return np.where(lin >= 0.0, 2.0 * target / (lin + root), (root - lin) / (2.0 * a))[()]
 
 
 # Each built-in family's saturation, as text over (b, z, S, I) for (beta,
@@ -253,20 +253,16 @@ class IncidenceSpec:
         F, dS, dI = self.rate(S, I), self.d_rate_dS(S, I), self.d_rate_dI(S, I)
         return lambda s, i: F + dS * (s - S) + dI * (i - I)
 
-    def bound_forms(self, beta=None, zeta=None) -> _ClosedForms:
+    def bound_forms(self) -> _ClosedForms:
         """The family's closed forms as functions of (S, I) with no input check,
-        for loops that check their outputs. ``beta`` and ``zeta`` replace the
-        spec's own, e.g. by (n, 1) columns that give each row of an (n, m)
-        argument its own. A custom spec gets its checked evaluators back and
-        no ``susceptible``.
+        for loops that check their outputs. A custom spec gets its checked
+        evaluators back and no ``susceptible``.
         """
         forms = _CLOSED_FORMS.get(self.family)
         if forms is None:
             checked = (self.rate, self.d_rate_dS, self.d_rate_dI, self.force, self.contact_factor)
             return _ClosedForms(*checked, None)
-        b = self.beta if beta is None else beta
-        z = self.zeta if zeta is None else zeta
-        return _ClosedForms._make(partial(form, b, z) for form in forms)
+        return _ClosedForms._make(partial(form, self.beta, self.zeta) for form in forms)
 
     def scalar_rate(self) -> Callable:
         """F(S, I) on Python floats: the scalar case of ``bound_forms``. A custom

@@ -324,9 +324,7 @@ def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):
     the vaccinated-class route k*V1 for strain 2, over its alpha. So the
     decoupled I row there has eigenvalue alpha*(R - 1) (van den Driessche
     and Watmough 2002). At (S0, V10) it is R1 or R2; at the other strain's
-    equilibrium it is an invasion number. Given parameter columns and forms
-    bound to coefficient columns, it gives each row's value in one array
-    evaluation.
+    equilibrium it is an invasion number.
     """
     route, alpha = (0.0, p.alpha1) if strain == 1 else (p.k * V1, p.alpha2)
     return _real((inc.d_rate_dI(S, 0.0) + route) / alpha)
@@ -334,7 +332,7 @@ def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):
 
 def thresholds(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Thresholds:
     """R1, R2 and R0 = max(R1, R2): each strain's ``reproduction_number`` at
-    the disease-free state (S0, V10), on scalars or on parameter columns."""
+    the disease-free state (S0, V10)."""
     R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
     R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
     return Thresholds(R1, R2, _real(np.maximum(R1, R2)))

@@ -171,14 +171,17 @@ class TestFailedChecks:
 
     def test_failed_coexistence_solve(self, monkeypatch):
         # psi undefined everywhere: 6.4's invasion numbers both exceed 1, so
-        # finding no E3 root is an error, which analyze notes and sweep flags
+        # finding no E3 root is an error, which analyze notes and sweep flags.
+        # The message names the one bracket that monotone forces leave a
+        # built-in balance: both ends of its range, the last stepped back
+        # where it is NaN
         monkeypatch.setattr(equilibria, "_psi", lambda c, I2: np.full(np.shape(I2), np.nan))
         sc = build_scenario("6.4")
         report = analyze(sc)
         requires = "R2_invasion = 3.55597 > 1 and R1_invasion = 1.194 > 1"
         assert report.notes == (
             "coexistence solve failed: coexistence balance shows no sign change with I1 > 0 "
-            "at scan resolution 4096 although " + requires,
+            "between its range ends (monotone forces allow one sign change) although " + requires,
         )
         assert [e.kind for e in report.equilibria] == ["E0", "E1", "E2"]
         assert "E3 absent or not found: requires " + requires in report.verdict_lines
@@ -340,7 +343,7 @@ class TestSweep:
         for row in rows:
             sci = apply_sweep_value(sc, "r", row.value)
             th = thresholds(sci.params, sci.incidence1, sci.incidence2)
-            # one array evaluation for all rows, bit for bit each row's own
+            # bit for bit each row's own thresholds
             assert np.array([row.R1, row.R2, row.R0]).tobytes() == np.array([th.R1, th.R2, th.R0]).tobytes()
             assert all(type(x) is float for x in (row.R1, row.R2, row.R0))
             assert row.R2_invasion is None

@@ -1,6 +1,6 @@
 import collections
 import dataclasses
-import itertools
+import math
 import re
 import sys
 import tracemalloc
@@ -9,16 +9,14 @@ import numpy as np
 import pytest
 
 from conftest import random_cases, wavy_rate
-from twostrain import equilibria, incidence
+from twostrain import analysis, equilibria, incidence
 from twostrain.analysis import apply_sweep_value
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import (
-    BLOCK_ROWS,
+    BRACKET_EPSILON,
     SCAN_NODES,
-    SECTIONS,
     disease_free,
     solve_all,
-    solve_batch,
     solve_coexistence,
     solve_strain1,
     solve_strain2,
@@ -195,7 +193,8 @@ class TestStrain2:
         (e2,) = solve_strain2(params(r=0.1, k=1e-4), build_scenario("6.3").incidence2)
         assert e2.multiplicity_note.startswith(
             "discriminant 0.001496 > 0: at most one root expected in [267.1, 952.381]; "
-            "found 1 root(s) at scan resolution 64; auxiliary uniqueness flag"
+            "found 1 root(s) between its range ends (monotone forces allow one sign change); "
+            "auxiliary uniqueness flag"
         )
 
     def test_positive_discriminant_interval_over_random_draws(self):
@@ -379,14 +378,17 @@ class TestCoexistence:
     def test_strain2_solve_for_S_matches_brentq(self, inc2, r, k):
         # S solves f2(S, I2) + c*S = alpha2, c = k*r/(mu + k*I2): by the
         # closed form to 1e-13 relative, and for the same rate as a custom
-        # one by bisection to eps*S0; NaN where no S <= S0 solves it
+        # one by bisection to eps*S0; NaN where no S <= S0 solves it. Each
+        # float gives its entry of the array, bit for bit
         optimize = pytest.importorskip("scipy.optimize")
         p = params(r=r, k=k)
         S0, eps = p.susceptible_cap, np.finfo(float).eps
         I2 = np.linspace(0.0, p.Lambda / p.alpha2, 41)[1:]
         for inc, rel, tol in ((inc2, 1e-13, 0.0), (IncidenceSpec.custom(inc2.rate), 0.0, eps * S0)):
-            rows = equilibria._Rows.of([(p, IncidenceSpec.bilinear(2e-4), inc)])
-            S = equilibria.coexistence_coordinates(rows, I2[None, :])[0][0]
+            row = equilibria._Row(p, IncidenceSpec.bilinear(2e-4), inc)
+            S = equilibria.coexistence_coordinates(row, I2)[0]
+            each = [equilibria.coexistence_coordinates(row, x) for x in I2.tolist()]
+            assert np.array(each).T.tobytes() == np.array(equilibria.coexistence_coordinates(row, I2)).tobytes()
             for x, s in zip(I2, S):
                 c = p.k * p.r / (p.mu + p.k * x)
 
@@ -453,18 +455,35 @@ class TestSolveAll:
         assert eqs.thresholds.R2_invasion is None and eqs.thresholds.R1_invasion is None
         assert [eq.kind for eq in eqs.all] == ["E0"]
 
+    def test_strain_swap_at_k_zero(self):
+        # with k = 0 the field is symmetric under swapping (I1, gamma1, v1,
+        # rate 1) with (I2, gamma2, v2, rate 2): E1 of each draw is E2 of its
+        # swap, E3 is E3 with I1 and I2 swapped, and so are the thresholds.
+        # E1 and E2 come from different balances, and E3's reduction in I2
+        # is not symmetric, so each side checks the other
+        def rel(x, y):
+            return 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
 
-def _bits(eqs):
-    """Every coordinate and residual of an EquilibriumSet as raw bytes."""
-    return np.array([x for eq in eqs.all for x in (*eq.point.as_array(), eq.residual)]).tobytes()
-
-
-def assert_rows_equal_their_solve_all(rows, results):
-    assert len(results) == len(rows)
-    for (p, inc1, inc2), eqs in zip(rows, results):
-        alone = solve_all(p, inc1, inc2)
-        assert eqs == alone
-        assert _bits(eqs) == _bits(alone)
+        worst, e3s = 0.0, 0
+        for p, inc1, inc2 in random_cases(1105, 600):
+            p = dataclasses.replace(p, k=0.0)
+            swapped = dataclasses.replace(p, gamma1=p.gamma2, v1=p.v2, gamma2=p.gamma1, v2=p.v1)
+            eqs, mirror = solve_all(p, inc1, inc2), solve_all(swapped, inc2, inc1)
+            assert (len(eqs.E1), len(eqs.E2), len(eqs.E3)) == (len(mirror.E2), len(mirror.E1), len(mirror.E3))
+            assert eqs.coexistence_error == mirror.coexistence_error == ""
+            pairs = [(e1.point, e2.point) for e1, e2 in zip(eqs.E1 + eqs.E2, mirror.E2 + mirror.E1)]
+            pairs += [(e3.point, m3.point) for e3, m3 in zip(eqs.E3, mirror.E3)]
+            for point, image in pairs:
+                S, V1, I1, I2 = point.as_array()[:4]
+                worst = max(worst, *map(rel, (S, V1, I2, I1), image.as_array()[:4]))
+            th, mth = eqs.thresholds, mirror.thresholds
+            numbers = [(th.R1, mth.R2), (th.R2, mth.R1), (th.R2_invasion, mth.R1_invasion), (th.R1_invasion, mth.R2_invasion)]
+            for x, y in numbers:
+                assert (x is None) == (y is None)
+                worst = max(worst, 0.0 if x is None else rel(x, y))
+            e3s += len(eqs.E3)
+        assert worst <= 1e-12
+        assert e3s > 50
 
 
 def sweep_rows(n, example="6.4"):
@@ -496,48 +515,32 @@ def working_memory(call):
     return peak - after
 
 
-def peak_memory(call):
-    """The peak of ``call()`` above the memory traced before it."""
-    before, _, peak = traced(call)
-    return peak - before
-
-
 class TestBatch:
-    """solve_batch: one scan per kind for a block of rows, each row bit for
-    bit its own solve_all."""
-
-    def test_random_draws_in_batches_of_every_size(self):
-        sizes = itertools.cycle((BLOCK_ROWS, 1, 2, 3, 7))
-        by_pair = {}
-        for case in random_cases(1105, 200):
-            by_pair.setdefault((case[1].family, case[2].family), []).append(case)
-        seen = set()
-        for cases in by_pair.values():
-            at = 0
-            while at < len(cases):
-                batch = cases[at : at + next(sizes)]
-                at += len(batch)
-                seen.add(len(batch))
-                assert_rows_equal_their_solve_all(batch, solve_batch(batch))
-        assert {BLOCK_ROWS, 1, 2, 3, 7} <= seen
+    """Rows solved one after another, as ``analysis.sweep`` solves them: each
+    row's roots, stats and memory are its own."""
 
     @pytest.mark.parametrize("key", ["incidence1.beta", "incidence2.zeta"])
     def test_coefficient_columns_vary_along_a_sweep(self, key):
+        # each row of a classified sweep along a coefficient carries the
+        # thresholds and existence flags of its own solve
         sc = build_scenario("6.4")
         base = getattr(sc.incidence1 if key.startswith("incidence1") else sc.incidence2, key.split(".")[1])
-        rows = []
-        for value in np.linspace(0.25 * base, 4.0 * base, 9):
-            sci = apply_sweep_value(sc, key, value)
-            rows.append((sci.params, sci.incidence1, sci.incidence2))
-        results = solve_batch(rows)
-        assert len({eqs.thresholds.R1 for eqs in results} | {eqs.thresholds.R2 for eqs in results}) > 2
-        assert_rows_equal_their_solve_all(rows, results)
+        rows = analysis.sweep(sc, key, 0.25 * base, 4.0 * base, 9)
+        assert len({row.R1 for row in rows} | {row.R2 for row in rows}) > 2
+        for row in rows:
+            sci = apply_sweep_value(sc, key, row.value)
+            eqs = solve_all(sci.params, sci.incidence1, sci.incidence2)
+            th = eqs.thresholds
+            assert (row.R1, row.R2, row.R0, row.R2_invasion, row.R1_invasion) == (
+                th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion
+            )
+            assert row.exists == {kind: bool(kind == "E0" or getattr(eqs, kind)) for kind in row.exists}
 
     def test_multi_root_row_between_single_root_rows(self):
         optimize = pytest.importorskip("scipy.optimize")
         inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
         rows = [(params(r=r, k=0.0), inc1, inc2) for r in (0.02, 0.1, 0.05, 0.2)]
-        results = solve_batch(rows)
+        results = [solve_all(*row) for row in rows]
         assert [len(eqs.E2) for eqs in results] == [1, 3, 3, 1]
         assert [len(eqs.E3) for eqs in results] == [4, 1, 4, 0]
         for (p, _, _), eqs in zip(rows, results):
@@ -550,82 +553,77 @@ class TestBatch:
                 for i in np.nonzero((h[:-1] > 0.0) != (h[1:] > 0.0))[0]
             ]
             np.testing.assert_allclose([e2.point.I2 for e2 in eqs.E2], expected, rtol=1e-10)
-        assert_rows_equal_their_solve_all(rows, results)
 
     def test_custom_incidence_rows(self):
+        # a built-in rate wrapped as a custom one takes the dense scan: the
+        # same roots as its one-cell bracket, to a few units of rounding
         sc = build_scenario("6.4")
-        inc1 = IncidenceSpec.custom(lambda S, I: 2e-4 * S * I / (1.0 + 1e-4 * I * I))
-        rows = [
-            (apply_sweep_value(sc, "r", r).params, inc1, sc.incidence2) for r in (0.0, 0.01, 0.03, 0.1)
-        ]
-        results = solve_batch(rows)
-        assert any(eqs.E3 for eqs in results)
-        assert_rows_equal_their_solve_all(rows, results)
+        inc1 = IncidenceSpec.saturated_i2(2e-4, 1e-4)
+        custom = IncidenceSpec.custom(inc1.rate)
+        found = 0
+        for r in (0.0, 0.01, 0.03, 0.1):
+            p = apply_sweep_value(sc, "r", r).params
+            built_in, wrapped = solve_all(p, inc1, sc.incidence2), solve_all(p, custom, sc.incidence2)
+            assert wrapped.stats.E3.nodes == SCAN_NODES + 1 and built_in.stats.E3.nodes in (0, 2)
+            assert [eq.kind for eq in wrapped.all] == [eq.kind for eq in built_in.all]
+            for eq, other in zip(wrapped.all, built_in.all):
+                np.testing.assert_allclose(eq.point.as_array(), other.point.as_array(), rtol=1e-12, atol=0.0)
+            found += len(wrapped.E3)
+        assert found
 
     def test_custom_strain2_rows(self):
         # the E3 solve for S bisects a custom strain-2 rate
         inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
         rows = [(params(r=r, k=k), inc1, inc2) for r, k in ((0.02, 2e-5), (0.1, 0.0), (0.1, 2e-5), (0.25, 0.0))]
-        results = solve_batch(rows)
-        assert [len(eqs.E3) for eqs in results] == [5, 1, 3, 0]
-        assert_rows_equal_their_solve_all(rows, results)
-
-    def test_rows_must_share_one_family_pair(self):
-        p = params()
-        inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
-        with pytest.raises(ValueError, match="family pair"):
-            solve_batch([(p, IncidenceSpec.bilinear(2e-4), inc2), (p, IncidenceSpec.saturated_i2(2e-4, 0.1), inc2)])
-        custom = [IncidenceSpec.custom(lambda S, I: 2e-4 * S * I) for _ in range(2)]
-        with pytest.raises(ValueError, match="family pair"):
-            solve_batch([(p, custom[0], inc2), (p, custom[1], inc2)])
+        assert [len(solve_all(*row).E3) for row in rows] == [5, 1, 3, 0]
 
     def test_every_bracket_narrows_for_the_derived_rounds(self):
-        # a pass cuts all its brackets in each round until the last of them
-        # is narrow, at most _rounds of the cells its scan ran on (6 for
-        # SECTIONS, 5 for SCAN_NODES), so a row's rounds are its brackets
-        # times that count; most passes need two or three
-        passes = collections.Counter()
+        # a built-in balance has at most one bracket, its two range ends,
+        # and Brent's zeroin closes it to machine precision: on these draws
+        # in fewer evaluations than the 52 halvings that bisection takes
+        # from hi to eps*hi, and nine in ten in fewer than 16
+        per_bracket = collections.Counter()
         for case in random_cases(1105, 200):
             st = solve_all(*case).stats
             for scan in (st.E1, st.E2, st.E3_cap, st.E3):
-                ran, rest = divmod(scan.rounds, max(scan.brackets, 1))
-                bound = equilibria._rounds(equilibria._cells(scan.nodes))
-                assert rest == 0 and (1 <= ran <= bound if scan.brackets else ran == 0)
-                passes[ran] += 1
-        most = passes[2] + passes[3]
-        assert passes[0] and most > sum(passes[r] for r in range(4, equilibria._rounds(SECTIONS) + 1))
+                assert scan.nodes in (0, 2) and scan.brackets <= 1
+                assert scan.evaluations < 52
+                if scan.brackets:
+                    per_bracket[scan.evaluations] += 1
+        assert sum(per_bracket.values()) > 300
+        assert sum(n for evaluations, n in per_bracket.items() if evaluations < 16) > 0.9 * sum(per_bracket.values())
 
     def test_stats_repeat_and_match_the_balance_evaluations(self, monkeypatch):
-        # a counting wrapper around every balance callable handed to the
-        # root finder tallies the abscissae of each row; a row's tally is
-        # its scan and _SLOPE.size cuts per bracket and round
+        # a counting wrapper around every balance handed to the root finder
+        # tallies the points of each pass: its scan nodes and then one float
+        # per evaluation
         tallies = []
         roots = equilibria._roots
 
-        def counted(fn, rows, hi, kind, *scan):
-            tally = np.zeros(len(rows.block), int)
+        def counted(fn, lo, hi, cells):
+            tally = [0]
 
-            def balance(c, x):
-                np.add.at(tally, c.row, x.shape[1])
-                return fn(c, x)
+            def balance(x):
+                tally[0] += np.size(x)
+                return fn(x)
 
             tallies.append(tally)
-            return roots(balance, rows, hi, kind, *scan)
+            return roots(balance, lo, hi, cells)
 
         monkeypatch.setattr(equilibria, "_roots", counted)
         inc1, inc2 = IncidenceSpec.bilinear(2e-4), wavy_rate()
-        rows = [(params(r=r, k=0.0), inc1, inc2) for r in (0.02, 0.1, 0.25)]
-        results = solve_batch(rows)
-        assert [eqs.stats for eqs in solve_batch(rows)] == [eqs.stats for eqs in results]
-        e1, e2, cap, e3 = tallies[:4]
-        for i, eqs in enumerate(results):
+        results = []
+        for r in (0.02, 0.1, 0.25):
+            tallies.clear()
+            eqs = solve_all(params(r=r, k=0.0), inc1, inc2)
+            assert solve_all(params(r=r, k=0.0), inc1, inc2).stats == eqs.stats
             st = eqs.stats
-            assert st.rows == 3
-            for tally, scan in ((e1, st.E1), (e2, st.E2), (cap, st.E3_cap), (e3, st.E3)):
-                assert tally[i] == scan.nodes + scan.rounds * equilibria._SLOPE.size
+            passes = [scan for scan in (st.E1, st.E2, st.E3_cap, st.E3) if scan.nodes]
+            assert [tally for tally, in tallies[: len(passes)]] == [scan.nodes + scan.evaluations for scan in passes]
             assert st.E2.brackets == len(eqs.E2)
-        assert [eqs.stats.E2.rounds for eqs in results] == [2, 6, 0]  # 1, 3 and no brackets
-        assert results[2].stats.E1.nodes == 0  # R1 < 1 at r = 0.25: no E1 scan
+            results.append(eqs)
+        assert [eqs.stats.E2.brackets for eqs in results] == [1, 3, 0]
+        assert [eqs.stats.E1.nodes for eqs in results] == [2, 2, 0]  # R1 < 1 at r = 0.25: no E1 pass
 
         # with a custom strain-2 rate each E3 balance call solves for S with
         # one force evaluation at S0 and one per halving, each a single rate
@@ -651,9 +649,8 @@ class TestBatch:
         inc2 = IncidenceSpec.custom(rate, d_rate_dS=dF2_dS)
         eqs = solve_all(params(r=0.1, k=0.0), inc1, inc2)
         assert eqs.stats.E3.brackets > 0
-        # the scan and one call per narrowing round
-        ran = eqs.stats.E3.rounds // eqs.stats.E3.brackets
-        assert per_balance == [1 + equilibria._S_HALVINGS] * (ran + 1)
+        # the scan and one call per evaluation
+        assert per_balance == [1 + equilibria._S_HALVINGS] * (1 + eqs.stats.E3.evaluations)
         assert len(dS_calls) == len(eqs.E2) > 0
 
     def test_no_checked_evaluation_inside_a_scan(self, monkeypatch):
@@ -682,26 +679,13 @@ class TestBatch:
             + ["field"] * 8  # both rates in each of the E1, E2, E3 and E0 certificates
         )
 
-    def test_memory_stays_within_one_block(self):
+    def test_memory_of_many_rows_stays_that_of_one(self):
         # the working memory, the peak less what the results still hold
-        # after the call, of 256 rows is that of one block
+        # after the call, of 256 rows solved in turn is that of one row
         rows = sweep_rows(256)
-        one_block = working_memory(lambda: solve_batch(rows[:BLOCK_ROWS]))
-        all_rows = working_memory(lambda: solve_batch(rows))
-        assert all_rows <= 1.5 * one_block
-
-    def test_block_peak_stays_near_one_row(self):
-        # each row is scanned in its own (SCAN_NODES + 1) arrays, so a full
-        # block's peak stays near one row's; one (rows x nodes) scan array
-        # per block would peak at about 14 times one row. Custom rates are
-        # scanned on SCAN_NODES cells, the built-in ones on SECTIONS
-        rows = [
-            (p, IncidenceSpec.custom(inc1.rate), IncidenceSpec.custom(inc2.rate))
-            for p, inc1, inc2 in sweep_rows(BLOCK_ROWS)
-        ]
-        block = peak_memory(lambda: solve_batch(rows))
-        one_row = peak_memory(lambda: solve_all(*rows[BLOCK_ROWS // 2]))
-        assert block <= 2.0 * one_row
+        one_row = max(working_memory(lambda: solve_all(*row)) for row in rows[::64])
+        all_rows = working_memory(lambda: [solve_all(*row) for row in rows])
+        assert all_rows <= 1.5 * one_row
 
 
 def scanned_in_full(case):
@@ -709,14 +693,14 @@ def scanned_in_full(case):
     ``_coexistence`` scans a custom row, on SCAN_NODES cells: the cap
     balance's value at the scan end Lambda/alpha2 and its roots, I2 and I1
     at the psi roots, and the psi scan's end."""
-    p = case[0]
-    rows = equilibria._Rows.of([case])
-    hi = np.array([p.Lambda / p.alpha2])
-    (cap,) = equilibria._roots(equilibria._cap, rows, hi, 2)
-    end = cap[-1:] if cap.size else hi
-    (I2,) = equilibria._roots(equilibria._psi, rows, end, 3)
-    I1 = equilibria.coexistence_coordinates(rows, I2[None, :])[2][0]
-    return equilibria._cap(rows, hi)[0], cap, I2, I1, end[0]
+    p, row = case[0], equilibria._Row(*case)
+    hi = p.Lambda / p.alpha2
+    cap, _ = equilibria._roots(lambda x: equilibria._cap(row, x), BRACKET_EPSILON * hi, hi, SCAN_NODES)
+    end = cap[-1] if cap else hi
+    I2, _ = equilibria._roots(lambda x: equilibria._psi(row, x), BRACKET_EPSILON * end, end, SCAN_NODES)
+    I2 = np.array(I2)
+    I1 = equilibria.coexistence_coordinates(row, I2)[2]
+    return equilibria._cap(row, hi), cap, I2, I1, end
 
 
 def sweep_cases():
@@ -728,12 +712,11 @@ def sweep_cases():
 class TestCoexistenceSkip:
     """For built-in families the thresholds rule E3 scans out (see the
     equilibria module docstring): a row with R1 <= 1 or R2 <= 1 has no E3
-    scan, and a cap balance positive at the scan end is not scanned. Every
-    row still gets the roots that both scans in full give."""
+    pass. Every row still gets the roots that both scans in full give."""
 
     def test_each_row_has_the_roots_of_both_scans_in_full(self):
-        # the solve scans on SECTIONS cells, the full scans on SCAN_NODES:
-        # the same roots, each within the final bracket width
+        # the solve takes each balance's range ends as its one cell, the full
+        # scans SCAN_NODES cells: the same roots, to a few units of rounding
         cases = sweep_cases()
         # R1 just above 1, where E3 still exists in some rows: beta1 scales R1
         near_one = [
@@ -741,49 +724,49 @@ class TestCoexistenceSkip:
             for p, inc1, inc2 in cases[:100]
         ]
         assert sum(bool(solve_all(*case).E3) for case in near_one) > 10
-        cap_nodes, psi_nodes = collections.Counter(), collections.Counter()
+        passes, nan_ends = collections.Counter(), 0
         for case in cases + near_one:
             eqs = solve_all(*case)
             st, th = eqs.stats, eqs.thresholds
             end, cap, I2, I1, psi_end = scanned_in_full(case)
             I2 = I2[I1 > 0.0]
             assert len(eqs.E3) == I2.size
-            for e3, root in zip(eqs.E3, I2):
-                assert abs(e3.point.I2 - root) <= equilibria.BISECT_WIDTH * psi_end
+            np.testing.assert_allclose([e3.point.I2 for e3 in eqs.E3], I2, rtol=1e-12, atol=0.0)
             ruled_out = th.R1 <= 1.0 or th.R2 <= 1.0
             if ruled_out:
                 assert st.E3_cap == st.E3 == (0, 0, 0)
                 assert not I2.size
-            elif end > 0.0:
-                assert st.E3_cap == (1, 0, 0) and cap.size == 0
             else:
-                assert st.E3_cap.nodes == SECTIONS + 1
-            assert (st.E3.nodes == 0) == ruled_out
-            cap_nodes[st.E3_cap.nodes] += 1
-            psi_nodes[st.E3.nodes] += 1
-        # ruled out, positive at the end, and scanned: 150, 289 and 161 draws
-        assert cap_nodes[0] and cap_nodes[1] and cap_nodes[SECTIONS + 1]
-        # psi NaN at a coarse node, its scan end, scans again on SCAN_NODES
-        assert set(psi_nodes) == {0, SECTIONS + 1, SECTIONS + 1 + SCAN_NODES + 1}
+                assert st.E3_cap.nodes == st.E3.nodes == 2
+                assert st.E3_cap.brackets == (end <= 0.0) == bool(cap)
+                # psi's last node is NaN where rounding puts the cap root past
+                # the last S <= S0; it is stepped back
+                row, hi = equilibria._Row(*case), case[0].Lambda / case[0].alpha2
+                one_cell, _ = equilibria._roots(lambda x: equilibria._cap(row, x), BRACKET_EPSILON * hi, hi, 1)
+                nan_ends += bool(one_cell) and np.isnan(equilibria._psi(row, one_cell[-1]))
+            passes[st.E3_cap[:2]] += 1
+        # ruled out, positive at the end, and bracketed: 279, 388 and 197 rows
+        assert passes[0, 0] and passes[2, 0] and passes[2, 1]
+        assert nan_ends > 10
 
     def test_psi_and_the_cap_balance_obey_their_bounds_at_every_node(self):
         # S <= S0 and V1 <= V10 with monotone forces bound psi by
         # alpha1*(R1 - 1), up to rounding, and make the cap balance fall;
-        # psi rises where it is finite, the lemma that lets one coarse scan
-        # cell hold at most one of its roots
+        # psi rises where it is finite, the lemma that lets one cell hold
+        # its one root
         eps = np.finfo(float).eps
         for case in sweep_cases():
             p, th = case[0], thresholds(*case)
-            rows = equilibria._Rows.of([case])
+            row = equilibria._Row(*case)
             hi = p.Lambda / p.alpha2
-            x = np.linspace(0.0, hi, SCAN_NODES + 1)[None, :]
-            x[0, 0] = equilibria.BRACKET_EPSILON * hi
-            psi = equilibria._psi(rows, x)[0]
+            x = np.linspace(0.0, hi, SCAN_NODES + 1)
+            x[0] = BRACKET_EPSILON * hi
+            psi = equilibria._psi(row, x)
             rounding = 4.0 * eps * p.alpha1 * max(th.R1, 1.0)
             psi = psi[np.isfinite(psi)]
             assert np.all(psi <= p.alpha1 * (th.R1 - 1.0) + rounding)
             assert np.all(np.diff(psi) >= -rounding)
-            assert np.all(np.diff(equilibria._cap(rows, x)[0]) <= 0.0)
+            assert np.all(np.diff(equilibria._cap(row, x)) <= 0.0)
 
     @pytest.mark.parametrize("custom", ["wavy", "copy of saturated_i2"])
     def test_custom_rates_are_scanned_with_r1_below_one(self, custom):
@@ -803,15 +786,19 @@ class TestCoexistenceSkip:
         assert eqs.E3 == () and eqs.coexistence_error == ""
 
     def test_each_block_row_is_built_once(self, monkeypatch):
-        # every balance of a block, and the cap's end value, evaluates a row
-        # on the one view that _Rows.of builds for it
-        built, row_data = [], equilibria._row_data
-        monkeypatch.setattr(equilibria, "_row_data", lambda *row: built.append(row) or row_data(*row))
+        # each solve builds its row's _Row once, and every balance and the
+        # roots' coordinates evaluate that one record
+        built, Row = [], equilibria._Row
+
+        def counted(*case):
+            built.append(Row(*case))
+            return built[-1]
+
+        monkeypatch.setattr(equilibria, "_Row", counted)
         rows = sweep_rows(4)
-        results = solve_batch(rows)
+        results = [solve_all(*row) for row in rows]
         assert len(built) == len(rows)
-        assert [eqs.stats.E3_cap.nodes for eqs in results] == [1, 1, 1, 0]  # R1 < 1 at r = 0.2
-        assert_rows_equal_their_solve_all(rows, results)
+        assert [eqs.stats.E3_cap.nodes for eqs in results] == [2, 2, 2, 0]  # R1 < 1 at r = 0.2
 
 
 def near_threshold(example, strain, excess):
@@ -827,9 +814,9 @@ def near_threshold(example, strain, excess):
 
 
 class TestCoarseScan:
-    """Built-in rows are scanned on SECTIONS cells, as each of their
-    balances changes sign at most once (the equilibria module docstring);
-    custom rates keep the SCAN_NODES scan."""
+    """Built-in rows take each balance's two range ends as its one cell, as
+    each of their balances changes sign at most once (the equilibria module
+    docstring); custom rates keep the SCAN_NODES scan."""
 
     def test_strain_balances_change_sign_once_on_the_dense_grid(self):
         # G(I1)/I1 falls; H(I2)/I2 keeps its sign while S rises, where no
@@ -837,54 +824,56 @@ class TestCoarseScan:
         eps = np.finfo(float).eps
         for case in sweep_cases():
             p, th = case[0], thresholds(*case)
-            rows = equilibria._Rows.of([case])
-            x = np.linspace(0.0, p.Lambda / p.alpha1, SCAN_NODES + 1)[None, :]
-            g = equilibria._per_infective(rows, 1, x)[0]
+            row = equilibria._Row(*case)
+            x = np.linspace(0.0, p.Lambda / p.alpha1, SCAN_NODES + 1)
+            g = equilibria._per_infective(row, 1, x)
             assert g[0] == pytest.approx(p.alpha1 * (th.R1 - 1.0), rel=1e-12, abs=1e-15)
             assert np.all(np.diff(g) <= 4.0 * eps * p.alpha1 * max(th.R1, 1.0))
-            x = np.linspace(0.0, p.Lambda / p.alpha2, SCAN_NODES + 1)[None, :]
-            h = equilibria._per_infective(rows, 2, x)[0]
+            x = np.linspace(0.0, p.Lambda / p.alpha2, SCAN_NODES + 1)
+            h = equilibria._per_infective(row, 2, x)
             assert h[0] == pytest.approx(p.alpha2 * (th.R2 - 1.0), rel=1e-12, abs=1e-15)
-            top = np.argmax(strain2_coordinates(p, x[0])[0])
+            top = np.argmax(strain2_coordinates(p, x)[0])
             assert len(set(h[: top + 1] > 0.0)) == 1
             assert np.all(np.diff(h[top:]) <= 4.0 * eps * p.alpha2 * max(th.R2, 1.0))
 
     def test_coarse_roots_match_a_dense_scan(self):
-        # each E1 and E2 root equals the one that G or H gives on SCAN_NODES
-        # cells from BRACKET_EPSILON*hi, as for a custom rate, within the
-        # final bracket width
+        # each E1 and E2 root equals the one that G or H itself gives on
+        # SCAN_NODES cells from BRACKET_EPSILON*hi, to a few units of rounding
         counts = collections.Counter()
         for p, inc1, inc2 in sweep_cases():
             eqs = solve_all(p, inc1, inc2)
             for strain, balance, found in ((1, strain1_balance, eqs.E1), (2, strain2_balance, eqs.E2)):
                 if not found:
                     continue
-                rows = equilibria._Rows.of([(p, inc1, inc2)])
+                row = equilibria._Row(p, inc1, inc2)
                 hi = p.Lambda / (p.alpha1 if strain == 1 else p.alpha2)
-                forms = rows.f1 if strain == 1 else rows.f2
-                (dense,) = equilibria._roots(lambda c, x: balance(c, forms, x), rows, np.array([hi]), 0)
+                forms = row.f1 if strain == 1 else row.f2
+                dense, _ = equilibria._roots(
+                    lambda x: balance(row, forms, x), BRACKET_EPSILON * hi, hi, SCAN_NODES
+                )
                 coarse = [eq.point.I1 if strain == 1 else eq.point.I2 for eq in found]
-                assert len(coarse) == dense.size == 1
-                assert abs(coarse[0] - dense[0]) <= equilibria.BISECT_WIDTH * hi
-                assert getattr(eqs.stats, "E%d" % strain).nodes == SECTIONS + 1
+                assert len(coarse) == len(dense) == 1
+                assert coarse[0] == pytest.approx(dense[0], rel=1e-12, abs=0.0)
+                assert getattr(eqs.stats, "E%d" % strain).nodes == 2
                 counts[strain] += 1
         assert counts[1] > 300 and counts[2] > 300
 
     def test_custom_rates_keep_the_dense_scan_bit_for_bit(self):
         # the three E2 roots of the wavy rate and its E3 root, as a custom
         # strain-2 rate beside a built-in strain 1, and its three E1 roots as
-        # both rates: SCAN_NODES cells, and the values before the coarse scan
+        # both rates: SCAN_NODES cells, and these values bit for bit
         wavy = wavy_rate()
-        three = [200.34306106073927, 286.8827404747128, 476.1904761904762]
+        three = [200.34306106073927, 286.88274047471276, 476.1904761904762]
         eqs = solve_all(params(r=0.1, k=0.0), IncidenceSpec.bilinear(2e-4), wavy)
         assert [e2.point.I2 for e2 in eqs.E2] == three
-        assert [e3.point.I2 for e3 in eqs.E3] == [171.2681871138849]
-        assert eqs.stats.E2 == (SCAN_NODES + 1, 3, 6)
+        assert [e3.point.I2 for e3 in eqs.E3] == [171.26818711388492]
+        assert eqs.stats.E2 == (SCAN_NODES + 1, 3, 8)
         assert eqs.stats.E3_cap.nodes == eqs.stats.E3.nodes == SCAN_NODES + 1
-        assert eqs.stats.E1.nodes == SECTIONS + 1  # the built-in strain
+        assert eqs.stats.E1.nodes == 2  # the built-in strain
         eqs = solve_all(params(r=0.1, k=0.0, gamma1=0.09), wavy, wavy)
         assert [e1.point.I1 for e1 in eqs.E1] == [e2.point.I2 for e2 in eqs.E2] == three
-        assert eqs.stats.E1 == eqs.stats.E2 == (SCAN_NODES + 1, 3, 6)
+        assert eqs.stats.E1 == (SCAN_NODES + 1, 3, 7)
+        assert eqs.stats.E2 == (SCAN_NODES + 1, 3, 8)
 
     @pytest.mark.parametrize("example, strain", [("6.2", 1), ("6.3", 2), ("6.4", 1), ("6.4", 2)])
     def test_roots_just_above_the_threshold_are_found(self, example, strain):
@@ -898,16 +887,21 @@ class TestCoarseScan:
             assert len(found) == 1 and found[0].residual < RESIDUAL_TOL
             I = found[0].point.I1 if strain == 1 else found[0].point.I2
             hi = p.Lambda / (p.alpha1 if strain == 1 else p.alpha2)
-            assert 0.0 < I and (excess > 1e-10 or I < equilibria.BRACKET_EPSILON * hi)
+            assert 0.0 < I and (excess > 1e-10 or I < BRACKET_EPSILON * hi)
 
-    def test_a_custom_rate_just_above_the_threshold_is_refused_by_name(self):
-        # a custom rate is scanned from BRACKET_EPSILON*hi, below which this
-        # root lies: the message names the resolution and R in full
-        p, inc1, inc2 = near_threshold("6.2", 1, 1e-10)
-        R1 = thresholds(p, inc1, inc2).R1
-        message = "strain-1 balance shows no sign change at scan resolution 4096 although R1 = %r > 1" % R1
-        with pytest.raises(SolverError, match=re.escape(message)):
-            solve_all(p, IncidenceSpec.custom(inc1.rate), inc2)
+    def test_a_custom_rate_just_above_the_threshold_is_found(self):
+        # a custom rate scans G/I1 from I1 = 0 too, so its root below
+        # BRACKET_EPSILON*hi is found; it agrees with the built-in rate's
+        # within the conditioning eps/(R1 - 1) of a root so close to 1
+        eps = np.finfo(float).eps
+        for excess in (1e-10, 1e-12):
+            p, inc1, inc2 = near_threshold("6.2", 1, excess)
+            (built_in,) = solve_all(p, inc1, inc2).E1
+            eqs = solve_all(p, IncidenceSpec.custom(inc1.rate), inc2)
+            (e1,) = eqs.E1
+            assert e1.residual < RESIDUAL_TOL and eqs.stats.E1.nodes == SCAN_NODES + 1
+            assert e1.point.I1 < BRACKET_EPSILON * p.Lambda / p.alpha1
+            assert e1.point.I1 == pytest.approx(built_in.point.I1, rel=10.0 * eps / excess, abs=0.0)
 
 
 #: a synthetic balance's root: off every scan node of the range (0, 1], 0.8
@@ -919,86 +913,64 @@ CELL = 1.0 / SCAN_NODES
 def _nan_beside(x):
     """c - x, NaN on [c - 0.6, c - 0.05] scan cells: the NaN stretch lies
     inside the root's scan cell, between its positive left end and the root."""
-    return np.where((x >= ROOT - 0.6 * CELL) & (x <= ROOT - 0.05 * CELL), np.nan, ROOT - x)
+    return np.where((x >= ROOT - 0.6 * CELL) & (x <= ROOT - 0.05 * CELL), np.nan, ROOT - x)[()]
 
 
 #: balances on (0, 1] on which the secant point is a poor guide: fn(x) and
 #: its roots
 SYNTHETIC = {
     "triple root": (lambda x: (x - ROOT) ** 3, [ROOT]),
+    "tangent double root": (lambda x: (ROOT - x) * abs(ROOT - x), [ROOT]),
     "kink": (lambda x: np.sign(ROOT - x) * np.sqrt(np.abs(x - ROOT)), [ROOT]),
     "NaN beside the root": (_nan_beside, [ROOT]),
 }
 
 
-def narrowing(monkeypatch, fn, rows, hi, kind=0):
-    """``_roots(fn, rows, hi, kind)`` with every point it hands fn counted and
-    each narrowing round's brackets and live flags recorded: the roots, the
-    point count, the last round's (a, b) and each bracket's live rounds."""
-    rounds, points = [], [0]
-    narrowed = equilibria._narrowed
+def halvings(width, root):
+    """The halvings that bisection takes to shrink ``width`` to the stopping
+    width 2*eps*root of ``_zero``."""
+    return math.ceil(math.log2(width / (2.0 * np.finfo(float).eps * root)))
 
-    def recorded(fn, c, a, b, fa, fb, live):
-        out = narrowed(fn, c, a, b, fa, fb, live)
-        rounds.append((live.copy(), out[0], out[1]))
-        return out
 
-    def counted(c, x):
-        points[0] += x.size
-        return fn(c, x)
+def counted_roots(fn, lo, hi, cells):
+    """``_roots(fn, lo, hi, cells)`` and the points it hands fn."""
+    points = [0]
 
-    monkeypatch.setattr(equilibria, "_narrowed", recorded)
-    roots = equilibria._roots(counted, rows, hi, kind)
-    live = np.sum([flags for flags, _, _ in rounds], axis=0)
-    return roots, points[0], rounds[-1][1:], live
+    def counted(x):
+        points[0] += np.size(x)
+        return fn(x)
+
+    roots, stats = equilibria._roots(counted, lo, hi, cells)
+    return roots, stats, points[0]
 
 
 class TestNarrowing:
-    """_roots on balances chosen to defeat the secant point: each bracket
-    still ends below BISECT_WIDTH*hi within _rounds(SCAN_NODES) rounds, and
-    the points handed to the balance are exactly the scan and the rounds'
-    cuts."""
-
-    def test_the_constants_bound_the_rounds_and_the_finest_cut(self):
-        finest = equilibria._FINEST
-        assert (equilibria._rounds(SCAN_NODES), equilibria._rounds(SECTIONS)) == (5, 6)
-        for cells in (SCAN_NODES, SECTIONS):
-            rounds = equilibria._rounds(cells)
-            assert cells * SECTIONS**rounds * equilibria.BISECT_WIDTH >= 1.0
-            assert cells * SECTIONS ** (rounds - 1) * equilibria.BISECT_WIDTH < 1.0
-        assert SCAN_NODES * 2.0**finest * equilibria.BISECT_WIDTH >= 1.0
-        assert SCAN_NODES * 2.0 ** (finest - 1) * equilibria.BISECT_WIDTH < 1.0
-        # at any secant fraction every cut lies in the bracket, and no part
-        # is wider than 1/SECTIONS of it
-        for t in (0.0, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53, 1.0):
-            cuts = np.sort(np.concatenate([[0.0], t * equilibria._SLOPE + equilibria._STEP, [1.0]]))
-            assert 0.0 <= cuts[0] and cuts[-1] <= 1.0
-            assert np.diff(cuts).max() <= 1.0 / SECTIONS
+    """``_roots`` and ``_zero`` on balances chosen to defeat the secant
+    point: each bracket still closes to machine precision, within three
+    times the halvings that bisection would take, and the points handed to
+    the balance are exactly the scan nodes and the evaluations."""
 
     @pytest.mark.parametrize("name", sorted(SYNTHETIC))
-    def test_a_poor_secant_point_still_narrows_within_the_rounds(self, monkeypatch, name):
+    def test_a_poor_secant_point_still_narrows_within_the_rounds(self, name):
+        # from one cell, as a built-in balance, and from a scan cell
         fn, expected = SYNTHETIC[name]
-        rows = equilibria._Rows.of([(params(), None, None)])
-        roots, points, (a, b), live = narrowing(monkeypatch, lambda c, x: fn(x), rows, np.array([1.0]))
-        (found,) = roots
-        width = equilibria.BISECT_WIDTH
-        np.testing.assert_allclose(found, expected, rtol=0.0, atol=width)
-        assert np.all(b - a < width) and np.all((a <= found) & (found <= b))
-        assert 1 <= live.max() <= equilibria._rounds(SCAN_NODES)
-        nodes, brackets, rounds = rows.scans[0, 0]
-        assert (nodes, brackets) == (SCAN_NODES + 1, len(expected))
-        assert rounds == brackets * live.max()
-        assert points == nodes + rounds * equilibria._SLOPE.size
+        for cells in (1, SCAN_NODES):
+            roots, stats, points = counted_roots(fn, BRACKET_EPSILON, 1.0, cells)
+            np.testing.assert_allclose(roots, expected, rtol=2.0 * np.finfo(float).eps, atol=0.0)
+            assert stats[:2] == (cells + 1, len(expected))
+            assert stats.evaluations <= 3 * halvings(1.0 / cells, ROOT)
+            assert points == stats.nodes + stats.evaluations
 
-    def test_three_e2_roots_of_the_wavy_rate(self, monkeypatch):
+    def test_three_e2_roots_of_the_wavy_rate(self):
+        # and the two roots of its cap balance 2.3e-6 apart near I2 = 238.095,
+        # a near-tangent pair that takes about 36 evaluations per bracket
         optimize = pytest.importorskip("scipy.optimize")
         p, inc2 = params(r=0.1, k=0.0), wavy_rate()
-        rows = equilibria._Rows.of([(p, None, inc2)])
+        row = equilibria._Row(p, None, inc2)
         hi = p.Lambda / p.alpha2
-        roots, points, (a, b), live = narrowing(
-            monkeypatch, lambda c, x: strain2_balance(c, c.f2, x), rows, np.array([hi]), kind=1
+        found, stats, points = counted_roots(
+            lambda x: strain2_balance(row, row.f2, x), BRACKET_EPSILON * hi, hi, SCAN_NODES
         )
-        (found,) = roots
         xs = np.linspace(0.0, hi, SCAN_NODES + 1)
         xs[0] = 1e-9 * hi
         h = strain2_balance(p, inc2, xs)
@@ -1008,53 +980,46 @@ class TestNarrowing:
         ]
         assert len(expected) == 3
         np.testing.assert_allclose(found, expected, rtol=1e-12)
-        assert np.all(b - a < equilibria.BISECT_WIDTH * hi)
-        assert 1 <= live.max() <= equilibria._rounds(SCAN_NODES)
-        nodes, brackets, rounds = rows.scans[0, 1]
-        assert brackets == 3 and rounds == brackets * live.max()
-        assert points == nodes + rounds * equilibria._SLOPE.size
-
-    def test_a_narrow_bracket_is_frozen_while_its_block_narrows_on(self):
-        # a block of rows whose brackets need different numbers of rounds:
-        # each row's roots are bit for bit its one-row pass
-        fns = [fn for fn, _ in SYNTHETIC.values()] + [lambda x: ROOT - x]
-
-        def balance(c, x):
-            return np.choose(c.row[:, None], [fn(x) for fn in fns])
-
-        block = [(params(), None, None)] * len(fns)
-        rows = equilibria._Rows.of(block)
-        together = equilibria._roots(balance, rows, np.ones(len(fns)), 0)
-        ran = set()
-        for i in range(len(fns)):
-            alone = equilibria._Rows.of([block[i]])
-            fn = fns[i]
-            (root,) = equilibria._roots(lambda c, x: fn(x), alone, np.array([1.0]), 0)
-            assert together[i].tobytes() == root.tobytes()
-            ran.add(alone.scans[0, 0, 2])
-        assert len(ran) > 1
-        assert (rows.scans[:, 0, 2] == max(ran)).all()
+        assert stats.brackets == 3 and points == stats.nodes + stats.evaluations
+        assert stats.evaluations <= 3 * halvings(hi / SCAN_NODES, found[0])
+        cap, stats, _ = counted_roots(lambda x: equilibria._cap(row, x), BRACKET_EPSILON * hi, hi, SCAN_NODES)
+        assert len(cap) == stats.brackets == 2 and 0.0 < cap[1] - cap[0] < 3e-6
+        assert cap[0] == pytest.approx(238.095, rel=1e-6)
+        assert 2 * 20 <= stats.evaluations <= 2 * 3 * halvings(hi / SCAN_NODES, cap[0])
 
     def test_a_coarse_scan_narrows_within_its_rounds_and_repeats_past_a_nan(self):
-        # on SECTIONS cells each poor secant point narrows within
-        # _rounds(SECTIONS); a NaN at the scan end hides the last coarse
-        # cell, so that row is scanned again on SCAN_NODES cells, which find
-        # its root. In one block each row keeps the bits of its own pass
-        last = 1.0 - 0.3 / SECTIONS
-        fns = [fn for fn, _ in SYNTHETIC.values()] + [lambda x: np.where(x < 1.0, last - x, np.nan)]
-        expected = [roots[0] for _, roots in SYNTHETIC.values()] + [last]
+        # one cell, as for a built-in balance: each synthetic root is solved
+        # from the two range ends, and a NaN at the last node is stepped back
+        # by 2**-52, 2**-51, ... of the range until it is finite, which finds
+        # a root 2**-40 from the end, next to a NaN stretch 2**-42 wide
+        near_end = 1.0 - 2.0**-40
+        fns = [fn for fn, _ in SYNTHETIC.values()] + [
+            lambda x: near_end - x if x <= 1.0 - 2.0**-42 else math.nan,
+            lambda x: ROOT - x if x < 1.0 else math.nan,
+        ]
+        expected = [roots[0] for _, roots in SYNTHETIC.values()] + [near_end, ROOT]
+        for fn, root in zip(fns, expected):
+            found, stats, points = counted_roots(fn, 0.0, 1.0, 1)
+            assert found == pytest.approx([root], rel=2.0 * np.finfo(float).eps, abs=0.0)
+            assert stats.nodes == 2 and stats.brackets == 1 and points == 2 + stats.evaluations
+        # the last node stepped back by 2**-52 to 2**-42: eleven evaluations
+        # before the secant step, which lands on the root of the linear balance
+        assert counted_roots(fns[-2], 0.0, 1.0, 1)[1].evaluations == 11 + 1
+        # a balance NaN all the way back to the node before has no bracket
+        assert equilibria._roots(lambda x: math.nan if x > 0.0 else 1.0, 0.0, 1.0, 1) == ([], (2, 0, 52))
 
-        def balance(c, x):
-            return np.choose(c.row[:, None], [fn(x) for fn in fns])
+    def test_zero_stops_at_machine_precision(self):
+        # on a linear balance the first secant step is exact; the returned
+        # secant point of the final bracket lies within the stopping width
+        # 2*eps*|root| of every root of these balances
+        calls = []
 
-        block = [(params(), None, None)] * len(fns)
-        together = equilibria._roots(balance, equilibria._Rows.of(block), np.ones(len(fns)), 0, SECTIONS)
-        for fn, root, both in zip(fns, expected, together):
-            rows = equilibria._Rows.of(block[:1])
-            (found,) = equilibria._roots(lambda c, x: fn(x), rows, np.array([1.0]), 0, SECTIONS)
-            assert found.tobytes() == both.tobytes()
-            np.testing.assert_allclose(found, [root], rtol=0.0, atol=equilibria.BISECT_WIDTH)
-            nodes, brackets, rounds = rows.scans[0, 0]
-            cells = SECTIONS if root != last else SCAN_NODES
-            assert nodes == SECTIONS + 1 + (cells == SCAN_NODES) * (SCAN_NODES + 1)
-            assert brackets == 1 and 1 <= rounds <= equilibria._rounds(cells)
+        def line(x):
+            calls.append(x)
+            return 0.3 - x
+
+        assert equilibria._zero(line, 0.0, 1.0, 0.3, -0.7) == pytest.approx(0.3, rel=0.0, abs=1e-16)
+        assert len(calls) <= 2
+        for fn, (root,) in SYNTHETIC.values():
+            x = equilibria._zero(lambda x: float(fn(x)), 0.2, 0.3, float(fn(0.2)), float(fn(0.3)))
+            assert abs(x - root) <= 2.0 * np.finfo(float).eps * root

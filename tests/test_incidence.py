@@ -526,9 +526,7 @@ class TestSusceptible:
         S = inc.bound_forms().susceptible(I, target, c)
         assert S == pytest.approx(expected, rel=1e-13, abs=0.0)
         # an array of entries gives each its scalar value, bit for bit
-        many = inc.bound_forms(np.full((3, 1), inc.beta), np.full((3, 1), inc.zeta)).susceptible(
-            np.full((3, 2), I), target, np.full((3, 2), c)
-        )
+        many = inc.bound_forms().susceptible(np.full((3, 2), I), target, np.full((3, 2), c))
         assert many.shape == (3, 2) and np.all(many == S)
 
     @pytest.mark.parametrize("target", [0.5, 0.75, 4.0])

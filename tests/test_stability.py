@@ -23,7 +23,6 @@ from twostrain.equilibria import (
     Equilibrium,
     disease_free,
     solve_all,
-    solve_batch,
     solve_strain1,
     solve_strain2,
 )
@@ -471,7 +470,7 @@ def r_sweep(sc, start, stop, n):
     for value in np.linspace(start, stop, n):
         row = apply_sweep_value(sc, "r", value)
         cases.append((row.params, row.incidence1, row.incidence2))
-    return [[(*case, eq) for eq in eqs.all] for case, eqs in zip(cases, solve_batch(cases))]
+    return [[(*case, eq) for eq in solve_all(*case).all] for case in cases]
 
 
 def report_bits(report):

@@ -10,16 +10,17 @@ from twostrain.simulate import integrate
 
 
 def test_classified_sweep_scan_counts(monkeypatch):
-    # the summed ScanStats (nodes, brackets, rounds) of each balance over the
-    # 41 rows of example 6.4's classified r-sweep on [0, 0.2]; every balance
-    # is scanned on SECTIONS (64) cells, 65 nodes, as the forces are monotone
-    solved, solve_batch = [], analysis.solve_batch
+    # the summed ScanStats (nodes, brackets, evaluations) of each balance
+    # over the 41 rows of example 6.4's classified r-sweep on [0, 0.2]; every
+    # balance takes its two range ends as its one cell, as the forces are
+    # monotone, and each bracket goes to Brent's zeroin
+    solved, solve_all = [], analysis.solve_all
 
-    def recorded(cases):
-        solved.extend(solve_batch(cases))
-        return solved
+    def recorded(*case):
+        solved.append(solve_all(*case))
+        return solved[-1]
 
-    monkeypatch.setattr(analysis, "solve_batch", recorded)
+    monkeypatch.setattr(analysis, "solve_all", recorded)
     rows = analysis.sweep(build_scenario("6.4"), "r", 0.0, 0.2, 41)
     assert len(rows) == len(solved) == 41
     sums = {
@@ -27,10 +28,10 @@ def test_classified_sweep_scan_counts(monkeypatch):
         for kind in ("E1", "E2", "E3_cap", "E3")
     }
     assert sums == {
-        "E1": (2535, 39, 124),
-        "E2": (2665, 41, 123),
-        "E3_cap": (39, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
-        "E3": (2535, 15, 45),
+        "E1": (78, 39, 372),
+        "E2": (82, 41, 279),
+        "E3_cap": (78, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
+        "E3": (78, 15, 176),
     }
 
 
@@ -38,15 +39,17 @@ def test_classified_sweep_scan_counts(monkeypatch):
     "example, counts",
     [
         ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.2", {"E1": (65, 1, 2), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.3", {"E1": (0, 0, 0), "E2": (65, 1, 3), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.4", {"E1": (65, 1, 3), "E2": (65, 1, 3), "E3_cap": (1, 0, 0), "E3": (65, 1, 3)}),
+        ("6.2", {"E1": (2, 1, 2), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.3", {"E1": (0, 0, 0), "E2": (2, 1, 7), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.4", {"E1": (2, 1, 10), "E2": (2, 1, 7), "E3_cap": (2, 0, 0), "E3": (2, 1, 9)}),
     ],
 )
 def test_reproduce_scan_counts(monkeypatch, example, counts):
-    # each balance's ScanStats (nodes, brackets, rounds) in the one solve of
-    # a worked example's replay; a balance with R <= 1 is not scanned, nor
-    # are E3's with R1 <= 1 or R2 <= 1; E3_cap (1, 0, 0) is its end value alone
+    # each balance's ScanStats (nodes, brackets, evaluations) in the one
+    # solve of a worked example's replay; a balance with R <= 1 does not run,
+    # nor do E3's with R1 <= 1 or R2 <= 1; the bilinear E1 of 6.2 is linear in
+    # I1, so the first secant step lands on its root and one step of the
+    # stopping width closes the bracket
     solved, solve_all = [], analysis.solve_all
 
     def recorded(*case):
@@ -56,7 +59,6 @@ def test_reproduce_scan_counts(monkeypatch, example, counts):
     monkeypatch.setattr(analysis, "solve_all", recorded)
     assert reproduce(example).all_pass
     (eqs,) = solved
-    assert eqs.stats.rows == 1
     assert {kind: tuple(getattr(eqs.stats, kind)) for kind in counts} == counts
 
 
