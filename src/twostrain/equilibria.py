@@ -13,6 +13,10 @@ solves each bracket alone by Brent's zeroin on Python floats (``_zero``;
 Brent 1973, Algorithms for Minimization without Derivatives, ch. 4), to
 machine precision. The balances evaluate the closed forms unchecked
 (``IncidenceSpec.bound_forms``); the certified outputs are checked instead.
+One text of each balance runs on Python floats for ``_zero``, with no numpy
+call for a built-in row, and on numpy columns for a custom rate's scan: its
+branch choices and square roots go by the argument's type
+(``incidence._choose``, ``incidence._sqrt``).
 
 For E3 the strain-2 balance f2(S, I2) + k*r*S/(mu + k*I2) = alpha2 fixes S
 at each I2 (its left side rises strictly in S from 0 at S = 0; see
@@ -52,9 +56,11 @@ one cell. E1 and E2 take G/I and H/I from I = 0, where they are
 alpha*(R - 1) > 0, so a root however close to 0, as for R just above 1,
 is bracketed. Custom rates, whose monotonicity is not proved
 (``check_hypotheses`` checks a grid), are scanned on SCAN_NODES cells, E1
-and E2 in the same form from I = 0. The E3 scans start at BRACKET_EPSILON
-of their range. psi is NaN past the cap balance's root, where rounding can
-put the scan end, so a non-finite last node is stepped back (``_roots``).
+and E2 in the same form from I = 0. The E3 scans start at I2 = 0 too: E3
+branches off E1 there as R2_invasion passes 1, so a root however close to
+0 is bracketed, and a root at I2 = 0, which is E1, is dropped. psi is NaN
+past the cap balance's root, where rounding can put the scan end, so a
+non-finite last node is stepped back (``_roots``).
 
 The hypothesis also gives S <= S0 and V1 <= V10 at every equilibrium, so
 psi <= alpha1*(R1 - 1) and the strain-2 balance's left side minus alpha2
@@ -81,7 +87,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .errors import SolverError
-from .incidence import BUILT_IN_FAMILIES, IncidenceSpec
+from .incidence import BUILT_IN_FAMILIES, IncidenceSpec, _choose
 from .model import (
     RESIDUAL_TOL,
     ModelParams,
@@ -92,9 +98,6 @@ from .model import (
     residual as field_residual,
     thresholds,
 )
-
-#: relative lower end of the E3 scans: an interior equilibrium has I2 > 0
-BRACKET_EPSILON = 1e-9
 
 #: scan resolution of custom rates, whose balances may change sign more than once
 SCAN_NODES = 4096
@@ -149,16 +152,16 @@ class SolveStats:
 
 
 class _Row:
-    """One (p, inc1, inc2) row, as ``case``: p's values under the ModelParams
-    names, which the balances read as they would p, and f1 and f2, the
-    strains' closed forms bound to their coefficients (None for a strain
-    that is None)."""
+    """One (p, inc1, inc2) row, as ``case``: p's values as Python floats under
+    the ModelParams names, which the balances read as they would p, and f1
+    and f2, the strains' closed forms bound to their coefficients (None for
+    a strain that is None)."""
 
     def __init__(self, p: ModelParams, inc1, inc2):
         self.case = (p, inc1, inc2)
-        self.Lambda, self.mu, self.r, self.k = p.Lambda, p.mu, p.r, p.k
-        self.lam, self.alpha1, self.alpha2 = p.lam, p.alpha1, p.alpha2
-        self.susceptible_cap, self.vaccinated_cap = p.susceptible_cap, p.vaccinated_cap
+        self.Lambda, self.mu, self.r, self.k = map(float, (p.Lambda, p.mu, p.r, p.k))
+        self.lam, self.alpha1, self.alpha2 = map(float, (p.lam, p.alpha1, p.alpha2))
+        self.susceptible_cap, self.vaccinated_cap = map(float, (p.susceptible_cap, p.vaccinated_cap))
         self.f1, self.f2 = (None if inc is None else inc.bound_forms() for inc in (inc1, inc2))
 
 
@@ -351,13 +354,13 @@ def coexistence_coordinates(p: _Row, I2):
     else:
         # [S, S + width] holds the root wherever one exists on [0, S0]
         feasible = p.f2.force(S0, I2) + c * S0 >= p.alpha2
-        S, width = np.zeros_like(I2), S0
+        S, width = 0.0 * I2, S0
         for _ in range(_S_HALVINGS):
             width = 0.5 * width
             mid = S + width
-            S = np.where(p.f2.force(mid, I2) + c * mid < p.alpha2, mid, S)
+            S = _choose(p.f2.force(mid, I2) + c * mid < p.alpha2, mid, S)
         S = S + 0.5 * width
-    S = np.where(feasible, S, np.nan)[()]  # [()] makes a scalar of a 0-d result
+    S = _choose(feasible, S, math.nan)
     V1 = p.r * S / (p.mu + p.k * I2)
     I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
     return S, V1, I1
@@ -372,7 +375,7 @@ def solve_coexistence(
     """All interior equilibria with both strains present, by increasing I2.
 
     Roots of psi(I2) = f1(S, I1) - alpha1 with (S, V1, I1) from
-    ``coexistence_coordinates`` and I1 > 0; psi is undefined where no S
+    ``coexistence_coordinates``, I1 > 0 and I2 > 0; psi is undefined where no S
     exists. I1 falls to 0 exactly at an E2 level, where psi equals
     alpha1*(R1_invasion - 1); past it psi is continued with I1 held at 0, so
     a root next to that boundary is still bracketed, and roots with I1 <= 0
@@ -389,9 +392,9 @@ def solve_coexistence(
 
 def _psi(c: _Row, I2):
     S, _, I1 = coexistence_coordinates(c, I2)
-    feasible = np.isfinite(S)
-    S, I1 = np.where(feasible, S, 0.0)[()], np.where(feasible, np.maximum(I1, 0.0), 0.0)[()]
-    return np.where(feasible, c.f1.force(S, I1) - c.alpha1, np.nan)[()]
+    feasible = S == S  # S is NaN where no S <= S0 exists, and I1 with it
+    S, I1 = _choose(feasible, S, 0.0), _choose(I1 > 0.0, I1, 0.0)
+    return _choose(feasible, c.f1.force(S, I1) - c.alpha1, math.nan)
 
 
 def _cap(c: _Row, I2):
@@ -412,13 +415,13 @@ def _coexistence(row: _Row, th: Thresholds) -> tuple:
     I2, cap_stats, psi_stats = [], ScanStats(), ScanStats()
     if cells > 1 or (th.R1 > 1.0 and th.R2 > 1.0):
         hi = row.Lambda / row.alpha2
-        caps, cap_stats = _roots(lambda x: _cap(row, x), BRACKET_EPSILON * hi, hi, cells)
+        caps, cap_stats = _roots(lambda x: _cap(row, x), 0.0, hi, cells)
         end = caps[-1] if caps else hi
-        I2, psi_stats = _roots(lambda x: _psi(row, x), BRACKET_EPSILON * end, end, cells)
+        I2, psi_stats = _roots(lambda x: _psi(row, x), 0.0, end, cells)
     points = []
     for x in I2:
         S, V1, I1 = coexistence_coordinates(row, x)
-        if I1 > 0.0:
+        if I1 > 0.0 and x > 0.0:  # a root at I2 = 0 is E1
             points.append(State(float(S), float(V1), float(I1), x))
     r2_inv, r1_inv = th.R2_invasion, th.R1_invasion
     conditions = tuple(

@@ -64,14 +64,28 @@ def _difference(g, x):
     return np.where(low, 4.0 * up - 3.0 * down - g(x + 2.0 * h), up - down)[()] / (2.0 * h)
 
 
+# One formula serves Python floats, with no numpy call, and numpy arrays: these
+# two go by the argument's type, and IEEE + - * / and sqrt round alike on both.
+def _choose(cond, a, b):
+    """a where cond holds, else b: the one taken for a scalar bool, np.where
+    elementwise otherwise, a scalar for a 0-d result."""
+    return (a if cond else b) if isinstance(cond, (bool, np.bool_)) else np.where(cond, a, b)[()]
+
+
+def _sqrt(x):
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
 def _saturated_s_susceptible(b, z, I, target, c):
     """The positive root of c*z*S**2 + lin*S - target = 0, lin = b + c - target*z,
     in the form that subtracts no nearly equal terms for the sign of lin."""
     a, lin = c * z, b + c - target * z + 0.0 * I
-    root = np.sqrt(lin * lin + 4.0 * a * target)
-    # a division by 0 falls in the branch np.where drops, or gives the inf of no root
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(lin >= 0.0, 2.0 * target / (lin + root), (root - lin) / (2.0 * a))[()]
+    root = _sqrt(lin * lin + 4.0 * a * target)
+    positive = lin >= 0.0
+    num, den = _choose(positive, 2.0 * target, root - lin), _choose(positive, lin + root, 2.0 * a)
+    # num > 0, so den = 0 means no root: inf, without a division by 0
+    none = den == 0.0
+    return _choose(none, math.inf, num) / _choose(none, 1.0, den)
 
 
 # Each built-in family's saturation, as text over (b, z, S, I) for (beta,

@@ -269,9 +269,8 @@ def residual(
 ) -> float:
     """Max-norm of the 4-D field at a point; the equilibrium certificate.
     A strain given as None has F = 0, so an equilibrium without it can be
-    certified without its incidence."""
-    y = _as_array(x)
-    parts = _checked_field(p, inc1, inc2)(0.0, y[:4])
+    certified without its incidence. The field runs on Python floats."""
+    parts = _checked_field(p, inc1, inc2)(0.0, _as_array(x)[:4].tolist())
     return float(max(abs(v) for v in parts))
 
 

@@ -13,7 +13,6 @@ from twostrain import analysis, equilibria, incidence
 from twostrain.analysis import apply_sweep_value
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import (
-    BRACKET_EPSILON,
     SCAN_NODES,
     disease_free,
     solve_all,
@@ -28,6 +27,7 @@ from twostrain.equilibria import (
 from twostrain.errors import SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import (
+    PARAM_NAMES,
     RESIDUAL_TOL,
     ModelParams,
     Thresholds,
@@ -322,6 +322,45 @@ class TestCoexistence:
         assert len(eqs.E3) == 1
         expected = [6.94505363e02, 5.56025914e03, 2.42050741e00, 3.43998581e00]
         assert eqs.E3[0].point.as_array()[:4] == pytest.approx(expected, rel=1e-8)
+
+    def test_floats_give_the_bits_of_their_array_entries(self):
+        # one text of the E3 reduction runs on Python floats for a float and
+        # on numpy columns for an array; the nodes reach past the cap root,
+        # where no S <= S0 exists and S, V1, I1 and psi are NaN
+        nan_rows = 0
+        for case in random_cases(1105, 600):
+            row = equilibria._Row(*case)
+            x = np.linspace(0.0, row.Lambda / row.alpha2, 17)
+            for fn in (equilibria._psi, equilibria._cap, equilibria.coexistence_coordinates):
+                each = [fn(row, v) for v in x.tolist()]
+                assert np.array(each).T.tobytes() == np.array(fn(row, x)).tobytes()
+            nan_rows += bool(np.isnan(equilibria._psi(row, x)).any())
+        assert nan_rows > 100
+
+    @pytest.mark.parametrize("numpy_params", [False, True])
+    def test_a_built_in_solve_makes_no_numpy_choice(self, monkeypatch, numpy_params):
+        # a built-in row's balances stay on Python floats, also where
+        # ModelParams holds numpy scalars: np.where, which costs microseconds
+        # on a scalar, never runs, and each float call returns a float
+        cases = list(random_cases(1105, 40))
+        if numpy_params:
+            cases = [
+                (ModelParams(*(np.float64(getattr(p, name)) for name in PARAM_NAMES)), inc1, inc2)
+                for p, inc1, inc2 in cases
+            ]
+        expected = [solve_all(*case) for case in cases]
+        rows = [equilibria._Row(*case) for case in cases]
+
+        def refused(*args):
+            raise AssertionError("np.where called in a built-in solve")
+
+        monkeypatch.setattr(np, "where", refused)
+        assert [solve_all(*case) for case in cases] == expected
+        assert sum(len(eqs.E3) for eqs in expected) > 5
+        for row in rows:
+            for x in (0.0, 0.5 * row.Lambda / row.alpha2, row.Lambda / row.alpha2):
+                values = [equilibria._psi(row, x), equilibria._cap(row, x), *equilibria.coexistence_coordinates(row, x)]
+                assert all(type(v) is float for v in values)
 
     def test_empty_scan_raises_when_both_invasion_numbers_exceed_one(self):
         # the invasion numbers guarantee an interior root, so finding none
@@ -627,7 +666,9 @@ class TestBatch:
 
         # with a custom strain-2 rate each E3 balance call solves for S with
         # one force evaluation at S0 and one per halving, each a single rate
-        # call, and never calls dF2/dS; the E2 notes call it once per root
+        # call, and never calls dF2/dS; the E2 notes call it once per root.
+        # The scan's first node is I2 = 0, where each force evaluation takes
+        # its I = 0 limit from two more rate calls
         rate_calls, dS_calls, per_balance = [], [], []
         wavy, psi = wavy_rate(), equilibria._psi
 
@@ -650,7 +691,8 @@ class TestBatch:
         eqs = solve_all(params(r=0.1, k=0.0), inc1, inc2)
         assert eqs.stats.E3.brackets > 0
         # the scan and one call per evaluation
-        assert per_balance == [1 + equilibria._S_HALVINGS] * (1 + eqs.stats.E3.evaluations)
+        calls = 1 + equilibria._S_HALVINGS
+        assert per_balance == [3 * calls] + [calls] * eqs.stats.E3.evaluations
         assert len(dS_calls) == len(eqs.E2) > 0
 
     def test_no_checked_evaluation_inside_a_scan(self, monkeypatch):
@@ -695,9 +737,9 @@ def scanned_in_full(case):
     at the psi roots, and the psi scan's end."""
     p, row = case[0], equilibria._Row(*case)
     hi = p.Lambda / p.alpha2
-    cap, _ = equilibria._roots(lambda x: equilibria._cap(row, x), BRACKET_EPSILON * hi, hi, SCAN_NODES)
+    cap, _ = equilibria._roots(lambda x: equilibria._cap(row, x), 0.0, hi, SCAN_NODES)
     end = cap[-1] if cap else hi
-    I2, _ = equilibria._roots(lambda x: equilibria._psi(row, x), BRACKET_EPSILON * end, end, SCAN_NODES)
+    I2, _ = equilibria._roots(lambda x: equilibria._psi(row, x), 0.0, end, SCAN_NODES)
     I2 = np.array(I2)
     I1 = equilibria.coexistence_coordinates(row, I2)[2]
     return equilibria._cap(row, hi), cap, I2, I1, end
@@ -742,7 +784,7 @@ class TestCoexistenceSkip:
                 # psi's last node is NaN where rounding puts the cap root past
                 # the last S <= S0; it is stepped back
                 row, hi = equilibria._Row(*case), case[0].Lambda / case[0].alpha2
-                one_cell, _ = equilibria._roots(lambda x: equilibria._cap(row, x), BRACKET_EPSILON * hi, hi, 1)
+                one_cell, _ = equilibria._roots(lambda x: equilibria._cap(row, x), 0.0, hi, 1)
                 nan_ends += bool(one_cell) and np.isnan(equilibria._psi(row, one_cell[-1]))
             passes[st.E3_cap[:2]] += 1
         # ruled out, positive at the end, and bracketed: 279, 388 and 197 rows
@@ -760,7 +802,6 @@ class TestCoexistenceSkip:
             row = equilibria._Row(*case)
             hi = p.Lambda / p.alpha2
             x = np.linspace(0.0, hi, SCAN_NODES + 1)
-            x[0] = BRACKET_EPSILON * hi
             psi = equilibria._psi(row, x)
             rounding = 4.0 * eps * p.alpha1 * max(th.R1, 1.0)
             psi = psi[np.isfinite(psi)]
@@ -813,6 +854,17 @@ def near_threshold(example, strain, excess):
     return (p, *incs)
 
 
+def near_invasion(excess):
+    """Example 6.4 with beta2 scaled so that R2_invasion = 1 + ``excess``: it
+    is linear in beta2, plus k*V1/alpha2 at E1, which beta2 does not move."""
+    sc = build_scenario("6.4")
+    p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+    eqs = solve_all(p, inc1, inc2)
+    route = p.k * eqs.E1[0].point.V1 / p.alpha2
+    R = eqs.thresholds.R2_invasion
+    return p, inc1, dataclasses.replace(inc2, beta=inc2.beta * (1.0 + excess - route) / (R - route))
+
+
 class TestCoarseScan:
     """Built-in rows take each balance's two range ends as its one cell, as
     each of their balances changes sign at most once (the equilibria module
@@ -838,7 +890,8 @@ class TestCoarseScan:
 
     def test_coarse_roots_match_a_dense_scan(self):
         # each E1 and E2 root equals the one that G or H itself gives on
-        # SCAN_NODES cells from BRACKET_EPSILON*hi, to a few units of rounding
+        # SCAN_NODES cells from 1e-9*hi (G and H vanish at 0), to a few units
+        # of rounding
         counts = collections.Counter()
         for p, inc1, inc2 in sweep_cases():
             eqs = solve_all(p, inc1, inc2)
@@ -849,7 +902,7 @@ class TestCoarseScan:
                 hi = p.Lambda / (p.alpha1 if strain == 1 else p.alpha2)
                 forms = row.f1 if strain == 1 else row.f2
                 dense, _ = equilibria._roots(
-                    lambda x: balance(row, forms, x), BRACKET_EPSILON * hi, hi, SCAN_NODES
+                    lambda x: balance(row, forms, x), 1e-9 * hi, hi, SCAN_NODES
                 )
                 coarse = [eq.point.I1 if strain == 1 else eq.point.I2 for eq in found]
                 assert len(coarse) == len(dense) == 1
@@ -878,7 +931,7 @@ class TestCoarseScan:
     @pytest.mark.parametrize("example, strain", [("6.2", 1), ("6.3", 2), ("6.4", 1), ("6.4", 2)])
     def test_roots_just_above_the_threshold_are_found(self, example, strain):
         # G/I and H/I equal alpha*(R - 1) > 0 at I = 0, so a root below
-        # BRACKET_EPSILON*hi is bracketed too
+        # 1e-9*hi is bracketed too
         for excess in (1e-6, 1e-10, 1e-12, 2.0**-52):
             p, inc1, inc2 = near_threshold(example, strain, excess)
             R = getattr(thresholds(p, inc1, inc2), "R%d" % strain)
@@ -887,11 +940,35 @@ class TestCoarseScan:
             assert len(found) == 1 and found[0].residual < RESIDUAL_TOL
             I = found[0].point.I1 if strain == 1 else found[0].point.I2
             hi = p.Lambda / (p.alpha1 if strain == 1 else p.alpha2)
-            assert 0.0 < I and (excess > 1e-10 or I < BRACKET_EPSILON * hi)
+            assert 0.0 < I and (excess > 1e-10 or I < 1e-9 * hi)
+
+    @pytest.mark.parametrize("excess", [1e-12, 1e-15, -1e-15, -1e-12])
+    def test_coexistence_just_past_r2_invasion_one(self, excess):
+        # E3 branches off E1, at I2 = 0, as R2_invasion passes 1; psi is
+        # scanned from I2 = 0, so a root below 1e-9 of its range is found,
+        # and R2_invasion <= 1 leaves none (nor an error). The 1e-12 root
+        # agrees with the slope of the 1e-6 root within the conditioning
+        # eps/(R2_invasion - 1)
+        eps = np.finfo(float).eps
+        p, inc1, inc2 = near_invasion(excess)
+        eqs = solve_all(p, inc1, inc2)
+        R = eqs.thresholds.R2_invasion
+        assert R == pytest.approx(1.0 + excess, rel=0.0, abs=2e-15) and (R > 1.0) == (excess > 0.0)
+        assert eqs.coexistence_error == ""
+        if excess < 0.0:
+            assert eqs.E3 == ()
+            return
+        (e3,) = eqs.E3
+        assert e3.residual < RESIDUAL_TOL and 0.0 < e3.point.I2 < 1e-9 * p.Lambda / p.alpha2
+        if excess == 1e-12:
+            p, inc1, inc2 = near_invasion(1e-6)
+            far = solve_all(p, inc1, inc2)
+            slope = far.E3[0].point.I2 / (far.thresholds.R2_invasion - 1.0)
+            assert e3.point.I2 == pytest.approx(slope * (R - 1.0), rel=10.0 * eps / excess)
 
     def test_a_custom_rate_just_above_the_threshold_is_found(self):
         # a custom rate scans G/I1 from I1 = 0 too, so its root below
-        # BRACKET_EPSILON*hi is found; it agrees with the built-in rate's
+        # 1e-9*hi is found; it agrees with the built-in rate's
         # within the conditioning eps/(R1 - 1) of a root so close to 1
         eps = np.finfo(float).eps
         for excess in (1e-10, 1e-12):
@@ -900,7 +977,7 @@ class TestCoarseScan:
             eqs = solve_all(p, IncidenceSpec.custom(inc1.rate), inc2)
             (e1,) = eqs.E1
             assert e1.residual < RESIDUAL_TOL and eqs.stats.E1.nodes == SCAN_NODES + 1
-            assert e1.point.I1 < BRACKET_EPSILON * p.Lambda / p.alpha1
+            assert e1.point.I1 < 1e-9 * p.Lambda / p.alpha1
             assert e1.point.I1 == pytest.approx(built_in.point.I1, rel=10.0 * eps / excess, abs=0.0)
 
 
@@ -955,7 +1032,7 @@ class TestNarrowing:
         # from one cell, as a built-in balance, and from a scan cell
         fn, expected = SYNTHETIC[name]
         for cells in (1, SCAN_NODES):
-            roots, stats, points = counted_roots(fn, BRACKET_EPSILON, 1.0, cells)
+            roots, stats, points = counted_roots(fn, 1e-9, 1.0, cells)
             np.testing.assert_allclose(roots, expected, rtol=2.0 * np.finfo(float).eps, atol=0.0)
             assert stats[:2] == (cells + 1, len(expected))
             assert stats.evaluations <= 3 * halvings(1.0 / cells, ROOT)
@@ -969,7 +1046,7 @@ class TestNarrowing:
         row = equilibria._Row(p, None, inc2)
         hi = p.Lambda / p.alpha2
         found, stats, points = counted_roots(
-            lambda x: strain2_balance(row, row.f2, x), BRACKET_EPSILON * hi, hi, SCAN_NODES
+            lambda x: strain2_balance(row, row.f2, x), 1e-9 * hi, hi, SCAN_NODES
         )
         xs = np.linspace(0.0, hi, SCAN_NODES + 1)
         xs[0] = 1e-9 * hi
@@ -982,7 +1059,7 @@ class TestNarrowing:
         np.testing.assert_allclose(found, expected, rtol=1e-12)
         assert stats.brackets == 3 and points == stats.nodes + stats.evaluations
         assert stats.evaluations <= 3 * halvings(hi / SCAN_NODES, found[0])
-        cap, stats, _ = counted_roots(lambda x: equilibria._cap(row, x), BRACKET_EPSILON * hi, hi, SCAN_NODES)
+        cap, stats, _ = counted_roots(lambda x: equilibria._cap(row, x), 0.0, hi, SCAN_NODES)
         assert len(cap) == stats.brackets == 2 and 0.0 < cap[1] - cap[0] < 3e-6
         assert cap[0] == pytest.approx(238.095, rel=1e-6)
         assert 2 * 20 <= stats.evaluations <= 2 * 3 * halvings(hi / SCAN_NODES, cap[0])

@@ -529,6 +529,21 @@ class TestSusceptible:
         many = inc.bound_forms().susceptible(np.full((3, 2), I), target, np.full((3, 2), c))
         assert many.shape == (3, 2) and np.all(many == S)
 
+    @pytest.mark.parametrize(
+        "inc, I, target, c",
+        CASES
+        + [
+            (IncidenceSpec.saturated_s(0.25, 0.5), 50.0, 0.75, 0.0),  # c*zeta = 0 with lin < 0: no root
+            (IncidenceSpec.saturated_s(0.25, 0.5), 50.0, 0.5, 0.0),  # lin = 0 with c*zeta = 0: no root
+        ],
+    )
+    def test_a_float_gives_a_float_with_the_bits_of_its_array_entry(self, inc, I, target, c):
+        # the float form takes only its branch, so no root is inf as on arrays
+        susceptible = inc.bound_forms().susceptible
+        S = susceptible(I, target, c)
+        assert type(S) is float
+        assert np.array([S]).tobytes() == susceptible(np.array([I]), target, np.array([c])).tobytes()
+
     @pytest.mark.parametrize("target", [0.5, 0.75, 4.0])
     def test_saturated_s_has_no_root_past_its_saturation(self, target):
         # with c = 0 the force stays below beta/zeta = 0.5 for every S; at

@@ -31,7 +31,7 @@ def test_classified_sweep_scan_counts(monkeypatch):
         "E1": (78, 39, 372),
         "E2": (82, 41, 279),
         "E3_cap": (78, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
-        "E3": (78, 15, 176),
+        "E3": (78, 15, 177),
     }
 
 
