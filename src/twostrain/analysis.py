@@ -154,7 +154,7 @@ def _verdict_lines(
 
     for name in ("E1", "E2"):
         kind, rep = KINDS[name], _first(stability, name)
-        threshold, invasion = "R%d" % kind.strain, "R%d_invasion" % kind.absent
+        threshold, ((_, invasion),) = "R%d" % kind.strain, kind.absent
         R, R_invasion = _fmt(getattr(th, threshold)), _fmt(getattr(th, invasion))
         if rep is None:
             lines.append("%s absent: %s = %s <= 1" % (name, threshold, R))
@@ -333,12 +333,10 @@ def apply_sweep_value(sc: Scenario, key: str, value: float) -> Scenario:
     return dataclasses.replace(sc, **{section: new_inc})
 
 
-#: the keys of ``SweepRow.exists`` and ``SweepRow.verdicts``, in order
-ALL_KINDS = ("E0", *KINDS)
-
-
 @dataclass(frozen=True)
 class SweepRow:
+    """``exists`` and ``verdicts`` are keyed by the ``KINDS`` names, in order."""
+
     value: float
     R1: float
     R2: float
@@ -387,14 +385,14 @@ def sweep(
     if not classify:
         return [
             SweepRow(value, th.R1, th.R2, th.R0, None, None,
-                     {"E0": True, **dict.fromkeys(KINDS, False)},
-                     {"E0": "", **dict.fromkeys(KINDS, "absent")})
+                     {**dict.fromkeys(KINDS, False), "E0": True},
+                     {**dict.fromkeys(KINDS, "absent"), "E0": ""})
             for value, th in zip(values, (thresholds(*case) for case in cases))
         ]
     rows: List[SweepRow] = []
     solved = [solve_all(*case) for case in cases]
     # each row's first root of each kind, or None
-    firsts = [{kind: _first(eqs.all, kind) for kind in ALL_KINDS} for eqs in solved]
+    firsts = [{kind: _first(eqs.all, kind) for kind in KINDS} for eqs in solved]
     reports = iter(classify_batch(
         (*case, eq) for case, first in zip(cases, firsts) for eq in first.values() if eq is not None
     ))

@@ -15,7 +15,7 @@ import os
 import sys
 from typing import List, Optional
 
-from .analysis import ALL_KINDS, _global_check_line, analyze, render_report, sweep
+from .analysis import _global_check_line, analyze, render_report, sweep
 from .benchmarks import EXAMPLE_IDS, render_reproduction, reproduce
 from .equilibria import solve_all
 from .errors import (
@@ -27,6 +27,7 @@ from .errors import (
 )
 from .scenario import Scenario, load_scenario
 from .simulate import detect_convergence, integrate, monitor_invariance
+from .stability import KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -147,11 +148,11 @@ def cmd_sweep(args) -> int:
     _ready(args.out, "sweep.csv")
     rows = sweep(sc, args.key, args.start, args.to, args.n)
     numbers = ("value", "R1", "R2", "R0", "R2_invasion", "R1_invasion")
-    header = [*numbers, *("%s_exists" % k for k in ALL_KINDS), *("%s_verdict" % k for k in ALL_KINDS)]
+    header = [*numbers, *("%s_exists" % k for k in KINDS), *("%s_verdict" % k for k in KINDS)]
     cells = (
         ["" if getattr(row, n) is None else repr(getattr(row, n)) for n in numbers]
-        + [int(row.exists[k]) for k in ALL_KINDS]
-        + [row.verdicts[k] for k in ALL_KINDS]
+        + [int(row.exists[k]) for k in KINDS]
+        + [row.verdicts[k] for k in KINDS]
         for row in rows
     )
     path = _write_csv(args.out, "sweep.csv", header, cells)

@@ -1,20 +1,23 @@
 """Local stability classification and numerical Lyapunov-condition scans.
 
-E0 is classified from its closed-form spectrum. E1, E2 and E3 are classified
-by the Routh-Hurwitz sign conditions on the characteristic polynomial of the
-Jacobian block that ``KINDS`` names for each. ``classify_batch`` classifies
-a block of equilibria of any kinds and incidence families in one pass, and
-``classify`` is its one-row case. Each kind's coefficients of det(x*I - M)
-and its Hurwitz minors are written out term by term as text from a Leibniz
-table, and compiled once per kind on first use (``_quantities``). Every
-verdict is cross-checked against a dense eigensolver. The two routes are
-kept independent on purpose: an error in either one shows up as a
-cross-validation disagreement instead of a silent wrong answer.
+Every equilibrium kind is classified by one rule, from the Jacobian block
+that ``KINDS`` names for it: the Routh-Hurwitz sign conditions on the
+block's characteristic polynomial, then the negated diagonal entry of each
+row outside the block. Outside the block each row is decoupled, so its
+diagonal entry is an eigenvalue; at E0 the block is empty and all four
+rows are. ``classify_batch`` classifies a block of equilibria of any kinds
+and incidence families in one pass, and ``classify`` is its one-row case.
+Each kind's coefficients of det(x*I - M) and its Hurwitz minors are
+written out term by term as text from a Leibniz table, and compiled once
+per kind on first use (``_quantities``). Every verdict is cross-checked
+against a dense eigensolver. The two routes are kept independent on
+purpose: an error in either one shows up as a cross-validation
+disagreement instead of a silent wrong answer.
 
 Both routes sign their quantities by one rule, ``_verdict``: one within
-1e-10*max(1, scale) of zero, with scale 1 for an eigenvalue real part and
-the sum of the absolute values of its terms for a Routh-Hurwitz sum, yields
-Inconclusive rather than a guess.
+1e-10*max(1, scale) of zero, with scale 1 for an eigenvalue or a decoupled
+row's diagonal entry and the sum of the absolute values of its terms for a
+Routh-Hurwitz sum, yields Inconclusive rather than a guess.
 """
 
 from __future__ import annotations
@@ -30,14 +33,7 @@ import numpy as np
 from .equilibria import disease_free
 from .errors import DomainError, SolverError, _require_grid
 from .incidence import IncidenceSpec
-from .model import (
-    ModelParams,
-    _compiled,
-    jacobians,
-    reproduction_number,
-    require_certified,
-    thresholds,
-)
+from .model import ModelParams, _compiled, jacobians, reproduction_number, require_certified
 
 #: half-width of the zero dead-band on eigenvalue real parts
 EIGEN_DEADBAND = 1e-10
@@ -136,25 +132,23 @@ class Kind(NamedTuple):
     ``block`` indexes the Jacobian rows and columns whose characteristic
     polynomial the Routh-Hurwitz test reads; ``names`` are the report names
     of its coefficients c1..cn and of the Hurwitz minors D2..D(n-1). A
-    boundary kind has one ``strain`` present and exists when that strain's
-    R exceeds 1. The I row of the ``absent`` strain j, Jacobian row 1 + j,
-    lies outside the block; its eigenvalue is alpha_j*(Rj_invasion - 1).
+    boundary kind has one ``strain`` present. ``absent`` pairs each strain
+    j missing from the kind with the name of its reproduction number N
+    there: the I row of strain j, Jacobian row 1 + j, lies outside the
+    block, and its eigenvalue is alpha_j*(N - 1).
     """
 
     block: tuple
     names: tuple
     strain: Optional[int] = None
-
-    @property
-    def absent(self) -> int:
-        """The strain missing from a boundary kind."""
-        return 3 - self.strain
+    absent: tuple = ()
 
 
-#: every equilibrium kind classified by Routh-Hurwitz; E0 has a closed form
+#: every equilibrium kind, in the order of ``EquilibriumSet.all``
 KINDS = {
-    "E1": Kind((0, 1, 2), ("a2", "a1", "a0", "a2*a1 - a0"), 1),
-    "E2": Kind((0, 1, 3), ("b2", "b1", "b0", "b2*b1 - b0"), 2),
+    "E0": Kind((), (), absent=((1, "R1"), (2, "R2"))),
+    "E1": Kind((0, 1, 2), ("a2", "a1", "a0", "a2*a1 - a0"), 1, ((2, "R2_invasion"),)),
+    "E2": Kind((0, 1, 3), ("b2", "b1", "b0", "b2*b1 - b0"), 2, ((1, "R1_invasion"),)),
     "E3": Kind(
         (0, 1, 2, 3), ("c1", "c2", "c3", "c4", "c1*c2 - c3", "c1*c2*c3 - c3^2 - c1^2*c4")
     ),
@@ -241,15 +235,16 @@ def _quantities(kind: str):
 
 
 def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> StabilityReport:
-    """Local classification of any equilibrium, by its kind: the one-row
-    case of ``classify_batch``.
+    """Local classification of any certified equilibrium, by its kind: the
+    one-row case of ``classify_batch``.
 
-    E0 is classified from its closed-form spectrum. E1, E2 and E3 must be
-    certified; each is stable when the coefficients and Hurwitz minors of
-    its block's characteristic polynomial (``KINDS``) are all positive, each
-    tested with its own dead-band scale, and the decoupled row's eigenvalue
-    is negative:
+    It is stable when the coefficients and Hurwitz minors of its block's
+    characteristic polynomial (``KINDS``) are all positive, each tested
+    with its own dead-band scale, and every row outside the block, whose
+    diagonal entry is an eigenvalue, has that entry negative:
 
+    - E0: no block; the eigenvalues -lam, -mu and, for each strain j,
+      alpha_j*(R_j - 1);
     - E1: x^3 + a2*x^2 + a1*x + a0 on (S, V1, I1), and the I2 row with
       eigenvalue alpha2*(R2_invasion - 1);
     - E2: x^3 + b2*x^2 + b1*x + b0 on (S, V1, I2), and the I1 row with
@@ -274,67 +269,40 @@ def classify_batch(rows) -> list:
     own rate texts. One ``model.jacobians`` call and one stacked eigensolve
     serve every row. Each row is then signed on Python floats, by one rule
     (``_verdict``) for both routes: the eigen route tests the negated real
-    parts of its spectrum; the Routh-Hurwitz route tests an E0 row's
-    negated closed-form eigenvalues, or an E1, E2 or E3 row's coefficients
-    and minors from its kind's compiled ``_quantities``, with the negated
-    invasion eigenvalue of a boundary kind.
+    parts of its spectrum; the Routh-Hurwitz route tests its kind's
+    coefficients and minors from the compiled ``_quantities``, then the
+    negated diagonal entry of each row outside its kind's block.
     """
     rows = list(rows)
     if not rows:
         return []
     for *_, eq in rows:
-        if eq.kind != "E0":
-            require_certified(eq)
+        require_certified(eq)
     J = jacobians([(p, inc1, inc2, eq.point) for p, inc1, inc2, eq in rows])
     eigs = _spectra(J)
     reports = []
     # each row's 16 entries of J and negated eigenvalue real parts, as Python floats
     entries, negated = J.reshape(len(rows), 16).tolist(), (-eigs.real).tolist()
     for row, j, eigenvalues, minus_real in zip(rows, entries, eigs, negated):
-        kind = row[3].kind
-        tested, scales, fields = (
-            _closed_form_fields(*row[:3]) if kind == "E0" else _coefficient_fields(row, j, eigenvalues)
-        )
+        tested, scales, fields = _fields(row, j)
         verdict, eigen_verdict = _verdict(tested, scales), _verdict(minus_real, _UNIT)
-        reports.append(StabilityReport(kind, verdict=verdict, eigen_verdict=eigen_verdict, **fields))
+        reports.append(StabilityReport(**fields, eigenvalues=eigenvalues, verdict=verdict, eigen_verdict=eigen_verdict))
     return reports
 
 
-def _closed_form_fields(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> tuple:
-    """E0's negated closed-form eigenvalues, the quantities its verdict
-    tests, with unit scales, and the eigenvalues, coefficients, conditions
-    and notes of its report.
+def _fields(row, j: list) -> tuple:
+    """A row's tested quantities and their scales, and the kind,
+    coefficients, conditions and notes of its report, from the 16 entries ``j`` of its
+    Jacobian in row-major order.
 
-    The Jacobian at E0 is block triangular, so the eigenvalues are exactly
-    -lam, -mu, alpha1*(R1 - 1) and alpha2*(R2 - 1), from the parameters and
-    thresholds.
-    """
-    th = thresholds(p, inc1, inc2)
-    closed = (-p.lam, -p.mu, p.alpha1 * (th.R1 - 1.0), p.alpha2 * (th.R2 - 1.0))
-    fields = dict(
-        eigenvalues=np.array(sorted(closed, reverse=True), complex),
-        coefficients={},
-        conditions={"R1 < 1": th.R1 < 1.0, "R2 < 1": th.R2 < 1.0},
-        notes=(
-            "closed-form eigenvalues: -lam = %.6g, -mu = %.6g, "
-            "alpha1*(R1-1) = %.6g, alpha2*(R2-1) = %.6g" % closed,
-        ),
-    )
-    return [-value for value in closed], _UNIT, fields
-
-
-def _coefficient_fields(row, j: list, eigenvalues: np.ndarray) -> tuple:
-    """An E1, E2 or E3 row's tested quantities and their scales, and the
-    eigenvalues, coefficients, conditions and notes of its report, from the
-    16 entries ``j`` of its Jacobian in row-major order.
-
-    The quantities are its kind's ``_quantities``, then for a boundary kind
-    the negated invasion eigenvalue, with scale 1.
+    The quantities are its kind's ``_quantities``, then the negated diagonal
+    entry of each Jacobian row outside the kind's block, with scale 1. The
+    I row of each absent strain adds its condition and its note.
     """
     p, inc1, inc2, eq = row
     kind = KINDS[eq.kind]
     values, scales = _quantities(eq.kind)(j)
-    tested = values
+    tested = values + tuple(-j[5 * i] for i in range(4) if i not in kind.block)
     conditions = {name + " > 0": v > 0.0 for name, v in zip(kind.names, values)}
     notes = []
     if eq.kind == "E2":
@@ -345,22 +313,17 @@ def _coefficient_fields(row, j: list, eigenvalues: np.ndarray) -> tuple:
             else "dF2/dI2 = %.6g <= 0 at the equilibrium: sign structure applies"
         )
         notes.append(path % dF2_dI2)
-    if kind.strain is not None:
-        absent, pt = kind.absent, eq.point
-        eigenvalue = j[5 * (1 + absent)]  # the diagonal entry of the absent strain's I row
-        tested, scales = values + (-eigenvalue,), scales + (1.0,)
-        invasion = "R%d_invasion" % absent
-        conditions[invasion + " < 1"] = eigenvalue < 0.0
-        number = reproduction_number(p, (inc1, inc2)[absent - 1], absent, pt.S, pt.V1)
+    pt = eq.point
+    for strain, number in kind.absent:
+        eigenvalue = j[5 * (1 + strain)]  # the diagonal entry of the strain's I row
+        conditions[number + " < 1"] = eigenvalue < 0.0
+        value = reproduction_number(p, (inc1, inc2)[strain - 1], strain, pt.S, pt.V1)
         notes.append(
             "invasion eigenvalue alpha%d*(%s - 1) = %.6g (%s = %.6g)"
-            % (absent, invasion, eigenvalue, invasion, number)
+            % (strain, number, eigenvalue, number, value)
         )
-    return tested, scales, dict(
-        eigenvalues=eigenvalues,
-        coefficients=dict(zip(kind.names, values)),
-        conditions=conditions,
-        notes=tuple(notes),
+    return tested, itertools.chain(scales, _UNIT), dict(
+        kind=eq.kind, coefficients=dict(zip(kind.names, values)), conditions=conditions, notes=tuple(notes)
     )
 
 

@@ -5,8 +5,9 @@ family's rate written out here by hand. The I_j row of the field,
 differentiated in I_j and taken at I_j = 0, is the eigenvalue of that
 decoupled row: alpha_j*(R_j - 1). On criterion 5's random scenarios,
 ``model.reproduction_number`` must equal 1 + that derivative over alpha_j
-for both strains at E0 and at every E1 and E2 root, and every boundary
-report must print the invasion number that ``invasion_numbers`` gives.
+for both strains at E0 and at every E1 and E2 root. The E0 report must
+print R1 and R2, and every boundary report the invasion number that
+``invasion_numbers`` gives.
 """
 
 import types
@@ -73,6 +74,11 @@ def test_reproduction_number_matches_the_field_and_the_reports():
                 assert numbers[-1] == pytest.approx(1.0 + slope / alpha, rel=1e-12, abs=0.0)
             if eq.kind == "E0":
                 assert numbers == [eqs.thresholds.R1, eqs.thresholds.R2]
+                notes = classify(p, inc1, inc2, eq).notes
+                assert len(notes) == 2
+                for strain, note, number in zip((1, 2), notes, numbers):
+                    assert note.startswith("invasion eigenvalue alpha%d*(R%d - 1) = " % (strain, strain)), note
+                    assert note.endswith("(R%d = %.6g)" % (strain, number)), note
             checked[eq.kind] += 1
 
         for roots, arg, index, name, first in (

@@ -18,7 +18,7 @@ from conftest import random_cases, wavy_rate
 
 from twostrain import analysis, model, stability
 from twostrain.analysis import apply_sweep_value
-from twostrain.benchmarks import build_scenario
+from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
 from twostrain.equilibria import (
     Equilibrium,
     disease_free,
@@ -188,13 +188,10 @@ class TestVerdictRule:
             for (*_, eq), report in zip(rows, classify_batch(rows)):
                 J = jacobian(p, inc1, inc2, eq.point)
                 assert report.eigen_verdict is former_verdict(-np.linalg.eigvals(J).real, [1.0] * 4)
-                if eq.kind == "E0":
-                    tested, scales = -report.eigenvalues.real, [1.0] * 4
-                else:
-                    tested, scales = stability._quantities(eq.kind)(J.ravel().tolist())
-                    if KINDS[eq.kind].strain is not None:
-                        absent = 1 + KINDS[eq.kind].absent
-                        tested, scales = tested + (-J[absent, absent],), scales + (1.0,)
+                # the block's sums, then each row outside the block, for every kind
+                tested, scales = stability._quantities(eq.kind)(J.ravel().tolist())
+                outside = [i for i in range(4) if i not in KINDS[eq.kind].block]
+                tested, scales = tested + tuple(-J[i, i] for i in outside), scales + (1.0,) * len(outside)
                 assert report.verdict is former_verdict(tested, scales)
                 seen.add((eq.kind, report.verdict))
         assert {verdict for _, verdict in seen} >= {Verdict.LOCALLY_STABLE, Verdict.UNSTABLE}
@@ -213,7 +210,40 @@ class TestVerdictRule:
             assert verdict is expected, (n, last)
 
 
+def former_disease_free(p, inc1, inc2):
+    """E0's closed form as it stood before E0 joined ``KINDS``, the oracle
+    of its report: the quantities its verdict tested, with unit scales,
+    its conditions, and its eigenvalues -lam, -mu, alpha1*(R1 - 1) and
+    alpha2*(R2 - 1) from the thresholds."""
+    th = thresholds(p, inc1, inc2)
+    closed = (-p.lam, -p.mu, p.alpha1 * (th.R1 - 1.0), p.alpha2 * (th.R2 - 1.0))
+    return [-value for value in closed], {"R1 < 1": th.R1 < 1.0, "R2 < 1": th.R2 < 1.0}, closed
+
+
 class TestDiseaseFree:
+    def test_reports_follow_the_former_closed_form(self):
+        # criterion 5's draws and the 41-row r-sweeps of 6.1-6.4
+        cases = list(random_cases(1105, 600))
+        for example in EXAMPLE_IDS:
+            scenarios = [apply_sweep_value(build_scenario(example), "r", v) for v in np.linspace(0.0, 0.2, 41)]
+            cases += [(sc.params, sc.incidence1, sc.incidence2) for sc in scenarios]
+        rows = [(*case, disease_free(*case)) for case in cases]
+        J = model.jacobians([(p, inc1, inc2, eq.point) for p, inc1, inc2, eq in rows])
+        seen = set()
+        for (p, inc1, inc2, _), report, j in zip(rows, classify_batch(rows), J):
+            tested, conditions, closed = former_disease_free(p, inc1, inc2)
+            assert report.verdict is former_verdict(tested, [1.0] * 4)
+            assert report.eigen_verdict is former_verdict([-x for x in closed], [1.0] * 4)
+            assert report.conditions == conditions
+            # the S and V1 rows bit for bit, and each I row to rounding
+            assert (j[0, 0], j[1, 1]) == (-p.lam, -p.mu)
+            th = thresholds(p, inc1, inc2)
+            for strain, R, alpha in ((1, th.R1, p.alpha1), (2, th.R2, p.alpha2)):
+                gap = abs(j[1 + strain, 1 + strain] - alpha * (R - 1.0))
+                assert gap <= 4.0 * np.finfo(float).eps * alpha * max(1.0, R), (strain, gap)
+            seen.add(report.verdict)
+        assert len(rows) == 764 and seen == {Verdict.LOCALLY_STABLE, Verdict.UNSTABLE}
+
     def test_low_transmission_spectrum_and_verdict(self):
         p, inc1, inc2 = setup_low_transmission()
         report = classify_disease_free(p, inc1, inc2)
@@ -268,7 +298,7 @@ class TestDiseaseFree:
 class TestClassify:
     """One classifier for every kind, driven by the KINDS table."""
 
-    def test_disease_free_goes_to_the_closed_form(self):
+    def test_classify_disease_free_is_classify_of_e0(self):
         p, inc1, inc2 = setup_strain1_dominant()
         report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
         closed = classify_disease_free(p, inc1, inc2)
@@ -276,27 +306,35 @@ class TestClassify:
         np.testing.assert_array_equal(report.eigenvalues, closed.eigenvalues)
 
     def test_table_matches_every_report(self):
-        for setup in (setup_strain1_dominant, setup_strain2_dominant, setup_coexistence):
+        # every absent strain's I row is decoupled from the block, and its
+        # diagonal entry is alpha_j*(N - 1) for the kind's number N
+        seen = set()
+        for setup in (setup_low_transmission, setup_strain1_dominant, setup_strain2_dominant, setup_coexistence):
             p, inc1, inc2 = setup()
             eqs = solve_all(p, inc1, inc2)
-            for eq in eqs.all[1:]:
+            for eq in eqs.all:
                 kind, report = KINDS[eq.kind], classify(p, inc1, inc2, eq)
                 assert report.kind == eq.kind
                 assert tuple(report.coefficients) == kind.names
                 J = jacobian(p, inc1, inc2, eq.point)
-                if kind.strain is None:
-                    assert kind.block == (0, 1, 2, 3)
-                    continue
-                # the absent strain's row has no entry in the block's columns
-                j = kind.absent
-                assert kind.block == (0, 1, 1 + kind.strain) and 1 + j not in kind.block
-                assert np.all(J[1 + j, list(kind.block)] == 0.0)
-                eigenvalue = J[1 + j, 1 + j]
-                invasion = getattr(eqs.thresholds, "R%d_invasion" % j)
-                assert invasion == reproduction_number(p, (inc1, inc2)[j - 1], j, eq.point.S, eq.point.V1)
-                alpha = (p.alpha1, p.alpha2)[j - 1]
-                assert eigenvalue == pytest.approx(alpha * (invasion - 1.0), rel=1e-12)
-                assert report.conditions["R%d_invasion < 1" % j] == (eigenvalue < 0.0)
+                absent = [j for j, _ in kind.absent]
+                assert absent == [j for j in (1, 2) if 1 + j not in kind.block]
+                present = tuple(1 + j for j in (1, 2) if j not in absent)
+                assert kind.block == ((0, 1, *present) if present else ())
+                assert kind.strain == (None if len(absent) != 1 else 3 - absent[0])
+                for j, number in kind.absent:
+                    assert np.all(J[1 + j, list(kind.block)] == 0.0)
+                    eigenvalue = J[1 + j, 1 + j]
+                    value = getattr(eqs.thresholds, number)
+                    assert value == reproduction_number(p, (inc1, inc2)[j - 1], j, eq.point.S, eq.point.V1)
+                    alpha = (p.alpha1, p.alpha2)[j - 1]
+                    assert eigenvalue == pytest.approx(alpha * (value - 1.0), rel=1e-12)
+                    assert report.conditions["%s < 1" % number] == (eigenvalue < 0.0)
+                    note = "invasion eigenvalue alpha%d*(%s - 1) = %.6g (%s = %.6g)" % (j, number, eigenvalue, number, value)
+                    assert note in report.notes
+                assert len(report.conditions) == len(kind.names) + len(kind.absent)
+                seen.add((eq.kind, len(absent)))
+        assert seen == {("E0", 2), ("E1", 1), ("E2", 1), ("E3", 0)}
 
 
 class TestStrain1:
