@@ -50,7 +50,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
-    strain-2-only equilibrium exists with R1 <= 1, both lower ends 1e-6*S0
+    strain-2-only equilibrium exists with R1 <= 1 < R2, both lower ends 1e-6*S0
     and 1e-6*V10 are positive and both upper ends S0 and V10 are finite (at
     r = 0, a subnormal r, a tiny Lambda or an overflowing S0 or V10 a note
     says it was not run, and no E2 global claim is made), and
@@ -79,7 +79,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     global_checks: List[Tuple[str, GridScanSummary]] = []
     traj = None
     if include_global:
-        if e2 is not None and th.R1 <= 1.0:
+        if e2 is not None and th.R1 <= 1.0 < th.R2:
             empty = _empty_scan_range(p)
             if not empty:
                 summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
@@ -132,18 +132,28 @@ def _local_verdict(rep: StabilityReport, stable: str, suffix: str = "") -> str:
     return "%s classification inconclusive: a tested quantity sits on the margin" % rep.kind
 
 
+def _compared(name: str, value: float) -> str:
+    """``name = value`` with the comparison to 1 that holds."""
+    return "%s = %s %s 1" % (name, _fmt(value), ">" if value > 1.0 else "<=")
+
+
 def _verdict_lines(
     th: Thresholds,
     stability: Tuple[StabilityReport, ...],
     checks: Dict[str, GridScanSummary],
 ) -> List[str]:
-    """Verdict lines, each kind read at its first root (smallest I1 or I2)."""
+    """Verdict lines, each kind read at its first root (smallest I1 or I2).
+    E0 is called globally stable only where no other equilibrium exists."""
     lines: List[str] = []
     e0 = _first(stability, "E0")
-    if e0.verdict is Verdict.LOCALLY_STABLE:
+    others = ", ".join(dict.fromkeys(rep.kind for rep in stability if rep.kind != "E0"))
+    if e0.verdict is Verdict.LOCALLY_STABLE and not others:
         lines.append(
             "E0 globally asymptotically stable: R0 = max(R1, R2) = %s < 1" % _fmt(th.R0)
         )
+    elif e0.verdict is Verdict.LOCALLY_STABLE:
+        stable = "R0 = max(R1, R2) = %s < 1; no global claim: other equilibria exist (%s)"
+        lines.append(_local_verdict(e0, stable % (_fmt(th.R0), others)))
     elif e0.verdict is Verdict.UNSTABLE:
         which = "R1" if th.R1 > 1.0 else "R2"
         lines.append(
@@ -155,15 +165,14 @@ def _verdict_lines(
     for name in ("E1", "E2"):
         kind, rep = KINDS[name], _first(stability, name)
         threshold, ((_, invasion),) = "R%d" % kind.strain, kind.absent
-        R, R_invasion = _fmt(getattr(th, threshold)), _fmt(getattr(th, invasion))
+        R, R_invasion = _compared(threshold, getattr(th, threshold)), _fmt(getattr(th, invasion))
         if rep is None:
-            lines.append("%s absent: %s = %s <= 1" % (name, threshold, R))
+            lines.append("%s absent: %s" % (name, R))
         else:
             lines.append(
                 _local_verdict(
                     rep,
-                    "%s = %s > 1, coefficient conditions positive, %s = %s < 1"
-                    % (threshold, R, invasion, R_invasion),
+                    "%s, coefficient conditions positive, %s = %s < 1" % (R, invasion, R_invasion),
                     " (%s = %s)" % (invasion, R_invasion),
                 )
             )

@@ -54,13 +54,16 @@ once on its range (Korobeinikov and Maini 2005, Math. Med. Biol. 22):
 So a built-in balance needs no scan: the two ends of its range are its
 one cell. E1 and E2 take G/I and H/I from I = 0, where they are
 alpha*(R - 1) > 0, so a root however close to 0, as for R just above 1,
-is bracketed. Custom rates, whose monotonicity is not proved
-(``check_hypotheses`` checks a grid), are scanned on SCAN_NODES cells, E1
-and E2 in the same form from I = 0. The E3 scans start at I2 = 0 too: E3
-branches off E1 there as R2_invasion passes 1, so a root however close to
-0 is bracketed, and a root at I2 = 0, which is E1, is dropped. psi is NaN
-past the cap balance's root, where rounding can put the scan end, so a
-non-finite last node is stepped back (``_roots``).
+is bracketed; where R <= 1 they start at alpha*(R - 1) <= 0 and fall, so
+they have no root and are not run. Custom rates, whose monotonicity is
+not proved (``check_hypotheses`` checks a grid), are scanned on SCAN_NODES
+cells, E1 and E2 in the same form from I = 0, whatever R is: a force that
+rises in I can give roots below the threshold (a backward bifurcation).
+The E3 scans start at I2 = 0 too: E3 branches off E1 there as
+R2_invasion passes 1, so a root however close to 0 is bracketed, and a
+root at I2 = 0, which is E1, is dropped. psi is NaN past the cap
+balance's root, where rounding can put the scan end, so a non-finite
+last node is stepped back (``_roots``).
 
 The hypothesis also gives S <= S0 and V1 <= V10 at every equilibrium, so
 psi <= alpha1*(R1 - 1) and the strain-2 balance's left side minus alpha2
@@ -142,8 +145,8 @@ class ScanStats(NamedTuple):
 @dataclass(frozen=True)
 class SolveStats:
     """Each balance's pass in one solve. E3_cap finds the end of the E3
-    range; for built-in families E3_cap and E3 are (0, 0, 0) where R1 <= 1
-    or R2 <= 1."""
+    range. For built-in families E1 is (0, 0, 0) where R1 <= 1, E2 where
+    R2 <= 1, and E3_cap and E3 where either is."""
 
     E1: ScanStats
     E2: ScanStats
@@ -234,8 +237,8 @@ def strain2_discriminant(p: ModelParams) -> float:
 
 def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> List[Equilibrium]:
     """All strain-1-only equilibria, by increasing I1; see ``solve_strain2``.
-    Each built-in family gives exactly one when R1 > 1, as G(I1)/I1 falls
-    from alpha1*(R1 - 1)."""
+    Each built-in family gives exactly one when R1 > 1 and none otherwise,
+    as G(I1)/I1 falls from alpha1*(R1 - 1)."""
     R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
     return _strain_only(_Row(p, inc1, None), R1, 1)[0]
 
@@ -244,11 +247,11 @@ def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
     """All strain-2-only equilibria, by increasing I2, found by the shared
     root finder (``_roots``).
 
-    Returns an empty list when R2 <= 1. Raises SolverError when R2 > 1 but
-    the balance shows no sign change, since a root must exist. Each built-in
-    family gives exactly one root when R2 > 1, whatever the sign of
-    ``strain2_discriminant``: the module docstring proves that H(I2)/I2
-    changes sign once. A custom rate may give several.
+    Raises SolverError when R2 > 1 but the balance shows no sign change,
+    since a root must exist. Each built-in family gives exactly one root
+    when R2 > 1, whatever the sign of ``strain2_discriminant``, and none
+    when R2 <= 1: the module docstring proves that H(I2)/I2 changes sign at
+    most once. A custom rate may give several, also when R2 <= 1.
     """
     R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
     return _strain_only(_Row(p, None, inc2), R2, 2)[0]
@@ -256,16 +259,17 @@ def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
 
 def _strain_only(row: _Row, R: float, strain: int) -> tuple:
     """The roots of the row's ``strain``-only balance, as a list of
-    Equilibrium by increasing I, and the ScanStats of its pass; empty, with
-    no pass, where R <= 1. A root must exist where R > 1, so a pass without
-    one raises."""
-    if not R > 1.0:
-        return [], ScanStats()
+    Equilibrium by increasing I, and the ScanStats of its pass. A built-in
+    family has none where R <= 1 and runs no pass there; a custom rate is
+    scanned whatever R is. A root must exist where R > 1, so a pass without
+    one raises there."""
     p, inc1, inc2 = row.case
     cells = _scan_cells(row.case[strain])
+    if cells == 1 and not R > 1.0:
+        return [], ScanStats()
     hi = row.Lambda / (row.alpha1 if strain == 1 else row.alpha2)
     roots, stats = _roots(lambda I: _per_infective(row, strain, I), 0.0, hi, cells)
-    if not roots:
+    if not roots and R > 1.0:
         raise SolverError(
             "strain-%d balance shows no sign change %s although R%d = %r > 1"
             % (strain, _searched(cells), strain, R)

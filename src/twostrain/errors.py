@@ -47,11 +47,13 @@ def _require_grid(n, name: str, minimum: int) -> None:
 
 def _require_positive(what: str, values: dict, zero_ok=(), inf_ok=()) -> None:
     """Refuse, by name and in order, every entry of ``values`` that is not
-    finite and > 0; a name in ``zero_ok`` may be 0, one in ``inf_ok`` +inf."""
+    finite and > 0; a name in ``zero_ok`` may be 0, one in ``inf_ok`` +inf.
+    An array of one or more dimensions is refused, not compared."""
     bad = [
         name
         for name, v in values.items()
-        if not ((v > 0.0 or (v == 0.0 and name in zero_ok)) and (math.isfinite(v) or name in inf_ok))
+        if getattr(v, "ndim", 0)
+        or not ((v > 0.0 or (v == 0.0 and name in zero_ok)) and (math.isfinite(v) or name in inf_ok))
     ]
     if bad:
         raise ValueError("invalid %s: %s" % (what, ", ".join(bad)))

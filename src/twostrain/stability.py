@@ -286,14 +286,16 @@ def classify_batch(rows) -> list:
     for row, j, eigenvalues, minus_real in zip(rows, entries, eigs, negated):
         tested, scales, fields = _fields(row, j)
         verdict, eigen_verdict = _verdict(tested, scales), _verdict(minus_real, _UNIT)
-        reports.append(StabilityReport(**fields, eigenvalues=eigenvalues, verdict=verdict, eigen_verdict=eigen_verdict))
+        reports.append(
+            StabilityReport(**fields, eigenvalues=eigenvalues, verdict=verdict, eigen_verdict=eigen_verdict)
+        )
     return reports
 
 
 def _fields(row, j: list) -> tuple:
     """A row's tested quantities and their scales, and the kind,
-    coefficients, conditions and notes of its report, from the 16 entries ``j`` of its
-    Jacobian in row-major order.
+    coefficients, conditions and notes of its report, from the 16 entries
+    ``j`` of its Jacobian in row-major order.
 
     The quantities are its kind's ``_quantities``, then the negated diagonal
     entry of each Jacobian row outside the kind's block, with scale 1. The
@@ -313,11 +315,10 @@ def _fields(row, j: list) -> tuple:
             else "dF2/dI2 = %.6g <= 0 at the equilibrium: sign structure applies"
         )
         notes.append(path % dF2_dI2)
-    pt = eq.point
     for strain, number in kind.absent:
         eigenvalue = j[5 * (1 + strain)]  # the diagonal entry of the strain's I row
         conditions[number + " < 1"] = eigenvalue < 0.0
-        value = reproduction_number(p, (inc1, inc2)[strain - 1], strain, pt.S, pt.V1)
+        value = reproduction_number(p, (inc1, inc2)[strain - 1], strain, eq.point.S, eq.point.V1)
         notes.append(
             "invasion eigenvalue alpha%d*(%s - 1) = %.6g (%s = %.6g)"
             % (strain, number, eigenvalue, number, value)

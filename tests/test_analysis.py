@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import wavy_rate
+from conftest import rising_rate, wavy_rate
 from twostrain import analysis, equilibria
 from twostrain.analysis import (
     analyze,
@@ -299,6 +299,47 @@ class TestEveryRootItsOwnReport:
         assert [eq.kind for eq in report.equilibria] == ["E0", "E1", "E1", "E1"]
         assert report.equilibria[1].point.I1 == pytest.approx(200.34306106, rel=1e-9)
         assert render_report(report).endswith("\nnote: %s\n" % note)
+
+
+class TestBelowThreshold:
+    """A custom rate can have E1 or E2 roots with R <= 1; E0 is then locally
+    stable but not called globally stable, and each line states the
+    comparison with 1 that holds."""
+
+    def wavy(self):
+        return Scenario(ModelParams(**dict(BASE, r=0.25, k=0.0)), IncidenceSpec.bilinear(2e-4), wavy_rate())
+
+    def rising(self):
+        sc = build_scenario("6.2")
+        return dataclasses.replace(sc, incidence1=rising_rate(sc.params))
+
+    @pytest.mark.parametrize(
+        "case, kind, R0",
+        [("wavy", "E2", "0.888889"), ("rising", "E1", "0.9")],
+    )
+    def test_e0_is_not_called_globally_stable(self, case, kind, R0):
+        report = analyze(getattr(self, case)())
+        assert [eq.kind for eq in report.equilibria] == ["E0", kind, kind]
+        assert report.verdict_lines[0] == (
+            "E0 locally asymptotically stable: R0 = max(R1, R2) = %s < 1; "
+            "no global claim: other equilibria exist (%s)" % (R0, kind)
+        )
+        text = render_report(report)
+        assert "globally asymptotically stable" not in text
+        assert sum(line.startswith(kind + ": S=") for line in text.splitlines()) == 2
+        # the E2 surface scan backs a global claim only where R2 > 1
+        assert report.global_checks == ()
+
+    def test_a_stable_root_below_the_threshold_states_r_at_most_one(self):
+        sc = self.rising()
+        report = analyze(sc)
+        # the E1 line read at the locally stable second root alone
+        e0, _, high = report.stability
+        lines = analysis._verdict_lines(report.thresholds, (e0, high), {})
+        assert lines[1].startswith(
+            "E1 locally asymptotically stable: R1 = 0.9 <= 1, coefficient conditions positive"
+        )
+        assert analysis._compared("R2", 1.5) == "R2 = 1.5 > 1"
 
 
 class TestApplySweepValue:

@@ -8,12 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_cases, wavy_rate
+from conftest import random_cases, rising_rate, wavy_rate
 from twostrain import analysis, equilibria, incidence
 from twostrain.analysis import apply_sweep_value
 from twostrain.benchmarks import build_scenario
 from twostrain.equilibria import (
     SCAN_NODES,
+    ScanStats,
     disease_free,
     solve_all,
     solve_coexistence,
@@ -36,6 +37,7 @@ from twostrain.model import (
     thresholds,
     vector_field,
 )
+from twostrain.stability import Verdict, classify_batch
 
 BASE = dict(Lambda=200.0, mu=0.02, gamma1=0.07, gamma2=0.09, v1=0.1, v2=0.1, k=2e-5)
 
@@ -525,6 +527,52 @@ class TestSolveAll:
         assert e3s > 50
 
 
+class TestBelowThreshold:
+    """A custom rate's E1 and E2 balances are scanned whatever R is: a force
+    that rises in I gives roots below the threshold. A built-in balance has
+    none there and runs no pass."""
+
+    @pytest.mark.parametrize(
+        "case, kind, expected, stats",
+        [
+            ("wavy", "E2", (14.60426174238655, 126.54609847818215), ScanStats(4097, 2, 10)),
+            ("rising", "E1", (2.270253384434536, 1030.3613255629339), ScanStats(4097, 2, 8)),
+        ],
+    )
+    def test_two_certified_roots_one_unstable_one_stable(self, case, kind, expected, stats):
+        if case == "wavy":
+            p, inc1, inc2 = params(r=0.25, k=0.0), IncidenceSpec.bilinear(2e-4), wavy_rate()
+        else:
+            p, inc2 = build_scenario("6.2").params, build_scenario("6.2").incidence2
+            inc1 = rising_rate(p)
+        eqs = solve_all(p, inc1, inc2)
+        strain = int(kind[1])
+        R = getattr(eqs.thresholds, "R%d" % strain)
+        assert R == pytest.approx({"wavy": 0.8888888888888884, "rising": 0.9}[case], rel=1e-12) and R < 1.0
+        roots = getattr(eqs, kind)
+        levels = [(eq.point.I1, eq.point.I2)[strain - 1] for eq in roots]
+        assert levels == pytest.approx(expected, rel=1e-12)
+        assert all(eq.residual < RESIDUAL_TOL for eq in roots)
+        assert [c.satisfied for eq in roots for c in eq.existence] == [False, False]
+        assert getattr(eqs.stats, kind) == stats
+        reports = classify_batch([(p, inc1, inc2, eq) for eq in roots])
+        assert [(rep.verdict, rep.eigen_verdict) for rep in reports] == [
+            (Verdict.UNSTABLE, Verdict.UNSTABLE),
+            (Verdict.LOCALLY_STABLE, Verdict.LOCALLY_STABLE),
+        ]
+
+    def test_a_custom_rate_without_a_root_below_the_threshold_is_no_error(self):
+        # 6.3's built-in strain-1 rate, wrapped as custom: R1 < 1, so the
+        # scan runs and finds nothing, where the built-in rate runs no pass
+        sc = build_scenario("6.3")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        custom = IncidenceSpec.custom(inc1.rate)
+        assert thresholds(p, inc1, inc2).R1 < 1.0
+        assert solve_strain1(p, custom) == solve_strain1(p, inc1) == []
+        assert solve_all(p, custom, inc2).stats.E1 == ScanStats(SCAN_NODES + 1, 0, 0)
+        assert solve_all(p, inc1, inc2).stats.E1 == ScanStats()
+
+
 def sweep_rows(n, example="6.4"):
     """The example's rows at n rates r evenly spaced over [0, 0.2]."""
     sc = build_scenario(example)
@@ -661,7 +709,8 @@ class TestBatch:
             assert [tally for tally, in tallies[: len(passes)]] == [scan.nodes + scan.evaluations for scan in passes]
             assert st.E2.brackets == len(eqs.E2)
             results.append(eqs)
-        assert [eqs.stats.E2.brackets for eqs in results] == [1, 3, 0]
+        # at r = 0.25 R2 = 0.889 < 1, and the custom E2 balance still has two roots
+        assert [eqs.stats.E2.brackets for eqs in results] == [1, 3, 2]
         assert [eqs.stats.E1.nodes for eqs in results] == [2, 2, 0]  # R1 < 1 at r = 0.25: no E1 pass
 
         # with a custom strain-2 rate each E3 balance call solves for S with

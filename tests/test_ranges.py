@@ -110,3 +110,20 @@ def test_model_parameters_are_named_in_declaration_order():
     values.update(Lambda=0.0, r=-1.0, mu=0.0)
     with pytest.raises(ValueError, match="invalid model parameters: Lambda, mu, r$"):
         ModelParams(**values)
+
+
+@pytest.mark.parametrize("site", ["ModelParams", "IntegratorOptions", "IncidenceSpec"])
+def test_an_array_is_refused_by_name(site):
+    # an array of one or more dimensions is refused, not compared; a numpy
+    # scalar, a 0-d array and an int are accepted as a float is
+    what, names, _, build = SITES[site]
+    for name in names:
+        for array in (np.array([1.0, 2.0]), np.array([1.0]), np.ones((2, 2))):
+            values = dict.fromkeys(names, 1.0)
+            values[name] = array
+            assert refused(build, values) == "invalid %s: %s" % (what, name)
+        for scalar in (np.float64(1.0), np.array(1.0), 1):
+            values[name] = scalar
+            assert refused(build, values) is None
+    values = dict.fromkeys(names, np.array([1.0, 2.0]))
+    assert refused(build, values) == "invalid %s: %s" % (what, ", ".join(names))
