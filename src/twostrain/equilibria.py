@@ -211,10 +211,9 @@ def strain1_balance(p: ModelParams, inc1: IncidenceSpec, I1):
 
 
 def strain2_coordinates(p: ModelParams, I2):
-    """(S, V1) consistent with a strain-2-only equilibrium at infection level I2."""
-    S = (p.Lambda - p.alpha2 * I2) * (p.mu + p.k * I2) / (p.lam * p.mu + p.mu * p.k * I2)
-    V1 = p.r * S / (p.mu + p.k * I2)
-    return S, V1
+    """(S, V1) of a strain-2-only equilibrium at infection level I2; (S0, V10) at I2 = 0."""
+    S = (p.Lambda - p.alpha2 * I2) / (p.lam + p.k * I2) * ((p.mu + p.k * I2) / p.mu)
+    return S, p.r * S / (p.mu + p.k * I2)
 
 
 def strain2_balance(p: ModelParams, inc2: IncidenceSpec, I2):
@@ -269,6 +268,7 @@ def _strain_only(row: _Row, R: float, strain: int) -> tuple:
         return [], ScanStats()
     hi = row.Lambda / (row.alpha1 if strain == 1 else row.alpha2)
     roots, stats = _roots(lambda I: _per_infective(row, strain, I), 0.0, hi, cells)
+    roots = [I for I in roots if I > 0.0]  # a root at I = 0 is E0
     if not roots and R > 1.0:
         raise SolverError(
             "strain-%d balance shows no sign change %s although R%d = %r > 1"
@@ -403,10 +403,10 @@ def _psi(c: _Row, I2):
 
 def _cap(c: _Row, I2):
     """The strain-2 balance at S = S0, f2(S0, I2) + k*r*S0/(mu + k*I2) - alpha2,
-    which is alpha2*(R2 - 1) at I2 = 0: where it is negative no S <= S0
-    solves the strain-2 balance."""
+    which is alpha2*(R2 - 1) at I2 = 0, with R2's sign: where it is
+    negative no S <= S0 solves the strain-2 balance."""
     S0 = c.susceptible_cap
-    return c.f2.force(S0, I2) + c.k * c.r * S0 / (c.mu + c.k * I2) - c.alpha2
+    return c.f2.force(S0, I2) + c.k * (c.r * S0 / (c.mu + c.k * I2)) - c.alpha2
 
 
 def _coexistence(row: _Row, th: Thresholds) -> tuple:

@@ -196,8 +196,9 @@ class IncidenceSpec:
         """Wrap an arbitrary rate evaluator F(S, I).
 
         The evaluator must broadcast over numpy arrays. Partials default to
-        finite differences that probe no negative argument; the force at
-        I = 0 is estimated numerically and must pass a step-halving check.
+        finite differences that probe no negative argument. The force at
+        I = 0, which R reads, is 2*q(d/2) - q(d) for q(d) = F(S, d)/d at
+        d = 1e-8, or ``UnsupportedLimitError`` where the probes disagree.
 
         The integrator's stage inputs can be slightly negative once a strain
         dies out. An evaluator that raises ``DomainError`` there rejects each
@@ -301,7 +302,8 @@ class IncidenceSpec:
         return out
 
     def _force_limit(self, S):
-        """Estimate lim F(S, I)/I for I -> 0+ and verify it is stable."""
+        """lim F(S, I)/I as I -> 0+: the extrapolate 2*q(d/2) - q(d) of the probes,
+        exact for F quadratic in I, where they agree under the halving."""
         q1, q2 = self._limit_probes(S)
         gap = np.abs(q1 - q2) / np.maximum(1.0, np.abs(q2))
         if np.any(gap > _LIMIT_RTOL) or not np.all(np.isfinite(q1)):
@@ -309,7 +311,7 @@ class IncidenceSpec:
                 "force limit at I=0 did not stabilize under step halving "
                 "for custom rate %r" % (self.label,)
             )
-        return q1
+        return 2.0 * q2 - q1
 
     def _limit_probes(self, S):
         """F(S, d)/d at d = _LIMIT_DELTA and d/2, the probes of the I -> 0+ force limit."""
@@ -367,11 +369,10 @@ class IncidenceSpec:
             "force_monotone", viol is None, strict=strict, first_violation=viol
         )
 
-        # force_limit_positive: lim f(S, I) > 0 as I -> 0+ off the S = 0 corner.
-        # The probe q(d) reads S*d for F = S*I**2, whose limit is 0, so the
-        # extrapolate 2*q(d/2) - q(d) must exceed the step-halving change.
+        # force_limit_positive: off the S = 0 corner the force at I = 0 must exceed
+        # the step-halving change; for F = S*I**2, whose limit is 0, q(d) reads S*d.
         q1, q2 = self._limit_probes(S_pos)
-        not_positive = ~(2.0 * q2 - q1 > np.abs(q1 - q2))
+        not_positive = ~(f_grid[:, 0] > np.abs(q1 - q2))
         viol = _first_violation(not_positive[:, None], S_pos, I_axis[:1])
         checks["force_limit_positive"] = HypothesisCheck(
             "force_limit_positive", viol is None, first_violation=viol

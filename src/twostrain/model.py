@@ -81,8 +81,8 @@ class ModelParams:
 
     @property
     def vaccinated_cap(self) -> float:
-        """Disease-free vaccinated level r*Lambda/(mu*lam)."""
-        return self.r * self.Lambda / (self.mu * self.lam)
+        """Disease-free vaccinated level r*S0/mu = r*Lambda/(mu*lam)."""
+        return self.r * self.susceptible_cap / self.mu
 
 
 #: the ModelParams field names, in order: scenario keys, sweep keys and report order
@@ -316,17 +316,18 @@ def jacobians(rows) -> np.ndarray:
     return np.ascontiguousarray(J.transpose(0, 2, 1))
 
 
-def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1):
+def reproduction_number(p: ModelParams, inc: IncidenceSpec, strain: int, S, V1) -> float:
     """Reproduction number of ``strain`` where it is absent, at (S, V1).
 
-    It is the strain's growth rate per infective at I = 0, dF/dI(S, 0) plus
-    the vaccinated-class route k*V1 for strain 2, over its alpha. So the
-    decoupled I row there has eigenvalue alpha*(R - 1) (van den Driessche
-    and Watmough 2002). At (S0, V10) it is R1 or R2; at the other strain's
+    It is a Python float: the strain's growth rate per infective at I = 0,
+    ``inc.force(S, 0)`` plus the vaccinated-class route k*V1 for strain 2,
+    over its alpha. So the decoupled I row there has eigenvalue alpha*(R - 1)
+    (van den Driessche and Watmough 2002), and the E1 and E2 balances start
+    from the same force. At (S0, V10) it is R1 or R2; at the other strain's
     equilibrium it is an invasion number.
     """
     route, alpha = (0.0, p.alpha1) if strain == 1 else (p.k * V1, p.alpha2)
-    return _real((inc.d_rate_dI(S, 0.0) + route) / alpha)
+    return float((inc.force(S, 0.0) + route) / alpha)
 
 
 def thresholds(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Thresholds:
@@ -334,12 +335,7 @@ def thresholds(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Thre
     the disease-free state (S0, V10)."""
     R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
     R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
-    return Thresholds(R1, R2, _real(np.maximum(R1, R2)))
-
-
-def _real(x):
-    """A Python float for a scalar, arrays unchanged."""
-    return float(x) if np.ndim(x) == 0 else x
+    return Thresholds(R1, R2, max(R1, R2))
 
 
 def invasion_numbers(

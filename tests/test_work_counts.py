@@ -29,7 +29,7 @@ def test_classified_sweep_scan_counts(monkeypatch):
     }
     assert sums == {
         "E1": (78, 39, 372),
-        "E2": (82, 41, 279),
+        "E2": (82, 41, 281),
         "E3_cap": (78, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
         "E3": (78, 15, 177),
     }
