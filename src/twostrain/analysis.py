@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .equilibria import Equilibrium, solve_all
+from .equilibria import Equilibrium, _scan_cells, _searched, solve_all
 from .errors import ConfigError, _require_grid
 from .incidence import BUILT_IN_FAMILIES
 from .model import PARAM_NAMES, Thresholds, thresholds
@@ -50,10 +50,11 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     Global-condition scans are run only where the corresponding stability
     statement needs them: the vaccinated-strain surface scan when the
-    strain-2-only equilibrium exists with R1 <= 1 < R2, both lower ends 1e-6*S0
-    and 1e-6*V10 are positive and both upper ends S0 and V10 are finite (at
-    r = 0, a subnormal r, a tiny Lambda or an overflowing S0 or V10 a note
-    says it was not run, and no E2 global claim is made), and
+    strain-2-only equilibrium exists with R1 <= 1 < R2 and has one root, both
+    lower ends 1e-6*S0 and 1e-6*V10 are positive and both upper ends S0 and
+    V10 are finite (with several roots, at r = 0, a subnormal r, a tiny
+    Lambda or an overflowing S0 or V10 a note says it was not run, and no E2
+    global claim is made), and
     the trajectory derivative check when the coexistence equilibrium exists.
     ``grid``, the scan's points per axis, must be an integer >= 1.
     """
@@ -81,7 +82,9 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     if include_global:
         if e2 is not None and th.R1 <= 1.0 < th.R2:
             empty = _empty_scan_range(p)
-            if not empty:
+            if len(eqs.E2) > 1:
+                notes.append("E2 surface scan not run: E2 has %d roots, so none is globally stable" % len(eqs.E2))
+            elif not empty:
                 summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
                 global_checks.append(("strain2_lyapunov_scan", summary))
             elif p.r == 0.0:
@@ -96,7 +99,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
             summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[1:, :4])
             global_checks.append(("coexistence_tail_derivative", summary))
 
-    lines = _verdict_lines(th, stability, dict(global_checks))
+    lines = _verdict_lines(th, stability, dict(global_checks), (inc1, inc2))
     return AnalysisReport(
         scenario=sc,
         thresholds=th,
@@ -141,9 +144,12 @@ def _verdict_lines(
     th: Thresholds,
     stability: Tuple[StabilityReport, ...],
     checks: Dict[str, GridScanSummary],
+    incidences: tuple,
 ) -> List[str]:
     """Verdict lines, each kind read at its first root (smallest I1 or I2).
-    E0 is called globally stable only where no other equilibrium exists."""
+    E0 is called globally stable only where no other equilibrium exists. An
+    absent E1 or E2 of a custom rate (of ``incidences``) says where its scan
+    looked."""
     lines: List[str] = []
     e0 = _first(stability, "E0")
     others = ", ".join(dict.fromkeys(rep.kind for rep in stability if rep.kind != "E0"))
@@ -162,11 +168,14 @@ def _verdict_lines(
     else:
         lines.append(_local_verdict(e0, ""))
 
-    for name in ("E1", "E2"):
+    for name, inc in zip(("E1", "E2"), incidences):
         kind, rep = KINDS[name], _first(stability, name)
         threshold, ((_, invasion),) = "R%d" % kind.strain, kind.absent
         R, R_invasion = _compared(threshold, getattr(th, threshold)), _fmt(getattr(th, invasion))
-        if rep is None:
+        cells = _scan_cells(inc)
+        if rep is None and cells > 1:
+            lines.append("%s absent: no root %s (%s)" % (name, _searched(cells), R))
+        elif rep is None:
             lines.append("%s absent: %s" % (name, R))
         else:
             lines.append(

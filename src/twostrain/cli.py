@@ -172,7 +172,7 @@ def cmd_check_global(args) -> int:
     report = analyze(sc, grid=args.grid)
     if not report.global_checks:
         if args.format == "report":
-            print("no global checks apply: needs E2 with R1 <= 1, 0 < 1e-6*S0, S0 < inf, 0 < 1e-6*V10 and V10 < inf, or E3")
+            print("no global checks apply: needs one E2 root with R1 <= 1, 0 < 1e-6*S0, S0 < inf, 0 < 1e-6*V10 and V10 < inf, or E3")
         return EXIT_OK
     written = []
     checks = dict(report.global_checks)

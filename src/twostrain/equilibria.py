@@ -53,12 +53,14 @@ once on its range (Korobeinikov and Maini 2005, Math. Med. Biol. 22):
 
 So a built-in balance needs no scan: the two ends of its range are its
 one cell. E1 and E2 take G/I and H/I from I = 0, where they are
-alpha*(R - 1) > 0, so a root however close to 0, as for R just above 1,
-is bracketed; where R <= 1 they start at alpha*(R - 1) <= 0 and fall, so
-they have no root and are not run. Custom rates, whose monotonicity is
-not proved (``check_hypotheses`` checks a grid), are scanned on SCAN_NODES
-cells, E1 and E2 in the same form from I = 0, whatever R is: a force that
-rises in I can give roots below the threshold (a backward bifurcation).
+alpha*(R - 1) > 0 from the force at (S0, V10) that R reads, so a root
+however close to 0, as for R just above 1, is bracketed; where R <= 1
+they start at alpha*(R - 1) <= 0 and fall, so they have no root and are
+not run. Custom rates, whose monotonicity is not proved
+(``check_hypotheses`` checks a grid), are scanned on SCAN_NODES cells, E1
+and E2 in the same form from I = 0, whatever R is: a force that rises in
+I can give roots below the threshold (a backward bifurcation). A root at
+I = 0, which is E0, is dropped.
 The E3 scans start at I2 = 0 too: E3 branches off E1 there as
 R2_invasion passes 1, so a root however close to 0 is bracketed, and a
 root at I2 = 0, which is E1, is dropped. psi is NaN past the cap

@@ -55,13 +55,14 @@ def wavy_rate():
     )
 
 
-def rising_rate(p):
-    """The custom rate F1 = beta*S*I*(1 + 0.05*I) with beta = 0.9*alpha1/S0
-    for the parameters p, so that R1 = 0.9. Its force rises in I, against
-    the ``force_monotone`` hypothesis. As strain 1 of example 6.2 its
-    balance has two roots below the threshold, a backward bifurcation: I1 =
-    2.270253 (unstable) and I1 = 1030.361326 (locally stable)."""
-    beta = 0.9 * p.alpha1 / p.susceptible_cap
+def rising_rate(p, beta=None):
+    """The custom rate F1 = beta*S*I*(1 + 0.05*I), by default with beta =
+    0.9*alpha1/S0 for the parameters p, so that R1 = 0.9. Its force rises in
+    I, against the ``force_monotone`` hypothesis. As strain 1 of example 6.2
+    its balance has two roots below the threshold, a backward bifurcation:
+    I1 = 2.270253 (unstable) and I1 = 1030.361326 (locally stable)."""
+    if beta is None:
+        beta = 0.9 * p.alpha1 / p.susceptible_cap
     return IncidenceSpec.custom(lambda S, I: beta * S * I * (1.0 + 0.05 * I), label="rising")
 
 

@@ -335,11 +335,33 @@ class TestBelowThreshold:
         report = analyze(sc)
         # the E1 line read at the locally stable second root alone
         e0, _, high = report.stability
-        lines = analysis._verdict_lines(report.thresholds, (e0, high), {})
+        lines = analysis._verdict_lines(report.thresholds, (e0, high), {}, (sc.incidence1, sc.incidence2))
         assert lines[1].startswith(
             "E1 locally asymptotically stable: R1 = 0.9 <= 1, coefficient conditions positive"
         )
         assert analysis._compared("R2", 1.5) == "R2 = 1.5 > 1"
+
+    def test_several_e2_roots_make_no_global_claim(self):
+        # R1 = 0.263 <= 1 < R2 = 2 with three E2 roots, two of them locally
+        # stable: no single root attracts every start with I2 > 0, so the E2
+        # surface scan is not run and a note says why
+        p = ModelParams(**dict(BASE, r=0.1, k=0.0))
+        report = analyze(Scenario(p, IncidenceSpec.saturated_i2(3e-5, 0.7), wavy_rate()))
+        e2 = [rep for rep in report.stability if rep.kind == "E2"]
+        assert [rep.verdict for rep in e2] == [Verdict.LOCALLY_STABLE, Verdict.UNSTABLE, Verdict.LOCALLY_STABLE]
+        assert report.thresholds.R1 <= 1.0 < report.thresholds.R2
+        assert report.global_checks == ()
+        assert "E2 surface scan not run: E2 has 3 roots, so none is globally stable" in report.notes
+        assert "globally asymptotically stable" not in render_report(report)
+
+    def test_an_absent_custom_kind_says_where_its_scan_looked(self):
+        # 6.3's built-in strain-1 rate, wrapped as custom: the scan found no
+        # root, and the line says so beside R1; the built-in line is unchanged
+        sc = build_scenario("6.3")
+        custom = dataclasses.replace(sc, incidence1=IncidenceSpec.custom(sc.incidence1.rate))
+        line = "E1 absent: no root at scan resolution 4096 (R1 = 0.263158 <= 1)"
+        assert line in analyze(custom).verdict_lines
+        assert "E1 absent: R1 = 0.263158 <= 1" in analyze(sc).verdict_lines
 
 
 class TestApplySweepValue:

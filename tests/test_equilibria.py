@@ -34,6 +34,7 @@ from twostrain.model import (
     Thresholds,
     invasion_numbers,
     residual,
+    jacobian,
     thresholds,
     vector_field,
 )
@@ -1028,6 +1029,93 @@ class TestCoarseScan:
             assert e1.residual < RESIDUAL_TOL and eqs.stats.E1.nodes == SCAN_NODES + 1
             assert e1.point.I1 < 1e-9 * p.Lambda / p.alpha1
             assert e1.point.I1 == pytest.approx(built_in.point.I1, rel=10.0 * eps / excess, abs=0.0)
+
+
+def ulp_steps(x, n):
+    """x and its n nearest floats on each side, in increasing order."""
+    below, above = [x], [x]
+    for _ in range(n):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[:0:-1] + above
+
+
+class TestAtTheThreshold:
+    """R, the E1 and E2 balances at I = 0 and E0's invasion eigenvalues all
+    read one growth rate, force(S0, 0), so they agree in sign however close
+    R is to 1; and a root at I = 0, which is E0, is not returned."""
+
+    def test_signs_agree_within_four_ulps_of_one(self):
+        # criterion 5's draws, each strain's beta set to R = 1 and stepped
+        # by up to 4 ulps each way: 10,800 rows. Where the route k*V10
+        # alone would take R2 past 1/2, k is cut so that the route is
+        # alpha2/2 and beta still reaches R2 = 1. No row may raise
+        sides = collections.Counter()
+        for p, inc1, inc2 in random_cases(11, 600):
+            if p.k * p.vaccinated_cap >= 0.5 * p.alpha2:
+                p = dataclasses.replace(p, k=0.5 * p.alpha2 / p.vaccinated_cap)
+            S0, V10 = p.susceptible_cap, p.vaccinated_cap
+            for strain, inc in ((1, inc1), (2, inc2)):
+                alpha, route = (p.alpha1, 0.0) if strain == 1 else (p.alpha2, p.k * V10)
+                for beta in ulp_steps((alpha - route) * inc.beta / inc.force(S0, 0.0), 4):
+                    incs = [inc1, inc2]
+                    incs[strain - 1] = dataclasses.replace(inc, beta=beta)
+                    R = getattr(thresholds(p, *incs), "R%d" % strain)
+                    row = equilibria._Row(p, *incs)
+                    start = equilibria._per_infective(row, strain, 0.0)
+                    growth = jacobian(p, *incs, (S0, V10, 0.0, 0.0))[1 + strain, 1 + strain]
+                    assert (R > 1.0) == (start > 0.0) == (growth > 0.0), (strain, R, start, growth)
+                    if strain == 2:
+                        assert (R > 1.0) == (equilibria._cap(row, 0.0) > 0.0)
+                    found = getattr(solve_all(p, *incs), "E%d" % strain)
+                    assert len(found) == (R > 1.0)
+                    sides[strain, R > 1.0] += 1
+        assert sum(sides.values()) == 10800
+        assert min(sides.values()) > 2000
+
+    @pytest.mark.parametrize("strain", [1, 2])
+    def test_a_root_at_zero_is_not_returned(self, strain):
+        # the rising rate, whose balance rises from I = 0 with its force,
+        # with beta stepped across R = 1 on 6.2 with k = 0: where the
+        # balance starts at exactly 0 the scan brackets a root at I = 0,
+        # which is E0; every returned root lies above 0
+        sc = build_scenario("6.2")
+        p = dataclasses.replace(sc.params, k=0.0)
+        alpha = p.alpha1 if strain == 1 else p.alpha2
+        zero_starts = 0
+        for beta in ulp_steps(alpha / p.susceptible_cap, 6):
+            incs = [sc.incidence1, sc.incidence2]
+            incs[strain - 1] = rising_rate(p, beta)
+            zero_starts += equilibria._per_infective(equilibria._Row(p, *incs), strain, 0.0) == 0.0
+            found = getattr(solve_all(p, *incs), "E%d" % strain)
+            levels = [eq.point.as_array()[1 + strain] for eq in found]
+            assert levels and all(I > 0.0 for I in levels)
+        assert zero_starts > 0
+
+    @pytest.mark.parametrize("below", [1e-10, 1e-12])
+    def test_the_rising_rate_keeps_its_low_root_just_below_the_threshold(self, below):
+        # G(I1)/I1 = beta*(Lambda - alpha1*I1)/lam*(1 + c*I1) - alpha1 with
+        # c = 0.05 is a quadratic A*I1**2 + B*I1 + C; its roots, from mpmath
+        # at 50 digits on the solver's float coefficients, match both E1
+        # roots, the low one within the conditioning eps/(1 - R1)
+        import mpmath
+
+        eps = np.finfo(float).eps
+        sc = build_scenario("6.2")
+        p = sc.params
+        beta = (1.0 - below) * p.alpha1 / p.susceptible_cap
+        eqs = solve_all(p, rising_rate(p, beta), sc.incidence2)
+        assert eqs.thresholds.R1 == pytest.approx(1.0 - below, rel=0.0, abs=4.0 * eps)
+        low, high = (eq.point.I1 for eq in eqs.E1)
+        with mpmath.workdps(50):
+            b, L, lam, a, c = map(mpmath.mpf, (beta, p.Lambda, p.lam, p.alpha1, 0.05))
+            A, B, C = -b * a * c / lam, b * (L * c - a) / lam, b * L / lam - a
+            root = mpmath.sqrt(B * B - 4 * A * C)
+            exact = [float((-B + sign * root) / (2 * A)) for sign in (1, -1)]
+        assert low == pytest.approx(exact[0], rel=10.0 * eps / below, abs=0.0)
+        assert high == pytest.approx(exact[1], rel=1e-13, abs=0.0)
+        if below == 1e-10:
+            assert low == pytest.approx(2.04e-9, rel=1e-2)
 
 
 #: a synthetic balance's root: off every scan node of the range (0, 1], 0.8

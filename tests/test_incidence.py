@@ -187,6 +187,18 @@ class TestForce:
         expected = 2e-4 * 50.0 / (1.0 + 0.3 * 50.0)
         assert custom.force(50.0, 0.0) == pytest.approx(expected, rel=1e-6)
 
+    def test_custom_force_limit_is_exact_for_a_rate_quadratic_in_I(self):
+        # q(d) = F(S, d)/d reads beta*S*(1 + 0.05*d), 5e-10 high; the
+        # extrapolate 2*q(d/2) - q(d) cancels that, so the limit is beta*S
+        # to rounding, on floats and on arrays alike
+        eps = np.finfo(float).eps
+        beta = 2e-4
+        rising = IncidenceSpec.custom(lambda S, I: beta * S * I * (1.0 + 0.05 * I))
+        for S in (1.0, 50.0, 950.0, 1e4):
+            assert rising.force(S, 0.0) == pytest.approx(beta * S, rel=4.0 * eps, abs=0.0)
+        S = np.array([1.0, 50.0, 950.0])
+        assert rising.force(S, 0.0).tolist() == [rising.force(s, 0.0) for s in S.tolist()]
+
     def test_custom_force_limit_unsupported(self):
         # F ~ sqrt(I) has an infinite force limit at I = 0; the delta and
         # delta/2 probes disagree by ~41% so the limit must be refused

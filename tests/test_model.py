@@ -310,6 +310,37 @@ class TestThresholds:
         assert th.R1 == pytest.approx(inc1.d_rate_dI(S0, 0.0) / p.alpha1, rel=1e-14)
         assert th.R2 == pytest.approx((inc2.d_rate_dI(S0, 0.0) + p.k * V10) / p.alpha2, rel=1e-14)
 
+    def test_every_number_reads_the_force_at_zero(self, monkeypatch):
+        # R1, R2 and both invasion numbers are (force(S, 0) + route)/alpha bit
+        # for bit, as Python floats, with no partial taken: also for a
+        # custom rate and for parameters given as numpy scalars
+        def no_partial(*args):
+            raise AssertionError("d_rate_dI called")
+
+        monkeypatch.setattr(IncidenceSpec, "d_rate_dI", no_partial)
+        cases = list(random_cases(1105, 100))
+        sc = build_scenario("6.2")
+        p = dataclasses.replace(sc.params, **{name: np.float64(getattr(sc.params, name)) for name in model.PARAM_NAMES})
+        cases.append((p, IncidenceSpec.custom(sc.incidence1.rate), sc.incidence2))
+        invasions = 0
+        for p, inc1, inc2 in cases:
+            eqs = solve_all(p, inc1, inc2)
+            th = eqs.thresholds
+            S0, V10 = p.susceptible_cap, p.vaccinated_cap
+            assert th.R1 == inc1.force(S0, 0.0) / p.alpha1
+            assert th.R2 == (inc2.force(S0, 0.0) + p.k * V10) / p.alpha2
+            assert th.R0 == max(th.R1, th.R2)
+            if eqs.E1:
+                pt = eqs.E1[0].point
+                assert th.R2_invasion == (inc2.force(pt.S, 0.0) + p.k * pt.V1) / p.alpha2
+                invasions += 1
+            if eqs.E2:
+                assert th.R1_invasion == inc1.force(eqs.E2[0].point.S, 0.0) / p.alpha1
+                invasions += 1
+            numbers = (th.R1, th.R2, th.R0, th.R2_invasion, th.R1_invasion)
+            assert all(type(x) is float for x in numbers if x is not None)
+        assert invasions > 100
+
     def test_invasion_numbers_bounded_by_thresholds(self):
         # at equilibrium the available susceptible pool never exceeds the
         # disease-free one, so each invasion number is capped by its R
