@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -33,8 +34,8 @@ from twostrain.model import (
     ModelParams,
     Thresholds,
     invasion_numbers,
-    residual,
     jacobian,
+    residual,
     thresholds,
     vector_field,
 )
@@ -1098,8 +1099,6 @@ class TestAtTheThreshold:
         # c = 0.05 is a quadratic A*I1**2 + B*I1 + C; its roots, from mpmath
         # at 50 digits on the solver's float coefficients, match both E1
         # roots, the low one within the conditioning eps/(1 - R1)
-        import mpmath
-
         eps = np.finfo(float).eps
         sc = build_scenario("6.2")
         p = sc.params

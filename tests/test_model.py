@@ -320,7 +320,8 @@ class TestThresholds:
         monkeypatch.setattr(IncidenceSpec, "d_rate_dI", no_partial)
         cases = list(random_cases(1105, 100))
         sc = build_scenario("6.2")
-        p = dataclasses.replace(sc.params, **{name: np.float64(getattr(sc.params, name)) for name in model.PARAM_NAMES})
+        values = {name: np.float64(getattr(sc.params, name)) for name in model.PARAM_NAMES}
+        p = dataclasses.replace(sc.params, **values)
         cases.append((p, IncidenceSpec.custom(sc.incidence1.rate), sc.incidence2))
         invasions = 0
         for p, inc1, inc2 in cases:
