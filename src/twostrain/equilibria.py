@@ -25,9 +25,10 @@ balance gives I1 linearly.
 psi(I2) = f1(S, I1) - alpha1 then vanishes exactly at interior equilibria.
 I1 reaches 0 at the E2 levels; psi is continued past them with I1 held at
 0, so that roots next to them are bracketed, and roots with I1 <= 0 are
-dropped. The scan of psi ends at the last root of the cap balance
-f2(S0, I2) + k*r*S0/(mu + k*I2) - alpha2, past which no S <= S0 solves
-the strain-2 balance.
+dropped. Where no S <= S0 solves the strain-2 balance, S is held at S0:
+there lam*S0 = Lambda and k*V1 < alpha2 leave I1 <= 0, held at 0, so psi
+is f1(S0, 0) - alpha1 = alpha1*(R1 - 1), and psi is finite on the whole
+range [0, Lambda/alpha2].
 The reduction is in I2 rather than S because with r*k = 0 and an f2 that
 ignores I2, the strain-2 balance no longer depends on I2.
 
@@ -44,12 +45,14 @@ once on its range (Korobeinikov and Maini 2005, Math. Med. Biol. 22):
   and falls on [L, hi] (L = 0 if the discriminant is <= 0). On (0, L)
   S > S0, where no equilibrium lies (lam*S = Lambda - F1 - F2 <= Lambda),
   so H has no root; on [L, hi] S and V1 = r*S/(mu + k*I2) fall, so H/I2 does.
-- The cap balance falls in I2.
-- psi: the strain-2 balance's left side rises in S and falls in I2, so S
-  rises with I2. In the summed balance alpha1*I1 = Lambda - lam*S -
-  alpha2*I2 + k*r*S*I2/(mu + k*I2), S has a coefficient below -mu, and
-  alpha2 >= k*r*S/(mu + k*I2) makes the I2 slope at fixed S <= 0, so I1
-  falls and psi = f1(S, max(I1, 0)) - alpha1 rises.
+- psi: the strain-2 balance's left side rises in S and falls in I2, so
+  some S <= S0 solves it on an interval of I2 from 0, and S rises with I2
+  there. In the summed balance alpha1*I1 = Lambda - lam*S - alpha2*I2 +
+  k*r*S*I2/(mu + k*I2), S has a coefficient below -mu, and alpha2 >=
+  k*r*S/(mu + k*I2) makes the I2 slope at fixed S <= 0, so I1 falls and
+  psi = f1(S, max(I1, 0)) - alpha1 rises. At the interval's end S = S0 and
+  I1 <= 0, so psi meets its constant alpha1*(R1 - 1) past the interval
+  continuously, and stays nondecreasing.
 
 So a built-in balance needs no scan: the two ends of its range are its
 one cell. E1 and E2 take G/I and H/I from I = 0, where they are
@@ -61,17 +64,15 @@ not run. Custom rates, whose monotonicity is not proved
 and E2 in the same form from I = 0, whatever R is: a force that rises in
 I can give roots below the threshold (a backward bifurcation). A root at
 I = 0, which is E0, is dropped.
-The E3 scans start at I2 = 0 too: E3 branches off E1 there as
+The E3 scan starts at I2 = 0 too: E3 branches off E1 there as
 R2_invasion passes 1, so a root however close to 0 is bracketed, and a
-root at I2 = 0, which is E1, is dropped. psi is NaN past the cap
-balance's root, where rounding can put the scan end, so a non-finite
-last node is stepped back (``_roots``).
+root at I2 = 0, which is E1, is dropped.
 
 The hypothesis also gives S <= S0 and V1 <= V10 at every equilibrium, so
 psi <= alpha1*(R1 - 1) and the strain-2 balance's left side minus alpha2
 is at most alpha2*(R2 - 1): R1 <= 1 or R2 <= 1 leaves no interior
-equilibrium, and built-in rows skip both E3 scans there. Custom rates
-always scan both.
+equilibrium, and built-in rows skip the E3 scan there. Custom rates
+always scan it.
 
 ``solve_all`` solves every kind of one row and fills in the invasion
 numbers. The per-kind solvers run the same passes and, like
@@ -146,13 +147,12 @@ class ScanStats(NamedTuple):
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Each balance's pass in one solve. E3_cap finds the end of the E3
-    range. For built-in families E1 is (0, 0, 0) where R1 <= 1, E2 where
-    R2 <= 1, and E3_cap and E3 where either is."""
+    """Each balance's pass in one solve: G/I1 for E1, H/I2 for E2 and psi
+    for E3. For built-in families E1 is (0, 0, 0) where R1 <= 1, E2 where
+    R2 <= 1, and E3 where either is."""
 
     E1: ScanStats
     E2: ScanStats
-    E3_cap: ScanStats
     E3: ScanStats
 
 
@@ -348,9 +348,9 @@ def coexistence_coordinates(p: _Row, I2):
 
     S solves f2(S, I2) + k*r*S/(mu + k*I2) = alpha2: by the family's closed
     form ``susceptible``, or for a custom rate by _S_HALVINGS halvings of
-    [0, S0]. S is NaN where no S <= S0 solves it, since every equilibrium
-    has S <= S0. I1 comes from the summed S, I1 and I2 balances and may be
-    negative.
+    [0, S0]. S is held at S0 where no S <= S0 solves it, since every
+    equilibrium has S <= S0. I1 comes from the summed S, I1 and I2 balances
+    and may be negative; it is <= 0 where S is held.
     """
     c = p.k * p.r / (p.mu + p.k * I2)
     S0 = p.susceptible_cap
@@ -366,7 +366,7 @@ def coexistence_coordinates(p: _Row, I2):
             mid = S + width
             S = _choose(p.f2.force(mid, I2) + c * mid < p.alpha2, mid, S)
         S = S + 0.5 * width
-    S = _choose(feasible, S, math.nan)
+    S = _choose(feasible, S, S0)
     V1 = p.r * S / (p.mu + p.k * I2)
     I1 = (p.Lambda - p.lam * S - p.alpha2 * I2 + p.k * I2 * V1) / p.alpha1
     return S, V1, I1
@@ -381,49 +381,37 @@ def solve_coexistence(
     """All interior equilibria with both strains present, by increasing I2.
 
     Roots of psi(I2) = f1(S, I1) - alpha1 with (S, V1, I1) from
-    ``coexistence_coordinates``, I1 > 0 and I2 > 0; psi is undefined where no S
-    exists. I1 falls to 0 exactly at an E2 level, where psi equals
-    alpha1*(R1_invasion - 1); past it psi is continued with I1 held at 0, so
-    a root next to that boundary is still bracketed, and roots with I1 <= 0
-    are then dropped. ``th`` carries the invasion numbers, as ``solve_all``
+    ``coexistence_coordinates``, I1 > 0 and I2 > 0. I1 falls to 0 exactly at
+    an E2 level, where psi equals alpha1*(R1_invasion - 1); past it psi is
+    continued with I1 held at 0, so a root next to that boundary is still
+    bracketed, and roots with I1 <= 0 are then dropped; where no S <= S0
+    exists, S is held at S0 too. ``th`` carries the invasion numbers, as ``solve_all``
     fills them in; each root records the known ones as existence
     conditions. When both exceed 1 an interior root must exist, so finding
     none raises SolverError.
     """
-    e3, error, _, _ = _coexistence(_Row(p, inc1, inc2), th)
+    e3, error, _ = _coexistence(_Row(p, inc1, inc2), th)
     if error:
         raise SolverError(error)
     return list(e3)
 
 
 def _psi(c: _Row, I2):
+    """psi(I2) = f1(S, max(I1, 0)) - alpha1 with (S, I1) from
+    ``coexistence_coordinates``: alpha1*(R1 - 1) where S is held at S0."""
     S, _, I1 = coexistence_coordinates(c, I2)
-    feasible = S == S  # S is NaN where no S <= S0 exists, and I1 with it
-    S, I1 = _choose(feasible, S, 0.0), _choose(I1 > 0.0, I1, 0.0)
-    return _choose(feasible, c.f1.force(S, I1) - c.alpha1, math.nan)
-
-
-def _cap(c: _Row, I2):
-    """The strain-2 balance at S = S0, f2(S0, I2) + k*r*S0/(mu + k*I2) - alpha2,
-    which is alpha2*(R2 - 1) at I2 = 0, with R2's sign: where it is
-    negative no S <= S0 solves the strain-2 balance."""
-    S0 = c.susceptible_cap
-    return c.f2.force(S0, I2) + c.k * (c.r * S0 / (c.mu + c.k * I2)) - c.alpha2
+    return c.f1.force(S, _choose(I1 > 0.0, I1, 0.0)) - c.alpha1
 
 
 def _coexistence(row: _Row, th: Thresholds) -> tuple:
     """The row's E3 roots as a tuple of Equilibrium, the message of its
-    SolverError or "", and the ScanStats of the cap balance's and of psi's
-    passes. The psi scan ends at the cap balance's last root, or else at
-    Lambda/alpha2; the module docstring says which rows skip both scans."""
+    SolverError or "", and the ScanStats of psi's pass on [0, Lambda/alpha2];
+    the module docstring says which rows skip it."""
     p, inc1, inc2 = row.case
     cells = _scan_cells(inc1, inc2)
-    I2, cap_stats, psi_stats = [], ScanStats(), ScanStats()
+    I2, stats = [], ScanStats()
     if cells > 1 or (th.R1 > 1.0 and th.R2 > 1.0):
-        hi = row.Lambda / row.alpha2
-        caps, cap_stats = _roots(lambda x: _cap(row, x), 0.0, hi, cells)
-        end = caps[-1] if caps else hi
-        I2, psi_stats = _roots(lambda x: _psi(row, x), 0.0, end, cells)
+        I2, stats = _roots(lambda x: _psi(row, x), 0.0, row.Lambda / row.alpha2, cells)
     points = []
     for x in I2:
         S, V1, I1 = coexistence_coordinates(row, x)
@@ -447,8 +435,8 @@ def _coexistence(row: _Row, th: Thresholds) -> tuple:
             for point in points
         )
     except SolverError as exc:
-        return (), str(exc), cap_stats, psi_stats
-    return e3, "", cap_stats, psi_stats
+        return (), str(exc), stats
+    return e3, "", stats
 
 
 # -- every equilibrium at once -----------------------------------------------
@@ -489,8 +477,8 @@ def solve_all(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Equil
     e2, e2_stats = _strain_only(row, th.R2, 2)
     r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, *(roots[0] if roots else None for roots in (e1, e2)))
     th = dataclasses.replace(th, R2_invasion=r2_inv, R1_invasion=r1_inv)
-    e3, error, cap_stats, e3_stats = _coexistence(row, th)
-    stats = SolveStats(e1_stats, e2_stats, cap_stats, e3_stats)
+    e3, error, e3_stats = _coexistence(row, th)
+    stats = SolveStats(e1_stats, e2_stats, e3_stats)
     return EquilibriumSet(th, disease_free(p, inc1, inc2), tuple(e1), tuple(e2), e3, error, stats)
 
 
@@ -501,14 +489,15 @@ def _roots(fn, lo: float, hi: float, cells: int) -> tuple:
     """Every root of fn on [lo, hi] that a scan of ``cells`` cells brackets,
     by increasing x, and the ScanStats of the pass.
 
-    fn maps a float, and for more than one cell an array, to balance values,
-    NaN where the balance is undefined. One cell is the two ends of the
-    range, evaluated on floats. More are evaluated in one array call, at the
-    nodes j*hi/cells with the first moved to lo. A non-finite last node is
-    stepped back by 2**-52, 2**-51, ... of the range while it stays past the
-    node before it: steps from coarse to fine, halving from half the range,
-    would pass over the roots next to the end of psi's range. A cell
-    brackets a root when both ends are finite and exactly one is positive;
+    fn maps a float, and for more than one cell an array, to balance values.
+    One cell is the two ends of the range, evaluated on floats. More are
+    evaluated in one array call, at the nodes j*hi/cells with the first
+    moved to lo. The built-in balances are finite on their whole range; a
+    custom rate can be NaN or infinite at some nodes, so a non-finite last
+    node is stepped back by 2**-52, 2**-51, ... of the range while it stays
+    past the node before it (steps from coarse to fine, halving from half
+    the range, would pass over the roots next to the end), and a cell
+    brackets a root when both ends are finite and exactly one is positive.
     ``_zero`` solves each bracket alone, and a root on a node that ends two
     brackets is returned once.
     """
@@ -549,9 +538,11 @@ def _zero(fn, a: float, b: float, fa: float, fb: float) -> float:
     inverse quadratic or secant step from b where that step stays well
     inside the bracket and shrinks fast enough, and bisects otherwise. It
     stops once the half-width is at most 2*eps*|b|, machine precision, and
-    returns the secant point of that final bracket. A trial whose value is
-    not finite is retried halfway back to the last finite point; once that
-    is the point itself, the bracket can narrow no further and it stops.
+    returns the secant point of that final bracket. A custom rate can be
+    non-finite inside a bracket whose ends are finite, so a trial whose
+    value is not finite is retried halfway back to the last finite point;
+    once that is the point itself, the bracket can narrow no further and it
+    stops.
     """
     c, fc = a, fa
     d = e = b - a

@@ -241,7 +241,7 @@ class TestEveryRootItsOwnReport:
 
     def test_reports_pair_with_equilibria_by_index(self):
         sc, report = self.wavy_strain2_report()
-        assert [e.kind for e in report.equilibria] == ["E0", "E1", "E2", "E2", "E2", "E3"]
+        assert [e.kind for e in report.equilibria] == ["E0", "E1", "E2", "E2", "E2", "E3", "E3"]
         assert [s.kind for s in report.stability] == [e.kind for e in report.equilibria]
         for eq, rep in zip(report.equilibria, report.stability):
             own = classify(sc.params, sc.incidence1, sc.incidence2, eq)

@@ -25,29 +25,28 @@ def test_classified_sweep_scan_counts(monkeypatch):
     assert len(rows) == len(solved) == 41
     sums = {
         kind: tuple(map(sum, zip(*(getattr(eqs.stats, kind) for eqs in solved))))
-        for kind in ("E1", "E2", "E3_cap", "E3")
+        for kind in ("E1", "E2", "E3")
     }
     assert sums == {
         "E1": (78, 39, 372),
         "E2": (82, 41, 281),
-        "E3_cap": (78, 0, 0),  # two rows have R1 <= 1; the others' cap end value is positive
-        "E3": (78, 15, 177),
+        "E3": (78, 15, 177),  # two rows have R1 <= 1
     }
 
 
 @pytest.mark.parametrize(
     "example, counts",
     [
-        ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.2", {"E1": (2, 1, 2), "E2": (0, 0, 0), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.3", {"E1": (0, 0, 0), "E2": (2, 1, 7), "E3_cap": (0, 0, 0), "E3": (0, 0, 0)}),
-        ("6.4", {"E1": (2, 1, 10), "E2": (2, 1, 7), "E3_cap": (2, 0, 0), "E3": (2, 1, 9)}),
+        ("6.1", {"E1": (0, 0, 0), "E2": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.2", {"E1": (2, 1, 2), "E2": (0, 0, 0), "E3": (0, 0, 0)}),
+        ("6.3", {"E1": (0, 0, 0), "E2": (2, 1, 7), "E3": (0, 0, 0)}),
+        ("6.4", {"E1": (2, 1, 10), "E2": (2, 1, 7), "E3": (2, 1, 9)}),
     ],
 )
 def test_reproduce_scan_counts(monkeypatch, example, counts):
     # each balance's ScanStats (nodes, brackets, evaluations) in the one
     # solve of a worked example's replay; a balance with R <= 1 does not run,
-    # nor do E3's with R1 <= 1 or R2 <= 1; the bilinear E1 of 6.2 is linear in
+    # nor does E3's with R1 <= 1 or R2 <= 1; the bilinear E1 of 6.2 is linear in
     # I1, so the first secant step lands on its root and one step of the
     # stopping width closes the bracket
     solved, solve_all = [], analysis.solve_all
