@@ -135,8 +135,10 @@ def _local_verdict(rep: StabilityReport, stable: str, suffix: str = "") -> str:
     return "%s classification inconclusive: a tested quantity sits on the margin" % rep.kind
 
 
-def _compared(name: str, value: float) -> str:
-    """``name = value`` with the comparison to 1 that holds."""
+def _compared(name: str, value: Optional[float]) -> str:
+    """``name = value`` with the comparison to 1 that holds; n/a for None."""
+    if value is None:
+        return "%s = n/a" % name
     return "%s = %s %s 1" % (name, _fmt(value), ">" if value > 1.0 else "<=")
 
 
@@ -148,8 +150,8 @@ def _verdict_lines(
 ) -> List[str]:
     """Verdict lines, each kind read at its first root (smallest I1 or I2).
     E0 is called globally stable only where no other equilibrium exists. An
-    absent E1 or E2 of a custom rate (of ``incidences``) says where its scan
-    looked."""
+    absent E1, E2 or E3 of a custom rate (of ``incidences``) says where its
+    scan looked, with the comparisons to 1 that hold."""
     lines: List[str] = []
     e0 = _first(stability, "E0")
     others = ", ".join(dict.fromkeys(rep.kind for rep in stability if rep.kind != "E0"))
@@ -208,8 +210,11 @@ def _verdict_lines(
                 % (scan.max_value, _fmt(scan.argmax[0]), _fmt(scan.argmax[1]))
             )
 
-    rep = _first(stability, "E3")
-    if rep is None:
+    rep, cells = _first(stability, "E3"), _scan_cells(*incidences)
+    if rep is None and cells > 1:
+        invasions = ", ".join(_compared(name, getattr(th, name)) for name in ("R2_invasion", "R1_invasion"))
+        lines.append("E3 absent: no root %s (%s)" % (_searched(cells), invasions))
+    elif rep is None:
         lines.append(
             "E3 absent or not found: requires R2_invasion = %s > 1 and R1_invasion = %s > 1"
             % (_fmt(th.R2_invasion), _fmt(th.R1_invasion))

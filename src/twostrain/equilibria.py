@@ -26,9 +26,9 @@ psi(I2) = f1(S, I1) - alpha1 then vanishes exactly at interior equilibria.
 I1 reaches 0 at the E2 levels; psi is continued past them with I1 held at
 0, so that roots next to them are bracketed, and roots with I1 <= 0 are
 dropped. Where no S <= S0 solves the strain-2 balance, S is held at S0:
-there lam*S0 = Lambda and k*V1 < alpha2 leave I1 <= 0, held at 0, so psi
-is f1(S0, 0) - alpha1 = alpha1*(R1 - 1), and psi is finite on the whole
-range [0, Lambda/alpha2].
+there lam*S0 = Lambda and k*V1 < alpha2 - f2(S0, I2) leave I1 <= 0, held
+at 0, so psi is f1(S0, 0) - alpha1 = alpha1*(R1 - 1), and psi is finite
+on the whole range [0, Lambda/alpha2].
 The reduction is in I2 rather than S because with r*k = 0 and an f2 that
 ignores I2, the strain-2 balance no longer depends on I2.
 
@@ -166,7 +166,7 @@ class _Row:
         self.case = (p, inc1, inc2)
         self.Lambda, self.mu, self.r, self.k = map(float, (p.Lambda, p.mu, p.r, p.k))
         self.lam, self.alpha1, self.alpha2 = map(float, (p.lam, p.alpha1, p.alpha2))
-        self.susceptible_cap, self.vaccinated_cap = map(float, (p.susceptible_cap, p.vaccinated_cap))
+        self.susceptible_cap = float(p.susceptible_cap)
         self.f1, self.f2 = (None if inc is None else inc.bound_forms() for inc in (inc1, inc2))
 
 
@@ -385,10 +385,10 @@ def solve_coexistence(
     an E2 level, where psi equals alpha1*(R1_invasion - 1); past it psi is
     continued with I1 held at 0, so a root next to that boundary is still
     bracketed, and roots with I1 <= 0 are then dropped; where no S <= S0
-    exists, S is held at S0 too. ``th`` carries the invasion numbers, as ``solve_all``
-    fills them in; each root records the known ones as existence
-    conditions. When both exceed 1 an interior root must exist, so finding
-    none raises SolverError.
+    exists, S is held at S0 too. ``th`` carries the invasion numbers, as
+    ``solve_all`` fills them in; each root records the known ones as
+    existence conditions. When both exceed 1 an interior root must exist,
+    so finding none raises SolverError.
     """
     e3, error, _ = _coexistence(_Row(p, inc1, inc2), th)
     if error:

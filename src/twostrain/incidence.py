@@ -251,14 +251,17 @@ class IncidenceSpec:
         return _difference(lambda v: self.rate_fn(v, I), S)
 
     def d_rate_dI(self, S, I):
-        """dF/dI, as ``d_rate_dS``; at I = 0 this is the force limit for the
-        built-in families."""
+        """dF/dI, as ``d_rate_dS``. At I = 0, where F(S, 0) = 0 makes it the
+        force limit that R reads, a custom rate with no given partial returns
+        that limit, ``force(S, 0)``."""
         forms = self._checked_forms(S, I)
         if forms is not None:
             return forms.d_rate_dI(self.beta, self.zeta, S, I)
         if self.d_rate_dI_fn is not None:
             return self.d_rate_dI_fn(S, I)
-        return _difference(partial(self.rate_fn, S), I)
+        at_zero = np.equal(I, 0.0)
+        difference = _difference(partial(self.rate_fn, S), I)
+        return _choose(at_zero, self._custom_force(S, I), difference) if np.any(at_zero) else difference
 
     def complex_rate(self, S, I) -> Callable:
         """F(s, i) for complex (s, i) near (S, I): a built-in family's text, unchecked, or a custom

@@ -22,9 +22,8 @@ from .simulate import IntegratorOptions
 
 _INITIAL_KEYS = ("S", "V1", "I1", "I2")
 _INTEGRATOR_KEYS = ("rtol", "atol", "max_step", "t_end", "convergence_tol", "tail_window")
-_ARTIFACTS = ("report", "timeseries", "surface")
+_ARTIFACTS = ("report", "timeseries")  # the default: check-global writes surface.csv whatever they are
 _DEFAULT_INITIAL = State(500.0, 500.0, 50.0, 50.0)
-_DEFAULT_ARTIFACTS = ("report", "timeseries")
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ class Scenario:
     incidence2: IncidenceSpec
     initial: State = _DEFAULT_INITIAL
     integrator: IntegratorOptions = IntegratorOptions()
-    outputs: Tuple[str, ...] = _DEFAULT_ARTIFACTS
+    outputs: Tuple[str, ...] = _ARTIFACTS
 
 
 def _fail(errors: List[str]) -> None:
@@ -165,7 +164,7 @@ def parse_scenario(text: str) -> Scenario:
         except ValueError as exc:
             errors.append("integrator: %s" % exc)
 
-    outputs = _DEFAULT_ARTIFACTS
+    outputs = _ARTIFACTS
     if "outputs" in sections:
         sec = sections["outputs"]
         raw = sec.pop("artifacts", None)

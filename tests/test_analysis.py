@@ -362,6 +362,28 @@ class TestBelowThreshold:
         line = "E1 absent: no root at scan resolution 4096 (R1 = 0.263158 <= 1)"
         assert line in analyze(custom).verdict_lines
         assert "E1 absent: R1 = 0.263158 <= 1" in analyze(sc).verdict_lines
+        # E3 too, with n/a for the invasion number that no E1 root gives
+        line = "E3 absent: no root at scan resolution 4096 (R2_invasion = n/a, R1_invasion = 0.208049 <= 1)"
+        assert line in analyze(custom).verdict_lines
+        line = "E3 absent or not found: requires R2_invasion = n/a > 1 and R1_invasion = 0.208049 > 1"
+        assert line in analyze(sc).verdict_lines
+
+    def test_an_absent_custom_e3_states_the_comparisons_that_hold(self):
+        # the invasion numbers are no requirement for a custom rate: with the
+        # rising strain-2 rate at R2 = 0.9 on 6.2 with k = 0, E3 exists at
+        # R2_invasion = 0.513 <= 1; at R2 = 0.1 on 6.4 with k = 0 the scan
+        # finds none, and the line gives each comparison with 1
+        sc = build_scenario("6.2")
+        p = dataclasses.replace(sc.params, k=0.0)
+        report = analyze(dataclasses.replace(sc, params=p, incidence2=rising_rate(p, 0.9 * p.alpha2 / p.susceptible_cap)))
+        assert report.thresholds.R2_invasion == pytest.approx(0.513, rel=1e-12)
+        assert [e.kind for e in report.equilibria].count("E3") == 1
+        sc = build_scenario("6.4")
+        p = dataclasses.replace(sc.params, k=0.0)
+        report = analyze(dataclasses.replace(sc, params=p, incidence2=rising_rate(p, 0.1 * p.alpha2 / p.susceptible_cap)))
+        assert "E3" not in [e.kind for e in report.equilibria]
+        line = "E3 absent: no root at scan resolution 4096 (R2_invasion = 0.0796484 <= 1, R1_invasion = 5.16117 > 1)"
+        assert line in report.verdict_lines
 
 
 class TestApplySweepValue:

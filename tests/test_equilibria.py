@@ -1098,6 +1098,25 @@ class TestAtTheThreshold:
         assert sum(sides.values()) == 10800
         assert min(sides.values()) > 2000
 
+    def test_a_custom_rate_growth_reads_the_force_limit(self):
+        # the rising rate on 6.2 with beta stepped 40 ulps each way around
+        # alpha1/S0: E0's I1-row diagonal dF1/dI1 - alpha1 takes dF1/dI1 at
+        # I1 = 0 as the force limit that R1 reads, so the two agree in sign
+        # and so does E0's condition "R1 < 1"
+        sc = build_scenario("6.2")
+        p, inc2 = sc.params, sc.incidence2
+        S0, V10 = p.susceptible_cap, p.vaccinated_cap
+        sides = collections.Counter()
+        for beta in ulp_steps(p.alpha1 / S0, 40):
+            inc1 = rising_rate(p, beta)
+            R1 = thresholds(p, inc1, inc2).R1
+            growth = jacobian(p, inc1, inc2, (S0, V10, 0.0, 0.0))[2, 2]
+            assert (R1 > 1.0) == (growth > 0.0) and (R1 < 1.0) == (growth < 0.0), (beta, R1, growth)
+            (e0,) = classify_batch([(p, inc1, inc2, disease_free(p, inc1, inc2))])
+            assert e0.conditions["R1 < 1"] == (R1 < 1.0)
+            sides[R1 > 1.0] += 1
+        assert sides[True] > 10 and sides[False] > 10
+
     @pytest.mark.parametrize("strain", [1, 2])
     def test_a_root_at_zero_is_not_returned(self, strain):
         # the rising rate, whose balance rises from I = 0 with its force,
@@ -1238,6 +1257,22 @@ class TestNarrowing:
         assert counted_roots(fns[-2], 0.0, 1.0, 1)[1].evaluations == 11 + 1
         # a balance NaN all the way back to the node before has no bracket
         assert equilibria._roots(lambda x: math.nan if x > 0.0 else 1.0, 0.0, 1.0, 1) == ([], (2, 0, 52))
+
+    def test_a_non_finite_trial_is_retried_halfway_back(self):
+        # a custom rate can be non-finite inside a bracket whose ends are
+        # finite: x*x - 0.36 on [0, 1] is NaN on [0.3, 0.4], where the first
+        # secant trial, 0.36, lands. It is retried at 0.18, halfway back to
+        # the last finite point 0, and the root 0.6 is still found
+        trials = []
+
+        def balance(x):
+            trials.append(x)
+            return math.nan if 0.3 <= x <= 0.4 else x * x - 0.36
+
+        root = equilibria._zero(balance, 0.0, 1.0, -0.36, 0.64)
+        assert root == pytest.approx(0.6, rel=2.0 * np.finfo(float).eps, abs=0.0)
+        assert trials[:2] == pytest.approx([0.36, 0.18], rel=1e-15, abs=0.0)
+        assert len(trials) < 20 and math.isnan(balance(trials[0]))
 
     def test_zero_stops_at_machine_precision(self):
         # on a linear balance the first secant step is exact; the returned

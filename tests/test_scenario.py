@@ -56,7 +56,7 @@ convergence_tol = 1e-7
 tail_window = 250.0
 
 [outputs]
-artifacts = report, timeseries, surface
+artifacts = timeseries
 """
 
 
@@ -77,7 +77,7 @@ class TestParsing:
         assert sc.integrator.rtol == 1e-9
         assert sc.integrator.max_step == math.inf
         assert sc.integrator.t_end == 2000.0
-        assert sc.outputs == ("report", "timeseries", "surface")
+        assert sc.outputs == ("timeseries",)
 
     def test_bilinear_accepts_only_zero_zeta(self):
         text = MINIMAL.replace("family = saturated_i2\nbeta = 3e-5\nzeta = 0.7",
@@ -162,7 +162,7 @@ rtol = -1e-9
 spacing = 0.5
 
 [outputs]
-artifacts = report, plots
+artifacts = report, plots, surface
 
 [plotting]
 dpi = 100
@@ -179,8 +179,10 @@ dpi = 100
         assert "integrator: invalid integrator options: rtol" in errors
         assert "integrator.spacing: unknown key" in errors
         assert any(e.startswith("outputs.artifacts: unknown artifact 'plots'") for e in errors)
+        # check-global writes surface.csv whatever the list says
+        assert "outputs.artifacts: unknown artifact 'surface' (choose from report, timeseries)" in errors
         assert "plotting: unknown section" in errors
-        assert len(errors) == 10
+        assert len(errors) == 11
 
     def test_missing_required_section_short_circuits(self):
         text = MINIMAL.split("[incidence2]")[0]

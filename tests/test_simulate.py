@@ -31,6 +31,7 @@ from twostrain.incidence import IncidenceSpec
 from twostrain.model import PARAM_NAMES, ModelParams, State, field_norms, jacobian, vector_field
 from twostrain.simulate import (
     IntegratorOptions,
+    IntegratorStats,
     Trajectory,
     adaptive_rk45,
     detect_convergence,
@@ -643,6 +644,25 @@ class TestLeanStepper:
             step = 0.2 * a.h * vector_field(p, inc1, inc2, a.y)
             gap = np.abs(a.inputs[0] - (a.y + step))
             assert np.all(gap <= 1e-12 * (np.abs(a.y) + np.abs(step))), (a.t, a.h)
+
+    def test_a_failed_first_step_probe_starts_a_thousand_times_smaller(self):
+        # the first-step heuristic probes y' = -y from y = 1 at t = h0 =
+        # 0.01; where that stage fails, the first trial step is h0*1e-3, and
+        # the run still follows exp(-t). The failed probe is the second of
+        # the two evaluations before the first step
+        calls = []
+
+        def refuses_the_probe(t, y):
+            calls.append(t)
+            if len(calls) == 2:
+                raise DomainError("probe refused")
+            return -y
+
+        raw = adaptive_rk45(refuses_the_probe, [1.0], 1.0)
+        assert calls[:2] == [0.0, 0.01] and raw.times[1] == 0.01 * 1e-3
+        np.testing.assert_allclose(raw.states[:, 0], np.exp(-raw.times), rtol=1e-8)
+        assert raw.stats == IntegratorStats(158, 26, 0, 0, 0)
+        assert len(calls) == raw.stats.rhs_evals == 2 + 6 * raw.stats.accepted_steps
 
     def test_stats_stay_out_of_trajectory_equality(self):
         p, inc1, inc2 = setup_low_transmission()
