@@ -42,9 +42,6 @@ from .equilibria import (
     SolveStats,
     disease_free,
     solve_all,
-    solve_coexistence,
-    solve_strain1,
-    solve_strain2,
     strain1_balance,
     strain2_balance,
     strain2_coordinates,
@@ -92,9 +89,7 @@ from .stability import (
     Verdict,
     classify,
     classify_batch,
-    classify_disease_free,
     coexistence_lyapunov_scan,
-    coexistence_lyapunov_values,
     eigen_classify,
     strain2_lyapunov_scan,
     strain2_lyapunov_surface,

@@ -45,7 +45,7 @@ class AnalysisReport:
     trajectory: Optional[Trajectory] = None  # the run behind the trajectory check, if any
 
 
-def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> AnalysisReport:
+def analyze(sc: Scenario, grid: int = 200) -> AnalysisReport:
     """Run the full workup for one scenario.
 
     Global-condition scans are run only where the corresponding stability
@@ -55,7 +55,9 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     V10 are finite (with several roots, at r = 0, a subnormal r, a tiny
     Lambda or an overflowing S0 or V10 a note says it was not run, and no E2
     global claim is made), and
-    the trajectory derivative check when the coexistence equilibrium exists.
+    the trajectory derivative check when the coexistence equilibrium exists
+    and its first root is not unstable (where it is, a note says the check
+    was not run, and no E3 global claim is made).
     ``grid``, the scan's points per axis, must be an integer >= 1.
     """
     _require_grid(grid, "grid", 1)
@@ -68,7 +70,7 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
     for balance, roots, at_first in (
         ("strain-1", eqs.E1, "invasion threshold reported at the smallest"),
         ("strain-2", eqs.E2, "invasion threshold reported at the smallest"),
-        ("coexistence", eqs.E3, "trajectory check run at the smallest I2"),
+        ("coexistence", eqs.E3, "trajectory check made at the smallest I2"),
     ):
         if len(roots) > 1:
             notes.append("%s balance has %d roots; %s" % (balance, len(roots), at_first))
@@ -79,25 +81,26 @@ def analyze(sc: Scenario, grid: int = 200, include_global: bool = True) -> Analy
 
     global_checks: List[Tuple[str, GridScanSummary]] = []
     traj = None
-    if include_global:
-        if e2 is not None and th.R1 <= 1.0 < th.R2:
-            empty = _empty_scan_range(p)
-            if len(eqs.E2) > 1:
-                notes.append("E2 surface scan not run: E2 has %d roots, so none is globally stable" % len(eqs.E2))
-            elif not empty:
-                summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
-                global_checks.append(("strain2_lyapunov_scan", summary))
-            elif p.r == 0.0:
-                notes.append("E2 surface scan not run: r = 0 leaves no vaccinated class (V10 = 0)")
-            else:
-                notes.append("E2 surface scan not run: " + empty)
-        if e3 is not None:
-            # every state after the start, which may lie on the boundary; the
-            # scan sets aside the late states, whose values are below their
-            # rounding error
-            traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
-            summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[1:, :4])
-            global_checks.append(("coexistence_tail_derivative", summary))
+    if e2 is not None and th.R1 <= 1.0 < th.R2:
+        empty = _empty_scan_range(p)
+        if len(eqs.E2) > 1:
+            notes.append("E2 surface scan not run: E2 has %d roots, so none is globally stable" % len(eqs.E2))
+        elif not empty:
+            summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=grid)
+            global_checks.append(("strain2_lyapunov_scan", summary))
+        elif p.r == 0.0:
+            notes.append("E2 surface scan not run: r = 0 leaves no vaccinated class (V10 = 0)")
+        else:
+            notes.append("E2 surface scan not run: " + empty)
+    if e3 is not None and _first(stability, "E3").verdict is Verdict.UNSTABLE:
+        notes.append("E3 trajectory check not run: the first E3 is unstable")
+    elif e3 is not None:
+        # every state after the start, which may lie on the boundary; the
+        # scan sets aside the late states, whose values are below their
+        # rounding error
+        traj = integrate(p, inc1, inc2, sc.initial, sc.integrator)
+        summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, traj.states[1:, :4])
+        global_checks.append(("coexistence_tail_derivative", summary))
 
     lines = _verdict_lines(th, stability, dict(global_checks), (inc1, inc2))
     return AnalysisReport(

@@ -74,13 +74,12 @@ is at most alpha2*(R2 - 1): R1 <= 1 or R2 <= 1 leaves no interior
 equilibrium, and built-in rows skip the E3 scan there. Custom rates
 always scan it.
 
-``solve_all`` solves every kind of one row and fills in the invasion
-numbers. The per-kind solvers run the same passes and, like
-``EquilibriumSet``, give every root of a kind by increasing I1 or I2.
-Every returned equilibrium is certified: the max-norm of the vector field
-at the returned point (``model.residual``, with F = 0 for a strain the
-solve was not given) must be below RESIDUAL_TOL or the solver raises
-instead of returning a bad point.
+``solve_all``, the one entry point, solves every kind of one row and
+fills in the invasion numbers; ``EquilibriumSet`` gives every root of a
+kind by increasing I1 or I2. Every returned equilibrium is certified: the
+max-norm of the vector field at the returned point (``model.residual``)
+must be below RESIDUAL_TOL or the solver raises instead of returning a
+bad point.
 """
 
 from __future__ import annotations
@@ -88,7 +87,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -100,7 +99,6 @@ from .model import (
     State,
     Thresholds,
     invasion_numbers,
-    reproduction_number,
     residual as field_residual,
     thresholds,
 )
@@ -159,15 +157,14 @@ class SolveStats:
 class _Row:
     """One (p, inc1, inc2) row, as ``case``: p's values as Python floats under
     the ModelParams names, which the balances read as they would p, and f1
-    and f2, the strains' closed forms bound to their coefficients (None for
-    a strain that is None)."""
+    and f2, the strains' closed forms bound to their coefficients."""
 
     def __init__(self, p: ModelParams, inc1, inc2):
         self.case = (p, inc1, inc2)
         self.Lambda, self.mu, self.r, self.k = map(float, (p.Lambda, p.mu, p.r, p.k))
         self.lam, self.alpha1, self.alpha2 = map(float, (p.lam, p.alpha1, p.alpha2))
         self.susceptible_cap = float(p.susceptible_cap)
-        self.f1, self.f2 = (None if inc is None else inc.bound_forms() for inc in (inc1, inc2))
+        self.f1, self.f2 = inc1.bound_forms(), inc2.bound_forms()
 
 
 def _scan_cells(*incs) -> int:
@@ -185,16 +182,9 @@ def _searched(cells: int) -> str:
     return "at scan resolution %d" % cells
 
 
-def disease_free(
-    p: ModelParams,
-    inc1: Optional[IncidenceSpec] = None,
-    inc2: Optional[IncidenceSpec] = None,
-) -> Equilibrium:
-    """Closed-form disease-free equilibrium (Lambda/lam, r*Lambda/(mu*lam), 0, 0).
-
-    The residual is the vector field norm; a strain whose incidence is not
-    supplied has F = 0 there, as F(S, 0) = 0.
-    """
+def disease_free(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> Equilibrium:
+    """Closed-form disease-free equilibrium (Lambda/lam, r*Lambda/(mu*lam), 0, 0),
+    with the vector field norm there as its residual."""
     point = State(p.susceptible_cap, p.vaccinated_cap, 0.0, 0.0)
     return _certified(Equilibrium("E0", point, field_residual(p, inc1, inc2, point)))
 
@@ -236,34 +226,14 @@ def strain2_discriminant(p: ModelParams) -> float:
     return -p.alpha2 * p.r * p.mu - p.alpha2 * p.mu * p.mu + p.k * p.Lambda * p.r
 
 
-def solve_strain1(p: ModelParams, inc1: IncidenceSpec) -> List[Equilibrium]:
-    """All strain-1-only equilibria, by increasing I1; see ``solve_strain2``.
-    Each built-in family gives exactly one when R1 > 1 and none otherwise,
-    as G(I1)/I1 falls from alpha1*(R1 - 1)."""
-    R1 = reproduction_number(p, inc1, 1, p.susceptible_cap, p.vaccinated_cap)
-    return _strain_only(_Row(p, inc1, None), R1, 1)[0]
-
-
-def solve_strain2(p: ModelParams, inc2: IncidenceSpec) -> List[Equilibrium]:
-    """All strain-2-only equilibria, by increasing I2, found by the shared
-    root finder (``_roots``).
-
-    Raises SolverError when R2 > 1 but the balance shows no sign change,
-    since a root must exist. Each built-in family gives exactly one root
-    when R2 > 1, whatever the sign of ``strain2_discriminant``, and none
-    when R2 <= 1: the module docstring proves that H(I2)/I2 changes sign at
-    most once. A custom rate may give several, also when R2 <= 1.
-    """
-    R2 = reproduction_number(p, inc2, 2, p.susceptible_cap, p.vaccinated_cap)
-    return _strain_only(_Row(p, None, inc2), R2, 2)[0]
-
-
 def _strain_only(row: _Row, R: float, strain: int) -> tuple:
     """The roots of the row's ``strain``-only balance, as a list of
     Equilibrium by increasing I, and the ScanStats of its pass. A built-in
-    family has none where R <= 1 and runs no pass there; a custom rate is
-    scanned whatever R is. A root must exist where R > 1, so a pass without
-    one raises there."""
+    family has exactly one where R > 1, whatever the sign of
+    ``strain2_discriminant``, and none where R <= 1, where it runs no pass;
+    a custom rate is scanned whatever R is and may have several, also
+    where R <= 1. A root must exist where R > 1, so a pass without one
+    raises SolverError there."""
     p, inc1, inc2 = row.case
     cells = _scan_cells(row.case[strain])
     if cells == 1 and not R > 1.0:
@@ -372,30 +342,6 @@ def coexistence_coordinates(p: _Row, I2):
     return S, V1, I1
 
 
-def solve_coexistence(
-    p: ModelParams,
-    inc1: IncidenceSpec,
-    inc2: IncidenceSpec,
-    th: Thresholds,
-) -> List[Equilibrium]:
-    """All interior equilibria with both strains present, by increasing I2.
-
-    Roots of psi(I2) = f1(S, I1) - alpha1 with (S, V1, I1) from
-    ``coexistence_coordinates``, I1 > 0 and I2 > 0. I1 falls to 0 exactly at
-    an E2 level, where psi equals alpha1*(R1_invasion - 1); past it psi is
-    continued with I1 held at 0, so a root next to that boundary is still
-    bracketed, and roots with I1 <= 0 are then dropped; where no S <= S0
-    exists, S is held at S0 too. ``th`` carries the invasion numbers, as
-    ``solve_all`` fills them in; each root records the known ones as
-    existence conditions. When both exceed 1 an interior root must exist,
-    so finding none raises SolverError.
-    """
-    e3, error, _ = _coexistence(_Row(p, inc1, inc2), th)
-    if error:
-        raise SolverError(error)
-    return list(e3)
-
-
 def _psi(c: _Row, I2):
     """psi(I2) = f1(S, max(I1, 0)) - alpha1 with (S, I1) from
     ``coexistence_coordinates``: alpha1*(R1 - 1) where S is held at S0."""
@@ -404,9 +350,14 @@ def _psi(c: _Row, I2):
 
 
 def _coexistence(row: _Row, th: Thresholds) -> tuple:
-    """The row's E3 roots as a tuple of Equilibrium, the message of its
-    SolverError or "", and the ScanStats of psi's pass on [0, Lambda/alpha2];
-    the module docstring says which rows skip it."""
+    """The row's E3 roots as a tuple of Equilibrium by increasing I2, the
+    message of its SolverError or "", and the ScanStats of psi's pass on
+    [0, Lambda/alpha2]; the module docstring says which rows skip it.
+
+    A root with I1 <= 0 or at I2 = 0 is dropped. ``th`` carries the
+    invasion numbers, and each root records the known ones as existence
+    conditions. Where both exceed 1 an interior root must exist, so a pass
+    that finds none fails."""
     p, inc1, inc2 = row.case
     cells = _scan_cells(inc1, inc2)
     I2, stats = [], ScanStats()
@@ -541,8 +492,9 @@ def _zero(fn, a: float, b: float, fa: float, fb: float) -> float:
     returns the secant point of that final bracket. A custom rate can be
     non-finite inside a bracket whose ends are finite, so a trial whose
     value is not finite is retried halfway back to the last finite point;
-    once that is the point itself, the bracket can narrow no further and it
-    stops.
+    once that is the point itself, the retries look past the failed trial
+    instead, halfway on toward the bracket's other end each time. Once that
+    is the other end, the bracket can narrow no further and it stops.
     """
     c, fc = a, fa
     d = e = b - a
@@ -573,12 +525,16 @@ def _zero(fn, a: float, b: float, fa: float, fb: float) -> float:
             d = e = m
         a, fa = b, fb
         step = d if abs(d) > tol else math.copysign(tol, m)
-        b = a + step
-        fb = fn(b)
+        base, trial = a, a + step
+        b, fb = trial, fn(trial)
         while not math.isfinite(fb):
             step *= 0.5
-            b = a + step
+            if base + step == a:
+                base, step = c, 0.5 * (trial - c)
+            b = base + step
             fb = fn(b)
+        if b == c:
+            b, fb = a, fa
         if b == a:
             break
     return b + fb / (fb - fc) * (c - b)

@@ -235,17 +235,6 @@ def bound_field(p: ModelParams, rate1, rate2):
     return _field((_RATE_CALL, _RATE_CALL))(*_coefficients(p), None, None, None, None, rate1, rate2)
 
 
-def _no_infection(S, I):
-    """The rate of a strain left out: F = 0, the model's F(S, 0) = 0 at the
-    equilibria without that strain."""
-    return 0.0
-
-
-def _checked_field(p: ModelParams, inc1: Optional[IncidenceSpec], inc2: Optional[IncidenceSpec]):
-    """``bound_field`` on the checked rates; an incidence of None is F = 0."""
-    return bound_field(p, inc1.rate if inc1 else _no_infection, inc2.rate if inc2 else _no_infection)
-
-
 def vector_field(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> np.ndarray:
     """Evaluate the system derivative at a state.
 
@@ -255,22 +244,19 @@ def vector_field(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: St
     y = _as_array(x)
     if not np.all(np.isfinite(y)):
         raise DomainError("vector field evaluated at a non-finite state")
-    return np.array(_checked_field(p, inc1, inc2)(0.0, y), float)
+    return np.array(bound_field(p, inc1.rate, inc2.rate)(0.0, y), float)
 
 
 def field_norms(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, states: np.ndarray) -> np.ndarray:
     """Max-norm of the 4-D field along rows of an (n, 4+) state matrix."""
-    parts = _checked_field(p, inc1, inc2)(0.0, states[:, :4].T)
+    parts = bound_field(p, inc1.rate, inc2.rate)(0.0, states[:, :4].T)
     return np.max(np.abs(np.column_stack(parts)), axis=1)
 
 
-def residual(
-    p: ModelParams, inc1: Optional[IncidenceSpec], inc2: Optional[IncidenceSpec], x: StateLike
-) -> float:
+def residual(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, x: StateLike) -> float:
     """Max-norm of the 4-D field at a point; the equilibrium certificate.
-    A strain given as None has F = 0, so an equilibrium without it can be
-    certified without its incidence. The field runs on Python floats."""
-    parts = _checked_field(p, inc1, inc2)(0.0, _as_array(x)[:4].tolist())
+    The field runs on Python floats."""
+    parts = bound_field(p, inc1.rate, inc2.rate)(0.0, _as_array(x)[:4].tolist())
     return float(max(abs(v) for v in parts))
 
 

@@ -30,7 +30,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .equilibria import disease_free
 from .errors import DomainError, SolverError, _require_grid
 from .incidence import IncidenceSpec
 from .model import ModelParams, _compiled, jacobians, reproduction_number, require_certified
@@ -257,11 +256,6 @@ def classify(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec, eq) -> St
     return classify_batch([(p, inc1, inc2, eq)])[0]
 
 
-def classify_disease_free(p: ModelParams, inc1: IncidenceSpec, inc2: IncidenceSpec) -> StabilityReport:
-    """``classify`` of the disease-free equilibrium."""
-    return classify(p, inc1, inc2, disease_free(p, inc1, inc2))
-
-
 def classify_batch(rows) -> list:
     """``classify`` of each (p, inc1, inc2, eq) row, bit for bit, in one pass.
 
@@ -419,22 +413,6 @@ def strain2_lyapunov_scan(
     )
 
 
-def coexistence_lyapunov_values(
-    p: ModelParams,
-    inc1: IncidenceSpec,
-    inc2: IncidenceSpec,
-    e3,
-    states,
-) -> np.ndarray:
-    """Lyapunov-derivative expression for E3 at interior evaluation points.
-
-    ``states`` is an (n, 4) array (extra columns ignored) or an object with
-    a ``states`` attribute such as a Trajectory. The expression vanishes at
-    E3 itself; nonpositivity along trajectories supports global stability.
-    """
-    return _coexistence_lyapunov(p, inc1, inc2, e3, _points(states))[0]
-
-
 def _points(states) -> np.ndarray:
     """(n, >= 4) array of states from an array, one state, or an object with ``states``."""
     pts = np.asarray(getattr(states, "states", states), float)
@@ -442,13 +420,16 @@ def _points(states) -> np.ndarray:
 
 
 def _coexistence_lyapunov(p, inc1, inc2, e3, pts):
-    """(values, error bounds) of the E3 expression at each row of ``pts``.
+    """(values, error bounds) of the E3 expression at each row of the
+    (n, >= 4) array ``pts``, whose first four columns must be interior.
 
-    The value is a sum of products; computed with n rounded operations along
-    its longest chain, it is within n*eps/2 of exact times the same sum over
-    absolute products (first order). The E3 point itself is only certified
-    to its residual: there the value is the sum of the V1, I1 and I2 field
-    components, so 3*residual is added.
+    The expression is the time derivative of the Volterra function
+    V = sum of x - x* - x* ln(x/x*) over (S, V1, I1, I2), which vanishes at
+    E3 itself. The value is a sum of products; computed with n rounded
+    operations along its longest chain, it is within n*eps/2 of exact times
+    the same sum over absolute products (first order). The E3 point itself
+    is only certified to its residual: there the value is the sum of the
+    V1, I1 and I2 field components, so 3*residual is added.
     """
     S, V1, I1, I2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
     if np.any(pts[:, :4] <= 0.0):

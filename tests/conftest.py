@@ -34,6 +34,12 @@ CRITERIA = {
     11: "hypothesis suite: all three families pass grid checks, partials match FD within 1e-6",
 }
 
+#: a built-in rate too faint to spread, the partner strain of a test of one
+#: strain's equilibria: its own R is below 1e-9 at these tests' parameters
+#: (strain 2 can still spread through the vaccinated route k*V1)
+FAINT = IncidenceSpec.bilinear(1e-15)
+
+
 def same_bits(a, b):
     """Equal shapes and equal bytes as float arrays."""
     a, b = np.asarray(a, float), np.asarray(b, float)

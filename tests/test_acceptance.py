@@ -23,20 +23,14 @@ from conftest import random_cases, record_criterion, trapping_box_starts
 
 from twostrain.analysis import analyze, sweep, turning_point
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario, render_reproduction, reproduce
-from twostrain.equilibria import (
-    solve_all,
-    solve_coexistence,
-    solve_strain1,
-    solve_strain2,
-)
+from twostrain.equilibria import solve_all
 from twostrain.incidence import IncidenceSpec
-from twostrain.model import invasion_numbers, thresholds, vector_field
+from twostrain.model import thresholds, vector_field
 from twostrain.scenario import Scenario
 from twostrain.simulate import detect_convergence, integrate, monitor_invariance
 from twostrain.stability import (
     Verdict,
     classify,
-    classify_disease_free,
     coexistence_lyapunov_scan,
     strain2_lyapunov_scan,
     strain2_lyapunov_surface,
@@ -78,11 +72,8 @@ class TestAcceptance:
             p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
 
             def work():
-                th = thresholds(p, inc1, inc2)
-                e1 = solve_strain1(p, inc1)[0]
-                e2 = solve_strain2(p, inc2)[0]
-                r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2)
-                return th.R1, th.R2, r2_inv, r1_inv
+                th = solve_all(p, inc1, inc2).thresholds
+                return th.R1, th.R2, th.R2_invasion, th.R1_invasion
 
             R1, R2, r2_inv, r1_inv = work()
             assert R1 == pytest.approx(7.0175, rel=1e-2)
@@ -114,25 +105,17 @@ class TestAcceptance:
                     assert e3.point.I1 == pytest.approx(44.0, rel=1.5e-2)
                     assert e3.point.I2 == pytest.approx(774.0, rel=1.5e-2)
 
-            sc2 = build_scenario("6.2")
-            sc3 = build_scenario("6.3")
-            sc4 = build_scenario("6.4")
-            th4 = solve_all(sc4.params, sc4.incidence1, sc4.incidence2).thresholds
-            assert best_time(lambda: solve_strain1(sc2.params, sc2.incidence1), 3) < 0.1
-            assert best_time(lambda: solve_strain2(sc3.params, sc3.incidence2), 3) < 0.1
-            assert (
-                best_time(
-                    lambda: solve_coexistence(sc4.params, sc4.incidence1, sc4.incidence2, th4),
-                    3,
-                )
-                < 0.1
-            )
+            # each solve < 100 ms: 6.2, 6.3 and 6.4 are the examples with an
+            # E1, an E2 and an E3 root
+            for example_id in ("6.2", "6.3", "6.4"):
+                sc = build_scenario(example_id)
+                assert best_time(lambda: solve_all(sc.params, sc.incidence1, sc.incidence2), 3) < 0.1
 
     def test_criterion_04_strain1_level_discrepancy_documented(self):
         with record_criterion(4):
             sc = build_scenario("6.2")
             p, beta = sc.params, sc.incidence1.beta
-            e1 = solve_strain1(p, sc.incidence1)[0]
+            e1 = solve_all(p, sc.incidence1, sc.incidence2).E1[0]
             assert e1.point.S == pytest.approx(950.0, rel=1e-3)
 
             # independent route: plain bisection on the reduced balance
@@ -179,20 +162,15 @@ class TestAcceptance:
                         disagreements.append(report)
 
             for example_id in EXAMPLE_IDS:
-                report = analyze(build_scenario(example_id), include_global=False)
+                report = analyze(build_scenario(example_id))
                 for stab in report.stability:
                     compare(stab)
 
             for p, inc1, inc2 in random_cases(1105, 200):
-                compare(classify_disease_free(p, inc1, inc2))
                 eqs = solve_all(p, inc1, inc2)
                 assert eqs.coexistence_error == ""
-                for e1 in eqs.E1:
-                    compare(classify(p, inc1, inc2, e1))
-                for e2 in eqs.E2:
-                    compare(classify(p, inc1, inc2, e2))
-                for e3 in eqs.E3:
-                    compare(classify(p, inc1, inc2, e3))
+                for eq in eqs.all:
+                    compare(classify(p, inc1, inc2, eq))
 
             assert compared >= 200
             assert disagreements == []
@@ -248,7 +226,7 @@ class TestAcceptance:
         with record_criterion(7):
             sc = build_scenario("6.3")
             p, inc2 = sc.params, sc.incidence2
-            e2 = solve_strain2(p, inc2)[0]
+            e2 = solve_all(p, sc.incidence1, inc2).E2[0]
             t0 = time.perf_counter()
             scan = strain2_lyapunov_scan(p, inc2, e2, n_grid=200)
             elapsed = time.perf_counter() - t0

@@ -102,13 +102,6 @@ class TestAnalyze:
         assert any(l.startswith("E3 locally asymptotically stable") for l in lines)
         assert any(l.startswith("E3 consistent with global stability") for l in lines)
 
-    def test_include_global_off_skips_the_scans(self):
-        report = analyze(scenario_strain2_dominant(), include_global=False)
-        assert report.global_checks == ()
-        assert not any(
-            l.startswith("E2 globally asymptotically stable") for l in report.verdict_lines
-        )
-
     def test_grid_argument_sizes_the_scan(self):
         report = analyze(scenario_strain2_dominant(), grid=50)
         assert report.global_checks[0][1].n_points == 2500
@@ -384,6 +377,17 @@ class TestBelowThreshold:
         assert "E3" not in [e.kind for e in report.equilibria]
         line = "E3 absent: no root at scan resolution 4096 (R2_invasion = 0.0796484 <= 1, R1_invasion = 5.16117 > 1)"
         assert line in report.verdict_lines
+
+    def test_an_unstable_e3_runs_no_trajectory_check(self):
+        # the rising strain-2 rate at R2 = 0.9 on 6.2 with k = 0: its one E3
+        # is unstable, so no run backs an E3 global line, and a note says so
+        sc = build_scenario("6.2")
+        p = dataclasses.replace(sc.params, k=0.0)
+        report = analyze(dataclasses.replace(sc, params=p, incidence2=rising_rate(p, 0.9 * p.alpha2 / p.susceptible_cap)))
+        assert [(rep.kind, rep.verdict) for rep in report.stability][-1] == ("E3", Verdict.UNSTABLE)
+        assert report.global_checks == () and report.trajectory is None
+        assert "E3 trajectory check not run: the first E3 is unstable" in report.notes
+        assert "E3 global condition" not in render_report(report)
 
 
 class TestApplySweepValue:

@@ -8,7 +8,7 @@ import pytest
 
 from twostrain import cli, stability
 from twostrain.cli import main
-from twostrain.equilibria import solve_strain2
+from twostrain.equilibria import solve_all
 from twostrain.errors import SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams
@@ -195,7 +195,7 @@ class TestCheckGlobal:
         assert len(calls) == 1
 
         sc = load_scenario(strain2_file)
-        e2 = solve_strain2(sc.params, sc.incidence2)[0]
+        e2 = solve_all(sc.params, sc.incidence1, sc.incidence2).E2[0]
         S_values, V1_values = stability.lyapunov_scan_grid(sc.params, 40)
         surface = surface_fn(sc.params, sc.incidence2, e2, S_values, V1_values)
         expected = io.StringIO(newline="")
@@ -301,7 +301,7 @@ class TestExitCodes:
 
     def test_solver_failure_maps_to_exit_3(self, low_transmission_file, tmp_path,
                                            capsys, monkeypatch):
-        def boom(sc, grid=200, include_global=True):
+        def boom(sc, grid=200):
             raise SolverError("synthetic failure")
 
         monkeypatch.setattr("twostrain.cli.analyze", boom)

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from conftest import random_cases, rising_rate, wavy_rate
+from conftest import FAINT, random_cases, rising_rate, wavy_rate
 from twostrain import analysis, equilibria, incidence
 from twostrain.analysis import apply_sweep_value
 from twostrain.benchmarks import build_scenario
@@ -18,15 +18,11 @@ from twostrain.equilibria import (
     ScanStats,
     disease_free,
     solve_all,
-    solve_coexistence,
-    solve_strain1,
-    solve_strain2,
     strain1_balance,
     strain2_balance,
     strain2_coordinates,
     strain2_discriminant,
 )
-from twostrain.errors import SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import (
     PARAM_NAMES,
@@ -53,7 +49,7 @@ def params(r=0.1, **overrides):
 class TestDiseaseFree:
     def test_closed_form_coordinates(self):
         p = params()
-        e0 = disease_free(p)
+        e0 = disease_free(p, FAINT, FAINT)
         assert e0.kind == "E0"
         assert e0.point.S == pytest.approx(1666.6666666666665, rel=1e-15)
         assert e0.point.V1 == pytest.approx(8333.333333333332, rel=1e-15)
@@ -72,7 +68,7 @@ class TestStrain1:
     def test_absent_below_threshold(self):
         p = params()
         inc1 = IncidenceSpec.saturated_i2(3e-5, 0.7)  # R1 = 0.263
-        assert solve_strain1(p, inc1) == []
+        assert solve_all(p, inc1, FAINT).E1 == ()
 
     def test_example_bilinear_values(self):
         # with bilinear strain-1 incidence the susceptible coordinate is
@@ -80,7 +76,7 @@ class TestStrain1:
         # S balance
         p = params()
         inc1 = IncidenceSpec.bilinear(2e-4)
-        roots = solve_strain1(p, inc1)
+        roots = solve_all(p, inc1, FAINT).E1
         assert len(roots) == 1
         e1 = roots[0]
         assert e1.kind == "E1"
@@ -108,7 +104,7 @@ class TestStrain1:
         )
         assert eqs.E1[0].point.I1 == pytest.approx(200.34306106, rel=1e-9)
         assert all(eq.residual < RESIDUAL_TOL for eq in eqs.E1 + eqs.E2)
-        assert [eq.point for eq in solve_strain1(p, rate)] == [eq.point for eq in eqs.E1]
+        assert solve_all(p, rate, FAINT).E1 == eqs.E1
 
     def test_balance_at_upper_bracket_end(self):
         # at I1 = Lambda/alpha1 all inflow is spent: G = F1(0, .) - Lambda
@@ -145,7 +141,7 @@ class TestStrain1:
             else:
                 inc1 = IncidenceSpec.saturated_i2(target * p.alpha1 / S0, 10.0 ** rng.uniform(-5.0, 0.0))
             # G(I1)/I1 falls strictly for every built-in family: one root
-            (e1,) = solve_strain1(p, inc1)
+            (e1,) = solve_all(p, inc1, FAINT).E1
             assert e1.residual < RESIDUAL_TOL
             assert 0.0 < e1.point.I1 <= p.Lambda / p.alpha1
 
@@ -154,12 +150,12 @@ class TestStrain2:
     def test_absent_below_threshold(self):
         p = params()
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.9)  # R2 = 0.795
-        assert solve_strain2(p, inc2) == []
+        assert solve_all(p, FAINT, inc2).E2 == ()
 
     def test_example_values(self):
         p = params()
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
-        roots = solve_strain2(p, inc2)
+        roots = solve_all(p, FAINT, inc2).E2
         assert len(roots) == 1
         e2 = roots[0]
         assert e2.kind == "E2"
@@ -185,7 +181,7 @@ class TestStrain2:
         p = params(r=0.2, Lambda=500.0, k=1e-3)
         assert strain2_discriminant(p) > 0.0
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.01)
-        roots = solve_strain2(p, inc2)
+        roots = solve_all(p, FAINT, inc2).E2
         assert roots, "R2 > 1 here, a root must exist"
         for e2 in roots:
             assert e2.residual < RESIDUAL_TOL
@@ -194,7 +190,7 @@ class TestStrain2:
     def test_positive_discriminant_note(self):
         # 6.3 with k raised to 1e-4: the note bounds the interval that holds
         # at most one root, from L up to Lambda/alpha2
-        (e2,) = solve_strain2(params(r=0.1, k=1e-4), build_scenario("6.3").incidence2)
+        (e2,) = solve_all(params(r=0.1, k=1e-4), FAINT, build_scenario("6.3").incidence2).E2
         assert e2.multiplicity_note.startswith(
             "discriminant 0.001496 > 0: at most one root expected in [267.1, 952.381]; "
             "found 1 root(s) between its range ends (monotone forces allow one sign change); "
@@ -210,7 +206,7 @@ class TestStrain2:
         checked = 0
         for p, _, inc2 in random_cases(1105, 200):
             p = dataclasses.replace(p, k=30.0 * p.k)
-            d, roots = strain2_discriminant(p), solve_strain2(p, inc2)
+            d, roots = strain2_discriminant(p), solve_all(p, FAINT, inc2).E2
             if d <= 0.0 or not roots:
                 continue
             checked += 1
@@ -241,13 +237,13 @@ class TestStrain2:
                 for i in range(len(xs) - 1)
                 if (h[i] > 0.0) != (h[i + 1] > 0.0)
             ]
-            got = [e2.point.I2 for e2 in solve_strain2(p, inc2)]
+            got = [e2.point.I2 for e2 in solve_all(p, FAINT, inc2).E2]
             np.testing.assert_allclose(got, expected, rtol=1e-10)
 
     def test_balance_sign_change_brackets_root(self):
         p = params()
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.001)
-        root = solve_strain2(p, inc2)[0].point.I2
+        root = solve_all(p, FAINT, inc2).E2[0].point.I2
         assert strain2_balance(p, inc2, root * 0.9) > 0.0
         assert strain2_balance(p, inc2, root * 1.1) < 0.0
 
@@ -273,7 +269,7 @@ class TestStrain2:
             S0 = p.susceptible_cap
             zeta = 10.0 ** rng.uniform(-4.0, -1.0)
             inc2 = IncidenceSpec.saturated_s(target * p.alpha2 * (1.0 + zeta * S0) / S0, zeta)
-            roots = solve_strain2(p, inc2)
+            roots = solve_all(p, FAINT, inc2).E2
             assert len(roots) == 1
             assert roots[0].residual < RESIDUAL_TOL
 
@@ -366,16 +362,20 @@ class TestCoexistence:
                 values = [equilibria._psi(row, x), *equilibria.coexistence_coordinates(row, x)]
                 assert all(type(v) is float for v in values)
 
-    def test_empty_scan_raises_when_both_invasion_numbers_exceed_one(self):
+    def test_empty_scan_fails_when_both_invasion_numbers_exceed_one(self):
         # the invasion numbers guarantee an interior root, so finding none
         # is a solver failure, not an absence
         p = params()
         inc1 = IncidenceSpec.saturated_i2(3e-5, 0.7)
         inc2 = IncidenceSpec.saturated_s(2e-4, 0.9)
+        row = equilibria._Row(p, inc1, inc2)
+        assert equilibria._coexistence(row, thresholds(p, inc1, inc2)) == ((), "", ScanStats())
         th = Thresholds(2.0, 2.0, 2.0, R2_invasion=2.0, R1_invasion=2.0)
-        assert solve_coexistence(p, inc1, inc2, thresholds(p, inc1, inc2)) == []
-        with pytest.raises(SolverError, match="no sign change"):
-            solve_coexistence(p, inc1, inc2, th)
+        e3, error, _ = equilibria._coexistence(row, th)
+        assert e3 == () and error == (
+            "coexistence balance shows no sign change with I1 > 0 between its range ends "
+            "(monotone forces allow one sign change) although R2_invasion = 2 > 1 and R1_invasion = 2 > 1"
+        )
 
     def test_no_vaccination_route_without_vaccination(self):
         # r = 0 leaves the vaccinated class empty: E3 has V1 = 0 exactly
@@ -570,7 +570,7 @@ class TestBelowThreshold:
         p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
         custom = IncidenceSpec.custom(inc1.rate)
         assert thresholds(p, inc1, inc2).R1 < 1.0
-        assert solve_strain1(p, custom) == solve_strain1(p, inc1) == []
+        assert solve_all(p, custom, inc2).E1 == solve_all(p, inc1, inc2).E1 == ()
         assert solve_all(p, custom, inc2).stats.E1 == ScanStats(SCAN_NODES + 1, 0, 0)
         assert solve_all(p, inc1, inc2).stats.E1 == ScanStats()
 
@@ -1220,7 +1220,7 @@ class TestNarrowing:
     def test_three_e2_roots_of_the_wavy_rate(self):
         optimize = pytest.importorskip("scipy.optimize")
         p, inc2 = params(r=0.1, k=0.0), wavy_rate()
-        row = equilibria._Row(p, None, inc2)
+        row = equilibria._Row(p, FAINT, inc2)
         hi = p.Lambda / p.alpha2
         found, stats, points = counted_roots(
             lambda x: strain2_balance(row, row.f2, x), 1e-9 * hi, hi, SCAN_NODES
@@ -1273,6 +1273,18 @@ class TestNarrowing:
         assert root == pytest.approx(0.6, rel=2.0 * np.finfo(float).eps, abs=0.0)
         assert trials[:2] == pytest.approx([0.36, 0.18], rel=1e-15, abs=0.0)
         assert len(trials) < 20 and math.isnan(balance(trials[0]))
+
+    def test_a_nan_stretch_from_the_last_finite_point_is_looked_past(self):
+        # x*x - 0.36 on [0, 1] is NaN on (0, 0.5]: the first secant trial,
+        # 0.36, and every retry halfway back to 0 are NaN, so the retries
+        # then go halfway on from 0.36 toward 1, where 0.68 is finite, and
+        # the root 0.6 is found, not a secant point inside the NaN stretch
+        def balance(x):
+            return math.nan if 0.0 < x <= 0.5 else x * x - 0.36
+
+        found, stats, points = counted_roots(balance, 0.0, 1.0, 1)
+        assert found == pytest.approx([0.6], rel=2.0 * np.finfo(float).eps, abs=0.0)
+        assert stats.brackets == 1 and points == 2 + stats.evaluations
 
     def test_zero_stops_at_machine_precision(self):
         # on a linear balance the first secant step is exact; the returned

@@ -7,7 +7,7 @@ from conftest import random_cases, text_derivatives, wavy_rate
 
 from twostrain import incidence, model
 from twostrain.benchmarks import build_scenario
-from twostrain.equilibria import Equilibrium, disease_free, solve_all, solve_strain1, solve_strain2
+from twostrain.equilibria import Equilibrium, disease_free, solve_all
 from twostrain.errors import DomainError, PreconditionError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import (
@@ -350,9 +350,9 @@ class TestThresholds:
         while found1 < 25 or found2 < 25:
             p, inc1, inc2 = _random_setup(rng)
             th = thresholds(p, inc1, inc2)
-            e1_roots, e2_roots = solve_strain1(p, inc1), solve_strain2(p, inc2)
-            e1 = e1_roots[0] if e1_roots else None
-            e2 = e2_roots[0] if e2_roots else None
+            eqs = solve_all(p, inc1, inc2)
+            e1 = eqs.E1[0] if eqs.E1 else None
+            e2 = eqs.E2[0] if eqs.E2 else None
             r2_inv, r1_inv = invasion_numbers(p, inc1, inc2, e1, e2)
             if r2_inv is not None:
                 assert r2_inv <= th.R2 + 1e-12

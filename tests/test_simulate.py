@@ -19,13 +19,7 @@ from scipy.integrate._ivp.rk import RK45
 from conftest import same_bits, trapping_box_starts
 from twostrain import incidence, model, simulate
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
-from twostrain.equilibria import (
-    Equilibrium,
-    disease_free,
-    solve_all,
-    solve_strain1,
-    solve_strain2,
-)
+from twostrain.equilibria import Equilibrium, disease_free, solve_all
 from twostrain.errors import DomainError, IntegrationError, PreconditionError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import PARAM_NAMES, ModelParams, State, field_norms, jacobian, vector_field
@@ -371,9 +365,9 @@ class TestIntegrate:
         p, inc1, inc2 = setup_low_transmission()
         cases.append((p, inc1, inc2, disease_free(p, inc1, inc2)))
         p, inc1, inc2 = setup_strain1_dominant()
-        cases.append((p, inc1, inc2, solve_strain1(p, inc1)[0]))
+        cases.append((p, inc1, inc2, solve_all(p, inc1, inc2).E1[0]))
         p, inc1, inc2 = setup_strain2_dominant()
-        cases.append((p, inc1, inc2, solve_strain2(p, inc2)[0]))
+        cases.append((p, inc1, inc2, solve_all(p, inc1, inc2).E2[0]))
         p, inc1, inc2 = setup_coexistence()
         cases.append((p, inc1, inc2, solve_all(p, inc1, inc2).E3[0]))
         for p, inc1, inc2, eq in cases:
@@ -447,7 +441,7 @@ class TestDetectConvergence:
     def test_dominant_strain_run_lands_on_its_equilibrium(self):
         p, inc1, inc2 = setup_strain1_dominant()
         e0 = disease_free(p, inc1, inc2)
-        e1 = solve_strain1(p, inc1)[0]
+        e1 = solve_all(p, inc1, inc2).E1[0]
         traj = integrate(p, inc1, inc2, START)
         event = detect_convergence(traj, [e0, e1])
         assert event is not None
@@ -457,7 +451,7 @@ class TestDetectConvergence:
 
     def test_short_run_is_not_declared_converged(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)[0]
+        e1 = solve_all(p, inc1, inc2).E1[0]
         traj = integrate(p, inc1, inc2, START, IntegratorOptions(t_end=10.0))
         assert detect_convergence(traj, [e1]) is None
 

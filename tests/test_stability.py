@@ -19,13 +19,7 @@ from conftest import random_cases, wavy_rate
 from twostrain import analysis, model, stability
 from twostrain.analysis import apply_sweep_value
 from twostrain.benchmarks import EXAMPLE_IDS, build_scenario
-from twostrain.equilibria import (
-    Equilibrium,
-    disease_free,
-    solve_all,
-    solve_strain1,
-    solve_strain2,
-)
+from twostrain.equilibria import Equilibrium, disease_free, solve_all
 from twostrain.errors import DomainError, PreconditionError, SolverError
 from twostrain.incidence import IncidenceSpec
 from twostrain.model import ModelParams, State, invasion_numbers, jacobian, reproduction_number, thresholds
@@ -36,9 +30,7 @@ from twostrain.stability import (
     Verdict,
     classify,
     classify_batch,
-    classify_disease_free,
     coexistence_lyapunov_scan,
-    coexistence_lyapunov_values,
     eigen_classify,
     lyapunov_scan_grid,
     strain2_lyapunov_scan,
@@ -246,7 +238,7 @@ class TestDiseaseFree:
 
     def test_low_transmission_spectrum_and_verdict(self):
         p, inc1, inc2 = setup_low_transmission()
-        report = classify_disease_free(p, inc1, inc2)
+        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
         assert report.kind == "E0"
         assert report.verdict is Verdict.LOCALLY_STABLE
         assert report.eigen_verdict is Verdict.LOCALLY_STABLE
@@ -264,20 +256,20 @@ class TestDiseaseFree:
 
     def test_matches_dense_eigensolver(self):
         p, inc1, inc2 = setup_low_transmission()
-        report = classify_disease_free(p, inc1, inc2)
+        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
         point = State(p.susceptible_cap, p.vaccinated_cap, 0.0, 0.0)
         eigs, _ = eigen_classify(jacobian(p, inc1, inc2, point))
         assert np.allclose(np.sort(report.eigenvalues.real), np.sort(eigs.real), atol=1e-10)
 
     def test_unstable_when_either_strain_crosses(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        report = classify_disease_free(p, inc1, inc2)
+        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
         assert report.verdict is Verdict.UNSTABLE
         assert report.eigen_verdict is Verdict.UNSTABLE
         assert report.conditions["R1 < 1"] is False
 
         p, inc1, inc2 = setup_coexistence()
-        report = classify_disease_free(p, inc1, inc2)
+        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
         assert report.verdict is Verdict.UNSTABLE
         assert report.conditions == {"R1 < 1": False, "R2 < 1": False}
 
@@ -290,20 +282,13 @@ class TestDiseaseFree:
         inc2 = IncidenceSpec.bilinear(beta2)
         th = thresholds(p, inc1, inc2)
         assert th.R2 == pytest.approx(1.0, abs=1e-14)
-        report = classify_disease_free(p, inc1, inc2)
+        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.eigen_verdict is Verdict.INCONCLUSIVE
 
 
 class TestClassify:
     """One classifier for every kind, driven by the KINDS table."""
-
-    def test_classify_disease_free_is_classify_of_e0(self):
-        p, inc1, inc2 = setup_strain1_dominant()
-        report = classify(p, inc1, inc2, disease_free(p, inc1, inc2))
-        closed = classify_disease_free(p, inc1, inc2)
-        assert report.kind == "E0" and report.notes == closed.notes
-        np.testing.assert_array_equal(report.eigenvalues, closed.eigenvalues)
 
     def test_table_matches_every_report(self):
         # every absent strain's I row is decoupled from the block, and its
@@ -340,7 +325,7 @@ class TestClassify:
 class TestStrain1:
     def test_dominant_case_is_stable_both_routes(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)[0]
+        e1 = solve_all(p, inc1, inc2).E1[0]
         report = classify(p, inc1, inc2, e1)
         assert report.kind == "E1"
         assert report.verdict is Verdict.LOCALLY_STABLE
@@ -353,13 +338,13 @@ class TestStrain1:
         # with F1 = beta*S*I1 the I1 balance pins beta*S = alpha1 at the
         # equilibrium, so the (I1, I1) Jacobian entry vanishes
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)[0]
+        e1 = solve_all(p, inc1, inc2).E1[0]
         J = jacobian(p, inc1, inc2, e1.point)
         assert J[2, 2] == pytest.approx(0.0, abs=1e-12)
 
     def test_invasion_eigenvalue_matches_invasion_number(self):
         p, inc1, inc2 = setup_strain1_dominant()
-        e1 = solve_strain1(p, inc1)[0]
+        e1 = solve_all(p, inc1, inc2).E1[0]
         J = jacobian(p, inc1, inc2, e1.point)
         R2_invasion, _ = invasion_numbers(p, inc1, inc2, e1=e1)
         assert R2_invasion == pytest.approx(0.453437917222964, rel=1e-12)
@@ -370,7 +355,7 @@ class TestStrain1:
 
     def test_unstable_when_strain2_can_invade(self):
         p, inc1, inc2 = setup_coexistence()
-        e1 = solve_strain1(p, inc1)[0]
+        e1 = solve_all(p, inc1, inc2).E1[0]
         report = classify(p, inc1, inc2, e1)
         assert report.verdict is Verdict.UNSTABLE
         assert report.eigen_verdict is Verdict.UNSTABLE
@@ -386,7 +371,7 @@ class TestStrain1:
 class TestStrain2:
     def test_dominant_case_is_stable_both_routes(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         report = classify(p, inc1, inc2, e2)
         assert report.kind == "E2"
         assert report.verdict is Verdict.LOCALLY_STABLE
@@ -396,7 +381,7 @@ class TestStrain2:
 
     def test_invasion_eigenvalue_and_note_path(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         J = jacobian(p, inc1, inc2, e2.point)
         _, R1_invasion = invasion_numbers(p, inc1, inc2, e2=e2)
         assert R1_invasion == pytest.approx(0.2080488351515158, rel=1e-9)
@@ -408,7 +393,7 @@ class TestStrain2:
 
     def test_unstable_when_strain1_can_invade(self):
         p, inc1, inc2 = setup_coexistence()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         report = classify(p, inc1, inc2, e2)
         assert report.verdict is Verdict.UNSTABLE
         assert report.eigen_verdict is Verdict.UNSTABLE
@@ -488,9 +473,8 @@ class TestCrossValidation:
             beta2 = 10.0 ** rng.uniform(-6.0, -3.5)
             inc1 = IncidenceSpec.bilinear(beta1)
             inc2 = IncidenceSpec.saturated_s(beta2, 10.0 ** rng.uniform(-4.0, 0.0))
-            reports = [classify_disease_free(p, inc1, inc2)]
-            for eq in solve_strain1(p, inc1) + solve_strain2(p, inc2):
-                reports.append(classify(p, inc1, inc2, eq))
+            eqs = solve_all(p, inc1, inc2)
+            reports = [classify(p, inc1, inc2, eq) for eq in (eqs.E0, *eqs.E1, *eqs.E2)]
             for report in reports:
                 if (
                     report.verdict is not Verdict.INCONCLUSIVE
@@ -619,7 +603,7 @@ class TestBatch:
 class TestStrain2LyapunovScan:
     def test_surface_vanishes_at_the_equilibrium(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         pt = e2.point
         surface = strain2_lyapunov_surface(p, inc2, e2, [pt.S], [pt.V1])
         assert surface.shape == (1, 1)
@@ -636,7 +620,7 @@ class TestStrain2LyapunovScan:
 
     def test_scan_frozen_maximum(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         summary = strain2_lyapunov_scan(p, inc2, e2)
         assert summary.n_points == 200 * 200
         assert summary.nonpositive_everywhere
@@ -646,7 +630,7 @@ class TestStrain2LyapunovScan:
 
     def test_explicit_ranges(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         surface = strain2_lyapunov_surface(
             p, inc2, e2, np.geomspace(100.0, 1500.0, 50), np.geomspace(1000.0, 5000.0, 50)
         )
@@ -656,7 +640,7 @@ class TestStrain2LyapunovScan:
     @pytest.mark.parametrize("n_grid", [0, -3, 2.0, True, None])
     def test_refuses_a_grid_size_not_an_integer_at_least_one(self, n_grid):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         with pytest.raises(ValueError, match="n_grid must be an integer >= 1"):
             lyapunov_scan_grid(p, n_grid)
         with pytest.raises(ValueError, match="n_grid must be an integer >= 1"):
@@ -695,14 +679,14 @@ class TestStrain2LyapunovScan:
 
     def test_one_point_grid(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         summary = strain2_lyapunov_scan(p, inc2, e2, n_grid=1)
         assert summary.n_points == 1
         assert summary.argmax == (1e-6 * p.susceptible_cap, 1e-6 * p.vaccinated_cap)
 
     def test_rejects_boundary_grid_points(self):
         p, inc1, inc2 = setup_strain2_dominant()
-        e2 = solve_strain2(p, inc2)[0]
+        e2 = solve_all(p, inc1, inc2).E2[0]
         with pytest.raises(DomainError):
             strain2_lyapunov_surface(p, inc2, e2, [0.0, 100.0], [1000.0])
         with pytest.raises(DomainError):
@@ -713,9 +697,23 @@ class TestCoexistenceLyapunovValues:
     def test_vanishes_at_the_equilibrium(self):
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
-        values = coexistence_lyapunov_values(p, inc1, inc2, e3, e3.point.as_array())
+        values = stability._coexistence_lyapunov(p, inc1, inc2, e3, e3.point.as_array()[None])[0]
         assert values.shape == (1,)
         assert values[0] == pytest.approx(0.0, abs=1e-9)
+
+    def test_equals_the_volterra_sum_within_its_bound(self):
+        # the expression is the time derivative of V = sum of
+        # x - x* - x* ln(x/x*) over (S, V1, I1, I2): sum of (1 - x*/x)*f(x)
+        # with f from vector_field, an oracle independent of its algebra
+        sc = build_scenario("6.4")
+        p, inc1, inc2 = sc.params, sc.incidence1, sc.incidence2
+        e3 = solve_all(p, inc1, inc2).E3[0]
+        star = e3.point.as_array()
+        cloud = star * np.random.default_rng(17).uniform(0.5, 1.5, size=(2000, 4))
+        values, bound = stability._coexistence_lyapunov(p, inc1, inc2, e3, cloud)
+        volterra = [float(np.dot(1.0 - star / x, model.vector_field(p, inc1, inc2, x))) for x in cloud]
+        assert np.all(np.abs(values - volterra) <= bound)
+        assert np.max(np.abs(values)) > 10.0
 
     def test_scan_sets_aside_only_unresolved_values(self):
         # within 1e-9 of E3 the expression is below its rounding error, so
@@ -727,11 +725,11 @@ class TestCoexistenceLyapunovValues:
         rng = np.random.default_rng(11)
         base = e3.point.as_array()
         near = base * (1.0 + 1e-9 * rng.uniform(-1.0, 1.0, size=(40, 4)))
-        assert np.max(np.abs(coexistence_lyapunov_values(p, inc1, inc2, e3, near))) < 1e-11
+        assert np.max(np.abs(stability._coexistence_lyapunov(p, inc1, inc2, e3, near)[0])) < 1e-11
         assert coexistence_lyapunov_scan(p, inc1, inc2, e3, near).nonpositive_everywhere
 
         off = base * (1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=(40, 4)))
-        values = coexistence_lyapunov_values(p, inc1, inc2, e3, off)
+        values = stability._coexistence_lyapunov(p, inc1, inc2, e3, off)[0]
         assert np.all(values < -1e-9)
         both = coexistence_lyapunov_scan(p, inc1, inc2, e3, np.vstack([near, off]))
         assert both.nonpositive_everywhere
@@ -751,14 +749,14 @@ class TestCoexistenceLyapunovValues:
         assert e3.point.V1 == 0.0
         rng = np.random.default_rng(13)
         cloud = (e3.point.as_array() + 1.0) * rng.uniform(0.5, 1.5, size=(40, 4))
-        values = coexistence_lyapunov_values(p, inc1, inc2, e3, cloud)
+        values = stability._coexistence_lyapunov(p, inc1, inc2, e3, cloud)[0]
         assert np.all(np.isfinite(values))
         assert coexistence_lyapunov_scan(p, inc1, inc2, e3, cloud).nonpositive_everywhere
 
     def test_scan_refuses_zero_states(self):
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
-        assert coexistence_lyapunov_values(p, inc1, inc2, e3, np.empty((0, 4))).shape == (0,)
+        assert stability._coexistence_lyapunov(p, inc1, inc2, e3, np.empty((0, 4)))[0].shape == (0,)
         with pytest.raises(ValueError, match="at least one state"):
             coexistence_lyapunov_scan(p, inc1, inc2, e3, np.empty((0, 4)))
 
@@ -766,9 +764,7 @@ class TestCoexistenceLyapunovValues:
         p, inc1, inc2 = setup_coexistence()
         e3 = solve_all(p, inc1, inc2).E3[0]
         with pytest.raises(DomainError):
-            coexistence_lyapunov_values(
-                p, inc1, inc2, e3, np.array([[1000.0, 300.0, 0.0, 700.0]])
-            )
+            stability._coexistence_lyapunov(p, inc1, inc2, e3, np.array([[1000.0, 300.0, 0.0, 700.0]]))
 
     def test_scan_matches_pointwise_values(self):
         p, inc1, inc2 = setup_coexistence()
@@ -777,7 +773,7 @@ class TestCoexistenceLyapunovValues:
         base = e3.point.as_array()
         cloud = base * rng.uniform(0.5, 1.5, size=(40, 4))
         summary = coexistence_lyapunov_scan(p, inc1, inc2, e3, cloud)
-        values = coexistence_lyapunov_values(p, inc1, inc2, e3, cloud)
+        values = stability._coexistence_lyapunov(p, inc1, inc2, e3, cloud)[0]
         assert isinstance(summary, GridScanSummary)
         assert summary.n_points == 40
         assert summary.max_value == pytest.approx(float(np.max(values)), rel=1e-15)
